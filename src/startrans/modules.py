@@ -58,22 +58,11 @@ class GradedFreeModule:
 
 
 def term_key(module, pos, exps):
-    """Sort key for module terms (larger key = larger term)."""
-    ring = module.ring
-    if ring.order.elim_first:
-        rest = exps[1:]
-        deg = sum(w * e for w, e in zip(ring.weights[1:], rest))
-        return (
-            exps[0],
-            deg + module.twists[pos],
-            -pos,
-            tuple(-e for e in reversed(rest)),
-        )
-    return (
-        ring.mono_degree(exps) + module.twists[pos],
-        -pos,
-        ring.mono_key(exps),
-    )
+    """Sort key for module terms (larger key = larger term): the ring's
+    monomial key with the twist added to its degree part and the position
+    placed before its last element."""
+    key = module.ring.mono_key(exps)
+    return key[:-2] + (key[-2] + module.twists[pos], -pos, key[-1])
 
 
 class ModuleVector:
@@ -259,7 +248,7 @@ class SubmoduleGB:
     multiples that were adjoined).
     """
 
-    __slots__ = ("ambient", "generators", "adjoined", "gb", "rows", "order", "reduced")
+    __slots__ = ("ambient", "generators", "adjoined", "gb", "rows")
 
     def __init__(self, ambient, generators, adjoined, gb, rows):
         self.ambient = ambient
@@ -267,8 +256,6 @@ class SubmoduleGB:
         self.adjoined = tuple(adjoined)
         self.gb = tuple(gb)
         self.rows = tuple(tuple(r) for r in rows)
-        self.order = ambient.ring.order
-        self.reduced = True
 
     @property
     def working_generators(self):
@@ -313,11 +300,6 @@ class SubmoduleGB:
     def __repr__(self):
         gens = "; ".join(repr(g) for g in self.gb)
         return f"SubmoduleGB[{len(self.gb)} elements: {gens}]"
-
-
-def _spair_data(ring, lead_i, lead_j):
-    lcm = ring.mono_lcm(lead_i[1], lead_j[1])
-    return lcm
 
 
 def buchberger(ambient, gens, *, adjoin_quotient=True):

@@ -22,17 +22,13 @@ class Homogeneity(enum.Enum):
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """Order tags; only the defaults are implemented.
-
-    ``graded reverse lexicographic`` on ring monomials (graded by weighted
-    degree, declared variable order) and, for module terms, degree first
-    (twists included), then position (lower basis index wins), then the ring
-    order.  ``elim_first`` makes the first variable dominate everything;
-    used internally for tag-variable elimination.
+    """The monomial order: graded reverse lexicographic on ring monomials
+    (graded by weighted degree, declared variable order) and, for module
+    terms, degree first (twists included), then position (lower basis index
+    wins), then the ring order.  ``elim_first`` makes the first variable
+    dominate everything; used internally for tag-variable elimination.
     """
 
-    ring_order: str = "grevlex"
-    module_order: str = "graded_pot"
     elim_first: bool = False
 
 
@@ -88,9 +84,6 @@ class PolyRing:
 
     def with_quotient(self, gens):
         return PolyRing(self.field, self.names, self.weights, self.order, tuple(gens))
-
-    def with_order(self, order):
-        return PolyRing(self.field, self.names, self.weights, order, self.quotient)
 
     # monomial helpers -------------------------------------------------
 
@@ -278,11 +271,6 @@ class Polynomial:
         if len(degs) == 1:
             return degs.pop()
         return Homogeneity.NOT_HOMOGENEOUS
-
-    def is_homogeneous_of(self, degree):
-        if not self.terms:
-            return True
-        return self.homogeneous_degree() == degree
 
     def __repr__(self):
         return f"<{format_polynomial(self)}>"
@@ -566,17 +554,6 @@ class PolyMatrix:
                     acc = acc + e * c
             out.append(acc)
         return tuple(out)
-
-    def transpose(self):
-        return PolyMatrix(
-            self.ring,
-            [
-                [self.entries[i][j] for i in range(self.nrows)]
-                for j in range(self.ncols)
-            ],
-            self.ncols,
-            self.nrows,
-        )
 
     def hstack(self, other):
         if self.nrows != other.nrows:

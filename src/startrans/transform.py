@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from .complexes import (
     FreeComplex,
-    check_complex,
     check_qf_containment,
     certify_acyclic,
     complement,
@@ -354,7 +353,9 @@ def split_identity_matrix(cone, cm):
 class BasisSelection:
     """Result of the greedy residue pivot search on the decomposition
     vectors: pairs selected into the free basis, leftover standard basis
-    indices, and the coefficients of the unselected vectors in that basis."""
+    indices, and the coefficients of the unselected vectors in that basis.
+    ``span_gb`` is the reduced basis of that free basis (None when every
+    pair was selected)."""
 
     module: GradedFreeModule
     pairs: tuple
@@ -363,13 +364,7 @@ class BasisSelection:
     star_pairs: tuple
     a_coeffs: dict
     b_coeffs: dict
-
-    def basis_vectors(self, decomposition):
-        chosen = [
-            decomposition[lam][i - 1] for (lam, i) in self.selected_pairs
-        ]
-        chosen += [self.module.basis_vector(u) for u in self.retained_basis]
-        return chosen
+    span_gb: object
 
 
 def select_basis(decomposition, module_prev, n):
@@ -413,11 +408,12 @@ def select_basis(decomposition, module_prev, n):
     chosen += [module_prev.basis_vector(u) for u in retained_basis]
     a_coeffs = {}
     b_coeffs = {}
+    span_gb = None
     if star_pairs:
-        trans_gb = buchberger(module_prev, chosen)
+        span_gb = buchberger(module_prev, chosen)
         for (mu, j) in star_pairs:
             try:
-                witness = trans_gb.lift(decomposition[mu][j - 1])
+                witness = span_gb.lift(decomposition[mu][j - 1])
             except NotInModule as exc:
                 raise BasisSelectionError(
                     "selected set fails to span the module (internal)"
@@ -446,6 +442,7 @@ def select_basis(decomposition, module_prev, n):
         star_pairs,
         a_coeffs,
         b_coeffs,
+        span_gb,
     )
 
 
@@ -472,7 +469,6 @@ def build_star_top(selection, split_complex, cm):
     f = ring.field
     top = comp.module(n)
     prev = comp.module(n - 1)
-    dec = cm.decomposition
 
     prev_subs = subsets(n, n - 1)
     prev_sub_index = {s: k for k, s in enumerate(prev_subs)}
@@ -483,8 +479,6 @@ def build_star_top(selection, split_complex, cm):
     split_top_map = split_complex.maps[n - 1]
     tensor_prev_rank = cm.source_modules[n - 1].rank
 
-    chosen = selection.basis_vectors(dec)
-    trans_gb = buchberger(prev, chosen) if chosen else None
     lp_count = len(selection.selected_pairs)
     u_list = list(selection.retained_basis)
     u_pos = {u: k for k, u in enumerate(u_list)}
@@ -509,10 +503,7 @@ def build_star_top(selection, split_complex, cm):
         bracket_part = list(image[:nb])
         angle_part = prev.vector(image[nb:])
 
-        if trans_gb is not None:
-            witness = trans_gb.lift(angle_part)
-        else:
-            witness = ()
+        witness = selection.span_gb.lift(angle_part)
         for c in witness[:lp_count]:
             if c.terms:
                 raise TopMapMismatch(
@@ -627,9 +618,6 @@ def star_transform(comp, sop, decomposition=None, with_report=True):
         raise PreconditionFailed(
             "complex length must equal the number of parameters"
         )
-    defect = check_complex(comp)
-    if defect is not None:
-        raise PreconditionFailed(f"input is not a complex: {defect.message}")
     cert = certify_acyclic(comp)
     if not cert.ok:
         raise PreconditionFailed(

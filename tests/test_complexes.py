@@ -1,5 +1,7 @@
+import re
 from math import comb
 
+import brute
 import pytest
 
 from startrans import (
@@ -16,6 +18,8 @@ from startrans import (
     check_qf_containment,
     decompose_images,
     koszul,
+    lift_witness,
+    syzygies,
     validate_sop,
 )
 from startrans.complexes import (
@@ -25,7 +29,12 @@ from startrans.complexes import (
     offset_sum,
     subsets,
 )
-from startrans.instances import exa_instance
+from startrans.instances import (
+    direct_sum_instance,
+    exa_instance,
+    padded_zero_top_instance,
+    square_ideal_instance,
+)
 
 
 @pytest.fixture
@@ -183,27 +192,33 @@ def test_random_monomial_koszul_acyclic():
 
 def test_exa_certified_with_witnesses():
     comp, _ = exa_instance()
-    cert = certify_acyclic(comp)
-    assert cert.ok
+    assert certify_acyclic(comp).ok
     # one syzygy at position 1, lifted through phi_2
-    assert len(cert.witnesses[0]) == 1
+    f0, f1 = comp.module(0), comp.module(1)
+    rels = syzygies(_columns(comp, 1), f0)
+    assert len(rels) == 1
+    kernel = f1.vector(rels[0].coords)
+    witness = lift_witness(kernel, _columns(comp, 2), f1)
+    assert comp.phi(2).apply(witness) == kernel.coords
 
 
-def test_zero_map_not_acyclic(ring):
-    # 0 -> R -> R with the zero map: the top map is not injective
+def _columns(comp, p):
+    m = comp.phi(p)
+    return [comp.module(p - 1).vector(m.column(j)) for j in range(m.ncols)]
+
+
+def zero_map_complex(ring):
+    """0 -> R -> R with the zero map: the top map is not injective."""
     modules = (
         GradedFreeModule(ring, 1, (0,)),
         GradedFreeModule(ring, 1, (0,)),
     )
     maps = (PolyMatrix.zeros(ring, 1, 1),)
-    cert = certify_acyclic(FreeComplex(ring, modules, maps))
-    assert not cert.ok
-    assert cert.failed_position == 1
-    assert "kernel" in cert.detail
+    return FreeComplex(ring, modules, maps)
 
 
-def test_exactness_defect_located(ring):
-    # 0 -> R --0--> R --x--> R: exact at the right of position 1 fails
+def defect_at_two_complex(ring):
+    """0 -> R(-1) --0--> R(-1) --x--> R: exact at position 1, not at 2."""
     modules = (
         GradedFreeModule(ring, 1, (0,)),
         GradedFreeModule(ring, 1, (1,)),
@@ -213,9 +228,75 @@ def test_exactness_defect_located(ring):
         PolyMatrix(ring, [[ring.var(0)]]),
         PolyMatrix.zeros(ring, 1, 1),
     )
-    cert = certify_acyclic(FreeComplex(ring, modules, maps))
+    return FreeComplex(ring, modules, maps)
+
+
+def test_zero_map_not_acyclic(ring):
+    cert = certify_acyclic(zero_map_complex(ring))
+    assert not cert.ok
+    assert cert.failed_position == 1
+    assert "kernel" in cert.detail
+
+
+def test_exactness_defect_located(ring):
+    cert = certify_acyclic(defect_at_two_complex(ring))
     assert not cert.ok
     assert cert.failed_position == 2
+
+
+def _brute_kernel_dimension(comp, p, d):
+    """dim_k of (Ker phi_p)_d: dense relations among the nonzero columns,
+    plus the whole degree-d span of every zero column."""
+    src = comp.module(p)
+    cols = _columns(comp, p)
+    live = [c for c in cols if not c.is_zero()]
+    dim = len(brute.brute_kernel_basis(live, comp.module(p - 1), d)) if live else 0
+    for j, c in enumerate(cols):
+        if c.is_zero():
+            dim += len(brute.monomials_of_degree(comp.ring, d - src.twists[j]))
+    return dim
+
+
+def _brute_first_defect(comp, top_degree=6):
+    """(position, degree) of the first degreewise mismatch between the
+    kernel of phi_p and the image of phi_(p+1), or None."""
+    n = comp.length
+    for p in range(1, n + 1):
+        for d in range(top_degree + 1):
+            image = (
+                brute.span_dimension(_columns(comp, p + 1), comp.module(p), d)
+                if p < n
+                else 0
+            )
+            if _brute_kernel_dimension(comp, p, d) != image:
+                return p, d
+    return None
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda ring: exa_instance()[0],
+        lambda ring: square_ideal_instance()[0],
+        lambda ring: direct_sum_instance()[0],
+        lambda ring: padded_zero_top_instance()[0],
+        zero_map_complex,
+        defect_at_two_complex,
+    ],
+    ids=["exa", "square_ideal", "direct_sum", "padded_zero_top", "zero_map",
+         "defect_at_two"],
+)
+def test_certificate_matches_dense_dimensions(ring, build):
+    comp = build(ring)
+    cert = certify_acyclic(comp)
+    expected = _brute_first_defect(comp)
+    if expected is None:
+        assert cert.ok
+        return
+    assert not cert.ok
+    named = re.search(r"position (\d+) .* degree (-?\d+)", cert.detail)
+    position, degree = map(int, named.groups())
+    assert (cert.failed_position, position, degree) == (expected[0], *expected)
 
 
 # -- containment --------------------------------------------------------------

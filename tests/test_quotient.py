@@ -1,0 +1,77 @@
+"""Acyclicity and the star transform over the quotient ring Q[x,y,z]/(z^2).
+
+Over R/J the relations of a map include J-multiples, which vanish in the
+quotient; the certificate must not count them as kernel elements.
+"""
+
+import json
+
+import pytest
+
+from startrans import (
+    FreeComplex,
+    GradedFreeModule,
+    PolyMatrix,
+    PolyRing,
+    RationalField,
+    certify_acyclic,
+    koszul,
+    star_transform,
+    validate_sop,
+)
+from startrans.cli import main
+
+PROBLEM = {
+    "field": {"type": "rational"},
+    "variables": [
+        {"name": "x", "degree": 1},
+        {"name": "y", "degree": 1},
+        {"name": "z", "degree": 1},
+    ],
+    "quotient": ["z^2"],
+    "sop": ["x", "y"],
+    "complex": {
+        "twists": [[0], [-2, -1], [-3]],
+        "maps": [[["x^2", "y"]], [["-y"], ["x^2"]]],
+    },
+}
+
+
+@pytest.fixture
+def ring():
+    base = PolyRing(RationalField(), ("x", "y", "z"))
+    return base.with_quotient([base.parse("z^2")])
+
+
+def test_koszul_over_quotient_certified(ring):
+    comp = koszul(validate_sop(ring, [ring.parse("x^2"), ring.var(1)]))
+    cert = certify_acyclic(comp)
+    assert cert.ok, cert.detail
+
+
+def test_multiplication_by_nilpotent_not_injective(ring):
+    # 0 -> R(-1) --z--> R: z*e lies in the kernel, in degree 2
+    modules = (
+        GradedFreeModule(ring, 1, (0,)),
+        GradedFreeModule(ring, 1, (1,)),
+    )
+    maps = (PolyMatrix(ring, [[ring.var(2)]]),)
+    cert = certify_acyclic(FreeComplex(ring, modules, maps))
+    assert not cert.ok
+    assert cert.failed_position == 1
+    assert "kernel" in cert.detail and "degree 2" in cert.detail
+
+
+def test_star_transform_over_quotient_passes_every_check(ring):
+    comp = koszul(validate_sop(ring, [ring.parse("x^2"), ring.var(1)]))
+    sop = validate_sop(ring, [ring.var(0), ring.var(1)])
+    report = star_transform(comp, sop).report
+    assert "quotient_assumption" in report.names()
+    assert [c.name for c in report.checks if not c.passed] == []
+
+
+def test_cli_star_verify_over_quotient(tmp_path):
+    path = tmp_path / "quotient.json"
+    path.write_text(json.dumps(PROBLEM))
+    out = str(tmp_path / "quotient.star.json")
+    assert main(["star", "--input", str(path), "--output", out, "--verify"]) == 0
