@@ -48,7 +48,12 @@ def sign_scalar(field_obj, exponent):
 
 @dataclass(frozen=True)
 class SopData:
-    """A validated homogeneous system of parameters."""
+    """A validated homogeneous system of parameters.
+
+    ``ideal_gb()`` builds the basis of the parameter ideal on first use and
+    keeps it outside the dataclass fields, so equality and hash are those of
+    the fields alone.
+    """
 
     ring: object
     gens: tuple
@@ -61,8 +66,12 @@ class SopData:
         return len(self.gens)
 
     def ideal_gb(self):
-        ambient = GradedFreeModule(self.ring, 1, (0,))
-        return buchberger(ambient, [ambient.vector((g,)) for g in self.gens])
+        gb = self.__dict__.get("_ideal_gb")
+        if gb is None:
+            ambient = GradedFreeModule(self.ring, 1, (0,))
+            gb = buchberger(ambient, [ambient.vector((g,)) for g in self.gens])
+            object.__setattr__(self, "_ideal_gb", gb)
+        return gb
 
 
 def validate_sop(ring, polys):
@@ -162,12 +171,18 @@ def homogeneity_defect(comp):
 
 
 def composition_defect(comp):
-    """First nonzero entry of a composite phi_(p-1) phi_p, or None."""
+    """First entry of a composite phi_(p-1) phi_p that is nonzero in the
+    ring (modulo its quotient ideal, if any), or None."""
+    ambient = GradedFreeModule(comp.ring, 1, (0,))
+    quotient_gb = buchberger(ambient, []) if comp.ring.quotient else None
     for p in range(2, comp.length + 1):
         prod = comp.phi(p - 1) @ comp.phi(p)
         for i in range(prod.nrows):
             for j in range(prod.ncols):
-                if not prod.entry(i, j).is_zero():
+                e = prod.entry(i, j)
+                if quotient_gb is not None and not e.is_zero():
+                    e = quotient_gb.normal_form(ambient.vector((e,))).coords[0]
+                if not e.is_zero():
                     return ComplexDefect(
                         "composition", p, i, j,
                         f"(phi_{p - 1} phi_{p}) has nonzero entry ({i},{j})",

@@ -72,16 +72,38 @@ class RationalField:
         return "RationalField()"
 
 
+# Miller-Rabin with the primes up to 37 as bases is exact below this bound
+# (Sorenson & Webster, "Strong pseudoprimes to twelve prime bases", 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_EXACT_BELOW = 318665857834031151167461
+
+
 def _is_prime(p):
+    """Deterministic primality test; ValueError when p is too large for the
+    test to be exact."""
+    if p >= _MR_EXACT_BELOW:
+        raise ValueError(
+            f"prime fields need p < {_MR_EXACT_BELOW}, where primality is exact"
+        )
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -146,8 +168,7 @@ def field_from_spec(spec):
         return RationalField()
     if spec.startswith("p:"):
         try:
-            p = int(spec[2:])
-        except ValueError:
-            raise ParseError(f"bad prime field spec {spec!r}") from None
-        return PrimeField(p)
+            return PrimeField(int(spec[2:]))
+        except ValueError as exc:
+            raise ParseError(f"bad prime field spec {spec!r}: {exc}") from None
     raise ParseError(f"unknown field spec {spec!r}")

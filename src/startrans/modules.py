@@ -7,13 +7,18 @@ tracked transformation so that every basis element knows its expression in
 the input generators (that expression is what makes witnesses canonical).
 
 Module terms are ordered degree first (twists included), then position
-(lower basis index wins), then the ring order on monomials.  When the
-ambient ring carries a quotient ideal J, submodule computations adjoin
-J-multiples of the basis vectors, so results are correct over R/J.
+(lower basis index wins), then the ring order on monomials; ``term_key`` is
+the one definition of that order.  Division pops the working vector's
+terms largest first from a heap on ``term_key``, keying each term once when
+it enters.  Vectors are immutable, so each caches its lead term and a
+``SubmoduleGB`` keeps the leads of its basis.  When the ambient ring carries
+a quotient ideal J, submodule computations adjoin J-multiples of the basis
+vectors, so results are correct over R/J.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .errors import DimensionMismatch, NotInModule, StarTransError
@@ -58,17 +63,23 @@ class GradedFreeModule:
 
 
 def term_key(module, pos, exps):
-    """Sort key for module terms (larger key = larger term): the ring's
-    monomial key with the twist added to its degree part and the position
+    """Sort key for module terms, the only definition of the module order:
+    a larger term has a smaller key, so ascending sorts and the min-heap of
+    the division put the largest term first.  It is the ring's monomial key
+    with the twist taken off its (negated) degree part and the position
     placed before its last element."""
     key = module.ring.mono_key(exps)
-    return key[:-2] + (key[-2] + module.twists[pos], -pos, key[-1])
+    return key[:-2] + (key[-2] - module.twists[pos], pos, key[-1])
 
 
 class ModuleVector:
-    """Element of a graded free module; coordinates are polynomials."""
+    """Element of a graded free module; coordinates are polynomials.
 
-    __slots__ = ("module", "coords")
+    Vectors are immutable (no operation changes ``coords`` or the terms of
+    a coordinate), so the lead term is computed once and kept.
+    """
+
+    __slots__ = ("module", "coords", "_lead")
 
     def __init__(self, module, coords):
         self.module = module
@@ -122,15 +133,24 @@ class ModuleVector:
 
     def lead(self):
         """Largest term as (position, exponents, coefficient); None if zero."""
-        best = None
-        best_key = None
-        for pos, c in enumerate(self.coords):
-            for exps, coeff in c.terms.items():
-                k = term_key(self.module, pos, exps)
-                if best_key is None or k > best_key:
-                    best_key = k
-                    best = (pos, exps, coeff)
-        return best
+        try:
+            return self._lead
+        except AttributeError:
+            pass
+        top = min(
+            (
+                (term_key(self.module, pos, exps), pos, exps)
+                for pos, c in enumerate(self.coords)
+                for exps in c.terms
+            ),
+            default=None,
+        )
+        if top is None:
+            self._lead = None
+        else:
+            _, pos, exps = top
+            self._lead = (pos, exps, self.coords[pos].terms[exps])
+        return self._lead
 
     def homogeneous_degree(self):
         """Common value of deg(coord) + twist over nonzero coords, or None
@@ -159,43 +179,49 @@ class ModuleVector:
 # -- division ---------------------------------------------------------------
 
 
-def _max_term(module, work):
-    best = None
-    best_key = None
-    for pos, terms in enumerate(work):
-        for exps in terms:
-            k = term_key(module, pos, exps)
-            if best_key is None or k > best_key:
-                best_key = k
-                best = (pos, exps)
-    return best
-
-
 def _divide(vector, divisors, leads, track=False):
     """Fully reduce ``vector`` by ``divisors``; every remainder term is
     divisible by no divisor lead.  Returns (quotients, remainder) where
     quotients[k] satisfies vector = sum quotients[k]*divisors[k] + remainder
-    (quotients is None unless ``track``)."""
+    (quotients is None unless ``track``).
+
+    The largest remaining term is reduced by the first divisor whose lead
+    divides it, or else moved to the remainder.  Terms wait in a min-heap on
+    ``term_key``, keyed once when they enter the working vector; a term that
+    cancels stays in the heap and is skipped when popped.  A step only adds
+    terms below the one it removes, so a popped term never returns.
+    """
     module = vector.module
     ring = module.ring
     f = ring.field
     work = [dict(c.terms) for c in vector.coords]
+    heap = [
+        (term_key(module, pos, exps), pos, exps)
+        for pos, terms in enumerate(work)
+        for exps in terms
+    ]
+    heapq.heapify(heap)
     rem = [{} for _ in range(module.rank)]
     quots = [{} for _ in divisors] if track else None
 
-    def sub_term(target, exps, c):
-        c0 = f.sub(target.get(exps, f.zero), c)
+    def sub_term(pos, exps, c):
+        target = work[pos]
+        old = target.get(exps)
+        if old is None:
+            target[exps] = f.neg(c)
+            heapq.heappush(heap, (term_key(module, pos, exps), pos, exps))
+            return
+        c0 = f.sub(old, c)
         if f.is_zero(c0):
-            target.pop(exps, None)
+            del target[exps]
         else:
             target[exps] = c0
 
-    while True:
-        top = _max_term(module, work)
-        if top is None:
-            break
-        pos, exps = top
-        coeff = work[pos][exps]
+    while heap:
+        _, pos, exps = heapq.heappop(heap)
+        coeff = work[pos].get(exps)
+        if coeff is None:
+            continue
         for k, lead in enumerate(leads):
             if lead is None:
                 continue
@@ -205,7 +231,7 @@ def _divide(vector, divisors, leads, track=False):
                 q = f.div(coeff, gcoeff)
                 for dpos, dpoly in enumerate(divisors[k].coords):
                     for dexps, dc in dpoly.terms.items():
-                        sub_term(work[dpos], ring.mono_mul(dexps, u), f.mul(q, dc))
+                        sub_term(dpos, ring.mono_mul(dexps, u), f.mul(q, dc))
                 if track:
                     q0 = f.add(quots[k].get(u, f.zero), q)
                     if f.is_zero(q0):
@@ -245,10 +271,10 @@ class SubmoduleGB:
 
     ``rows[k]`` expresses ``gb[k]`` as a combination of the working
     generator list (the input generators followed by any quotient-ideal
-    multiples that were adjoined).
+    multiples that were adjoined); ``leads[k]`` is ``gb[k].lead()``.
     """
 
-    __slots__ = ("ambient", "generators", "adjoined", "gb", "rows")
+    __slots__ = ("ambient", "generators", "adjoined", "gb", "rows", "leads")
 
     def __init__(self, ambient, generators, adjoined, gb, rows):
         self.ambient = ambient
@@ -256,19 +282,17 @@ class SubmoduleGB:
         self.adjoined = tuple(adjoined)
         self.gb = tuple(gb)
         self.rows = tuple(tuple(r) for r in rows)
+        self.leads = tuple(g.lead() for g in self.gb)
 
     @property
     def working_generators(self):
         return self.generators + self.adjoined
 
-    def leads(self):
-        return [g.lead() for g in self.gb]
-
     def divide(self, v):
-        return _divide(v, list(self.gb), self.leads(), track=True)
+        return _divide(v, self.gb, self.leads, track=True)
 
     def normal_form(self, v):
-        _, r = _divide(v, list(self.gb), self.leads(), track=False)
+        _, r = _divide(v, self.gb, self.leads, track=False)
         return r
 
     def contains(self, v):
@@ -402,9 +426,11 @@ def buchberger(ambient, gens, *, adjoin_quotient=True):
 def _reduce_basis(ambient, gens, adjoined, basis, rows):
     ring = ambient.ring
     f = ring.field
+    # smallest lead first; reverse=True keeps equal leads in basis order
     order = sorted(
         range(len(basis)),
         key=lambda k: term_key(ambient, basis[k].lead()[0], basis[k].lead()[1]),
+        reverse=True,
     )
     kept = []
     for idx in order:
@@ -444,7 +470,6 @@ def _reduce_basis(ambient, gens, adjoined, basis, rows):
     ordering = sorted(
         range(len(final)),
         key=lambda k: term_key(ambient, final[k].lead()[0], final[k].lead()[1]),
-        reverse=True,
     )
     final = [final[k] for k in ordering]
     final_rows = [final_rows[k] for k in ordering]
@@ -507,7 +532,7 @@ def syzygies(gens, ambient=None):
     if t:
         # relations among the reduced basis elements, from every same-position
         # pair; then pushed down to the working generators through the rows
-        leads = gb.leads()
+        leads = gb.leads
         f = ring.field
         gb_relations = []
         for j in range(t):
@@ -521,7 +546,7 @@ def syzygies(gens, ambient=None):
                 ci = f.invert(li[2])
                 cj = f.invert(lj[2])
                 s = gb.gb[i].mul_term(ci, ui) - gb.gb[j].mul_term(cj, uj)
-                quots, rem = _divide(s, list(gb.gb), leads, track=True)
+                quots, rem = _divide(s, gb.gb, leads, track=True)
                 if not rem.is_zero():
                     raise StarTransError(
                         "reduced basis failed an S-vector reduction (internal)"
@@ -537,7 +562,7 @@ def syzygies(gens, ambient=None):
         # expressions of the working generators in the reduced basis
         b_rows = []
         for g in working:
-            quots, rem = _divide(g, list(gb.gb), leads, track=True)
+            quots, rem = _divide(g, gb.gb, leads, track=True)
             if not rem.is_zero():
                 raise StarTransError("generator not reduced by own basis (internal)")
             b_rows.append(quots)

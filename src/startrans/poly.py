@@ -91,12 +91,14 @@ class PolyRing:
         return sum(w * e for w, e in zip(self.weights, exps))
 
     def mono_key(self, exps):
-        """Sort key realizing the ring order (larger key = larger monomial)."""
+        """Sort key realizing the ring order: a larger monomial has a
+        smaller key, so ascending sorts and min-heaps put the largest
+        monomial first."""
         if self.order.elim_first:
             rest = exps[1:]
             deg = sum(w * e for w, e in zip(self.weights[1:], rest))
-            return (exps[0], deg, tuple(-e for e in reversed(rest)))
-        return (self.mono_degree(exps), tuple(-e for e in reversed(exps)))
+            return (-exps[0], -deg, rest[::-1])
+        return (-self.mono_degree(exps), exps[::-1])
 
     def mono_mul(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
@@ -241,18 +243,9 @@ class Polynomial:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def lead(self):
-        """The term that is largest in the ring order, as (exps, coeff)."""
-        if not self.terms:
-            return None
-        m = max(self.terms, key=self.ring.mono_key)
-        return m, self.terms[m]
-
     def sorted_terms(self):
         """Terms in decreasing ring order."""
-        return sorted(
-            self.terms.items(), key=lambda t: self.ring.mono_key(t[0]), reverse=True
-        )
+        return sorted(self.terms.items(), key=lambda t: self.ring.mono_key(t[0]))
 
     def constant_coeff(self):
         return self.terms.get((0,) * self.ring.nvars, self.ring.field.zero)
@@ -285,9 +278,9 @@ def order_compare(ring, exps1, exps2):
         raise DimensionMismatch("monomials over different variable counts")
     k1, k2 = ring.mono_key(tuple(exps1)), ring.mono_key(tuple(exps2))
     if k1 < k2:
-        return -1
-    if k1 > k2:
         return 1
+    if k1 > k2:
+        return -1
     return 0
 
 

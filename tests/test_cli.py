@@ -314,6 +314,12 @@ def test_cli_field_override(tmp_path, capsys):
     assert pf.ring.field.name == "p:32003"
 
 
+def test_cli_large_prime_field(capsys):
+    assert main(["info", "--input", FIXTURE, "--field", "p:2305843009213693951"]) == 0
+    assert main(["info", "--input", FIXTURE, "--field", "p:2305843009213693953"]) == 3
+    assert "not prime" in capsys.readouterr().err
+
+
 def test_cli_missing_input(capsys):
     code = main(["star"])
     assert code == 3

@@ -19,10 +19,13 @@ from startrans import (
     decompose_images,
     koszul,
     lift_witness,
+    star_transform,
     syzygies,
     validate_sop,
 )
+from startrans import complexes
 from startrans.complexes import (
+    SopData,
     complement,
     co_singleton,
     count_below,
@@ -336,6 +339,24 @@ def test_containment_zero_top_map(ring):
     comp = FreeComplex(ring, modules, maps)
     sop = validate_sop(ring, [ring.var(0), ring.var(1)])
     assert check_qf_containment(comp, sop)
+
+
+def test_sop_ideal_gb_built_once_per_instance(monkeypatch):
+    comp, validated = exa_instance()
+    sop = SopData(validated.ring, validated.gens, validated.degrees, validated.colength)
+    builds = []
+    real = complexes.buchberger
+
+    def counting(ambient, gens, **kw):
+        if ambient.rank == 1 and tuple(g.coords[0] for g in gens) == sop.gens:
+            builds.append(ambient)
+        return real(ambient, gens, **kw)
+
+    monkeypatch.setattr(complexes, "buchberger", counting)
+    result = star_transform(comp, sop)
+    assert result.report.overall
+    assert len(builds) == 1
+    assert sop == validated and hash(sop) == hash(validated)
 
 
 def test_koszul_always_contained():

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -149,6 +150,33 @@ def test_prime_field_arithmetic():
 def test_prime_field_requires_prime():
     with pytest.raises(ValueError):
         PrimeField(32004)
+
+
+def _trial_division_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def test_primality_agrees_with_trial_division():
+    from startrans.fields import _is_prime
+
+    assert all(_is_prime(n) == _trial_division_is_prime(n) for n in range(5000))
+    # the smallest strong pseudoprimes to the first 1, 2, ..., 11 prime bases
+    for n in (2047, 1373653, 25326001, 3215031751, 2152302898747,
+              3474749660383, 341550071728321, 3825123056546413051):
+        assert not _is_prime(n)
+
+
+def test_prime_field_large_prime_decided_fast():
+    start = time.perf_counter()
+    assert PrimeField(2305843009213693951).p == 2**61 - 1
+    with pytest.raises(ValueError):
+        PrimeField(2305843009213693953)  # 2^61 + 1, divisible by 3
+    assert time.perf_counter() - start < 1.0
+
+
+def test_prime_field_refuses_p_beyond_the_exact_test():
+    with pytest.raises(ValueError, match="prime fields need p <"):
+        PrimeField(2**89 - 1)
 
 
 def test_matrix_identity_and_product(ring):

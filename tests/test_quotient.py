@@ -15,6 +15,7 @@ from startrans import (
     PolyRing,
     RationalField,
     certify_acyclic,
+    check_complex,
     koszul,
     star_transform,
     validate_sop,
@@ -60,6 +61,27 @@ def test_multiplication_by_nilpotent_not_injective(ring):
     assert not cert.ok
     assert cert.failed_position == 1
     assert "kernel" in cert.detail and "degree 2" in cert.detail
+
+
+def _two_maps(ring, first, second):
+    # R(-2) --second--> R(-1) --first--> R
+    modules = tuple(GradedFreeModule(ring, 1, (d,)) for d in (0, 1, 2))
+    maps = (
+        PolyMatrix(ring, [[ring.parse(first)]]),
+        PolyMatrix(ring, [[ring.parse(second)]]),
+    )
+    return FreeComplex(ring, modules, maps)
+
+
+def test_composition_vanishing_modulo_quotient_is_a_complex(ring):
+    # z*z = z^2 is zero in R/(z^2) though not in R
+    assert check_complex(_two_maps(ring, "z", "z")) is None
+
+
+def test_composition_nonzero_modulo_quotient_is_rejected(ring):
+    defect = check_complex(_two_maps(ring, "z", "y"))
+    assert defect is not None
+    assert defect.kind == "composition" and defect.position == 2
 
 
 def test_star_transform_over_quotient_passes_every_check(ring):
