@@ -50,9 +50,10 @@ def sign_scalar(field_obj, exponent):
 class SopData:
     """A validated homogeneous system of parameters.
 
-    ``ideal_gb()`` builds the basis of the parameter ideal on first use and
-    keeps it outside the dataclass fields, so equality and hash are those of
-    the fields alone.
+    ``ideal_gb()`` returns the basis of the parameter ideal, kept outside
+    the dataclass fields (so equality and hash are those of the fields
+    alone): ``validate_sop`` stores the basis it built, and an instance made
+    directly builds it on first use.
     """
 
     ring: object
@@ -98,7 +99,9 @@ def validate_sop(ring, polys):
         raise NotASop(
             "parameters do not span a finite-colength ideal", series=data.series
         )
-    return SopData(ring, polys, tuple(degrees), data.dimension)
+    sop = SopData(ring, polys, tuple(degrees), data.dimension)
+    object.__setattr__(sop, "_ideal_gb", gb)
+    return sop
 
 
 @dataclass(frozen=True)
@@ -127,11 +130,23 @@ class FreeComplex:
         return self.modules[-1].rank
 
     def image_gb(self, p):
-        """Groebner basis of Im phi_p inside F_(p-1)."""
-        target = self.modules[p - 1]
-        m = self.phi(p)
-        cols = [target.vector(m.column(j)) for j in range(m.ncols)]
-        return buchberger(target, cols)
+        """Groebner basis of Im phi_p inside F_(p-1).
+
+        The basis of M = Im phi_1, which the acyclicity certificate, the
+        colon oracle and the checks all read, is built once and kept
+        outside the dataclass fields, like ``SopData.ideal_gb``.  The
+        others are only read by the certificate; keeping them would hold
+        every basis of a complex for as long as the complex lives.
+        """
+        gb = self.__dict__.get("_m_gb") if p == 1 else None
+        if gb is None:
+            target = self.modules[p - 1]
+            m = self.phi(p)
+            cols = [target.vector(m.column(j)) for j in range(m.ncols)]
+            gb = buchberger(target, cols)
+            if p == 1:
+                object.__setattr__(self, "_m_gb", gb)
+        return gb
 
     def effective_length(self):
         top = self.length

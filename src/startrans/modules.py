@@ -499,17 +499,17 @@ def lift_witness(v, gens, ambient=None, gb=None):
     return gb.lift(v)
 
 
-def syzygies(gens, ambient=None):
-    """Generators of the relation module {c : sum c_i gens_i = 0}.
+def _syzygy_generators(gens, ambient):
+    """Generators of the relation module {c : sum c_i gens_i = 0}, unreduced.
 
-    Returned as the reduced basis of the syzygy module inside a fresh free
-    module of rank len(gens) whose twists are the generator degrees.
+    Returns (syz_module, candidates): a free module of rank len(gens) whose
+    twists are the generator degrees, and the vectors that span the relation
+    module inside it.  These are the unit relations of zero generators, the
+    S-pair relations of the reduced basis of ``gens`` (Schreyer's theorem:
+    they generate the syzygies of the basis) pushed down to ``gens`` through
+    its ``rows``, and the rows of (identity - B*A), where B expresses the
+    generators in the basis and A the basis in the generators.
     """
-    gens = tuple(gens)
-    if ambient is None:
-        if not gens:
-            raise DimensionMismatch("ambient required for empty generator list")
-        ambient = gens[0].module
     ring = ambient.ring
     twists = []
     for g in gens:
@@ -523,7 +523,6 @@ def syzygies(gens, ambient=None):
             unit_syzygies.append(syz_module.basis_vector(j))
 
     gb = buchberger(ambient, gens)
-    working = gb.working_generators
     n_orig = len(gens)
     t = len(gb.gb)
 
@@ -559,9 +558,9 @@ def syzygies(gens, ambient=None):
                         rel[k] = rel[k] - q
                 gb_relations.append(rel)
 
-        # expressions of the working generators in the reduced basis
+        # expressions of the generators in the reduced basis
         b_rows = []
-        for g in working:
+        for g in gens:
             quots, rem = _divide(g, gb.gb, leads, track=True)
             if not rem.is_zero():
                 raise StarTransError("generator not reduced by own basis (internal)")
@@ -592,9 +591,28 @@ def syzygies(gens, ambient=None):
                         coords[jj] = coords[jj] - q * a
             candidates.append(syz_module.vector(coords))
 
+    return syz_module, candidates
+
+
+def syzygies(gens, ambient=None):
+    """Reduced basis of the relation module {c : sum c_i gens_i = 0}.
+
+    It lives in a fresh free module of rank len(gens) whose twists are the
+    generator degrees: the reduced basis of the ``_syzygy_generators``
+    span, each element checked to annihilate ``gens`` (modulo the quotient
+    ideal, if any).
+    """
+    gens = tuple(gens)
+    if ambient is None:
+        if not gens:
+            raise DimensionMismatch("ambient required for empty generator list")
+        ambient = gens[0].module
+    syz_module, candidates = _syzygy_generators(gens, ambient)
     result = buchberger(syz_module, candidates)
     quotient_gb = (
-        buchberger(ambient, [], adjoin_quotient=True) if ring.quotient else None
+        buchberger(ambient, [], adjoin_quotient=True)
+        if ambient.ring.quotient
+        else None
     )
     for s in result.gb:
         acc = ambient.zero_vector()
@@ -620,25 +638,32 @@ def submodule_equal(a, b):
 def colon(m_gb, q_polys):
     """Generators of {f in F0 : q f in M for all q in Q}, as a SubmoduleGB.
 
-    Per-element colons via syzygies of [q*basis | basis of M], intersected.
+    For each q, M : q is the projection onto the first rank(F0) coordinates
+    of the relations of [q*e_1 .. q*e_r | basis of M].  The projection is a
+    module map, so it is enough to project the unreduced relation
+    generators of ``_syzygy_generators`` and reduce once, in F0; the
+    syzygy module itself is never reduced.  Every element g of the basis
+    of M : q is checked to satisfy q*g in M.  The per-element colons are
+    then intersected.
     """
     ambient = m_gb.ambient
     q_polys = [q for q in q_polys if not q.is_zero()]
     if not q_polys:
         raise DimensionMismatch("colon by an empty ideal")
+    m_gens = list(m_gb.gb) if m_gb.gb else list(m_gb.working_generators)
     result = None
     for q in q_polys:
         combined = [ambient.basis_vector(i).mul_poly(q) for i in range(ambient.rank)]
-        m_gens = list(m_gb.gb) if m_gb.gb else list(m_gb.working_generators)
-        combined += m_gens
-        rels = syzygies(combined, ambient)
+        _, rels = _syzygy_generators(combined + m_gens, ambient)
         projected = []
         for rel in rels:
-            coords = rel.coords[: ambient.rank]
-            v = ambient.vector(coords)
+            v = ambient.vector(rel.coords[: ambient.rank])
             if not v.is_zero():
                 projected.append(v)
         part = buchberger(ambient, projected)
+        for g in part.gb:
+            if not m_gb.contains(g.mul_poly(q)):
+                raise StarTransError("colon element fails q*g in M (internal)")
         result = part if result is None else intersect(result, part)
     return result
 

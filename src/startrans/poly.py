@@ -345,10 +345,11 @@ def parse_polynomial(ring, text):
                 if i >= n or toks[i][0] != "int":
                     fail("bad fraction")
                 den = toks[i][1]
-                if den == 0:
-                    fail("zero denominator")
                 i += 1
-            coeff = f.from_fraction(sign * num, den)
+            try:
+                coeff = f.from_fraction(sign * num, den)
+            except ZeroDivisionError:
+                fail(f"denominator {den} is zero in the field")
             if i < n and toks[i] == ("op", "*"):
                 i += 1
                 if i >= n or toks[i][0] != "name":

@@ -42,35 +42,50 @@ class ProblemFile:
         return tuple(self.ring.parse(t) for t in self.sop_texts)
 
     def with_field(self, field):
+        """The same problem over another field; ParseError, naming the
+        entry, when a coefficient has no image there (1/2 over p:2)."""
         ring = PolyRing(field, self.ring.names, self.ring.weights)
         if self.ring.quotient:
             ring = ring.with_quotient(
-                tuple(ring.parse(format_polynomial(g)) for g in self.ring.quotient)
+                tuple(
+                    _parse_poly(ring, format_polynomial(g), f"quotient[{k}]")
+                    for k, g in enumerate(self.ring.quotient)
+                )
             )
+        for k, t in enumerate(self.sop_texts):
+            _parse_poly(ring, t, f"sop[{k}]")
         return ProblemFile(
             ring,
             self.sop_texts,
-            _reparse_complex(ring, self.complex),
+            _reparse_complex(ring, self.complex, "complex"),
             self.labels,
             self.report,
-            _reparse_complex(ring, self.source_complex)
+            _reparse_complex(ring, self.source_complex, "source_complex")
             if self.source_complex
             else None,
         )
 
 
-def _reparse_complex(ring, comp):
+def _reparse_complex(ring, comp, where):
     modules = tuple(
         GradedFreeModule(ring, m.rank, m.twists) for m in comp.modules
     )
     maps = tuple(
         PolyMatrix(
             ring,
-            [[ring.parse(format_polynomial(e)) for e in row] for row in m.entries],
+            [
+                [
+                    _parse_poly(
+                        ring, format_polynomial(e), f"{where}.maps[{k}][{i}][{j}]"
+                    )
+                    for j, e in enumerate(row)
+                ]
+                for i, row in enumerate(m.entries)
+            ],
             m.nrows,
             m.ncols,
         )
-        for m in comp.maps
+        for k, m in enumerate(comp.maps)
     )
     return FreeComplex(ring, modules, maps, comp.labels)
 
@@ -82,6 +97,20 @@ def _require(data, key, kind, where):
     if kind is not None and not isinstance(val, kind):
         raise ParseError(f"{key!r} in {where} has the wrong type")
     return val
+
+
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _parse_poly(ring, text, where):
+    """Parse the polynomial string at JSON path ``where``."""
+    if not isinstance(text, str):
+        raise ParseError(f"{where} must be a polynomial string")
+    try:
+        return ring.parse(text)
+    except ParseError as exc:
+        raise ParseError(f"{where}: {exc}") from None
 
 
 def _parse_field(data):
@@ -104,11 +133,21 @@ def _parse_ring(data):
         if not isinstance(v, dict):
             raise ParseError(f"variable {k} must be an object")
         names.append(_require(v, "name", str, f"variable {k}"))
-        weights.append(int(v.get("degree", 1)))
-    ring = PolyRing(field, tuple(names), tuple(weights))
+        degree = v.get("degree", 1)
+        if not _is_int(degree) or degree < 1:
+            raise ParseError(f"variables[{k}].degree must be a positive integer")
+        weights.append(degree)
+    try:
+        ring = PolyRing(field, tuple(names), tuple(weights))
+    except ValueError as exc:
+        raise ParseError(f"variables: {exc}") from None
     quotient = data.get("quotient")
     if quotient:
-        gens = tuple(ring.parse(t) for t in quotient)
+        if not isinstance(quotient, list):
+            raise ParseError("quotient must be a list of polynomial strings")
+        gens = tuple(
+            _parse_poly(ring, t, f"quotient[{k}]") for k, t in enumerate(quotient)
+        )
         for k, g in enumerate(gens):
             if not isinstance(g.homogeneous_degree(), int):
                 raise ValidationError(f"quotient generator {k} is not homogeneous")
@@ -146,31 +185,50 @@ def _parse_complex(ring, data, where="complex"):
                 raise ValidationError(
                     f"map {k + 1}, row {i}: expected {source.rank} entries"
                 )
-            entries.append([ring.parse(s) for s in row])
+            entries.append(
+                [
+                    _parse_poly(ring, s, f"{where}.maps[{k}][{i}][{j}]")
+                    for j, s in enumerate(row)
+                ]
+            )
         maps.append(PolyMatrix(ring, entries, target.rank, source.rank))
     return FreeComplex(ring, tuple(modules), tuple(maps))
+
+
+# the entries after a label's kind: "i" an integer, "s" a list of integers
+_LABEL_SHAPES = {"bracket": "is", "angle": "i", "star": "ii"}
+
+
+def _parse_label(item, where):
+    kind = item[0] if isinstance(item, list) and item else None
+    shape = _LABEL_SHAPES.get(kind) if isinstance(kind, str) else None
+    if shape is None:
+        raise ParseError(
+            f"{where} must be a label [kind, ...] of kind bracket, angle or star"
+        )
+    entries = item[1:]
+    if len(entries) != len(shape) or not all(
+        _is_int(x) if s == "i" else isinstance(x, list) and all(map(_is_int, x))
+        for s, x in zip(shape, entries)
+    ):
+        raise ParseError(f"{where}: malformed {kind} label")
+    return (kind,) + tuple(tuple(x) if isinstance(x, list) else x for x in entries)
 
 
 def _parse_labels(block, n_modules):
     if block is None:
         return None
+    if not isinstance(block, list) or not all(isinstance(p, list) for p in block):
+        raise ParseError("labels must be a list of lists")
     if len(block) != n_modules:
         raise ValidationError("labels block must cover every module")
-    out = []
-    for position in block:
-        labels = []
-        for item in position:
-            kind = item[0]
-            if kind == "bracket":
-                labels.append(("bracket", int(item[1]), tuple(item[2])))
-            elif kind == "angle":
-                labels.append(("angle", int(item[1])))
-            elif kind == "star":
-                labels.append(("star", int(item[1]), int(item[2])))
-            else:
-                raise ParseError(f"unknown label kind {kind!r}")
-        out.append(tuple(labels))
-    return tuple(out)
+    return tuple(
+        tuple(
+            _parse_label(item, f"labels[{p}][{k}]")
+            for k, item in enumerate(position)
+        )
+        for p, position in enumerate(block)
+    )
 
 
 def parse_problem(path):
@@ -188,8 +246,9 @@ def parse_problem(path):
 def problem_from_jsonable(data):
     ring = _parse_ring(data)
     sop_texts = tuple(_require(data, "sop", list, "problem file"))
-    if not all(isinstance(t, str) for t in sop_texts):
-        raise ParseError("sop entries must be polynomial strings")
+    sop_polys = tuple(
+        _parse_poly(ring, t, f"sop[{k}]") for k, t in enumerate(sop_texts)
+    )
     complex_block = _require(data, "complex", dict, "problem file")
     comp = _parse_complex(ring, complex_block)
     labels = _parse_labels(data.get("labels"), len(comp.modules))
@@ -205,7 +264,10 @@ def problem_from_jsonable(data):
         raise ValidationError(f"not a valid complex: {defect.message}")
     report = None
     if "report" in data:
-        report = VerificationReport.from_jsonable(data["report"])
+        try:
+            report = VerificationReport.from_jsonable(data["report"])
+        except (AttributeError, KeyError, TypeError, ValueError):
+            raise ParseError("report block is malformed") from None
     source = None
     if "source_complex" in data:
         source = _parse_complex(ring, data["source_complex"], "source_complex")
@@ -215,7 +277,7 @@ def problem_from_jsonable(data):
                 f"source_complex is not a valid complex: {sdefect.message}"
             )
     # re-canonicalize each sop string so round trips are bit-identical
-    sop_texts = tuple(format_polynomial(ring.parse(t)) for t in sop_texts)
+    sop_texts = tuple(format_polynomial(p) for p in sop_polys)
     return ProblemFile(ring, sop_texts, comp, comp.labels, report, source)
 
 

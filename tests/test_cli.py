@@ -320,6 +320,63 @@ def test_cli_large_prime_field(capsys):
     assert "not prime" in capsys.readouterr().err
 
 
+def _set_degree(d):
+    d["variables"][0]["degree"] = "a"
+
+
+def _set_map_entry(d):
+    d["complex"]["maps"][0][0][1] = 5
+
+
+def _set_labels(d):
+    d["labels"] = [[["angle", 0]], [["angle", 0], ["angle"]], [["angle", 0]]]
+
+
+def _set_half(d):
+    d["sop"] = ["1/2*x", "y"]
+
+
+def _set_duplicate_name(d):
+    d["variables"][1]["name"] = "x"
+
+
+def _set_report(d):
+    d["report"] = 5
+
+
+@pytest.mark.parametrize(
+    "command, mutate, extra, path",
+    [
+        ("star", _set_degree, [], "variables[0].degree"),
+        ("info", _set_map_entry, [], "complex.maps[0][0][1]"),
+        ("info", _set_labels, [], "labels[1][1]"),
+        ("star", _set_half, ["--field", "p:2"], "sop[0]"),
+        ("info", _set_duplicate_name, [], "variables"),
+        ("verify", _set_report, [], "report"),
+    ],
+    ids=[
+        "degree-string",
+        "map-entry-int",
+        "label-short",
+        "denominator-mod-p",
+        "duplicate-variable",
+        "report-not-object",
+    ],
+)
+def test_cli_malformed_file_is_parse_error(
+    tmp_path, capsys, command, mutate, extra, path
+):
+    data = exa_data()
+    mutate(data)
+    bad = write_json(tmp_path, "bad.json", data)
+    args = [command, "--input", bad] + extra
+    if command == "star":
+        args += ["--output", str(tmp_path / "o.json")]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and path in err
+
+
 def test_cli_missing_input(capsys):
     code = main(["star"])
     assert code == 3

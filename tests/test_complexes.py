@@ -343,20 +343,44 @@ def test_containment_zero_top_map(ring):
 
 def test_sop_ideal_gb_built_once_per_instance(monkeypatch):
     comp, validated = exa_instance()
-    sop = SopData(validated.ring, validated.gens, validated.degrees, validated.colength)
     builds = []
     real = complexes.buchberger
 
     def counting(ambient, gens, **kw):
-        if ambient.rank == 1 and tuple(g.coords[0] for g in gens) == sop.gens:
+        if ambient.rank == 1 and tuple(g.coords[0] for g in gens) == validated.gens:
             builds.append(ambient)
         return real(ambient, gens, **kw)
 
     monkeypatch.setattr(complexes, "buchberger", counting)
+    sop = validate_sop(validated.ring, validated.gens)
     result = star_transform(comp, sop)
     assert result.report.overall
     assert len(builds) == 1
-    assert sop == validated and hash(sop) == hash(validated)
+    # an instance made directly builds its basis on first use, once
+    bare = SopData(sop.ring, sop.gens, sop.degrees, sop.colength)
+    assert bare == sop and hash(bare) == hash(sop)
+    assert repr(bare.ideal_gb()) == repr(bare.ideal_gb()) == repr(sop.ideal_gb())
+    assert len(builds) == 2
+
+
+def test_image_gb_built_once_per_complex(monkeypatch):
+    comp, sop = exa_instance()
+    built = []
+    real = complexes.buchberger
+
+    def counting(ambient, gens, **kw):
+        built.append(tuple(g.coords for g in gens))
+        return real(ambient, gens, **kw)
+
+    def columns(c):
+        m = c.phi(1)
+        return tuple(tuple(m.column(j)) for j in range(m.ncols))
+
+    monkeypatch.setattr(complexes, "buchberger", counting)
+    result = star_transform(comp, sop)
+    assert result.report.overall
+    assert built.count(columns(comp)) == 1
+    assert built.count(columns(result.star.complex)) == 1
 
 
 def test_koszul_always_contained():
