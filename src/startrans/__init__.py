@@ -78,7 +78,6 @@ from .transform import (
     chain_map_image_checks,
     mapping_cone,
     select_basis,
-    split_identity_matrix,
     split_top,
     star_transform,
 )

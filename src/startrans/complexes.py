@@ -220,8 +220,21 @@ class AcyclicityCertificate:
 def certify_acyclic(comp):
     """Certify Ker phi_p = Im phi_(p+1) for 1 <= p < n and phi_n injective.
 
-    Once the compositions vanish, Im phi_(p+1) lies inside Ker phi_p, so the
-    two are equal iff their Hilbert series agree, i.e. iff
+    Raises PreconditionFailed when ``check_complex`` finds a defect;
+    otherwise the certificate is ``_hilbert_certificate``'s, which
+    ``verify_star`` calls directly after its own structural checks.
+    """
+    defect = check_complex(comp)
+    if defect is not None:
+        raise PreconditionFailed(f"not a complex: {defect.message}")
+    return _hilbert_certificate(comp)
+
+
+def _hilbert_certificate(comp):
+    """Exactness of a complex whose compositions vanish.
+
+    Im phi_(p+1) lies inside Ker phi_p, so the two are equal iff their
+    Hilbert series agree, i.e. iff
     HS(F_(p-1)) - HS(coker phi_p) - HS(coker phi_(p+1)) is zero, with
     coker phi_(n+1) = F_n.  Every series comes from the lead terms of a
     reduced basis (of an image, or of the empty submodule for a free
@@ -229,9 +242,6 @@ def certify_acyclic(comp):
     holds over R/J as well as over R.  A failure names the first inexact
     position and the lowest degree where the two Hilbert functions differ.
     """
-    defect = check_complex(comp)
-    if defect is not None:
-        raise PreconditionFailed(f"not a complex: {defect.message}")
     n = comp.length
     free = [hilbert_data(buchberger(m, [])).series for m in comp.modules]
     coker = [hilbert_data(comp.image_gb(p)).series for p in range(1, n + 1)]

@@ -363,18 +363,18 @@ def buchberger(ambient, gens, *, adjoin_quotient=True):
         lcm = ring.mono_lcm(leads[i][1], leads[j][1])
         return ring.mono_degree(lcm) + ambient.twists[leads[i][0]]
 
+    # a min-heap of (degree, i, j); every pair is pushed once and the keys
+    # are unique, so pairs come out in increasing key order
     pairs = []
-    done = set()
     for i in range(len(basis)):
         for j in range(i):
             if leads[i][0] == leads[j][0]:
                 pairs.append((pair_degree(j, i), j, i))
-    pairs.sort()
+    heapq.heapify(pairs)
+    done = set()
 
     while pairs:
-        _, i, j = pairs.pop(0)
-        if (i, j) in done:
-            continue
+        _, i, j = heapq.heappop(pairs)
         done.add((i, j))
         li, lj = leads[i], leads[j]
         lcm = ring.mono_lcm(li[1], lj[1])
@@ -417,8 +417,7 @@ def buchberger(ambient, gens, *, adjoin_quotient=True):
         leads.append(rem.lead())
         for k in range(new_index):
             if leads[k][0] == leads[new_index][0]:
-                pairs.append((pair_degree(k, new_index), k, new_index))
-        pairs.sort()
+                heapq.heappush(pairs, (pair_degree(k, new_index), k, new_index))
 
     return _reduce_basis(ambient, gens, adjoined, basis, rows)
 
@@ -499,26 +498,29 @@ def lift_witness(v, gens, ambient=None, gb=None):
     return gb.lift(v)
 
 
-def _syzygy_generators(gens, ambient):
-    """Generators of the relation module {c : sum c_i gens_i = 0}, unreduced.
+def _syzygy_generators(gens, ambient, ncols):
+    """Generators of the relation module {c : sum c_i gens_i = 0}, unreduced,
+    with only their first ``ncols`` coordinates built.
 
-    Returns (syz_module, candidates): a free module of rank len(gens) whose
-    twists are the generator degrees, and the vectors that span the relation
-    module inside it.  These are the unit relations of zero generators, the
-    S-pair relations of the reduced basis of ``gens`` (Schreyer's theorem:
-    they generate the syzygies of the basis) pushed down to ``gens`` through
-    its ``rows``, and the rows of (identity - B*A), where B expresses the
-    generators in the basis and A the basis in the generators.
+    Returns (syz_module, candidates): a free module of rank ``ncols`` whose
+    twists are the degrees of the first ``ncols`` generators, and the
+    projections into it of vectors that span the relation module.  These
+    are the unit relations of zero generators, the S-pair relations of the
+    reduced basis of ``gens`` (Schreyer's theorem: they generate the
+    syzygies of the basis) pushed down to ``gens`` through its ``rows``,
+    and the rows of (identity - B*A), where B expresses the generators in
+    the basis and A the basis in the generators.  ``syzygies`` keeps every
+    coordinate; ``colon`` keeps those of F0 alone.
     """
     ring = ambient.ring
     twists = []
-    for g in gens:
+    for g in gens[:ncols]:
         d = g.homogeneous_degree()
         twists.append(d if isinstance(d, int) else 0)
-    syz_module = GradedFreeModule(ring, len(gens), tuple(twists))
+    syz_module = GradedFreeModule(ring, ncols, tuple(twists))
 
     unit_syzygies = []
-    for j, g in enumerate(gens):
+    for j, g in enumerate(gens[:ncols]):
         if g.is_zero():
             unit_syzygies.append(syz_module.basis_vector(j))
 
@@ -567,11 +569,11 @@ def _syzygy_generators(gens, ambient):
             b_rows.append(quots)
 
         for rel in gb_relations:
-            coords = [ring.zero()] * n_orig
+            coords = [ring.zero()] * ncols
             for k, c in enumerate(rel):
                 if not c.terms:
                     continue
-                for j in range(n_orig):
+                for j in range(ncols):
                     a = gb.rows[k][j]
                     if a.terms:
                         coords[j] = coords[j] + c * a
@@ -579,13 +581,14 @@ def _syzygy_generators(gens, ambient):
 
         # rows of (identity - B*A) restricted to the original generators
         for j in range(n_orig):
-            coords = [ring.zero()] * n_orig
-            coords[j] = ring.one()
+            coords = [ring.zero()] * ncols
+            if j < ncols:
+                coords[j] = ring.one()
             for k in range(t):
                 q = b_rows[j][k]
                 if not q.terms:
                     continue
-                for jj in range(n_orig):
+                for jj in range(ncols):
                     a = gb.rows[k][jj]
                     if a.terms:
                         coords[jj] = coords[jj] - q * a
@@ -607,7 +610,7 @@ def syzygies(gens, ambient=None):
         if not gens:
             raise DimensionMismatch("ambient required for empty generator list")
         ambient = gens[0].module
-    syz_module, candidates = _syzygy_generators(gens, ambient)
+    syz_module, candidates = _syzygy_generators(gens, ambient, len(gens))
     result = buchberger(syz_module, candidates)
     quotient_gb = (
         buchberger(ambient, [], adjoin_quotient=True)
@@ -640,11 +643,11 @@ def colon(m_gb, q_polys):
 
     For each q, M : q is the projection onto the first rank(F0) coordinates
     of the relations of [q*e_1 .. q*e_r | basis of M].  The projection is a
-    module map, so it is enough to project the unreduced relation
-    generators of ``_syzygy_generators`` and reduce once, in F0; the
-    syzygy module itself is never reduced.  Every element g of the basis
-    of M : q is checked to satisfy q*g in M.  The per-element colons are
-    then intersected.
+    module map, so it is enough to build the first rank(F0) coordinates of
+    the unreduced relation generators of ``_syzygy_generators`` and reduce
+    once, in F0; the syzygy module itself is never reduced.  Every element
+    g of the basis of M : q is checked to satisfy q*g in M.  The
+    per-element colons are then intersected.
     """
     ambient = m_gb.ambient
     q_polys = [q for q in q_polys if not q.is_zero()]
@@ -654,12 +657,8 @@ def colon(m_gb, q_polys):
     result = None
     for q in q_polys:
         combined = [ambient.basis_vector(i).mul_poly(q) for i in range(ambient.rank)]
-        _, rels = _syzygy_generators(combined + m_gens, ambient)
-        projected = []
-        for rel in rels:
-            v = ambient.vector(rel.coords[: ambient.rank])
-            if not v.is_zero():
-                projected.append(v)
+        _, rels = _syzygy_generators(combined + m_gens, ambient, ambient.rank)
+        projected = [ambient.vector(r.coords) for r in rels if not r.is_zero()]
         part = buchberger(ambient, projected)
         for g in part.gb:
             if not m_gb.contains(g.mul_poly(q)):
@@ -743,14 +742,6 @@ class HilbertSeries:
         out = self.numer_dict()
         for d, c in other.numer:
             out[d] = out.get(d, 0) - c
-        return HilbertSeries.from_dict(out, self.weights)
-
-    def add(self, other):
-        if self.weights != other.weights:
-            raise DimensionMismatch("series over different denominators")
-        out = self.numer_dict()
-        for d, c in other.numer:
-            out[d] = out.get(d, 0) + c
         return HilbertSeries.from_dict(out, self.weights)
 
     def as_polynomial(self):
@@ -842,10 +833,6 @@ def _monomial_quotient_numerator(ring, gens):
 class HilbertData:
     series: HilbertSeries
     dimension: object  # int when finite, None when infinite
-
-    @property
-    def finite(self):
-        return self.dimension is not None
 
 
 def hilbert_data(m_gb):

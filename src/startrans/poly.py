@@ -250,12 +250,6 @@ class Polynomial:
     def constant_coeff(self):
         return self.terms.get((0,) * self.ring.nvars, self.ring.field.zero)
 
-    def degree(self):
-        """Largest weighted degree of a term; None for the zero polynomial."""
-        if not self.terms:
-            return None
-        return max(self.ring.mono_degree(m) for m in self.terms)
-
     def homogeneous_degree(self):
         """Common weighted degree of all terms, or a Homogeneity sentinel."""
         if not self.terms:

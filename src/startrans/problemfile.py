@@ -160,8 +160,11 @@ def _parse_complex(ring, data, where="complex"):
     maps_block = _require(data, "maps", list, where)
     modules = []
     for k, tw in enumerate(twists_block):
-        if not isinstance(tw, list) or not all(isinstance(t, int) for t in tw):
-            raise ParseError(f"twists of module {k} must be a list of integers")
+        if not isinstance(tw, list):
+            raise ParseError(f"{where}.twists[{k}] must be a list of integers")
+        for i, t in enumerate(tw):
+            if not _is_int(t):
+                raise ParseError(f"{where}.twists[{k}][{i}] must be an integer")
         # file stores R(a) twists; internal degree of the generator is -a
         modules.append(
             GradedFreeModule(ring, len(tw), tuple(-t for t in tw))
@@ -177,13 +180,13 @@ def _parse_complex(ring, data, where="complex"):
         source = modules[k + 1]
         if not isinstance(rows, list) or len(rows) != target.rank:
             raise ValidationError(
-                f"map {k + 1} must have {target.rank} rows"
+                f"{where}.maps[{k}] must have {target.rank} rows"
             )
         entries = []
         for i, row in enumerate(rows):
             if not isinstance(row, list) or len(row) != source.rank:
                 raise ValidationError(
-                    f"map {k + 1}, row {i}: expected {source.rank} entries"
+                    f"{where}.maps[{k}][{i}] must have {source.rank} entries"
                 )
             entries.append(
                 [
@@ -270,7 +273,8 @@ def problem_from_jsonable(data):
             raise ParseError("report block is malformed") from None
     source = None
     if "source_complex" in data:
-        source = _parse_complex(ring, data["source_complex"], "source_complex")
+        source_block = _require(data, "source_complex", dict, "problem file")
+        source = _parse_complex(ring, source_block, "source_complex")
         sdefect = check_complex(source)
         if sdefect is not None:
             raise ValidationError(

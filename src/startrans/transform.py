@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from .complexes import (
     FreeComplex,
-    check_qf_containment,
     certify_acyclic,
     complement,
     co_singleton,
@@ -86,25 +85,6 @@ class ChainMap:
             if lhs != rhs:
                 return False
         return True
-
-    def step_identity_holds(self, lam, subset):
-        """The defining identity at one basis element: phi(w_(lam,S)) =
-        sum over i in S of (-1)^(below count) x_i w_(lam, S minus i)."""
-        comp = self.complex
-        ring = comp.ring
-        p = len(subset)
-        w = self.elements[(lam, subset)]
-        lhs = comp.module(p - 1).vector(comp.phi(p).apply(w.coords))
-        rhs = comp.module(p - 1).zero_vector()
-        for i in subset:
-            rest = tuple(k for k in subset if k != i)
-            term = self.elements[(lam, rest)].mul_poly(
-                self.sop.gens[i - 1].scale(
-                    sign_scalar(ring.field, count_below(i, subset))
-                )
-            )
-            rhs = rhs + term
-        return (lhs - rhs).is_zero()
 
 
 def build_chain_map(comp, sop, decomposition=None):
@@ -330,23 +310,6 @@ def split_top(cone, cm):
     )
     maps = cone.maps[: n - 1] + (restricted,)
     return FreeComplex(ring, tuple(modules), tuple(maps), tuple(labels))
-
-
-def split_identity_matrix(cone, cm):
-    """The splitting projection composed with the last cone map; equals
-    the identity on the top tensor block."""
-    ring = cone.ring
-    f = ring.field
-    n = cm.complex.length
-    if not cm.top_is_signed_identity():
-        raise LiftError("top level is not signed identity; cannot split")
-    tensor_prev = cm.source_modules[n - 1]
-    top_rank = cm.top_rank
-    # the top level is (-1)^n I, so the signed inverse block is I
-    proj = PolyMatrix.zeros(ring, top_rank, tensor_prev.rank).hstack(
-        PolyMatrix.identity(ring, top_rank)
-    )
-    return proj @ cone.maps[n]
 
 
 @dataclass(frozen=True)
@@ -609,7 +572,8 @@ def star_transform(comp, sop, decomposition=None, with_report=True):
 
     Preconditions (PreconditionFailed otherwise): at least two parameters,
     the complex is well formed and acyclic, and the top image lies inside
-    Q times F_(n-1).  A rank-zero top module short-circuits to the input.
+    Q times F_(n-1) (``decompose_images`` checks this when no decomposition
+    is given).  A rank-zero top module short-circuits to the input.
     """
     n = comp.length
     if n < 2:
@@ -623,10 +587,8 @@ def star_transform(comp, sop, decomposition=None, with_report=True):
         raise PreconditionFailed(
             f"input complex is not acyclic: {cert.detail}"
         )
-    if not check_qf_containment(comp, sop):
-        raise PreconditionFailed(
-            "Im phi_n is not contained in Q*F_(n-1)"
-        )
+    if decomposition is None:
+        decomposition = decompose_images(comp, sop)
 
     if comp.top_rank() == 0:
         labels = _identity_labels(comp)

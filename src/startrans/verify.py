@@ -3,7 +3,9 @@ probes, saturation, and the round-by-round iteration driver.
 
 Everything here re-derives its facts from Groebner bases of the inputs,
 never from the construction internals, so a passing report is an
-independent certificate of the pipeline output.
+independent certificate of the pipeline output.  The driver does not
+recompute the colon: each round's report already compares that round's
+image with the colon of its input, and a match chains from round to round.
 """
 
 from __future__ import annotations
@@ -12,8 +14,18 @@ import time
 from dataclasses import dataclass, field
 from math import comb
 
-from .complexes import certify_acyclic, check_qf_containment, composition_defect, homogeneity_defect
-from .errors import NonPolynomialDifference, IterationLimit, PreconditionFailed
+from .complexes import (
+    _hilbert_certificate,
+    check_qf_containment,
+    composition_defect,
+    homogeneity_defect,
+)
+from .errors import (
+    IterationLimit,
+    NonPolynomialDifference,
+    ParseError,
+    PreconditionFailed,
+)
 from .modules import colon, hilbert_data, submodule_equal
 
 
@@ -75,14 +87,21 @@ class VerificationReport:
 
     @staticmethod
     def from_jsonable(data):
+        """Rebuild a written report; ParseError names a mistyped field."""
         rep = VerificationReport()
-        for c in data.get("checks", []):
-            rep.checks.append(
-                CheckResult(
-                    c["name"], bool(c["pass"]), c.get("detail", ""),
-                    float(c.get("seconds", 0.0)),
-                )
-            )
+        for k, c in enumerate(data.get("checks", [])):
+            where = f"report.checks[{k}]"
+            name, passed = c.get("name"), c.get("pass")
+            detail, seconds = c.get("detail", ""), c.get("seconds", 0.0)
+            if not isinstance(name, str):
+                raise ParseError(f"{where}.name must be a string")
+            if not isinstance(passed, bool):
+                raise ParseError(f"{where}.pass must be true or false")
+            if not isinstance(detail, str):
+                raise ParseError(f"{where}.detail must be a string")
+            if isinstance(seconds, bool) or not isinstance(seconds, (int, float)):
+                raise ParseError(f"{where}.seconds must be a number")
+            rep.checks.append(CheckResult(name, passed, detail, float(seconds)))
         return rep
 
 
@@ -159,17 +178,17 @@ def verify_star(comp, sop, star):
     out = star.complex
     n = comp.length
 
-    report.run(
+    composes = report.run(
         "composition_zero",
         lambda: (composition_defect(out) is None, ""),
     )
-    report.run(
+    homogeneous = report.run(
         "homogeneity",
         lambda: (homogeneity_defect(out) is None, ""),
     )
     report.run(
         "acyclicity",
-        lambda: _acyclicity_check(out),
+        lambda: _acyclicity_check(out, composes and homogeneous),
     )
 
     m_gb = comp.image_gb(1)
@@ -214,9 +233,13 @@ def verify_star(comp, sop, star):
     return report
 
 
-def _acyclicity_check(out):
-    cert = certify_acyclic(out)
-    return cert.ok, (cert.detail if not cert.ok else "")
+def _acyclicity_check(out, is_complex):
+    """The Hilbert-series half of ``certify_acyclic``; the structural half
+    is the report's two checks before this one."""
+    if not is_complex:
+        return False, "not a complex"
+    cert = _hilbert_certificate(out)
+    return cert.ok, cert.detail
 
 
 def _top_minimality(out):
@@ -256,7 +279,6 @@ def _rank_accounting(comp, star, n):
 class DriverRound:
     index: int
     result: object
-    oracle_gb: object
     matches: bool
 
 
@@ -272,15 +294,21 @@ class DriverResult:
 
 
 def star_iteration_driver(comp, sop, rounds):
-    """Apply the transform repeatedly, checking each round's image against
-    the oracle's iterated colon; stops early when the next round's
-    precondition fails or the top module vanishes."""
+    """Apply the transform repeatedly; stops early when the next round's
+    precondition fails or the top module vanishes.
+
+    Each round's report is its colon oracle: its ``colon_equality`` check
+    compares Im phi_1 of the round's output with the colon of the round's
+    input.  Round k matches iff round k-1 matched and round k's check
+    passed, so by induction a match means Im phi_1 of round k equals the
+    k-fold iterated colon of M.
+    """
     from .transform import star_transform
 
     if rounds == 0:
         return DriverResult([], "no rounds requested", comp)
     current = comp
-    oracle = comp.image_gb(1)
+    matches = True
     out = []
     stop_reason = "completed"
     for k in range(1, rounds + 1):
@@ -292,9 +320,11 @@ def star_iteration_driver(comp, sop, rounds):
             stop_reason = f"precondition failed before round {k}"
             break
         result = star_transform(current, sop)
-        oracle = colon(oracle, sop.gens)
-        matches = submodule_equal(result.star.complex.image_gb(1), oracle)
-        out.append(DriverRound(k, result, oracle, matches))
+        matches = matches and any(
+            c.name == "colon_equality" and c.passed
+            for c in result.report.checks
+        )
+        out.append(DriverRound(k, result, matches))
         current = result.star.complex
         if result.star.top_rank() == 0:
             stop_reason = f"top module vanished after round {k}"

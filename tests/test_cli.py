@@ -344,6 +344,23 @@ def _set_report(d):
     d["report"] = 5
 
 
+def _set_source_int(d):
+    d["source_complex"] = 3
+
+
+def _set_bool_twist(d):
+    d["complex"]["twists"][0] = [False]
+
+
+def _set_report_pass_string(d):
+    d["report"] = {
+        "overall": True,
+        "checks": [
+            {"name": "composition_zero", "pass": "false", "detail": "", "seconds": 0.0}
+        ],
+    }
+
+
 @pytest.mark.parametrize(
     "command, mutate, extra, path",
     [
@@ -353,6 +370,9 @@ def _set_report(d):
         ("star", _set_half, ["--field", "p:2"], "sop[0]"),
         ("info", _set_duplicate_name, [], "variables"),
         ("verify", _set_report, [], "report"),
+        ("info", _set_source_int, [], "source_complex"),
+        ("info", _set_bool_twist, [], "complex.twists[0][0]"),
+        ("info", _set_report_pass_string, [], "report.checks[0].pass"),
     ],
     ids=[
         "degree-string",
@@ -361,6 +381,9 @@ def _set_report(d):
         "denominator-mod-p",
         "duplicate-variable",
         "report-not-object",
+        "source-complex-int",
+        "twist-bool",
+        "report-pass-string",
     ],
 )
 def test_cli_malformed_file_is_parse_error(
@@ -375,6 +398,22 @@ def test_cli_malformed_file_is_parse_error(
     assert main(args) == 3
     err = capsys.readouterr().err
     assert err.startswith("parse error: ") and path in err
+
+
+@pytest.mark.parametrize(
+    "rows, path",
+    [
+        ([["x^2", "y^2"], ["x", "y"]], "complex.maps[0] must have 1 rows"),
+        ([["x^2"]], "complex.maps[0][0] must have 2 entries"),
+    ],
+    ids=["row-count", "row-length"],
+)
+def test_cli_map_shape_error_names_the_json_path(tmp_path, capsys, rows, path):
+    data = exa_data()
+    data["complex"]["maps"][0] = rows
+    bad = write_json(tmp_path, "bad.json", data)
+    assert main(["info", "--input", bad]) == 2
+    assert path in capsys.readouterr().err
 
 
 def test_cli_missing_input(capsys):

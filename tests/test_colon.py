@@ -135,8 +135,8 @@ def test_colon_rejects_an_element_outside_the_colon(monkeypatch):
     m_gb = buchberger(ambient, [ambient.vector((ring.parse("x^2"),))])
     real = modules._syzygy_generators
 
-    def with_a_false_relation(gens, amb):
-        syz_module, candidates = real(gens, amb)
+    def with_a_false_relation(gens, amb, ncols):
+        syz_module, candidates = real(gens, amb, ncols)
         return syz_module, candidates + [syz_module.basis_vector(0)]
 
     monkeypatch.setattr(modules, "_syzygy_generators", with_a_false_relation)

@@ -1,3 +1,6 @@
+import os
+import sys
+
 import pytest
 
 from startrans import (
@@ -21,6 +24,8 @@ from startrans import (
     validate_sop,
     verify_star,
 )
+from startrans import complexes, verify
+from startrans.cli import main
 from startrans.verify import FIXED_CHECKS
 from startrans.instances import (
     complete_intersection_instance,
@@ -94,6 +99,9 @@ def test_verify_fails_on_sign_tamper():
     assert not report.overall
     failed = {c.name for c in report.checks if not c.passed}
     assert failed & {"composition_zero", "acyclicity"}
+    if "composition_zero" in failed:
+        acyclicity = next(c for c in report.checks if c.name == "acyclicity")
+        assert not acyclicity.passed and acyclicity.detail == "not a complex"
 
 
 def test_report_lines_format():
@@ -243,7 +251,9 @@ def test_driver_exa_two_rounds():
     expected_round2 = buchberger(
         R1, [R1.vector((ring.var(0),)), R1.vector((ring.var(1),))]
     )
-    assert submodule_equal(driver.rounds[1].oracle_gb, expected_round2)
+    assert submodule_equal(
+        driver.rounds[1].result.star.complex.image_gb(1), expected_round2
+    )
     assert driver.rounds[1].result.report.overall
     # round-1 output top map entries lie in Q, which let round 2 run
     round1 = driver.rounds[0].result.star.complex
@@ -291,4 +301,79 @@ def test_driver_matches_iterated_oracle():
     oracle = comp.image_gb(1)
     for rnd in driver.rounds:
         oracle = colon(oracle, sop.gens)
-        assert submodule_equal(rnd.oracle_gb, oracle)
+        assert submodule_equal(rnd.result.star.complex.image_gb(1), oracle)
+
+
+def test_driver_match_chains_from_the_round_reports(monkeypatch, capsys):
+    # round 1's colon_equality fails; round 2's own check passes, but a
+    # match needs every earlier round to have matched
+    real = verify.submodule_equal
+    calls = []
+
+    def fail_first(a, b):
+        calls.append(a)
+        return False if len(calls) == 1 else real(a, b)
+
+    monkeypatch.setattr(verify, "submodule_equal", fail_first)
+    comp, sop = exa_instance()
+    driver = star_iteration_driver(comp, sop, 2)
+    colon_checks = [
+        next(c for c in rnd.result.report.checks if c.name == "colon_equality")
+        for rnd in driver.rounds
+    ]
+    assert [c.passed for c in colon_checks] == [False, True]
+    assert [rnd.matches for rnd in driver.rounds] == [False, False]
+    assert not driver.all_match
+
+    calls.clear()
+    fixture = os.path.join(os.path.dirname(__file__), "..", "fixtures", "exa.json")
+    assert main(["iterate", "--input", fixture, "--max-iter", "2"]) == 1
+    assert "round 2: ranks [1, 2, 1], oracle match NO" in capsys.readouterr().out
+
+
+# -- each fact computed once ---------------------------------------------------
+
+
+def _count_calls(monkeypatch, fn):
+    """Wrap every binding of ``fn`` in the loaded startrans modules; returns
+    the list of argument tuples of the calls made."""
+    calls = []
+
+    def counting(*args, **kw):
+        calls.append(args)
+        return fn(*args, **kw)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "startrans" or name.startswith("startrans."):
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, counting)
+    return calls
+
+
+def test_driver_computes_one_colon_per_round(monkeypatch):
+    calls = _count_calls(monkeypatch, colon)
+    comp, sop = exa_instance()
+    driver = star_iteration_driver(comp, sop, 2)
+    assert len(driver.rounds) == 2 and driver.all_match
+    assert len(calls) == 2
+
+
+def test_verify_star_checks_structure_once(monkeypatch):
+    comp, sop = exa_instance()
+    res = star_transform(comp, sop, with_report=False)
+    out = res.star.complex
+    compositions = _count_calls(monkeypatch, complexes.composition_defect)
+    homogeneities = _count_calls(monkeypatch, complexes.homogeneity_defect)
+    report = verify_star(comp, sop, res.star)
+    assert report.overall
+    assert [a for a in compositions if a[0] is out] == [(out,)]
+    assert [a for a in homogeneities if a[0] is out] == [(out,)]
+
+
+def test_star_transform_checks_containment_once(monkeypatch):
+    calls = _count_calls(monkeypatch, complexes.check_qf_containment)
+    comp, sop = exa_instance()
+    result = star_transform(comp, sop)
+    assert result.report.overall
+    assert len(calls) == 1
