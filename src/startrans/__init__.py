@@ -4,8 +4,8 @@ Given an acyclic complex of graded free modules over a polynomial ring and
 a homogeneous system of parameters, this package constructs an acyclic
 complex of the same length resolving the colon module of the degree-zero
 image by the parameter ideal, with all unit entries removed from the top
-map, and verifies every output against an independent Groebner-basis
-oracle.
+map, and verifies every output by independent Groebner-basis and
+Hilbert-series certificates.
 """
 
 from .complexes import (

@@ -13,7 +13,13 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import NotASop, NotInModule, PreconditionFailed, ValidationError
-from .modules import GradedFreeModule, buchberger, hilbert_data
+from .modules import (
+    GradedFreeModule,
+    buchberger,
+    hilbert_data,
+    reduce_mod_quotient,
+    ring_series,
+)
 from .poly import PolyMatrix
 
 
@@ -53,7 +59,7 @@ class SopData:
     ``ideal_gb()`` returns the basis of the parameter ideal, kept outside
     the dataclass fields (so equality and hash are those of the fields
     alone): ``validate_sop`` stores the basis it built, and an instance made
-    directly builds it on first use.
+    directly builds it on first use.  ``is_regular()`` is kept the same way.
     """
 
     ring: object
@@ -73,6 +79,24 @@ class SopData:
             gb = buchberger(ambient, [ambient.vector((g,)) for g in self.gens])
             object.__setattr__(self, "_ideal_gb", gb)
         return gb
+
+    def is_regular(self):
+        """True iff the parameters form a regular sequence on R.
+
+        That holds iff HS(R/Q) = prod_i (1 - t^(d_i)) * HS(R) (Stanley,
+        "Hilbert functions of graded algebras", 1978; Bruns & Herzog,
+        ch. 4, via Serre's chi_1).  Over a polynomial ring it fails
+        only when there are more parameters than variables; over R/J it is
+        the Cohen-Macaulay property the transform relies on.
+        """
+        regular = self.__dict__.get("_regular")
+        if regular is None:
+            expected = ring_series(self.ring)
+            for d in self.degrees:
+                expected = expected.sub(expected.twisted((d,)))
+            regular = hilbert_data(self.ideal_gb()).series == expected
+            object.__setattr__(self, "_regular", regular)
+        return regular
 
 
 def validate_sop(ring, polys):
@@ -133,10 +157,11 @@ class FreeComplex:
         """Groebner basis of Im phi_p inside F_(p-1).
 
         The basis of M = Im phi_1, which the acyclicity certificate, the
-        colon oracle and the checks all read, is built once and kept
+        colon certificate and the checks all read, is built once and kept
         outside the dataclass fields, like ``SopData.ideal_gb``.  The
-        others are only read by the certificate; keeping them would hold
-        every basis of a complex for as long as the complex lives.
+        others are only read by the acyclicity certificate, whose verdict
+        ``certify_acyclic`` keeps instead; keeping them would hold every
+        basis of a complex for as long as the complex lives.
         """
         gb = self.__dict__.get("_m_gb") if p == 1 else None
         if gb is None:
@@ -188,16 +213,11 @@ def homogeneity_defect(comp):
 def composition_defect(comp):
     """First entry of a composite phi_(p-1) phi_p that is nonzero in the
     ring (modulo its quotient ideal, if any), or None."""
-    ambient = GradedFreeModule(comp.ring, 1, (0,))
-    quotient_gb = buchberger(ambient, []) if comp.ring.quotient else None
     for p in range(2, comp.length + 1):
         prod = comp.phi(p - 1) @ comp.phi(p)
         for i in range(prod.nrows):
             for j in range(prod.ncols):
-                e = prod.entry(i, j)
-                if quotient_gb is not None and not e.is_zero():
-                    e = quotient_gb.normal_form(ambient.vector((e,))).coords[0]
-                if not e.is_zero():
+                if not reduce_mod_quotient(comp.ring, prod.entry(i, j)).is_zero():
                     return ComplexDefect(
                         "composition", p, i, j,
                         f"(phi_{p - 1} phi_{p}) has nonzero entry ({i},{j})",
@@ -217,17 +237,24 @@ class AcyclicityCertificate:
     detail: str = ""
 
 
-def certify_acyclic(comp):
+def certify_acyclic(comp, structure_checked=False):
     """Certify Ker phi_p = Im phi_(p+1) for 1 <= p < n and phi_n injective.
 
     Raises PreconditionFailed when ``check_complex`` finds a defect;
-    otherwise the certificate is ``_hilbert_certificate``'s, which
-    ``verify_star`` calls directly after its own structural checks.
+    otherwise the certificate is ``_hilbert_certificate``'s.  It is kept on
+    the complex outside the dataclass fields, like ``image_gb(1)``, so a
+    complex is certified once however often it is asked.  ``verify_star``
+    reports the structural checks itself and passes ``structure_checked``.
     """
-    defect = check_complex(comp)
-    if defect is not None:
-        raise PreconditionFailed(f"not a complex: {defect.message}")
-    return _hilbert_certificate(comp)
+    cert = comp.__dict__.get("_acyclic")
+    if cert is None:
+        if not structure_checked:
+            defect = check_complex(comp)
+            if defect is not None:
+                raise PreconditionFailed(f"not a complex: {defect.message}")
+        cert = _hilbert_certificate(comp)
+        object.__setattr__(comp, "_acyclic", cert)
+    return cert
 
 
 def _hilbert_certificate(comp):
@@ -236,14 +263,15 @@ def _hilbert_certificate(comp):
     Im phi_(p+1) lies inside Ker phi_p, so the two are equal iff their
     Hilbert series agree, i.e. iff
     HS(F_(p-1)) - HS(coker phi_p) - HS(coker phi_(p+1)) is zero, with
-    coker phi_(n+1) = F_n.  Every series comes from the lead terms of a
-    reduced basis (of an image, or of the empty submodule for a free
-    module), and each basis adjoins the quotient ideal, so the certificate
+    coker phi_(n+1) = F_n.  A free module's series is HS(R/J) shifted by
+    its twists; a cokernel's comes from the lead terms of the reduced basis
+    of the image, which adjoins the quotient ideal, so the certificate
     holds over R/J as well as over R.  A failure names the first inexact
     position and the lowest degree where the two Hilbert functions differ.
     """
     n = comp.length
-    free = [hilbert_data(buchberger(m, [])).series for m in comp.modules]
+    base = ring_series(comp.ring)
+    free = [base.twisted(m.twists) for m in comp.modules]
     coker = [hilbert_data(comp.image_gb(p)).series for p in range(1, n + 1)]
     coker.append(free[n])
     for p in range(1, n + 1):
@@ -370,7 +398,8 @@ def decompose_images(comp, sop):
         recombined = target.zero_vector()
         for x, v in zip(sop.gens, vectors):
             recombined = recombined + v.mul_poly(x)
-        if not (recombined - target.vector(column)).is_zero():
+        diff = recombined - target.vector(column)
+        if any(not reduce_mod_quotient(ring, c).is_zero() for c in diff.coords):
             raise NotInModule("decomposition failed to recombine (internal)")
         out.append(vectors)
     return tuple(out)

@@ -612,19 +612,13 @@ def syzygies(gens, ambient=None):
         ambient = gens[0].module
     syz_module, candidates = _syzygy_generators(gens, ambient, len(gens))
     result = buchberger(syz_module, candidates)
-    quotient_gb = (
-        buchberger(ambient, [], adjoin_quotient=True)
-        if ambient.ring.quotient
-        else None
-    )
+    ring = ambient.ring
     for s in result.gb:
         acc = ambient.zero_vector()
         for c, g in zip(s.coords, gens):
             if c.terms:
                 acc = acc + g.mul_poly(c)
-        if quotient_gb is not None:
-            acc = quotient_gb.normal_form(acc)
-        if not acc.is_zero():
+        if any(not reduce_mod_quotient(ring, c).is_zero() for c in acc.coords):
             raise StarTransError("syzygy failed to annihilate (internal)")
     return list(result.gb)
 
@@ -735,6 +729,15 @@ class HilbertSeries:
 
     def numer_dict(self):
         return dict(self.numer)
+
+    def twisted(self, shifts):
+        """The sum of t^k times the series over k in ``shifts``: the series
+        of a free module with those twists, when this one is HS(R)."""
+        out = {}
+        for k in shifts:
+            for d, c in self.numer:
+                out[d + k] = out.get(d + k, 0) + c
+        return HilbertSeries.from_dict(out, self.weights)
 
     def sub(self, other):
         if self.weights != other.weights:
@@ -851,3 +854,36 @@ def hilbert_data(m_gb):
             total[d + shift] = total.get(d + shift, 0) + c
     series = HilbertSeries.from_dict(total, ring.weights)
     return HilbertData(series, series.dimension())
+
+
+# -- the ring R/J --------------------------------------------------------------
+
+
+def quotient_ideal_gb(ring):
+    """Reduced basis of the quotient ideal J inside R^1 (empty when the ring
+    has no quotient), built once per ring and kept on it."""
+    try:
+        return ring._quotient_gb
+    except AttributeError:
+        pass
+    ring._quotient_gb = buchberger(GradedFreeModule(ring, 1, (0,)), [])
+    return ring._quotient_gb
+
+
+def reduce_mod_quotient(ring, p):
+    """Normal form of the polynomial p modulo J; p itself without a quotient."""
+    if not ring.quotient or p.is_zero():
+        return p
+    gb = quotient_ideal_gb(ring)
+    return gb.normal_form(gb.ambient.vector((p,))).coords[0]
+
+
+def ring_series(ring):
+    """HS(R/J), kept on the ring.  A free module with twists a_j has series
+    ``ring_series(ring).twisted(a_j)``, so no module needs its own basis."""
+    try:
+        return ring._series
+    except AttributeError:
+        pass
+    ring._series = hilbert_data(quotient_ideal_gb(ring)).series
+    return ring._series

@@ -39,9 +39,14 @@ class PolyRing:
     submodule computations then work modulo J by adjoining J-multiples of
     the basis vectors.  Rings compare equal on (field, names, weights) so
     that polynomials created before a quotient was attached stay usable.
+    The basis of J and the Hilbert series of R/J are built once per ring and
+    kept in ``_quotient_gb`` and ``_series`` (see ``modules.ring_series``).
     """
 
-    __slots__ = ("field", "names", "weights", "order", "quotient", "_index")
+    __slots__ = (
+        "field", "names", "weights", "order", "quotient", "_index",
+        "_quotient_gb", "_series",
+    )
 
     def __init__(self, field, names, weights=None, order=None, quotient=()):
         names = tuple(names)

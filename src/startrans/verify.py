@@ -1,11 +1,13 @@
-"""Independent verification: the colon oracle, dimension counting, depth
-probes, saturation, and the round-by-round iteration driver.
+"""Independent verification: the colon certificate, dimension counting,
+depth probes, saturation, and the round-by-round iteration driver.
 
-Everything here re-derives its facts from Groebner bases of the inputs,
-never from the construction internals, so a passing report is an
-independent certificate of the pipeline output.  The driver does not
-recompute the colon: each round's report already compares that round's
-image with the colon of its input, and a match chains from round to round.
+Everything here re-derives its facts from Groebner bases and Hilbert series
+of the input and the output, never from the construction internals, so a
+passing report is an independent certificate of the pipeline output.  The
+output's Im phi_1 is certified equal to M : Q without computing the colon:
+balance of Tor turns the equality into two containments and one
+Hilbert-series identity (``_colon_certificate``).  The driver reads each
+round's report, and a match chains from round to round.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .complexes import (
-    _hilbert_certificate,
+    certify_acyclic,
     check_qf_containment,
     composition_defect,
     homogeneity_defect,
@@ -25,6 +27,7 @@ from .errors import (
     NonPolynomialDifference,
     ParseError,
     PreconditionFailed,
+    ValidationError,
 )
 from .modules import colon, hilbert_data, submodule_equal
 
@@ -127,7 +130,9 @@ def colon_quotient_count(m_gb, sop, rank_top, colon_gb=None):
     """dim_k (M:Q)/M against rank(top) * dim_k R/Q.
 
     The left side is the difference of the two quotient Hilbert series,
-    which must be a polynomial; NonPolynomialDifference otherwise.
+    which must be a polynomial; NonPolynomialDifference otherwise.  Without
+    ``colon_gb`` the colon is computed; ``verify_star`` passes the output's
+    Im phi_1, which its ``colon_equality`` check certifies to be M : Q.
     """
     if colon_gb is None:
         colon_gb = colon(m_gb, sop.gens)
@@ -170,9 +175,10 @@ def verify_star(comp, sop, star):
     """Re-check a constructed output complex against the input.
 
     Runs the fixed list of checks (composition, homogeneity, acyclicity,
-    colon equality against the oracle, top-map minimality, rank accounting,
-    quotient dimension count) plus the conditional depth probe when the
-    top module vanished.
+    colon equality by the Tor certificate, top-map minimality, rank
+    accounting, quotient dimension count) plus the conditional depth probe
+    when the top module vanished, and, over a quotient ring, the
+    certified regularity of the parameters.
     """
     report = VerificationReport()
     out = star.complex
@@ -192,15 +198,16 @@ def verify_star(comp, sop, star):
     )
 
     m_gb = comp.image_gb(1)
-    colon_gb = colon(m_gb, sop.gens)
+    # Im phi_1 of the output; None only if building it failed, and the
+    # count then computes the colon itself
+    n_gb = None
 
-    report.run(
-        "colon_equality",
-        lambda: (
-            submodule_equal(out.image_gb(1), colon_gb),
-            "Im of the first output map against the colon oracle",
-        ),
-    )
+    def _colon_equality():
+        nonlocal n_gb
+        n_gb = out.image_gb(1)
+        return _colon_certificate(comp, sop, m_gb, n_gb)
+
+    report.run("colon_equality", _colon_equality)
     report.run("top_minimality", lambda: _top_minimality(out))
     report.run(
         "rank_accounting",
@@ -208,9 +215,7 @@ def verify_star(comp, sop, star):
     )
 
     def _count():
-        res = colon_quotient_count(
-            m_gb, sop, comp.top_rank(), colon_gb=colon_gb
-        )
+        res = colon_quotient_count(m_gb, sop, comp.top_rank(), colon_gb=n_gb)
         return res.passed, f"dim (M:Q)/M = {res.lhs}, expected {res.rhs}"
 
     report.run("colon_quotient_count", _count)
@@ -219,16 +224,18 @@ def verify_star(comp, sop, star):
         report.run(
             "depth_positive",
             lambda: (
-                depth_positive_check(colon_gb),
+                depth_positive_check(n_gb),
                 "top module vanished; colon by the irrelevant ideal is stable",
             ),
         )
     if comp.ring.quotient:
-        report.add(
+        report.run(
             "quotient_assumption",
-            True,
-            "quotient ring assumed Cohen-Macaulay of dimension equal to the "
-            "parameter count (user-asserted, not certified)",
+            lambda: (
+                (True, "parameters form a regular sequence on the quotient ring")
+                if sop.is_regular()
+                else (False, "parameters are not a regular sequence")
+            ),
         )
     return report
 
@@ -238,8 +245,44 @@ def _acyclicity_check(out, is_complex):
     is the report's two checks before this one."""
     if not is_complex:
         return False, "not a complex"
-    cert = _hilbert_certificate(out)
+    cert = certify_acyclic(out, structure_checked=True)
     return cert.ok, cert.detail
+
+
+def _colon_certificate(comp, sop, m_gb, n_gb):
+    """Certify N = M : Q for M = ``m_gb``, Im phi_1 of the input ``comp``,
+    and N = ``n_gb``, Im phi_1 of the output.
+
+    With s the sum of the parameter degrees and a_j the twists of F_n:
+    if F is acyclic, it resolves F_0/M; if q is a regular sequence, the
+    Koszul complex K(q) resolves R/Q.  Computing Tor_n(F_0/M, R/Q) both ways
+    gives ((M:Q)/M)(-s) = Ker(phi_n (x) R/Q), which lies in F_n/QF_n, so
+    HS((M:Q)/M) <= sum_j t^(a_j - s) HS(R/Q) coefficient by coefficient
+    (Bruns & Herzog, ch. 1, balance of Tor).  If Q*N <= M and
+    HS(F_0/M) - HS(F_0/N) equals that bound, then HS(F_0/N) <= HS(F_0/(M:Q))
+    while N <= M : Q, so N = M : Q; M <= N follows and needs no check.
+    Q-containment of the top map is not needed.  Returns (passed, detail).
+    """
+    try:
+        cert = certify_acyclic(comp)
+    except PreconditionFailed as exc:
+        return False, f"input not acyclic: {exc}"
+    if not cert.ok:
+        return False, f"input not acyclic: {cert.detail}"
+    if not sop.is_regular():
+        return False, "parameters are not a regular sequence"
+    if not n_gb.ambient.same_shape(m_gb.ambient):
+        return False, "the output F_0 differs from the input F_0"
+    for g in n_gb.gb:
+        if not all(m_gb.contains(g.mul_poly(q)) for q in sop.gens):
+            return False, "Im of the first output map is not inside M : Q"
+    s = sum(sop.degrees)
+    bound = hilbert_data(sop.ideal_gb()).series.twisted(
+        a - s for a in comp.module(comp.length).twists
+    )
+    if hilbert_data(m_gb).series.sub(hilbert_data(n_gb).series) != bound:
+        return False, "HS(N/M) differs from the Tor bound, so N != M : Q"
+    return True, "Im of the first output map against the colon oracle"
 
 
 def _top_minimality(out):
@@ -298,13 +341,16 @@ def star_iteration_driver(comp, sop, rounds):
     precondition fails or the top module vanishes.
 
     Each round's report is its colon oracle: its ``colon_equality`` check
-    compares Im phi_1 of the round's output with the colon of the round's
-    input.  Round k matches iff round k-1 matched and round k's check
-    passed, so by induction a match means Im phi_1 of round k equals the
-    k-fold iterated colon of M.
+    certifies that Im phi_1 of the round's output is the colon of the
+    round's input.  Round k matches iff round k-1 matched and round k's
+    check passed, so by induction a match means Im phi_1 of round k equals
+    the k-fold iterated colon of M.  A negative round count is a
+    ValidationError.
     """
     from .transform import star_transform
 
+    if rounds < 0:
+        raise ValidationError(f"round count must be non-negative, got {rounds}")
     if rounds == 0:
         return DriverResult([], "no rounds requested", comp)
     current = comp

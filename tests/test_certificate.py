@@ -1,0 +1,252 @@
+"""The Tor certificate of N = M : Q in ``verify_star``.
+
+``colon_equality`` certifies that Im phi_1 of the output (N) is the colon
+of Im phi_1 of the input (M) by the parameters, without computing that
+colon: the input is acyclic, the parameters form a regular sequence,
+Q*N <= M, and HS(F_0/M) - HS(F_0/N) = sum_j t^(a_j - s) HS(R/Q).  Here its
+verdict is compared with the Groebner colon on generated instances, and
+forged outputs and broken assumptions are rejected.
+"""
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import brute
+from startrans import (
+    FreeComplex,
+    GradedFreeModule,
+    PolyMatrix,
+    PolyRing,
+    PrimeField,
+    RationalField,
+    StarComplex,
+    StarTransError,
+    buchberger,
+    colon,
+    instances,
+    koszul,
+    star_transform,
+    submodule_equal,
+    validate_sop,
+    verify_star,
+)
+from startrans import verify
+from startrans.instances import exa_instance
+
+
+def _ring(field, names, weights=None, quotient=()):
+    ring = PolyRing(field, names, weights)
+    return ring.with_quotient([ring.parse(t) for t in quotient]) if quotient else ring
+
+
+def _check(report, name):
+    return next(c for c in report.checks if c.name == name)
+
+
+# -- regularity: HS(R/Q) = prod (1 - t^d_i) HS(R) ---------------------------
+
+
+@pytest.mark.parametrize(
+    "names,weights,quotient,params,regular",
+    [
+        (("x", "y"), None, (), ("x", "y"), True),
+        (("x", "y"), None, (), ("x^2", "x*y + y^2"), True),
+        (("x", "y"), (1, 2), (), ("x^2", "y"), True),
+        (("x", "y"), None, (), ("x", "y", "x + y"), False),
+        (("x", "y", "z"), None, ("z^2",), ("x", "y"), True),
+        (("x", "y", "z"), None, ("x*z", "z^2"), ("x", "y"), False),
+    ],
+)
+def test_regular_sequence_identity(names, weights, quotient, params, regular):
+    ring = _ring(RationalField(), names, weights, quotient)
+    sop = validate_sop(ring, [ring.parse(t) for t in params])
+    assert sop.is_regular() is regular
+
+
+# -- forged outputs ---------------------------------------------------------
+
+
+def test_output_equal_to_the_input_is_rejected_by_verify_star():
+    comp, sop = exa_instance()
+    res = star_transform(comp, sop, with_report=False)
+    forged = StarComplex(
+        comp, res.star.star_pairs, res.star.selected_pairs,
+        res.star.retained_basis, False,
+    )
+    check = _check(verify_star(comp, sop, forged), "colon_equality")
+    assert not check.passed
+    assert "Tor bound" in check.detail
+
+
+def test_n_equal_to_m_is_rejected_on_the_corpus():
+    rejected = 0
+    for name, comp, sop in instances.corpus():
+        m_gb = comp.image_gb(1)
+        passed, detail = verify._colon_certificate(comp, sop, m_gb, m_gb)
+        if comp.top_rank():
+            assert not passed and "Tor bound" in detail, name
+            rejected += 1
+        else:
+            assert passed, name
+    assert rejected > 0
+
+
+def test_an_element_outside_the_colon_is_rejected():
+    # M = (x^2, y^2) and M : Q = (x^2, xy, y^2); x is not in M : Q
+    comp, sop = exa_instance()
+    ring = comp.ring
+    m_gb = comp.image_gb(1)
+    f0 = m_gb.ambient
+    forged = buchberger(f0, list(m_gb.gb) + [f0.vector((ring.var(0),))])
+    passed, detail = verify._colon_certificate(comp, sop, m_gb, forged)
+    assert not passed
+    assert "not inside M : Q" in detail
+
+
+def test_an_output_over_another_f0_is_rejected():
+    comp, sop = exa_instance()
+    other = GradedFreeModule(comp.ring, 2, (0, 0))
+    passed, detail = verify._colon_certificate(
+        comp, sop, comp.image_gb(1), buchberger(other, [])
+    )
+    assert not passed
+    assert "F_0" in detail
+
+
+def test_a_genuine_colon_passes_the_certificate():
+    comp, sop = exa_instance()
+    m_gb = comp.image_gb(1)
+    passed, _ = verify._colon_certificate(comp, sop, m_gb, colon(m_gb, sop.gens))
+    assert passed
+
+
+# -- broken assumptions -----------------------------------------------------
+
+
+def _exa_with_top_map(entries):
+    comp, sop = exa_instance()
+    ring = comp.ring
+    top = PolyMatrix(ring, [[ring.parse(t) for t in row] for row in entries])
+    return FreeComplex(ring, comp.modules, (comp.phi(1), top)), sop
+
+
+@pytest.mark.parametrize(
+    "entries,why",
+    [
+        # a complex, but the top map kills everything: not exact at F_1
+        ((("0",), ("0",)), "kernel at position 1"),
+        # a sign lost: phi_1 phi_2 = 2 x^2 y^2, not a complex at all
+        ((("y^2",), ("x^2",)), "not a complex"),
+    ],
+)
+def test_input_that_is_not_acyclic_fails_colon_equality(entries, why):
+    comp, sop = exa_instance()
+    star = star_transform(comp, sop, with_report=False).star
+    bad, _ = _exa_with_top_map(entries)
+    report = verify_star(bad, sop, star)
+    check = _check(report, "colon_equality")
+    assert not check.passed
+    assert check.detail.startswith("input not acyclic: ")
+    assert why in check.detail
+
+
+def test_parameters_that_are_not_regular_fail_over_a_quotient():
+    # over Q[x,y,z]/(xz, z^2), x is a zero-divisor, so (x, y) is a system of
+    # parameters that is not a regular sequence; 0 -> R(-1) --y--> R is acyclic
+    ring = _ring(RationalField(), ("x", "y", "z"), quotient=("x*z", "z^2"))
+    modules = (
+        GradedFreeModule(ring, 1, (0,)),
+        GradedFreeModule(ring, 1, (1,)),
+        GradedFreeModule(ring, 0, ()),
+    )
+    maps = (
+        PolyMatrix(ring, [[ring.var(1)]]),
+        PolyMatrix(ring, [[]], nrows=1, ncols=0),
+    )
+    comp = FreeComplex(ring, modules, maps)
+    sop = validate_sop(ring, [ring.var(0), ring.var(1)])
+    result = star_transform(comp, sop)
+    failed = {c.name: c.detail for c in result.report.checks if not c.passed}
+    assert "regular sequence" in failed["colon_equality"]
+    assert "regular sequence" in failed["quotient_assumption"]
+    # the refusal is sound: here M : Q = (y, z) is larger than N = M = (y)
+    m_gb = comp.image_gb(1)
+    assert not submodule_equal(result.star.complex.image_gb(1), colon(m_gb, sop.gens))
+
+
+# -- the certificate agrees with the Groebner colon -------------------------
+
+RINGS = {
+    "p:7[x,y]": lambda: _ring(PrimeField(7), ("x", "y")),
+    "Q[x,y]": lambda: _ring(RationalField(), ("x", "y")),
+    "Q[x,y] weights (1,2)": lambda: _ring(RationalField(), ("x", "y"), (1, 2)),
+    "p:7[x,y,z]": lambda: _ring(PrimeField(7), ("x", "y", "z")),
+    "Q[x,y,z]/(z^2)": lambda: _ring(
+        RationalField(), ("x", "y", "z"), quotient=("z^2",)
+    ),
+}
+
+
+def form(draw, ring, degree, power_of=None):
+    """A random homogeneous polynomial of the given weighted degree; it
+    contains the pure power of variable ``power_of`` when there is one of
+    that degree, which makes a random system of parameters likely."""
+    monos = brute.monomials_of_degree(ring, degree)
+    chosen = draw(
+        st.lists(st.sampled_from(monos), min_size=1, max_size=3, unique=True)
+    )
+    if power_of is not None and degree % ring.weights[power_of] == 0:
+        power = [0] * ring.nvars
+        power[power_of] = degree // ring.weights[power_of]
+        if tuple(power) not in chosen:
+            chosen.append(tuple(power))
+    return ring.from_terms(
+        (m, ring.field.from_int(draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))))
+        for m in chosen
+    )
+
+
+@st.composite
+def koszul_problems(draw):
+    """(name, complex, sop): the Koszul complex of (q_i * f_i) and the
+    parameters q_i, as in the benchmark's generic instances but small."""
+    name = draw(st.sampled_from(sorted(RINGS)))
+    ring = RINGS[name]()
+    n = 2 if ring.quotient else ring.nvars
+    params, gens = [], []
+    for i in range(n):
+        d = ring.weights[i] * draw(st.integers(1, 2))
+        q = form(draw, ring, d, power_of=i)
+        params.append(q)
+        gens.append(q * form(draw, ring, draw(st.integers(0, 1)), power_of=i))
+    try:
+        sop = validate_sop(ring, params)
+        gen_sop = validate_sop(ring, gens)
+    except StarTransError:
+        assume(False)
+    return name, koszul(gen_sop), sop
+
+
+@settings(max_examples=25, deadline=None)
+@given(koszul_problems(), st.data())
+def test_certificate_agrees_with_the_groebner_colon(problem, data):
+    name, comp, sop = problem
+    out = star_transform(comp, sop, with_report=False).star.complex
+    m_gb = comp.image_gb(1)
+    n_gb = out.image_gb(1)
+    oracle = colon(m_gb, sop.gens)
+    f0 = m_gb.ambient
+    # the output, the forgery N = M, and M or N with one basis element of
+    # the other or one random form added
+    extra = f0.vector((form(data.draw, comp.ring, data.draw(st.integers(1, 2))),))
+    candidates = [
+        n_gb,
+        m_gb,
+        buchberger(f0, list(m_gb.gb) + list(n_gb.gb[:1])),
+        buchberger(f0, list(n_gb.gb) + [extra]),
+    ]
+    for k, cand in enumerate(candidates):
+        verdict, detail = verify._colon_certificate(comp, sop, m_gb, cand)
+        assert verdict == submodule_equal(cand, oracle), (name, k, detail)
+    assert submodule_equal(n_gb, oracle), name

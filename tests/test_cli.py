@@ -267,6 +267,14 @@ def test_cli_iterate(tmp_path, capsys):
     assert "oracle match yes" in out
 
 
+def test_cli_iterate_negative_rounds_is_usage_error(capsys):
+    code = main(["iterate", "--input", FIXTURE, "--max-iter", "-1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "stop:" not in captured.out
+    assert "non-negative" in captured.err
+
+
 def test_cli_info(capsys):
     code = main(["info", "--input", FIXTURE])
     assert code == 0

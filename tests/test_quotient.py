@@ -5,6 +5,7 @@ quotient; the certificate must not count them as kernel elements.
 """
 
 import json
+import sys
 
 import pytest
 
@@ -16,10 +17,13 @@ from startrans import (
     RationalField,
     certify_acyclic,
     check_complex,
+    colon,
     koszul,
     star_transform,
+    submodule_equal,
     validate_sop,
 )
+from startrans import modules
 from startrans.cli import main
 
 PROBLEM = {
@@ -92,8 +96,43 @@ def test_star_transform_over_quotient_passes_every_check(ring):
     assert [c.name for c in report.checks if not c.passed] == []
 
 
+def test_star_transform_when_the_decomposition_holds_only_modulo_the_quotient(ring):
+    # the witness of x*y^2 + y^2*z + y*z^2 in Q uses z^2 = 0, so the
+    # decomposition and the chain map agree with the input only modulo J
+    p = ring.parse
+    sop = validate_sop(ring, [p("x + y + z"), p("x*y + y*z + z^2")])
+    comp = koszul(validate_sop(ring, [p("x + y + z"), p("x*y^2 + y^2*z + y*z^2")]))
+    result = star_transform(comp, sop)
+    assert [c.name for c in result.report.checks if not c.passed] == []
+    assert submodule_equal(
+        result.star.complex.image_gb(1), colon(comp.image_gb(1), sop.gens)
+    )
+
+
 def test_cli_star_verify_over_quotient(tmp_path):
     path = tmp_path / "quotient.json"
     path.write_text(json.dumps(PROBLEM))
     out = str(tmp_path / "quotient.star.json")
     assert main(["star", "--input", str(path), "--output", out, "--verify"]) == 0
+
+
+def test_one_basis_of_the_quotient_ideal_per_ring(ring, monkeypatch):
+    # free-module series are shifts of HS(R/J), and compositions reduce
+    # modulo J, through one basis of J kept on the ring
+    comp = koszul(validate_sop(ring, [ring.parse("x^2"), ring.var(1)]))
+    sop = validate_sop(ring, [ring.var(0), ring.var(1)])
+    real = modules.buchberger
+    calls = []
+
+    def counting(ambient, gens, **kw):
+        calls.append(tuple(gens))
+        return real(ambient, gens, **kw)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "startrans" or name.startswith("startrans."):
+            for attr, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, attr, counting)
+    report = star_transform(comp, sop).report
+    assert report.overall
+    assert sum(1 for gens in calls if not gens) == 1

@@ -306,15 +306,16 @@ def test_driver_matches_iterated_oracle():
 
 def test_driver_match_chains_from_the_round_reports(monkeypatch, capsys):
     # round 1's colon_equality fails; round 2's own check passes, but a
-    # match needs every earlier round to have matched
-    real = verify.submodule_equal
+    # match needs every earlier round to have matched.  Round 1's
+    # certificate is handed N = M, which it must reject on its own.
+    real = verify._colon_certificate
     calls = []
 
-    def fail_first(a, b):
-        calls.append(a)
-        return False if len(calls) == 1 else real(a, b)
+    def forge_first(comp, sop, m_gb, n_gb):
+        calls.append(comp)
+        return real(comp, sop, m_gb, m_gb if len(calls) == 1 else n_gb)
 
-    monkeypatch.setattr(verify, "submodule_equal", fail_first)
+    monkeypatch.setattr(verify, "_colon_certificate", forge_first)
     comp, sop = exa_instance()
     driver = star_iteration_driver(comp, sop, 2)
     colon_checks = [
@@ -322,6 +323,7 @@ def test_driver_match_chains_from_the_round_reports(monkeypatch, capsys):
         for rnd in driver.rounds
     ]
     assert [c.passed for c in colon_checks] == [False, True]
+    assert "Tor bound" in colon_checks[0].detail
     assert [rnd.matches for rnd in driver.rounds] == [False, False]
     assert not driver.all_match
 
@@ -351,12 +353,34 @@ def _count_calls(monkeypatch, fn):
     return calls
 
 
-def test_driver_computes_one_colon_per_round(monkeypatch):
+def test_driver_computes_no_colon_by_the_parameters(monkeypatch):
     calls = _count_calls(monkeypatch, colon)
     comp, sop = exa_instance()
     driver = star_iteration_driver(comp, sop, 2)
     assert len(driver.rounds) == 2 and driver.all_match
-    assert len(calls) == 2
+    assert [a for a in calls if tuple(a[1]) == sop.gens] == []
+
+
+def test_input_certified_once_across_transform_and_verify(monkeypatch):
+    calls = _count_calls(monkeypatch, complexes._hilbert_certificate)
+    structure = _count_calls(monkeypatch, complexes.check_complex)
+    comp, sop = exa_instance()
+    res = star_transform(comp, sop, with_report=False)
+    report = verify_star(comp, sop, res.star)
+    assert report.overall
+    assert [a for a in calls if a[0] is comp] == [(comp,)]
+    assert [a for a in structure if a[0] is comp] == [(comp,)]
+
+
+def test_driver_certifies_each_round_input_once(monkeypatch):
+    # a round's input is the previous round's output, whose acyclicity the
+    # previous report already certified
+    calls = _count_calls(monkeypatch, complexes._hilbert_certificate)
+    comp, sop = exa_instance()
+    driver = star_iteration_driver(comp, sop, 2)
+    assert driver.all_match
+    certified = [a[0] for a in calls]
+    assert len(certified) == len({id(c) for c in certified}) == 3
 
 
 def test_verify_star_checks_structure_once(monkeypatch):
