@@ -125,7 +125,7 @@ def _standalone_ring(args, texts):
 
 def _ideal_gb(ring, polys):
     ambient = GradedFreeModule(ring, 1, (0,))
-    return buchberger(ambient, [ambient.vector((p,)) for p in polys])
+    return buchberger(ambient, [ambient.vector((p,)) for p in polys], track=False)
 
 
 def _print_generators(gb, output=None):

@@ -161,14 +161,16 @@ class FreeComplex:
         outside the dataclass fields, like ``SopData.ideal_gb``.  The
         others are only read by the acyclicity certificate, whose verdict
         ``certify_acyclic`` keeps instead; keeping them would hold every
-        basis of a complex for as long as the complex lives.
+        basis of a complex for as long as the complex lives.  Each basis is
+        read through its leads, membership and normal forms, never lifted
+        through, so none is built with rows.
         """
         gb = self.__dict__.get("_m_gb") if p == 1 else None
         if gb is None:
             target = self.modules[p - 1]
             m = self.phi(p)
             cols = [target.vector(m.column(j)) for j in range(m.ncols)]
-            gb = buchberger(target, cols)
+            gb = buchberger(target, cols, track=False)
             if p == 1:
                 object.__setattr__(self, "_m_gb", gb)
         return gb
@@ -372,12 +374,10 @@ def decompose_images(comp, sop):
 
     Canonical: every entry of the image column is divided through the
     reduced basis of the parameter ideal and the witness is pushed back to
-    the given parameters.  Returns a tuple (per lambda) of n-tuples.
+    the given parameters.  Returns a tuple (per lambda) of n-tuples.  The
+    lift is the Q-containment test: an entry outside Q raises
+    PreconditionFailed.
     """
-    if not check_qf_containment(comp, sop):
-        raise PreconditionFailed(
-            "Im phi_n is not contained in Q*F_(n-1); decomposition impossible"
-        )
     n = comp.length
     ring = comp.ring
     top_map = comp.phi(n)
@@ -391,7 +391,13 @@ def decompose_images(comp, sop):
         for ell, entry in enumerate(column):
             if entry.is_zero():
                 continue
-            witness = gb.lift(ambient1.vector((entry,)))
+            try:
+                witness = gb.lift(ambient1.vector((entry,)))
+            except NotInModule as exc:
+                raise PreconditionFailed(
+                    "Im phi_n is not contained in Q*F_(n-1); "
+                    "decomposition impossible"
+                ) from exc
             for i in range(n):
                 parts[i][ell] = witness[i]
         vectors = tuple(target.vector(tuple(parts[i])) for i in range(n))

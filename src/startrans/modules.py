@@ -2,9 +2,14 @@
 
 The engine behind every membership test, witness, syzygy, colon,
 intersection and Hilbert computation in the package.  Buchberger's
-algorithm with the classical pair criteria, full tail reduction, and a
-tracked transformation so that every basis element knows its expression in
-the input generators (that expression is what makes witnesses canonical).
+algorithm with the classical pair criteria and full tail reduction.  A
+basis built with ``track=True`` (the default) carries ``rows``, the
+expression of every basis element in the input generators; that expression
+is what makes witnesses canonical, and ``SubmoduleGB.lift`` needs it.  The
+bases that are only read through their leads, membership or normal forms
+(the image bases of a complex, the colon parts and intersections, the
+final reduction of ``syzygies``, the quotient ideal) are built with
+``track=False`` and carry none.
 
 Module terms are ordered degree first (twists included), then position
 (lower basis index wins), then the ring order on monomials; ``term_key`` is
@@ -20,9 +25,17 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from operator import add, le, sub
 
 from .errors import DimensionMismatch, NotInModule, StarTransError
-from .poly import MonomialOrder, Polynomial, PolyRing, format_polynomial
+from .poly import (
+    MonomialOrder,
+    Polynomial,
+    PolyRing,
+    _add_product,
+    _from_accumulator,
+    format_polynomial,
+)
 
 
 @dataclass(frozen=True)
@@ -189,11 +202,15 @@ def _divide(vector, divisors, leads, track=False):
     divides it, or else moved to the remainder.  Terms wait in a min-heap on
     ``term_key``, keyed once when they enter the working vector; a term that
     cancels stays in the heap and is skipped when popped.  A step only adds
-    terms below the one it removes, so a popped term never returns.
+    terms below the one it removes, so a popped term never returns.  The
+    step adds -q * x^u times the divisor term by term, with no polynomial
+    built for the product.
     """
     module = vector.module
     ring = module.ring
     f = ring.field
+    fadd, fmul, fdiv, fneg, is_zero = f.add, f.mul, f.div, f.neg, f.is_zero
+    heappush = heapq.heappush
     work = [dict(c.terms) for c in vector.coords]
     heap = [
         (term_key(module, pos, exps), pos, exps)
@@ -204,19 +221,6 @@ def _divide(vector, divisors, leads, track=False):
     rem = [{} for _ in range(module.rank)]
     quots = [{} for _ in divisors] if track else None
 
-    def sub_term(pos, exps, c):
-        target = work[pos]
-        old = target.get(exps)
-        if old is None:
-            target[exps] = f.neg(c)
-            heapq.heappush(heap, (term_key(module, pos, exps), pos, exps))
-            return
-        c0 = f.sub(old, c)
-        if f.is_zero(c0):
-            del target[exps]
-        else:
-            target[exps] = c0
-
     while heap:
         _, pos, exps = heapq.heappop(heap)
         coeff = work[pos].get(exps)
@@ -226,15 +230,28 @@ def _divide(vector, divisors, leads, track=False):
             if lead is None:
                 continue
             gpos, gexps, gcoeff = lead
-            if gpos == pos and ring.mono_divides(gexps, exps):
-                u = ring.mono_div(exps, gexps)
-                q = f.div(coeff, gcoeff)
+            if gpos == pos and all(map(le, gexps, exps)):
+                u = tuple(map(sub, exps, gexps))
+                q = fdiv(coeff, gcoeff)
+                minus_q = fneg(q)
                 for dpos, dpoly in enumerate(divisors[k].coords):
+                    target = work[dpos]
                     for dexps, dc in dpoly.terms.items():
-                        sub_term(dpos, ring.mono_mul(dexps, u), f.mul(q, dc))
+                        m = tuple(map(add, dexps, u))
+                        c = fmul(minus_q, dc)
+                        old = target.get(m)
+                        if old is None:
+                            target[m] = c
+                            heappush(heap, (term_key(module, dpos, m), dpos, m))
+                            continue
+                        c0 = fadd(old, c)
+                        if is_zero(c0):
+                            del target[m]
+                        else:
+                            target[m] = c0
                 if track:
-                    q0 = f.add(quots[k].get(u, f.zero), q)
-                    if f.is_zero(q0):
+                    q0 = fadd(quots[k].get(u, f.zero), q)
+                    if is_zero(q0):
                         quots[k].pop(u, None)
                     else:
                         quots[k][u] = q0
@@ -250,6 +267,22 @@ def _divide(vector, divisors, leads, track=False):
         qpolys = [Polynomial(ring, q) for q in quots]
         return qpolys, remainder
     return None, remainder
+
+
+def _combine_rows(ring, combo, width):
+    """The entrywise sum of c * row over the (term dict c, row) pairs of
+    ``combo``, each row a sequence of ``width`` polynomials; one accumulator
+    per entry, so no intermediate polynomial is built."""
+    f = ring.field
+    out = []
+    for t in range(width):
+        acc = {}
+        for c, row in combo:
+            entry = row[t].terms
+            if entry:
+                _add_product(acc, c, entry, f)
+        out.append(_from_accumulator(ring, acc))
+    return out
 
 
 # -- Buchberger -------------------------------------------------------------
@@ -271,7 +304,9 @@ class SubmoduleGB:
 
     ``rows[k]`` expresses ``gb[k]`` as a combination of the working
     generator list (the input generators followed by any quotient-ideal
-    multiples that were adjoined); ``leads[k]`` is ``gb[k].lead()``.
+    multiples that were adjoined); ``rows`` is None when the basis was built
+    with ``track=False``, and only ``lift`` needs it.  ``leads[k]`` is
+    ``gb[k].lead()``.
     """
 
     __slots__ = ("ambient", "generators", "adjoined", "gb", "rows", "leads")
@@ -281,7 +316,7 @@ class SubmoduleGB:
         self.generators = tuple(generators)
         self.adjoined = tuple(adjoined)
         self.gb = tuple(gb)
-        self.rows = tuple(tuple(r) for r in rows)
+        self.rows = None if rows is None else tuple(tuple(r) for r in rows)
         self.leads = tuple(g.lead() for g in self.gb)
 
     @property
@@ -300,37 +335,43 @@ class SubmoduleGB:
 
     def lift(self, v):
         """Canonical witness over the *input* generators; NotInModule if
-        the vector is outside the submodule."""
+        the vector is outside the submodule.  Needs a basis built with rows
+        (``track=True``)."""
+        if self.rows is None:
+            raise StarTransError(
+                "basis built without rows; lift needs a tracked basis (internal)"
+            )
         quots, rem = self.divide(v)
         if not rem.is_zero():
             raise NotInModule("vector has nonzero normal form")
         ring = self.ambient.ring
-        total = [ring.zero()] * len(self.working_generators)
-        for q, row in zip(quots, self.rows):
-            if q.is_zero():
-                continue
-            for j, a in enumerate(row):
-                if a.terms:
-                    total[j] = total[j] + q * a
-        witness = total[: len(self.generators)]
-        check = self.ambient.zero_vector()
-        for c, g in zip(total, self.working_generators):
-            if c.terms:
-                check = check + g.mul_poly(c)
-        if not (check - v).is_zero():
+        working = self.working_generators
+        total = _combine_rows(
+            ring,
+            [(q.terms, row) for q, row in zip(quots, self.rows) if q.terms],
+            len(working),
+        )
+        check = _combine_rows(
+            ring,
+            [(c.terms, g.coords) for c, g in zip(total, working) if c.terms],
+            self.ambient.rank,
+        )
+        if check != list(v.coords):
             raise StarTransError("witness recombination failed (internal)")
-        return tuple(witness)
+        return tuple(total[: len(self.generators)])
 
     def __repr__(self):
         gens = "; ".join(repr(g) for g in self.gb)
         return f"SubmoduleGB[{len(self.gb)} elements: {gens}]"
 
 
-def buchberger(ambient, gens, *, adjoin_quotient=True):
+def buchberger(ambient, gens, *, adjoin_quotient=True, track=True):
     """Reduced Groebner basis of the submodule generated by ``gens``.
 
     Deterministic: pairs are processed by (twisted lcm degree, i, j); the
-    reduced basis is sorted by decreasing lead term.
+    reduced basis is sorted by decreasing lead term.  With ``track=False``
+    no transformation rows are built: the basis is the same, but it cannot
+    be lifted through (``SubmoduleGB.lift``).
     """
     ring = ambient.ring
     f = ring.field
@@ -346,16 +387,17 @@ def buchberger(ambient, gens, *, adjoin_quotient=True):
     working = list(gens) + list(adjoined)
 
     basis = []
-    rows = []
+    rows = [] if track else None
     leads = []
     for j, g in enumerate(working):
         if g.is_zero():
             continue
-        row = [ring.zero()] * len(working)
-        row[j] = ring.one()
         basis.append(g)
-        rows.append(row)
         leads.append(g.lead())
+        if track:
+            row = [ring.zero()] * len(working)
+            row[j] = ring.one()
+            rows.append(row)
 
     rank_one = ambient.rank == 1
 
@@ -399,30 +441,27 @@ def buchberger(ambient, gens, *, adjoin_quotient=True):
         s = basis[i].mul_term(ci, ui) - basis[j].mul_term(cj, uj)
         if s.is_zero():
             continue
-        quots, rem = _divide(s, basis, leads, track=True)
+        quots, rem = _divide(s, basis, leads, track=track)
         if rem.is_zero():
             continue
-        row = [ring.zero()] * len(working)
-        srow_i = rows[i]
-        srow_j = rows[j]
-        for t in range(len(working)):
-            acc = srow_i[t].mul_term(ci, ui) - srow_j[t].mul_term(cj, uj)
-            for q, ro in zip(quots, rows):
-                if q.terms and ro[t].terms:
-                    acc = acc - q * ro[t]
-            row[t] = acc
+        if track:
+            # rem = ci x^ui basis[i] - cj x^uj basis[j] - sum_k quots[k] basis[k]
+            combo = [({ui: ci}, rows[i]), ({uj: f.neg(cj)}, rows[j])]
+            combo += [((-q).terms, ro) for q, ro in zip(quots, rows) if q.terms]
+            rows.append(_combine_rows(ring, combo, len(working)))
         new_index = len(basis)
         basis.append(rem)
-        rows.append(row)
         leads.append(rem.lead())
         for k in range(new_index):
             if leads[k][0] == leads[new_index][0]:
                 heapq.heappush(pairs, (pair_degree(k, new_index), k, new_index))
 
-    return _reduce_basis(ambient, gens, adjoined, basis, rows)
+    return _reduce_basis(ambient, gens, adjoined, basis, rows, track=track)
 
 
-def _reduce_basis(ambient, gens, adjoined, basis, rows):
+def _reduce_basis(ambient, gens, adjoined, basis, rows, *, track=True):
+    """Interreduce ``basis`` into the reduced basis, carrying ``rows`` along
+    when ``track`` (``rows`` is None otherwise)."""
     ring = ambient.ring
     f = ring.field
     # smallest lead first; reverse=True keeps equal leads in basis order
@@ -444,34 +483,33 @@ def _reduce_basis(ambient, gens, adjoined, basis, rows):
             kept.append(idx)
 
     final = []
-    final_rows = []
-    for pos, idx in enumerate(kept):
+    final_rows = [] if track else None
+    for idx in kept:
         others = [basis[k] for k in kept if k != idx]
-        other_rows = [rows[k] for k in kept if k != idx]
         other_leads = [g.lead() for g in others]
-        quots, rem = _divide(basis[idx], others, other_leads, track=True)
+        quots, rem = _divide(basis[idx], others, other_leads, track=track)
         if rem.is_zero():
             continue
-        row = list(rows[idx])
-        for q, ro in zip(quots, other_rows):
-            if q.is_zero():
-                continue
-            for t in range(len(row)):
-                if ro[t].terms:
-                    row[t] = row[t] - q * ro[t]
-        lc = rem.lead()[2]
-        inv = f.invert(lc)
-        rem = rem.scale(inv)
-        row = [c.scale(inv) for c in row]
-        final.append(rem)
-        final_rows.append(row)
+        inv = f.invert(rem.lead()[2])
+        final.append(rem.scale(inv))
+        if track:
+            # inv * (basis[idx] - sum_k quots[k] others[k])
+            other_rows = [rows[k] for k in kept if k != idx]
+            combo = [({(0,) * ring.nvars: inv}, rows[idx])]
+            combo += [
+                (q.scale(f.neg(inv)).terms, ro)
+                for q, ro in zip(quots, other_rows)
+                if q.terms
+            ]
+            final_rows.append(_combine_rows(ring, combo, len(rows[idx])))
 
     ordering = sorted(
         range(len(final)),
         key=lambda k: term_key(ambient, final[k].lead()[0], final[k].lead()[1]),
     )
     final = [final[k] for k in ordering]
-    final_rows = [final_rows[k] for k in ordering]
+    if track:
+        final_rows = [final_rows[k] for k in ordering]
     return SubmoduleGB(ambient, gens, adjoined, final, final_rows)
 
 
@@ -611,7 +649,7 @@ def syzygies(gens, ambient=None):
             raise DimensionMismatch("ambient required for empty generator list")
         ambient = gens[0].module
     syz_module, candidates = _syzygy_generators(gens, ambient, len(gens))
-    result = buchberger(syz_module, candidates)
+    result = buchberger(syz_module, candidates, track=False)
     ring = ambient.ring
     for s in result.gb:
         acc = ambient.zero_vector()
@@ -653,7 +691,7 @@ def colon(m_gb, q_polys):
         combined = [ambient.basis_vector(i).mul_poly(q) for i in range(ambient.rank)]
         _, rels = _syzygy_generators(combined + m_gens, ambient, ambient.rank)
         projected = [ambient.vector(r.coords) for r in rels if not r.is_zero()]
-        part = buchberger(ambient, projected)
+        part = buchberger(ambient, projected, track=False)
         for g in part.gb:
             if not m_gb.contains(g.mul_poly(q)):
                 raise StarTransError("colon element fails q*g in M (internal)")
@@ -688,7 +726,7 @@ def intersect(a, b):
         gens.append(lift_vec(g).mul_poly(t))
     for g in b.gb or b.working_generators:
         gens.append(lift_vec(g).mul_poly(one - t))
-    tag_gb = buchberger(tag_ambient, gens)
+    tag_gb = buchberger(tag_ambient, gens, track=False)
 
     down = []
     for g in tag_gb.gb:
@@ -698,7 +736,7 @@ def intersect(a, b):
                 for poly in g.coords
             )
             down.append(ambient.vector(coords))
-    return buchberger(ambient, down)
+    return buchberger(ambient, down, track=False)
 
 
 def _lift_poly_to_tag(tag_ring, p):
@@ -866,7 +904,7 @@ def quotient_ideal_gb(ring):
         return ring._quotient_gb
     except AttributeError:
         pass
-    ring._quotient_gb = buchberger(GradedFreeModule(ring, 1, (0,)), [])
+    ring._quotient_gb = buchberger(GradedFreeModule(ring, 1, (0,)), [], track=False)
     return ring._quotient_gb
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
+from operator import add, le, mul, sub
 
 from .errors import DimensionMismatch, IncompatibleField, ParseError
 
@@ -93,7 +94,7 @@ class PolyRing:
     # monomial helpers -------------------------------------------------
 
     def mono_degree(self, exps):
-        return sum(w * e for w, e in zip(self.weights, exps))
+        return sum(map(mul, self.weights, exps))
 
     def mono_key(self, exps):
         """Sort key realizing the ring order: a larger monomial has a
@@ -101,21 +102,21 @@ class PolyRing:
         monomial first."""
         if self.order.elim_first:
             rest = exps[1:]
-            deg = sum(w * e for w, e in zip(self.weights[1:], rest))
+            deg = sum(map(mul, self.weights[1:], rest))
             return (-exps[0], -deg, rest[::-1])
         return (-self.mono_degree(exps), exps[::-1])
 
     def mono_mul(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(add, a, b))
 
     def mono_divides(self, a, b):
-        return all(x <= y for x, y in zip(a, b))
+        return all(map(le, a, b))
 
     def mono_div(self, a, b):
-        return tuple(x - y for x, y in zip(a, b))
+        return tuple(map(sub, a, b))
 
     def mono_lcm(self, a, b):
-        return tuple(max(x, y) for x, y in zip(a, b))
+        return tuple(map(max, a, b))
 
     # constructors ------------------------------------------------------
 
@@ -168,10 +169,7 @@ class Polynomial:
         self.terms = terms
 
     def _check(self, other):
-        if not self.ring.compatible(other.ring):
-            raise IncompatibleField(
-                f"operands over {self.ring!r} and {other.ring!r}"
-            )
+        _require_compatible(self.ring, other.ring)
 
     def is_zero(self):
         return not self.terms
@@ -209,18 +207,9 @@ class Polynomial:
 
     def __mul__(self, other):
         self._check(other)
-        f = self.ring.field
-        mul = self.ring.mono_mul
-        res = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mul(m1, m2)
-                c0 = f.add(res.get(m, f.zero), f.mul(c1, c2))
-                if f.is_zero(c0):
-                    res.pop(m, None)
-                else:
-                    res[m] = c0
-        return Polynomial(self.ring, res)
+        acc = {}
+        _add_product(acc, self.terms, other.terms, self.ring.field)
+        return _from_accumulator(self.ring, acc)
 
     def scale(self, c):
         f = self.ring.field
@@ -233,9 +222,9 @@ class Polynomial:
         f = self.ring.field
         if f.is_zero(coeff):
             return self.ring.zero()
-        mul = self.ring.mono_mul
         return Polynomial(
-            self.ring, {mul(m, exps): f.mul(coeff, c) for m, c in self.terms.items()}
+            self.ring,
+            {tuple(map(add, m, exps)): f.mul(coeff, c) for m, c in self.terms.items()},
         )
 
     def __eq__(self, other):
@@ -269,6 +258,29 @@ class Polynomial:
 
     def __str__(self):
         return format_polynomial(self)
+
+
+def _require_compatible(ring, other):
+    if not ring.compatible(other):
+        raise IncompatibleField(f"operands over {ring!r} and {other!r}")
+
+
+def _add_product(acc, terms1, terms2, field):
+    """Add the product of two term dicts into the accumulator dict ``acc``.
+    Coefficients that cancel are left in place as zeros, so a sum of
+    products allocates no intermediate polynomial; ``_from_accumulator``
+    drops them once at the end."""
+    fadd, fmul, zero = field.add, field.mul, field.zero
+    get = acc.get
+    for m1, c1 in terms1.items():
+        for m2, c2 in terms2.items():
+            m = tuple(map(add, m1, m2))
+            acc[m] = fadd(get(m, zero), fmul(c1, c2))
+
+
+def _from_accumulator(ring, acc):
+    is_zero = ring.field.is_zero
+    return Polynomial(ring, {m: c for m, c in acc.items() if not is_zero(c)})
 
 
 def order_compare(ring, exps1, exps2):
@@ -518,34 +530,35 @@ class PolyMatrix:
                 f"cannot multiply {self.nrows}x{self.ncols} by "
                 f"{other.nrows}x{other.ncols}"
             )
-        z = self.ring.zero()
+        _require_compatible(self.ring, other.ring)
+        f = self.ring.field
         out = []
-        for i in range(self.nrows):
-            row = []
+        for row in self.entries:
+            out_row = []
             for j in range(other.ncols):
-                acc = z
-                for k in range(self.ncols):
-                    e = self.entries[i][k]
-                    g = other.entries[k][j]
+                acc = {}
+                for e, other_row in zip(row, other.entries):
+                    g = other_row[j]
                     if e.terms and g.terms:
-                        acc = acc + e * g
-                row.append(acc)
-            out.append(row)
+                        _add_product(acc, e.terms, g.terms, f)
+                out_row.append(_from_accumulator(self.ring, acc))
+            out.append(out_row)
         return PolyMatrix(self.ring, out, self.nrows, other.ncols)
 
     def apply(self, coords):
         """Matrix-vector product; ``coords`` is a sequence of polynomials."""
         if len(coords) != self.ncols:
             raise DimensionMismatch("vector length does not match columns")
-        z = self.ring.zero()
+        for c in coords:
+            _require_compatible(self.ring, c.ring)
+        f = self.ring.field
         out = []
-        for i in range(self.nrows):
-            acc = z
-            for j, c in enumerate(coords):
-                e = self.entries[i][j]
+        for row in self.entries:
+            acc = {}
+            for e, c in zip(row, coords):
                 if e.terms and c.terms:
-                    acc = acc + e * c
-            out.append(acc)
+                    _add_product(acc, e.terms, c.terms, f)
+            out.append(_from_accumulator(self.ring, acc))
         return tuple(out)
 
     def hstack(self, other):

@@ -159,7 +159,12 @@ def depth_positive_check(m_gb):
 
 
 def saturate(m_gb, ideal_polys, max_iter=32):
-    """Iterate M <- (M : J) until stable; returns (module, updates)."""
+    """Iterate M <- (M : J) until stable; returns (module, updates).  A
+    negative ``max_iter`` is a ValidationError."""
+    if max_iter < 0:
+        raise ValidationError(
+            f"iteration count must be non-negative, got {max_iter}"
+        )
     current = m_gb
     for updates in range(max_iter + 1):
         nxt = colon(current, ideal_polys)

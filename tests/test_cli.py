@@ -259,6 +259,16 @@ def test_cli_saturate(capsys):
     assert out.splitlines()[0].strip() == "x"
 
 
+def test_cli_saturate_negative_count_is_usage_error(capsys):
+    code = main(
+        ["saturate", "--module", "x^2,x*y", "--ideal", "x,y", "--max-iter", "-1"]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "-1" in err and "non-negative" in err
+    assert "did not stabilize" not in err
+
+
 def test_cli_iterate(tmp_path, capsys):
     code = main(["iterate", "--input", FIXTURE, "--max-iter", "2"])
     assert code == 0

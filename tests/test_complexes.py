@@ -22,6 +22,7 @@ from startrans import (
     star_transform,
     syzygies,
     validate_sop,
+    verify_star,
 )
 from startrans import complexes
 from startrans.complexes import (
@@ -381,6 +382,26 @@ def test_image_gb_built_once_per_complex(monkeypatch):
     assert result.report.overall
     assert built.count(columns(comp)) == 1
     assert built.count(columns(result.star.complex)) == 1
+
+
+def test_image_bases_carry_no_rows(monkeypatch):
+    comp, sop = exa_instance()
+    built = []
+    real = FreeComplex.image_gb
+
+    def recording(self, p):
+        gb = real(self, p)
+        built.append((self, p, gb))
+        return gb
+
+    monkeypatch.setattr(FreeComplex, "image_gb", recording)
+    res = star_transform(comp, sop, with_report=False)
+    assert verify_star(comp, sop, res.star).overall
+    out = res.star.complex
+    assert {p for c, p, _ in built if c is out} == set(range(1, out.length + 1))
+    assert all(gb.rows is None for _, _, gb in built)
+    # the parameter basis is lifted through, so it keeps its rows
+    assert sop.ideal_gb().rows is not None
 
 
 def test_koszul_always_contained():

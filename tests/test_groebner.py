@@ -1,13 +1,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import brute
 from startrans import (
     GradedFreeModule,
     NotInModule,
     PolyRing,
+    PrimeField,
     RationalField,
+    StarTransError,
     buchberger,
     colon,
     hilbert_data,
@@ -149,6 +153,79 @@ def test_lift_not_in_module(R1):
     assert not brute.brute_membership(vec(R1, "x*y"), gens)
     with pytest.raises(NotInModule):
         lift_witness(vec(R1, "x*y"), gens)
+
+
+def test_lift_through_an_untracked_basis_is_refused(R1):
+    gens = [vec(R1, "x^2"), vec(R1, "x*y - y^2")]
+    gb = buchberger(R1, gens, track=False)
+    assert gb.rows is None
+    for lift in (gb.lift, lambda v: lift_witness(v, gens, gb=gb)):
+        with pytest.raises(StarTransError, match="basis built without rows") as exc:
+            lift(vec(R1, "x^3"))
+        assert not isinstance(exc.value, NotInModule)
+    assert lift_witness(vec(R1, "x^3"), gens) == (R1.ring.parse("x"), R1.ring.zero())
+
+
+def _with_quotient(field, names, quotient):
+    ring = PolyRing(field, names)
+    return ring.with_quotient([ring.parse(t) for t in quotient])
+
+
+TRACKING_RINGS = {
+    "p:7[x,y,z]": lambda: PolyRing(PrimeField(7), ("x", "y", "z")),
+    "Q[x,y]": lambda: PolyRing(RationalField(), ("x", "y")),
+    "Q[x,y] weights (1,2)": lambda: PolyRing(RationalField(), ("x", "y"), (1, 2)),
+    "Q[x,y,z]/(z^2)": lambda: _with_quotient(
+        RationalField(), ("x", "y", "z"), ("z^2",)
+    ),
+}
+
+
+@st.composite
+def generator_lists(draw):
+    """(ring name, ambient, generators): up to 4 random homogeneous vectors
+    in a free module of rank 1 or 2 with twists (0, 1)."""
+    name = draw(st.sampled_from(sorted(TRACKING_RINGS)))
+    ring = TRACKING_RINGS[name]()
+    rank = draw(st.integers(1, 2))
+    ambient = GradedFreeModule(ring, rank, (0, 1)[:rank])
+    gens = []
+    for _ in range(draw(st.integers(1, 4))):
+        d = draw(st.integers(1, 3))
+        coords = []
+        for twist in ambient.twists:
+            monos = brute.monomials_of_degree(ring, d - twist)
+            chosen = draw(
+                st.lists(st.sampled_from(monos), max_size=3, unique=True)
+                if monos
+                else st.just([])
+            )
+            coords.append(
+                ring.from_terms(
+                    (m, ring.field.from_int(draw(st.integers(-3, 3))))
+                    for m in chosen
+                )
+            )
+        gens.append(ambient.vector(coords))
+    return name, ambient, gens
+
+
+@settings(max_examples=40, deadline=None)
+@given(generator_lists())
+def test_untracked_basis_equals_the_tracked_one(problem):
+    name, ambient, gens = problem
+    tracked = buchberger(ambient, gens)
+    untracked = buchberger(ambient, gens, track=False)
+    assert tracked.rows is not None and untracked.rows is None
+    assert untracked.gb == tracked.gb, name
+    assert untracked.leads == tracked.leads, name
+
+
+def test_colon_and_intersection_bases_carry_no_rows(R1):
+    a = ideal(R1, "x^2", "x*y")
+    b = ideal(R1, "y^2", "x*y")
+    assert colon(a, [R1.ring.parse("x"), R1.ring.parse("y")]).rows is None
+    assert intersect(a, b).rows is None
 
 
 def test_lift_recombination_random(R1, ring):

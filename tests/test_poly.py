@@ -63,6 +63,11 @@ def test_mixed_rings_rejected(ring):
         ring.parse("x") + other.parse("x")
     with pytest.raises(IncompatibleField):
         ring.parse("x") * other.parse("z")
+    m = PolyMatrix(ring, [[ring.parse("x")]])
+    with pytest.raises(IncompatibleField):
+        m @ PolyMatrix(other, [[other.parse("z")]])
+    with pytest.raises(IncompatibleField):
+        m.apply([other.parse("z")])
 
 
 def test_order_compare_grevlex(ring):
@@ -177,6 +182,63 @@ def test_prime_field_large_prime_decided_fast():
 def test_prime_field_refuses_p_beyond_the_exact_test():
     with pytest.raises(ValueError, match="prime fields need p <"):
         PrimeField(2**89 - 1)
+
+
+def _term_product(p, q):
+    """p * q from its single-term products, through ``from_terms``."""
+    ring, f = p.ring, p.ring.field
+    return ring.from_terms(
+        (ring.mono_mul(m1, m2), f.mul(c1, c2))
+        for m1, c1 in p.terms.items()
+        for m2, c2 in q.terms.items()
+    )
+
+
+def _term_sum(ring, polys):
+    return ring.from_terms(t for p in polys for t in p.terms.items())
+
+
+def _no_zero_coefficient(p):
+    return not any(p.ring.field.is_zero(c) for c in p.terms.values())
+
+
+@pytest.mark.parametrize("field", [RationalField(), PrimeField(7)])
+def test_fused_products_equal_the_sum_of_term_products(field):
+    ring = PolyRing(field, ("x", "y"))
+    rng = random.Random(5)
+    for _ in range(15):
+        a = [[rand_poly(rng, ring) for _ in range(3)] for _ in range(2)]
+        b = [[rand_poly(rng, ring) for _ in range(2)] for _ in range(3)]
+        prod = PolyMatrix(ring, a) @ PolyMatrix(ring, b)
+        for i in range(2):
+            for j in range(2):
+                expected = _term_sum(
+                    ring, [_term_product(a[i][k], b[k][j]) for k in range(3)]
+                )
+                assert prod.entry(i, j) == expected
+                assert _no_zero_coefficient(prod.entry(i, j))
+                assert a[i][j] * b[j][i] == _term_product(a[i][j], b[j][i])
+        coords = [row[0] for row in b]
+        applied = PolyMatrix(ring, a).apply(coords)
+        assert applied == prod.column(0)
+        assert all(_no_zero_coefficient(p) for p in applied)
+
+
+def test_fused_products_drop_cancelled_terms():
+    q = PolyRing(RationalField(), ("x", "y"))
+    f = q.parse("x+y") * q.parse("x-y")
+    assert f.terms == q.parse("x^2 - y^2").terms
+    p7 = PolyRing(PrimeField(7), ("x", "y"))
+    g = p7.parse("x + 3*y") * p7.parse("x + 4*y")  # 7*x*y vanishes
+    assert g.terms == p7.parse("x^2 + 5*y^2").terms
+    for ring, row, col in (
+        (q, ["x", "y"], ["y", "-x"]),
+        (p7, ["x", "y"], ["6*y", "x"]),  # 6xy + xy = 7xy
+    ):
+        m = PolyMatrix(ring, [[ring.parse(t) for t in row]])
+        v = [ring.parse(t) for t in col]
+        assert (m @ PolyMatrix(ring, [[c] for c in v])).entry(0, 0).terms == {}
+        assert m.apply(v)[0].terms == {}
 
 
 def test_matrix_identity_and_product(ring):

@@ -13,6 +13,7 @@ from startrans import (
     PreconditionFailed,
     RationalField,
     StarComplex,
+    SubmoduleGB,
     buchberger,
     colon,
     colon_quotient_count,
@@ -396,8 +397,32 @@ def test_verify_star_checks_structure_once(monkeypatch):
 
 
 def test_star_transform_checks_containment_once(monkeypatch):
+    # the decomposition lifts each nonzero top-map entry through the basis of
+    # Q once, and that lift is the containment test: no separate pass runs
     calls = _count_calls(monkeypatch, complexes.check_qf_containment)
     comp, sop = exa_instance()
+    lifted = []
+    real_lift = SubmoduleGB.lift
+
+    def lift(self, v):
+        if self is sop.ideal_gb():
+            lifted.append(v.coords[0])
+        return real_lift(self, v)
+
+    monkeypatch.setattr(SubmoduleGB, "lift", lift)
     result = star_transform(comp, sop)
     assert result.report.overall
-    assert len(calls) == 1
+    assert calls == []
+    top = comp.phi(comp.length)
+    entries = [e for row in top.entries for e in row if e.terms]
+    assert entries and sorted(map(str, lifted)) == sorted(map(str, entries))
+
+
+def test_driver_checks_containment_once_per_round(monkeypatch):
+    # the driver's stop rule is the only containment pass; a non-contained
+    # input still fails through ``star`` (test_cli_star_precondition_exit_two)
+    calls = _count_calls(monkeypatch, complexes.check_qf_containment)
+    comp, sop = exa_instance()
+    driver = star_iteration_driver(comp, sop, 2)
+    assert len(driver.rounds) == 2 and driver.all_match
+    assert [a[0] for a in calls] == [comp, driver.rounds[0].result.star.complex]
