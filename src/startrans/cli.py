@@ -12,6 +12,7 @@ Exit codes: 0 success and all checks pass; 1 a verification check failed;
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -47,7 +48,10 @@ EXIT_PRECONDITION = 2
 EXIT_IO = 3
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and argparse looks up ``sys.stderr`` when it prints."""
     parser = argparse.ArgumentParser(
         prog="startrans",
         description="Exact transforms of acyclic complexes of graded free "

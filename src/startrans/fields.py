@@ -4,17 +4,66 @@ Scalars are plain Python values (``fractions.Fraction`` for the rationals,
 ``int`` reduced to ``0..p-1`` for a prime field); the field object supplies
 the arithmetic.  All operations are pure and the values immutable, so
 everything here is safe to share between threads.
+
+The rational operations are the hot path of every computation over Q, and
+the ``Fraction`` operators spend most of their time in dispatch (type
+checks, operator fallbacks, ``Fraction.__new__``).  ``RationalField``
+therefore reads the two slots of a ``Fraction`` directly and builds each
+result with ``_fraction``, normalized exactly as the ``Fraction`` operators
+do (lowest terms, positive denominator), so values, ``==``, ``hash`` and
+``str`` are those of the operators.  That relies on the CPython slot
+layout of ``Fraction``, which is checked once at import: a Python that lays
+it out differently gets an ``ImportError``, not wrong arithmetic.
 """
 
 from __future__ import annotations
 
+import platform
 from fractions import Fraction
+from math import gcd
 
 from .errors import ParseError
 
+if Fraction.__slots__ != ("_numerator", "_denominator"):
+    raise ImportError(
+        "startrans reads the _numerator/_denominator slots of "
+        "fractions.Fraction, which Python "
+        f"{platform.python_version()} does not have"
+    )
+
+_new = object.__new__
+
+
+def _fraction(numerator, denominator):
+    """The Fraction numerator/denominator, built without normalizing: the
+    caller passes coprime ints with denominator > 0."""
+    q = _new(Fraction)
+    q._numerator = numerator
+    q._denominator = denominator
+    return q
+
+
+def _sum(na, da, nb, db):
+    """na/da + nb/db in lowest terms, by the scheme of ``Fraction``'s
+    addition: only the gcd of the denominators can divide the sum."""
+    g = gcd(da, db)
+    if g == 1:
+        return _fraction(na * db + da * nb, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = gcd(t, g)
+    if g2 == 1:
+        return _fraction(t, s * db)
+    return _fraction(t // g2, s * (db // g2))
+
 
 class RationalField:
-    """The field of rationals with exact ``Fraction`` arithmetic."""
+    """The field of rationals; scalars are normalized ``Fraction`` values.
+
+    The operations read ``_numerator``/``_denominator`` instead of calling
+    the ``Fraction`` operators (see the module docstring); their results
+    equal the operators' in value, representation, ``hash`` and ``str``.
+    """
 
     name = "rational"
 
@@ -23,32 +72,45 @@ class RationalField:
 
     @staticmethod
     def add(a, b):
-        return a + b
+        return _sum(a._numerator, a._denominator, b._numerator, b._denominator)
 
     @staticmethod
     def sub(a, b):
-        return a - b
+        return _sum(a._numerator, a._denominator, -b._numerator, b._denominator)
 
     @staticmethod
     def mul(a, b):
-        return a * b
+        na, da = a._numerator, a._denominator
+        nb, db = b._numerator, b._denominator
+        g1 = gcd(na, db)
+        if g1 > 1:
+            na //= g1
+            db //= g1
+        g2 = gcd(nb, da)
+        if g2 > 1:
+            nb //= g2
+            da //= g2
+        return _fraction(na * nb, db * da)
 
     @staticmethod
     def neg(a):
-        return -a
+        return _fraction(-a._numerator, a._denominator)
 
     @staticmethod
     def invert(a):
-        if a == 0:
+        n = a._numerator
+        if not n:
             raise ZeroDivisionError("inverse of zero")
-        return Fraction(1) / a
+        if n < 0:
+            return _fraction(-a._denominator, -n)
+        return _fraction(a._denominator, n)
 
     def div(self, a, b):
-        return a * self.invert(b)
+        return self.mul(a, self.invert(b))
 
     @staticmethod
     def is_zero(a):
-        return a == 0
+        return not a
 
     @staticmethod
     def from_int(n):
@@ -140,7 +202,7 @@ class PrimeField:
 
     @staticmethod
     def is_zero(a):
-        return a == 0
+        return not a
 
     def from_int(self, n):
         return n % self.p

@@ -99,6 +99,16 @@ def build_chain_map(comp, sop, decomposition=None):
     through the Koszul-direction boundary of the previous free module,
     which is solvable because that direction is exact and the square one
     level up already commutes.
+
+    That boundary, F_(p-1) (x) d_(n-p+1), is block-diagonal: one copy of
+    the Koszul boundary d_(n-p+1): K_(n-p+1) -> K_(n-p) per basis vector
+    of F_(p-1).  So each level builds one tracked basis of Im d_(n-p+1) in
+    K_(n-p) and lifts every nonzero block of the goal through it.  The
+    witnesses are those of a basis of the whole tensor module: no S-pair
+    or division step crosses blocks, and a block's twists are K's plus a
+    constant with its positions in the same order, so the term order, the
+    pair order and every criterion restricted to a block are K's (over R/J
+    the quotient multiples are adjoined per position, so this still holds).
     """
     n = comp.length
     if n != sop.n:
@@ -119,20 +129,21 @@ def build_chain_map(comp, sop, decomposition=None):
                 sign_scalar(f, n + i - 1)
             )
 
+    unit = GradedFreeModule(ring, 1, (0,))
     for p in range(n - 1, 0, -1):
         prev = comp.module(p - 1)
-        ambient = tensor_module(prev, sop, n - p, 0)
-        bmat = tensor_boundary(prev, sop, n - p + 1, 0)
+        ambient = tensor_module(unit, sop, n - p)
+        bmat = tensor_boundary(unit, sop, n - p + 1)
         cols = [ambient.vector(bmat.column(j)) for j in range(bmat.ncols)]
         gb = buchberger(ambient, cols)
         phi = comp.phi(p)
         level_subs = subsets(n, p)
-        blk_subs = subsets(n, n - p)
-        blk_index = {s: k for k, s in enumerate(blk_subs)}
+        blk_index = {s: k for k, s in enumerate(subsets(n, n - p))}
         src_subs = subsets(n, n - p + 1)
         src_index = {s: k for k, s in enumerate(src_subs)}
+        no_witness = (ring.zero(),) * len(src_subs)
         for lam in range(top.rank):
-            target = [ring.zero()] * ambient.rank
+            blocks = [[ring.zero()] * ambient.rank for _ in range(prev.rank)]
             for s in level_subs:
                 w = elements[(lam, s)]
                 sgn = sign_scalar(f, p * (p + 1) // 2 + offset_sum(s))
@@ -140,21 +151,23 @@ def build_chain_map(comp, sop, decomposition=None):
                 blk = blk_index[complement(s, n)]
                 for u in range(prev.rank):
                     if image[u].terms:
-                        idx = u * len(blk_subs) + blk
-                        target[idx] = target[idx] + image[u].scale(sgn)
-            goal = ambient.vector(target).scale(sign_scalar(f, p))
-            try:
-                witness = gb.lift(goal)
-            except NotInModule as exc:
-                raise LiftError(
-                    f"level {p} descent has no lift; the input complex is "
-                    "not acyclic"
-                ) from exc
+                        blocks[u][blk] = blocks[u][blk] + image[u].scale(sgn)
+            witnesses = []
+            for block in blocks:
+                goal = ambient.vector(block).scale(sign_scalar(f, p))
+                if goal.is_zero():
+                    witnesses.append(no_witness)
+                    continue
+                try:
+                    witnesses.append(gb.lift(goal))
+                except NotInModule as exc:
+                    raise LiftError(
+                        f"level {p} descent has no lift; the input complex is "
+                        "not acyclic"
+                    ) from exc
             for sub in subsets(n, p - 1):
                 a_idx = src_index[complement(sub, n)]
-                coords = tuple(
-                    witness[u * len(src_subs) + a_idx] for u in range(prev.rank)
-                )
+                coords = tuple(w[a_idx] for w in witnesses)
                 sgn = sign_scalar(f, (p - 1) * p // 2 + offset_sum(sub))
                 elements[(lam, sub)] = prev.vector(coords).scale(sgn)
 

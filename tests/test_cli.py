@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 
@@ -10,6 +11,7 @@ from startrans import (
     star_transform,
     validate_sop,
 )
+from startrans import cli
 from startrans.cli import main
 from startrans.problemfile import (
     emit_problem,
@@ -437,3 +439,40 @@ def test_cli_map_shape_error_names_the_json_path(tmp_path, capsys, rows, path):
 def test_cli_missing_input(capsys):
     code = main(["star"])
     assert code == 3
+
+
+# -- parser ------------------------------------------------------------------
+
+
+def test_cli_builds_the_parser_once(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    try:
+        assert main(["info", "--input", FIXTURE]) == 0
+        after_first = len(built)
+        assert main(["info", "--input", FIXTURE]) == 0
+    finally:
+        cli._build_parser.cache_clear()
+    assert built.count("startrans") == 1
+    assert len(built) == after_first
+
+
+def test_cli_usage_error_after_a_successful_call(capsys):
+    cli._build_parser.cache_clear()
+    with pytest.raises(SystemExit) as fresh:
+        main(["star", "--bogus"])
+    fresh_err = capsys.readouterr().err
+    assert main(["info", "--input", FIXTURE]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as again:
+        main(["star", "--bogus"])
+    assert fresh.value.code == again.value.code == 2
+    assert capsys.readouterr().err == fresh_err
+    assert "unrecognized arguments: --bogus" in fresh_err

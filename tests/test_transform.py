@@ -1,6 +1,8 @@
 from math import comb
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from startrans import (
     FreeComplex,
@@ -8,7 +10,9 @@ from startrans import (
     PolyMatrix,
     PolyRing,
     PreconditionFailed,
+    PrimeField,
     RationalField,
+    StarTransError,
     build_chain_map,
     build_star_top,
     buchberger,
@@ -18,6 +22,7 @@ from startrans import (
     colon,
     decompose_images,
     hilbert_data,
+    koszul,
     mapping_cone,
     select_basis,
     split_top,
@@ -25,16 +30,27 @@ from startrans import (
     submodule_equal,
     validate_sop,
 )
-from startrans.complexes import co_singleton
+from startrans import transform
+from startrans.complexes import (
+    co_singleton,
+    complement,
+    offset_sum,
+    sign_scalar,
+    subsets,
+    tensor_boundary,
+    tensor_module,
+)
 from startrans.instances import (
     complete_intersection_instance,
     corpus,
     direct_sum_instance,
     exa_instance,
     padded_zero_top_instance,
+    random_instance,
     square_ideal_instance,
     vanishing_top_instance,
 )
+from test_certificate import form
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +114,140 @@ def test_commuting_squares_vanish(small_corpus):
             continue
         cm = build_chain_map(comp, sop)
         assert cm.squares_commute(), name
+
+
+def full_tensor_descent(comp, sop, decomposition):
+    """The chain-map elements as the descent computed them with one basis
+    of the whole tensor module: each level lifts the goal through a
+    tracked basis of F_(p-1) (x) K_(n-p), generated by the columns of
+    F_(p-1) (x) d_(n-p+1)."""
+    n = comp.length
+    ring = comp.ring
+    f = ring.field
+    top = comp.module(n)
+    full = tuple(range(1, n + 1))
+    elements = {}
+    for lam in range(top.rank):
+        elements[(lam, full)] = top.basis_vector(lam).scale(sign_scalar(f, n))
+        for i in range(1, n + 1):
+            elements[(lam, co_singleton(i, n))] = decomposition[lam][i - 1].scale(
+                sign_scalar(f, n + i - 1)
+            )
+    for p in range(n - 1, 0, -1):
+        prev = comp.module(p - 1)
+        ambient = tensor_module(prev, sop, n - p, 0)
+        bmat = tensor_boundary(prev, sop, n - p + 1, 0)
+        gb = buchberger(
+            ambient, [ambient.vector(bmat.column(j)) for j in range(bmat.ncols)]
+        )
+        blk_subs = subsets(n, n - p)
+        blk_index = {s: k for k, s in enumerate(blk_subs)}
+        src_subs = subsets(n, n - p + 1)
+        src_index = {s: k for k, s in enumerate(src_subs)}
+        for lam in range(top.rank):
+            target = [ring.zero()] * ambient.rank
+            for s in subsets(n, p):
+                sgn = sign_scalar(f, p * (p + 1) // 2 + offset_sum(s))
+                image = comp.phi(p).apply(elements[(lam, s)].coords)
+                blk = blk_index[complement(s, n)]
+                for u in range(prev.rank):
+                    if image[u].terms:
+                        idx = u * len(blk_subs) + blk
+                        target[idx] = target[idx] + image[u].scale(sgn)
+            witness = gb.lift(ambient.vector(target).scale(sign_scalar(f, p)))
+            for sub in subsets(n, p - 1):
+                a_idx = src_index[complement(sub, n)]
+                coords = tuple(
+                    witness[u * len(src_subs) + a_idx] for u in range(prev.rank)
+                )
+                sgn = sign_scalar(f, (p - 1) * p // 2 + offset_sum(sub))
+                elements[(lam, sub)] = prev.vector(coords).scale(sgn)
+    return elements
+
+
+def assert_block_lifts_match_the_full_lift(comp, sop):
+    decomposition = decompose_images(comp, sop)
+    cm = build_chain_map(comp, sop, decomposition)
+    reference = full_tensor_descent(comp, sop, decomposition)
+    n = comp.length
+    for p in range(n + 1):
+        cols = [
+            reference[(lam, s)].coords
+            for lam in range(comp.top_rank())
+            for s in subsets(n, p)
+        ]
+        rank = comp.module(p).rank
+        expected = PolyMatrix(
+            comp.ring, [[c[i] for c in cols] for i in range(rank)], rank, len(cols)
+        )
+        assert cm.matrices[p] == expected, p
+
+
+def test_block_lifts_match_the_full_lift_on_the_corpus():
+    for name, comp, sop in corpus():
+        assert_block_lifts_match_the_full_lift(comp, sop)
+
+
+BLOCK_RINGS = {
+    "p:7[x,y,z]": lambda: PolyRing(PrimeField(7), ("x", "y", "z")),
+    "Q[x,y,z]": lambda: PolyRing(RationalField(), ("x", "y", "z")),
+    "Q[x,y,z] weights (1,2,1)": lambda: PolyRing(
+        RationalField(), ("x", "y", "z"), (1, 2, 1)
+    ),
+    "Q[x,y,z]/(z^2)": lambda: PolyRing(RationalField(), ("x", "y", "z")),
+}
+
+
+@st.composite
+def generic_koszul_problems(draw):
+    """(complex, sop): the Koszul complex of (q_i * f_i) and parameters
+    q_i with random coefficients; n = 3 except over Q[x,y,z]/(z^2), where
+    the parameters are in x and y."""
+    name = draw(st.sampled_from(sorted(BLOCK_RINGS)))
+    ring = BLOCK_RINGS[name]()
+    if name.endswith("/(z^2)"):
+        ring = ring.with_quotient([ring.parse("z^2")])
+    n = 2 if ring.quotient else 3
+    params, gens = [], []
+    for i in range(n):
+        q = form(draw, ring, ring.weights[i] * draw(st.integers(1, 2)), power_of=i)
+        params.append(q)
+        gens.append(q * form(draw, ring, draw(st.integers(0, 1)), power_of=i))
+    try:
+        sop = validate_sop(ring, params)
+        gen_sop = validate_sop(ring, gens)
+    except StarTransError:
+        assume(False)
+    return koszul(gen_sop), sop
+
+
+@settings(max_examples=20, deadline=None)
+@given(generic_koszul_problems())
+def test_block_lifts_match_the_full_lift_on_generated_instances(problem):
+    assert_block_lifts_match_the_full_lift(*problem)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: complete_intersection_instance((2, 2, 2)),
+        lambda: complete_intersection_instance((1, 2, 1, 1)),
+        lambda: random_instance(2024)[1:],
+    ],
+)
+def test_one_koszul_basis_per_chain_map_level(monkeypatch, make):
+    comp, sop = make()
+    decomposition = decompose_images(comp, sop)
+    ranks = []
+
+    def counting(ambient, gens, **kwargs):
+        ranks.append(ambient.rank)
+        return buchberger(ambient, gens, **kwargs)
+
+    monkeypatch.setattr(transform, "buchberger", counting)
+    build_chain_map(comp, sop, decomposition)
+    n = comp.length
+    assert ranks == [comb(n, n - p) for p in range(n - 1, 0, -1)]
 
 
 def test_chain_map_source_twists_shifted(exa, exa_chain_map):
