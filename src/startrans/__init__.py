@@ -53,7 +53,6 @@ from .modules import (
 )
 from .poly import (
     Homogeneity,
-    MonomialOrder,
     Polynomial,
     PolyMatrix,
     PolyRing,

@@ -12,13 +12,15 @@ final reduction of ``syzygies``, the quotient ideal) are built with
 ``track=False`` and carry none.
 
 Module terms are ordered degree first (twists included), then position
-(lower basis index wins), then the ring order on monomials; ``term_key`` is
-the one definition of that order.  Division pops the working vector's
+(lower basis index wins), then the ring's one monomial order; ``term_key``
+is the one definition of that order.  Division pops the working vector's
 terms largest first from a heap on ``term_key``, keying each term once when
 it enters.  Vectors are immutable, so each caches its lead term and a
 ``SubmoduleGB`` keeps the leads of its basis.  When the ambient ring carries
 a quotient ideal J, submodule computations adjoin J-multiples of the basis
-vectors, so results are correct over R/J.
+vectors, so results are correct over R/J.  Syzygies, colons and
+intersections all come from the Schreyer relations of
+``_syzygy_generators``, in the one term order.
 """
 
 from __future__ import annotations
@@ -27,9 +29,8 @@ import heapq
 from dataclasses import dataclass
 from operator import add, le, sub
 
-from .errors import DimensionMismatch, NotInModule, StarTransError
+from .errors import DimensionMismatch, NotInModule, StarTransError, ValidationError
 from .poly import (
-    MonomialOrder,
     Polynomial,
     PolyRing,
     _add_product,
@@ -79,10 +80,10 @@ def term_key(module, pos, exps):
     """Sort key for module terms, the only definition of the module order:
     a larger term has a smaller key, so ascending sorts and the min-heap of
     the division put the largest term first.  It is the ring's monomial key
-    with the twist taken off its (negated) degree part and the position
-    placed before its last element."""
-    key = module.ring.mono_key(exps)
-    return key[:-2] + (key[-2] - module.twists[pos], pos, key[-1])
+    with the twist taken off its (negated) degree and the position placed
+    between the degree and the reversed exponents."""
+    neg_degree, rev = module.ring.mono_key(exps)
+    return (neg_degree - module.twists[pos], pos, rev)
 
 
 class ModuleVector:
@@ -365,7 +366,7 @@ class SubmoduleGB:
         return f"SubmoduleGB[{len(self.gb)} elements: {gens}]"
 
 
-def buchberger(ambient, gens, *, adjoin_quotient=True, track=True):
+def buchberger(ambient, gens, *, track=True):
     """Reduced Groebner basis of the submodule generated by ``gens``.
 
     Deterministic: pairs are processed by (twisted lcm degree, i, j); the
@@ -379,11 +380,7 @@ def buchberger(ambient, gens, *, adjoin_quotient=True, track=True):
     for g in gens:
         if not g.module.same_shape(ambient):
             raise DimensionMismatch("generator outside the ambient module")
-    adjoined = (
-        tuple(_adjoined_generators(ambient))
-        if (adjoin_quotient and ring.quotient)
-        else ()
-    )
+    adjoined = tuple(_adjoined_generators(ambient))
     working = list(gens) + list(adjoined)
 
     basis = []
@@ -679,13 +676,14 @@ def colon(m_gb, q_polys):
     the unreduced relation generators of ``_syzygy_generators`` and reduce
     once, in F0; the syzygy module itself is never reduced.  Every element
     g of the basis of M : q is checked to satisfy q*g in M.  The
-    per-element colons are then intersected.
+    per-element colons are then intersected.  A Q with no nonzero
+    generator raises ValidationError.
     """
     ambient = m_gb.ambient
     q_polys = [q for q in q_polys if not q.is_zero()]
     if not q_polys:
-        raise DimensionMismatch("colon by an empty ideal")
-    m_gens = list(m_gb.gb) if m_gb.gb else list(m_gb.working_generators)
+        raise ValidationError("colon by the zero ideal: every generator is zero")
+    m_gens = list(m_gb.gb or m_gb.working_generators)
     result = None
     for q in q_polys:
         combined = [ambient.basis_vector(i).mul_poly(q) for i in range(ambient.rank)]
@@ -700,54 +698,31 @@ def colon(m_gb, q_polys):
 
 
 def intersect(a, b):
-    """Intersection of two submodules via tag-variable elimination."""
+    """Intersection of two submodules from the relations of [a | b].
+
+    A relation (c, d) with sum c_i a_i + sum d_j b_j = 0 gives the element
+    sum c_i a_i of both; the relation generators of ``_syzygy_generators``,
+    projected onto a's coordinates and mapped through a, span the
+    intersection (Eisenbud, *Commutative Algebra*, Thm 15.10).  Over R/J the
+    relations hold modulo J, so the result is the intersection in R/J.
+    """
     if not a.ambient.same_shape(b.ambient):
         raise DimensionMismatch("intersection requires a common ambient module")
     ambient = a.ambient
-    ring = ambient.ring
-    tag_ring = PolyRing(
-        ring.field,
-        ("#t",) + ring.names,
-        (1,) + ring.weights,
-        MonomialOrder(elim_first=True),
-        tuple(_lift_poly_to_tag(None, g) for g in ring.quotient),
-    )
-    tag_ambient = GradedFreeModule(tag_ring, ambient.rank, ambient.twists)
-
-    def lift_vec(v):
-        return tag_ambient.vector(
-            tuple(_lift_poly_to_tag(tag_ring, c) for c in v.coords)
-        )
-
-    t = tag_ring.var(0)
-    one = tag_ring.one()
-    gens = []
-    for g in a.gb or a.working_generators:
-        gens.append(lift_vec(g).mul_poly(t))
-    for g in b.gb or b.working_generators:
-        gens.append(lift_vec(g).mul_poly(one - t))
-    tag_gb = buchberger(tag_ambient, gens, track=False)
-
-    down = []
-    for g in tag_gb.gb:
-        if all(all(m[0] == 0 for m in c.terms) for c in g.coords):
-            coords = tuple(
-                Polynomial(ring, {m[1:]: c for m, c in poly.terms.items()})
-                for poly in g.coords
+    a_gens = list(a.gb or a.working_generators)
+    b_gens = list(b.gb or b.working_generators)
+    _, rels = _syzygy_generators(a_gens + b_gens, ambient, len(a_gens))
+    down = [
+        ambient.vector(
+            _combine_rows(
+                ambient.ring,
+                [(c.terms, g.coords) for c, g in zip(r.coords, a_gens) if c.terms],
+                ambient.rank,
             )
-            down.append(ambient.vector(coords))
-    return buchberger(ambient, down, track=False)
-
-
-def _lift_poly_to_tag(tag_ring, p):
-    if tag_ring is None:
-        tag_ring = PolyRing(
-            p.ring.field,
-            ("#t",) + p.ring.names,
-            (1,) + p.ring.weights,
-            MonomialOrder(elim_first=True),
         )
-    return Polynomial(tag_ring, {(0,) + m: c for m, c in p.terms.items()})
+        for r in rels
+    ]
+    return buchberger(ambient, down, track=False)
 
 
 # -- Hilbert series ----------------------------------------------------------

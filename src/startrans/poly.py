@@ -3,14 +3,15 @@
 Monomials are exponent tuples; a polynomial is an immutable wrapper around a
 ``{exponents: coefficient}`` dict with no zero coefficients.  The ring fixes
 the coefficient field, the variable names and their (positive integer)
-weights, and the active monomial order.
+weights.  There is one monomial order, graded reverse lexicographic
+(graded by weighted degree, declared variable order); ``PolyRing.mono_key``
+is its one definition.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
 from operator import add, le, mul, sub
 
 from .errors import DimensionMismatch, IncompatibleField, ParseError
@@ -19,18 +20,6 @@ from .errors import DimensionMismatch, IncompatibleField, ParseError
 class Homogeneity(enum.Enum):
     NOT_HOMOGENEOUS = "not_homogeneous"
     ZERO = "zero"
-
-
-@dataclass(frozen=True)
-class MonomialOrder:
-    """The monomial order: graded reverse lexicographic on ring monomials
-    (graded by weighted degree, declared variable order) and, for module
-    terms, degree first (twists included), then position (lower basis index
-    wins), then the ring order.  ``elim_first`` makes the first variable
-    dominate everything; used internally for tag-variable elimination.
-    """
-
-    elim_first: bool = False
 
 
 class PolyRing:
@@ -45,11 +34,11 @@ class PolyRing:
     """
 
     __slots__ = (
-        "field", "names", "weights", "order", "quotient", "_index",
-        "_quotient_gb", "_series",
+        "field", "names", "weights", "quotient", "_index", "_quotient_gb",
+        "_series",
     )
 
-    def __init__(self, field, names, weights=None, order=None, quotient=()):
+    def __init__(self, field, names, weights=None, quotient=()):
         names = tuple(names)
         if weights is None:
             weights = (1,) * len(names)
@@ -63,7 +52,6 @@ class PolyRing:
         self.field = field
         self.names = names
         self.weights = weights
-        self.order = order or MonomialOrder()
         self.quotient = tuple(quotient)
         self._index = {n: i for i, n in enumerate(names)}
 
@@ -89,7 +77,7 @@ class PolyRing:
         return f"PolyRing({self.field.name}; {vars_}; weights={self.weights})"
 
     def with_quotient(self, gens):
-        return PolyRing(self.field, self.names, self.weights, self.order, tuple(gens))
+        return PolyRing(self.field, self.names, self.weights, tuple(gens))
 
     # monomial helpers -------------------------------------------------
 
@@ -97,13 +85,9 @@ class PolyRing:
         return sum(map(mul, self.weights, exps))
 
     def mono_key(self, exps):
-        """Sort key realizing the ring order: a larger monomial has a
-        smaller key, so ascending sorts and min-heaps put the largest
-        monomial first."""
-        if self.order.elim_first:
-            rest = exps[1:]
-            deg = sum(map(mul, self.weights[1:], rest))
-            return (-exps[0], -deg, rest[::-1])
+        """Sort key realizing the ring order, (-degree, reversed exponents):
+        a larger monomial has a smaller key, so ascending sorts and
+        min-heaps put the largest monomial first."""
         return (-self.mono_degree(exps), exps[::-1])
 
     def mono_mul(self, a, b):

@@ -261,6 +261,22 @@ def test_cli_saturate(capsys):
     assert out.splitlines()[0].strip() == "x"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["colon", "--module", "x^2,y", "--ideal", "0"],
+        ["saturate", "--module", "x^2", "--ideal", "0"],
+        ["colon", "--module", "x^2,y", "--ideal", "0,x-x"],
+    ],
+)
+def test_cli_colon_by_the_zero_ideal_is_a_precondition(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "precondition violated" in captured.err
+    assert "zero ideal" in captured.err
+    assert captured.out == ""
+
+
 def test_cli_saturate_negative_count_is_usage_error(capsys):
     code = main(
         ["saturate", "--module", "x^2,x*y", "--ideal", "x,y", "--max-iter", "-1"]

@@ -22,6 +22,7 @@ from startrans import (
     PrimeField,
     RationalField,
     StarTransError,
+    ValidationError,
 )
 from startrans import modules
 from startrans.modules import (
@@ -142,3 +143,12 @@ def test_colon_rejects_an_element_outside_the_colon(monkeypatch):
     monkeypatch.setattr(modules, "_syzygy_generators", with_a_false_relation)
     with pytest.raises(StarTransError, match=r"q\*g in M"):
         colon(m_gb, [ring.var(1)])
+
+
+def test_colon_by_the_zero_ideal_is_a_validation_error():
+    ring = PolyRing(RationalField(), ("x", "y"))
+    ambient = GradedFreeModule(ring, 1, (0,))
+    m_gb = buchberger(ambient, [ambient.vector((ring.parse("x^2"),))])
+    for q_polys in ([], [ring.zero()], [ring.zero(), ring.parse("x - x")]):
+        with pytest.raises(ValidationError, match="zero ideal"):
+            colon(m_gb, q_polys)

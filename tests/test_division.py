@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from startrans import GradedFreeModule, PolyRing, PrimeField, RationalField
 from startrans.modules import _divide, term_key
-from startrans.poly import MonomialOrder, Polynomial
+from startrans.poly import Polynomial
 
 
 def _max_term(module, work):
@@ -85,12 +85,7 @@ NAMES = ("x", "y")
 def rings(draw):
     field = draw(st.sampled_from([PrimeField(7), RationalField()]))
     weights = tuple(draw(st.integers(1, 2)) for _ in NAMES)
-    if draw(st.booleans()):
-        return PolyRing(field, NAMES, weights)
-    # the tag-variable ring that intersections eliminate in
-    return PolyRing(
-        field, ("#t",) + NAMES, (1,) + weights, MonomialOrder(elim_first=True)
-    )
+    return PolyRing(field, NAMES, weights)
 
 
 def polynomials(ring, max_terms):

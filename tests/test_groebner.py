@@ -181,14 +181,9 @@ TRACKING_RINGS = {
 }
 
 
-@st.composite
-def generator_lists(draw):
-    """(ring name, ambient, generators): up to 4 random homogeneous vectors
-    in a free module of rank 1 or 2 with twists (0, 1)."""
-    name = draw(st.sampled_from(sorted(TRACKING_RINGS)))
-    ring = TRACKING_RINGS[name]()
-    rank = draw(st.integers(1, 2))
-    ambient = GradedFreeModule(ring, rank, (0, 1)[:rank])
+def _random_vectors(draw, ambient):
+    """Up to 4 random homogeneous vectors of degree 1 to 3 in ``ambient``."""
+    ring = ambient.ring
     gens = []
     for _ in range(draw(st.integers(1, 4))):
         d = draw(st.integers(1, 3))
@@ -207,7 +202,18 @@ def generator_lists(draw):
                 )
             )
         gens.append(ambient.vector(coords))
-    return name, ambient, gens
+    return gens
+
+
+@st.composite
+def generator_lists(draw):
+    """(ring name, ambient, generators): up to 4 random homogeneous vectors
+    in a free module of rank 1 or 2 with twists (0, 1)."""
+    name = draw(st.sampled_from(sorted(TRACKING_RINGS)))
+    ring = TRACKING_RINGS[name]()
+    rank = draw(st.integers(1, 2))
+    ambient = GradedFreeModule(ring, rank, (0, 1)[:rank])
+    return name, ambient, _random_vectors(draw, ambient)
 
 
 @settings(max_examples=40, deadline=None)
@@ -406,6 +412,38 @@ def test_intersect_module_rank_two(ring):
             brute.span_dimension(list(result.gb), F, d)
             == dim_a + dim_b - dim_sum
         )
+
+
+@st.composite
+def generator_list_pairs(draw):
+    """(ring name, ambient, a generators, b generators) in one ambient."""
+    name, ambient, a_gens = draw(generator_lists())
+    return name, ambient, a_gens, _random_vectors(draw, ambient)
+
+
+@settings(max_examples=40, deadline=None)
+@given(generator_list_pairs())
+def test_intersect_against_dense_spans(problem):
+    # over R/J the dense side works in R, on submodules plus J*F
+    name, ambient, a_gens, b_gens = problem
+    jf = [
+        ambient.basis_vector(i).mul_poly(g)
+        for g in ambient.ring.quotient
+        for i in range(ambient.rank)
+    ]
+    a_full, b_full = a_gens + jf, b_gens + jf
+    result = intersect(buchberger(ambient, a_gens), buchberger(ambient, b_gens))
+    for d in range(0, 7):
+        expected_dim = (
+            brute.span_dimension(a_full, ambient, d)
+            + brute.span_dimension(b_full, ambient, d)
+            - brute.span_dimension(a_gens + b_full, ambient, d)
+        )
+        got_dim = brute.span_dimension(list(result.gb), ambient, d)
+        assert got_dim == expected_dim, (name, d)
+    for g in result.gb:
+        assert brute.brute_membership(g, a_full), name
+        assert brute.brute_membership(g, b_full), name
 
 
 # -- submodule equality ----------------------------------------------------
