@@ -24,6 +24,7 @@ from .errors import (
     BasisSelectionError,
     DimensionMismatch,
     IncompatibleField,
+    InternalError,
     IterationLimit,
     LiftError,
     NonPolynomialDifference,

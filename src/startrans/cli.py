@@ -6,7 +6,8 @@ output file), ``colon`` / ``saturate`` (run the oracles), ``iterate``
 (run the round-by-round driver), ``info`` (print ranks and twists).
 
 Exit codes: 0 success and all checks pass; 1 a verification check failed;
-2 a precondition or validation failed; 3 I/O or parse error.
+2 a precondition or validation failed; 3 I/O or parse error; 4 internal
+error (an invariant the engine guarantees failed: a bug, not bad input).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import sys
 
 from .complexes import koszul, validate_sop
 from .errors import (
+    InternalError,
     IterationLimit,
     NotASop,
     ParseError,
@@ -46,6 +48,7 @@ EXIT_OK = 0
 EXIT_CHECKS_FAILED = 1
 EXIT_PRECONDITION = 2
 EXIT_IO = 3
+EXIT_INTERNAL = 4
 
 
 @functools.cache
@@ -316,6 +319,9 @@ def main(argv=None):
     except (ValidationError, PreconditionFailed, NotASop, IterationLimit) as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except StarTransError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECKS_FAILED

@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import NotASop, NotInModule, PreconditionFailed, ValidationError
+from .errors import (
+    InternalError, NotASop, NotInModule, PreconditionFailed, ValidationError
+)
 from .modules import (
     GradedFreeModule,
     buchberger,
@@ -306,33 +308,17 @@ def koszul(sop):
     """The Koszul complex of a validated sop, with subset labels.
 
     Basis of position p is {e_S} over p-subsets in lex order; twists
-    accumulate the generator degrees.
+    accumulate the generator degrees.  It is R (x) K, so the modules and
+    maps are ``tensor_module`` and ``tensor_boundary`` of the rank-one
+    module R.
     """
     if not isinstance(sop, SopData) or not sop.validated:
         raise PreconditionFailed("koszul requires a validated sop")
-    ring = sop.ring
-    n = sop.n
-    f = ring.field
-    modules = []
-    labels = []
-    for p in range(n + 1):
-        subs = subsets(n, p)
-        twists = tuple(sum(sop.degrees[i - 1] for i in s) for s in subs)
-        modules.append(GradedFreeModule(ring, len(subs), twists))
-        labels.append(tuple(subs))
-    maps = []
-    for p in range(1, n + 1):
-        src = subsets(n, p)
-        tgt = subsets(n, p - 1)
-        tgt_index = {s: k for k, s in enumerate(tgt)}
-        entries = [[ring.zero() for _ in src] for _ in tgt]
-        for j, s in enumerate(src):
-            for i in s:
-                sign = sign_scalar(f, count_below(i, s))
-                row = tgt_index[tuple(k for k in s if k != i)]
-                entries[row][j] = entries[row][j] + sop.gens[i - 1].scale(sign)
-        maps.append(PolyMatrix(ring, entries, len(tgt), len(src)))
-    return FreeComplex(ring, tuple(modules), tuple(maps), tuple(labels))
+    unit = GradedFreeModule(sop.ring, 1, (0,))
+    modules = tuple(tensor_module(unit, sop, p) for p in range(sop.n + 1))
+    maps = tuple(tensor_boundary(unit, sop, p) for p in range(1, sop.n + 1))
+    labels = tuple(tuple(subsets(sop.n, p)) for p in range(sop.n + 1))
+    return FreeComplex(sop.ring, modules, maps, labels)
 
 
 def tensor_module(free_mod, sop, p, shift=0):
@@ -406,6 +392,6 @@ def decompose_images(comp, sop):
             recombined = recombined + v.mul_poly(x)
         diff = recombined - target.vector(column)
         if any(not reduce_mod_quotient(ring, c).is_zero() for c in diff.coords):
-            raise NotInModule("decomposition failed to recombine (internal)")
+            raise InternalError("decomposition failed to recombine (internal)")
         out.append(vectors)
     return tuple(out)

@@ -63,3 +63,8 @@ class ParseError(StarTransError):
 
 class ValidationError(StarTransError):
     """Well-formed input that violates a structural invariant."""
+
+
+class InternalError(StarTransError):
+    """An invariant the engine guarantees failed to hold: a bug, not bad
+    input."""

@@ -20,7 +20,9 @@ it enters.  Vectors are immutable, so each caches its lead term and a
 a quotient ideal J, submodule computations adjoin J-multiples of the basis
 vectors, so results are correct over R/J.  Syzygies, colons and
 intersections all come from the Schreyer relations of
-``_syzygy_generators``, in the one term order.
+``_syzygy_generators``: it shares the S-vector step of ``buchberger``
+(``_s_vector`` and ``_row_combo``), and ``colon`` and ``intersect`` share
+one tail that maps relations to their image (``_relation_image``).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import heapq
 from dataclasses import dataclass
 from operator import add, le, sub
 
-from .errors import DimensionMismatch, NotInModule, StarTransError, ValidationError
+from .errors import DimensionMismatch, InternalError, NotInModule, ValidationError
 from .poly import (
     Polynomial,
     PolyRing,
@@ -289,15 +291,36 @@ def _combine_rows(ring, combo, width):
 # -- Buchberger -------------------------------------------------------------
 
 
+def _s_vector(basis, leads, i, j, lcm):
+    """The S-vector c_i x^u_i basis[i] - c_j x^u_j basis[j], each c x^u
+    taking a lead to the monic ``lcm``, and its head ((i, {u_i: c_i}),
+    (j, {u_j: -c_j})) for ``_row_combo``."""
+    ring = basis[i].module.ring
+    f = ring.field
+    ui = ring.mono_div(lcm, leads[i][1])
+    uj = ring.mono_div(lcm, leads[j][1])
+    ci = f.invert(leads[i][2])
+    cj = f.invert(leads[j][2])
+    s = basis[i].mul_term(ci, ui) - basis[j].mul_term(cj, uj)
+    return s, ((i, {ui: ci}), (j, {uj: f.neg(cj)}))
+
+
+def _row_combo(head, quots, rows):
+    """The ``_combine_rows`` pairs of sum c*rows[k] over (k, c) in ``head``
+    minus sum_k quots[k]*rows[k]: with an S-vector's head and quotients, the
+    expression of its remainder (a relation when that is zero)."""
+    combo = [(c, rows[k]) for k, c in head]
+    combo += [((-q).terms, row) for q, row in zip(quots, rows) if q.terms]
+    return combo
+
+
 def _adjoined_generators(ambient):
     """J-multiples of the basis vectors, for a ring with a quotient ideal."""
-    out = []
-    for g in ambient.ring.quotient:
-        for i in range(ambient.rank):
-            coords = [ambient.ring.zero()] * ambient.rank
-            coords[i] = g
-            out.append(ModuleVector(ambient, tuple(coords)))
-    return out
+    return [
+        ambient.basis_vector(i).mul_poly(g)
+        for g in ambient.ring.quotient
+        for i in range(ambient.rank)
+    ]
 
 
 class SubmoduleGB:
@@ -324,9 +347,6 @@ class SubmoduleGB:
     def working_generators(self):
         return self.generators + self.adjoined
 
-    def divide(self, v):
-        return _divide(v, self.gb, self.leads, track=True)
-
     def normal_form(self, v):
         _, r = _divide(v, self.gb, self.leads, track=False)
         return r
@@ -339,10 +359,10 @@ class SubmoduleGB:
         the vector is outside the submodule.  Needs a basis built with rows
         (``track=True``)."""
         if self.rows is None:
-            raise StarTransError(
+            raise InternalError(
                 "basis built without rows; lift needs a tracked basis (internal)"
             )
-        quots, rem = self.divide(v)
+        quots, rem = _divide(v, self.gb, self.leads, track=True)
         if not rem.is_zero():
             raise NotInModule("vector has nonzero normal form")
         ring = self.ambient.ring
@@ -358,7 +378,7 @@ class SubmoduleGB:
             self.ambient.rank,
         )
         if check != list(v.coords):
-            raise StarTransError("witness recombination failed (internal)")
+            raise InternalError("witness recombination failed (internal)")
         return tuple(total[: len(self.generators)])
 
     def __repr__(self):
@@ -375,7 +395,6 @@ def buchberger(ambient, gens, *, track=True):
     be lifted through (``SubmoduleGB.lift``).
     """
     ring = ambient.ring
-    f = ring.field
     gens = tuple(gens)
     for g in gens:
         if not g.module.same_shape(ambient):
@@ -431,20 +450,14 @@ def buchberger(ambient, gens, *, track=True):
                     break
         if chained:
             continue
-        ui = ring.mono_div(lcm, li[1])
-        uj = ring.mono_div(lcm, lj[1])
-        ci = f.invert(li[2])
-        cj = f.invert(lj[2])
-        s = basis[i].mul_term(ci, ui) - basis[j].mul_term(cj, uj)
+        s, head = _s_vector(basis, leads, i, j, lcm)
         if s.is_zero():
             continue
         quots, rem = _divide(s, basis, leads, track=track)
         if rem.is_zero():
             continue
         if track:
-            # rem = ci x^ui basis[i] - cj x^uj basis[j] - sum_k quots[k] basis[k]
-            combo = [({ui: ci}, rows[i]), ({uj: f.neg(cj)}, rows[j])]
-            combo += [((-q).terms, ro) for q, ro in zip(quots, rows) if q.terms]
+            combo = _row_combo(head, quots, rows)
             rows.append(_combine_rows(ring, combo, len(working)))
         new_index = len(basis)
         basis.append(rem)
@@ -534,101 +547,53 @@ def lift_witness(v, gens, ambient=None, gb=None):
 
 
 def _syzygy_generators(gens, ambient, ncols):
-    """Generators of the relation module {c : sum c_i gens_i = 0}, unreduced,
-    with only their first ``ncols`` coordinates built.
+    """Generators of the relation module {c : sum c_i gens_i = 0} (modulo J
+    over R/J), unreduced, with only their first ``ncols`` coordinates built.
 
     Returns (syz_module, candidates): a free module of rank ``ncols`` whose
     twists are the degrees of the first ``ncols`` generators, and the
-    projections into it of vectors that span the relation module.  These
-    are the unit relations of zero generators, the S-pair relations of the
-    reduced basis of ``gens`` (Schreyer's theorem: they generate the
-    syzygies of the basis) pushed down to ``gens`` through its ``rows``,
-    and the rows of (identity - B*A), where B expresses the generators in
-    the basis and A the basis in the generators.  ``syzygies`` keeps every
-    coordinate; ``colon`` keeps those of F0 alone.
+    projections into it of vectors that span the relation module.  Each is
+    one ``_combine_rows`` of the basis ``rows``: the relation of every
+    S-pair of the reduced basis, from the ``_s_vector`` and ``_row_combo``
+    step of ``buchberger`` (Schreyer's theorem: they generate the syzygies
+    of the basis), and the rows of (identity - B*A) for every working
+    generator, where B expresses the working generators in the basis and A
+    the basis in them.  A zero generator's row is its unit relation, and the
+    rows of the adjoined J-multiples carry the relations that hold only
+    modulo J.  ``syzygies`` keeps every coordinate; ``_relation_image`` the
+    first block.
     """
     ring = ambient.ring
-    twists = []
-    for g in gens[:ncols]:
-        d = g.homogeneous_degree()
-        twists.append(d if isinstance(d, int) else 0)
-    syz_module = GradedFreeModule(ring, ncols, tuple(twists))
-
-    unit_syzygies = []
-    for j, g in enumerate(gens[:ncols]):
-        if g.is_zero():
-            unit_syzygies.append(syz_module.basis_vector(j))
-
+    twists = tuple(g.homogeneous_degree() or 0 for g in gens[:ncols])
+    syz_module = GradedFreeModule(ring, ncols, twists)
     gb = buchberger(ambient, gens)
-    n_orig = len(gens)
-    t = len(gb.gb)
+    basis, leads, rows, working = gb.gb, gb.leads, gb.rows, gb.working_generators
 
-    candidates = list(unit_syzygies)
-
-    if t:
-        # relations among the reduced basis elements, from every same-position
-        # pair; then pushed down to the working generators through the rows
-        leads = gb.leads
-        f = ring.field
-        gb_relations = []
-        for j in range(t):
-            for i in range(j):
-                li, lj = leads[i], leads[j]
-                if li[0] != lj[0]:
-                    continue
-                lcm = ring.mono_lcm(li[1], lj[1])
-                ui = ring.mono_div(lcm, li[1])
-                uj = ring.mono_div(lcm, lj[1])
-                ci = f.invert(li[2])
-                cj = f.invert(lj[2])
-                s = gb.gb[i].mul_term(ci, ui) - gb.gb[j].mul_term(cj, uj)
-                quots, rem = _divide(s, gb.gb, leads, track=True)
-                if not rem.is_zero():
-                    raise StarTransError(
-                        "reduced basis failed an S-vector reduction (internal)"
-                    )
-                rel = [ring.zero()] * t
-                rel[i] = rel[i] + ring.monomial(ui, ci)
-                rel[j] = rel[j] - ring.monomial(uj, cj)
-                for k, q in enumerate(quots):
-                    if q.terms:
-                        rel[k] = rel[k] - q
-                gb_relations.append(rel)
-
-        # expressions of the generators in the reduced basis
-        b_rows = []
-        for g in gens:
-            quots, rem = _divide(g, gb.gb, leads, track=True)
+    combos = []
+    for j in range(len(basis)):
+        for i in range(j):
+            if leads[i][0] != leads[j][0]:
+                continue
+            lcm = ring.mono_lcm(leads[i][1], leads[j][1])
+            s, head = _s_vector(basis, leads, i, j, lcm)
+            quots, rem = _divide(s, basis, leads, track=True)
             if not rem.is_zero():
-                raise StarTransError("generator not reduced by own basis (internal)")
-            b_rows.append(quots)
-
-        for rel in gb_relations:
-            coords = [ring.zero()] * ncols
-            for k, c in enumerate(rel):
-                if not c.terms:
-                    continue
-                for j in range(ncols):
-                    a = gb.rows[k][j]
-                    if a.terms:
-                        coords[j] = coords[j] + c * a
-            candidates.append(syz_module.vector(coords))
-
-        # rows of (identity - B*A) restricted to the original generators
-        for j in range(n_orig):
-            coords = [ring.zero()] * ncols
-            if j < ncols:
-                coords[j] = ring.one()
-            for k in range(t):
-                q = b_rows[j][k]
-                if not q.terms:
-                    continue
-                for jj in range(ncols):
-                    a = gb.rows[k][jj]
-                    if a.terms:
-                        coords[jj] = coords[jj] - q * a
-            candidates.append(syz_module.vector(coords))
-
+                raise InternalError(
+                    "reduced basis failed an S-vector reduction (internal)"
+                )
+            combos.append(_row_combo(head, quots, rows))
+    one = ring.one().terms
+    for j, g in enumerate(working):
+        quots, rem = _divide(g, basis, leads, track=True)
+        if not rem.is_zero():
+            raise InternalError("generator not reduced by own basis (internal)")
+        combo = _row_combo((), quots, rows)
+        if j < ncols:
+            combo.append((one, syz_module.basis_vector(j).coords))
+        combos.append(combo)
+    candidates = [
+        syz_module.vector(_combine_rows(ring, combo, ncols)) for combo in combos
+    ]
     return syz_module, candidates
 
 
@@ -649,13 +614,27 @@ def syzygies(gens, ambient=None):
     result = buchberger(syz_module, candidates, track=False)
     ring = ambient.ring
     for s in result.gb:
-        acc = ambient.zero_vector()
-        for c, g in zip(s.coords, gens):
-            if c.terms:
-                acc = acc + g.mul_poly(c)
-        if any(not reduce_mod_quotient(ring, c).is_zero() for c in acc.coords):
-            raise StarTransError("syzygy failed to annihilate (internal)")
+        combo = [(c.terms, g.coords) for c, g in zip(s.coords, gens) if c.terms]
+        acc = _combine_rows(ring, combo, ambient.rank)
+        if any(not reduce_mod_quotient(ring, c).is_zero() for c in acc):
+            raise InternalError("syzygy failed to annihilate (internal)")
     return list(result.gb)
+
+
+def _relation_image(ambient, first, rest, through):
+    """Reduced basis, without rows, of the submodule of ``ambient`` spanned
+    by sum_i c_i through_i over the relations (c, d) of [first | rest]:
+    the relation generators of ``_syzygy_generators`` cut to the ``first``
+    block and mapped through ``through``."""
+    ring = ambient.ring
+    _, rels = _syzygy_generators(list(first) + list(rest), ambient, len(first))
+    images = []
+    for r in rels:
+        combo = [(c.terms, t.coords) for c, t in zip(r.coords, through) if c.terms]
+        v = ambient.vector(_combine_rows(ring, combo, ambient.rank))
+        if not v.is_zero():
+            images.append(v)
+    return buchberger(ambient, images, track=False)
 
 
 def submodule_equal(a, b):
@@ -670,29 +649,25 @@ def submodule_equal(a, b):
 def colon(m_gb, q_polys):
     """Generators of {f in F0 : q f in M for all q in Q}, as a SubmoduleGB.
 
-    For each q, M : q is the projection onto the first rank(F0) coordinates
-    of the relations of [q*e_1 .. q*e_r | basis of M].  The projection is a
-    module map, so it is enough to build the first rank(F0) coordinates of
-    the unreduced relation generators of ``_syzygy_generators`` and reduce
-    once, in F0; the syzygy module itself is never reduced.  Every element
-    g of the basis of M : q is checked to satisfy q*g in M.  The
-    per-element colons are then intersected.  A Q with no nonzero
-    generator raises ValidationError.
+    For each q, M : q is the set of first blocks c of the relations (c, d)
+    of [q*e_1 .. q*e_r | basis of M]: ``_relation_image`` with ``through``
+    the unit vectors, which builds only those coordinates of the unreduced
+    relation generators and reduces once, in F0; the relation module itself
+    is never reduced.  Every element g of the basis of M : q is checked to
+    satisfy q*g in M.  The per-element colons are then intersected.  A Q
+    with no nonzero generator raises ValidationError.
     """
     ambient = m_gb.ambient
     q_polys = [q for q in q_polys if not q.is_zero()]
     if not q_polys:
         raise ValidationError("colon by the zero ideal: every generator is zero")
-    m_gens = list(m_gb.gb or m_gb.working_generators)
+    units = [ambient.basis_vector(i) for i in range(ambient.rank)]
     result = None
     for q in q_polys:
-        combined = [ambient.basis_vector(i).mul_poly(q) for i in range(ambient.rank)]
-        _, rels = _syzygy_generators(combined + m_gens, ambient, ambient.rank)
-        projected = [ambient.vector(r.coords) for r in rels if not r.is_zero()]
-        part = buchberger(ambient, projected, track=False)
+        part = _relation_image(ambient, [e.mul_poly(q) for e in units], m_gb.gb, units)
         for g in part.gb:
             if not m_gb.contains(g.mul_poly(q)):
-                raise StarTransError("colon element fails q*g in M (internal)")
+                raise InternalError("colon element fails q*g in M (internal)")
         result = part if result is None else intersect(result, part)
     return result
 
@@ -702,27 +677,13 @@ def intersect(a, b):
 
     A relation (c, d) with sum c_i a_i + sum d_j b_j = 0 gives the element
     sum c_i a_i of both; the relation generators of ``_syzygy_generators``,
-    projected onto a's coordinates and mapped through a, span the
+    cut to a's block and mapped through a (``_relation_image``), span the
     intersection (Eisenbud, *Commutative Algebra*, Thm 15.10).  Over R/J the
     relations hold modulo J, so the result is the intersection in R/J.
     """
     if not a.ambient.same_shape(b.ambient):
         raise DimensionMismatch("intersection requires a common ambient module")
-    ambient = a.ambient
-    a_gens = list(a.gb or a.working_generators)
-    b_gens = list(b.gb or b.working_generators)
-    _, rels = _syzygy_generators(a_gens + b_gens, ambient, len(a_gens))
-    down = [
-        ambient.vector(
-            _combine_rows(
-                ambient.ring,
-                [(c.terms, g.coords) for c, g in zip(r.coords, a_gens) if c.terms],
-                ambient.rank,
-            )
-        )
-        for r in rels
-    ]
-    return buchberger(ambient, down, track=False)
+    return _relation_image(a.ambient, a.gb, b.gb, a.gb)
 
 
 # -- Hilbert series ----------------------------------------------------------

@@ -26,6 +26,7 @@ from .complexes import (
 )
 from .errors import (
     BasisSelectionError,
+    InternalError,
     LiftError,
     NotInModule,
     PreconditionFailed,
@@ -191,7 +192,7 @@ def build_chain_map(comp, sop, decomposition=None):
         comp, sop, decomposition, shift, source_modules, tuple(matrices), elements
     )
     if not cm.squares_commute():
-        raise LiftError("constructed chain map fails to commute (internal)")
+        raise InternalError("constructed chain map fails to commute (internal)")
     if not cm.top_is_signed_identity():
         raise LiftError("top level of the chain map is not signed identity")
     return cm
@@ -396,7 +397,7 @@ def select_basis(decomposition, module_prev, n):
             try:
                 witness = span_gb.lift(decomposition[mu][j - 1])
             except NotInModule as exc:
-                raise BasisSelectionError(
+                raise InternalError(
                     "selected set fails to span the module (internal)"
                 ) from exc
             a_part = {

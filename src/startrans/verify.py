@@ -204,8 +204,14 @@ def verify_star(comp, sop, star):
 
     m_gb = comp.image_gb(1)
     # Im phi_1 of the output; None only if building it failed, and the
-    # count then computes the colon itself
+    # checks that read it then fail instead of computing a colon
     n_gb = None
+
+    def with_n_gb(check):
+        return lambda: (
+            check() if n_gb is not None
+            else (False, "Im phi_1 of the output could not be built")
+        )
 
     def _colon_equality():
         nonlocal n_gb
@@ -223,15 +229,15 @@ def verify_star(comp, sop, star):
         res = colon_quotient_count(m_gb, sop, comp.top_rank(), colon_gb=n_gb)
         return res.passed, f"dim (M:Q)/M = {res.lhs}, expected {res.rhs}"
 
-    report.run("colon_quotient_count", _count)
+    report.run("colon_quotient_count", with_n_gb(_count))
 
     if star.depth_positive_fastpath:
         report.run(
             "depth_positive",
-            lambda: (
+            with_n_gb(lambda: (
                 depth_positive_check(n_gb),
                 "top module vanished; colon by the irrelevant ideal is stable",
-            ),
+            )),
         )
     if comp.ring.quotient:
         report.run(

@@ -11,7 +11,7 @@ from startrans import (
     star_transform,
     validate_sop,
 )
-from startrans import cli
+from startrans import cli, modules, transform
 from startrans.cli import main
 from startrans.problemfile import (
     emit_problem,
@@ -275,6 +275,31 @@ def test_cli_colon_by_the_zero_ideal_is_a_precondition(argv, capsys):
     assert "precondition violated" in captured.err
     assert "zero ideal" in captured.err
     assert captured.out == ""
+
+
+def test_cli_colon_internal_error_exits_four(monkeypatch, capsys):
+    real = modules._syzygy_generators
+
+    def with_a_false_relation(gens, amb, ncols):
+        syz_module, candidates = real(gens, amb, ncols)
+        return syz_module, candidates + [syz_module.basis_vector(0)]
+
+    monkeypatch.setattr(modules, "_syzygy_generators", with_a_false_relation)
+    assert main(["colon", "--module", "x^2", "--ideal", "x"]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith("internal error: ")
+    assert "q*g in M" in captured.err
+    assert captured.out == ""
+
+
+def test_cli_star_internal_error_exits_four(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(transform.ChainMap, "squares_commute", lambda self: False)
+    out = str(tmp_path / "out.json")
+    assert main(["star", "--input", FIXTURE, "--output", out]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith("internal error: ")
+    assert "fails to commute" in captured.err
+    assert not os.path.exists(out)
 
 
 def test_cli_saturate_negative_count_is_usage_error(capsys):

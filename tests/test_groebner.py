@@ -314,6 +314,52 @@ def test_syzygies_with_zero_generator(R1):
         assert acc.is_zero()
 
 
+@settings(max_examples=40, deadline=None)
+@given(generator_lists())
+def test_syzygies_against_dense_kernels(problem):
+    # over R/J a relation holds modulo J: the dense side takes the kernel of
+    # [gens | J*F] and cuts it to the gens block; zero generators stay out
+    # of it, and their unit relations are checked on their own
+    name, ambient, gens = problem
+    ring = ambient.ring
+    jf = [
+        ambient.basis_vector(i).mul_poly(g)
+        for g in ring.quotient
+        for i in range(ambient.rank)
+    ]
+    rels = syzygies(gens, ambient)
+    syz_module = GradedFreeModule(
+        ring, len(gens), tuple(g.homogeneous_degree() or 0 for g in gens)
+    )
+    for r in rels:
+        assert r.module.twists == syz_module.twists, name
+        acc = ambient.zero_vector()
+        for c, g in zip(r.coords, gens):
+            acc = acc + g.mul_poly(c)
+        assert brute.brute_membership(acc, jf), name
+    nonzero = [k for k, g in enumerate(gens) if not g.is_zero()]
+    for k, g in enumerate(gens):
+        if g.is_zero():
+            assert brute.brute_membership(syz_module.basis_vector(k), rels), name
+    for d in range(0, 6):
+        kernel = brute.brute_kernel_basis([gens[k] for k in nonzero] + jf, ambient, d)
+        for parts in kernel:
+            coords = [ring.zero()] * len(gens)
+            for k, c in zip(nonzero, parts):
+                coords[k] = c
+            v = syz_module.vector(coords)
+            assert brute.brute_membership(v, rels), (name, d)
+
+
+def test_syzygies_modulo_the_quotient_ideal():
+    # over Q[x,y,z]/(z^2), z*z = 0: the relation needs the row of the
+    # adjoined J-multiple z^2*e_1, which is not in the reduced basis
+    ring = _with_quotient(RationalField(), ("x", "y", "z"), ("z^2",))
+    R1 = GradedFreeModule(ring, 1, (0,))
+    rels = syzygies([R1.vector((ring.parse("z"),))])
+    assert [str(r.coords[0]) for r in rels] == ["z"]
+
+
 # -- colon ----------------------------------------------------------------
 
 
@@ -444,6 +490,28 @@ def test_intersect_against_dense_spans(problem):
     for g in result.gb:
         assert brute.brute_membership(g, a_full), name
         assert brute.brute_membership(g, b_full), name
+
+
+@pytest.mark.parametrize(
+    "make_ring",
+    [
+        lambda: PolyRing(RationalField(), ("x", "y")),
+        lambda: _with_quotient(RationalField(), ("x", "y", "z"), ("z^2",)),
+    ],
+    ids=["Q[x,y]", "Q[x,y,z]/(z^2)"],
+)
+def test_colon_and_intersect_with_the_zero_submodule(make_ring):
+    # the zero submodule has no generators; over R/J its basis is J*F
+    ring = make_ring()
+    F = GradedFreeModule(ring, 2, (0, 1))
+    x, y = ring.var(0), ring.var(1)
+    zero = buchberger(F, [])
+    a = buchberger(F, [F.vector((x, ring.zero())), F.vector((y, x))])
+    for result in (intersect(zero, a), intersect(a, zero), intersect(zero, zero)):
+        assert submodule_equal(result, zero)
+    # x and y are nonzerodivisors on R and on R/(z^2)
+    assert submodule_equal(colon(zero, [x]), zero)
+    assert submodule_equal(colon(zero, [x, y]), zero)
 
 
 # -- submodule equality ----------------------------------------------------

@@ -362,6 +362,28 @@ def test_driver_computes_no_colon_by_the_parameters(monkeypatch):
     assert [a for a in calls if tuple(a[1]) == sop.gens] == []
 
 
+def test_verify_star_runs_no_colon_when_the_output_image_fails(monkeypatch):
+    comp, sop = vanishing_top_instance()
+    res = star_transform(comp, sop, with_report=False)
+    assert res.star.depth_positive_fastpath
+    out = res.star.complex
+    real = complexes.FreeComplex.image_gb
+
+    def image_gb(self, p):
+        if self is out:
+            raise RuntimeError("image basis unavailable")
+        return real(self, p)
+
+    monkeypatch.setattr(complexes.FreeComplex, "image_gb", image_gb)
+    calls = _count_calls(monkeypatch, colon)
+    report = verify_star(comp, sop, res.star)
+    assert calls == []
+    checks = {c.name: c for c in report.checks}
+    for name in ("colon_quotient_count", "depth_positive"):
+        assert not checks[name].passed, name
+        assert "could not be built" in checks[name].detail, name
+
+
 def test_input_certified_once_across_transform_and_verify(monkeypatch):
     calls = _count_calls(monkeypatch, complexes._hilbert_certificate)
     structure = _count_calls(monkeypatch, complexes.check_complex)
