@@ -21,7 +21,6 @@ from .complexes import (
     validate_sop,
 )
 from .errors import (
-    BasisSelectionError,
     DimensionMismatch,
     IncompatibleField,
     InternalError,
@@ -33,7 +32,6 @@ from .errors import (
     ParseError,
     PreconditionFailed,
     StarTransError,
-    TopMapMismatch,
     ValidationError,
 )
 from .fields import PrimeField, RationalField, field_from_spec
@@ -58,7 +56,6 @@ from .poly import (
     PolyMatrix,
     PolyRing,
     format_polynomial,
-    order_compare,
     parse_polynomial,
 )
 from .problemfile import (

@@ -40,15 +40,6 @@ class LiftError(StarTransError):
     """
 
 
-class BasisSelectionError(StarTransError):
-    """The greedily selected generating set failed to be a free basis."""
-
-
-class TopMapMismatch(StarTransError):
-    """The closed-form evaluation of the top map disagrees with the
-    restriction of the split map; indicates an internal inconsistency."""
-
-
 class NonPolynomialDifference(StarTransError):
     """A Hilbert series difference that must be a polynomial is not one."""
 

@@ -267,18 +267,6 @@ def _from_accumulator(ring, acc):
     return Polynomial(ring, {m: c for m, c in acc.items() if not is_zero(c)})
 
 
-def order_compare(ring, exps1, exps2):
-    """Compare monomials in the ring order: -1, 0 or 1."""
-    if len(exps1) != len(exps2) or len(exps1) != ring.nvars:
-        raise DimensionMismatch("monomials over different variable counts")
-    k1, k2 = ring.mono_key(tuple(exps1)), ring.mono_key(tuple(exps2))
-    if k1 < k2:
-        return 1
-    if k1 > k2:
-        return -1
-    return 0
-
-
 # -- text syntax ---------------------------------------------------------
 #
 #   poly  :=  [sign] term { ('+'|'-') term }

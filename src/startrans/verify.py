@@ -284,7 +284,10 @@ def _colon_certificate(comp, sop, m_gb, n_gb):
         return False, "parameters are not a regular sequence"
     if not n_gb.ambient.same_shape(m_gb.ambient):
         return False, "the output F_0 differs from the input F_0"
-    for g in n_gb.gb:
+    # N is generated by the output's phi_1 columns and M is a submodule, so
+    # Q*N <= M needs only q*g in M for each generator g (over R/J too:
+    # membership reduces modulo J)
+    for g in n_gb.generators:
         if not all(m_gb.contains(g.mul_poly(q)) for q in sop.gens):
             return False, "Im of the first output map is not inside M : Q"
     s = sum(sop.degrees)

@@ -1,0 +1,79 @@
+"""Reference checks of facts the build proves where it computes them.
+
+``build_chain_map`` relies on the recombination checks of
+``decompose_images`` and ``SubmoduleGB.lift`` and does not re-check its
+squares; ``build_star_top`` writes the new top map down in closed form from
+the a/b coefficients.  The helpers here recompute those facts the long way,
+so the tests can compare.
+"""
+
+from startrans import PolyMatrix, buchberger
+from startrans.complexes import co_singleton, sign_scalar, subsets, tensor_boundary
+from startrans.modules import reduce_mod_quotient
+
+
+def squares_commute(cm):
+    """phi_p composed with level p equals level p-1 composed with the
+    Koszul-direction boundary, in the ring (modulo its quotient ideal, if
+    any: lifts and decompositions are exact only there)."""
+    comp = cm.complex
+    top = comp.module(cm.n)
+    for p in range(1, cm.n + 1):
+        lhs = comp.phi(p) @ cm.matrices[p]
+        rhs = cm.matrices[p - 1] @ tensor_boundary(top, cm.sop, p, cm.shift)
+        if lhs != rhs and any(
+            not reduce_mod_quotient(comp.ring, e).is_zero()
+            for row in (lhs - rhs).entries
+            for e in row
+        ):
+            return False
+    return True
+
+
+def top_is_signed_identity(cm):
+    """The top level of the chain map is (-1)^n times the identity."""
+    ring = cm.complex.ring
+    expected = PolyMatrix.identity(ring, cm.top_rank).scale(
+        sign_scalar(ring.field, cm.n)
+    )
+    return cm.matrices[cm.n] == expected
+
+
+def restricted_top_map(selection, split, cm):
+    """The new top map by restriction: apply the split complex's top map to
+    each new basis vector, keep the bracket part, and re-express the angle
+    part in the selected free basis of F_(n-1) by a lift.  The lift must
+    put nothing on a selected pair; the retained coordinates follow."""
+    n = cm.n
+    ring = cm.complex.ring
+    f = ring.field
+    prev = cm.complex.module(n - 1)
+    dec = cm.decomposition
+    prev_subs = subsets(n, n - 1)
+    nb = cm.top_rank * len(subsets(n, n - 2))
+    chosen = [dec[lam][i - 1] for (lam, i) in selection.selected_pairs]
+    chosen += [prev.basis_vector(u) for u in selection.retained_basis]
+    chosen_gb = buchberger(prev, chosen)
+    selected = len(selection.selected_pairs)
+    columns = []
+    for (mu, j) in selection.star_pairs:
+        coords = [ring.zero()] * cm.source_modules[n - 1].rank
+        terms = [(mu, j, ring.one(), j)]
+        terms += [
+            (lam, i, a, i - 1)
+            for (lam, i), a in selection.a_coeffs.get((mu, j), {}).items()
+        ]
+        for lam, i, coeff, power in terms:
+            idx = lam * len(prev_subs) + prev_subs.index(co_singleton(i, n))
+            coords[idx] = coords[idx] + coeff.scale(sign_scalar(f, power))
+        image = split.maps[n - 1].apply(coords)
+        witness = chosen_gb.lift(prev.vector(image[nb:]))
+        assert not any(c.terms for c in witness[:selected]), (mu, j)
+        columns.append(list(image[:nb]) + list(witness[selected:]))
+    rows = nb + len(selection.retained_basis)
+    return PolyMatrix(
+        ring,
+        [[col[i] for col in columns] for i in range(rows)],
+        rows,
+        len(columns),
+    )

@@ -293,12 +293,21 @@ def test_cli_colon_internal_error_exits_four(monkeypatch, capsys):
 
 
 def test_cli_star_internal_error_exits_four(monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr(transform.ChainMap, "squares_commute", lambda self: False)
+    real_select, real_buchberger = transform.select_basis, transform.buchberger
+
+    def one_generator_short(ambient, gens, **kwargs):
+        return real_buchberger(ambient, gens[:-1], **kwargs)
+
+    def select_on_a_short_span(*args):
+        monkeypatch.setattr(transform, "buchberger", one_generator_short)
+        return real_select(*args)
+
+    monkeypatch.setattr(transform, "select_basis", select_on_a_short_span)
     out = str(tmp_path / "out.json")
     assert main(["star", "--input", FIXTURE, "--output", out]) == 4
     captured = capsys.readouterr()
     assert captured.err.startswith("internal error: ")
-    assert "fails to commute" in captured.err
+    assert "fails to span the module" in captured.err
     assert not os.path.exists(out)
 
 

@@ -50,7 +50,8 @@ from startrans.instances import (
     square_ideal_instance,
     vanishing_top_instance,
 )
-from test_certificate import form
+from reference import restricted_top_map, squares_commute, top_is_signed_identity
+from test_certificate import form, koszul_problems
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +92,7 @@ def test_top_level_is_signed_identity(small_corpus):
         if comp.top_rank() == 0:
             continue
         cm = build_chain_map(comp, sop)
-        assert cm.top_is_signed_identity(), name
+        assert top_is_signed_identity(cm), name
 
 
 def test_second_level_matches_decomposition_signs(small_corpus):
@@ -113,7 +114,7 @@ def test_commuting_squares_vanish(small_corpus):
         if comp.top_rank() == 0:
             continue
         cm = build_chain_map(comp, sop)
-        assert cm.squares_commute(), name
+        assert squares_commute(cm), name
 
 
 def full_tensor_descent(comp, sop, decomposition):
@@ -442,6 +443,54 @@ def test_exa_star_top_values(exa, exa_chain_map):
     assert cols[0] == (ring.parse("-y"), ring.zero(), ring.parse("x"))
     assert cols[1] == (ring.parse("x"), ring.parse("-y"), ring.zero())
     assert top.top_labels == (("star", 0, 1), ("star", 0, 2))
+
+
+def assert_closed_form_top_map_is_the_restricted_map(comp, sop):
+    res = star_transform(comp, sop, with_report=False)
+    cm, sel = res.chain_map, res.selection
+    assert squares_commute(cm)
+    assert top_is_signed_identity(cm)
+    closed = build_star_top(sel, res.split, cm).top_map
+    restricted = restricted_top_map(sel, res.split, cm)
+    assert closed.ncols == restricted.ncols == len(sel.star_pairs)
+    for j in range(closed.ncols):
+        assert closed.column(j) == restricted.column(j), sel.star_pairs[j]
+    return sel
+
+
+def test_closed_form_top_map_is_the_restricted_map_on_the_corpus():
+    for name, comp, sop in corpus():
+        if comp.top_rank():
+            assert_closed_form_top_map_is_the_restricted_map(comp, sop)
+
+
+@settings(max_examples=20, deadline=None)
+@given(koszul_problems())
+def test_closed_form_top_map_is_the_restricted_map_on_generated_instances(problem):
+    name, comp, sop = problem
+    assert_closed_form_top_map_is_the_restricted_map(comp, sop)
+
+
+def test_closed_form_top_map_with_a_non_constant_a_coefficient():
+    # Koszul complex of three forms over p:7 with parameters of degrees
+    # (1, 1, 2): the unselected pair is a combination of the selected ones
+    # with a coefficient of positive degree, which no corpus instance has
+    ring = PolyRing(PrimeField(7), ("x", "y", "z"))
+    params = ["2*x + 3*y + z", "x + 2*y", "4*x^2 + 6*y*z + 2*z^2"]
+    gens = [
+        "5*x + 4*y + 6*z",
+        "5*x^2 + x*y + 3*y^2 + 3*x*z + 6*y*z",
+        "x^2 + 5*y*z + 4*z^2",
+    ]
+    sop = validate_sop(ring, [ring.parse(t) for t in params])
+    comp = koszul(validate_sop(ring, [ring.parse(t) for t in gens]))
+    sel = assert_closed_form_top_map_is_the_restricted_map(comp, sop)
+    assert any(
+        any(sum(m) for m in a.terms)
+        for a_part in sel.a_coeffs.values()
+        for a in a_part.values()
+    )
+    assert star_transform(comp, sop).report.overall
 
 
 def test_exa_full_star(exa):
