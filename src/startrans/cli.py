@@ -116,10 +116,8 @@ def _build_parser():
 def _load(args):
     if not args.input:
         raise ParseError("--input is required")
-    pf = parse_problem(args.input)
-    if args.field:
-        pf = pf.with_field(field_from_spec(args.field))
-    return pf
+    field = field_from_spec(args.field) if args.field else None
+    return parse_problem(args.input, field)
 
 
 def _standalone_ring(args, texts):
@@ -282,8 +280,8 @@ def _cmd_info(args):
     for p, m in enumerate(comp.modules):
         twists = ", ".join(str(-t) for t in m.twists)
         print(f"  F_{p}: rank {m.rank}, twists [{twists}]")
-    if pf.labels is not None:
-        for p, position in enumerate(pf.labels):
+    if comp.labels is not None:
+        for p, position in enumerate(comp.labels):
             kinds = {}
             for item in position:
                 kinds[item[0]] = kinds.get(item[0], 0) + 1

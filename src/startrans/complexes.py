@@ -12,9 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import (
-    InternalError, NotASop, NotInModule, PreconditionFailed, ValidationError
-)
+from .errors import NotASop, NotInModule, PreconditionFailed, ValidationError
 from .modules import (
     GradedFreeModule,
     buchberger,
@@ -68,7 +66,6 @@ class SopData:
     gens: tuple
     degrees: tuple
     colength: int
-    validated: bool = True
 
     @property
     def n(self):
@@ -134,7 +131,10 @@ def validate_sop(ring, polys):
 class FreeComplex:
     """Sequence F_0 .. F_n of graded free modules with boundary maps;
     ``maps[p-1]`` sends F_p to F_(p-1), columns being images of the source
-    basis.  ``labels`` optionally names each module's basis elements."""
+    basis.  ``labels`` is None or names each basis element of an output
+    complex by its provenance: ``("bracket", lam, S)`` for a tensor element
+    v_lam (x) e_S, ``("angle", u)`` for a basis element of the input, and
+    ``("star", mu, j)`` for a new top basis element."""
 
     ring: object
     modules: tuple
@@ -305,20 +305,19 @@ def check_qf_containment(comp, sop):
 
 
 def koszul(sop):
-    """The Koszul complex of a validated sop, with subset labels.
+    """The Koszul complex of a validated sop, without labels.
 
     Basis of position p is {e_S} over p-subsets in lex order; twists
     accumulate the generator degrees.  It is R (x) K, so the modules and
     maps are ``tensor_module`` and ``tensor_boundary`` of the rank-one
     module R.
     """
-    if not isinstance(sop, SopData) or not sop.validated:
+    if not isinstance(sop, SopData):
         raise PreconditionFailed("koszul requires a validated sop")
     unit = GradedFreeModule(sop.ring, 1, (0,))
     modules = tuple(tensor_module(unit, sop, p) for p in range(sop.n + 1))
     maps = tuple(tensor_boundary(unit, sop, p) for p in range(1, sop.n + 1))
-    labels = tuple(tuple(subsets(sop.n, p)) for p in range(sop.n + 1))
-    return FreeComplex(sop.ring, modules, maps, labels)
+    return FreeComplex(sop.ring, modules, maps)
 
 
 def tensor_module(free_mod, sop, p, shift=0):
@@ -362,7 +361,10 @@ def decompose_images(comp, sop):
     reduced basis of the parameter ideal and the witness is pushed back to
     the given parameters.  Returns a tuple (per lambda) of n-tuples.  The
     lift is the Q-containment test: an entry outside Q raises
-    PreconditionFailed.
+    PreconditionFailed.  The lift also checks that each witness recombines
+    to its entry (modulo the quotient ideal, if any); coordinate by
+    coordinate that is the recombination of the vectors, so it is not
+    checked again here.
     """
     n = comp.length
     ring = comp.ring
@@ -386,12 +388,5 @@ def decompose_images(comp, sop):
                 ) from exc
             for i in range(n):
                 parts[i][ell] = witness[i]
-        vectors = tuple(target.vector(tuple(parts[i])) for i in range(n))
-        recombined = target.zero_vector()
-        for x, v in zip(sop.gens, vectors):
-            recombined = recombined + v.mul_poly(x)
-        diff = recombined - target.vector(column)
-        if any(not reduce_mod_quotient(ring, c).is_zero() for c in diff.coords):
-            raise InternalError("decomposition failed to recombine (internal)")
-        out.append(vectors)
+        out.append(tuple(target.vector(tuple(parts[i])) for i in range(n)))
     return tuple(out)

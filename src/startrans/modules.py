@@ -57,11 +57,9 @@ class GradedFreeModule:
         z = self.ring.zero()
         return ModuleVector(self, (z,) * self.rank)
 
-    def basis_vector(self, i, coeff=None):
+    def basis_vector(self, i):
         coords = [self.ring.zero()] * self.rank
-        coords[i] = (
-            self.ring.one() if coeff is None else self.ring.constant(coeff)
-        )
+        coords[i] = self.ring.one()
         return ModuleVector(self, tuple(coords))
 
     def vector(self, coords):

@@ -5,7 +5,14 @@ quotient ideal, the parameter list, and the complex (twists per module in
 R(a) notation, maps row-major as polynomial strings).  Output files add a
 ``labels`` block naming each basis element of the output complex, the
 verification ``report``, and the ``source_complex`` the transform was run
-on, so they can be re-verified standalone.
+on, so they can be re-verified standalone.  The labels are parsed onto the
+complex (``FreeComplex.labels``), which is the only place they are kept.
+
+A field override reads every polynomial of the file, from its own text,
+over the given field instead of the file's; the file's field block must
+still be well formed.  The parameter strings are re-canonicalized over the
+field they were read in, so parse-then-emit is byte-identical with or
+without an override.
 
 Twist sign convention: the file stores R(a)-style twists (EX-A's F_1 is
 R(-2)^2, written [-2, -2]); internally a basis element of R(a) has degree
@@ -30,7 +37,6 @@ class ProblemFile:
     ring: PolyRing
     sop_texts: tuple
     complex: FreeComplex
-    labels: tuple = None
     report: VerificationReport = None
     source_complex: FreeComplex = None
 
@@ -40,54 +46,6 @@ class ProblemFile:
 
     def sop_polys(self):
         return tuple(self.ring.parse(t) for t in self.sop_texts)
-
-    def with_field(self, field):
-        """The same problem over another field; ParseError, naming the
-        entry, when a coefficient has no image there (1/2 over p:2)."""
-        ring = PolyRing(field, self.ring.names, self.ring.weights)
-        if self.ring.quotient:
-            ring = ring.with_quotient(
-                tuple(
-                    _parse_poly(ring, format_polynomial(g), f"quotient[{k}]")
-                    for k, g in enumerate(self.ring.quotient)
-                )
-            )
-        for k, t in enumerate(self.sop_texts):
-            _parse_poly(ring, t, f"sop[{k}]")
-        return ProblemFile(
-            ring,
-            self.sop_texts,
-            _reparse_complex(ring, self.complex, "complex"),
-            self.labels,
-            self.report,
-            _reparse_complex(ring, self.source_complex, "source_complex")
-            if self.source_complex
-            else None,
-        )
-
-
-def _reparse_complex(ring, comp, where):
-    modules = tuple(
-        GradedFreeModule(ring, m.rank, m.twists) for m in comp.modules
-    )
-    maps = tuple(
-        PolyMatrix(
-            ring,
-            [
-                [
-                    _parse_poly(
-                        ring, format_polynomial(e), f"{where}.maps[{k}][{i}][{j}]"
-                    )
-                    for j, e in enumerate(row)
-                ]
-                for i, row in enumerate(m.entries)
-            ],
-            m.nrows,
-            m.ncols,
-        )
-        for k, m in enumerate(comp.maps)
-    )
-    return FreeComplex(ring, modules, maps, comp.labels)
 
 
 def _require(data, key, kind, where):
@@ -124,8 +82,12 @@ def _parse_field(data):
     raise ParseError(f"unknown field type {ftype!r}")
 
 
-def _parse_ring(data):
-    field = _parse_field(data)
+def _parse_ring(data, field=None):
+    """The ring of the file, over ``field`` when one is given; the file's
+    own field block is parsed either way, so a malformed one is an error."""
+    file_field = _parse_field(data)
+    if field is None:
+        field = file_field
     variables = _require(data, "variables", list, "problem file")
     names = []
     weights = []
@@ -234,8 +196,9 @@ def _parse_labels(block, n_modules):
     )
 
 
-def parse_problem(path):
-    """Read and fully validate a problem (or output) file."""
+def parse_problem(path, field=None):
+    """Read and fully validate a problem (or output) file, over ``field``
+    instead of the file's own field when one is given."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -243,11 +206,11 @@ def parse_problem(path):
         raise ParseError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from None
-    return problem_from_jsonable(data)
+    return problem_from_jsonable(data, field)
 
 
-def problem_from_jsonable(data):
-    ring = _parse_ring(data)
+def problem_from_jsonable(data, field=None):
+    ring = _parse_ring(data, field)
     sop_texts = tuple(_require(data, "sop", list, "problem file"))
     sop_polys = tuple(
         _parse_poly(ring, t, f"sop[{k}]") for k, t in enumerate(sop_texts)
@@ -282,7 +245,7 @@ def problem_from_jsonable(data):
             )
     # re-canonicalize each sop string so round trips are bit-identical
     sop_texts = tuple(format_polynomial(p) for p in sop_polys)
-    return ProblemFile(ring, sop_texts, comp, comp.labels, report, source)
+    return ProblemFile(ring, sop_texts, comp, report, source)
 
 
 def _field_jsonable(field):
@@ -327,8 +290,8 @@ def problem_to_jsonable(pf):
         data["quotient"] = [format_polynomial(g) for g in pf.ring.quotient]
     data["sop"] = list(pf.sop_texts)
     data["complex"] = _complex_jsonable(pf.complex)
-    if pf.labels is not None:
-        data["labels"] = _labels_jsonable(pf.labels)
+    if pf.complex.labels is not None:
+        data["labels"] = _labels_jsonable(pf.complex.labels)
     if pf.report is not None:
         data["report"] = pf.report.to_jsonable()
     if pf.source_complex is not None:
@@ -349,42 +312,20 @@ def emit_star(star, report, path, base, input_complex):
     re-parses to the identical structure (idempotent round trip).
     """
     pf = ProblemFile(
-        base.ring,
-        base.sop_texts,
-        star.complex,
-        star.complex.labels,
-        report,
-        input_complex,
+        base.ring, base.sop_texts, star.complex, report, input_complex
     )
     emit_problem(pf, path)
     return pf
 
 
 def star_from_problem(pf):
-    """Rebuild a StarComplex (labels, selection counts) from a parsed
-    output file; requires the labels block."""
+    """Rebuild a StarComplex from a parsed output file; its pairs come
+    from the labels block, which the file must have."""
     from .transform import StarComplex
 
-    if pf.labels is None:
+    if pf.complex.labels is None:
         raise ValidationError("file has no labels block; not an output file")
-    n = pf.complex.length
-    star_pairs = tuple(
-        (item[1], item[2]) for item in pf.labels[n] if item[0] == "star"
-    )
-    retained_basis = tuple(
-        item[1] for item in pf.labels[n - 1] if item[0] == "angle"
-    )
     top_rank = (
         pf.source_complex.top_rank() if pf.source_complex is not None else 0
     )
-    all_pairs = [
-        (lam, i) for lam in range(top_rank) for i in range(1, n + 1)
-    ]
-    selected_pairs = tuple(p for p in all_pairs if p not in set(star_pairs))
-    return StarComplex(
-        pf.complex,
-        star_pairs,
-        selected_pairs,
-        retained_basis,
-        len(star_pairs) == 0,
-    )
+    return StarComplex(pf.complex, top_rank)

@@ -7,9 +7,9 @@ tensor blocks carry that shift in their twists; with it, every map built
 here is homogeneous of degree zero.
 
 Each identity the construction rests on is proved once, where it is
-computed: ``decompose_images`` checks the recombination of every
-decomposition (the top square of the chain map), and ``SubmoduleGB.lift``
-checks the recombination of every witness (each lower square).  Nothing
+computed: ``SubmoduleGB.lift`` checks the recombination of every witness,
+both the decomposition of each top-map entry over the parameters (the top
+square of the chain map) and the descent of each lower square.  Nothing
 here re-checks them; ``verify.verify_star`` certifies the output
 independently of this module.
 """
@@ -396,21 +396,9 @@ def select_basis(decomposition, module_prev, n):
     )
 
 
-@dataclass(frozen=True)
-class StarTop:
-    """Top two positions of the output complex."""
-
-    top_module: GradedFreeModule
-    top_map: PolyMatrix
-    prev_module: GradedFreeModule
-    prev_map: PolyMatrix
-    bracket_count: int
-    top_labels: tuple
-    prev_labels: tuple
-
-
 def build_star_top(selection, split_complex, cm):
-    """Assemble the new top module, its map, and the shrunken position n-1.
+    """The output complex: the split complex below position n-1, the
+    shrunken position n-1 and the new top module, with their labels.
 
     The new basis vector of a star pair (mu, j) is (-1)^j v_mu (x) e_C(j)
     plus, for each selected pair (lam, i), a_(lam,i) (-1)^(i-1) v_lam (x)
@@ -491,30 +479,62 @@ def build_star_top(selection, split_complex, cm):
         len(keep),
     )
 
-    top_labels = tuple(("star", mu, j) for (mu, j) in selection.star_pairs)
     prev_labels = tuple(
         ("bracket", lam, s)
         for lam in range(top.rank)
         for s in bracket_subs
     ) + tuple(("angle", u) for u in u_list)
-    return StarTop(
-        top_module, top_map, prev_module, prev_map, nb, top_labels, prev_labels
+    top_labels = tuple(("star", mu, j) for (mu, j) in selection.star_pairs)
+    return FreeComplex(
+        ring,
+        split_complex.modules[: n - 1] + (prev_module, top_module),
+        split_complex.maps[: n - 2] + (prev_map, top_map),
+        split_complex.labels[: n - 1] + (prev_labels, top_labels),
     )
 
 
 @dataclass(frozen=True)
 class StarComplex:
-    """The output complex with basis provenance labels."""
+    """The output complex and the rank of the input's top module.
+
+    The pairs are read from the labels of the top two positions: each
+    ``star`` label (mu, j) names a new top basis vector, each ``angle``
+    label at n-1 a retained standard basis vector of F_(n-1), and every
+    other pair (lam, i), lam below the input's top rank, was selected into
+    the free basis of F_(n-1).
+    """
 
     complex: FreeComplex
-    star_pairs: tuple
-    selected_pairs: tuple
-    retained_basis: tuple
-    depth_positive_fastpath: bool
+    input_top_rank: int
 
     @property
     def labels(self):
         return self.complex.labels
+
+    @property
+    def star_pairs(self):
+        top = self.labels[self.complex.length]
+        return tuple((item[1], item[2]) for item in top if item[0] == "star")
+
+    @property
+    def retained_basis(self):
+        prev = self.labels[self.complex.length - 1]
+        return tuple(item[1] for item in prev if item[0] == "angle")
+
+    @property
+    def selected_pairs(self):
+        n = self.complex.length
+        star = set(self.star_pairs)
+        return tuple(
+            (lam, i)
+            for lam in range(self.input_top_rank)
+            for i in range(1, n + 1)
+            if (lam, i) not in star
+        )
+
+    @property
+    def depth_positive_fastpath(self):
+        return not self.star_pairs
 
     def top_rank(self):
         return self.complex.top_rank()
@@ -532,14 +552,14 @@ class StarResult:
     report: object = None
 
 
-def star_transform(comp, sop, decomposition=None, with_report=True):
+def star_transform(comp, sop, with_report=True):
     """Full pipeline from an acyclic complex to the complex resolving the
     colon module, with a minimal top map.
 
     Preconditions (PreconditionFailed otherwise): at least two parameters,
     the complex is well formed and acyclic, and the top image lies inside
-    Q times F_(n-1) (``decompose_images`` checks this when no decomposition
-    is given).  A rank-zero top module short-circuits to the input.
+    Q times F_(n-1) (``decompose_images`` checks this).  A rank-zero top
+    module short-circuits to the input.
     """
     n = comp.length
     if n < 2:
@@ -553,43 +573,21 @@ def star_transform(comp, sop, decomposition=None, with_report=True):
         raise PreconditionFailed(
             f"input complex is not acyclic: {cert.detail}"
         )
-    if decomposition is None:
-        decomposition = decompose_images(comp, sop)
+    decomposition = decompose_images(comp, sop)
 
     if comp.top_rank() == 0:
         labels = _identity_labels(comp)
-        star = StarComplex(
-            FreeComplex(comp.ring, comp.modules, comp.maps, labels),
-            (),
-            (),
-            tuple(range(comp.module(n - 1).rank)),
-            True,
-        )
-        result = StarResult(star, None, None, None, None, comp, sop)
+        out = FreeComplex(comp.ring, comp.modules, comp.maps, labels)
+        stages = (None, None, None, None)
     else:
         cm = build_chain_map(comp, sop, decomposition)
         cone = mapping_cone(cm)
         split = split_top(cone, cm)
         selection = select_basis(cm.decomposition, comp.module(n - 1), n)
-        startop = build_star_top(selection, split, cm)
-
-        modules = list(split.modules[: n - 1])
-        maps = list(split.maps[: n - 2])
-        labels = list(split.labels[: n - 1])
-        modules += [startop.prev_module, startop.top_module]
-        maps += [startop.prev_map, startop.top_map]
-        labels += [startop.prev_labels, startop.top_labels]
-        out = FreeComplex(
-            comp.ring, tuple(modules), tuple(maps), tuple(labels)
-        )
-        star = StarComplex(
-            out,
-            selection.star_pairs,
-            selection.selected_pairs,
-            selection.retained_basis,
-            not selection.star_pairs,
-        )
-        result = StarResult(star, cm, cone, split, selection, comp, sop)
+        out = build_star_top(selection, split, cm)
+        stages = (cm, cone, split, selection)
+    star = StarComplex(out, comp.top_rank())
+    result = StarResult(star, *stages, comp, sop)
 
     if with_report:
         from .verify import verify_star

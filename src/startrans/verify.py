@@ -23,6 +23,7 @@ from .complexes import (
     homogeneity_defect,
 )
 from .errors import (
+    InternalError,
     IterationLimit,
     NonPolynomialDifference,
     ParseError,
@@ -48,13 +49,14 @@ class VerificationReport:
     def overall(self):
         return all(c.passed for c in self.checks)
 
-    def add(self, name, passed, detail=""):
-        self.checks.append(CheckResult(name, bool(passed), detail, 0.0))
-
     def run(self, name, fn, detail=""):
+        """Run one check; an exception fails the check, except an
+        ``InternalError``, which is an engine bug and propagates."""
         start = time.perf_counter()
         try:
             passed, extra = fn()
+        except InternalError:
+            raise
         except Exception as exc:  # a crashed check is a failed check
             passed, extra = False, f"{type(exc).__name__}: {exc}"
         elapsed = time.perf_counter() - start

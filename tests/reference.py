@@ -1,9 +1,9 @@
 """Reference checks of facts the build proves where it computes them.
 
 ``build_chain_map`` relies on the recombination checks of
-``decompose_images`` and ``SubmoduleGB.lift`` and does not re-check its
-squares; ``build_star_top`` writes the new top map down in closed form from
-the a/b coefficients.  The helpers here recompute those facts the long way,
+``SubmoduleGB.lift`` (the decomposition of the top map included) and does
+not re-check its squares; ``build_star_top`` writes the new top map down in
+closed form from the a/b coefficients.  The helpers here recompute those facts the long way,
 so the tests can compare.
 """
 

@@ -70,9 +70,11 @@ def test_regular_sequence_identity(names, weights, quotient, params, regular):
 def test_output_equal_to_the_input_is_rejected_by_verify_star():
     comp, sop = exa_instance()
     res = star_transform(comp, sop, with_report=False)
+    # the input complex carrying the output's labels, so the forged output
+    # names the same pairs as the real one
     forged = StarComplex(
-        comp, res.star.star_pairs, res.star.selected_pairs,
-        res.star.retained_basis, False,
+        FreeComplex(comp.ring, comp.modules, comp.maps, res.star.labels),
+        comp.top_rank(),
     )
     check = _check(verify_star(comp, sop, forged), "colon_equality")
     assert not check.passed

@@ -5,13 +5,14 @@ import os
 import pytest
 
 from startrans import (
+    InternalError,
     ParseError,
     ValidationError,
     parse_problem,
     star_transform,
     validate_sop,
 )
-from startrans import cli, modules, transform
+from startrans import cli, modules, transform, verify
 from startrans.cli import main
 from startrans.problemfile import (
     emit_problem,
@@ -104,7 +105,9 @@ def test_emit_star_round_trip(tmp_path, exa_problem):
     assert star.labels == result.star.labels
     assert star.star_pairs == result.star.star_pairs
     assert star.retained_basis == result.star.retained_basis
-    assert set(star.selected_pairs) == set(result.star.selected_pairs)
+    assert star.selected_pairs == result.star.selected_pairs
+    # both sides build the same record: the output complex and the top rank
+    assert star == result.star
 
     # byte-identical second emission
     out2 = str(tmp_path / "exa.star2.json")
@@ -311,6 +314,21 @@ def test_cli_star_internal_error_exits_four(monkeypatch, tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+def test_cli_internal_error_inside_a_verify_check_exits_four(
+    monkeypatch, tmp_path, capsys
+):
+    def broken_certificate(*args):
+        raise InternalError("certificate invariant broken (internal)")
+
+    monkeypatch.setattr(verify, "_colon_certificate", broken_certificate)
+    out = str(tmp_path / "out.json")
+    assert main(["star", "--input", FIXTURE, "--output", out]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith("internal error: ")
+    assert "certificate invariant broken" in captured.err
+    assert not os.path.exists(out)
+
+
 def test_cli_saturate_negative_count_is_usage_error(capsys):
     code = main(
         ["saturate", "--module", "x^2,x*y", "--ideal", "x,y", "--max-iter", "-1"]
@@ -384,6 +402,68 @@ def test_cli_field_override(tmp_path, capsys):
     assert pf.ring.field.name == "p:32003"
 
 
+def _zero_seconds(path):
+    with open(path, encoding="utf-8") as fh:
+        data = json.load(fh)
+    for check in data["report"]["checks"]:
+        check["seconds"] = 0.0
+    return data
+
+
+def test_cli_field_override_reads_the_text_not_the_reduced_file(tmp_path, capsys):
+    # over p:7, -y^2 reduces to 6*y^2; the override must read "-y^2" over Q
+    data = exa_data()
+    data["field"] = {"type": "prime", "p": 7}
+    p7 = write_json(tmp_path, "exa_p7.json", data)
+    over_q = str(tmp_path / "over_q.json")
+    plain = str(tmp_path / "plain.json")
+    args = ["star", "--input", p7, "--field", "rational", "--output", over_q]
+    assert main(args + ["--verify"]) == 0
+    assert main(["star", "--input", FIXTURE, "--output", plain]) == 0
+    assert _zero_seconds(over_q) == _zero_seconds(plain)
+
+
+def test_cli_field_override_canonicalizes_the_sop_over_the_new_field(tmp_path):
+    data = exa_data()
+    data["sop"] = ["x", "1/2*y"]
+    half = write_json(tmp_path, "half.json", data)
+    out = str(tmp_path / "half_p5.json")
+    assert main(["star", "--input", half, "--field", "p:5", "--output", out]) == 0
+    with open(out, encoding="utf-8") as fh:
+        text = fh.read()
+    assert json.loads(text)["sop"] == ["x", "3*y"]
+    again = str(tmp_path / "again.json")
+    emit_problem(parse_problem(out), again)
+    with open(again, encoding="utf-8") as fh:
+        assert fh.read() == text
+
+
+def test_cli_field_override_reads_the_text_over_the_override_only(tmp_path, capsys):
+    # 1/2 has no image over the file's p:2, but the override reads the
+    # text over Q alone, so the file parses
+    data = exa_data()
+    data["field"] = {"type": "prime", "p": 2}
+    data["sop"] = ["x", "1/2*y"]
+    path = write_json(tmp_path, "half_p2.json", data)
+    assert main(["info", "--input", path]) == 3
+    assert main(["info", "--input", path, "--field", "rational"]) == 0
+    assert "sop: x, 1/2*y" in capsys.readouterr().out
+
+
+def test_cli_field_override_does_not_undo_residues(tmp_path, capsys):
+    # a file written over p:7 stores -y^2 as 6*y^2; read over Q that text is
+    # another map, so the complex no longer composes to zero
+    p7 = str(tmp_path / "r7p.json")
+    assert main(["koszul", "--seed", "7", "--field", "p:7", "--output", p7]) == 0
+    with open(p7, encoding="utf-8") as fh:
+        assert "6*y^2" in fh.read()
+    out = str(tmp_path / "r7p.star.json")
+    args = ["star", "--input", p7, "--field", "rational", "--output", out]
+    assert main(args) == 2
+    assert "not a valid complex" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_cli_large_prime_field(capsys):
     assert main(["info", "--input", FIXTURE, "--field", "p:2305843009213693951"]) == 0
     assert main(["info", "--input", FIXTURE, "--field", "p:2305843009213693953"]) == 3
@@ -404,6 +484,10 @@ def _set_labels(d):
 
 def _set_half(d):
     d["sop"] = ["1/2*x", "y"]
+
+
+def _set_field_p4(d):
+    d["field"] = {"type": "prime", "p": 4}
 
 
 def _set_duplicate_name(d):
@@ -438,6 +522,7 @@ def _set_report_pass_string(d):
         ("info", _set_map_entry, [], "complex.maps[0][0][1]"),
         ("info", _set_labels, [], "labels[1][1]"),
         ("star", _set_half, ["--field", "p:2"], "sop[0]"),
+        ("info", _set_field_p4, ["--field", "rational"], "'p:4'"),
         ("info", _set_duplicate_name, [], "variables"),
         ("verify", _set_report, [], "report"),
         ("info", _set_source_int, [], "source_complex"),
@@ -449,6 +534,7 @@ def _set_report_pass_string(d):
         "map-entry-int",
         "label-short",
         "denominator-mod-p",
+        "file-field-under-override",
         "duplicate-variable",
         "report-not-object",
         "source-complex-int",

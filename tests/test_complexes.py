@@ -129,14 +129,12 @@ def test_koszul_twists_accumulate_degrees(ring):
     assert k.module(0).twists == (0,)
     assert k.module(1).twists == (2, 3)
     assert k.module(2).twists == (5,)
+    assert k.labels is None
 
 
 def test_koszul_requires_validated_sop(ring):
-    from startrans.complexes import SopData
-
-    fake = SopData(ring, (ring.var(0), ring.var(1)), (1, 1), 1, validated=False)
     with pytest.raises(PreconditionFailed):
-        koszul(fake)
+        koszul((ring.var(0), ring.var(1)))
 
 
 # -- check_complex -----------------------------------------------------------

@@ -12,6 +12,7 @@ from startrans import (
     PreconditionFailed,
     PrimeField,
     RationalField,
+    StarComplex,
     StarTransError,
     build_chain_map,
     build_star_top,
@@ -29,6 +30,7 @@ from startrans import (
     star_transform,
     submodule_equal,
     validate_sop,
+    verify_star,
 )
 from startrans import transform
 from startrans.complexes import (
@@ -437,12 +439,14 @@ def test_exa_star_top_values(exa, exa_chain_map):
     cone = mapping_cone(cm)
     split = split_top(cone, cm)
     sel = select_basis(cm.decomposition, comp.module(1), 2)
-    top = build_star_top(sel, split, cm)
-    assert top.top_module.rank == 2
-    cols = [top.top_map.column(j) for j in range(2)]
+    out = build_star_top(sel, split, cm)
+    assert [m.rank for m in out.modules] == [1, 3, 2]
+    assert out.modules[0] is split.modules[0]
+    cols = [out.phi(2).column(j) for j in range(2)]
     assert cols[0] == (ring.parse("-y"), ring.zero(), ring.parse("x"))
     assert cols[1] == (ring.parse("x"), ring.parse("-y"), ring.zero())
-    assert top.top_labels == (("star", 0, 1), ("star", 0, 2))
+    assert out.labels[0] == split.labels[0]
+    assert out.labels[2] == (("star", 0, 1), ("star", 0, 2))
 
 
 def assert_closed_form_top_map_is_the_restricted_map(comp, sop):
@@ -450,7 +454,7 @@ def assert_closed_form_top_map_is_the_restricted_map(comp, sop):
     cm, sel = res.chain_map, res.selection
     assert squares_commute(cm)
     assert top_is_signed_identity(cm)
-    closed = build_star_top(sel, res.split, cm).top_map
+    closed = build_star_top(sel, res.split, cm).phi(cm.n)
     restricted = restricted_top_map(sel, res.split, cm)
     assert closed.ncols == restricted.ncols == len(sel.star_pairs)
     for j in range(closed.ncols):
@@ -613,11 +617,13 @@ def test_choice_independence_of_colon_image(exa):
     assert recombined == target.vector(comp.phi(2).column(0))
 
     default_res = star_transform(comp, sop)
-    alt_res = star_transform(comp, sop, decomposition=alt)
-    assert alt_res.report.overall
+    cm = build_chain_map(comp, sop, alt)
+    split = split_top(mapping_cone(cm), cm)
+    sel = select_basis(alt, comp.module(1), 2)
+    alt_star = StarComplex(build_star_top(sel, split, cm), comp.top_rank())
+    assert verify_star(comp, sop, alt_star).overall
     assert submodule_equal(
-        default_res.star.complex.image_gb(1),
-        alt_res.star.complex.image_gb(1),
+        default_res.star.complex.image_gb(1), alt_star.complex.image_gb(1)
     )
 
 

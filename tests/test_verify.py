@@ -74,9 +74,7 @@ def test_verify_fails_on_unit_entry():
     bad = FreeComplex(
         ring, out.modules, (out.phi(1), bad_map), out.labels
     )
-    tampered = StarComplex(
-        bad, star.star_pairs, star.selected_pairs, star.retained_basis, False
-    )
+    tampered = StarComplex(bad, star.input_top_rank)
     report = verify_star(comp, sop, tampered)
     assert not report.overall
     failed = {c.name for c in report.checks if not c.passed}
@@ -93,9 +91,7 @@ def test_verify_fails_on_sign_tamper():
     entries[0][0] = -entries[0][0]
     bad_map = PolyMatrix(ring, entries)
     bad = FreeComplex(ring, out.modules, (out.phi(1), bad_map), out.labels)
-    tampered = StarComplex(
-        bad, star.star_pairs, star.selected_pairs, star.retained_basis, False
-    )
+    tampered = StarComplex(bad, star.input_top_rank)
     report = verify_star(comp, sop, tampered)
     assert not report.overall
     failed = {c.name for c in report.checks if not c.passed}
