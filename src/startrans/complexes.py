@@ -16,6 +16,7 @@ from .errors import NotASop, NotInModule, PreconditionFailed, ValidationError
 from .modules import (
     GradedFreeModule,
     buchberger,
+    cokernel_series,
     hilbert_data,
     reduce_mod_quotient,
     ring_series,
@@ -155,24 +156,27 @@ class FreeComplex:
     def top_rank(self):
         return self.modules[-1].rank
 
+    def image_gens(self, p):
+        """The columns of phi_p as vectors of F_(p-1)."""
+        target = self.modules[p - 1]
+        m = self.phi(p)
+        return [target.vector(m.column(j)) for j in range(m.ncols)]
+
     def image_gb(self, p):
-        """Groebner basis of Im phi_p inside F_(p-1).
+        """Reduced Groebner basis of Im phi_p inside F_(p-1), without rows.
 
         The basis of M = Im phi_1, which the acyclicity certificate, the
         colon certificate and the checks all read, is built once and kept
         outside the dataclass fields, like ``SopData.ideal_gb``.  The
-        others are only read by the acyclicity certificate, whose verdict
-        ``certify_acyclic`` keeps instead; keeping them would hold every
-        basis of a complex for as long as the complex lives.  Each basis is
-        read through its leads, membership and normal forms, never lifted
-        through, so none is built with rows.
+        package reads no other image basis: the acyclicity certificate
+        needs only the Hilbert series of the images above position 1
+        (``cokernel_series``).  Each basis is read through its leads,
+        membership and normal forms, never lifted through, so none is
+        built with rows.
         """
         gb = self.__dict__.get("_m_gb") if p == 1 else None
         if gb is None:
-            target = self.modules[p - 1]
-            m = self.phi(p)
-            cols = [target.vector(m.column(j)) for j in range(m.ncols)]
-            gb = buchberger(target, cols, track=False)
+            gb = buchberger(self.modules[p - 1], self.image_gens(p), track=False)
             if p == 1:
                 object.__setattr__(self, "_m_gb", gb)
         return gb
@@ -268,16 +272,27 @@ def _hilbert_certificate(comp):
     Hilbert series agree, i.e. iff
     HS(F_(p-1)) - HS(coker phi_p) - HS(coker phi_(p+1)) is zero, with
     coker phi_(n+1) = F_n.  A free module's series is HS(R/J) shifted by
-    its twists; a cokernel's comes from the lead terms of the reduced basis
-    of the image, which adjoins the quotient ideal, so the certificate
-    holds over R/J as well as over R.  A failure names the first inexact
-    position and the lowest degree where the two Hilbert functions differ.
+    its twists.  The cokernels are worked out from the top down: the same
+    inclusion gives HS(Im phi_p) <= HS(coker phi_(p+1)) degree by degree,
+    so HS(F_(p-1)) - HS(coker phi_(p+1)) is a floor under
+    HS(coker phi_p), and ``cokernel_series`` stops the Buchberger run of
+    Im phi_p as soon as its lead terms reach that floor.  Every series is
+    exact either way; only Im phi_1, which the other checks read, gets a
+    reduced basis (``image_gb(1)``).  All of it adjoins the quotient ideal,
+    so the certificate holds over R/J as well as over R.  A failure names
+    the first inexact position and the lowest degree where the two Hilbert
+    functions differ.
     """
     n = comp.length
     base = ring_series(comp.ring)
     free = [base.twisted(m.twists) for m in comp.modules]
-    coker = [hilbert_data(comp.image_gb(p)).series for p in range(1, n + 1)]
-    coker.append(free[n])
+    # coker[p - 1] is HS(coker phi_p)
+    coker = [None] * n + [free[n]]
+    for p in range(n, 1, -1):
+        floor = free[p - 1].sub(coker[p])
+        coker[p - 1] = cokernel_series(comp.module(p - 1), comp.image_gens(p), floor)
+    if n:
+        coker[0] = hilbert_data(comp.image_gb(1)).series
     for p in range(1, n + 1):
         diff = free[p - 1].sub(coker[p - 1]).sub(coker[p])
         if diff.numer:

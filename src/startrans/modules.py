@@ -2,14 +2,18 @@
 
 The engine behind every membership test, witness, syzygy, colon,
 intersection and Hilbert computation in the package.  Buchberger's
-algorithm with the classical pair criteria and full tail reduction.  A
-basis built with ``track=True`` (the default) carries ``rows``, the
-expression of every basis element in the input generators; that expression
-is what makes witnesses canonical, and ``SubmoduleGB.lift`` needs it.  The
-bases that are only read through their leads, membership or normal forms
-(the image bases of a complex, the colon parts and intersections, the
-final reduction of ``syzygies``, the quotient ideal) are built with
-``track=False`` and carry none.
+algorithm with the classical pair criteria and full tail reduction: one
+pair loop (``_pair_loop``), then ``_reduce_basis``.  A basis built with
+``track=True`` (the default) carries ``rows``, the expression of every
+basis element in the input generators; that expression is what makes
+witnesses canonical, and ``SubmoduleGB.lift`` needs it.  The bases that are
+only read through their leads, membership or normal forms (Im phi_1 of a
+complex, the colon parts and intersections, the final reduction of
+``syzygies``, the quotient ideal) are built with ``track=False`` and carry
+none.  ``cokernel_series`` runs the same pair loop against a known floor
+of the quotient's Hilbert series and stops once the lead terms reach it,
+with no reduced basis; the acyclicity certificate reads the images above
+position 1 that way.
 
 Module terms are ordered degree first (twists included), then position
 (lower basis index wins), then the ring's one monomial order; ``term_key``
@@ -390,15 +394,50 @@ def buchberger(ambient, gens, *, track=True):
     Deterministic: pairs are processed by (twisted lcm degree, i, j); the
     reduced basis is sorted by decreasing lead term.  With ``track=False``
     no transformation rows are built: the basis is the same, but it cannot
-    be lifted through (``SubmoduleGB.lift``).
+    be lifted through (``SubmoduleGB.lift``).  It is ``_pair_loop`` without
+    a floor, then ``_reduce_basis``.
+    """
+    gens = tuple(gens)
+    adjoined, basis, rows, _ = _pair_loop(ambient, gens, track=track)
+    return _reduce_basis(ambient, gens, adjoined, basis, rows, track=track)
+
+
+def cokernel_series(ambient, gens, floor):
+    """HS(ambient / <gens>) (modulo J over R/J), given ``floor``, a series
+    it is known to dominate degree by degree: ``_pair_loop`` with that
+    floor, which stops as soon as the lead terms reach it.  No reduced
+    basis is built."""
+    return _pair_loop(ambient, tuple(gens), track=False, floor=floor)[3]
+
+
+def _pair_loop(ambient, gens, *, track, floor=None):
+    """Buchberger's pair loop over ``gens`` and the adjoined J-multiples:
+    the coprime and chain criteria, then each S-vector divided by the basis
+    so far.  Returns (adjoined, basis, rows, series); the basis is a
+    Groebner basis, not reduced, and ``rows`` is None unless ``track``.
+
+    ``series`` is None without a floor.  With a floor F, a series that
+    HS(ambient / in(M)) is known to dominate in every degree (M the span of
+    ``gens``), the lead terms L of the basis so far give
+    HS(ambient / L) >= HS(ambient / in(M)) >= F (Traverso, "Hilbert
+    functions and the Buchberger algorithm", JSC 22 (1996)).  The
+    generators are homogeneous and pairs come out in increasing degree, so
+    at the first pair of each degree d the loop computes S = HS(ambient / L)
+    once: S == F means HS(ambient / M) = F, and the loop stops and returns
+    F; S_d == F_d means L_d = in(M)_d, so every pair of degree d would
+    reduce to zero and is marked done unprocessed; S_d < F_d contradicts
+    the floor and raises InternalError.  Each nonzero remainder of degree d
+    adds one monomial to L_d, so once S_d - F_d remainders are in, the rest
+    of degree d is skipped too.  The basis therefore grows exactly as
+    without a floor, and if the pairs run out first the series comes from
+    its leads, so ``series`` is HS(ambient / M) either way.
     """
     ring = ambient.ring
-    gens = tuple(gens)
     for g in gens:
         if not g.module.same_shape(ambient):
             raise DimensionMismatch("generator outside the ambient module")
     adjoined = tuple(_adjoined_generators(ambient))
-    working = list(gens) + list(adjoined)
+    working = gens + adjoined
 
     basis = []
     rows = [] if track else None
@@ -428,10 +467,26 @@ def buchberger(ambient, gens, *, track=True):
                 pairs.append((pair_degree(j, i), j, i))
     heapq.heapify(pairs)
     done = set()
+    degree = None
+    excess = 0  # S_d - F_d: the nonzero remainders degree d can still add
 
     while pairs:
-        _, i, j = heapq.heappop(pairs)
+        d, i, j = heapq.heappop(pairs)
         done.add((i, j))
+        if floor is not None:
+            if d != degree:
+                degree = d
+                gap = _leads_series(ambient, leads).sub(floor)
+                if not gap.numer:
+                    return adjoined, basis, rows, floor
+                excess = gap.expand(d).get(d, 0)
+                if excess < 0:
+                    raise InternalError(
+                        f"lead terms fell below the Hilbert floor in degree {d} "
+                        "(internal)"
+                    )
+            if not excess:
+                continue
         li, lj = leads[i], leads[j]
         lcm = ring.mono_lcm(li[1], lj[1])
         if rank_one and ring.mono_mul(li[1], lj[1]) == lcm:
@@ -454,6 +509,7 @@ def buchberger(ambient, gens, *, track=True):
         quots, rem = _divide(s, basis, leads, track=track)
         if rem.is_zero():
             continue
+        excess -= 1
         if track:
             combo = _row_combo(head, quots, rows)
             rows.append(_combine_rows(ring, combo, len(working)))
@@ -464,7 +520,8 @@ def buchberger(ambient, gens, *, track=True):
             if leads[k][0] == leads[new_index][0]:
                 heapq.heappush(pairs, (pair_degree(k, new_index), k, new_index))
 
-    return _reduce_basis(ambient, gens, adjoined, basis, rows, track=track)
+    series = None if floor is None else _leads_series(ambient, leads)
+    return adjoined, basis, rows, series
 
 
 def _reduce_basis(ambient, gens, adjoined, basis, rows, *, track=True):
@@ -775,9 +832,7 @@ def _interreduce_monomials(gens):
     gens = sorted(set(gens))
     out = []
     for g in gens:
-        if not any(
-            all(a <= b for a, b in zip(h, g)) for h in out
-        ):
+        if not any(all(map(le, h, g)) for h in out):
             out.append(g)
     return out
 
@@ -810,21 +865,24 @@ class HilbertData:
     dimension: object  # int when finite, None when infinite
 
 
-def hilbert_data(m_gb):
-    """Hilbert series and total dimension of ambient/M, from lead terms."""
-    ambient = m_gb.ambient
+def _leads_series(ambient, leads):
+    """HS(ambient / L), L the monomial submodule spanned by ``leads``
+    ((position, exponents, coefficient) triples, as ``ModuleVector.lead``
+    gives them)."""
     ring = ambient.ring
-    by_pos = {i: [] for i in range(ambient.rank)}
-    for g in m_gb.gb:
-        pos, exps, _ = g.lead()
+    by_pos = [[] for _ in range(ambient.rank)]
+    for pos, exps, _ in leads:
         by_pos[pos].append(exps)
     total = {}
-    for i in range(ambient.rank):
-        numer = _monomial_quotient_numerator(ring, by_pos[i])
-        shift = ambient.twists[i]
-        for d, c in numer.items():
+    for monos, shift in zip(by_pos, ambient.twists):
+        for d, c in _monomial_quotient_numerator(ring, monos).items():
             total[d + shift] = total.get(d + shift, 0) + c
-    series = HilbertSeries.from_dict(total, ring.weights)
+    return HilbertSeries.from_dict(total, ring.weights)
+
+
+def hilbert_data(m_gb):
+    """Hilbert series and total dimension of ambient/M, from lead terms."""
+    series = _leads_series(m_gb.ambient, m_gb.leads)
     return HilbertData(series, series.dimension())
 
 

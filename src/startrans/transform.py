@@ -31,7 +31,13 @@ from .complexes import (
     tensor_boundary,
     tensor_module,
 )
-from .errors import InternalError, LiftError, NotInModule, PreconditionFailed
+from .errors import (
+    InternalError,
+    LiftError,
+    NotInModule,
+    PreconditionFailed,
+    ValidationError,
+)
 from .modules import GradedFreeModule, buchberger
 from .poly import PolyMatrix, block_matrix
 
@@ -501,11 +507,18 @@ class StarComplex:
     ``star`` label (mu, j) names a new top basis vector, each ``angle``
     label at n-1 a retained standard basis vector of F_(n-1), and every
     other pair (lam, i), lam below the input's top rank, was selected into
-    the free basis of F_(n-1).
+    the free basis of F_(n-1).  A complex without labels is refused with
+    ValidationError: it cannot be an output of ``star_transform``.
     """
 
     complex: FreeComplex
     input_top_rank: int
+
+    def __post_init__(self):
+        if self.complex.labels is None:
+            raise ValidationError(
+                "complex has no labels; not an output of star_transform"
+            )
 
     @property
     def labels(self):

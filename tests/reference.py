@@ -3,13 +3,41 @@
 ``build_chain_map`` relies on the recombination checks of
 ``SubmoduleGB.lift`` (the decomposition of the top map included) and does
 not re-check its squares; ``build_star_top`` writes the new top map down in
-closed form from the a/b coefficients.  The helpers here recompute those facts the long way,
-so the tests can compare.
+closed form from the a/b coefficients; the acyclicity certificate works
+top-down and stops each image's Buchberger run at its Hilbert floor.  The
+helpers here recompute those facts the long way, so the tests can compare.
 """
 
 from startrans import PolyMatrix, buchberger
-from startrans.complexes import co_singleton, sign_scalar, subsets, tensor_boundary
-from startrans.modules import reduce_mod_quotient
+from startrans.complexes import (
+    AcyclicityCertificate,
+    co_singleton,
+    sign_scalar,
+    subsets,
+    tensor_boundary,
+)
+from startrans.modules import hilbert_data, reduce_mod_quotient, ring_series
+
+
+def full_hilbert_certificate(comp):
+    """The acyclicity certificate with every series from the reduced basis
+    of its image: position p is exact iff
+    HS(F_(p-1)) - HS(coker phi_p) - HS(coker phi_(p+1)) is zero, with
+    coker phi_(n+1) = F_n.  The compositions must vanish."""
+    n = comp.length
+    base = ring_series(comp.ring)
+    free = [base.twisted(m.twists) for m in comp.modules]
+    coker = [hilbert_data(comp.image_gb(p)).series for p in range(1, n + 1)]
+    coker.append(free[n])
+    for p in range(1, n + 1):
+        diff = free[p - 1].sub(coker[p - 1]).sub(coker[p])
+        if diff.numer:
+            return AcyclicityCertificate(
+                False, p,
+                f"kernel at position {p} exceeds the image of the next map "
+                f"in degree {diff.numer[0][0]}",
+            )
+    return AcyclicityCertificate(True)
 
 
 def squares_commute(cm):

@@ -1,18 +1,24 @@
-"""The Tor certificate of N = M : Q in ``verify_star``.
+"""The certificates of ``verify_star``: acyclicity and M : Q.
 
 ``colon_equality`` certifies that Im phi_1 of the output (N) is the colon
 of Im phi_1 of the input (M) by the parameters, without computing that
 colon: the input is acyclic, the parameters form a regular sequence,
 Q*N <= M, and HS(F_0/M) - HS(F_0/N) = sum_j t^(a_j - s) HS(R/Q).  Here its
 verdict is compared with the Groebner colon on generated instances, and
-forged outputs and broken assumptions are rejected.
+forged outputs and broken assumptions are rejected.  The acyclicity
+certificate, which stops each image's Buchberger run at its Hilbert floor,
+is compared with the one that reduces every image basis.
 """
+
+import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import brute
+from reference import full_hilbert_certificate
 from startrans import (
     FreeComplex,
     GradedFreeModule,
@@ -23,6 +29,7 @@ from startrans import (
     StarComplex,
     StarTransError,
     buchberger,
+    certify_acyclic,
     colon,
     instances,
     koszul,
@@ -31,7 +38,7 @@ from startrans import (
     validate_sop,
     verify_star,
 )
-from startrans import verify
+from startrans import modules, verify
 from startrans.instances import exa_instance
 
 
@@ -252,3 +259,81 @@ def test_certificate_agrees_with_the_groebner_colon(problem, data):
         verdict, detail = verify._colon_certificate(comp, sop, m_gb, cand)
         assert verdict == submodule_equal(cand, oracle), (name, k, detail)
     assert submodule_equal(n_gb, oracle), name
+
+
+# -- the acyclicity certificate agrees with the full one --------------------
+
+
+def _verdict(cert):
+    return cert.ok, cert.failed_position, cert.detail
+
+
+def _tampers(comp, var):
+    """For each map p: the complex with phi_p zeroed, and with phi_p times
+    the variable ``var`` and the twists at positions >= p raised by its
+    weight.  Both are still complexes."""
+    ring = comp.ring
+    x = ring.var(var)
+    w = ring.weights[var]
+    for p in range(1, comp.length + 1):
+        m = comp.phi(p)
+        zero = PolyMatrix(ring, [[ring.zero()] * m.ncols for _ in range(m.nrows)],
+                          m.nrows, m.ncols)
+        times = PolyMatrix(ring, [[e * x for e in row] for row in m.entries],
+                           m.nrows, m.ncols)
+        maps = list(comp.maps)
+        maps[p - 1] = zero
+        yield FreeComplex(ring, comp.modules, tuple(maps))
+        maps[p - 1] = times
+        modules = tuple(
+            GradedFreeModule(ring, f.rank, tuple(t + w for t in f.twists))
+            if k >= p else f
+            for k, f in enumerate(comp.modules)
+        )
+        yield FreeComplex(ring, modules, tuple(maps))
+
+
+@settings(max_examples=25, deadline=None)
+@given(koszul_problems(), st.data())
+def test_floored_certificate_agrees_with_the_full_one(problem, data):
+    name, comp, sop = problem
+    out = star_transform(comp, sop, with_report=False).star.complex
+    var = data.draw(st.integers(0, comp.ring.nvars - 1))
+    complexes = [comp, out, *_tampers(comp, var), *_tampers(out, var)]
+    for k, c in enumerate(complexes):
+        # a copy of each, so neither certificate reads the other's bases
+        expected = _verdict(full_hilbert_certificate(replace(c)))
+        assert _verdict(certify_acyclic(c)) == expected, (name, k)
+
+
+def test_floored_certificate_divides_less(monkeypatch):
+    # the output of a generic instance over a prime field: the lead terms
+    # of the images above position 1 reach their floors before the pairs
+    # run out, so the certificate divides less than the full one
+    rng = random.Random(3)
+    ring = PolyRing(PrimeField(32003), ("x", "y", "z"))
+
+    def linear():
+        return ring.from_terms(
+            ((tuple(int(i == k) for i in range(3)),
+              ring.field.from_int(rng.randint(1, 9))) for k in range(3))
+        )
+
+    params = [linear() for _ in range(3)]
+    sop = validate_sop(ring, params)
+    comp = koszul(validate_sop(ring, [q * linear() for q in params]))
+    out = star_transform(comp, sop, with_report=False).star.complex
+    calls = []
+    real = modules._divide
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(modules, "_divide", counting)
+    floored = _verdict(certify_acyclic(replace(out)))
+    floored_calls = len(calls)
+    calls.clear()
+    full = _verdict(full_hilbert_certificate(replace(out)))
+    assert floored == full == (True, -1, "")
+    assert floored_calls < len(calls)

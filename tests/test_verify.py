@@ -14,6 +14,7 @@ from startrans import (
     RationalField,
     StarComplex,
     SubmoduleGB,
+    ValidationError,
     buchberger,
     colon,
     colon_quotient_count,
@@ -79,6 +80,14 @@ def test_verify_fails_on_unit_entry():
     assert not report.overall
     failed = {c.name for c in report.checks if not c.passed}
     assert "top_minimality" in failed
+
+
+def test_star_complex_refuses_an_unlabelled_complex():
+    # the pairs are read from the labels; without them verify_star would
+    # fail outside any report check
+    comp, sop = exa_instance()
+    with pytest.raises(ValidationError, match="complex has no labels"):
+        StarComplex(comp, comp.top_rank())
 
 
 def test_verify_fails_on_sign_tamper():
