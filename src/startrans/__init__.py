@@ -26,6 +26,7 @@ from .errors import (
     InternalError,
     IterationLimit,
     LiftError,
+    MonomialOverflow,
     NonPolynomialDifference,
     NotASop,
     NotInModule,

@@ -6,8 +6,11 @@ output file), ``colon`` / ``saturate`` (run the oracles), ``iterate``
 (run the round-by-round driver), ``info`` (print ranks and twists).
 
 Exit codes: 0 success and all checks pass; 1 a verification check failed;
-2 a precondition or validation failed; 3 I/O or parse error; 4 internal
-error (an invariant the engine guarantees failed: a bug, not bad input).
+2 a precondition or validation failed (a computation that reaches a degree
+the packed monomials cannot hold included); 3 I/O or parse error (an
+exponent or variable degree in the input that they cannot hold included);
+4 internal error (an invariant the engine guarantees failed: a bug, not
+bad input).
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .complexes import koszul, validate_sop
 from .errors import (
     InternalError,
     IterationLimit,
+    MonomialOverflow,
     NotASop,
     ParseError,
     PreconditionFailed,
@@ -314,7 +318,9 @@ def main(argv=None):
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValidationError, PreconditionFailed, NotASop, IterationLimit) as exc:
+    except (
+        ValidationError, PreconditionFailed, NotASop, IterationLimit, MonomialOverflow
+    ) as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except InternalError as exc:

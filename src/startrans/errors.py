@@ -48,6 +48,11 @@ class IterationLimit(StarTransError):
     """Saturation did not stabilize within the allowed number of rounds."""
 
 
+class MonomialOverflow(StarTransError):
+    """An exponent or weighted degree does not fit a packed monomial field
+    (see ``poly.FIELD_BITS``)."""
+
+
 class ParseError(StarTransError):
     """Malformed textual input (polynomial syntax or problem file)."""
 

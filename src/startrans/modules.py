@@ -17,13 +17,15 @@ position 1 that way.
 
 Module terms are ordered degree first (twists included), then position
 (lower basis index wins), then the ring's one monomial order; ``term_key``
-is the one definition of that order.  Division pops the working vector's
-terms largest first from a heap on ``term_key``, keying each term once when
-it enters.  Vectors are immutable, so each caches its lead term and a
-``SubmoduleGB`` keeps the leads of its basis.  When the ambient ring carries
-a quotient ideal J, submodule computations adjoin J-multiples of the basis
-vectors, so results are correct over R/J.  Syzygies, colons and
-intersections all come from the Schreyer relations of
+is the one definition of that order, one int per term that also encodes
+the term.  Division works on those keys: multiplying a term by x^u adds the
+key of u, and a lead divides a term iff their difference sets no guard or
+position bit.  It pops the working vector's terms largest first from a
+min-heap of keys.  Vectors are immutable, so each caches its lead term and
+its keyed tail, and a ``SubmoduleGB`` keeps the leads of its basis.  When
+the ambient ring carries a quotient ideal J, submodule computations adjoin
+J-multiples of the basis vectors, so results are correct over R/J.
+Syzygies, colons and intersections all come from the Schreyer relations of
 ``_syzygy_generators``: it shares the S-vector step of ``buchberger``
 (``_s_vector`` and ``_row_combo``), and ``colon`` and ``intersect`` share
 one tail that maps relations to their image (``_relation_image``).
@@ -33,16 +35,26 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from operator import add, le, sub
+from operator import le, mul
 
-from .errors import DimensionMismatch, InternalError, NotInModule, ValidationError
+from .errors import (
+    DimensionMismatch,
+    InternalError,
+    MonomialOverflow,
+    NotInModule,
+    ValidationError,
+)
 from .poly import (
+    MAX_DEGREE,
     Polynomial,
     PolyRing,
     _add_product,
     _from_accumulator,
     format_polynomial,
 )
+
+
+_KEY_LAYOUT = ("_key_top", "_key_offsets", "_divides_mask", "_key_floor")
 
 
 @dataclass(frozen=True)
@@ -56,6 +68,28 @@ class GradedFreeModule:
     def __post_init__(self):
         if len(self.twists) != self.rank:
             raise DimensionMismatch("one twist per basis element required")
+
+    def __getattr__(self, name):
+        """Build the layout of ``term_key`` on first use, since many free
+        modules never key a term: -degree - twist from bit ``_key_top`` up,
+        the position below it, the exponent fields below that."""
+        if name not in _KEY_LAYOUT:
+            raise AttributeError(name)
+        ring, twists = self.ring, self.twists
+        shift = ring._shift
+        top = shift + (self.rank - 1).bit_length()
+        setattr_ = object.__setattr__  # the dataclass is frozen
+        setattr_(self, "_key_top", top)
+        # per position, the key of the monomial 1 there
+        setattr_(self, "_key_offsets", tuple(
+            [(pos << shift) - (t << top) for pos, t in enumerate(twists)]
+        ))
+        # the guard bits of the exponent fields, and the position field
+        setattr_(self, "_divides_mask", ring._guard | ((1 << top) - (1 << shift)))
+        # a key below this one has a twisted degree d with d - min(twists)
+        # >= MAX_DEGREE: a term of that twisted degree may not fit
+        setattr_(self, "_key_floor", (1 - MAX_DEGREE - min(twists, default=0)) << top)
+        return getattr(self, name)
 
     def zero_vector(self):
         z = self.ring.zero()
@@ -80,24 +114,41 @@ class GradedFreeModule:
         )
 
 
-def term_key(module, pos, exps):
+def term_key(module, pos, m):
     """Sort key for module terms, the only definition of the module order:
     a larger term has a smaller key, so ascending sorts and the min-heap of
-    the division put the largest term first.  It is the ring's monomial key
-    with the twist taken off its (negated) degree and the position placed
-    between the degree and the reversed exponents."""
-    neg_degree, rev = module.ring.mono_key(exps)
-    return (neg_degree - module.twists[pos], pos, rev)
+    the division put the largest term first.  It is the tuple
+    (-degree - twist, position, reversed exponents) as one int: the ring's
+    exponent fields of m (x_n .. x_1) in the low bits, the position above
+    them, and -degree - twist, which may be negative, above that.  The key
+    determines the term (``_term_of_key``), and the key of a term times x^u
+    is the key of the term plus the key of u at position 0 without twist."""
+    ring = module.ring
+    shift = ring._shift
+    return (
+        module._key_offsets[pos]
+        + (m & ((1 << shift) - 1))
+        - ((m >> shift) << module._key_top)
+    )
+
+
+def _term_of_key(module, key):
+    """(position, packed monomial) of a ``term_key``."""
+    shift, top = module.ring._shift, module._key_top
+    pos = (key >> shift) & ((1 << (top - shift)) - 1)
+    degree = -(key >> top) - module.twists[pos]
+    return pos, (degree << shift) | (key & ((1 << shift) - 1))
 
 
 class ModuleVector:
     """Element of a graded free module; coordinates are polynomials.
 
     Vectors are immutable (no operation changes ``coords`` or the terms of
-    a coordinate), so the lead term is computed once and kept.
+    a coordinate), so the lead term and the keyed form (``keyed``) are
+    computed once and kept.
     """
 
-    __slots__ = ("module", "coords", "_lead")
+    __slots__ = ("module", "coords", "_lead", "_keyed")
 
     def __init__(self, module, coords):
         self.module = module
@@ -134,9 +185,9 @@ class ModuleVector:
     def mul_poly(self, p):
         return ModuleVector(self.module, tuple(a * p for a in self.coords))
 
-    def mul_term(self, coeff, exps):
+    def mul_term(self, coeff, u):
         return ModuleVector(
-            self.module, tuple(a.mul_term(coeff, exps) for a in self.coords)
+            self.module, tuple(a.mul_term(coeff, u) for a in self.coords)
         )
 
     def __eq__(self, other):
@@ -150,25 +201,41 @@ class ModuleVector:
         return hash(tuple(frozenset(c.terms.items()) for c in self.coords))
 
     def lead(self):
-        """Largest term as (position, exponents, coefficient); None if zero."""
+        """Largest term as (position, packed monomial, coefficient); None
+        if zero."""
         try:
             return self._lead
         except AttributeError:
             pass
-        top = min(
-            (
-                (term_key(self.module, pos, exps), pos, exps)
-                for pos, c in enumerate(self.coords)
-                for exps in c.terms
-            ),
-            default=None,
-        )
-        if top is None:
+        keyed = self.keyed()
+        if keyed is None:
             self._lead = None
         else:
-            _, pos, exps = top
-            self._lead = (pos, exps, self.coords[pos].terms[exps])
+            pos, m = _term_of_key(self.module, keyed[0])
+            self._lead = (pos, m, keyed[1])
         return self._lead
+
+    def keyed(self):
+        """The vector as a divisor: (lead key, lead coefficient, tail), the
+        tail a list of the (``term_key``, coefficient) pairs of the other
+        terms; None if zero."""
+        try:
+            return self._keyed
+        except AttributeError:
+            pass
+        module = self.module
+        terms = [
+            (term_key(module, pos, m), c)
+            for pos, p in enumerate(self.coords)
+            for m, c in p.terms.items()
+        ]
+        if not terms:
+            self._keyed = None
+            return None
+        lead = min(terms)  # keys are distinct, so no coefficient is compared
+        terms.remove(lead)
+        self._keyed = (*lead, terms)
+        return self._keyed
 
     def homogeneous_degree(self):
         """Common value of deg(coord) + twist over nonzero coords, or None
@@ -197,95 +264,113 @@ class ModuleVector:
 # -- division ---------------------------------------------------------------
 
 
-def _divide(vector, divisors, leads, track=False):
+def _divide(vector, divisors, track=False):
     """Fully reduce ``vector`` by ``divisors``; every remainder term is
     divisible by no divisor lead.  Returns (quotients, remainder) where
     quotients[k] satisfies vector = sum quotients[k]*divisors[k] + remainder
     (quotients is None unless ``track``).
 
     The largest remaining term is reduced by the first divisor whose lead
-    divides it, or else moved to the remainder.  Terms wait in a min-heap on
-    ``term_key``, keyed once when they enter the working vector; a term that
-    cancels stays in the heap and is skipped when popped.  A step only adds
-    terms below the one it removes, so a popped term never returns.  The
-    step adds -q * x^u times the divisor term by term, with no polynomial
-    built for the product.
+    divides it, or else moved to the remainder.  The working vector is one
+    dict on ``term_key``s, whose keys wait in a min-heap; a term that
+    cancels stays in the heap and is skipped when popped.  A lead with key
+    L divides the term with key K iff K - L sets no guard or position bit,
+    and then K - L is the key of the cofactor x^u, so the step adds
+    -q * x^u times the divisor's tail (``ModuleVector.keyed``) by adding
+    K - L to each tail key; the lead itself cancels the term exactly.  A
+    step only adds terms below the one it removes, so a popped term never
+    returns and no key exceeds the twisted degree of the largest input
+    term: one check at the start keeps every field in range.
     """
     module = vector.module
     ring = module.ring
     f = ring.field
     fadd, fmul, fdiv, fneg, is_zero = f.add, f.mul, f.div, f.neg, f.is_zero
-    heappush = heapq.heappush
-    work = [dict(c.terms) for c in vector.coords]
-    heap = [
-        (term_key(module, pos, exps), pos, exps)
-        for pos, terms in enumerate(work)
-        for exps in terms
-    ]
+    heappush, heappop = heapq.heappush, heapq.heappop
+    work = {
+        term_key(module, pos, m): c
+        for pos, p in enumerate(vector.coords)
+        for m, c in p.terms.items()
+    }
+    heap = list(work)
     heapq.heapify(heap)
-    rem = [{} for _ in range(module.rank)]
+    if heap and heap[0] < module._key_floor:
+        raise MonomialOverflow(
+            "a division reaches a degree that does not fit a packed field"
+        )
+    reducers = [g.keyed() for g in divisors]
+    mask = module._divides_mask
+    rem = {}
     quots = [{} for _ in divisors] if track else None
 
     while heap:
-        _, pos, exps = heapq.heappop(heap)
-        coeff = work[pos].get(exps)
+        key = heappop(heap)
+        coeff = work.pop(key, None)
         if coeff is None:
             continue
-        for k, lead in enumerate(leads):
-            if lead is None:
+        for k, reducer in enumerate(reducers):
+            if reducer is None:
                 continue
-            gpos, gexps, gcoeff = lead
-            if gpos == pos and all(map(le, gexps, exps)):
-                u = tuple(map(sub, exps, gexps))
-                q = fdiv(coeff, gcoeff)
-                minus_q = fneg(q)
-                for dpos, dpoly in enumerate(divisors[k].coords):
-                    target = work[dpos]
-                    for dexps, dc in dpoly.terms.items():
-                        m = tuple(map(add, dexps, u))
-                        c = fmul(minus_q, dc)
-                        old = target.get(m)
-                        if old is None:
-                            target[m] = c
-                            heappush(heap, (term_key(module, dpos, m), dpos, m))
-                            continue
-                        c0 = fadd(old, c)
-                        if is_zero(c0):
-                            del target[m]
-                        else:
-                            target[m] = c0
-                if track:
-                    q0 = fadd(quots[k].get(u, f.zero), q)
-                    if is_zero(q0):
-                        quots[k].pop(u, None)
-                    else:
-                        quots[k][u] = q0
-                break
+            u = key - reducer[0]
+            if u & mask:
+                continue
+            q = fdiv(coeff, reducer[1])
+            minus_q = fneg(q)
+            for tkey, tc in reducer[2]:
+                m = tkey + u
+                c = fmul(minus_q, tc)
+                old = work.get(m)
+                if old is None:
+                    work[m] = c
+                    heappush(heap, m)
+                    continue
+                c0 = fadd(old, c)
+                if is_zero(c0):
+                    del work[m]
+                else:
+                    work[m] = c0
+            if track:
+                # keys are popped in strictly increasing order, so no
+                # divisor takes the same cofactor twice
+                quots[k][u] = q
+            break
         else:
-            rem[pos][exps] = coeff
-            del work[pos][exps]
+            rem[key] = coeff
 
-    remainder = ModuleVector(
-        module, tuple(Polynomial(ring, r) for r in rem)
-    )
-    if track:
-        qpolys = [Polynomial(ring, q) for q in quots]
-        return qpolys, remainder
-    return None, remainder
+    coords = [{} for _ in range(module.rank)]
+    lead = None
+    for key, c in rem.items():
+        pos, m = _term_of_key(module, key)
+        coords[pos][m] = c
+        lead = lead or (pos, m, c)
+    remainder = ModuleVector(module, tuple(Polynomial(ring, r) for r in coords))
+    # the remainder's terms came out largest first, so its lead and its
+    # keyed form are known
+    remainder._lead = lead
+    items = list(rem.items())
+    remainder._keyed = (*items[0], items[1:]) if items else None
+    if not track:
+        return None, remainder
+    shift, top = ring._shift, module._key_top
+    low = (1 << shift) - 1
+    qpolys = [
+        Polynomial(ring, {(-(u >> top) << shift) | (u & low): q for u, q in qd.items()})
+        for qd in quots
+    ]
+    return qpolys, remainder
 
 
 def _combine_rows(ring, combo, width):
     """The entrywise sum of c * row over the (term dict c, row) pairs of
     ``combo``, each row a sequence of ``width`` polynomials; one accumulator
     per entry, so no intermediate polynomial is built."""
-    f = ring.field
     out = []
     for t in range(width):
         acc = {}
         for c, row in combo:
             entry = row[t].terms
             if entry:
-                _add_product(acc, c, entry, f)
+                _add_product(acc, c, entry, ring)
         out.append(_from_accumulator(ring, acc))
     return out
 
@@ -350,7 +435,7 @@ class SubmoduleGB:
         return self.generators + self.adjoined
 
     def normal_form(self, v):
-        _, r = _divide(v, self.gb, self.leads, track=False)
+        _, r = _divide(v, self.gb, track=False)
         return r
 
     def contains(self, v):
@@ -364,7 +449,7 @@ class SubmoduleGB:
             raise InternalError(
                 "basis built without rows; lift needs a tracked basis (internal)"
             )
-        quots, rem = _divide(v, self.gb, self.leads, track=True)
+        quots, rem = _divide(v, self.gb, track=True)
         if not rem.is_zero():
             raise NotInModule("vector has nonzero normal form")
         ring = self.ambient.ring
@@ -454,24 +539,25 @@ def _pair_loop(ambient, gens, *, track, floor=None):
 
     rank_one = ambient.rank == 1
 
-    def pair_degree(i, j):
+    def pair(i, j):
         lcm = ring.mono_lcm(leads[i][1], leads[j][1])
-        return ring.mono_degree(lcm) + ambient.twists[leads[i][0]]
+        return (ring.mono_degree(lcm) + ambient.twists[leads[i][0]], i, j, lcm)
 
-    # a min-heap of (degree, i, j); every pair is pushed once and the keys
-    # are unique, so pairs come out in increasing key order
+    # a min-heap of (degree, i, j, lcm); every pair is pushed once and the
+    # keys (degree, i, j) are unique, so pairs come out in increasing key
+    # order
     pairs = []
     for i in range(len(basis)):
         for j in range(i):
             if leads[i][0] == leads[j][0]:
-                pairs.append((pair_degree(j, i), j, i))
+                pairs.append(pair(j, i))
     heapq.heapify(pairs)
     done = set()
     degree = None
     excess = 0  # S_d - F_d: the nonzero remainders degree d can still add
 
     while pairs:
-        d, i, j = heapq.heappop(pairs)
+        d, i, j, lcm = heapq.heappop(pairs)
         done.add((i, j))
         if floor is not None:
             if d != degree:
@@ -488,8 +574,7 @@ def _pair_loop(ambient, gens, *, track, floor=None):
             if not excess:
                 continue
         li, lj = leads[i], leads[j]
-        lcm = ring.mono_lcm(li[1], lj[1])
-        if rank_one and ring.mono_mul(li[1], lj[1]) == lcm:
+        if rank_one and li[1] + lj[1] == lcm:
             continue  # coprime leads; valid only for ideals
         chained = False
         for k in range(len(basis)):
@@ -506,7 +591,7 @@ def _pair_loop(ambient, gens, *, track, floor=None):
         s, head = _s_vector(basis, leads, i, j, lcm)
         if s.is_zero():
             continue
-        quots, rem = _divide(s, basis, leads, track=track)
+        quots, rem = _divide(s, basis, track=track)
         if rem.is_zero():
             continue
         excess -= 1
@@ -518,7 +603,7 @@ def _pair_loop(ambient, gens, *, track, floor=None):
         leads.append(rem.lead())
         for k in range(new_index):
             if leads[k][0] == leads[new_index][0]:
-                heapq.heappush(pairs, (pair_degree(k, new_index), k, new_index))
+                heapq.heappush(pairs, pair(k, new_index))
 
     series = None if floor is None else _leads_series(ambient, leads)
     return adjoined, basis, rows, series
@@ -529,38 +614,32 @@ def _reduce_basis(ambient, gens, adjoined, basis, rows, *, track=True):
     when ``track`` (``rows`` is None otherwise)."""
     ring = ambient.ring
     f = ring.field
+    mask = ambient._divides_mask
+    keys = [g.keyed()[0] for g in basis]
     # smallest lead first; reverse=True keeps equal leads in basis order
-    order = sorted(
-        range(len(basis)),
-        key=lambda k: term_key(ambient, basis[k].lead()[0], basis[k].lead()[1]),
-        reverse=True,
-    )
+    order = sorted(range(len(basis)), key=keys.__getitem__, reverse=True)
     kept = []
     for idx in order:
-        lead = basis[idx].lead()
-        redundant = False
-        for kidx in kept:
-            kl = basis[kidx].lead()
-            if kl[0] == lead[0] and ring.mono_divides(kl[1], lead[1]):
-                redundant = True
-                break
-        if not redundant:
+        # a lead that a kept lead divides (see ``_divide``) is redundant
+        if all((keys[idx] - keys[k]) & mask for k in kept):
             kept.append(idx)
 
     final = []
     final_rows = [] if track else None
     for idx in kept:
         others = [basis[k] for k in kept if k != idx]
-        other_leads = [g.lead() for g in others]
-        quots, rem = _divide(basis[idx], others, other_leads, track=track)
+        quots, rem = _divide(basis[idx], others, track=track)
         if rem.is_zero():
             continue
-        inv = f.invert(rem.lead()[2])
-        final.append(rem.scale(inv))
+        pos, m, coeff = rem.lead()
+        inv = f.invert(coeff)
+        monic = rem.scale(inv)
+        monic._lead = (pos, m, f.one)  # scaling keeps the lead monomial
+        final.append(monic)
         if track:
             # inv * (basis[idx] - sum_k quots[k] others[k])
             other_rows = [rows[k] for k in kept if k != idx]
-            combo = [({(0,) * ring.nvars: inv}, rows[idx])]
+            combo = [({0: inv}, rows[idx])]
             combo += [
                 (q.scale(f.neg(inv)).terms, ro)
                 for q, ro in zip(quots, other_rows)
@@ -601,7 +680,7 @@ def lift_witness(v, gens, ambient=None, gb=None):
     return gb.lift(v)
 
 
-def _syzygy_generators(gens, ambient, ncols):
+def _syzygy_generators(gens, ambient, ncols, *, adjoined_rows=False):
     """Generators of the relation module {c : sum c_i gens_i = 0} (modulo J
     over R/J), unreduced, with only their first ``ncols`` coordinates built.
 
@@ -611,12 +690,21 @@ def _syzygy_generators(gens, ambient, ncols):
     one ``_combine_rows`` of the basis ``rows``: the relation of every
     S-pair of the reduced basis, from the ``_s_vector`` and ``_row_combo``
     step of ``buchberger`` (Schreyer's theorem: they generate the syzygies
-    of the basis), and the rows of (identity - B*A) for every working
+    of the basis), and the rows of (identity - B*A) for every input
     generator, where B expresses the working generators in the basis and A
-    the basis in them.  A zero generator's row is its unit relation, and the
-    rows of the adjoined J-multiples carry the relations that hold only
-    modulo J.  ``syzygies`` keeps every coordinate; ``_relation_image`` the
-    first block.
+    the basis in them.  A zero generator's row is its unit relation.
+
+    The rows of the adjoined J-multiples carry the relations that hold only
+    modulo J; ``syzygies`` asks for them (``adjoined_rows``).
+    ``_relation_image`` does not need them, because its generators after
+    the first ``ncols`` are a basis built over R/J and so span J*F: write a
+    J-multiple t as sum_k e_k g_k over them.  The row of t and sum_k e_k
+    times the row of g_k are e_t - B_t*A and sum_k e_k*(e_(g_k) - B_k*A);
+    B_t and sum_k e_k*B_k both express t in the basis, so their difference
+    is a relation of the basis, whose image under A the S-pair relations
+    span, and the unit parts e_t and sum_k e_k*e_(g_k) are zero in the first
+    ``ncols`` coordinates.  So the first block of t's row lies in the span
+    of the other candidates.
     """
     ring = ambient.ring
     twists = tuple(g.homogeneous_degree() or 0 for g in gens[:ncols])
@@ -631,15 +719,15 @@ def _syzygy_generators(gens, ambient, ncols):
                 continue
             lcm = ring.mono_lcm(leads[i][1], leads[j][1])
             s, head = _s_vector(basis, leads, i, j, lcm)
-            quots, rem = _divide(s, basis, leads, track=True)
+            quots, rem = _divide(s, basis, track=True)
             if not rem.is_zero():
                 raise InternalError(
                     "reduced basis failed an S-vector reduction (internal)"
                 )
             combos.append(_row_combo(head, quots, rows))
     one = ring.one().terms
-    for j, g in enumerate(working):
-        quots, rem = _divide(g, basis, leads, track=True)
+    for j, g in enumerate(working if adjoined_rows else gb.generators):
+        quots, rem = _divide(g, basis, track=True)
         if not rem.is_zero():
             raise InternalError("generator not reduced by own basis (internal)")
         combo = _row_combo((), quots, rows)
@@ -665,7 +753,9 @@ def syzygies(gens, ambient=None):
         if not gens:
             raise DimensionMismatch("ambient required for empty generator list")
         ambient = gens[0].module
-    syz_module, candidates = _syzygy_generators(gens, ambient, len(gens))
+    syz_module, candidates = _syzygy_generators(
+        gens, ambient, len(gens), adjoined_rows=True
+    )
     result = buchberger(syz_module, candidates, track=False)
     ring = ambient.ring
     for s in result.gb:
@@ -837,22 +927,23 @@ def _interreduce_monomials(gens):
     return out
 
 
-def _monomial_quotient_numerator(ring, gens):
-    """Numerator of the Hilbert series of R/(gens) over prod (1 - t^w)."""
+def _monomial_quotient_numerator(weights, gens):
+    """Numerator of the Hilbert series of R/(gens) over prod (1 - t^w),
+    for monomials ``gens`` given as exponent tuples."""
     gens = _interreduce_monomials(gens)
     if not gens:
         return {0: 1}
     if any(all(e == 0 for e in g) for g in gens):
         return {}
-    gens = sorted(gens, key=lambda m: (ring.mono_degree(m), m))
+    gens = sorted(gens, key=lambda m: (sum(map(mul, weights, m)), m))
     pivot = gens[-1]
     rest = gens[:-1]
-    base = _monomial_quotient_numerator(ring, rest)
+    base = _monomial_quotient_numerator(weights, rest)
     coloned = [
         tuple(max(e - p, 0) for e, p in zip(g, pivot)) for g in rest
     ]
-    tail = _monomial_quotient_numerator(ring, coloned)
-    d = ring.mono_degree(pivot)
+    tail = _monomial_quotient_numerator(weights, coloned)
+    d = sum(map(mul, weights, pivot))
     out = dict(base)
     for deg, c in tail.items():
         out[deg + d] = out.get(deg + d, 0) - c
@@ -867,15 +958,15 @@ class HilbertData:
 
 def _leads_series(ambient, leads):
     """HS(ambient / L), L the monomial submodule spanned by ``leads``
-    ((position, exponents, coefficient) triples, as ``ModuleVector.lead``
+    ((position, monomial, coefficient) triples, as ``ModuleVector.lead``
     gives them)."""
     ring = ambient.ring
     by_pos = [[] for _ in range(ambient.rank)]
-    for pos, exps, _ in leads:
-        by_pos[pos].append(exps)
+    for pos, m, _ in leads:
+        by_pos[pos].append(ring.unpack(m))
     total = {}
     for monos, shift in zip(by_pos, ambient.twists):
-        for d, c in _monomial_quotient_numerator(ring, monos).items():
+        for d, c in _monomial_quotient_numerator(ring.weights, monos).items():
             total[d + shift] = total.get(d + shift, 0) + c
     return HilbertSeries.from_dict(total, ring.weights)
 

@@ -1,20 +1,39 @@
 """Sparse exact multivariate polynomials over a weighted-graded ring.
 
-Monomials are exponent tuples; a polynomial is an immutable wrapper around a
-``{exponents: coefficient}`` dict with no zero coefficients.  The ring fixes
-the coefficient field, the variable names and their (positive integer)
-weights.  There is one monomial order, graded reverse lexicographic
-(graded by weighted degree, declared variable order); ``PolyRing.mono_key``
-is its one definition.
+A polynomial is an immutable wrapper around a ``{monomial: coefficient}``
+dict with no zero coefficients.  The ring fixes the coefficient field, the
+variable names and their (positive integer) weights.  There is one monomial
+order, graded reverse lexicographic (graded by weighted degree, declared
+variable order); ``PolyRing.mono_key`` is its one definition.
+
+Each monomial is one int (Monagan and Pearce, "Sparse polynomial division
+using a heap", JSC 46 (2011)): the weighted degree in the top field, then
+the exponents of x_n .. x_1, each field ``FIELD_BITS`` wide, its top bit a
+guard kept clear.  Multiplying monomials adds their ints, dividing
+subtracts them, and b is divisible by a iff b - a sets no guard bit (a
+field that goes negative borrows through its guard).  Every exponent is at
+most the degree, so a degree below 2^(FIELD_BITS - 1) keeps every field in
+range: each product checks the sum of the two largest degrees once, and a
+monomial that does not fit raises ``MonomialOverflow``, never carries into
+the next field.  ``PolyRing.pack`` and ``PolyRing.unpack`` convert from and
+to exponent tuples; ``monomial``, ``from_terms``, the parser and the
+printer take and write tuples.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from operator import add, le, mul, sub
+import sys
+from array import array
+from operator import mul
 
-from .errors import DimensionMismatch, IncompatibleField, ParseError
+from .errors import DimensionMismatch, IncompatibleField, MonomialOverflow, ParseError
+
+FIELD_BITS = 16
+MAX_DEGREE = 1 << (FIELD_BITS - 1)  # the first degree that does not fit
+_FIELD_MASK = (1 << FIELD_BITS) - 1
+_FIELD_FORMAT = "H"  # the array code of one field, unsigned FIELD_BITS bits
 
 
 class Homogeneity(enum.Enum):
@@ -31,11 +50,15 @@ class PolyRing:
     that polynomials created before a quotient was attached stay usable.
     The basis of J and the Hilbert series of R/J are built once per ring and
     kept in ``_quotient_gb`` and ``_series`` (see ``modules.ring_series``).
+    ``_shift`` is the bit offset of the degree field, ``_limit`` the
+    smallest packed monomial whose degree does not fit, ``_guard`` the
+    guard bits of the exponent fields and ``_nbytes`` the byte length of a
+    packed monomial.
     """
 
     __slots__ = (
         "field", "names", "weights", "quotient", "_index", "_quotient_gb",
-        "_series",
+        "_series", "_shift", "_limit", "_guard", "_nbytes",
     )
 
     def __init__(self, field, names, weights=None, quotient=()):
@@ -49,11 +72,21 @@ class PolyRing:
             raise ValueError("variable weights must be positive integers")
         if len(set(names)) != len(names):
             raise ValueError("duplicate variable names")
+        if any(w >= MAX_DEGREE for w in weights):
+            raise MonomialOverflow(
+                f"variable weights must be below 2^{FIELD_BITS - 1}"
+            )
         self.field = field
         self.names = names
         self.weights = weights
         self.quotient = tuple(quotient)
         self._index = {n: i for i, n in enumerate(names)}
+        self._shift = FIELD_BITS * len(names)
+        self._limit = MAX_DEGREE << self._shift
+        self._guard = sum(
+            1 << (k + FIELD_BITS - 1) for k in range(0, self._shift, FIELD_BITS)
+        )
+        self._nbytes = (self._shift + FIELD_BITS) // 8
 
     @property
     def nvars(self):
@@ -81,26 +114,70 @@ class PolyRing:
 
     # monomial helpers -------------------------------------------------
 
-    def mono_degree(self, exps):
-        return sum(map(mul, self.weights, exps))
+    def pack(self, exps):
+        """The packed monomial x^exps; MonomialOverflow if its weighted
+        degree reaches ``MAX_DEGREE``."""
+        exps = tuple(exps)
+        if len(exps) != len(self.names):
+            raise DimensionMismatch(
+                f"{len(exps)} exponents for {self.nvars} variables"
+            )
+        degree = sum(map(mul, self.weights, exps))
+        if degree >= MAX_DEGREE:
+            raise _overflow(degree)
+        try:
+            fields = array(_FIELD_FORMAT, exps + (degree,))
+        except OverflowError:  # an unsigned field rejects a negative exponent
+            raise ValueError("exponents must be nonnegative") from None
+        return int.from_bytes(fields.tobytes(), sys.byteorder)
 
-    def mono_key(self, exps):
-        """Sort key realizing the ring order, (-degree, reversed exponents):
-        a larger monomial has a smaller key, so ascending sorts and
-        min-heaps put the largest monomial first."""
-        return (-self.mono_degree(exps), exps[::-1])
+    def _fields(self, m):
+        """The fields of m, x_1 first and the degree last, read through its
+        bytes (the inverse of ``pack``)."""
+        fields = array(_FIELD_FORMAT)
+        fields.frombytes(m.to_bytes(self._nbytes, sys.byteorder))
+        return fields
+
+    def unpack(self, m):
+        """The exponent tuple of the packed monomial m."""
+        return tuple(self._fields(m))[: len(self.names)]
+
+    def mono_degree(self, m):
+        return m >> self._shift
+
+    def mono_key(self, m):
+        """Sort key realizing the ring order, (-degree, reversed exponents)
+        as one int: the degree field complemented, x_n .. x_1 below it.  A
+        larger monomial has a smaller key, so ascending sorts and min-heaps
+        put the largest monomial first."""
+        return m ^ (_FIELD_MASK << self._shift)
 
     def mono_mul(self, a, b):
-        return tuple(map(add, a, b))
+        m = a + b
+        if m >= self._limit:
+            raise _overflow(m >> self._shift)
+        return m
 
     def mono_divides(self, a, b):
-        return all(map(le, a, b))
+        return not (b - a) & self._guard
 
     def mono_div(self, a, b):
-        return tuple(map(sub, a, b))
+        return a - b
 
     def mono_lcm(self, a, b):
-        return tuple(map(max, a, b))
+        """The least common multiple, field by field: (a | guard) - b
+        borrows within no field, and keeps a field's guard bit iff its
+        exponent in a is at least the one in b."""
+        guard = self._guard
+        low = (1 << self._shift) - 1
+        a, b = a & low, b & low
+        a_wins = ((a | guard) - b) & guard
+        a_wins -= a_wins >> (FIELD_BITS - 1)  # those fields' value bits
+        m = (a & a_wins) | (b & ~a_wins)
+        degree = sum(map(mul, self.weights, self._fields(m)))
+        if degree >= MAX_DEGREE:
+            raise _overflow(degree)
+        return (degree << self._shift) | m
 
     # constructors ------------------------------------------------------
 
@@ -113,29 +190,30 @@ class PolyRing:
     def constant(self, c):
         if self.field.is_zero(c):
             return self.zero()
-        return Polynomial(self, {(0,) * self.nvars: c})
+        return Polynomial(self, {0: c})
 
     def var(self, i):
         exps = [0] * self.nvars
         exps[i] = 1
-        return Polynomial(self, {tuple(exps): self.field.one})
+        return Polynomial(self, {self.pack(exps): self.field.one})
 
     def monomial(self, exps, coeff=None):
         coeff = self.field.one if coeff is None else coeff
         if self.field.is_zero(coeff):
             return self.zero()
-        return Polynomial(self, {tuple(exps): coeff})
+        return Polynomial(self, {self.pack(exps): coeff})
 
     def from_terms(self, terms):
+        """The polynomial sum of c * x^exps over (exponent tuple, c) pairs."""
         acc = {}
         f = self.field
         for exps, c in terms:
-            exps = tuple(exps)
-            c0 = f.add(acc.get(exps, f.zero), c)
+            m = self.pack(exps)
+            c0 = f.add(acc.get(m, f.zero), c)
             if f.is_zero(c0):
-                acc.pop(exps, None)
+                acc.pop(m, None)
             else:
-                acc[exps] = c0
+                acc[m] = c0
         return Polynomial(self, acc)
 
     def parse(self, text):
@@ -143,7 +221,7 @@ class PolyRing:
 
 
 class Polynomial:
-    """Immutable sparse polynomial; ``terms`` maps exponent tuples to
+    """Immutable sparse polynomial; ``terms`` maps packed monomials to
     nonzero field scalars."""
 
     __slots__ = ("ring", "terms")
@@ -191,8 +269,10 @@ class Polynomial:
 
     def __mul__(self, other):
         self._check(other)
+        if not (self.terms and other.terms):
+            return self.ring.zero()
         acc = {}
-        _add_product(acc, self.terms, other.terms, self.ring.field)
+        _add_product(acc, self.terms, other.terms, self.ring)
         return _from_accumulator(self.ring, acc)
 
     def scale(self, c):
@@ -201,15 +281,14 @@ class Polynomial:
             return self.ring.zero()
         return Polynomial(self.ring, {m: f.mul(c, v) for m, v in self.terms.items()})
 
-    def mul_term(self, coeff, exps):
-        """Multiply by the single term ``coeff * x^exps``."""
-        f = self.ring.field
-        if f.is_zero(coeff):
-            return self.ring.zero()
-        return Polynomial(
-            self.ring,
-            {tuple(map(add, m, exps)): f.mul(coeff, c) for m, c in self.terms.items()},
-        )
+    def mul_term(self, coeff, u):
+        """Multiply by the single term ``coeff * x^u``, u packed."""
+        ring = self.ring
+        f = ring.field
+        if f.is_zero(coeff) or not self.terms:
+            return ring.zero()
+        ring.mono_mul(max(self.terms), u)  # the largest product fits, so all do
+        return Polynomial(ring, {m + u: f.mul(coeff, c) for m, c in self.terms.items()})
 
     def __eq__(self, other):
         return (
@@ -226,13 +305,14 @@ class Polynomial:
         return sorted(self.terms.items(), key=lambda t: self.ring.mono_key(t[0]))
 
     def constant_coeff(self):
-        return self.terms.get((0,) * self.ring.nvars, self.ring.field.zero)
+        return self.terms.get(0, self.ring.field.zero)
 
     def homogeneous_degree(self):
         """Common weighted degree of all terms, or a Homogeneity sentinel."""
         if not self.terms:
             return Homogeneity.ZERO
-        degs = {self.ring.mono_degree(m) for m in self.terms}
+        shift = self.ring._shift
+        degs = {m >> shift for m in self.terms}
         if len(degs) == 1:
             return degs.pop()
         return Homogeneity.NOT_HOMOGENEOUS
@@ -249,16 +329,27 @@ def _require_compatible(ring, other):
         raise IncompatibleField(f"operands over {ring!r} and {other!r}")
 
 
-def _add_product(acc, terms1, terms2, field):
-    """Add the product of two term dicts into the accumulator dict ``acc``.
-    Coefficients that cancel are left in place as zeros, so a sum of
-    products allocates no intermediate polynomial; ``_from_accumulator``
-    drops them once at the end."""
+def _overflow(degree):
+    return MonomialOverflow(
+        f"a monomial of degree {degree} does not fit a packed field "
+        f"(degrees must stay below 2^{FIELD_BITS - 1})"
+    )
+
+
+def _add_product(acc, terms1, terms2, ring):
+    """Add the product of two nonempty term dicts of ``ring`` into the
+    accumulator dict ``acc``.  Coefficients that cancel are left in place as
+    zeros, so a sum of products allocates no intermediate polynomial;
+    ``_from_accumulator`` drops them once at the end.  The two largest
+    monomials have the largest degrees, so if their product fits, every
+    product does: one ``mono_mul`` checks the whole loop."""
+    ring.mono_mul(max(terms1), max(terms2))
+    field = ring.field
     fadd, fmul, zero = field.add, field.mul, field.zero
     get = acc.get
     for m1, c1 in terms1.items():
         for m2, c2 in terms2.items():
-            m = tuple(map(add, m1, m2))
+            m = m1 + m2
             acc[m] = fadd(get(m, zero), fmul(c1, c2))
 
 
@@ -366,7 +457,10 @@ def parse_polynomial(ring, text):
             continue
         if i < n:
             fail(f"unexpected token {toks[i][1]!r}")
-    return ring.from_terms(terms)
+    try:
+        return ring.from_terms(terms)
+    except MonomialOverflow as exc:
+        fail(str(exc))
 
 
 def _coeff_is_negative(field, c):
@@ -384,9 +478,9 @@ def format_polynomial(p):
     if p.is_zero():
         return "0"
     parts = []
-    for exps, c in p.sorted_terms():
+    for m, c in p.sorted_terms():
         factors = []
-        for name, e in zip(ring.names, exps):
+        for name, e in zip(ring.names, ring._fields(m)):  # stops before the degree
             if e == 1:
                 factors.append(name)
             elif e > 1:
@@ -503,7 +597,6 @@ class PolyMatrix:
                 f"{other.nrows}x{other.ncols}"
             )
         _require_compatible(self.ring, other.ring)
-        f = self.ring.field
         out = []
         for row in self.entries:
             out_row = []
@@ -512,7 +605,7 @@ class PolyMatrix:
                 for e, other_row in zip(row, other.entries):
                     g = other_row[j]
                     if e.terms and g.terms:
-                        _add_product(acc, e.terms, g.terms, f)
+                        _add_product(acc, e.terms, g.terms, self.ring)
                 out_row.append(_from_accumulator(self.ring, acc))
             out.append(out_row)
         return PolyMatrix(self.ring, out, self.nrows, other.ncols)
@@ -523,13 +616,12 @@ class PolyMatrix:
             raise DimensionMismatch("vector length does not match columns")
         for c in coords:
             _require_compatible(self.ring, c.ring)
-        f = self.ring.field
         out = []
         for row in self.entries:
             acc = {}
             for e, c in zip(row, coords):
                 if e.terms and c.terms:
-                    _add_product(acc, e.terms, c.terms, f)
+                    _add_product(acc, e.terms, c.terms, self.ring)
             out.append(_from_accumulator(self.ring, acc))
         return tuple(out)
 

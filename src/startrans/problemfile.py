@@ -25,7 +25,7 @@ import json
 from dataclasses import dataclass
 
 from .complexes import FreeComplex, check_complex
-from .errors import ParseError, ValidationError
+from .errors import MonomialOverflow, ParseError, ValidationError
 from .fields import field_from_spec
 from .modules import GradedFreeModule
 from .poly import PolyMatrix, PolyRing, format_polynomial
@@ -101,7 +101,7 @@ def _parse_ring(data, field=None):
         weights.append(degree)
     try:
         ring = PolyRing(field, tuple(names), tuple(weights))
-    except ValueError as exc:
+    except (ValueError, MonomialOverflow) as exc:
         raise ParseError(f"variables: {exc}") from None
     quotient = data.get("quotient")
     if quotient:

@@ -280,6 +280,20 @@ def test_cli_colon_by_the_zero_ideal_is_a_precondition(argv, capsys):
     assert captured.out == ""
 
 
+def test_cli_overflowing_exponent_is_a_parse_error(capsys):
+    assert main(["colon", "--module", "x^4294967296", "--ideal", "x"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("parse error: ") and "does not fit" in captured.err
+    assert captured.out == ""
+
+
+def test_cli_overflowing_computation_is_a_precondition(capsys):
+    # both inputs fit, but their S-pair x^20000*y^20000 does not
+    assert main(["colon", "--module", "x^20000", "--ideal", "y^20000"]) == 2
+    captured = capsys.readouterr()
+    assert "precondition violated" in captured.err and "does not fit" in captured.err
+
+
 def test_cli_colon_internal_error_exits_four(monkeypatch, capsys):
     real = modules._syzygy_generators
 
@@ -506,6 +520,14 @@ def _set_bool_twist(d):
     d["complex"]["twists"][0] = [False]
 
 
+def _set_overflowing_exponent(d):
+    d["sop"][0] = "x^4294967296"
+
+
+def _set_overflowing_degree(d):
+    d["variables"][0]["degree"] = 2**40
+
+
 def _set_report_pass_string(d):
     d["report"] = {
         "overall": True,
@@ -528,6 +550,8 @@ def _set_report_pass_string(d):
         ("info", _set_source_int, [], "source_complex"),
         ("info", _set_bool_twist, [], "complex.twists[0][0]"),
         ("info", _set_report_pass_string, [], "report.checks[0].pass"),
+        ("star", _set_overflowing_exponent, [], "sop[0]"),
+        ("info", _set_overflowing_degree, [], "variables"),
     ],
     ids=[
         "degree-string",
@@ -540,6 +564,8 @@ def _set_report_pass_string(d):
         "source-complex-int",
         "twist-bool",
         "report-pass-string",
+        "exponent-overflow",
+        "degree-overflow",
     ],
 )
 def test_cli_malformed_file_is_parse_error(

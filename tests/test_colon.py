@@ -41,10 +41,20 @@ def _quotient_ring():
     return base.with_quotient([base.parse("z^2")])
 
 
+def _prime_quotient_ring():
+    base = PolyRing(PrimeField(7), ("x", "y", "z"))
+    return base.with_quotient([base.parse("x*z"), base.parse("y^3")])
+
+
 RINGS = {
     "p:7[x,y]": lambda: PolyRing(PrimeField(7), ("x", "y")),
     "Q[x,y]": lambda: PolyRing(RationalField(), ("x", "y")),
     "Q[x,y,z]/(z^2)": _quotient_ring,
+}
+
+QUOTIENT_RINGS = {
+    "Q[x,y,z]/(z^2)": _quotient_ring,
+    "p:7[x,y,z]/(xz,y^3)": _prime_quotient_ring,
 }
 
 
@@ -86,9 +96,9 @@ def homogeneous(draw, ring, degree):
 
 
 @st.composite
-def colon_problems(draw):
-    name = draw(st.sampled_from(sorted(RINGS)))
-    ring = RINGS[name]()
+def colon_problems(draw, rings=RINGS):
+    name = draw(st.sampled_from(sorted(rings)))
+    ring = rings[name]()
     rank = draw(st.integers(1, 2))
     twists = (0,) + tuple(draw(st.integers(0, 1)) for _ in range(rank - 1))
     ambient = GradedFreeModule(ring, rank, twists)
@@ -105,17 +115,9 @@ def colon_problems(draw):
     return name, ambient, m_gens, q_polys
 
 
-@settings(max_examples=40, deadline=None)
-@given(colon_problems())
-def test_colon_matches_old_route_and_dense_colon(problem):
-    name, ambient, m_gens, q_polys = problem
-    ring = ambient.ring
-    m_gb = buchberger(ambient, m_gens)
-
-    got = colon(m_gb, q_polys)
-    assert submodule_equal(got, old_colon(m_gb, q_polys)), name
-
+def assert_matches_dense_colon(name, got, m_gens, q_polys, ambient):
     # over R/J the dense side works in R, on M + J*F0
+    ring = ambient.ring
     dense_m = list(m_gens) + [
         ambient.basis_vector(i).mul_poly(g)
         for g in ring.quotient
@@ -128,6 +130,27 @@ def test_colon_matches_old_route_and_dense_colon(problem):
             d,
         )
         assert brute.span_contained(list(got.gb), expected, ambient, d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(colon_problems())
+def test_colon_matches_old_route_and_dense_colon(problem):
+    name, ambient, m_gens, q_polys = problem
+    m_gb = buchberger(ambient, m_gens)
+
+    got = colon(m_gb, q_polys)
+    assert submodule_equal(got, old_colon(m_gb, q_polys)), name
+    assert_matches_dense_colon(name, got, m_gens, q_polys, ambient)
+
+
+@settings(max_examples=40, deadline=None)
+@given(colon_problems(QUOTIENT_RINGS))
+def test_colon_over_quotient_rings_matches_the_dense_colon(problem):
+    # colon builds no (I - B*A) rows for the adjoined J-multiples: the basis
+    # of M already spans J*F0, so the dense colon in R is the oracle
+    name, ambient, m_gens, q_polys = problem
+    got = colon(buchberger(ambient, m_gens, track=False), q_polys)
+    assert_matches_dense_colon(name, got, m_gens, q_polys, ambient)
 
 
 def test_colon_rejects_an_element_outside_the_colon(monkeypatch):

@@ -1,19 +1,26 @@
 """Property tests of the module division against a linear-scan oracle.
 
-The oracle is the division the engine used before its heap: every step it
+The oracle is the division the engine used before its heap and its packed
+monomials: it works on exponent tuples (``ring.unpack``) under the tuple
+key (-degree - twist, position, reversed exponents), and every step it
 recomputes the key of every remaining term and reduces the largest one by
 the first divisor whose lead divides it.  The engine must return the same
 quotients and remainder, and both must satisfy the division identity.
 """
 
 from fractions import Fraction
+from operator import add, le, mul, sub
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from startrans import GradedFreeModule, PolyRing, PrimeField, RationalField
-from startrans.modules import _divide, term_key
-from startrans.poly import Polynomial
+from startrans.modules import _divide
+
+
+def tuple_term_key(module, pos, exps):
+    degree = sum(map(mul, module.ring.weights, exps))
+    return (-degree - module.twists[pos], pos, exps[::-1])
 
 
 def _max_term(module, work):
@@ -21,19 +28,29 @@ def _max_term(module, work):
     best_key = None
     for pos, terms in enumerate(work):
         for exps in terms:
-            k = term_key(module, pos, exps)
+            k = tuple_term_key(module, pos, exps)
             if best_key is None or k < best_key:
                 best_key = k
                 best = (pos, exps)
     return best
 
 
-def linear_scan_divide(vector, divisors, leads):
-    """Reference division: a full scan for the largest term on every step."""
+def _unpacked(p):
+    return {p.ring.unpack(m): c for m, c in p.terms.items()}
+
+
+def linear_scan_divide(vector, divisors):
+    """Reference division: a full scan for the largest term on every step,
+    on exponent tuples."""
     module = vector.module
     ring = module.ring
     f = ring.field
-    work = [dict(c.terms) for c in vector.coords]
+    work = [_unpacked(c) for c in vector.coords]
+    tuple_divisors = [[_unpacked(c) for c in g.coords] for g in divisors]
+    leads = []
+    for g in tuple_divisors:
+        top = _max_term(module, [dict(c) for c in g])
+        leads.append(None if top is None else (*top, g[top[0]][top[1]]))
     rem = [{} for _ in range(module.rank)]
     quots = [{} for _ in divisors]
 
@@ -54,12 +71,12 @@ def linear_scan_divide(vector, divisors, leads):
             if lead is None:
                 continue
             gpos, gexps, gcoeff = lead
-            if gpos == pos and ring.mono_divides(gexps, exps):
-                u = ring.mono_div(exps, gexps)
+            if gpos == pos and all(map(le, gexps, exps)):
+                u = tuple(map(sub, exps, gexps))
                 q = f.div(coeff, gcoeff)
-                for dpos, dpoly in enumerate(divisors[k].coords):
-                    for dexps, dc in dpoly.terms.items():
-                        sub_term(work[dpos], ring.mono_mul(dexps, u), f.mul(q, dc))
+                for dpos, dterms in enumerate(tuple_divisors[k]):
+                    for dexps, dc in dterms.items():
+                        sub_term(work[dpos], tuple(map(add, dexps, u)), f.mul(q, dc))
                 q0 = f.add(quots[k].get(u, f.zero), q)
                 if f.is_zero(q0):
                     quots[k].pop(u, None)
@@ -70,8 +87,8 @@ def linear_scan_divide(vector, divisors, leads):
             rem[pos][exps] = coeff
             del work[pos][exps]
 
-    remainder = module.vector(Polynomial(ring, r) for r in rem)
-    return [Polynomial(ring, q) for q in quots], remainder
+    remainder = module.vector(ring.from_terms(r.items()) for r in rem)
+    return [ring.from_terms(q.items()) for q in quots], remainder, leads
 
 
 # Two variables and exponents up to 2 give few monomials, so reductions
@@ -119,14 +136,17 @@ def division_problems(draw):
 @given(division_problems())
 def test_division_matches_linear_scan_and_the_identity(problem):
     vector, divisors = problem
-    module = vector.module
-    ring = module.ring
+    ring = vector.module.ring
+
+    quots, rem = _divide(vector, divisors, track=True)
+    _, rem_untracked = _divide(vector, divisors, track=False)
+
+    oracle_quots, oracle_rem, oracle_leads = linear_scan_divide(vector, divisors)
     leads = [g.lead() for g in divisors]
-
-    quots, rem = _divide(vector, divisors, leads, track=True)
-    _, rem_untracked = _divide(vector, divisors, leads, track=False)
-
-    oracle_quots, oracle_rem = linear_scan_divide(vector, divisors, leads)
+    assert [
+        None if lead is None else (lead[0], ring.unpack(lead[1]), lead[2])
+        for lead in leads
+    ] == oracle_leads
     assert quots == oracle_quots
     assert rem == oracle_rem
     assert rem_untracked == rem
@@ -137,10 +157,10 @@ def test_division_matches_linear_scan_and_the_identity(problem):
     assert recombined == vector
 
     for pos, c in enumerate(rem.coords):
-        for exps in c.terms:
+        for exps in _unpacked(c):
             assert not any(
                 lead is not None
                 and lead[0] == pos
-                and ring.mono_divides(lead[1], exps)
-                for lead in leads
+                and all(map(le, lead[1], exps))
+                for lead in oracle_leads
             )

@@ -178,6 +178,9 @@ TRACKING_RINGS = {
     "Q[x,y,z]/(z^2)": lambda: _with_quotient(
         RationalField(), ("x", "y", "z"), ("z^2",)
     ),
+    "p:7[x,y,z]/(xz,y^3)": lambda: _with_quotient(
+        PrimeField(7), ("x", "y", "z"), ("x*z", "y^3")
+    ),
 }
 
 
@@ -561,7 +564,7 @@ def test_hilbert_matches_standard_monomial_enumeration(R1, ring):
             count = 0
             for exps in brute.monomials_of_degree(ring, d):
                 divisible = any(
-                    all(le <= e for le, e in zip(lead[1], exps))
+                    all(le <= e for le, e in zip(ring.unpack(lead[1]), exps))
                     for lead in leads
                 )
                 if not divisible:

@@ -1,11 +1,16 @@
 import random
 import time
+from operator import add, le, mul, sub
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from startrans import (
+    GradedFreeModule,
     Homogeneity,
     IncompatibleField,
+    MonomialOverflow,
     ParseError,
     PolyMatrix,
     PolyRing,
@@ -13,7 +18,8 @@ from startrans import (
     RationalField,
     format_polynomial,
 )
-from startrans.poly import block_matrix
+from startrans.modules import term_key
+from startrans.poly import MAX_DEGREE, block_matrix
 
 
 @pytest.fixture
@@ -72,8 +78,25 @@ def test_mixed_rings_rejected(ring):
 def order_compare(ring, exps1, exps2):
     """Compare monomials in the ring order: -1, 0 or 1 (a smaller
     ``mono_key`` is a larger monomial)."""
-    k1, k2 = ring.mono_key(tuple(exps1)), ring.mono_key(tuple(exps2))
+    k1, k2 = ring.mono_key(ring.pack(exps1)), ring.mono_key(ring.pack(exps2))
     return (k1 < k2) - (k1 > k2)
+
+
+def tuple_degree(ring, exps):
+    return sum(map(mul, ring.weights, exps))
+
+
+def tuple_mono_key(ring, exps):
+    """The ring order's key on exponent tuples, as it was before monomials
+    were packed: (-degree, reversed exponents)."""
+    return (-tuple_degree(ring, exps), tuple(exps)[::-1])
+
+
+def tuple_term_key(module, pos, exps):
+    """The module order's key on exponent tuples, as it was before monomials
+    were packed: (-degree - twist, position, reversed exponents)."""
+    neg_degree, rev = tuple_mono_key(module.ring, exps)
+    return (neg_degree - module.twists[pos], pos, rev)
 
 
 def test_order_compare_grevlex(ring):
@@ -194,14 +217,16 @@ def _term_product(p, q):
     """p * q from its single-term products, through ``from_terms``."""
     ring, f = p.ring, p.ring.field
     return ring.from_terms(
-        (ring.mono_mul(m1, m2), f.mul(c1, c2))
+        (ring.unpack(ring.mono_mul(m1, m2)), f.mul(c1, c2))
         for m1, c1 in p.terms.items()
         for m2, c2 in q.terms.items()
     )
 
 
 def _term_sum(ring, polys):
-    return ring.from_terms(t for p in polys for t in p.terms.items())
+    return ring.from_terms(
+        (ring.unpack(m), c) for p in polys for m, c in p.terms.items()
+    )
 
 
 def _no_zero_coefficient(p):
@@ -285,3 +310,111 @@ def test_homogeneity_certificate(ring):
     m = PolyMatrix(ring, [[ring.parse("x^2"), ring.parse("y^2")]])
     assert m.check_homogeneous((0,), (2, 2)) is None
     assert m.check_homogeneous((0,), (2, 3)) == (0, 1)
+
+
+# -- packed monomials --------------------------------------------------------
+
+
+def _quotient_ring():
+    base = PolyRing(RationalField(), ("x", "y", "z"))
+    return base.with_quotient([base.parse("z^2")])
+
+
+PACKING_RINGS = [
+    *(PolyRing(RationalField(), tuple(f"x{i}" for i in range(n))) for n in range(1, 7)),
+    *(PolyRing(PrimeField(7), tuple(f"x{i}" for i in range(n))) for n in range(1, 7)),
+    PolyRing(RationalField(), ("x", "y", "z"), (1, 2, 1)),
+    _quotient_ring(),
+]
+
+
+@st.composite
+def rings_with_exponents(draw, count):
+    ring = draw(st.sampled_from(PACKING_RINGS))
+    exponent = st.one_of(st.integers(0, 3), st.integers(0, MAX_DEGREE // 16))
+    exps = st.tuples(*[exponent for _ in range(ring.nvars)])
+    return ring, draw(st.lists(exps, min_size=count, max_size=count))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rings_with_exponents(1))
+def test_unpack_inverts_pack(problem):
+    ring, [exps] = problem
+    m = ring.pack(exps)
+    assert ring.unpack(m) == exps
+    assert ring.mono_degree(m) == tuple_degree(ring, exps)
+    assert ring.pack(ring.unpack(m)) == m
+
+
+@settings(max_examples=100, deadline=None)
+@given(rings_with_exponents(12), st.data())
+def test_packed_keys_sort_in_the_tuple_order(problem, data):
+    ring, monos = problem
+    by_tuple = sorted(monos, key=lambda e: tuple_mono_key(ring, e))
+    assert sorted(monos, key=lambda e: ring.mono_key(ring.pack(e))) == by_tuple
+
+    rank = data.draw(st.integers(1, 5))
+    twists = tuple(data.draw(st.integers(-3, 3)) for _ in range(rank))
+    module = GradedFreeModule(ring, rank, twists)
+    terms = [(data.draw(st.integers(0, rank - 1)), e) for e in monos]
+    by_tuple = sorted(terms, key=lambda t: tuple_term_key(module, *t))
+    by_int = sorted(terms, key=lambda t: term_key(module, t[0], ring.pack(t[1])))
+    assert by_int == by_tuple
+
+
+@settings(max_examples=200, deadline=None)
+@given(rings_with_exponents(2))
+def test_packed_operations_agree_componentwise(problem):
+    ring, (a, b) = problem
+    pa, pb = ring.pack(a), ring.pack(b)
+    assert ring.unpack(ring.mono_mul(pa, pb)) == tuple(map(add, a, b))
+    assert ring.unpack(ring.mono_lcm(pa, pb)) == tuple(map(max, a, b))
+    for x, y, px, py in ((a, b, pa, pb), (b, a, pb, pa), (a, a, pa, pa)):
+        divides = all(map(le, x, y))
+        assert ring.mono_divides(px, py) == divides
+        if divides:
+            assert ring.unpack(ring.mono_div(py, px)) == tuple(map(sub, y, x))
+    lcm = ring.mono_lcm(pa, pb)
+    assert ring.mono_divides(pa, lcm) and ring.mono_divides(pb, lcm)
+
+
+def test_the_largest_degree_packs_and_the_next_overflows():
+    ring = PolyRing(RationalField(), ("x", "y"), (1, 2))
+    top = ring.pack((MAX_DEGREE - 1, 0))
+    assert ring.unpack(top) == (MAX_DEGREE - 1, 0)
+    assert ring.unpack(ring.pack((1, MAX_DEGREE // 2 - 1))) == (1, MAX_DEGREE // 2 - 1)
+    for exps in ((MAX_DEGREE, 0), (0, MAX_DEGREE // 2), (2**32, 0)):
+        with pytest.raises(MonomialOverflow):
+            ring.pack(exps)
+    with pytest.raises(MonomialOverflow):
+        PolyRing(RationalField(), ("x",), (MAX_DEGREE,))
+
+
+def test_products_that_overflow_raise_and_never_carry():
+    ring = PolyRing(PrimeField(7), ("x", "y"))
+    half = ring.monomial((MAX_DEGREE // 2, 0))
+    y = ring.var(1)
+    near = half * ring.monomial((MAX_DEGREE // 2 - 1, 0))
+    assert ring.unpack(next(iter(near.terms))) == (MAX_DEGREE - 1, 0)
+    with pytest.raises(MonomialOverflow):
+        near * ring.var(0)
+    with pytest.raises(MonomialOverflow):
+        near * y
+    with pytest.raises(MonomialOverflow):
+        half * half
+    with pytest.raises(MonomialOverflow):
+        near.mul_term(ring.field.one, ring.pack((0, 1)))
+    with pytest.raises(MonomialOverflow):
+        ring.mono_mul(ring.pack((MAX_DEGREE - 1, 0)), ring.pack((0, 1)))
+    with pytest.raises(MonomialOverflow):
+        PolyMatrix(ring, [[near]]) @ PolyMatrix(ring, [[y]])
+    with pytest.raises(MonomialOverflow):
+        PolyMatrix(ring, [[near]]).apply([y])
+
+
+def test_parsing_an_exponent_that_overflows_is_a_parse_error():
+    ring = PolyRing(RationalField(), ("x", "y"))
+    for text in ("x^4294967296", f"x^{MAX_DEGREE}", f"x^{MAX_DEGREE - 1}*y"):
+        with pytest.raises(ParseError, match="does not fit"):
+            ring.parse(text)
+    assert ring.parse(f"x^{MAX_DEGREE - 1}").homogeneous_degree() == MAX_DEGREE - 1

@@ -490,7 +490,7 @@ def test_closed_form_top_map_with_a_non_constant_a_coefficient():
     comp = koszul(validate_sop(ring, [ring.parse(t) for t in gens]))
     sel = assert_closed_form_top_map_is_the_restricted_map(comp, sop)
     assert any(
-        any(sum(m) for m in a.terms)
+        any(sum(ring.unpack(m)) for m in a.terms)
         for a_part in sel.a_coeffs.values()
         for a in a_part.values()
     )
