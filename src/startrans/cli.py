@@ -6,11 +6,11 @@ output file), ``colon`` / ``saturate`` (run the oracles), ``iterate``
 (run the round-by-round driver), ``info`` (print ranks and twists).
 
 Exit codes: 0 success and all checks pass; 1 a verification check failed;
-2 a precondition or validation failed (a computation that reaches a degree
-the packed monomials cannot hold included); 3 I/O or parse error (an
-exponent or variable degree in the input that they cannot hold included);
-4 internal error (an invariant the engine guarantees failed: a bug, not
-bad input).
+2 a precondition or validation failed (a computation outside the checks
+that reaches a degree the packed monomials cannot hold included); 3 I/O or
+parse error (an exponent or variable degree in the input that they cannot
+hold included); 4 internal error (an invariant the engine guarantees
+failed: a bug, not bad input).
 """
 
 from __future__ import annotations
