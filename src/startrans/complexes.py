@@ -17,7 +17,6 @@ from .modules import (
     GradedFreeModule,
     buchberger,
     cokernel_series,
-    hilbert_data,
     reduce_mod_quotient,
     ring_series,
 )
@@ -60,7 +59,8 @@ class SopData:
     ``ideal_gb()`` returns the basis of the parameter ideal, kept outside
     the dataclass fields (so equality and hash are those of the fields
     alone): ``validate_sop`` stores the basis it built, and an instance made
-    directly builds it on first use.  ``is_regular()`` is kept the same way.
+    directly builds it on first use.  ``is_regular()`` compares the
+    basis's series with the ring's, both kept on their bases.
     """
 
     ring: object
@@ -89,14 +89,10 @@ class SopData:
         only when there are more parameters than variables; over R/J it is
         the Cohen-Macaulay property the transform relies on.
         """
-        regular = self.__dict__.get("_regular")
-        if regular is None:
-            expected = ring_series(self.ring)
-            for d in self.degrees:
-                expected = expected.sub(expected.twisted((d,)))
-            regular = hilbert_data(self.ideal_gb()).series == expected
-            object.__setattr__(self, "_regular", regular)
-        return regular
+        expected = ring_series(self.ring)
+        for d in self.degrees:
+            expected = expected.sub(expected.twisted((d,)))
+        return self.ideal_gb().series() == expected
 
 
 def validate_sop(ring, polys):
@@ -118,12 +114,12 @@ def validate_sop(ring, polys):
         degrees.append(d)
     ambient = GradedFreeModule(ring, 1, (0,))
     gb = buchberger(ambient, [ambient.vector((p,)) for p in polys])
-    data = hilbert_data(gb)
-    if data.dimension is None:
+    colength = gb.series().dimension()
+    if colength is None:
         raise NotASop(
-            "parameters do not span a finite-colength ideal", series=data.series
+            "parameters do not span a finite-colength ideal", series=gb.series()
         )
-    sop = SopData(ring, polys, tuple(degrees), data.dimension)
+    sop = SopData(ring, polys, tuple(degrees), colength)
     object.__setattr__(sop, "_ideal_gb", gb)
     return sop
 
@@ -292,7 +288,7 @@ def _hilbert_certificate(comp):
         floor = free[p - 1].sub(coker[p])
         coker[p - 1] = cokernel_series(comp.module(p - 1), comp.image_gens(p), floor)
     if n:
-        coker[0] = hilbert_data(comp.image_gb(1)).series
+        coker[0] = comp.image_gb(1).series()
     for p in range(1, n + 1):
         diff = free[p - 1].sub(coker[p - 1]).sub(coker[p])
         if diff.numer:

@@ -22,7 +22,9 @@ the term.  Division works on those keys: multiplying a term by x^u adds the
 key of u, and a lead divides a term iff their difference sets no guard or
 position bit.  It pops the working vector's terms largest first from a
 min-heap of keys.  Vectors are immutable, so each caches its lead term and
-its keyed tail, and a ``SubmoduleGB`` keeps the leads of its basis.  When
+its keyed tail, and a ``SubmoduleGB`` keeps the leads of its basis and
+owns the Hilbert series of its quotient, computed from those leads on first
+use (``SubmoduleGB.series``); every certificate reads it there.  When
 the ambient ring carries a quotient ideal J, submodule computations adjoin
 J-multiples of the basis vectors, so results are correct over R/J.
 Syzygies, colons and intersections all come from the Schreyer relations of
@@ -417,10 +419,14 @@ class SubmoduleGB:
     generator list (the input generators followed by any quotient-ideal
     multiples that were adjoined); ``rows`` is None when the basis was built
     with ``track=False``, and only ``lift`` needs it.  ``leads[k]`` is
-    ``gb[k].lead()``.
+    ``gb[k].lead()``.  The basis owns the Hilbert series of ambient/M:
+    ``series()`` computes it from the leads on first call and keeps it, so
+    every certificate that reads it shares one computation.
     """
 
-    __slots__ = ("ambient", "generators", "adjoined", "gb", "rows", "leads")
+    __slots__ = (
+        "ambient", "generators", "adjoined", "gb", "rows", "leads", "_series",
+    )
 
     def __init__(self, ambient, generators, adjoined, gb, rows):
         self.ambient = ambient
@@ -429,6 +435,13 @@ class SubmoduleGB:
         self.gb = tuple(gb)
         self.rows = None if rows is None else tuple(tuple(r) for r in rows)
         self.leads = tuple(g.lead() for g in self.gb)
+        self._series = None
+
+    def series(self):
+        """HS(ambient / M) (modulo J over R/J), from the leads; kept."""
+        if self._series is None:
+            self._series = _leads_series(self.ambient, self.leads)
+        return self._series
 
     @property
     def working_generators(self):
@@ -973,7 +986,7 @@ def _leads_series(ambient, leads):
 
 def hilbert_data(m_gb):
     """Hilbert series and total dimension of ambient/M, from lead terms."""
-    series = _leads_series(m_gb.ambient, m_gb.leads)
+    series = m_gb.series()
     return HilbertData(series, series.dimension())
 
 
@@ -1000,11 +1013,7 @@ def reduce_mod_quotient(ring, p):
 
 
 def ring_series(ring):
-    """HS(R/J), kept on the ring.  A free module with twists a_j has series
-    ``ring_series(ring).twisted(a_j)``, so no module needs its own basis."""
-    try:
-        return ring._series
-    except AttributeError:
-        pass
-    ring._series = hilbert_data(quotient_ideal_gb(ring)).series
-    return ring._series
+    """HS(R/J), the series of the ring's kept basis of J.  A free module
+    with twists a_j has series ``ring_series(ring).twisted(a_j)``, so no
+    module needs its own basis."""
+    return quotient_ideal_gb(ring).series()

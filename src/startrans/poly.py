@@ -48,8 +48,8 @@ class PolyRing:
     submodule computations then work modulo J by adjoining J-multiples of
     the basis vectors.  Rings compare equal on (field, names, weights) so
     that polynomials created before a quotient was attached stay usable.
-    The basis of J and the Hilbert series of R/J are built once per ring and
-    kept in ``_quotient_gb`` and ``_series`` (see ``modules.ring_series``).
+    The basis of J is built once per ring and kept in ``_quotient_gb``
+    (``modules.quotient_ideal_gb``); it owns the Hilbert series of R/J.
     ``_shift`` is the bit offset of the degree field, ``_limit`` the
     smallest packed monomial whose degree does not fit, ``_guard`` the
     guard bits of the exponent fields and ``_nbytes`` the byte length of a
@@ -58,7 +58,7 @@ class PolyRing:
 
     __slots__ = (
         "field", "names", "weights", "quotient", "_index", "_quotient_gb",
-        "_series", "_shift", "_limit", "_guard", "_nbytes",
+        "_shift", "_limit", "_guard", "_nbytes",
     )
 
     def __init__(self, field, names, weights=None, quotient=()):

@@ -210,6 +210,8 @@ def parse_problem(path, field=None):
 
 
 def problem_from_jsonable(data, field=None):
+    if not isinstance(data, dict):
+        raise ParseError("problem file must be a JSON object")
     ring = _parse_ring(data, field)
     sop_texts = tuple(_require(data, "sop", list, "problem file"))
     sop_polys = tuple(

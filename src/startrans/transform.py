@@ -231,6 +231,12 @@ def chain_map_image_checks(cm, m_gb, colon_gb=None):
     return results
 
 
+def _bracket_labels(rank, n, p):
+    """The labels ("bracket", lam, S) of the tensor block v_lam (x) e_S over
+    the p-subsets S of {1..n}, lam outermost."""
+    return tuple(("bracket", lam, s) for lam in range(rank) for s in subsets(n, p))
+
+
 def mapping_cone(cm):
     """The cone of the chain map: an acyclic complex of length n+1 whose
     degree-zero image is the colon module."""
@@ -249,17 +255,11 @@ def mapping_cone(cm):
             GradedFreeModule(ring, tm.rank + fm.rank, tm.twists + fm.twists)
         )
         labels.append(
-            tuple(
-                ("bracket", lam, s)
-                for lam in range(top.rank)
-                for s in subsets(n, p - 1)
-            )
+            _bracket_labels(top.rank, n, p - 1)
             + tuple(("angle", i) for i in range(fm.rank))
         )
     modules.append(cm.source_modules[n])
-    labels.append(
-        tuple(("bracket", lam, tuple(range(1, n + 1))) for lam in range(top.rank))
-    )
+    labels.append(_bracket_labels(top.rank, n, n))
 
     maps = [cm.level(0).hstack(comp.phi(1))]
     for p in range(2, n + 1):
@@ -296,13 +296,7 @@ def split_top(cone, cm):
         tensor_prev.rank,
     )
     modules = cone.modules[:n] + (tensor_prev,)
-    labels = cone.labels[:n] + (
-        tuple(
-            ("bracket", lam, s)
-            for lam in range(top_rank)
-            for s in subsets(n, n - 1)
-        ),
-    )
+    labels = cone.labels[:n] + (_bracket_labels(top_rank, n, n - 1),)
     maps = cone.maps[: n - 1] + (restricted,)
     return FreeComplex(ring, tuple(modules), tuple(maps), tuple(labels))
 
@@ -315,8 +309,6 @@ class BasisSelection:
     (``a_coeffs`` on the selected pairs, ``b_coeffs`` on the retained
     standard basis vectors, which have no unit part)."""
 
-    module: GradedFreeModule
-    pairs: tuple
     selected_pairs: tuple
     retained_basis: tuple
     star_pairs: tuple
@@ -392,8 +384,6 @@ def select_basis(decomposition, module_prev, n):
             a_coeffs[(mu, j)] = a_part
             b_coeffs[(mu, j)] = b_part
     return BasisSelection(
-        module_prev,
-        tuple(pairs),
         selected_pairs,
         retained_basis,
         star_pairs,
@@ -485,11 +475,9 @@ def build_star_top(selection, split_complex, cm):
         len(keep),
     )
 
-    prev_labels = tuple(
-        ("bracket", lam, s)
-        for lam in range(top.rank)
-        for s in bracket_subs
-    ) + tuple(("angle", u) for u in u_list)
+    prev_labels = _bracket_labels(top.rank, n, n - 2) + tuple(
+        ("angle", u) for u in u_list
+    )
     top_labels = tuple(("star", mu, j) for (mu, j) in selection.star_pairs)
     return FreeComplex(
         ring,
@@ -561,7 +549,6 @@ class StarResult:
     split: object
     selection: object
     input_complex: FreeComplex
-    sop: object
     report: object = None
 
 
@@ -600,7 +587,7 @@ def star_transform(comp, sop, with_report=True):
         out = build_star_top(selection, split, cm)
         stages = (cm, cone, split, selection)
     star = StarComplex(out, comp.top_rank())
-    result = StarResult(star, *stages, comp, sop)
+    result = StarResult(star, *stages, comp)
 
     if with_report:
         from .verify import verify_star

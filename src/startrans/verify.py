@@ -30,7 +30,7 @@ from .errors import (
     PreconditionFailed,
     ValidationError,
 )
-from .modules import colon, hilbert_data, submodule_equal
+from .modules import colon, submodule_equal
 
 
 @dataclass(frozen=True)
@@ -138,9 +138,7 @@ def colon_quotient_count(m_gb, sop, rank_top, colon_gb=None):
     """
     if colon_gb is None:
         colon_gb = colon(m_gb, sop.gens)
-    series_m = hilbert_data(m_gb).series
-    series_c = hilbert_data(colon_gb).series
-    diff = series_m.sub(series_c)
+    diff = m_gb.series().sub(colon_gb.series())
     poly = diff.as_polynomial()
     if poly is None:
         raise NonPolynomialDifference(
@@ -293,10 +291,10 @@ def _colon_certificate(comp, sop, m_gb, n_gb):
         if not all(m_gb.contains(g.mul_poly(q)) for q in sop.gens):
             return False, "Im of the first output map is not inside M : Q"
     s = sum(sop.degrees)
-    bound = hilbert_data(sop.ideal_gb()).series.twisted(
+    bound = sop.ideal_gb().series().twisted(
         a - s for a in comp.module(comp.length).twists
     )
-    if hilbert_data(m_gb).series.sub(hilbert_data(n_gb).series) != bound:
+    if m_gb.series().sub(n_gb.series()) != bound:
         return False, "HS(N/M) differs from the Tor bound, so N != M : Q"
     return True, "Im of the first output map against the colon oracle"
 

@@ -337,3 +337,41 @@ def test_floored_certificate_divides_less(monkeypatch):
     full = _verdict(full_hilbert_certificate(replace(out)))
     assert floored == full == (True, -1, "")
     assert floored_calls < len(calls)
+
+
+# -- one Hilbert series per basis ---------------------------------------------
+
+
+def _quotient_instance():
+    ring = _ring(RationalField(), ("x", "y", "z"), quotient=("z^2",))
+    comp = koszul(validate_sop(ring, [ring.parse("x^2"), ring.var(1)]))
+    return comp, validate_sop(ring, [ring.var(0), ring.var(1)])
+
+
+@pytest.mark.parametrize("make", [exa_instance, _quotient_instance])
+def test_each_basis_computes_its_series_once(make, monkeypatch):
+    # every certificate reads HS(ambient/M) from the basis that owns it: the
+    # acyclicity certificate, regularity, the Tor bound and the count
+    comp, sop = make()
+    real = modules._leads_series
+    seen = []
+
+    def recording(ambient, leads):
+        if isinstance(leads, tuple):  # a SubmoduleGB's leads, not a pair loop's
+            seen.append(leads)
+        return real(ambient, leads)
+
+    monkeypatch.setattr(modules, "_leads_series", recording)
+    result = star_transform(comp, sop)
+    assert result.report.overall
+    assert verify_star(comp, sop, result.star).overall
+    assert seen
+    assert max(sum(1 for t in seen if t is leads) for leads in seen) == 1
+    bases = {
+        "M": comp.image_gb(1),
+        "N": result.star.complex.image_gb(1),
+        "Q": sop.ideal_gb(),
+        "J": modules.quotient_ideal_gb(comp.ring),
+    }
+    for name, gb in bases.items():
+        assert gb.series() == real(gb.ambient, gb.leads), name

@@ -183,6 +183,21 @@ def test_cli_parse_error_exit_three(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("text", ["5", "null", "true"])
+@pytest.mark.parametrize(
+    "command", ["koszul", "star", "verify", "colon", "saturate", "iterate", "info"]
+)
+def test_cli_problem_file_that_is_not_an_object_exits_three(
+    tmp_path, capsys, text, command
+):
+    path = tmp_path / "notobj.json"
+    path.write_text(text)
+    assert main([command, "--input", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "parse error: problem file must be a JSON object\n"
+    assert captured.out == ""
+
+
 def test_cli_validation_error_exit_two(tmp_path, capsys):
     data = exa_data()
     data["complex"]["maps"][0] = [["x^2", "y^2"], ["x", "y"]]
