@@ -52,7 +52,6 @@ from .modules import (
     syzygies,
 )
 from .poly import (
-    Homogeneity,
     Polynomial,
     PolyMatrix,
     PolyRing,

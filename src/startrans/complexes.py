@@ -54,23 +54,26 @@ def sign_scalar(field_obj, exponent):
 
 @dataclass(frozen=True)
 class SopData:
-    """A validated homogeneous system of parameters.
+    """A homogeneous system of parameters; ``validate_sop`` validates it.
 
-    ``ideal_gb()`` returns the basis of the parameter ideal, kept outside
-    the dataclass fields (so equality and hash are those of the fields
-    alone): ``validate_sop`` stores the basis it built, and an instance made
-    directly builds it on first use.  ``is_regular()`` compares the
-    basis's series with the ring's, both kept on their bases.
+    ``ideal_gb()`` builds the basis of the parameter ideal on first use and
+    keeps it outside the dataclass fields (so equality and hash are those
+    of the fields alone).  ``colength`` and ``is_regular()`` are derived
+    from that basis's Hilbert series.
     """
 
     ring: object
     gens: tuple
     degrees: tuple
-    colength: int
 
     @property
     def n(self):
         return len(self.gens)
+
+    @property
+    def colength(self):
+        """dim_k R/Q, or None when it is infinite."""
+        return self.ideal_gb().series().dimension()
 
     def ideal_gb(self):
         gb = self.__dict__.get("_ideal_gb")
@@ -99,7 +102,9 @@ def validate_sop(ring, polys):
     """Check the given elements cut out a finite-colength ideal.
 
     Raises ValidationError on structurally bad input and NotASop (carrying
-    the infinite Hilbert series) when the colength is infinite.
+    the infinite Hilbert series) when the colength is infinite.  The
+    returned ``SopData`` keeps the basis built here, and its ``colength``
+    is read from that basis.
     """
     polys = tuple(polys)
     if len(polys) < 2:
@@ -107,20 +112,17 @@ def validate_sop(ring, polys):
     degrees = []
     for k, p in enumerate(polys):
         d = p.homogeneous_degree()
-        if not isinstance(d, int) or d <= 0:
+        if d is None or d <= 0:
             raise ValidationError(
                 f"parameter {k + 1} must be homogeneous of positive degree"
             )
         degrees.append(d)
-    ambient = GradedFreeModule(ring, 1, (0,))
-    gb = buchberger(ambient, [ambient.vector((p,)) for p in polys])
-    colength = gb.series().dimension()
-    if colength is None:
+    sop = SopData(ring, polys, tuple(degrees))
+    if sop.colength is None:
         raise NotASop(
-            "parameters do not span a finite-colength ideal", series=gb.series()
+            "parameters do not span a finite-colength ideal",
+            series=sop.ideal_gb().series(),
         )
-    sop = SopData(ring, polys, tuple(degrees), colength)
-    object.__setattr__(sop, "_ideal_gb", gb)
     return sop
 
 
@@ -159,22 +161,22 @@ class FreeComplex:
         return [target.vector(m.column(j)) for j in range(m.ncols)]
 
     def image_gb(self, p):
-        """Reduced Groebner basis of Im phi_p inside F_(p-1), without rows.
+        """Reduced Groebner basis of M = Im phi_1 inside F_0, without rows;
+        ``p`` must be 1.
 
-        The basis of M = Im phi_1, which the acyclicity certificate, the
-        colon certificate and the checks all read, is built once and kept
-        outside the dataclass fields, like ``SopData.ideal_gb``.  The
-        package reads no other image basis: the acyclicity certificate
-        needs only the Hilbert series of the images above position 1
-        (``cokernel_series``).  Each basis is read through its leads,
-        membership and normal forms, never lifted through, so none is
-        built with rows.
+        The acyclicity certificate, the colon certificate and the checks
+        all read it, so it is built once and kept outside the dataclass
+        fields, like ``SopData.ideal_gb``.  The images above position 1
+        need only their Hilbert series (``cokernel_series``).  The basis is
+        read through its leads, membership and normal forms, never lifted
+        through, so it is built without rows.
         """
-        gb = self.__dict__.get("_m_gb") if p == 1 else None
+        if p != 1:
+            raise ValueError("only Im phi_1 has a kept basis")
+        gb = self.__dict__.get("_m_gb")
         if gb is None:
-            gb = buchberger(self.modules[p - 1], self.image_gens(p), track=False)
-            if p == 1:
-                object.__setattr__(self, "_m_gb", gb)
+            gb = buchberger(self.modules[0], self.image_gens(1), track=False)
+            object.__setattr__(self, "_m_gb", gb)
         return gb
 
     def effective_length(self):

@@ -60,23 +60,6 @@ def vanishing_top_instance(field=None):
     return koszul(sop), sop
 
 
-def padded_zero_top_instance(field=None):
-    """Length-2 complex with a zero top module: 0 -> 0 -> R(-1) -> R."""
-    ring = standard_ring(("x", "y"), field=field)
-    modules = (
-        GradedFreeModule(ring, 1, (0,)),
-        GradedFreeModule(ring, 1, (1,)),
-        GradedFreeModule(ring, 0, ()),
-    )
-    maps = (
-        PolyMatrix(ring, [[ring.var(0)]]),
-        PolyMatrix(ring, [[]], nrows=1, ncols=0),
-    )
-    comp = FreeComplex(ring, modules, maps)
-    sop = validate_sop(ring, [ring.var(0), ring.var(1)])
-    return comp, sop
-
-
 def square_ideal_instance(field=None):
     """Resolution 0 -> R(-3)^2 -> R(-2)^3 -> R of R/(x^2, xy, y^2); a
     non-Koszul input with a top module of rank 2."""

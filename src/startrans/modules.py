@@ -18,8 +18,9 @@ position 1 that way.
 Module terms are ordered degree first (twists included), then position
 (lower basis index wins), then the ring's one monomial order; ``term_key``
 is the one definition of that order, one int per term that also encodes
-the term.  Division works on those keys: multiplying a term by x^u adds the
-key of u, and a lead divides a term iff their difference sets no guard or
+the term; a ``GradedFreeModule`` lays out its keys when it is built.
+Division works on those keys: multiplying a term by x^u adds the key of
+u, and a lead divides a term iff their difference sets no guard or
 position bit.  It pops the working vector's terms largest first from a
 min-heap of keys.  Vectors are immutable, so each caches its lead term and
 its keyed tail, and a ``SubmoduleGB`` keeps the leads of its basis and
@@ -56,12 +57,14 @@ from .poly import (
 )
 
 
-_KEY_LAYOUT = ("_key_top", "_key_offsets", "_divides_mask", "_key_floor")
-
-
 @dataclass(frozen=True)
 class GradedFreeModule:
-    """Free module with a degree (twist) per basis element."""
+    """Free module with a degree (twist) per basis element.
+
+    ``__post_init__`` also lays out ``term_key`` outside the dataclass
+    fields: -degree - twist from bit ``_key_top`` up, the position below
+    it, the exponent fields below that.
+    """
 
     ring: PolyRing
     rank: int
@@ -70,13 +73,6 @@ class GradedFreeModule:
     def __post_init__(self):
         if len(self.twists) != self.rank:
             raise DimensionMismatch("one twist per basis element required")
-
-    def __getattr__(self, name):
-        """Build the layout of ``term_key`` on first use, since many free
-        modules never key a term: -degree - twist from bit ``_key_top`` up,
-        the position below it, the exponent fields below that."""
-        if name not in _KEY_LAYOUT:
-            raise AttributeError(name)
         ring, twists = self.ring, self.twists
         shift = ring._shift
         top = shift + (self.rank - 1).bit_length()
@@ -91,11 +87,6 @@ class GradedFreeModule:
         # a key below this one has a twisted degree d with d - min(twists)
         # >= MAX_DEGREE: a term of that twisted degree may not fit
         setattr_(self, "_key_floor", (1 - MAX_DEGREE - min(twists, default=0)) << top)
-        return getattr(self, name)
-
-    def zero_vector(self):
-        z = self.ring.zero()
-        return ModuleVector(self, (z,) * self.rank)
 
     def basis_vector(self, i):
         coords = [self.ring.zero()] * self.rank
@@ -178,9 +169,6 @@ class ModuleVector:
             self.module, tuple(a - b for a, b in zip(self.coords, other.coords))
         )
 
-    def __neg__(self):
-        return ModuleVector(self.module, tuple(-a for a in self.coords))
-
     def scale(self, c):
         return ModuleVector(self.module, tuple(a.scale(c) for a in self.coords))
 
@@ -247,7 +235,7 @@ class ModuleVector:
             if c.is_zero():
                 continue
             d = c.homogeneous_degree()
-            if not isinstance(d, int):
+            if d is None:
                 return None
             degs.add(d + self.module.twists[pos])
         if len(degs) == 1:
@@ -907,11 +895,6 @@ class HilbertSeries:
                 nxt[d] = cur.get(d, 0) + nxt.get(d - w, 0)
             cur = nxt
         return {d: c for d, c in cur.items() if c}
-
-    def __str__(self):
-        num = " + ".join(f"{c}*t^{d}" for d, c in self.numer) or "0"
-        den = "".join(f"(1-t^{w})" for w in self.weights) or "1"
-        return f"({num}) / {den}"
 
 
 def _divide_by_one_minus_tw(coeffs, w):

@@ -22,7 +22,6 @@ printer take and write tuples.
 
 from __future__ import annotations
 
-import enum
 import re
 import sys
 from array import array
@@ -34,11 +33,6 @@ FIELD_BITS = 16
 MAX_DEGREE = 1 << (FIELD_BITS - 1)  # the first degree that does not fit
 _FIELD_MASK = (1 << FIELD_BITS) - 1
 _FIELD_FORMAT = "H"  # the array code of one field, unsigned FIELD_BITS bits
-
-
-class Homogeneity(enum.Enum):
-    NOT_HOMOGENEOUS = "not_homogeneous"
-    ZERO = "zero"
 
 
 class PolyRing:
@@ -308,14 +302,11 @@ class Polynomial:
         return self.terms.get(0, self.ring.field.zero)
 
     def homogeneous_degree(self):
-        """Common weighted degree of all terms, or a Homogeneity sentinel."""
-        if not self.terms:
-            return Homogeneity.ZERO
+        """Common weighted degree of all terms, or None when the polynomial
+        is zero or not homogeneous."""
         shift = self.ring._shift
         degs = {m >> shift for m in self.terms}
-        if len(degs) == 1:
-            return degs.pop()
-        return Homogeneity.NOT_HOMOGENEOUS
+        return degs.pop() if len(degs) == 1 else None
 
     def __repr__(self):
         return f"<{format_polynomial(self)}>"
@@ -526,16 +517,6 @@ class PolyMatrix:
         self.ncols = ncols
         self.entries = entries
 
-    @classmethod
-    def zeros(cls, ring, nrows, ncols):
-        z = ring.zero()
-        return cls(ring, [[z] * ncols for _ in range(nrows)], nrows, ncols)
-
-    @classmethod
-    def identity(cls, ring, n):
-        z, o = ring.zero(), ring.one()
-        return cls(ring, [[o if i == j else z for j in range(n)] for i in range(n)])
-
     def entry(self, i, j):
         return self.entries[i][j]
 
@@ -551,35 +532,6 @@ class PolyMatrix:
             and self.nrows == other.nrows
             and self.ncols == other.ncols
             and self.entries == other.entries
-        )
-
-    def is_zero(self):
-        return all(e.is_zero() for row in self.entries for e in row)
-
-    def __add__(self, other):
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise DimensionMismatch("matrix addition shape mismatch")
-        return PolyMatrix(
-            self.ring,
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ],
-            self.nrows,
-            self.ncols,
-        )
-
-    def __sub__(self, other):
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise DimensionMismatch("matrix subtraction shape mismatch")
-        return PolyMatrix(
-            self.ring,
-            [
-                [a - b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ],
-            self.nrows,
-            self.ncols,
         )
 
     def scale(self, c):

@@ -40,10 +40,6 @@ class ProblemFile:
     report: VerificationReport = None
     source_complex: FreeComplex = None
 
-    @property
-    def n(self):
-        return len(self.sop_texts)
-
     def sop_polys(self):
         return tuple(self.ring.parse(t) for t in self.sop_texts)
 
@@ -111,7 +107,7 @@ def _parse_ring(data, field=None):
             _parse_poly(ring, t, f"quotient[{k}]") for k, t in enumerate(quotient)
         )
         for k, g in enumerate(gens):
-            if not isinstance(g.homogeneous_degree(), int):
+            if g.homogeneous_degree() is None:
                 raise ValidationError(f"quotient generator {k} is not homogeneous")
         ring = ring.with_quotient(gens)
     return ring
@@ -120,6 +116,8 @@ def _parse_ring(data, field=None):
 def _parse_complex(ring, data, where="complex"):
     twists_block = _require(data, "twists", list, where)
     maps_block = _require(data, "maps", list, where)
+    if not twists_block:
+        raise ValidationError(f"{where}.twists must list at least one module")
     modules = []
     for k, tw in enumerate(twists_block):
         if not isinstance(tw, list):
@@ -180,13 +178,20 @@ def _parse_label(item, where):
     return (kind,) + tuple(tuple(x) if isinstance(x, list) else x for x in entries)
 
 
-def _parse_labels(block, n_modules):
+def _parse_labels(block, modules):
+    """One label per basis element of each module, or None without a block."""
     if block is None:
         return None
     if not isinstance(block, list) or not all(isinstance(p, list) for p in block):
         raise ParseError("labels must be a list of lists")
-    if len(block) != n_modules:
+    if len(block) != len(modules):
         raise ValidationError("labels block must cover every module")
+    for p, (position, module) in enumerate(zip(block, modules)):
+        if len(position) != module.rank:
+            raise ValidationError(
+                f"labels[{p}] has {len(position)} labels for the "
+                f"{module.rank} basis elements of F_{p}"
+            )
     return tuple(
         tuple(
             _parse_label(item, f"labels[{p}][{k}]")
@@ -219,7 +224,7 @@ def problem_from_jsonable(data, field=None):
     )
     complex_block = _require(data, "complex", dict, "problem file")
     comp = _parse_complex(ring, complex_block)
-    labels = _parse_labels(data.get("labels"), len(comp.modules))
+    labels = _parse_labels(data.get("labels"), comp.modules)
     if labels is not None:
         comp = FreeComplex(ring, comp.modules, comp.maps, labels)
     if len(sop_texts) != comp.length:

@@ -71,8 +71,10 @@ class ChainMap:
         return self.matrices[p]
 
 
-def build_chain_map(comp, sop, decomposition=None):
-    """Construct the chain map by descending level by level.
+def build_chain_map(comp, sop, decomposition):
+    """Construct the chain map by descending level by level, from
+    ``decomposition = decompose_images(comp, sop)`` of a complex whose
+    length is the parameter count (``star_transform`` checks both).
 
     The two top levels are prescribed; below them, each level is one lift
     through the Koszul-direction boundary of the previous free module,
@@ -93,13 +95,9 @@ def build_chain_map(comp, sop, decomposition=None):
     the quotient multiples are adjoined per position, so this still holds).
     """
     n = comp.length
-    if n != sop.n:
-        raise PreconditionFailed("complex length must equal the parameter count")
     ring = comp.ring
     f = ring.field
     top = comp.module(n)
-    if decomposition is None:
-        decomposition = decompose_images(comp, sop)
     shift = sum(sop.degrees)
     full = tuple(range(1, n + 1))
 

@@ -110,17 +110,6 @@ class VerificationReport:
         return rep
 
 
-FIXED_CHECKS = (
-    "composition_zero",
-    "homogeneity",
-    "acyclicity",
-    "colon_equality",
-    "top_minimality",
-    "rank_accounting",
-    "colon_quotient_count",
-)
-
-
 @dataclass(frozen=True)
 class CountResult:
     passed: bool
@@ -128,16 +117,15 @@ class CountResult:
     rhs: int
 
 
-def colon_quotient_count(m_gb, sop, rank_top, colon_gb=None):
-    """dim_k (M:Q)/M against rank(top) * dim_k R/Q.
+def colon_quotient_count(m_gb, sop, rank_top, colon_gb):
+    """dim_k (M:Q)/M against rank(top) * dim_k R/Q, with ``colon_gb`` a
+    basis of M : Q.
 
     The left side is the difference of the two quotient Hilbert series,
-    which must be a polynomial; NonPolynomialDifference otherwise.  Without
-    ``colon_gb`` the colon is computed; ``verify_star`` passes the output's
-    Im phi_1, which its ``colon_equality`` check certifies to be M : Q.
+    which must be a polynomial; NonPolynomialDifference otherwise.
+    ``verify_star`` passes the output's Im phi_1, which its
+    ``colon_equality`` check certifies to be M : Q.
     """
-    if colon_gb is None:
-        colon_gb = colon(m_gb, sop.gens)
     diff = m_gb.series().sub(colon_gb.series())
     poly = diff.as_polynomial()
     if poly is None:
@@ -327,7 +315,8 @@ def _rank_accounting(comp, star, n):
         star.star_pairs
     ):
         problems.append(
-            f"rank at {n}: {out.module(n).rank} != {expected_top}"
+            f"rank at {n}: {out.module(n).rank} != {expected_top} "
+            f"({len(star.star_pairs)} star labels)"
         )
     return not problems, "; ".join(problems)
 
@@ -344,10 +333,6 @@ class DriverResult:
     rounds: list
     stop_reason: str
     final_complex: object
-
-    @property
-    def all_match(self):
-        return all(r.matches for r in self.rounds)
 
 
 def star_iteration_driver(comp, sop, rounds):

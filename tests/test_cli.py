@@ -44,7 +44,7 @@ def exa_data():
 
 
 def test_parse_exa_fixture(exa_problem):
-    assert exa_problem.n == 2
+    assert len(exa_problem.sop_texts) == 2
     assert exa_problem.complex.length == 2
     assert [m.rank for m in exa_problem.complex.modules] == [1, 2, 1]
     # file twists are R(a) style; internal twists are generator degrees
@@ -131,7 +131,7 @@ def test_emitted_labels_exa(tmp_path, exa_problem):
 
 
 def test_report_block_names(tmp_path, exa_problem):
-    from startrans.verify import FIXED_CHECKS
+    from reference import FIXED_CHECKS
 
     sop = validate_sop(exa_problem.ring, exa_problem.sop_polys())
     result = star_transform(exa_problem.complex, sop)
@@ -241,6 +241,59 @@ def test_cli_verify_fails_checks_on_zeroed_top(tmp_path, capsys):
     code = main(["verify", "--input", tampered])
     assert code == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def exa_star_data(tmp_path):
+    out = str(tmp_path / "exa.star.json")
+    assert main(["star", "--input", FIXTURE, "--output", out]) == 0
+    with open(out) as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize(
+    "tamper, block",
+    [
+        (lambda labels: labels[0].clear(), "labels[0]"),
+        (lambda labels: labels[2].clear(), "labels[2]"),
+        (lambda labels: labels[2].append(["star", 0, 3]), "labels[2]"),
+    ],
+    ids=["position-0-dropped", "top-emptied", "star-label-added"],
+)
+def test_cli_verify_rejects_a_label_count_off_the_rank(
+    tmp_path, capsys, tamper, block
+):
+    data = exa_star_data(tmp_path)
+    tamper(data["labels"])
+    tampered = write_json(tmp_path, "tampered.json", data)
+    capsys.readouterr()
+    assert main(["verify", "--input", tampered]) == 2
+    assert f"precondition violated: {block} has" in capsys.readouterr().err
+
+
+def test_cli_verify_names_the_star_label_count_when_the_top_rank_is_off(
+    tmp_path, capsys
+):
+    data = exa_star_data(tmp_path)
+    # the right number of top labels, but one of them is not a star label
+    data["labels"][2][1] = ["angle", 0]
+    tampered = write_json(tmp_path, "tampered.json", data)
+    capsys.readouterr()
+    assert main(["verify", "--input", tampered]) == 1
+    assert "FAIL rank_accounting  (rank at 2: 2 != 1 (1 star labels))" in (
+        capsys.readouterr().out
+    )
+
+
+@pytest.mark.parametrize("block", ["complex", "source_complex"])
+def test_cli_a_complex_without_modules_is_a_precondition(tmp_path, capsys, block):
+    data = exa_star_data(tmp_path)
+    data[block] = {"twists": [], "maps": []}
+    path = write_json(tmp_path, "empty.json", data)
+    capsys.readouterr()
+    assert main(["info", "--input", path]) == 2
+    assert capsys.readouterr().err == (
+        f"precondition violated: {block}.twists must list at least one module\n"
+    )
 
 
 def test_cli_star_degenerate_zero_top(tmp_path, capsys):

@@ -3,6 +3,7 @@ from math import comb
 
 import brute
 import pytest
+from reference import padded_zero_top_instance, zero_matrix, zero_vector
 
 from startrans import (
     FreeComplex,
@@ -36,7 +37,6 @@ from startrans.complexes import (
 from startrans.instances import (
     direct_sum_instance,
     exa_instance,
-    padded_zero_top_instance,
     square_ideal_instance,
 )
 
@@ -215,7 +215,7 @@ def zero_map_complex(ring):
         GradedFreeModule(ring, 1, (0,)),
         GradedFreeModule(ring, 1, (0,)),
     )
-    maps = (PolyMatrix.zeros(ring, 1, 1),)
+    maps = (zero_matrix(ring, 1, 1),)
     return FreeComplex(ring, modules, maps)
 
 
@@ -228,7 +228,7 @@ def defect_at_two_complex(ring):
     )
     maps = (
         PolyMatrix(ring, [[ring.var(0)]]),
-        PolyMatrix.zeros(ring, 1, 1),
+        zero_matrix(ring, 1, 1),
     )
     return FreeComplex(ring, modules, maps)
 
@@ -355,9 +355,11 @@ def test_sop_ideal_gb_built_once_per_instance(monkeypatch):
     result = star_transform(comp, sop)
     assert result.report.overall
     assert len(builds) == 1
-    # an instance made directly builds its basis on first use, once
-    bare = SopData(sop.ring, sop.gens, sop.degrees, sop.colength)
+    # an instance made directly builds its basis on first use, once, and
+    # reads its colength from it
+    bare = SopData(sop.ring, sop.gens, sop.degrees)
     assert bare == sop and hash(bare) == hash(sop)
+    assert bare.colength == sop.colength == 1
     assert repr(bare.ideal_gb()) == repr(bare.ideal_gb()) == repr(sop.ideal_gb())
     assert len(builds) == 2
 
@@ -433,7 +435,7 @@ def test_decompose_recombines_on_corpus():
         n = comp.length
         target = comp.module(n - 1)
         for lam in range(comp.top_rank()):
-            acc = target.zero_vector()
+            acc = zero_vector(target)
             for x, v in zip(sop.gens, dec[lam]):
                 acc = acc + v.mul_poly(x)
             assert acc == target.vector(comp.phi(n).column(lam)), name

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import identity_matrix, is_zero_matrix, zero_matrix
 from startrans import (
     GradedFreeModule,
-    Homogeneity,
     IncompatibleField,
     MonomialOverflow,
     ParseError,
@@ -20,6 +20,7 @@ from startrans import (
 )
 from startrans.modules import term_key
 from startrans.poly import MAX_DEGREE, block_matrix
+from test_certificate import RINGS
 
 
 @pytest.fixture
@@ -123,11 +124,23 @@ def test_order_total_on_random_triples(ring):
 
 def test_homogeneous_degree(ring):
     assert ring.parse("x^2 + x*y").homogeneous_degree() == 2
-    assert (
-        ring.parse("x^2 + x").homogeneous_degree()
-        is Homogeneity.NOT_HOMOGENEOUS
-    )
-    assert ring.zero().homogeneous_degree() is Homogeneity.ZERO
+    assert ring.parse("x^2 + x").homogeneous_degree() is None
+    assert ring.zero().homogeneous_degree() is None
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_zero_and_non_homogeneous_input_have_no_degree(name):
+    ring = RINGS[name]()
+    x, y, zero = ring.var(0), ring.var(1), ring.zero()
+    mixed = x * y + x
+    module = GradedFreeModule(ring, 2, (0, 1))
+    assert zero.homogeneous_degree() is None
+    assert mixed.homogeneous_degree() is None
+    assert module.vector((zero, zero)).homogeneous_degree() is None
+    assert module.vector((mixed, zero)).homogeneous_degree() is None
+    # homogeneous coordinates whose twisted degrees differ
+    assert module.vector((x, x)).homogeneous_degree() is None
+    assert module.vector((zero, x)).homogeneous_degree() == ring.weights[0] + 1
 
 
 def test_weighted_homogeneous_degree():
@@ -273,7 +286,7 @@ def test_fused_products_drop_cancelled_terms():
 
 
 def test_matrix_identity_and_product(ring):
-    ident = PolyMatrix.identity(ring, 2)
+    ident = identity_matrix(ring, 2)
     m = PolyMatrix(
         ring,
         [[ring.parse("x"), ring.parse("y")], [ring.zero(), ring.parse("x*y")]],
@@ -287,7 +300,7 @@ def test_matrix_product_exa_composition(ring):
     phi2 = PolyMatrix(ring, [[ring.parse("-y^2")], [ring.parse("x^2")]])
     prod = phi1 @ phi2
     assert prod.nrows == 1 and prod.ncols == 1
-    assert prod.is_zero()
+    assert is_zero_matrix(prod)
 
 
 def test_matrix_associativity_randomized(ring):
@@ -300,9 +313,9 @@ def test_matrix_associativity_randomized(ring):
 
 
 def test_block_of_zero_matrices(ring):
-    z = PolyMatrix.zeros(ring, 2, 1)
+    z = zero_matrix(ring, 2, 1)
     blk = block_matrix(ring, [[z, None], [None, z]], [2, 2], [1, 1])
-    assert blk.is_zero()
+    assert is_zero_matrix(blk)
     assert (blk.nrows, blk.ncols) == (4, 2)
 
 
