@@ -72,9 +72,10 @@ class ChainMap:
 
 
 def build_chain_map(comp, sop, decomposition):
-    """Construct the chain map by descending level by level, from
-    ``decomposition = decompose_images(comp, sop)`` of a complex whose
-    length is the parameter count (``star_transform`` checks both).
+    """Construct the chain map by descending level by level, from a
+    ``decomposition`` of the top map over the parameters; ``star_transform``
+    checks that the length is the parameter count and passes
+    ``decompose_images(comp, sop)``.
 
     The two top levels are prescribed; below them, each level is one lift
     through the Koszul-direction boundary of the previous free module,
