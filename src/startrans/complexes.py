@@ -52,6 +52,17 @@ def sign_scalar(field_obj, exponent):
     return field_obj.one if exponent % 2 == 0 else field_obj.neg(field_obj.one)
 
 
+def _kept(obj, key, compute):
+    """``compute(obj)``, worked out on first use and kept on the frozen
+    ``obj`` outside its dataclass fields (so equality and hash are those of
+    the fields alone).  What it keeps is a function of those fields, so
+    every later call reads the kept value."""
+    kept = obj.__dict__
+    if key not in kept:
+        object.__setattr__(obj, key, compute(obj))
+    return kept[key]
+
+
 @dataclass(frozen=True)
 class SopData:
     """A homogeneous system of parameters; ``validate_sop`` validates it.
@@ -76,12 +87,7 @@ class SopData:
         return self.ideal_gb().series().dimension()
 
     def ideal_gb(self):
-        gb = self.__dict__.get("_ideal_gb")
-        if gb is None:
-            ambient = GradedFreeModule(self.ring, 1, (0,))
-            gb = buchberger(ambient, [ambient.vector((g,)) for g in self.gens])
-            object.__setattr__(self, "_ideal_gb", gb)
-        return gb
+        return _kept(self, "_ideal_gb", _parameter_ideal_gb)
 
     def is_regular(self):
         """True iff the parameters form a regular sequence on R.
@@ -96,6 +102,11 @@ class SopData:
         for d in self.degrees:
             expected = expected.sub(expected.twisted((d,)))
         return self.ideal_gb().series() == expected
+
+
+def _parameter_ideal_gb(sop):
+    ambient = GradedFreeModule(sop.ring, 1, (0,))
+    return buchberger(ambient, [ambient.vector((g,)) for g in sop.gens])
 
 
 def validate_sop(ring, polys):
@@ -173,17 +184,17 @@ class FreeComplex:
         """
         if p != 1:
             raise ValueError("only Im phi_1 has a kept basis")
-        gb = self.__dict__.get("_m_gb")
-        if gb is None:
-            gb = buchberger(self.modules[0], self.image_gens(1), track=False)
-            object.__setattr__(self, "_m_gb", gb)
-        return gb
+        return _kept(self, "_m_gb", _image_gb)
 
     def effective_length(self):
         top = self.length
         while top > 0 and self.modules[top].rank == 0:
             top -= 1
         return top
+
+
+def _image_gb(comp):
+    return buchberger(comp.modules[0], comp.image_gens(1), track=False)
 
 
 @dataclass(frozen=True)
@@ -196,7 +207,12 @@ class ComplexDefect:
 
 
 def homogeneity_defect(comp):
-    """First non-homogeneous entry of any boundary map, or None."""
+    """First map of the wrong shape or non-homogeneous entry of any
+    boundary map, or None; kept on the complex (``_kept``)."""
+    return _kept(comp, "_homogeneity", _first_inhomogeneous_entry)
+
+
+def _first_inhomogeneous_entry(comp):
     for p in range(1, comp.length + 1):
         m = comp.phi(p)
         src = comp.module(p)
@@ -218,7 +234,12 @@ def homogeneity_defect(comp):
 
 def composition_defect(comp):
     """First entry of a composite phi_(p-1) phi_p that is nonzero in the
-    ring (modulo its quotient ideal, if any), or None."""
+    ring (modulo its quotient ideal, if any), or None; kept on the complex
+    (``_kept``), so each composite is multiplied out once per complex."""
+    return _kept(comp, "_composition", _first_nonzero_composite_entry)
+
+
+def _first_nonzero_composite_entry(comp):
     for p in range(2, comp.length + 1):
         prod = comp.phi(p - 1) @ comp.phi(p)
         for i in range(prod.nrows):
@@ -232,7 +253,10 @@ def composition_defect(comp):
 
 
 def check_complex(comp):
-    """Full structural check; None when the complex is well formed."""
+    """Full structural check; None when the complex is well formed.  It
+    reads the verdicts ``homogeneity_defect`` and ``composition_defect``
+    keep on the complex, so parsing a file, certifying its complex and
+    verifying it check each map once."""
     return homogeneity_defect(comp) or composition_defect(comp)
 
 
@@ -243,24 +267,24 @@ class AcyclicityCertificate:
     detail: str = ""
 
 
-def certify_acyclic(comp, structure_checked=False):
+def certify_acyclic(comp):
     """Certify Ker phi_p = Im phi_(p+1) for 1 <= p < n and phi_n injective.
 
     Raises PreconditionFailed when ``check_complex`` finds a defect;
-    otherwise the certificate is ``_hilbert_certificate``'s.  It is kept on
-    the complex outside the dataclass fields, like ``image_gb(1)``, so a
-    complex is certified once however often it is asked.  ``verify_star``
-    reports the structural checks itself and passes ``structure_checked``.
+    otherwise the certificate is ``_hilbert_certificate``'s.  The
+    structural verdicts and the certificate are all kept on the complex
+    (``_kept``), like ``image_gb(1)``, so a complex is checked and
+    certified once however often it is asked, and after ``verify_star``'s
+    own structural checks this adds only the Hilbert-series half.
     """
-    cert = comp.__dict__.get("_acyclic")
-    if cert is None:
-        if not structure_checked:
-            defect = check_complex(comp)
-            if defect is not None:
-                raise PreconditionFailed(f"not a complex: {defect.message}")
-        cert = _hilbert_certificate(comp)
-        object.__setattr__(comp, "_acyclic", cert)
-    return cert
+    return _kept(comp, "_acyclic", _structure_then_certificate)
+
+
+def _structure_then_certificate(comp):
+    defect = check_complex(comp)
+    if defect is not None:
+        raise PreconditionFailed(f"not a complex: {defect.message}")
+    return _hilbert_certificate(comp)
 
 
 def _hilbert_certificate(comp):

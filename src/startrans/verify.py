@@ -12,6 +12,7 @@ round's report, and a match chains from round to round.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from math import comb
@@ -30,7 +31,7 @@ from .errors import (
     PreconditionFailed,
     ValidationError,
 )
-from .modules import colon, submodule_equal
+from .modules import colon, intersect, submodule_equal
 
 
 @dataclass(frozen=True)
@@ -140,10 +141,20 @@ def colon_quotient_count(m_gb, sop, rank_top, colon_gb):
 
 def depth_positive_check(m_gb):
     """True iff M : m = M, i.e. the irrelevant ideal is not associated to
-    the quotient, i.e. the quotient has positive depth."""
+    the quotient, i.e. the quotient has positive depth.
+
+    M <= M : m <= M : x for every variable x, so the first x with
+    M : x = M settles it without the intersection.  Otherwise M : m is the
+    intersection of the M : x, taken in the order ``colon`` takes them.
+    """
     ring = m_gb.ambient.ring
-    variables = [ring.var(i) for i in range(ring.nvars)]
-    return submodule_equal(colon(m_gb, variables), m_gb)
+    parts = []
+    for i in range(ring.nvars):
+        part = colon(m_gb, [ring.var(i)])
+        if submodule_equal(part, m_gb):
+            return True
+        parts.append(part)
+    return submodule_equal(functools.reduce(intersect, parts), m_gb)
 
 
 def saturate(m_gb, ideal_polys, max_iter=32):
@@ -241,10 +252,11 @@ def verify_star(comp, sop, star):
 
 def _acyclicity_check(out, is_complex):
     """The Hilbert-series half of ``certify_acyclic``; the structural half
-    is the report's two checks before this one."""
+    is the report's two checks before this one, whose verdicts
+    ``certify_acyclic`` reads back from the complex."""
     if not is_complex:
         return False, "not a complex"
-    cert = certify_acyclic(out, structure_checked=True)
+    cert = certify_acyclic(out)
     return cert.ok, cert.detail
 
 

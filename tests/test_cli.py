@@ -14,7 +14,10 @@ from startrans import (
 )
 from startrans import cli, modules, transform, verify
 from startrans.cli import main
+from startrans.instances import vanishing_top_instance
+from startrans.poly import format_polynomial
 from startrans.problemfile import (
+    ProblemFile,
     emit_problem,
     emit_star,
     problem_to_jsonable,
@@ -160,6 +163,124 @@ def test_cli_star_verify_exit_zero(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "PASS overall" in printed
     assert os.path.exists(out)
+
+
+def test_cli_star_verify_needs_an_output(tmp_path, capsys):
+    assert main(["star", "--input", FIXTURE, "--verify"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "precondition violated: --verify parses the written file back, "
+        "so it needs --output\n"
+    )
+
+
+EXA_REPORT = """PASS composition_zero
+PASS homogeneity
+PASS acyclicity
+PASS colon_equality  (Im of the first output map against the colon oracle)
+PASS top_minimality
+PASS rank_accounting
+PASS colon_quotient_count  (dim (M:Q)/M = 1, expected 1)
+"""
+DEPTH_LINE = (
+    "PASS depth_positive  "
+    "(top module vanished; colon by the irrelevant ideal is stable)\n"
+)
+
+
+def _vanishing_top_file(tmp_path):
+    comp, sop = vanishing_top_instance()
+    pf = ProblemFile(
+        comp.ring, tuple(format_polynomial(g) for g in sop.gens), comp
+    )
+    path = str(tmp_path / "vanishing_top.json")
+    emit_problem(pf, path)
+    return path
+
+
+@pytest.mark.parametrize(
+    "problem, report",
+    [
+        (lambda tmp_path: FIXTURE, EXA_REPORT),
+        (_vanishing_top_file, EXA_REPORT + DEPTH_LINE),
+    ],
+    ids=["exa", "vanishing-top"],
+)
+def test_cli_star_verify_prints_both_reports_in_full(
+    tmp_path, capsys, problem, report
+):
+    out = str(tmp_path / "o.star.json")
+    argv = ["star", "--input", problem(tmp_path), "--output", out, "--verify"]
+    assert main(argv) == 0
+    report += "PASS overall\n"
+    assert capsys.readouterr().out == (
+        f"{report}wrote {out}\nround-trip verification:\n{report}"
+    )
+
+
+def _zero_top_map(data):
+    maps = data["complex"]["maps"]
+    maps[-1] = [["0"] * len(row) for row in maps[-1]]
+
+
+def _swap_angle_labels(data):
+    position = data["labels"][1]
+    position[1], position[2] = position[2], position[1]
+
+
+def _add_quotient(data):
+    data["quotient"] = ["x^3*y^3"]
+
+
+@pytest.mark.parametrize(
+    "tamper, code, line",
+    [
+        (_zero_top_map, 1, "FAIL acyclicity"),
+        (_swap_angle_labels, 0, "PASS overall"),
+        (_add_quotient, 1, "FAIL quotient_assumption"),
+    ],
+    ids=["top-map-zeroed", "labels-swapped", "quotient-added"],
+)
+def test_cli_star_verify_checks_a_file_that_reads_back_different_from_scratch(
+    monkeypatch, tmp_path, capsys, tamper, code, line
+):
+    # a file that does not read back equal to the certified objects is
+    # validated and verified as parsed, not through the kept verdicts
+    out = str(tmp_path / "exa.star.json")
+    real_parse = cli.parse_problem
+    parsed = []
+
+    def parse_tampered(path, field=None):
+        if path != out:
+            return real_parse(path, field)
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+        tamper(data)
+        parsed.append(real_parse(write_json(tmp_path, "tampered.json", data)))
+        return parsed[-1]
+
+    validations, verified = [], []
+    real_validate, real_verify = cli.validate_sop, cli.verify_star
+
+    def validate(*args):
+        validations.append(args)
+        return real_validate(*args)
+
+    def verify_star(comp, sop, star):
+        verified.append((comp, sop, star))
+        return real_verify(comp, sop, star)
+
+    monkeypatch.setattr(cli, "parse_problem", parse_tampered)
+    monkeypatch.setattr(cli, "validate_sop", validate)
+    monkeypatch.setattr(cli, "verify_star", verify_star)
+    assert main(["star", "--input", FIXTURE, "--output", out, "--verify"]) == code
+    [reparsed] = parsed
+    assert len(validations) == 2 and validations[1][0] is reparsed.ring
+    [(comp, sop, star)] = verified
+    assert comp is reparsed.source_complex and star.complex is reparsed.complex
+    round_trip = capsys.readouterr().out.split("round-trip verification:\n")[1]
+    assert any(shown.startswith(line) for shown in round_trip.splitlines())
 
 
 def test_cli_star_precondition_exit_two(tmp_path, capsys):

@@ -27,7 +27,7 @@ from startrans import (
     validate_sop,
     verify_star,
 )
-from startrans import complexes, verify
+from startrans import complexes, modules, verify
 from startrans.cli import main
 from startrans.instances import (
     complete_intersection_instance,
@@ -191,6 +191,40 @@ def test_depth_zero_for_socle(R1):
 
 def test_depth_zero_for_irrelevant_ideal(R1):
     assert not depth_positive_check(ideal(R1, "x", "y"))
+
+
+def _over_z_squared(*texts):
+    """The ideal of ``texts`` in Q[x,y,z]/(z^2)."""
+    base = PolyRing(RationalField(), ("x", "y", "z"))
+    ring = base.with_quotient([base.parse("z^2")])
+    return ideal(GradedFreeModule(ring, 1, (0,)), *texts)
+
+
+@pytest.mark.parametrize(
+    "make, positive, settled",
+    [
+        (lambda R1: ideal(R1, "x^2"), True, True),
+        (lambda R1: ideal(R1, "x*y"), True, False),
+        (lambda R1: ideal(R1, "x^2", "x*y"), False, False),
+        (lambda R1: ideal(R1, "x", "y"), False, False),
+        (lambda R1: _over_z_squared("x"), True, True),
+        (lambda R1: _over_z_squared("x", "y"), False, False),
+    ],
+    ids=["x2", "xy", "x2-xy", "x-y", "quotient-x", "quotient-x-y"],
+)
+def test_depth_probe_agrees_with_the_colon_by_all_variables(
+    monkeypatch, R1, make, positive, settled
+):
+    # the probe stops at the first variable x with M : x = M and otherwise
+    # intersects the per-variable colons; either way its verdict is that of
+    # comparing M with the colon by the whole irrelevant ideal
+    m = make(R1)
+    ring = m.ambient.ring
+    variables = [ring.var(i) for i in range(ring.nvars)]
+    assert submodule_equal(colon(m, variables), m) == positive
+    intersections = _count_calls(monkeypatch, modules.intersect)
+    assert depth_positive_check(m) == positive
+    assert (intersections == []) == settled
 
 
 def test_depth_flag_consistent_with_fast_path():
@@ -418,8 +452,12 @@ def test_verify_star_checks_structure_once(monkeypatch):
     comp, sop = exa_instance()
     res = star_transform(comp, sop, with_report=False)
     out = res.star.complex
-    compositions = _count_calls(monkeypatch, complexes.composition_defect)
-    homogeneities = _count_calls(monkeypatch, complexes.homogeneity_defect)
+    # the report's structural checks keep their verdicts on the complex,
+    # and the acyclicity check reads them back
+    compositions = _count_calls(
+        monkeypatch, complexes._first_nonzero_composite_entry
+    )
+    homogeneities = _count_calls(monkeypatch, complexes._first_inhomogeneous_entry)
     report = verify_star(comp, sop, res.star)
     assert report.overall
     assert [a for a in compositions if a[0] is out] == [(out,)]
@@ -456,3 +494,24 @@ def test_driver_checks_containment_once_per_round(monkeypatch):
     driver = star_iteration_driver(comp, sop, 2)
     assert len(driver.rounds) == 2 and all_match(driver)
     assert [a[0] for a in calls] == [comp, driver.rounds[0].result.star.complex]
+
+
+def test_star_verify_round_trip_reuses_what_the_call_certified(
+    monkeypatch, tmp_path, capsys
+):
+    # exa.json reads back equal to the objects the call certified, so the
+    # round trip reads their kept verdicts, certificates and bases.  Each
+    # composite is multiplied out once per complex object: the parsed
+    # input, the built output, and the re-parsed output and source
+    compositions = _count_calls(
+        monkeypatch, complexes._first_nonzero_composite_entry
+    )
+    certificates = _count_calls(monkeypatch, complexes._hilbert_certificate)
+    validations = _count_calls(monkeypatch, complexes.validate_sop)
+    fixture = os.path.join(os.path.dirname(__file__), "..", "fixtures", "exa.json")
+    out = str(tmp_path / "exa.star.json")
+    assert main(["star", "--input", fixture, "--output", out, "--verify"]) == 0
+    assert capsys.readouterr().out.count("PASS overall") == 2
+    assert len(compositions) == 4
+    assert len(certificates) == 2
+    assert len(validations) == 1
