@@ -13,7 +13,7 @@ import random
 from .complexes import FreeComplex, koszul, validate_sop
 from .fields import RationalField
 from .modules import GradedFreeModule
-from .poly import PolyMatrix, PolyRing
+from .poly import PolyMatrix, PolyRing, block_matrix
 
 
 def standard_ring(names=("x", "y"), weights=None, field=None):
@@ -34,22 +34,20 @@ def complete_intersection_instance(powers=(2, 2, 2), sop_powers=None, field=None
     n = len(powers)
     names = tuple("xyzw"[:n]) if n <= 4 else tuple(f"x{i}" for i in range(n))
     ring = standard_ring(names, field=field)
-    gens = validate_sop(
-        ring, [ring.monomial(_power_exps(n, i, e)) for i, e in enumerate(powers)]
-    )
     if sop_powers is None:
         sop_powers = (1,) * n
-    sop = validate_sop(
+    return koszul(_power_sop(ring, powers)), _power_sop(ring, sop_powers)
+
+
+def _power_sop(ring, powers):
+    """The validated parameters x_i^e, e = powers[i], over ``ring``."""
+    return validate_sop(
         ring,
-        [ring.monomial(_power_exps(n, i, e)) for i, e in enumerate(sop_powers)],
+        [
+            ring.monomial(tuple(e if k == i else 0 for k in range(ring.nvars)))
+            for i, e in enumerate(powers)
+        ],
     )
-    return koszul(gens), sop
-
-
-def _power_exps(n, i, e):
-    exps = [0] * n
-    exps[i] = e
-    return tuple(exps)
 
 
 def vanishing_top_instance(field=None):
@@ -84,34 +82,19 @@ def direct_sum_instance(powers_a=(1, 1), powers_b=(2, 2), field=None):
     """Direct sum of two Koszul complexes in the same two variables; mixes
     unit and non-unit decomposition vectors."""
     ring = standard_ring(("x", "y"), field=field)
-    ca = koszul(
-        validate_sop(
-            ring,
-            [ring.monomial(_power_exps(2, i, e)) for i, e in enumerate(powers_a)],
-        )
+    ca = koszul(_power_sop(ring, powers_a))
+    cb = koszul(_power_sop(ring, powers_b))
+    modules = tuple(
+        GradedFreeModule(ring, ma.rank + mb.rank, ma.twists + mb.twists)
+        for ma, mb in zip(ca.modules, cb.modules)
     )
-    cb = koszul(
-        validate_sop(
-            ring,
-            [ring.monomial(_power_exps(2, i, e)) for i, e in enumerate(powers_b)],
+    maps = tuple(
+        block_matrix(
+            ring, [[a, None], [None, b]], [a.nrows, b.nrows], [a.ncols, b.ncols]
         )
+        for a, b in zip(ca.maps, cb.maps)
     )
-    modules = []
-    maps = []
-    for p in range(3):
-        ma, mb = ca.module(p), cb.module(p)
-        modules.append(
-            GradedFreeModule(ring, ma.rank + mb.rank, ma.twists + mb.twists)
-        )
-    for p in range(1, 3):
-        a, b = ca.phi(p), cb.phi(p)
-        rows = []
-        for i in range(a.nrows):
-            rows.append(list(a.row(i)) + [ring.zero()] * b.ncols)
-        for i in range(b.nrows):
-            rows.append([ring.zero()] * a.ncols + list(b.row(i)))
-        maps.append(PolyMatrix(ring, rows, a.nrows + b.nrows, a.ncols + b.ncols))
-    comp = FreeComplex(ring, tuple(modules), tuple(maps))
+    comp = FreeComplex(ring, modules, maps)
     sop = validate_sop(ring, [ring.var(0), ring.var(1)])
     return comp, sop
 
@@ -126,14 +109,8 @@ def random_instance(seed, field=None):
     ring = standard_ring(names, field=field)
     sop_powers = [rng.randint(1, 3) for _ in range(n)]
     gen_powers = [rng.randint(a, 3) for a in sop_powers]
-    sop = validate_sop(
-        ring,
-        [ring.monomial(_power_exps(n, i, e)) for i, e in enumerate(sop_powers)],
-    )
-    gens = validate_sop(
-        ring,
-        [ring.monomial(_power_exps(n, i, e)) for i, e in enumerate(gen_powers)],
-    )
+    sop = _power_sop(ring, sop_powers)
+    gens = _power_sop(ring, gen_powers)
     name = (
         f"random_seed{seed}_n{n}_sop{''.join(map(str, sop_powers))}"
         f"_gen{''.join(map(str, gen_powers))}"

@@ -454,14 +454,6 @@ def parse_polynomial(ring, text):
         fail(str(exc))
 
 
-def _coeff_is_negative(field, c):
-    # only meaningful over the rationals; prime-field residues are canonical
-    try:
-        return c < 0
-    except TypeError:
-        return False
-
-
 def format_polynomial(p):
     """Canonical text form: terms in decreasing order, exactpoly syntax."""
     ring = p.ring
@@ -477,7 +469,7 @@ def format_polynomial(p):
             elif e > 1:
                 factors.append(f"{name}^{e}")
         mono = "*".join(factors)
-        neg = _coeff_is_negative(f, c)
+        neg = c < 0  # prime-field residues are canonical, never negative
         mag = f.neg(c) if neg else c
         if not mono:
             body = f.to_str(mag)

@@ -1,6 +1,9 @@
 """Construction of the output complex: the chain map from (top module (x)
 Koszul complex) into the input complex, its mapping cone, the top split,
-basis selection, and the minimal top map.
+and the minimal top map.  The last step is one column elimination on the
+split top map: a unit entry of a graded map is a nonzero constant and
+splits off a trivial summand, so cancelling the unit entries of the angle
+rows leaves the minimal map on the remaining rows and columns.
 
 The chain map drops every degree by the total parameter degree, so the
 tensor blocks carry that shift in their twists; with it, every map built
@@ -23,7 +26,6 @@ from .complexes import (
     certify_acyclic,
     complement,
     co_singleton,
-    count_below,
     decompose_images,
     offset_sum,
     sign_scalar,
@@ -31,13 +33,7 @@ from .complexes import (
     tensor_boundary,
     tensor_module,
 )
-from .errors import (
-    InternalError,
-    LiftError,
-    NotInModule,
-    PreconditionFailed,
-    ValidationError,
-)
+from .errors import LiftError, NotInModule, PreconditionFailed, ValidationError
 from .modules import GradedFreeModule, buchberger
 from .poly import PolyMatrix, block_matrix
 
@@ -302,92 +298,76 @@ def split_top(cone, cm):
 
 @dataclass(frozen=True)
 class BasisSelection:
-    """Result of the greedy residue pivot search on the decomposition
-    vectors: pairs selected into the free basis, leftover standard basis
-    indices, and the coefficients of each unselected vector in that basis
-    (``a_coeffs`` on the selected pairs, ``b_coeffs`` on the retained
-    standard basis vectors, which have no unit part)."""
+    """Result of the unit-entry elimination on the split complex's top map:
+    the pairs whose columns became pivots (their v_(lam,i) join the free
+    basis of F_(n-1)), the standard basis indices of the angle rows no
+    pivot took, and the remaining pairs with their reduced columns, which
+    vanish on every pivot row."""
 
     selected_pairs: tuple
     retained_basis: tuple
     star_pairs: tuple
-    a_coeffs: dict
-    b_coeffs: dict
+    columns: tuple
 
 
-def select_basis(decomposition, module_prev, n):
-    """Greedy pivot selection making {v_(lam,i)} for selected pairs plus a
-    subset of the standard basis a free basis of F_(n-1).
+def _clear_row(column, row, pivot, inverse):
+    """Subtract the multiple of ``pivot`` that zeroes ``column[row]``;
+    ``inverse`` inverts the pivot's constant entry in that row."""
+    entry = column[row]
+    if entry.terms:
+        factor = entry.scale(inverse)
+        for k, p in enumerate(pivot):
+            if p.terms:
+                column[k] = column[k] - factor * p
 
-    Columns are scanned in (lam, i) order; a column becomes a pivot when
-    its residue (the constant parts) is independent of the pivots so far.
+
+def select_basis(split, cm):
+    """One elimination pass over the split complex's top-map columns.
+
+    The column of the pair (lam, i), whose angle rows hold
+    (-1)^i v_(lam,i), is taken in (lam, i) order and reduced by the pivots
+    found so far, in the order found.  A column that still has a constant
+    in an angle row becomes the pivot of the first such row, and that row
+    is cleared from the columns kept so far.  Each pivot splits off a
+    trivial summand (a unit entry, constant because the map is graded);
+    the kept columns vanish on every pivot row, so on the bracket and
+    retained rows they are the minimal top map up to sign.
     """
-    ring = module_prev.ring
-    f = ring.field
-    pairs = [
-        (lam, i)
-        for lam in range(len(decomposition))
-        for i in range(1, n + 1)
-    ]
-    pivots = {}
-    selected_pairs = []
-    for pair in pairs:
-        lam, i = pair
-        vec = list(decomposition[lam][i - 1].constant_parts())
-        for r in sorted(pivots):
-            if not f.is_zero(vec[r]):
-                _, pv = pivots[r]
-                factor = f.div(vec[r], pv[r])
-                for k in range(len(vec)):
-                    vec[k] = f.sub(vec[k], f.mul(factor, pv[k]))
-        pivot_row = None
-        for r, c in enumerate(vec):
-            if not f.is_zero(c):
-                pivot_row = r
-                break
-        if pivot_row is not None:
-            pivots[pivot_row] = (pair, vec)
-            selected_pairs.append(pair)
-    retained_basis = tuple(r for r in range(module_prev.rank) if r not in pivots)
-    selected_pairs = tuple(selected_pairs)
-    star_pairs = tuple(p for p in pairs if p not in set(selected_pairs))
-
-    chosen = [decomposition[lam][i - 1] for (lam, i) in selected_pairs]
-    chosen += [module_prev.basis_vector(u) for u in retained_basis]
-    a_coeffs = {}
-    b_coeffs = {}
-    if star_pairs:
-        chosen_gb = buchberger(module_prev, chosen)
-        for (mu, j) in star_pairs:
-            try:
-                witness = chosen_gb.lift(decomposition[mu][j - 1])
-            except NotInModule as exc:
-                raise InternalError(
-                    "selected set fails to span the module (internal)"
-                ) from exc
-            a_part = {
-                pair: c
-                for pair, c in zip(selected_pairs, witness[: len(selected_pairs)])
-                if c.terms
-            }
-            b_part = {}
-            for u, c in zip(retained_basis, witness[len(selected_pairs):]):
-                if c.terms:
-                    if not f.is_zero(c.constant_coeff()):
-                        raise InternalError(
-                            f"coefficient of basis element {u} for pair "
-                            f"{(mu, j)} has a unit part; selection not "
-                            "maximal (internal)"
-                        )
-                    b_part[u] = c
-            a_coeffs[(mu, j)] = a_part
-            b_coeffs[(mu, j)] = b_part
+    n = cm.n
+    f = split.ring.field
+    top_map = split.maps[n - 1]
+    nb = cm.source_modules[n - 2].rank
+    col_index = {s: k for k, s in enumerate(subsets(n, n - 1))}
+    selected = []
+    pivots = []
+    kept = {}
+    for lam in range(cm.top_rank):
+        for i in range(1, n + 1):
+            column = list(top_map.column(lam * n + col_index[co_singleton(i, n)]))
+            for pivot in pivots:
+                _clear_row(column, *pivot)
+            row = next(
+                (
+                    r
+                    for r in range(nb, top_map.nrows)
+                    if not f.is_zero(column[r].constant_coeff())
+                ),
+                None,
+            )
+            if row is None:
+                kept[(lam, i)] = column
+                continue
+            pivot = (row, column, f.div(f.one, column[row].constant_coeff()))
+            for other in kept.values():
+                _clear_row(other, *pivot)
+            selected.append((lam, i))
+            pivots.append(pivot)
+    pivot_rows = {row for row, _, _ in pivots}
     return BasisSelection(
-        selected_pairs,
-        retained_basis,
-        star_pairs,
-        a_coeffs,
-        b_coeffs,
+        tuple(selected),
+        tuple(u for u in range(top_map.nrows - nb) if nb + u not in pivot_rows),
+        tuple(kept),
+        tuple(tuple(column) for column in kept.values()),
     )
 
 
@@ -395,78 +375,48 @@ def build_star_top(selection, split_complex, cm):
     """The output complex: the split complex below position n-1, the
     shrunken position n-1 and the new top module, with their labels.
 
-    The new basis vector of a star pair (mu, j) is (-1)^j v_mu (x) e_C(j)
-    plus, for each selected pair (lam, i), a_(lam,i) (-1)^(i-1) v_lam (x)
-    e_C(i), where C(i) is the i-th co-singleton.  Its image under the split
-    map is written down from the a/b coefficients, with no lift: the bracket
-    part is the Koszul boundary of that combination, and the angle part is
-    v_(mu,j) - sum a_(lam,i) v_(lam,i) = sum_u b_u e_u over the retained
-    standard basis vectors."""
-    comp, sop = cm.complex, cm.sop
+    The new basis vector of a star pair (mu, j) is (-1)^j times its kept
+    column's combination of tensor basis vectors, led by v_mu (x) e_C(j),
+    where C(j) is the j-th co-singleton; so it has that vector's twist, and
+    its image is the kept column times (-1)^j on the bracket and retained
+    rows."""
+    comp = cm.complex
     n = comp.length
     ring = comp.ring
     f = ring.field
-    top = comp.module(n)
-    prev = comp.module(n - 1)
-
-    prev_subs = subsets(n, n - 1)
-    prev_sub_index = {s: k for k, s in enumerate(prev_subs)}
-    bracket_subs = subsets(n, n - 2)
-    bracket_index = {s: k for k, s in enumerate(bracket_subs)}
-    nb = top.rank * len(bracket_subs)
     tensor_prev = cm.source_modules[n - 1]
+    bracket_prev = cm.source_modules[n - 2]
+    nb = bracket_prev.rank
+    u_list = selection.retained_basis
+    keep = list(range(nb)) + [nb + u for u in u_list]
+    col_index = {s: k for k, s in enumerate(subsets(n, n - 1))}
 
-    u_list = list(selection.retained_basis)
-    u_pos = {u: k for k, u in enumerate(u_list)}
-
-    star_columns = []
-    star_twists = []
-    for (mu, j) in selection.star_pairs:
-        contributions = [(mu, j, ring.one(), sign_scalar(f, j))]
-        for (lam, i), a in selection.a_coeffs.get((mu, j), {}).items():
-            contributions.append((lam, i, a, sign_scalar(f, i - 1)))
-        coords = [ring.zero()] * tensor_prev.rank
-        bracket = [ring.zero()] * nb
-        for lam, i, coeff, base_sign in contributions:
-            cos = co_singleton(i, n)
-            idx = lam * len(prev_subs) + prev_sub_index[cos]
-            coords[idx] = coords[idx] + coeff.scale(base_sign)
-            for a_idx in cos:
-                sgn = sign_scalar(f, count_below(a_idx, cos))
-                sub = tuple(k for k in cos if k != a_idx)
-                row = lam * len(bracket_subs) + bracket_index[sub]
-                term = coeff * sop.gens[a_idx - 1].scale(f.mul(base_sign, sgn))
-                bracket[row] = bracket[row] + term
-        deg = tensor_prev.vector(coords).homogeneous_degree()
-        if deg is None:
-            raise InternalError(
-                "new top basis vector is not homogeneous (internal)"
-            )
-        star_twists.append(deg)
-        angles = [ring.zero()] * len(u_list)
-        for u, b in selection.b_coeffs.get((mu, j), {}).items():
-            angles[u_pos[u]] = b
-        star_columns.append(bracket + angles)
-
-    prev_bracket_twists = cm.source_modules[n - 2].twists
-    prev_u_twists = tuple(prev.twists[u] for u in u_list)
-    prev_module = GradedFreeModule(
-        ring, nb + len(u_list), tuple(prev_bracket_twists) + prev_u_twists
-    )
-    top_module = GradedFreeModule(
-        ring, len(star_columns), tuple(star_twists)
-    )
-    rows = nb + len(u_list)
-    entries = [
-        [star_columns[j][i] for j in range(len(star_columns))]
-        for i in range(rows)
+    columns = [
+        [column[r].scale(sign_scalar(f, j)) for r in keep]
+        for (_, j), column in zip(selection.star_pairs, selection.columns)
     ]
-    top_map = PolyMatrix(ring, entries, rows, len(star_columns))
+    top_module = GradedFreeModule(
+        ring,
+        len(columns),
+        tuple(
+            tensor_prev.twists[mu * n + col_index[co_singleton(j, n)]]
+            for (mu, j) in selection.star_pairs
+        ),
+    )
+    prev = comp.module(n - 1)
+    prev_module = GradedFreeModule(
+        ring, len(keep), bracket_prev.twists + tuple(prev.twists[u] for u in u_list)
+    )
+    top_map = PolyMatrix(
+        ring,
+        [[column[k] for column in columns] for k in range(len(keep))],
+        len(keep),
+        len(columns),
+    )
 
     # position n-1: restrict the next map of the split complex to the
-    # bracket columns plus the selected <u> columns
+    # bracket columns plus the retained <u> columns
     lower = split_complex.maps[n - 2]
-    keep = list(range(nb)) + [nb + u for u in u_list]
     prev_map = PolyMatrix(
         ring,
         [[row[c] for c in keep] for row in lower.entries],
@@ -474,7 +424,7 @@ def build_star_top(selection, split_complex, cm):
         len(keep),
     )
 
-    prev_labels = _bracket_labels(top.rank, n, n - 2) + tuple(
+    prev_labels = _bracket_labels(cm.top_rank, n, n - 2) + tuple(
         ("angle", u) for u in u_list
     )
     top_labels = tuple(("star", mu, j) for (mu, j) in selection.star_pairs)
@@ -558,7 +508,7 @@ def star_transform(comp, sop, with_report=True):
     Preconditions (PreconditionFailed otherwise): at least two parameters,
     the complex is well formed and acyclic, and the top image lies inside
     Q times F_(n-1) (``decompose_images`` checks this).  A rank-zero top
-    module short-circuits to the input.
+    module takes the same path, which returns the input with angle labels.
     """
     n = comp.length
     if n < 2:
@@ -572,21 +522,13 @@ def star_transform(comp, sop, with_report=True):
         raise PreconditionFailed(
             f"input complex is not acyclic: {cert.detail}"
         )
-    decomposition = decompose_images(comp, sop)
-
-    if comp.top_rank() == 0:
-        labels = _identity_labels(comp)
-        out = FreeComplex(comp.ring, comp.modules, comp.maps, labels)
-        stages = (None, None, None, None)
-    else:
-        cm = build_chain_map(comp, sop, decomposition)
-        cone = mapping_cone(cm)
-        split = split_top(cone, cm)
-        selection = select_basis(cm.decomposition, comp.module(n - 1), n)
-        out = build_star_top(selection, split, cm)
-        stages = (cm, cone, split, selection)
+    cm = build_chain_map(comp, sop, decompose_images(comp, sop))
+    cone = mapping_cone(cm)
+    split = split_top(cone, cm)
+    selection = select_basis(split, cm)
+    out = build_star_top(selection, split, cm)
     star = StarComplex(out, comp.top_rank())
-    result = StarResult(star, *stages, comp)
+    result = StarResult(star, cm, cone, split, selection, comp)
 
     if with_report:
         from .verify import verify_star
@@ -594,8 +536,3 @@ def star_transform(comp, sop, with_report=True):
         result.report = verify_star(comp, sop, result.star)
     return result
 
-
-def _identity_labels(comp):
-    return tuple(
-        tuple(("angle", i) for i in range(m.rank)) for m in comp.modules
-    )

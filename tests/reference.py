@@ -3,11 +3,15 @@ the small constructors that only the tests use.
 
 ``build_chain_map`` relies on the recombination checks of
 ``SubmoduleGB.lift`` (the decomposition of the top map included) and does
-not re-check its squares; ``build_star_top`` writes the new top map down in
-closed form from the a/b coefficients; the acyclicity certificate works
-top-down and stops each image's Buchberger run at its Hilbert floor.  The
+not re-check its squares; ``select_basis`` reaches the minimal top map by
+one column elimination, which ``restricted_top_map`` redoes by residue
+pivots and lifts through a tracked Groebner basis; the acyclicity
+certificate works top-down and stops each image's Buchberger run at its
+Hilbert floor.  The
 helpers here recompute those facts the long way, so the tests can compare.
 """
+
+from dataclasses import dataclass
 
 from startrans import FreeComplex, GradedFreeModule, PolyMatrix, buchberger, validate_sop
 from startrans.complexes import (
@@ -122,38 +126,92 @@ def top_is_signed_identity(cm):
     return cm.matrices[cm.n] == expected
 
 
-def restricted_top_map(selection, split, cm):
-    """The new top map by restriction: apply the split complex's top map to
-    each new basis vector, keep the bracket part, and re-express the angle
-    part in the selected free basis of F_(n-1) by a lift.  The lift must
-    put nothing on a selected pair; the retained coordinates follow."""
+@dataclass(frozen=True)
+class LiftedSelection:
+    """The basis selection by greedy residue pivots and lifts: ``a_coeffs``
+    on the selected pairs and ``b_coeffs`` on the retained standard basis
+    vectors express each unselected v_(mu,j); ``basis`` is the tracked basis
+    of the selected v's followed by the retained e_u."""
+
+    selected_pairs: tuple
+    retained_basis: tuple
+    star_pairs: tuple
+    a_coeffs: dict
+    b_coeffs: dict
+    basis: object
+
+
+def lifted_selection(cm):
+    """Greedy pivots on the constant parts of the decomposition vectors
+    v_(lam,i), in (lam, i) order: a vector becomes a pivot when its residue
+    is independent of the pivots so far.  The selected v's and the
+    remaining standard basis vectors of F_(n-1) form a free basis; each
+    unselected v_(mu,j) is lifted through a tracked basis of them."""
+    n = cm.n
+    prev = cm.complex.module(n - 1)
+    f = prev.ring.field
+    dec = cm.decomposition
+    pairs = [(lam, i) for lam in range(cm.top_rank) for i in range(1, n + 1)]
+    pivots = {}
+    selected = []
+    for lam, i in pairs:
+        vec = list(dec[lam][i - 1].constant_parts())
+        for r in sorted(pivots):
+            if not f.is_zero(vec[r]):
+                factor = f.div(vec[r], pivots[r][r])
+                vec = [f.sub(c, f.mul(factor, p)) for c, p in zip(vec, pivots[r])]
+        row = next((r for r, c in enumerate(vec) if not f.is_zero(c)), None)
+        if row is not None:
+            pivots[row] = vec
+            selected.append((lam, i))
+    retained = tuple(u for u in range(prev.rank) if u not in pivots)
+    star_pairs = tuple(p for p in pairs if p not in selected)
+    chosen = [dec[lam][i - 1] for (lam, i) in selected]
+    chosen += [prev.basis_vector(u) for u in retained]
+    basis = buchberger(prev, chosen)
+    a_coeffs, b_coeffs = {}, {}
+    for mu, j in star_pairs:
+        witness = basis.lift(dec[mu][j - 1])
+        a_coeffs[(mu, j)] = {
+            pair: c for pair, c in zip(selected, witness) if c.terms
+        }
+        b_coeffs[(mu, j)] = {
+            u: c for u, c in zip(retained, witness[len(selected):]) if c.terms
+        }
+    return LiftedSelection(
+        tuple(selected), retained, star_pairs, a_coeffs, b_coeffs, basis
+    )
+
+
+def restricted_top_map(split, cm):
+    """The new top map by restriction, from ``lifted_selection``: the new
+    basis vector of (mu, j) is (-1)^j v_mu (x) e_C(j) plus, for each
+    selected (lam, i), a_(lam,i) (-1)^(i-1) v_lam (x) e_C(i).  Apply the
+    split complex's top map to it, keep the bracket part, and re-express
+    the angle part in the selected free basis of F_(n-1) by a lift.  The
+    lift must put nothing on a selected pair; the retained coordinates
+    follow."""
+    sel = lifted_selection(cm)
     n = cm.n
     ring = cm.complex.ring
     f = ring.field
     prev = cm.complex.module(n - 1)
-    dec = cm.decomposition
     prev_subs = subsets(n, n - 1)
     nb = cm.top_rank * len(subsets(n, n - 2))
-    chosen = [dec[lam][i - 1] for (lam, i) in selection.selected_pairs]
-    chosen += [prev.basis_vector(u) for u in selection.retained_basis]
-    chosen_gb = buchberger(prev, chosen)
-    selected = len(selection.selected_pairs)
+    selected = len(sel.selected_pairs)
     columns = []
-    for (mu, j) in selection.star_pairs:
+    for (mu, j) in sel.star_pairs:
         coords = [ring.zero()] * cm.source_modules[n - 1].rank
         terms = [(mu, j, ring.one(), j)]
-        terms += [
-            (lam, i, a, i - 1)
-            for (lam, i), a in selection.a_coeffs.get((mu, j), {}).items()
-        ]
+        terms += [(lam, i, a, i - 1) for (lam, i), a in sel.a_coeffs[(mu, j)].items()]
         for lam, i, coeff, power in terms:
             idx = lam * len(prev_subs) + prev_subs.index(co_singleton(i, n))
             coords[idx] = coords[idx] + coeff.scale(sign_scalar(f, power))
         image = split.maps[n - 1].apply(coords)
-        witness = chosen_gb.lift(prev.vector(image[nb:]))
+        witness = sel.basis.lift(prev.vector(image[nb:]))
         assert not any(c.terms for c in witness[:selected]), (mu, j)
         columns.append(list(image[:nb]) + list(witness[selected:]))
-    rows = nb + len(selection.retained_basis)
+    rows = nb + len(sel.retained_basis)
     return PolyMatrix(
         ring,
         [[col[i] for col in columns] for i in range(rows)],

@@ -129,8 +129,6 @@ def test_criterion_3_chain_map_structure(corpus_results):
 def test_criterion_4_cone_and_split(corpus_results):
     ok = True
     for name, comp, sop, res in corpus_results:
-        if res.chain_map is None:
-            continue
         cone, cm = res.cone, res.chain_map
         ok = ok and composition_defect(cone) is None
         ok = ok and certify_acyclic(cone).ok
@@ -149,20 +147,14 @@ def test_criterion_5_basis_and_top_map(corpus_results):
     for name, comp, sop, res in corpus_results:
         star = res.star
         n = comp.length
-        if res.selection is not None:
-            sel = res.selection
-            ok = ok and len(sel.selected_pairs) + len(sel.retained_basis) == comp.module(
-                n - 1
-            ).rank
-            f = comp.ring.field
-            for b_part in sel.b_coeffs.values():
-                for b in b_part.values():
-                    ok = ok and f.is_zero(b.constant_coeff())
-            # the closed-form top map equals the split map restricted to the
-            # new basis and re-expressed in the selected free basis
-            ok = ok and star.complex.phi(n) == restricted_top_map(
-                sel, res.split, res.chain_map
-            )
+        sel = res.selection
+        ok = ok and len(sel.selected_pairs) + len(sel.retained_basis) == comp.module(
+            n - 1
+        ).rank
+        # the eliminated top map equals the split map restricted to the new
+        # basis that residue pivots and Groebner lifts select, re-expressed
+        # in the selected free basis
+        ok = ok and star.complex.phi(n) == restricted_top_map(res.split, res.chain_map)
         # rank accounting
         for p in range(1, n - 1):
             ok = ok and star.complex.module(p).rank == comp.top_rank() * comb(

@@ -499,21 +499,20 @@ def test_cli_colon_internal_error_exits_four(monkeypatch, capsys):
 
 
 def test_cli_star_internal_error_exits_four(monkeypatch, tmp_path, capsys):
-    real_select, real_buchberger = transform.select_basis, transform.buchberger
+    real_buchberger = transform.buchberger
 
-    def one_generator_short(ambient, gens, **kwargs):
-        return real_buchberger(ambient, gens[:-1], **kwargs)
+    def with_doubled_rows(ambient, gens, **kwargs):
+        gb = real_buchberger(ambient, gens, **kwargs)
+        gb.rows = tuple(tuple(c + c for c in row) for row in gb.rows)
+        return gb
 
-    def select_on_a_short_span(*args):
-        monkeypatch.setattr(transform, "buchberger", one_generator_short)
-        return real_select(*args)
-
-    monkeypatch.setattr(transform, "select_basis", select_on_a_short_span)
+    # every witness of the chain map's descent recombines to twice its goal
+    monkeypatch.setattr(transform, "buchberger", with_doubled_rows)
     out = str(tmp_path / "out.json")
     assert main(["star", "--input", FIXTURE, "--output", out]) == 4
     captured = capsys.readouterr()
     assert captured.err.startswith("internal error: ")
-    assert "fails to span the module" in captured.err
+    assert "witness recombination failed" in captured.err
     assert not os.path.exists(out)
 
 

@@ -51,8 +51,10 @@ from startrans.instances import (
     square_ideal_instance,
     vanishing_top_instance,
 )
+from startrans.modules import SubmoduleGB
 from reference import (
     identity_matrix,
+    lifted_selection,
     padded_zero_top_instance,
     restricted_top_map,
     squares_commute,
@@ -387,53 +389,95 @@ def test_split_rank_and_acyclicity(small_corpus):
 # -- basis selection -----------------------------------------------------------
 
 
+def split_and_chain_map(comp, sop, decomposition=None):
+    if decomposition is None:
+        decomposition = decompose_images(comp, sop)
+    cm = build_chain_map(comp, sop, decomposition)
+    return split_top(mapping_cone(cm), cm), cm
+
+
 def test_select_basis_exa(exa):
     comp, sop = exa
-    dec = decompose_images(comp, sop)
-    sel = select_basis(dec, comp.module(1), 2)
+    sel = select_basis(*split_and_chain_map(comp, sop))
     assert sel.selected_pairs == ()
     assert sel.retained_basis == (0, 1)
     assert sel.star_pairs == ((0, 1), (0, 2))
-    ring = comp.ring
-    assert sel.a_coeffs[(0, 1)] == {}
-    assert sel.b_coeffs[(0, 1)] == {1: ring.parse("x")}
-    assert sel.b_coeffs[(0, 2)] == {0: ring.parse("-y")}
+    # bracket row, then the angle rows (-1)^i v_(0,i)
+    x, y, zero = (comp.ring.parse(t) for t in ("x", "y", "0"))
+    assert sel.columns == ((y, zero, -x), (x, -y, zero))
 
 
 def test_select_basis_unit_pivots():
-    comp, sop = vanishing_top_instance()
-    dec = decompose_images(comp, sop)
-    sel = select_basis(dec, comp.module(1), 2)
+    sel = select_basis(*split_and_chain_map(*vanishing_top_instance()))
     assert set(sel.selected_pairs) == {(0, 1), (0, 2)}
     assert sel.retained_basis == ()
     assert sel.star_pairs == ()
+    assert sel.columns == ()
 
 
 def test_select_basis_counts(small_corpus):
     for name, comp, sop in small_corpus:
-        if comp.top_rank() == 0:
-            continue
-        dec = decompose_images(comp, sop)
-        sel = select_basis(dec, comp.module(comp.length - 1), comp.length)
-        assert len(sel.selected_pairs) + len(sel.retained_basis) == comp.module(
-            comp.length - 1
-        ).rank, name
-        for (mu, j), b_part in sel.b_coeffs.items():
-            f = comp.ring.field
-            for b in b_part.values():
-                assert f.is_zero(b.constant_coeff()), name
+        split, cm = split_and_chain_map(comp, sop)
+        sel = select_basis(split, cm)
+        prev_rank = comp.module(comp.length - 1).rank
+        assert len(sel.selected_pairs) + len(sel.retained_basis) == prev_rank, name
+        # every kept column vanishes on the pivot rows and has no unit
+        # entry on the retained ones
+        nb = split.module(comp.length - 1).rank - prev_rank
+        retained = {nb + u for u in sel.retained_basis}
+        f = comp.ring.field
+        for column in sel.columns:
+            for r in range(nb, len(column)):
+                if r in retained:
+                    assert f.is_zero(column[r].constant_coeff()), name
+                else:
+                    assert column[r].is_zero(), name
 
 
 def test_select_basis_square_ideal_mixed():
     comp, sop = square_ideal_instance()
-    dec = decompose_images(comp, sop)
-    sel = select_basis(dec, comp.module(1), 2)
+    sel = select_basis(*split_and_chain_map(comp, sop))
     assert len(sel.selected_pairs) == 3
     assert sel.retained_basis == ()
     assert sel.star_pairs == ((1, 2),)
-    # the leftover vector is a combination of the selected ones
-    a = sel.a_coeffs[(1, 2)]
-    assert a  # nonzero coefficients on selected pairs
+    # the leftover vector is a combination of the selected ones: its column
+    # vanishes on every angle row, but not on the bracket rows
+    (column,) = sel.columns
+    assert all(e.is_zero() for e in column[2:])
+    assert not all(e.is_zero() for e in column[:2])
+
+
+def test_select_basis_reduces_by_the_pivots_in_the_order_found():
+    # the angle rows of the three columns are (-1, 1, 0), (0, -1, 0) and
+    # (-1, 0, -1): the third column reduced by the second pivot and then by
+    # the first would keep a constant in the second pivot's row
+    ring = PolyRing(RationalField(), ("x", "y", "z"))
+    sop = validate_sop(ring, [ring.var(0), ring.var(1), ring.var(2)])
+    gens = validate_sop(ring, [ring.parse(t) for t in ("z", "x + y", "x + z")])
+    res = star_transform(koszul(gens), sop)
+    assert res.selection.selected_pairs == ((0, 1), (0, 2), (0, 3))
+    assert res.selection.retained_basis == ()
+    assert res.report.overall
+
+
+def test_select_basis_builds_no_groebner_basis(monkeypatch):
+    split, cm = split_and_chain_map(*p7_positive_degree_coefficient_instance())
+    calls = []
+
+    def counted(real):
+        def wrapper(*args, **kwargs):
+            calls.append(real.__name__)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    buchberger_calls = counted(transform.buchberger)
+    monkeypatch.setattr("startrans.modules.buchberger", buchberger_calls)
+    monkeypatch.setattr(transform, "buchberger", buchberger_calls)
+    monkeypatch.setattr(SubmoduleGB, "lift", counted(SubmoduleGB.lift))
+    sel = select_basis(split, cm)
+    assert sel.selected_pairs and sel.star_pairs
+    assert calls == []
 
 
 # -- star top and full transform ----------------------------------------------
@@ -443,10 +487,8 @@ def test_exa_star_top_values(exa, exa_chain_map):
     comp, sop = exa
     ring = comp.ring
     cm = exa_chain_map
-    cone = mapping_cone(cm)
-    split = split_top(cone, cm)
-    sel = select_basis(cm.decomposition, comp.module(1), 2)
-    out = build_star_top(sel, split, cm)
+    split = split_top(mapping_cone(cm), cm)
+    out = build_star_top(select_basis(split, cm), split, cm)
     assert [m.rank for m in out.modules] == [1, 3, 2]
     assert out.modules[0] is split.modules[0]
     cols = [out.phi(2).column(j) for j in range(2)]
@@ -456,36 +498,39 @@ def test_exa_star_top_values(exa, exa_chain_map):
     assert out.labels[2] == (("star", 0, 1), ("star", 0, 2))
 
 
-def assert_closed_form_top_map_is_the_restricted_map(comp, sop):
+def assert_top_map_is_the_restricted_map(comp, sop):
     res = star_transform(comp, sop, with_report=False)
     cm, sel = res.chain_map, res.selection
     assert squares_commute(cm)
     assert top_is_signed_identity(cm)
-    closed = build_star_top(sel, res.split, cm).phi(cm.n)
-    restricted = restricted_top_map(sel, res.split, cm)
-    assert closed.ncols == restricted.ncols == len(sel.star_pairs)
-    for j in range(closed.ncols):
-        assert closed.column(j) == restricted.column(j), sel.star_pairs[j]
-    return sel
+    reference = lifted_selection(cm)
+    assert sel.selected_pairs == reference.selected_pairs
+    assert sel.retained_basis == reference.retained_basis
+    assert sel.star_pairs == reference.star_pairs
+    top = res.star.complex.phi(cm.n)
+    restricted = restricted_top_map(res.split, cm)
+    assert top.ncols == restricted.ncols == len(sel.star_pairs)
+    for j in range(top.ncols):
+        assert top.column(j) == restricted.column(j), sel.star_pairs[j]
+    return reference
 
 
 def test_closed_form_top_map_is_the_restricted_map_on_the_corpus():
     for name, comp, sop in corpus():
-        if comp.top_rank():
-            assert_closed_form_top_map_is_the_restricted_map(comp, sop)
+        assert_top_map_is_the_restricted_map(comp, sop)
 
 
 @settings(max_examples=20, deadline=None)
 @given(koszul_problems())
 def test_closed_form_top_map_is_the_restricted_map_on_generated_instances(problem):
     name, comp, sop = problem
-    assert_closed_form_top_map_is_the_restricted_map(comp, sop)
+    assert_top_map_is_the_restricted_map(comp, sop)
 
 
-def test_closed_form_top_map_with_a_non_constant_a_coefficient():
-    # Koszul complex of three forms over p:7 with parameters of degrees
-    # (1, 1, 2): the unselected pair is a combination of the selected ones
-    # with a coefficient of positive degree, which no corpus instance has
+def p7_positive_degree_coefficient_instance():
+    """Koszul complex of three forms over p:7 with parameters of degrees
+    (1, 1, 2): the unselected pair is a combination of the selected ones
+    with a coefficient of positive degree, which no corpus instance has."""
     ring = PolyRing(PrimeField(7), ("x", "y", "z"))
     params = ["2*x + 3*y + z", "x + 2*y", "4*x^2 + 6*y*z + 2*z^2"]
     gens = [
@@ -494,11 +539,15 @@ def test_closed_form_top_map_with_a_non_constant_a_coefficient():
         "x^2 + 5*y*z + 4*z^2",
     ]
     sop = validate_sop(ring, [ring.parse(t) for t in params])
-    comp = koszul(validate_sop(ring, [ring.parse(t) for t in gens]))
-    sel = assert_closed_form_top_map_is_the_restricted_map(comp, sop)
+    return koszul(validate_sop(ring, [ring.parse(t) for t in gens])), sop
+
+
+def test_closed_form_top_map_with_a_non_constant_a_coefficient():
+    comp, sop = p7_positive_degree_coefficient_instance()
+    reference = assert_top_map_is_the_restricted_map(comp, sop)
     assert any(
-        any(sum(ring.unpack(m)) for m in a.terms)
-        for a_part in sel.a_coeffs.values()
+        any(sum(comp.ring.unpack(m)) for m in a.terms)
+        for a_part in reference.a_coeffs.values()
         for a in a_part.values()
     )
     assert star_transform(comp, sop).report.overall
@@ -624,10 +673,10 @@ def test_choice_independence_of_colon_image(exa):
     assert recombined == target.vector(comp.phi(2).column(0))
 
     default_res = star_transform(comp, sop)
-    cm = build_chain_map(comp, sop, alt)
-    split = split_top(mapping_cone(cm), cm)
-    sel = select_basis(alt, comp.module(1), 2)
-    alt_star = StarComplex(build_star_top(sel, split, cm), comp.top_rank())
+    split, cm = split_and_chain_map(comp, sop, alt)
+    alt_star = StarComplex(
+        build_star_top(select_basis(split, cm), split, cm), comp.top_rank()
+    )
     assert verify_star(comp, sop, alt_star).overall
     assert submodule_equal(
         default_res.star.complex.image_gb(1), alt_star.complex.image_gb(1)
