@@ -14,6 +14,13 @@ do (lowest terms, positive denominator), so values, ``==``, ``hash`` and
 ``str`` are those of the operators.  That relies on the CPython slot
 layout of ``Fraction``, which is checked once at import: a Python that lays
 it out differently gets an ``ImportError``, not wrong arithmetic.
+
+Over a prime field the hot loops do not call these methods at all: the
+products, the scaling and the division step of ``poly`` and ``modules``
+read the plain attribute ``p`` (``None`` on ``RationalField``) and then
+compute on ints with an inline ``%``.  Sums of products stay unreduced
+ints until their term is complete and are reduced modulo p once (delayed
+reduction); every coefficient they store is again an int in ``1..p-1``.
 """
 
 from __future__ import annotations
@@ -66,6 +73,7 @@ class RationalField:
     """
 
     name = "rational"
+    p = None  # not a prime field: the hot loops call the methods below
 
     zero = Fraction(0)
     one = Fraction(1)
@@ -170,7 +178,8 @@ def _is_prime(p):
 
 
 class PrimeField:
-    """The field with ``p`` elements; scalars are ints in ``0..p-1``."""
+    """The field with ``p`` elements; scalars are ints in ``0..p-1``, and
+    ``p`` is what selects the inline arithmetic (see the module docstring)."""
 
     def __init__(self, p):
         if not _is_prime(p):
@@ -195,7 +204,7 @@ class PrimeField:
     def invert(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def div(self, a, b):
         return (a * self.invert(b)) % self.p

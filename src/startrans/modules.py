@@ -12,8 +12,8 @@ complex, the colon parts and intersections, the final reduction of
 ``syzygies``, the quotient ideal) are built with ``track=False`` and carry
 none.  ``cokernel_series`` runs the same pair loop against a known floor
 of the quotient's Hilbert series and stops once the lead terms reach it,
-with no reduced basis; the acyclicity certificate reads the images above
-position 1 that way.
+with no reduced basis and each S-vector divided only down to its lead;
+the acyclicity certificate reads the images above position 1 that way.
 
 Module terms are ordered degree first (twists included), then position
 (lower basis index wins), then the ring's one monomial order; ``term_key``
@@ -22,8 +22,9 @@ the term; a ``GradedFreeModule`` lays out its keys when it is built.
 Division works on those keys: multiplying a term by x^u adds the key of
 u, and a lead divides a term iff their difference sets no guard or
 position bit.  It pops the working vector's terms largest first from a
-min-heap of keys.  Vectors are immutable, so each caches its lead term and
-its keyed tail, and a ``SubmoduleGB`` keeps the leads of its basis and
+min-heap of keys.  Vectors are immutable, so each caches its lead term,
+the inverse of its lead coefficient and its keyed tail, and a
+``SubmoduleGB`` keeps the leads of its basis and
 owns the Hilbert series of its quotient, computed from those leads on first
 use (``SubmoduleGB.series``); every certificate reads it there.  When
 the ambient ring carries a quotient ideal J, submodule computations adjoin
@@ -175,11 +176,6 @@ class ModuleVector:
     def mul_poly(self, p):
         return ModuleVector(self.module, tuple(a * p for a in self.coords))
 
-    def mul_term(self, coeff, u):
-        return ModuleVector(
-            self.module, tuple(a.mul_term(coeff, u) for a in self.coords)
-        )
-
     def __eq__(self, other):
         return (
             isinstance(other, ModuleVector)
@@ -206,9 +202,9 @@ class ModuleVector:
         return self._lead
 
     def keyed(self):
-        """The vector as a divisor: (lead key, lead coefficient, tail), the
-        tail a list of the (``term_key``, coefficient) pairs of the other
-        terms; None if zero."""
+        """The vector as a divisor: (lead key, lead coefficient, its
+        inverse, tail), the tail a list of the (``term_key``, coefficient)
+        pairs of the other terms; None if zero."""
         try:
             return self._keyed
         except AttributeError:
@@ -222,9 +218,9 @@ class ModuleVector:
         if not terms:
             self._keyed = None
             return None
-        lead = min(terms)  # keys are distinct, so no coefficient is compared
-        terms.remove(lead)
-        self._keyed = (*lead, terms)
+        key, c = min(terms)  # keys are distinct, so no coefficient is compared
+        terms.remove((key, c))
+        self._keyed = (key, c, module.ring.field.invert(c), terms)
         return self._keyed
 
     def homogeneous_degree(self):
@@ -254,71 +250,107 @@ class ModuleVector:
 # -- division ---------------------------------------------------------------
 
 
-def _divide(vector, divisors, track=False):
-    """Fully reduce ``vector`` by ``divisors``; every remainder term is
-    divisible by no divisor lead.  Returns (quotients, remainder) where
-    quotients[k] satisfies vector = sum quotients[k]*divisors[k] + remainder
-    (quotients is None unless ``track``).
+def _work(vector):
+    """The terms of ``vector`` as the working dict of ``_divide``:
+    {``term_key``: coefficient}."""
+    module = vector.module
+    return {
+        term_key(module, pos, m): c
+        for pos, poly in enumerate(vector.coords)
+        for m, c in poly.terms.items()
+    }
+
+
+def _divide(module, work, divisors, track=False, lead_only=False):
+    """Fully reduce the vector of ``module`` whose terms are the working
+    dict ``work`` (``_work``, or an S-vector from ``_s_vector``; the dict is
+    consumed) by ``divisors``; every remainder term is divisible by no
+    divisor lead.  Returns (quotients, remainder) where quotients[k]
+    satisfies vector = sum quotients[k]*divisors[k] + remainder (quotients
+    is None unless ``track``).  With ``lead_only`` the division stops at the
+    first term that no lead divides: that term is the remainder's lead, and
+    the terms below it stay unreduced.
 
     The largest remaining term is reduced by the first divisor whose lead
     divides it, or else moved to the remainder.  The working vector is one
-    dict on ``term_key``s, whose keys wait in a min-heap; a term that
-    cancels stays in the heap and is skipped when popped.  A lead with key
+    dict on ``term_key``s, whose keys wait in a min-heap.  A lead with key
     L divides the term with key K iff K - L sets no guard or position bit,
     and then K - L is the key of the cofactor x^u, so the step adds
     -q * x^u times the divisor's tail (``ModuleVector.keyed``) by adding
-    K - L to each tail key; the lead itself cancels the term exactly.  A
+    K - L to each tail key; the lead itself cancels the term exactly, and
+    q is the term's coefficient times the kept inverse of the lead's.  A
     step only adds terms below the one it removes, so a popped term never
     returns and no key exceeds the twisted degree of the largest input
     term: one check at the start keeps every field in range.
+
+    Over a prime field the working coefficients are plain int sums,
+    reduced modulo p once, when their term is popped (delayed reduction,
+    as in ``poly._add_product``): a term that cancels is skipped then, and
+    each key enters the heap once.  Over Q a term that cancels is deleted
+    from the dict, stays in the heap and is skipped when popped.
     """
-    module = vector.module
     ring = module.ring
     f = ring.field
-    fadd, fmul, fdiv, fneg, is_zero = f.add, f.mul, f.div, f.neg, f.is_zero
+    p = f.p
+    fadd, fmul, fneg, is_zero = f.add, f.mul, f.neg, f.is_zero
     heappush, heappop = heapq.heappush, heapq.heappop
-    work = {
-        term_key(module, pos, m): c
-        for pos, p in enumerate(vector.coords)
-        for m, c in p.terms.items()
-    }
     heap = list(work)
     heapq.heapify(heap)
     if heap and heap[0] < module._key_floor:
         raise MonomialOverflow(
             "a division reaches a degree that does not fit a packed field"
         )
-    reducers = [g.keyed() for g in divisors]
+    reducers = [
+        (k, r[0], r[2], r[3])
+        for k, r in enumerate(g.keyed() for g in divisors)
+        if r is not None
+    ]
     mask = module._divides_mask
+    get = work.get
     rem = {}
     quots = [{} for _ in divisors] if track else None
 
     while heap:
         key = heappop(heap)
-        coeff = work.pop(key, None)
-        if coeff is None:
-            continue
-        for k, reducer in enumerate(reducers):
-            if reducer is None:
+        if p is not None:
+            coeff = work.pop(key) % p
+            if not coeff:
                 continue
-            u = key - reducer[0]
+        else:
+            coeff = work.pop(key, None)
+            if coeff is None:
+                continue
+        for k, lead_key, inverse, tail in reducers:
+            u = key - lead_key
             if u & mask:
                 continue
-            q = fdiv(coeff, reducer[1])
-            minus_q = fneg(q)
-            for tkey, tc in reducer[2]:
-                m = tkey + u
-                c = fmul(minus_q, tc)
-                old = work.get(m)
-                if old is None:
-                    work[m] = c
-                    heappush(heap, m)
-                    continue
-                c0 = fadd(old, c)
-                if is_zero(c0):
-                    del work[m]
-                else:
-                    work[m] = c0
+            if p is not None:
+                q = coeff * inverse % p
+                minus_q = p - q
+                for tkey, tc in tail:
+                    m = tkey + u
+                    old = get(m)
+                    if old is None:
+                        work[m] = minus_q * tc
+                        heappush(heap, m)
+                    else:
+                        work[m] = old + minus_q * tc
+            else:
+                q = fmul(coeff, inverse)
+                minus_q = fneg(q)
+                for tkey, tc in tail:
+                    m = tkey + u
+                    c = fmul(minus_q, tc)
+                    old = get(m)
+                    if old is None:
+                        work[m] = c
+                        heappush(heap, m)
+                        continue
+                    c0 = fadd(old, c)
+                    if is_zero(c0):
+                        del work[m]
+                    else:
+                        work[m] = c0
             if track:
                 # keys are popped in strictly increasing order, so no
                 # divisor takes the same cofactor twice
@@ -326,7 +358,17 @@ def _divide(vector, divisors, track=False):
             break
         else:
             rem[key] = coeff
+            if lead_only:
+                break
 
+    if lead_only and work:
+        # the unreduced terms below the lead, each (over a prime field)
+        # reduced once and dropped if zero
+        for key, c in work.items():
+            if p is not None:
+                c %= p
+            if c:
+                rem[key] = c
     coords = [{} for _ in range(module.rank)]
     lead = None
     for key, c in rem.items():
@@ -334,11 +376,13 @@ def _divide(vector, divisors, track=False):
         coords[pos][m] = c
         lead = lead or (pos, m, c)
     remainder = ModuleVector(module, tuple(Polynomial(ring, r) for r in coords))
-    # the remainder's terms came out largest first, so its lead and its
-    # keyed form are known
+    # the remainder's first term came out largest, so its lead and its keyed
+    # form are known
     remainder._lead = lead
     items = list(rem.items())
-    remainder._keyed = (*items[0], items[1:]) if items else None
+    remainder._keyed = (
+        (*items[0], f.invert(items[0][1]), items[1:]) if items else None
+    )
     if not track:
         return None, remainder
     shift, top = ring._shift, module._key_top
@@ -370,16 +414,42 @@ def _combine_rows(ring, combo, width):
 
 def _s_vector(basis, leads, i, j, lcm):
     """The S-vector c_i x^u_i basis[i] - c_j x^u_j basis[j], each c x^u
-    taking a lead to the monic ``lcm``, and its head ((i, {u_i: c_i}),
-    (j, {u_j: -c_j})) for ``_row_combo``."""
-    ring = basis[i].module.ring
+    taking a lead to the monic ``lcm``, as a working dict of ``_divide``,
+    and its head ((i, {u_i: c_i}), (j, {u_j: -c_j})) for ``_row_combo``.
+
+    The two leads cancel, so the dict holds the two keyed tails
+    (``ModuleVector.keyed``), each shifted by the key of the lcm term minus
+    the key of its lead and scaled by the kept inverse of its lead
+    coefficient.  Over a prime field the values are unreduced int sums, as
+    ``_divide`` takes them; over Q a term that cancels is dropped."""
+    module = basis[i].module
+    ring = module.ring
     f = ring.field
+    p = f.p
+    top = term_key(module, leads[i][0], lcm)
+    key_i, _, ci, tail_i = basis[i].keyed()
+    key_j, _, cj, tail_j = basis[j].keyed()
+    shift_i, shift_j = top - key_i, top - key_j
+    minus_cj = f.neg(cj)
+    if p is not None:
+        work = {k + shift_i: ci * c for k, c in tail_i}
+        get = work.get
+        for k, c in tail_j:
+            k += shift_j
+            work[k] = get(k, 0) + minus_cj * c
+    else:
+        fadd, fmul, zero = f.add, f.mul, f.zero
+        work = {k + shift_i: fmul(ci, c) for k, c in tail_i}
+        for k, c in tail_j:
+            k += shift_j
+            c0 = fadd(work.get(k, zero), fmul(minus_cj, c))
+            if c0:
+                work[k] = c0
+            else:
+                del work[k]
     ui = ring.mono_div(lcm, leads[i][1])
     uj = ring.mono_div(lcm, leads[j][1])
-    ci = f.invert(leads[i][2])
-    cj = f.invert(leads[j][2])
-    s = basis[i].mul_term(ci, ui) - basis[j].mul_term(cj, uj)
-    return s, ((i, {ui: ci}), (j, {uj: f.neg(cj)}))
+    return work, ((i, {ui: ci}), (j, {uj: minus_cj}))
 
 
 def _row_combo(head, quots, rows):
@@ -436,7 +506,7 @@ class SubmoduleGB:
         return self.generators + self.adjoined
 
     def normal_form(self, v):
-        _, r = _divide(v, self.gb, track=False)
+        _, r = _divide(v.module, _work(v), self.gb)
         return r
 
     def contains(self, v):
@@ -450,7 +520,7 @@ class SubmoduleGB:
             raise InternalError(
                 "basis built without rows; lift needs a tracked basis (internal)"
             )
-        quots, rem = _divide(v, self.gb, track=True)
+        quots, rem = _divide(v.module, _work(v), self.gb, track=True)
         if not rem.is_zero():
             raise NotInModule("vector has nonzero normal form")
         ring = self.ambient.ring
@@ -514,9 +584,17 @@ def _pair_loop(ambient, gens, *, track, floor=None):
     reduce to zero and is marked done unprocessed; S_d < F_d contradicts
     the floor and raises InternalError.  Each nonzero remainder of degree d
     adds one monomial to L_d, so once S_d - F_d remainders are in, the rest
-    of degree d is skipped too.  The basis therefore grows exactly as
-    without a floor, and if the pairs run out first the series comes from
-    its leads, so ``series`` is HS(ambient / M) either way.
+    of degree d is skipped too.  If the pairs run out first the basis is a
+    Groebner basis and the series comes from its leads, so ``series`` is
+    HS(ambient / M) either way.  Only the leads are read, so with a floor an
+    S-vector is divided only until its lead is divisible by no basis lead
+    (``_divide`` with ``lead_only``), and its tail stays unreduced: that
+    lead is still a new monomial of in(M), which is all the argument uses.
+    Without a floor every remainder is reduced fully: tracked rows become
+    lift witnesses, and untracked bases with reduced tails make less work
+    for later pairs and for ``_reduce_basis``.  The series of L is kept one
+    numerator per position (``_LeadsSeries``), each new lead updating its
+    own.
     """
     ring = ambient.ring
     for g in gens:
@@ -554,16 +632,19 @@ def _pair_loop(ambient, gens, *, track, floor=None):
                 pairs.append(pair(j, i))
     heapq.heapify(pairs)
     done = set()
+    floored = floor is not None
+    if floored:
+        lead_series = _LeadsSeries(ambient, leads)
     degree = None
     excess = 0  # S_d - F_d: the nonzero remainders degree d can still add
 
     while pairs:
         d, i, j, lcm = heapq.heappop(pairs)
         done.add((i, j))
-        if floor is not None:
+        if floored:
             if d != degree:
                 degree = d
-                gap = _leads_series(ambient, leads).sub(floor)
+                gap = lead_series.series().sub(floor)
                 if not gap.numer:
                     return adjoined, basis, rows, floor
                 excess = gap.expand(d).get(d, 0)
@@ -590,9 +671,9 @@ def _pair_loop(ambient, gens, *, track, floor=None):
         if chained:
             continue
         s, head = _s_vector(basis, leads, i, j, lcm)
-        if s.is_zero():
+        if not s:
             continue
-        quots, rem = _divide(s, basis, track=track)
+        quots, rem = _divide(ambient, s, basis, track=track, lead_only=floored)
         if rem.is_zero():
             continue
         excess -= 1
@@ -602,11 +683,13 @@ def _pair_loop(ambient, gens, *, track, floor=None):
         new_index = len(basis)
         basis.append(rem)
         leads.append(rem.lead())
+        if floored:
+            lead_series.add(leads[new_index])
         for k in range(new_index):
             if leads[k][0] == leads[new_index][0]:
                 heapq.heappush(pairs, pair(k, new_index))
 
-    series = None if floor is None else _leads_series(ambient, leads)
+    series = lead_series.series() if floored else None
     return adjoined, basis, rows, series
 
 
@@ -629,11 +712,11 @@ def _reduce_basis(ambient, gens, adjoined, basis, rows, *, track=True):
     final_rows = [] if track else None
     for idx in kept:
         others = [basis[k] for k in kept if k != idx]
-        quots, rem = _divide(basis[idx], others, track=track)
+        quots, rem = _divide(ambient, _work(basis[idx]), others, track=track)
         if rem.is_zero():
             continue
-        pos, m, coeff = rem.lead()
-        inv = f.invert(coeff)
+        pos, m, _ = rem.lead()
+        inv = rem.keyed()[2]
         monic = rem.scale(inv)
         monic._lead = (pos, m, f.one)  # scaling keeps the lead monomial
         final.append(monic)
@@ -720,7 +803,7 @@ def _syzygy_generators(gens, ambient, ncols, *, adjoined_rows=False):
                 continue
             lcm = ring.mono_lcm(leads[i][1], leads[j][1])
             s, head = _s_vector(basis, leads, i, j, lcm)
-            quots, rem = _divide(s, basis, track=True)
+            quots, rem = _divide(ambient, s, basis, track=True)
             if not rem.is_zero():
                 raise InternalError(
                     "reduced basis failed an S-vector reduction (internal)"
@@ -728,7 +811,7 @@ def _syzygy_generators(gens, ambient, ncols, *, adjoined_rows=False):
             combos.append(_row_combo(head, quots, rows))
     one = ring.one().terms
     for j, g in enumerate(working if adjoined_rows else gb.generators):
-        quots, rem = _divide(g, basis, track=True)
+        quots, rem = _divide(ambient, _work(g), basis, track=True)
         if not rem.is_zero():
             raise InternalError("generator not reduced by own basis (internal)")
         combo = _row_combo((), quots, rows)
@@ -932,11 +1015,18 @@ def _monomial_quotient_numerator(weights, gens):
     if any(all(e == 0 for e in g) for g in gens):
         return {}
     gens = sorted(gens, key=lambda m: (sum(map(mul, weights, m)), m))
-    pivot = gens[-1]
     rest = gens[:-1]
-    base = _monomial_quotient_numerator(weights, rest)
+    return _adjoin_numerator(
+        weights, _monomial_quotient_numerator(weights, rest), rest, gens[-1]
+    )
+
+
+def _adjoin_numerator(weights, base, gens, pivot):
+    """The numerator of R/(gens, pivot) from ``base``, that of R/(gens):
+    0 -> R/(gens : pivot)(-deg pivot) -> R/(gens) -> R/(gens, pivot) -> 0
+    is exact."""
     coloned = [
-        tuple(max(e - p, 0) for e, p in zip(g, pivot)) for g in rest
+        tuple(max(e - p, 0) for e, p in zip(g, pivot)) for g in gens
     ]
     tail = _monomial_quotient_numerator(weights, coloned)
     d = sum(map(mul, weights, pivot))
@@ -952,19 +1042,46 @@ class HilbertData:
     dimension: object  # int when finite, None when infinite
 
 
+class _LeadsSeries:
+    """HS(ambient / L) for a growing monomial submodule L, kept as one
+    numerator per position: ``add`` updates only the position of the new
+    lead, by one ``_adjoin_numerator``."""
+
+    __slots__ = ("ambient", "exps", "numerators")
+
+    def __init__(self, ambient, leads):
+        ring = ambient.ring
+        self.ambient = ambient
+        self.exps = [[] for _ in range(ambient.rank)]
+        for pos, m, _ in leads:
+            self.exps[pos].append(ring.unpack(m))
+        self.numerators = [
+            _monomial_quotient_numerator(ring.weights, e) for e in self.exps
+        ]
+
+    def add(self, lead):
+        """Adjoin the lead (position, monomial, coefficient) to L."""
+        pos, m, _ = lead
+        ring = self.ambient.ring
+        e = ring.unpack(m)
+        self.numerators[pos] = _adjoin_numerator(
+            ring.weights, self.numerators[pos], self.exps[pos], e
+        )
+        self.exps[pos].append(e)
+
+    def series(self):
+        total = {}
+        for numer, shift in zip(self.numerators, self.ambient.twists):
+            for d, c in numer.items():
+                total[d + shift] = total.get(d + shift, 0) + c
+        return HilbertSeries.from_dict(total, self.ambient.ring.weights)
+
+
 def _leads_series(ambient, leads):
     """HS(ambient / L), L the monomial submodule spanned by ``leads``
     ((position, monomial, coefficient) triples, as ``ModuleVector.lead``
     gives them)."""
-    ring = ambient.ring
-    by_pos = [[] for _ in range(ambient.rank)]
-    for pos, m, _ in leads:
-        by_pos[pos].append(ring.unpack(m))
-    total = {}
-    for monos, shift in zip(by_pos, ambient.twists):
-        for d, c in _monomial_quotient_numerator(ring.weights, monos).items():
-            total[d + shift] = total.get(d + shift, 0) + c
-    return HilbertSeries.from_dict(total, ring.weights)
+    return _LeadsSeries(ambient, leads).series()
 
 
 def hilbert_data(m_gb):

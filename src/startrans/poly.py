@@ -273,16 +273,10 @@ class Polynomial:
         f = self.ring.field
         if f.is_zero(c):
             return self.ring.zero()
+        p = f.p
+        if p is not None:  # a product of two nonzero residues is nonzero
+            return Polynomial(self.ring, {m: c * v % p for m, v in self.terms.items()})
         return Polynomial(self.ring, {m: f.mul(c, v) for m, v in self.terms.items()})
-
-    def mul_term(self, coeff, u):
-        """Multiply by the single term ``coeff * x^u``, u packed."""
-        ring = self.ring
-        f = ring.field
-        if f.is_zero(coeff) or not self.terms:
-            return ring.zero()
-        ring.mono_mul(max(self.terms), u)  # the largest product fits, so all do
-        return Polynomial(ring, {m + u: f.mul(coeff, c) for m, c in self.terms.items()})
 
     def __eq__(self, other):
         return (
@@ -329,15 +323,24 @@ def _overflow(degree):
 
 def _add_product(acc, terms1, terms2, ring):
     """Add the product of two nonempty term dicts of ``ring`` into the
-    accumulator dict ``acc``.  Coefficients that cancel are left in place as
-    zeros, so a sum of products allocates no intermediate polynomial;
-    ``_from_accumulator`` drops them once at the end.  The two largest
-    monomials have the largest degrees, so if their product fits, every
-    product does: one ``mono_mul`` checks the whole loop."""
+    accumulator dict ``acc``, which only ``_from_accumulator`` reads, so a
+    sum of products allocates no intermediate polynomial.  Over a prime
+    field (``field.p`` set) the accumulator holds plain int sums of c1 * c2,
+    reduced modulo p once per output term by ``_from_accumulator`` (delayed
+    reduction, Monagan and Pearce, JSC 46 (2011)); over Q it holds field
+    sums, and coefficients that cancel stay in place as zeros.  The two
+    largest monomials have the largest degrees, so if their product fits,
+    every product does: one ``mono_mul`` checks the whole loop."""
     ring.mono_mul(max(terms1), max(terms2))
     field = ring.field
-    fadd, fmul, zero = field.add, field.mul, field.zero
     get = acc.get
+    if field.p is not None:
+        for m1, c1 in terms1.items():
+            for m2, c2 in terms2.items():
+                m = m1 + m2
+                acc[m] = get(m, 0) + c1 * c2
+        return
+    fadd, fmul, zero = field.add, field.mul, field.zero
     for m1, c1 in terms1.items():
         for m2, c2 in terms2.items():
             m = m1 + m2
@@ -345,6 +348,11 @@ def _add_product(acc, terms1, terms2, ring):
 
 
 def _from_accumulator(ring, acc):
+    """The polynomial of an ``_add_product`` accumulator: each coefficient
+    reduced modulo p over a prime field, and the zeros dropped."""
+    p = ring.field.p
+    if p is not None:
+        return Polynomial(ring, {m: r for m, c in acc.items() if (r := c % p)})
     is_zero = ring.field.is_zero
     return Polynomial(ring, {m: c for m, c in acc.items() if not is_zero(c)})
 

@@ -95,7 +95,7 @@ def degree_span(gens, module, d):
         if e is None or e > d:
             continue
         for mono in monomials_of_degree(ring, d - e):
-            shifted = g.mul_term(ring.field.one, ring.pack(mono))
+            shifted = g.mul_poly(ring.monomial(mono))
             ech.add(dense_vector(shifted, index, ring.field))
     return ech, index
 
@@ -155,7 +155,7 @@ def brute_colon_basis(m_gens, q_polys, module, d):
         target_d = d + dq
         ech, index = degree_span(m_gens, module, target_d)
         for col, (pos, exps) in enumerate(f_basis):
-            b = module.basis_vector(pos).mul_term(field.one, ring.pack(exps))
+            b = module.basis_vector(pos).mul_poly(ring.monomial(exps))
             residual = ech.reduce(dense_vector(b.mul_poly(q), index, field))
             constraint_rows[col].append(residual)
     # transpose: one row per residual component, one column per f-basis elt
@@ -197,7 +197,7 @@ def brute_kernel_basis(gens, module, d):
     columns = []
     for i, mono in unknowns:
         columns.append(
-            dense_vector(gens[i].mul_term(field.one, ring.pack(mono)), index, field)
+            dense_vector(gens[i].mul_poly(ring.monomial(mono)), index, field)
         )
     rows = [
         [columns[j][r] for j in range(len(unknowns))]
@@ -235,7 +235,7 @@ def span_contained(gens_a, gens_b, module, d):
             continue
         for mono in monomials_of_degree(ring, d - e):
             vec = dense_vector(
-                g.mul_term(ring.field.one, ring.pack(mono)), index, ring.field
+                g.mul_poly(ring.monomial(mono)), index, ring.field
             )
             if not ech.contains(vec):
                 return False
@@ -255,7 +255,7 @@ def spans_agree(gens_a, gens_b, module, d):
             continue
         for mono in monomials_of_degree(ring, d - e):
             vec = dense_vector(
-                g.mul_term(ring.field.one, ring.pack(mono)), index, ring.field
+                g.mul_poly(ring.monomial(mono)), index, ring.field
             )
             if not ech_a.contains(vec):
                 return False

@@ -7,11 +7,13 @@ not re-check its squares; ``select_basis`` reaches the minimal top map by
 one column elimination, which ``restricted_top_map`` redoes by residue
 pivots and lifts through a tracked Groebner basis; the acyclicity
 certificate works top-down and stops each image's Buchberger run at its
-Hilbert floor.  The
-helpers here recompute those facts the long way, so the tests can compare.
+Hilbert floor; the products over a prime field reduce modulo p once per
+output term.  The helpers here recompute those facts the long way, so the
+tests can compare.
 """
 
 from dataclasses import dataclass
+from operator import add
 
 from startrans import FreeComplex, GradedFreeModule, PolyMatrix, buchberger, validate_sop
 from startrans.complexes import (
@@ -34,6 +36,23 @@ FIXED_CHECKS = (
     "rank_accounting",
     "colon_quotient_count",
 )
+
+
+def termwise_products(ring, pairs):
+    """The sum of a * b over the (term dict a, term dict b) ``pairs``,
+    product by product on exponent tuples with ``field.mul`` and
+    ``field.add``, as {exponent tuple: coefficient} without zeros.  The
+    package's products reduce modulo p once per output term over a prime
+    field; this oracle reduces at every operation."""
+    f = ring.field
+    out = {}
+    for a, b in pairs:
+        for ma, ca in a.items():
+            ea = ring.unpack(ma)
+            for mb, cb in b.items():
+                e = tuple(map(add, ea, ring.unpack(mb)))
+                out[e] = f.add(out.get(e, f.zero), f.mul(ca, cb))
+    return {e: c for e, c in out.items() if not f.is_zero(c)}
 
 
 def zero_matrix(ring, nrows, ncols):

@@ -39,6 +39,8 @@ from startrans import (
     verify_star,
 )
 from startrans import modules, verify
+from startrans.errors import InternalError
+from startrans.modules import ring_series
 from startrans.instances import exa_instance
 
 
@@ -217,10 +219,11 @@ def form(draw, ring, degree, power_of=None):
 
 
 @st.composite
-def koszul_problems(draw):
+def koszul_problems(draw, names=tuple(sorted(RINGS))):
     """(name, complex, sop): the Koszul complex of (q_i * f_i) and the
-    parameters q_i, as in the benchmark's generic instances but small."""
-    name = draw(st.sampled_from(sorted(RINGS)))
+    parameters q_i, as in the benchmark's generic instances but small, over
+    one of the rings ``names``."""
+    name = draw(st.sampled_from(names))
     ring = RINGS[name]()
     n = 2 if ring.quotient else ring.nvars
     params, gens = [], []
@@ -337,6 +340,61 @@ def test_floored_certificate_divides_less(monkeypatch):
     full = _verdict(full_hilbert_certificate(replace(out)))
     assert floored == full == (True, -1, "")
     assert floored_calls < len(calls)
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_cokernel_series_equals_the_reduced_basis_series(name, data):
+    # the floored loop divides S-vectors only down to their leads; under
+    # the zero floor it runs every pair, under the certificate's floor and
+    # the exact series it stops early, and the series is exact each time
+    _, comp, _ = data.draw(koszul_problems((name,)))
+    base = ring_series(comp.ring)
+    n = comp.length
+    exact = [
+        buchberger(comp.module(p - 1), comp.image_gens(p), track=False).series()
+        for p in range(1, n + 1)
+    ] + [base.twisted(comp.module(n).twists)]
+    for p in range(1, n + 1):
+        ambient = comp.module(p - 1)
+        free = base.twisted(ambient.twists)
+        floors = (free.sub(free), free.sub(exact[p]), exact[p - 1])
+        for floor in floors:
+            got = modules.cokernel_series(ambient, comp.image_gens(p), floor)
+            assert got == exact[p - 1], (name, p, floor)
+
+
+def test_only_the_floored_loop_divides_to_the_lead(monkeypatch):
+    ring = RINGS["Q[x,y,z]/(z^2)"]()
+    ambient = GradedFreeModule(ring, 1, (0,))
+    gens = [ambient.vector((ring.parse(t),)) for t in ("x^2 + y*z", "x*y - z^2", "y^3")]
+    zero = ring_series(ring).sub(ring_series(ring))
+    flags = []
+    real = modules._divide
+
+    def recording(*args, lead_only=False, **kwargs):
+        flags.append(lead_only)
+        return real(*args, lead_only=lead_only, **kwargs)
+
+    monkeypatch.setattr(modules, "_divide", recording)
+    expected = buchberger(ambient, gens, track=True).series()
+    assert buchberger(ambient, gens, track=False).series() == expected
+    assert flags and not any(flags)
+    flags.clear()
+    assert modules.cokernel_series(ambient, gens, zero) == expected
+    assert flags and all(flags)
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_a_floor_above_the_series_is_an_internal_error(name):
+    # HS(F) is above HS(F / <x, y>): the first pair degree finds fewer
+    # standard monomials than the floor asks for
+    ring = RINGS[name]()
+    ambient = GradedFreeModule(ring, 1, (0,))
+    gens = [ambient.vector((ring.var(0),)), ambient.vector((ring.var(1),))]
+    with pytest.raises(InternalError, match="lead terms fell below the Hilbert floor"):
+        modules.cokernel_series(ambient, gens, ring_series(ring))
 
 
 # -- one Hilbert series per basis ---------------------------------------------

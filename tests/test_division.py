@@ -1,11 +1,20 @@
-"""Property tests of the module division against a linear-scan oracle.
+"""Property tests of the coefficient kernel: the module division against
+a linear-scan oracle, and the products against a per-term oracle.
 
-The oracle is the division the engine used before its heap and its packed
-monomials: it works on exponent tuples (``ring.unpack``) under the tuple
-key (-degree - twist, position, reversed exponents), and every step it
-recomputes the key of every remaining term and reduces the largest one by
-the first divisor whose lead divides it.  The engine must return the same
-quotients and remainder, and both must satisfy the division identity.
+The division oracle is the division the engine used before its heap and
+its packed monomials: it works on exponent tuples (``ring.unpack``) under
+the tuple key (-degree - twist, position, reversed exponents), and every
+step it recomputes the key of every remaining term and reduces the largest
+one by the first divisor whose lead divides it.  The engine must return the
+same quotients and remainder, and both must satisfy the division identity.
+The product oracle (``reference.termwise_products``) reduces at every
+field operation, where the package reduces modulo p once per output term.
+
+The fields run from p = 2 and 3, where most small integers vanish or
+collide, to p = 2^61 - 1, where products of residues pass 2^62, and Q.
+Every stored coefficient must be canonical (``_canonical``): polynomials
+compare by their term dicts, so an unreduced residue would break equality
+without any other sign.
 """
 
 from fractions import Fraction
@@ -14,8 +23,31 @@ from operator import add, le, mul, sub
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from startrans import GradedFreeModule, PolyRing, PrimeField, RationalField
-from startrans.modules import _divide
+from reference import termwise_products
+from startrans import GradedFreeModule, PolyMatrix, PolyRing, PrimeField, RationalField
+from startrans.modules import _combine_rows, _divide, _s_vector, _term_of_key, _work
+
+FIELDS = [
+    PrimeField(2),
+    PrimeField(3),
+    PrimeField(7),
+    PrimeField(32003),
+    PrimeField(2**61 - 1),
+    RationalField(),
+]
+
+
+def _canonical(poly):
+    """Every coefficient is a nonzero scalar in the field's one form: an
+    int in 1..p-1 over a prime field, a ``Fraction`` over Q."""
+    p = poly.ring.field.p
+    if p is None:
+        return all(type(c) is Fraction and c for c in poly.terms.values())
+    return all(type(c) is int and 0 < c < p for c in poly.terms.values())
+
+
+def divide(vector, divisors, **kwargs):
+    return _divide(vector.module, _work(vector), divisors, **kwargs)
 
 
 def tuple_term_key(module, pos, exps):
@@ -100,19 +132,28 @@ NAMES = ("x", "y")
 
 @st.composite
 def rings(draw):
-    field = draw(st.sampled_from([PrimeField(7), RationalField()]))
+    field = draw(st.sampled_from(FIELDS))
     weights = tuple(draw(st.integers(1, 2)) for _ in NAMES)
     return PolyRing(field, NAMES, weights)
 
 
+def scalars(field):
+    """Nonzero scalars from small fractions whose denominator the field can
+    invert; over p = 2 and 3 some still vanish."""
+    p = field.p
+    fractions = st.builds(
+        Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 3)
+    ).filter(lambda c: p is None or c.denominator % p)
+    return fractions.map(
+        lambda c: field.from_fraction(c.numerator, c.denominator)
+    ).filter(lambda c: not field.is_zero(c))
+
+
 def polynomials(ring, max_terms):
     exps = st.tuples(*[st.integers(0, 2) for _ in range(ring.nvars)])
-    coeffs = st.builds(
-        Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 3)
-    ).map(lambda c: ring.field.from_fraction(c.numerator, c.denominator))
-    return st.lists(st.tuples(exps, coeffs), min_size=1, max_size=max_terms).map(
-        ring.from_terms
-    )
+    return st.lists(
+        st.tuples(exps, scalars(ring.field)), min_size=1, max_size=max_terms
+    ).map(ring.from_terms)
 
 
 @st.composite
@@ -138,8 +179,8 @@ def test_division_matches_linear_scan_and_the_identity(problem):
     vector, divisors = problem
     ring = vector.module.ring
 
-    quots, rem = _divide(vector, divisors, track=True)
-    _, rem_untracked = _divide(vector, divisors, track=False)
+    quots, rem = divide(vector, divisors, track=True)
+    _, rem_untracked = divide(vector, divisors, track=False)
 
     oracle_quots, oracle_rem, oracle_leads = linear_scan_divide(vector, divisors)
     leads = [g.lead() for g in divisors]
@@ -150,6 +191,8 @@ def test_division_matches_linear_scan_and_the_identity(problem):
     assert quots == oracle_quots
     assert rem == oracle_rem
     assert rem_untracked == rem
+    assert all(_canonical(c) for c in rem.coords)
+    assert all(_canonical(q) for q in quots)
 
     recombined = rem
     for q, g in zip(quots, divisors):
@@ -164,3 +207,110 @@ def test_division_matches_linear_scan_and_the_identity(problem):
                 and all(map(le, lead[1], exps))
                 for lead in oracle_leads
             )
+
+
+@settings(max_examples=50, deadline=None)
+@given(division_problems())
+def test_division_to_the_lead_keeps_the_lead_and_the_identity(problem):
+    # the floored pair loop stops at the remainder's lead: the same lead as
+    # the full division, and the quotients so far still recombine
+    vector, divisors = problem
+    _, rem = divide(vector, divisors)
+    quots, rem_lead = divide(vector, divisors, track=True, lead_only=True)
+    assert rem_lead.lead() == rem.lead()
+    *lead, tail = rem_lead.keyed() or (None, [])
+    *fresh_lead, fresh_tail = rem_lead.module.vector(rem_lead.coords).keyed() or (None, [])
+    assert lead == fresh_lead and sorted(tail) == sorted(fresh_tail)
+    assert all(_canonical(c) for c in rem_lead.coords)
+    recombined = rem_lead
+    for q, g in zip(quots, divisors):
+        recombined = recombined + g.mul_poly(q)
+    assert recombined == vector
+
+
+@st.composite
+def product_problems(draw):
+    """A ring, a 2x3 and a 3x2 matrix of polynomials (some entries zero)
+    and a nonzero scalar."""
+    ring = draw(rings())
+    entries = st.one_of(st.just(ring.zero()), polynomials(ring, 4))
+
+    def matrix(nrows, ncols):
+        return PolyMatrix(
+            ring, [[draw(entries) for _ in range(ncols)] for _ in range(nrows)]
+        )
+
+    return ring, matrix(2, 3), matrix(3, 2), draw(scalars(ring.field))
+
+
+def _unpacked_canonical(p):
+    assert _canonical(p)
+    return _unpacked(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(product_problems())
+def test_products_match_the_termwise_oracle(problem):
+    ring, a, b, c = problem
+    product = a @ b
+    column = b.column(0)
+    applied = a.apply(column)
+    for i in range(a.nrows):
+        row = a.row(i)
+        combined = _combine_rows(
+            ring, [(e.terms, b.row(k)) for k, e in enumerate(row) if e.terms], b.ncols
+        )
+        for j in range(b.ncols):
+            expected = termwise_products(
+                ring, [(e.terms, b.entry(k, j).terms) for k, e in enumerate(row)]
+            )
+            assert _unpacked_canonical(product.entry(i, j)) == expected
+            assert _unpacked_canonical(combined[j]) == expected
+            assert _unpacked_canonical(row[j] * b.entry(j, i)) == termwise_products(
+                ring, [(row[j].terms, b.entry(j, i).terms)]
+            )
+        assert _unpacked_canonical(applied[i]) == termwise_products(
+            ring, [(e.terms, x.terms) for e, x in zip(row, column)]
+        )
+        for e in row:
+            assert _unpacked_canonical(e.scale(c)) == termwise_products(
+                ring, [(e.terms, {0: c})]
+            )
+
+
+@settings(max_examples=50, deadline=None)
+@given(division_problems())
+def test_s_vectors_match_the_termwise_oracle(problem):
+    # ``_s_vector`` builds c_i x^u_i g_i - c_j x^u_j g_j from the keyed
+    # tails alone; its head holds the two terms it multiplied by
+    vector, divisors = problem
+    basis = [g for g in (vector, *divisors) if g.lead() is not None]
+    leads = [g.lead() for g in basis]
+    module = vector.module
+    ring = module.ring
+    f = ring.field
+    for j in range(len(basis)):
+        for i in range(j):
+            if leads[i][0] != leads[j][0]:
+                continue
+            lcm = ring.mono_lcm(leads[i][1], leads[j][1])
+            work, ((_, head_i), (_, head_j)) = _s_vector(basis, leads, i, j, lcm)
+            for (u, c), lead in ((*head_i.items(), leads[i]), (*head_j.items(), leads[j])):
+                assert ring.mono_mul(u, lead[1]) == lcm
+                assert f.mul(c, lead[2]) in (f.one, f.neg(f.one))
+            got = {}
+            for key, c in work.items():
+                if f.p is not None:
+                    c %= f.p
+                assert c or f.p is not None  # over Q nothing cancelled is kept
+                if c:
+                    pos, m = _term_of_key(module, key)
+                    got[(pos, ring.unpack(m))] = c
+            expected = {}
+            for pos in range(module.rank):
+                products = termwise_products(
+                    ring,
+                    [(basis[i].coords[pos].terms, head_i), (basis[j].coords[pos].terms, head_j)],
+                )
+                expected.update({(pos, e): c for e, c in products.items()})
+            assert got == expected

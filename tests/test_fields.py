@@ -1,4 +1,5 @@
-"""The rational field kernel against the ``Fraction`` operators.
+"""The rational field kernel against the ``Fraction`` operators, and the
+prime-field inverse.
 
 ``RationalField`` builds its results from the numerator and denominator
 slots instead of calling the operators; these tests keep the operators as
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from fraction_check import check_pair
 from startrans import fields
-from startrans.fields import RationalField
+from startrans.fields import PrimeField, RationalField
 
 SMALL = st.integers(-12, 12)
 BIG = st.integers(-(2**200), 2**200)
@@ -69,3 +70,15 @@ def test_import_refuses_another_fraction_layout(monkeypatch):
     module = importlib.util.module_from_spec(spec)
     with pytest.raises(ImportError, match=platform.python_version()):
         spec.loader.exec_module(module)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 32003, 2**61 - 1])
+def test_prime_field_inverse(p):
+    f = PrimeField(p)
+    assert f.p == p and RationalField.p is None
+    for a in {1, p - 1, p // 2 or 1, 12345 % p or 1, (2**40 + 7) % p or 1}:
+        inv = f.invert(a)
+        assert 0 < inv < p and a * inv % p == 1
+    for zero in (0, p, -3 * p):
+        with pytest.raises(ZeroDivisionError):
+            f.invert(zero)
