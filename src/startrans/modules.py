@@ -443,10 +443,10 @@ def _s_vector(basis, leads, i, j, lcm):
         for k, c in tail_j:
             k += shift_j
             c0 = fadd(work.get(k, zero), fmul(minus_cj, c))
-            if c0:
-                work[k] = c0
-            else:
+            if f.is_zero(c0):
                 del work[k]
+            else:
+                work[k] = c0
     ui = ring.mono_div(lcm, leads[i][1])
     uj = ring.mono_div(lcm, leads[j][1])
     return work, ((i, {ui: ci}), (j, {uj: minus_cj}))

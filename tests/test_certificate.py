@@ -40,8 +40,8 @@ from startrans import (
 )
 from startrans import modules, verify
 from startrans.errors import InternalError
-from startrans.modules import ring_series
 from startrans.instances import exa_instance
+from startrans.modules import ring_series
 
 
 def _ring(field, names, weights=None, quotient=()):

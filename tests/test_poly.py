@@ -16,6 +16,7 @@ from startrans import (
     PolyRing,
     PrimeField,
     RationalField,
+    buchberger,
     format_polynomial,
 )
 from startrans.modules import term_key
@@ -326,6 +327,18 @@ def test_homogeneity_certificate(ring):
 
 
 # -- packed monomials --------------------------------------------------------
+
+
+def test_s_vectors_that_overflow_raise():
+    # the lcm of the two leads fits, but y times the tail at the lower
+    # twist reaches degree MAX_DEGREE
+    ring = PolyRing(PrimeField(7), ("x", "y"))
+    d = MAX_DEGREE - 11
+    module = GradedFreeModule(ring, 2, (0, -10))
+    g1 = module.vector((ring.monomial((d, 0)), ring.monomial((0, d + 10))))
+    g2 = module.vector((ring.monomial((d - 1, 1)), ring.zero()))
+    with pytest.raises(MonomialOverflow):
+        buchberger(module, [g1, g2])
 
 
 def _quotient_ring():
