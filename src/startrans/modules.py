@@ -283,11 +283,10 @@ def _divide(module, work, divisors, track=False, lead_only=False):
     returns and no key exceeds the twisted degree of the largest input
     term: one check at the start keeps every field in range.
 
-    Over a prime field the working coefficients are plain int sums,
-    reduced modulo p once, when their term is popped (delayed reduction,
-    as in ``poly._add_product``): a term that cancels is skipped then, and
-    each key enters the heap once.  Over Q a term that cancels is deleted
-    from the dict, stays in the heap and is skipped when popped.
+    A term that cancels stays in the dict until it is popped, and is
+    skipped then, so each key enters the heap once.  Over a prime field the
+    working coefficients are plain int sums, reduced modulo p once, when
+    their term is popped (delayed reduction, as in ``poly._add_product``).
     """
     ring = module.ring
     f = ring.field
@@ -312,14 +311,11 @@ def _divide(module, work, divisors, track=False, lead_only=False):
 
     while heap:
         key = heappop(heap)
+        coeff = work.pop(key)
         if p is not None:
-            coeff = work.pop(key) % p
-            if not coeff:
-                continue
-        else:
-            coeff = work.pop(key, None)
-            if coeff is None:
-                continue
+            coeff %= p
+        if is_zero(coeff):
+            continue
         for k, lead_key, inverse, tail in reducers:
             u = key - lead_key
             if u & mask:
@@ -340,17 +336,12 @@ def _divide(module, work, divisors, track=False, lead_only=False):
                 minus_q = fneg(q)
                 for tkey, tc in tail:
                     m = tkey + u
-                    c = fmul(minus_q, tc)
                     old = get(m)
                     if old is None:
-                        work[m] = c
+                        work[m] = fmul(minus_q, tc)
                         heappush(heap, m)
-                        continue
-                    c0 = fadd(old, c)
-                    if is_zero(c0):
-                        del work[m]
                     else:
-                        work[m] = c0
+                        work[m] = fadd(old, fmul(minus_q, tc))
             if track:
                 # keys are popped in strictly increasing order, so no
                 # divisor takes the same cofactor twice
@@ -361,13 +352,13 @@ def _divide(module, work, divisors, track=False, lead_only=False):
             if lead_only:
                 break
 
-    if lead_only and work:
-        # the unreduced terms below the lead, each (over a prime field)
-        # reduced once and dropped if zero
+    if lead_only:
+        # the unreduced terms below the lead, each reduced modulo p once
+        # over a prime field, and dropped if zero
         for key, c in work.items():
             if p is not None:
                 c %= p
-            if c:
+            if not is_zero(c):
                 rem[key] = c
     coords = [{} for _ in range(module.rank)]
     lead = None
@@ -421,7 +412,7 @@ def _s_vector(basis, leads, i, j, lcm):
     (``ModuleVector.keyed``), each shifted by the key of the lcm term minus
     the key of its lead and scaled by the kept inverse of its lead
     coefficient.  Over a prime field the values are unreduced int sums, as
-    ``_divide`` takes them; over Q a term that cancels is dropped."""
+    ``_divide`` takes them; a term that cancels stays, as a zero."""
     module = basis[i].module
     ring = module.ring
     f = ring.field
@@ -440,13 +431,10 @@ def _s_vector(basis, leads, i, j, lcm):
     else:
         fadd, fmul, zero = f.add, f.mul, f.zero
         work = {k + shift_i: fmul(ci, c) for k, c in tail_i}
+        get = work.get
         for k, c in tail_j:
             k += shift_j
-            c0 = fadd(work.get(k, zero), fmul(minus_cj, c))
-            if f.is_zero(c0):
-                del work[k]
-            else:
-                work[k] = c0
+            work[k] = fadd(get(k, zero), fmul(minus_cj, c))
     ui = ring.mono_div(lcm, leads[i][1])
     uj = ring.mono_div(lcm, leads[j][1])
     return work, ((i, {ui: ci}), (j, {uj: minus_cj}))
@@ -671,8 +659,6 @@ def _pair_loop(ambient, gens, *, track, floor=None):
         if chained:
             continue
         s, head = _s_vector(basis, leads, i, j, lcm)
-        if not s:
-            continue
         quots, rem = _divide(ambient, s, basis, track=track, lead_only=floored)
         if rem.is_zero():
             continue
