@@ -138,8 +138,9 @@ def rings(draw):
 
 
 def scalars(field):
-    """Nonzero scalars from small fractions whose denominator the field can
-    invert; over p = 2 and 3 some still vanish."""
+    """Nonzero scalars: small fractions whose denominator the field can
+    invert, read in the field, leaving out those that vanish there (over
+    p = 2 and 3 many do)."""
     p = field.p
     fractions = st.builds(
         Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 3)
