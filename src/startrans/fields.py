@@ -15,12 +15,18 @@ do (lowest terms, positive denominator), so values, ``==``, ``hash`` and
 layout of ``Fraction``, which is checked once at import: a Python that lays
 it out differently gets an ``ImportError``, not wrong arithmetic.
 
-Over a prime field the hot loops do not call these methods at all: the
-products, the scaling and the division step of ``poly`` and ``modules``
-read the plain attribute ``p`` (``None`` on ``RationalField``) and then
-compute on ints with an inline ``%``.  Sums of products stay unreduced
-ints until their term is complete and are reduced modulo p once (delayed
-reduction); every coefficient they store is again an int in ``1..p-1``.
+The products and the division step of ``poly`` and ``modules`` do not
+call these methods per term: they read the plain attribute ``p`` (``None``
+on ``RationalField``) and then compute on ints.  Over a prime field they
+use an inline ``%``: sums of products stay unreduced ints until their term
+is complete and are reduced modulo p once (delayed reduction); every
+coefficient they store is again an int in ``1..p-1``.  Over Q a product
+sums int numerators over a common denominator (the lcm of the
+denominators, never their product) and normalizes each output term once,
+with one gcd and ``_fraction``; the division step builds each product with
+a tail term already in lowest terms by cross-cancelling a gcd, and adds it
+with ``_sum``.  Every coefficient they store is a ``Fraction`` normalized
+as the operators normalize it.
 """
 
 from __future__ import annotations

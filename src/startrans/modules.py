@@ -23,7 +23,8 @@ Division works on those keys: multiplying a term by x^u adds the key of
 u, and a lead divides a term iff their difference sets no guard or
 position bit.  It pops the working vector's terms largest first from a
 min-heap of keys.  Vectors are immutable, so each caches its lead term,
-the inverse of its lead coefficient and its keyed tail, and a
+the inverse of its lead coefficient and its keyed tail (over Q as int
+numerators over the tail's lcm, ``_keyed_form``), and a
 ``SubmoduleGB`` keeps the leads of its basis and
 owns the Hilbert series of its quotient, computed from those leads on first
 use (``SubmoduleGB.series``); every certificate reads it there.  When
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from math import gcd
 from operator import le, mul
 
 from .errors import (
@@ -48,12 +50,14 @@ from .errors import (
     NotInModule,
     ValidationError,
 )
+from .fields import _fraction, _sum
 from .poly import (
     MAX_DEGREE,
     Polynomial,
     PolyRing,
     _add_product,
     _from_accumulator,
+    _over_common_denominator,
     format_polynomial,
 )
 
@@ -164,12 +168,6 @@ class ModuleVector:
             self.module, tuple(a + b for a, b in zip(self.coords, other.coords))
         )
 
-    def __sub__(self, other):
-        self._check(other)
-        return ModuleVector(
-            self.module, tuple(a - b for a, b in zip(self.coords, other.coords))
-        )
-
     def scale(self, c):
         return ModuleVector(self.module, tuple(a.scale(c) for a in self.coords))
 
@@ -203,8 +201,7 @@ class ModuleVector:
 
     def keyed(self):
         """The vector as a divisor: (lead key, lead coefficient, its
-        inverse, tail), the tail a list of the (``term_key``, coefficient)
-        pairs of the other terms; None if zero."""
+        inverse, tail, den), or None if zero (``_keyed_form``)."""
         try:
             return self._keyed
         except AttributeError:
@@ -220,7 +217,7 @@ class ModuleVector:
             return None
         key, c = min(terms)  # keys are distinct, so no coefficient is compared
         terms.remove((key, c))
-        self._keyed = (key, c, module.ring.field.invert(c), terms)
+        self._keyed = _keyed_form(module.ring.field, key, c, terms)
         return self._keyed
 
     def homogeneous_degree(self):
@@ -245,6 +242,20 @@ class ModuleVector:
     def __repr__(self):
         inner = ", ".join(format_polynomial(c) for c in self.coords)
         return f"({inner})"
+
+
+def _keyed_form(field, key, c, tail):
+    """The ``ModuleVector.keyed`` tuple of the vector whose lead term has
+    key ``key`` and coefficient c, and whose other terms are the
+    (``term_key``, coefficient) pairs ``tail``: (key, c, 1/c, tail, den),
+    each tail coefficient a / den for the (key, a) pairs of the kept tail.
+    Over a prime field den is 1 and a the coefficient; over Q den is the lcm
+    of the tail's denominators and a an int numerator, so a product with
+    the tail needs one gcd per term (``_divide``, ``_add_tail_multiple``)."""
+    if field.p is not None:
+        return key, c, field.invert(c), tail, 1
+    den, tail = _over_common_denominator(tail)
+    return key, c, field.invert(c), tail, den
 
 
 # -- division ---------------------------------------------------------------
@@ -287,11 +298,17 @@ def _divide(module, work, divisors, track=False, lead_only=False):
     skipped then, so each key enters the heap once.  Over a prime field the
     working coefficients are plain int sums, reduced modulo p once, when
     their term is popped (delayed reduction, as in ``poly._add_product``).
+    Over Q they stay normalized ``Fraction``s: the kept tail is int
+    numerators a over one denominator (``_keyed_form``), so -q/den is put
+    in lowest terms once per step (``_over_tail``), each -q * a / den then
+    by dividing out one gcd, and it is added with one ``_sum``
+    (``_add_tail_multiple``).  Delaying the normalization of this dict
+    instead made the divisions slower.
     """
     ring = module.ring
     f = ring.field
     p = f.p
-    fadd, fmul, fneg, is_zero = f.add, f.mul, f.neg, f.is_zero
+    fmul, is_zero = f.mul, f.is_zero
     heappush, heappop = heapq.heappush, heapq.heappop
     heap = list(work)
     heapq.heapify(heap)
@@ -300,7 +317,7 @@ def _divide(module, work, divisors, track=False, lead_only=False):
             "a division reaches a degree that does not fit a packed field"
         )
     reducers = [
-        (k, r[0], r[2], r[3])
+        (k, r[0], r[2], r[3], r[4])
         for k, r in enumerate(g.keyed() for g in divisors)
         if r is not None
     ]
@@ -316,7 +333,7 @@ def _divide(module, work, divisors, track=False, lead_only=False):
             coeff %= p
         if is_zero(coeff):
             continue
-        for k, lead_key, inverse, tail in reducers:
+        for k, lead_key, inverse, tail, den in reducers:
             u = key - lead_key
             if u & mask:
                 continue
@@ -333,15 +350,8 @@ def _divide(module, work, divisors, track=False, lead_only=False):
                         work[m] = old + minus_q * tc
             else:
                 q = fmul(coeff, inverse)
-                minus_q = fneg(q)
-                for tkey, tc in tail:
-                    m = tkey + u
-                    old = get(m)
-                    if old is None:
-                        work[m] = fmul(minus_q, tc)
-                        heappush(heap, m)
-                    else:
-                        work[m] = fadd(old, fmul(minus_q, tc))
+                n, d = _over_tail(q, den)
+                _add_tail_multiple(work, tail, u, -n, d, heap)
             if track:
                 # keys are popped in strictly increasing order, so no
                 # divisor takes the same cofactor twice
@@ -371,9 +381,7 @@ def _divide(module, work, divisors, track=False, lead_only=False):
     # form are known
     remainder._lead = lead
     items = list(rem.items())
-    remainder._keyed = (
-        (*items[0], f.invert(items[0][1]), items[1:]) if items else None
-    )
+    remainder._keyed = _keyed_form(f, *items[0], items[1:]) if items else None
     if not track:
         return None, remainder
     shift, top = ring._shift, module._key_top
@@ -383,6 +391,37 @@ def _divide(module, work, divisors, track=False, lead_only=False):
         for qd in quots
     ]
     return qpolys, remainder
+
+
+def _over_tail(c, den):
+    """c / den in lowest terms, as (numerator, denominator), for a normalized
+    ``Fraction`` c: only the gcd of c's numerator and den cancels.  With a
+    kept tail's den (``_keyed_form``), the product of this with a tail
+    numerator a is in lowest terms once gcd(a, denominator) is divided
+    out."""
+    n = c._numerator
+    g = gcd(n, den)
+    return n // g, c._denominator * (den // g)
+
+
+def _add_tail_multiple(work, tail, shift, n, d, heap=None):
+    """Add n/d times the kept Q tail ``tail`` (``_keyed_form``; n/d from
+    ``_over_tail``), each key shifted by ``shift``, into the working dict
+    ``work`` of normalized ``Fraction`` values: each product is built in
+    lowest terms by cross-cancelling one gcd, and each sum is one ``_sum``.
+    A key new to ``work`` is pushed on ``heap`` when one is given."""
+    get = work.get
+    for k, a in tail:
+        k += shift
+        g = gcd(a, d)
+        a, b = n * (a // g), d // g
+        old = get(k)
+        if old is None:
+            work[k] = _fraction(a, b)
+            if heap is not None:
+                heapq.heappush(heap, k)
+        else:
+            work[k] = _sum(old._numerator, old._denominator, a, b)
 
 
 def _combine_rows(ring, combo, width):
@@ -412,14 +451,16 @@ def _s_vector(basis, leads, i, j, lcm):
     (``ModuleVector.keyed``), each shifted by the key of the lcm term minus
     the key of its lead and scaled by the kept inverse of its lead
     coefficient.  Over a prime field the values are unreduced int sums, as
-    ``_divide`` takes them; a term that cancels stays, as a zero."""
+    ``_divide`` takes them; over Q they are normalized ``Fraction``s, each
+    product built in lowest terms as in the division step
+    (``_add_tail_multiple``).  A term that cancels stays, as a zero."""
     module = basis[i].module
     ring = module.ring
     f = ring.field
     p = f.p
     top = term_key(module, leads[i][0], lcm)
-    key_i, _, ci, tail_i = basis[i].keyed()
-    key_j, _, cj, tail_j = basis[j].keyed()
+    key_i, _, ci, tail_i, den_i = basis[i].keyed()
+    key_j, _, cj, tail_j, den_j = basis[j].keyed()
     shift_i, shift_j = top - key_i, top - key_j
     minus_cj = f.neg(cj)
     if p is not None:
@@ -429,12 +470,9 @@ def _s_vector(basis, leads, i, j, lcm):
             k += shift_j
             work[k] = get(k, 0) + minus_cj * c
     else:
-        fadd, fmul, zero = f.add, f.mul, f.zero
-        work = {k + shift_i: fmul(ci, c) for k, c in tail_i}
-        get = work.get
-        for k, c in tail_j:
-            k += shift_j
-            work[k] = fadd(get(k, zero), fmul(minus_cj, c))
+        work = {}
+        _add_tail_multiple(work, tail_i, shift_i, *_over_tail(ci, den_i))
+        _add_tail_multiple(work, tail_j, shift_j, *_over_tail(minus_cj, den_j))
     ui = ring.mono_div(lcm, leads[i][1])
     uj = ring.mono_div(lcm, leads[j][1])
     return work, ((i, {ui: ci}), (j, {uj: minus_cj}))

@@ -25,9 +25,11 @@ from __future__ import annotations
 import re
 import sys
 from array import array
+from math import gcd, lcm
 from operator import mul
 
 from .errors import DimensionMismatch, IncompatibleField, MonomialOverflow, ParseError
+from .fields import _fraction
 
 FIELD_BITS = 16
 MAX_DEGREE = 1 << (FIELD_BITS - 1)  # the first degree that does not fit
@@ -324,13 +326,20 @@ def _overflow(degree):
 def _add_product(acc, terms1, terms2, ring):
     """Add the product of two nonempty term dicts of ``ring`` into the
     accumulator dict ``acc``, which only ``_from_accumulator`` reads, so a
-    sum of products allocates no intermediate polynomial.  Over a prime
-    field (``field.p`` set) the accumulator holds plain int sums of c1 * c2,
-    reduced modulo p once per output term by ``_from_accumulator`` (delayed
-    reduction, Monagan and Pearce, JSC 46 (2011)); over Q it holds field
-    sums, and coefficients that cancel stay in place as zeros.  The two
-    largest monomials have the largest degrees, so if their product fits,
-    every product does: one ``mono_mul`` checks the whole loop."""
+    sum of products allocates no intermediate polynomial.  The product is
+    taken on ints and normalized once per output term by
+    ``_from_accumulator`` (delayed reduction, Monagan and Pearce, JSC 46
+    (2011)); coefficients that cancel stay in place as zeros.
+
+    Over a prime field (``field.p`` set) the accumulator holds plain int
+    sums of c1 * c2, reduced modulo p once per output term.  Over Q each
+    factor is written as int numerators over the lcm of its denominators,
+    so the whole product has the one denominator d1 * d2 and its numerators
+    are int sums; the accumulator holds (numerator, denominator) per output
+    term, and a term that already has another denominator is brought to the
+    lcm of the two, never their product.  The two largest monomials have
+    the largest degrees, so if their product fits, every product does: one
+    ``mono_mul`` checks the whole loop."""
     ring.mono_mul(max(terms1), max(terms2))
     field = ring.field
     get = acc.get
@@ -340,21 +349,49 @@ def _add_product(acc, terms1, terms2, ring):
                 m = m1 + m2
                 acc[m] = get(m, 0) + c1 * c2
         return
-    fadd, fmul, zero = field.add, field.mul, field.zero
-    for m1, c1 in terms1.items():
-        for m2, c2 in terms2.items():
+    d1, nums1 = _over_common_denominator(terms1.items())
+    d, nums2 = _over_common_denominator(terms2.items())
+    d *= d1
+    sums = {}
+    sget = sums.get
+    for m1, n1 in nums1:
+        for m2, n2 in nums2:
             m = m1 + m2
-            acc[m] = fadd(get(m, zero), fmul(c1, c2))
+            sums[m] = sget(m, 0) + n1 * n2
+    for m, n in sums.items():
+        old = get(m)
+        if old is None:
+            acc[m] = (n, d)
+        elif old[1] == d:
+            acc[m] = (old[0] + n, d)
+        else:
+            n0, d0 = old
+            g = gcd(d0, d)
+            acc[m] = (n0 * (d // g) + n * (d0 // g), d0 // g * d)
+
+
+def _over_common_denominator(terms):
+    """(D, [(m, n)]) for (m, c) pairs with rational c: D the lcm of the
+    denominators, and each c = n / D."""
+    den = lcm(*[c._denominator for _, c in terms])
+    if den == 1:
+        return 1, [(m, c._numerator) for m, c in terms]
+    return den, [(m, c._numerator * (den // c._denominator)) for m, c in terms]
 
 
 def _from_accumulator(ring, acc):
-    """The polynomial of an ``_add_product`` accumulator: each coefficient
-    reduced modulo p over a prime field, and the zeros dropped."""
+    """The polynomial of an ``_add_product`` accumulator, the zeros dropped:
+    each coefficient reduced modulo p over a prime field, and over Q each
+    (numerator, denominator) brought to lowest terms by one gcd."""
     p = ring.field.p
     if p is not None:
         return Polynomial(ring, {m: r for m, c in acc.items() if (r := c % p)})
-    is_zero = ring.field.is_zero
-    return Polynomial(ring, {m: c for m, c in acc.items() if not is_zero(c)})
+    terms = {}
+    for m, (n, d) in acc.items():
+        if n:
+            g = gcd(n, d)
+            terms[m] = _fraction(n // g, d // g)
+    return Polynomial(ring, terms)
 
 
 # -- text syntax ---------------------------------------------------------

@@ -12,10 +12,18 @@ output term.  The helpers here recompute those facts the long way, so the
 tests can compare.
 """
 
+import random
 from dataclasses import dataclass
 from operator import add
 
-from startrans import FreeComplex, GradedFreeModule, PolyMatrix, buchberger, validate_sop
+from startrans import (
+    FreeComplex,
+    GradedFreeModule,
+    PolyMatrix,
+    buchberger,
+    koszul,
+    validate_sop,
+)
 from startrans.complexes import (
     AcyclicityCertificate,
     co_singleton,
@@ -75,6 +83,34 @@ def zero_vector(module):
 def all_match(driver):
     """Every round of a ``star_iteration_driver`` result matched."""
     return all(r.matches for r in driver.rounds)
+
+
+def generic_koszul(field, n, param_degree, seed):
+    """(complex, sop) of one seeded generic draw, made as the benchmark
+    makes its own: each parameter q_i a product of ``param_degree`` random
+    linear forms with integer coefficients in [-9, 9], and the complex
+    Koszul(q_i * l_i) for a further random linear form l_i."""
+    rng = random.Random(seed)
+    ring = standard_ring(("x", "y", "z", "w")[:n], field=field)
+
+    def linear_form():
+        while True:
+            coeffs = [rng.randint(-9, 9) for _ in range(n)]
+            if any(coeffs):
+                break
+        return ring.from_terms(
+            (tuple(int(i == k) for i in range(n)), ring.field.from_int(c))
+            for k, c in enumerate(coeffs)
+        )
+
+    params = []
+    for _ in range(n):
+        q = ring.one()
+        for _ in range(param_degree):
+            q = q * linear_form()
+        params.append(q)
+    gens = [q * linear_form() for q in params]
+    return koszul(validate_sop(ring, gens)), validate_sop(ring, params)
 
 
 def padded_zero_top_instance():

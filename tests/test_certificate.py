@@ -18,7 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import brute
-from reference import full_hilbert_certificate
+from reference import full_hilbert_certificate, generic_koszul
 from startrans import (
     FreeComplex,
     GradedFreeModule,
@@ -130,6 +130,70 @@ def test_a_genuine_colon_passes_the_certificate():
     m_gb = comp.image_gb(1)
     passed, _ = verify._colon_certificate(comp, sop, m_gb, colon(m_gb, sop.gens))
     assert passed
+
+
+# -- Q*N <= M: membership tests only for generators not shared with M -------
+
+# instance -> membership tests of ``verify_star``: one per parameter for the
+# output's one bracket column; its angle columns are the input's phi_1
+# columns, so they lie in M and take none
+SHARED_WITH_M = {
+    "exa": (exa_instance, 2),
+    "generic_n3_q": (lambda: generic_koszul(RationalField(), 3, 2, 0), 3),
+    "generic_n4_p": (lambda: generic_koszul(PrimeField(32003), 4, 1, 0), 4),
+}
+
+
+def _recording_contains(monkeypatch):
+    tested = []
+    real = modules.SubmoduleGB.contains
+
+    def contains(self, v):
+        tested.append(v)
+        return real(self, v)
+
+    monkeypatch.setattr(modules.SubmoduleGB, "contains", contains)
+    return tested
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_WITH_M))
+def test_generators_shared_with_m_take_no_membership_test(name, monkeypatch):
+    make, expected = SHARED_WITH_M[name]
+    comp, sop = make()
+    star = star_transform(comp, sop, with_report=False).star
+    tested = _recording_contains(monkeypatch)
+    assert verify_star(comp, sop, star).overall
+    assert len(tested) == expected
+    shared = set(comp.image_gens(1))
+    unshared = [g for g in star.complex.image_gens(1) if g not in shared]
+    assert len(unshared) == comp.top_rank() == 1
+    assert tested == [unshared[0].mul_poly(q) for q in sop.gens]
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_WITH_M))
+def test_only_the_shared_generators_skip_the_membership_test(name, monkeypatch):
+    # a nonunit multiple of an input column lies in M too, but is not one of
+    # its generators: it is tested, and passes; a generator outside M : Q is
+    # tested after the shared ones and rejected
+    make, expected = SHARED_WITH_M[name]
+    comp, sop = make()
+    out = star_transform(comp, sop, with_report=False).star.complex
+    m_gb = comp.image_gb(1)
+    f0 = m_gb.ambient
+    x = comp.ring.var(0)
+    multiple = m_gb.generators[0].mul_poly(x)
+    n_gb = buchberger(f0, out.image_gens(1) + [multiple], track=False)
+    tested = _recording_contains(monkeypatch)
+    assert verify._colon_certificate(comp, sop, m_gb, n_gb) == (
+        True, "Im of the first output map against the colon oracle"
+    )
+    assert len(tested) == expected + len(sop.gens)
+    assert tested[-len(sop.gens):] == [multiple.mul_poly(q) for q in sop.gens]
+
+    forged = buchberger(f0, out.image_gens(1) + [f0.vector((x,))], track=False)
+    assert verify._colon_certificate(comp, sop, m_gb, forged) == (
+        False, "Im of the first output map is not inside M : Q"
+    )
 
 
 # -- broken assumptions -----------------------------------------------------

@@ -12,12 +12,17 @@ field operation, where the package reduces modulo p once per output term.
 
 The fields run from p = 2 and 3, where most small integers vanish or
 collide, to p = 2^61 - 1, where products of residues pass 2^62, and Q.
-Every stored coefficient must be canonical (``_canonical``): polynomials
-compare by their term dicts, so an unreduced residue would break equality
+Over Q the scalars include large numerators and denominators (up to about
+2^70) built from a few shared primes, so the kernel's lcm denominators and
+its cross-cancelling gcds meet common factors.  Every stored coefficient
+must be canonical (``_canonical``): polynomials compare by their term
+dicts, and an unreduced residue or a ``Fraction`` not in lowest terms
+compares unequal to its canonical value, so either would break equality
 without any other sign.
 """
 
 from fractions import Fraction
+from math import gcd
 from operator import add, le, mul, sub
 
 from hypothesis import given, settings
@@ -39,10 +44,17 @@ FIELDS = [
 
 def _canonical(poly):
     """Every coefficient is a nonzero scalar in the field's one form: an
-    int in 1..p-1 over a prime field, a ``Fraction`` over Q."""
+    int in 1..p-1 over a prime field, a ``Fraction`` in lowest terms with a
+    positive denominator over Q."""
     p = poly.ring.field.p
     if p is None:
-        return all(type(c) is Fraction and c for c in poly.terms.values())
+        return all(
+            type(c) is Fraction
+            and c.numerator
+            and c.denominator > 0
+            and gcd(c.numerator, c.denominator) == 1
+            for c in poly.terms.values()
+        )
     return all(type(c) is int and 0 < c < p for c in poly.terms.values())
 
 
@@ -137,14 +149,23 @@ def rings(draw):
     return PolyRing(field, NAMES, weights)
 
 
+# products of powers of primes that the draws share, up to about 2^70
+_LARGE = st.builds(
+    lambda a, b, c: 2**a * 3**b * 1000003**c,
+    st.integers(0, 30), st.integers(0, 12), st.integers(0, 1),
+)
+
+
 def scalars(field):
-    """Nonzero scalars: small fractions whose denominator the field can
-    invert, read in the field, leaving out those that vanish there (over
-    p = 2 and 3 many do)."""
+    """Nonzero scalars: fractions whose denominator the field can invert,
+    small or large with shared factors, read in the field, leaving out
+    those that vanish there (over p = 2 and 3 many do)."""
     p = field.p
     fractions = st.builds(
-        Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 3)
-    ).filter(lambda c: p is None or c.denominator % p)
+        Fraction,
+        st.one_of(st.integers(-6, 6), st.builds(mul, st.sampled_from([-1, 1]), _LARGE)),
+        st.one_of(st.integers(1, 3), _LARGE),
+    ).filter(lambda c: c and (p is None or c.denominator % p))
     return fractions.map(
         lambda c: field.from_fraction(c.numerator, c.denominator)
     ).filter(lambda c: not field.is_zero(c))
@@ -219,9 +240,12 @@ def test_division_to_the_lead_keeps_the_lead_and_the_identity(problem):
     _, rem = divide(vector, divisors)
     quots, rem_lead = divide(vector, divisors, track=True, lead_only=True)
     assert rem_lead.lead() == rem.lead()
-    *lead, tail = rem_lead.keyed() or (None, [])
-    *fresh_lead, fresh_tail = rem_lead.module.vector(rem_lead.coords).keyed() or (None, [])
+    *lead, tail, den = rem_lead.keyed() or (None, [], 1)
+    *fresh_lead, fresh_tail, fresh_den = (
+        rem_lead.module.vector(rem_lead.coords).keyed() or (None, [], 1)
+    )
     assert lead == fresh_lead and sorted(tail) == sorted(fresh_tail)
+    assert den == fresh_den
     assert all(_canonical(c) for c in rem_lead.coords)
     recombined = rem_lead
     for q, g in zip(quots, divisors):
