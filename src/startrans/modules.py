@@ -252,9 +252,9 @@ def _keyed_form(field, key, c, tail):
     Over a prime field den is 1 and a the coefficient; over Q den is the lcm
     of the tail's denominators and a an int numerator, so a product with
     the tail needs one gcd per term (``_divide``, ``_add_tail_multiple``)."""
-    if field.p is not None:
-        return key, c, field.invert(c), tail, 1
-    den, tail = _over_common_denominator(tail)
+    den = 1
+    if field.p is None:
+        den, tail = _over_common_denominator(tail)
     return key, c, field.invert(c), tail, den
 
 
