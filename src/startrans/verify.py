@@ -289,8 +289,7 @@ def _colon_certificate(comp, sop, m_gb, n_gb):
         return False, "the output F_0 differs from the input F_0"
     # N is generated by the output's phi_1 columns and M is a submodule, so
     # Q*N <= M needs only q*g in M for each generator g (over R/J too:
-    # membership reduces modulo J); a g that is a column of the input's
-    # phi_1 lies in M already
+    # membership reduces modulo J)
     in_m = set(m_gb.generators)
     for g in n_gb.generators:
         if g in in_m:

@@ -31,6 +31,7 @@ from hypothesis import strategies as st
 from reference import termwise_products
 from startrans import GradedFreeModule, PolyMatrix, PolyRing, PrimeField, RationalField
 from startrans.modules import _combine_rows, _divide, _s_vector, _term_of_key, _work
+from startrans.poly import _add_product, _from_accumulator
 
 FIELDS = [
     PrimeField(2),
@@ -301,6 +302,18 @@ def test_products_match_the_termwise_oracle(problem):
             assert _unpacked_canonical(e.scale(c)) == termwise_products(
                 ring, [(e.terms, {0: c})]
             )
+
+
+def test_a_q_sum_of_products_is_kept_over_the_lcm_of_its_denominators():
+    # 1/4 x * 1/6 is 1/24 x and 1/6 x * 1/10 is 1/60 x: their sum waits as
+    # 7/120 x, over lcm(24, 60), not as 84/1440 x over the product
+    ring = PolyRing(RationalField(), NAMES)
+    x = ring.var(0)
+    acc = {}
+    for a, b in ((Fraction(1, 4), Fraction(1, 6)), (Fraction(1, 6), Fraction(1, 10))):
+        _add_product(acc, x.scale(a).terms, ring.constant(b).terms, ring)
+    assert list(acc.values()) == [(7, 120)]
+    assert _from_accumulator(ring, acc) == x.scale(Fraction(7, 120))
 
 
 @settings(max_examples=50, deadline=None)
