@@ -350,8 +350,8 @@ def _add_product(acc, terms1, terms2, ring):
                 acc[m] = get(m, 0) + c1 * c2
         return
     d1, nums1 = _over_common_denominator(terms1.items())
-    d, nums2 = _over_common_denominator(terms2.items())
-    d *= d1
+    d2, nums2 = _over_common_denominator(terms2.items())
+    d = d1 * d2
     sums = {}
     sget = sums.get
     for m1, n1 in nums1:
