@@ -9,10 +9,12 @@ boundary of a Koszul basis element e_S is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
 
 from .errors import NotASop, NotInModule, PreconditionFailed, ValidationError
+from .fields import PrimeField
 from .modules import (
     GradedFreeModule,
     buchberger,
@@ -20,7 +22,11 @@ from .modules import (
     reduce_mod_quotient,
     ring_series,
 )
-from .poly import PolyMatrix
+from .poly import Polynomial, PolyMatrix, PolyRing
+
+# The prime of the modular acyclicity certificate over Q (``_hilbert_certificate``)
+MODULAR_PRIME = 2**31 - 1
+_MODULAR_FIELD = PrimeField(MODULAR_PRIME)
 
 
 def subsets(n, p):
@@ -175,11 +181,13 @@ class FreeComplex:
         """Reduced Groebner basis of M = Im phi_1 inside F_0, without rows;
         ``p`` must be 1.
 
-        The acyclicity certificate, the colon certificate and the checks
-        all read it, so it is built once and kept outside the dataclass
-        fields, like ``SopData.ideal_gb``.  The images above position 1
-        need only their Hilbert series (``cokernel_series``).  The basis is
-        read through its leads, membership and normal forms, never lifted
+        Built on first use and kept outside the dataclass fields, like
+        ``SopData.ideal_gb``.  The certificates read only Hilbert series,
+        which ``image_series`` takes from the acyclicity certificate, so
+        the basis is built only where something reads its elements: the
+        colon and saturation commands, the depth probe, and a membership
+        test of the colon certificate that no witness settled.  It is read
+        through its leads, membership and normal forms, never lifted
         through, so it is built without rows.
         """
         if p != 1:
@@ -262,9 +270,13 @@ def check_complex(comp):
 
 @dataclass(frozen=True)
 class AcyclicityCertificate:
+    """The verdict of ``certify_acyclic``; ``series`` is HS(F_0 / Im phi_1)
+    (modulo J over R/J), exact whatever the verdict, and not compared."""
+
     ok: bool
     failed_position: int = -1
     detail: str = ""
+    series: object = field(default=None, compare=False, repr=False)
 
 
 def certify_acyclic(comp):
@@ -298,23 +310,43 @@ def _hilbert_certificate(comp):
     inclusion gives HS(Im phi_p) <= HS(coker phi_(p+1)) degree by degree,
     so HS(F_(p-1)) - HS(coker phi_(p+1)) is a floor under
     HS(coker phi_p), and ``cokernel_series`` stops the Buchberger run of
-    Im phi_p as soon as its lead terms reach that floor.  Every series is
-    exact either way; only Im phi_1, which the other checks read, gets a
-    reduced basis (``image_gb(1)``).  All of it adjoins the quotient ideal,
-    so the certificate holds over R/J as well as over R.  A failure names
-    the first inexact position and the lowest degree where the two Hilbert
-    functions differ.
+    Im phi_p as soon as its lead terms reach that floor, down to p = 1.
+    Every series is exact either way, and no image gets a reduced basis;
+    the certificate keeps HS(coker phi_1) = HS(F_0 / M) for the colon
+    certificate.  All of it adjoins the quotient ideal, so the certificate
+    holds over R/J as well as over R.  A failure names the first inexact
+    position and the lowest degree where the two Hilbert functions differ.
+
+    Over Q, the certificate is first run on the reduction modulo
+    ``MODULAR_PRIME`` (``_modulo_prime``).  The entries lie in the local
+    ring Z_(P), and a complex of finite free Z_(P)-modules that is exact
+    mod P above position 0 is split exact there with a free H_0
+    (Nakayama; Eisenbud, *Commutative Algebra*, ch. 20), degree by degree.
+    So a mod-P certificate that holds proves the complex acyclic over Q,
+    and every Q series equals the mod-P one (Arnold, "Modular algorithms
+    for computing Groebner bases", JSC 35 (2003), on lucky primes).  A
+    mod-P failure proves nothing, since the prime may be unlucky: the
+    certificate is then run over Q, so a failure, its position and its
+    degree always come from Q.
     """
+    reduced = _modulo_prime(comp)
+    if reduced is not None:
+        cert = _series_certificate(reduced)
+        if cert.ok:
+            return cert
+    return _series_certificate(comp)
+
+
+def _series_certificate(comp):
+    """``_hilbert_certificate`` over the complex's own field."""
     n = comp.length
     base = ring_series(comp.ring)
     free = [base.twisted(m.twists) for m in comp.modules]
     # coker[p - 1] is HS(coker phi_p)
     coker = [None] * n + [free[n]]
-    for p in range(n, 1, -1):
+    for p in range(n, 0, -1):
         floor = free[p - 1].sub(coker[p])
         coker[p - 1] = cokernel_series(comp.module(p - 1), comp.image_gens(p), floor)
-    if n:
-        coker[0] = comp.image_gb(1).series()
     for p in range(1, n + 1):
         diff = free[p - 1].sub(coker[p - 1]).sub(coker[p])
         if diff.numer:
@@ -322,8 +354,60 @@ def _hilbert_certificate(comp):
                 False, p,
                 f"kernel at position {p} exceeds the image of the next map "
                 f"in degree {diff.numer[0][0]}",
+                coker[0],
             )
-    return AcyclicityCertificate(True)
+    return AcyclicityCertificate(True, series=coker[0])
+
+
+def _modulo_prime(comp):
+    """The complex with each coefficient a/b mapped to a/b mod
+    ``MODULAR_PRIME``, without labels; None over a prime field, over a
+    ring with a quotient ideal (whose series mod P need not be the one over
+    Q), or when a denominator is divisible by P.  The packed monomials do
+    not depend on the field, so they are kept."""
+    ring = comp.ring
+    if ring.field.p is not None or ring.quotient:
+        return None
+    f = _MODULAR_FIELD
+    reduced_ring = _modular_ring(ring.names, ring.weights)
+    maps = []
+    for m in comp.maps:
+        rows = []
+        for row in m.entries:
+            out = []
+            for e in row:
+                terms = {}
+                for mono, c in e.terms.items():
+                    if not c._denominator % MODULAR_PRIME:
+                        return None
+                    c = f.from_fraction(c._numerator, c._denominator)
+                    if c:
+                        terms[mono] = c
+                out.append(Polynomial(reduced_ring, terms))
+            rows.append(out)
+        maps.append(PolyMatrix(reduced_ring, rows, m.nrows, m.ncols))
+    modules = tuple(
+        GradedFreeModule(reduced_ring, m.rank, m.twists) for m in comp.modules
+    )
+    return FreeComplex(reduced_ring, modules, tuple(maps))
+
+
+@cache
+def _modular_ring(names, weights):
+    """The ring over F_P with these variables, one per signature, so that
+    its kept series (``ring_series``) is computed once."""
+    return PolyRing(_MODULAR_FIELD, names, weights)
+
+
+def image_series(comp):
+    """HS(F_0 / Im phi_1) (modulo J over R/J): the series ``certify_acyclic``
+    keeps, exact whatever its verdict.  Its floors need the compositions
+    to vanish, so a complex it refuses as not a complex takes the series
+    from ``image_gb(1)``."""
+    try:
+        return certify_acyclic(comp).series
+    except PreconditionFailed:
+        return comp.image_gb(1).series()
 
 
 def check_qf_containment(comp, sop):

@@ -13,7 +13,7 @@ complex, the colon parts and intersections, the final reduction of
 none.  ``cokernel_series`` runs the same pair loop against a known floor
 of the quotient's Hilbert series and stops once the lead terms reach it,
 with no reduced basis and each S-vector divided only down to its lead;
-the acyclicity certificate reads the images above position 1 that way.
+the acyclicity certificate reads every image of a complex that way.
 
 Module terms are ordered degree first (twists included), then position
 (lower basis index wins), then the ring's one monomial order; ``term_key``
@@ -272,7 +272,7 @@ def _work(vector):
     }
 
 
-def _divide(module, work, divisors, track=False, lead_only=False):
+def _divide(module, work, divisors, track=False, lead_only=False, keyed=False):
     """Fully reduce the vector of ``module`` whose terms are the working
     dict ``work`` (``_work``, or an S-vector from ``_s_vector``; the dict is
     consumed) by ``divisors``; every remainder term is divisible by no
@@ -280,7 +280,9 @@ def _divide(module, work, divisors, track=False, lead_only=False):
     satisfies vector = sum quotients[k]*divisors[k] + remainder (quotients
     is None unless ``track``).  With ``lead_only`` the division stops at the
     first term that no lead divides: that term is the remainder's lead, and
-    the terms below it stay unreduced.
+    the terms below it stay unreduced.  With ``keyed`` the remainder also
+    gets its keyed form from the terms at hand (``_keyed_form``), for a
+    remainder that joins a basis and so becomes a divisor (``_pair_loop``).
 
     The largest remaining term is reduced by the first divisor whose lead
     divides it, or else moved to the remainder.  The working vector is one
@@ -308,7 +310,7 @@ def _divide(module, work, divisors, track=False, lead_only=False):
     ring = module.ring
     f = ring.field
     p = f.p
-    fmul, is_zero = f.mul, f.is_zero
+    fmul = f.mul
     heappush, heappop = heapq.heappush, heapq.heappop
     heap = list(work)
     heapq.heapify(heap)
@@ -331,7 +333,7 @@ def _divide(module, work, divisors, track=False, lead_only=False):
         coeff = work.pop(key)
         if p is not None:
             coeff %= p
-        if is_zero(coeff):
+        if not coeff:  # zero in both fields' scalars (int, Fraction)
             continue
         for k, lead_key, inverse, tail, den in reducers:
             u = key - lead_key
@@ -368,7 +370,7 @@ def _divide(module, work, divisors, track=False, lead_only=False):
         for key, c in work.items():
             if p is not None:
                 c %= p
-            if not is_zero(c):
+            if c:
                 rem[key] = c
     coords = [{} for _ in range(module.rank)]
     lead = None
@@ -380,8 +382,9 @@ def _divide(module, work, divisors, track=False, lead_only=False):
     # the remainder's first term came out largest, so its lead and its keyed
     # form are known
     remainder._lead = lead
-    items = list(rem.items())
-    remainder._keyed = _keyed_form(f, *items[0], items[1:]) if items else None
+    if keyed:
+        items = list(rem.items())
+        remainder._keyed = _keyed_form(f, *items[0], items[1:]) if items else None
     if not track:
         return None, remainder
     shift, top = ring._shift, module._key_top
@@ -697,7 +700,9 @@ def _pair_loop(ambient, gens, *, track, floor=None):
         if chained:
             continue
         s, head = _s_vector(basis, leads, i, j, lcm)
-        quots, rem = _divide(ambient, s, basis, track=track, lead_only=floored)
+        quots, rem = _divide(
+            ambient, s, basis, track=track, lead_only=floored, keyed=True
+        )
         if rem.is_zero():
             continue
         excess -= 1
@@ -739,8 +744,8 @@ def _reduce_basis(ambient, gens, adjoined, basis, rows, *, track=True):
         quots, rem = _divide(ambient, _work(basis[idx]), others, track=track)
         if rem.is_zero():
             continue
-        pos, m, _ = rem.lead()
-        inv = rem.keyed()[2]
+        pos, m, c = rem.lead()
+        inv = f.invert(c)
         monic = rem.scale(inv)
         monic._lead = (pos, m, f.one)  # scaling keeps the lead monomial
         final.append(monic)

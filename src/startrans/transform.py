@@ -19,7 +19,7 @@ independently of this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .complexes import (
     FreeComplex,
@@ -446,10 +446,18 @@ class StarComplex:
     other pair (lam, i), lam below the input's top rank, was selected into
     the free basis of F_(n-1).  A complex without labels is refused with
     ValidationError: it cannot be an output of ``star_transform``.
+
+    ``witness`` is None or, from ``star_transform``, the chain map's level-1
+    elements W[(lam, i)] = alpha_1(v_lam (x) e_i) in F_1 of the input, for
+    i = 1..n.  The chain map commutes, so phi_1 W[(lam, i)] = q_i g_lam for
+    the output's bracket column g_lam = alpha_0(v_lam (x) 1): each W shows
+    q_i g_lam in M.  It lives in memory only: it is not compared, hashed
+    or written, and ``verify_star`` re-checks every W it reads.
     """
 
     complex: FreeComplex
     input_top_rank: int
+    witness: dict = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.complex.labels is None:
@@ -527,7 +535,12 @@ def star_transform(comp, sop, with_report=True):
     split = split_top(cone, cm)
     selection = select_basis(split, cm)
     out = build_star_top(selection, split, cm)
-    star = StarComplex(out, comp.top_rank())
+    witness = {
+        (lam, i): cm.elements[(lam, (i,))]
+        for lam in range(comp.top_rank())
+        for i in range(1, n + 1)
+    }
+    star = StarComplex(out, comp.top_rank(), witness)
     result = StarResult(star, cm, cone, split, selection, comp)
 
     if with_report:

@@ -4,6 +4,8 @@ depth probes, saturation, and the round-by-round iteration driver.
 Everything here re-derives its facts from Groebner bases and Hilbert series
 of the input and the output, never from the construction internals, so a
 passing report is an independent certificate of the pipeline output.  The
+one thing the build hands over, the chain map's witnesses for Q*N <= M,
+is re-checked by a product and only saves membership tests.  The
 output's Im phi_1 is certified equal to M : Q without computing the colon:
 balance of Tor turns the equality into two containments and one
 Hilbert-series identity (``_colon_certificate``).  The driver reads each
@@ -22,6 +24,7 @@ from .complexes import (
     check_qf_containment,
     composition_defect,
     homogeneity_defect,
+    image_series,
 )
 from .errors import (
     InternalError,
@@ -31,7 +34,7 @@ from .errors import (
     PreconditionFailed,
     ValidationError,
 )
-from .modules import colon, intersect, submodule_equal
+from .modules import colon, intersect, reduce_mod_quotient, submodule_equal
 
 
 @dataclass(frozen=True)
@@ -118,9 +121,33 @@ class CountResult:
     rhs: int
 
 
+class _Image:
+    """Im phi_1 of a complex as the certificates read it, through the part
+    of the ``SubmoduleGB`` interface they use (they take either): its
+    generators, HS(F_0 / Im phi_1) from the acyclicity certificate
+    (``image_series``), and membership through ``image_gb(1)``, which is
+    built by the first membership test only.  ``witness`` maps generators
+    to the vectors ``_colon_certificate`` may check them by
+    (``_bracket_witnesses``)."""
+
+    __slots__ = ("complex", "ambient", "generators", "witness")
+
+    def __init__(self, comp, witness=None):
+        self.complex = comp
+        self.ambient = comp.module(0)
+        self.generators = tuple(comp.image_gens(1))
+        self.witness = witness or {}
+
+    def series(self):
+        return image_series(self.complex)
+
+    def contains(self, v):
+        return self.complex.image_gb(1).contains(v)
+
+
 def colon_quotient_count(m_gb, sop, rank_top, colon_gb):
     """dim_k (M:Q)/M against rank(top) * dim_k R/Q, with ``colon_gb`` a
-    basis of M : Q.
+    basis of M : Q; each argument is read only through its ``series()``.
 
     The left side is the difference of the two quotient Hilbert series,
     which must be a polynomial; NonPolynomialDifference otherwise.
@@ -183,6 +210,12 @@ def verify_star(comp, sop, star):
     accounting, quotient dimension count) plus the conditional depth probe
     when the top module vanished, and, over a quotient ring, the
     certified regularity of the parameters.
+
+    M and N are read through ``_Image``: the Hilbert series each complex's
+    acyclicity certificate keeps, and, for Q*N <= M, the star's
+    ``witness`` (``StarComplex``), re-checked here.  A basis of M is built
+    only for a membership test that no witness settled, and a basis of N
+    only for the depth probe.
     """
     report = VerificationReport()
     out = star.complex
@@ -201,9 +234,11 @@ def verify_star(comp, sop, star):
         lambda: _acyclicity_check(out, composes and homogeneous),
     )
 
-    m_gb = comp.image_gb(1)
-    # Im phi_1 of the output; None only if building it failed, and the
-    # checks that read it then fail instead of computing a colon
+    m_gb = _Image(comp)
+    # Im phi_1 of the output; None only if reading it failed, and the checks
+    # that read it then fail instead of computing a colon.  Only the depth
+    # probe reads its basis, so the basis is built here when the probe will
+    # run, and otherwise never
     n_gb = None
 
     def with_n_gb(check):
@@ -214,7 +249,10 @@ def verify_star(comp, sop, star):
 
     def _colon_equality():
         nonlocal n_gb
-        n_gb = out.image_gb(1)
+        n_gb = (
+            out.image_gb(1) if star.depth_positive_fastpath
+            else _Image(out, _bracket_witnesses(star, sop.n))
+        )
         return _colon_certificate(comp, sop, m_gb, n_gb)
 
     report.run("colon_equality", _colon_equality)
@@ -260,9 +298,37 @@ def _acyclicity_check(out, is_complex):
     return cert.ok, cert.detail
 
 
+def _bracket_witnesses(star, count):
+    """{g: (W[(lam, 1)], .., W[(lam, count)])} over the output's phi_1
+    columns g labelled ("bracket", lam, ()), from the star's ``witness``
+    (None where it has no entry); empty when the star carries none."""
+    if not star.witness:
+        return {}
+    out = star.complex
+    return {
+        g: tuple(star.witness.get((label[1], i)) for i in range(1, count + 1))
+        for g, label in zip(out.image_gens(1), out.labels[1])
+        if label[0] == "bracket"
+    }
+
+
+def _witnessed(comp, qg, w):
+    """True iff ``w`` is a vector of F_1 of ``comp`` with phi_1 w = qg
+    modulo J: then qg lies in M = Im phi_1, whoever built w."""
+    if w is None or not w.module.same_shape(comp.module(1)):
+        return False
+    ring = comp.ring
+    image = comp.phi(1).apply(w.coords)
+    return all(
+        reduce_mod_quotient(ring, a - b).is_zero() for a, b in zip(image, qg.coords)
+    )
+
+
 def _colon_certificate(comp, sop, m_gb, n_gb):
     """Certify N = M : Q for M = ``m_gb``, Im phi_1 of the input ``comp``,
-    and N = ``n_gb``, Im phi_1 of the output.
+    and N = ``n_gb``, Im phi_1 of the output; each is a ``SubmoduleGB`` or
+    an ``_Image``, read through its generators and ``series()``, M also
+    through ``contains`` and N also through an ``_Image``'s ``witness``.
 
     With s the sum of the parameter degrees and a_j the twists of F_n:
     if F is acyclic, it resolves F_0/M; if q is a regular sequence, the
@@ -274,8 +340,14 @@ def _colon_certificate(comp, sop, m_gb, n_gb):
     while N <= M : Q, so N = M : Q; M <= N follows and needs no check.
     Q-containment of the top map is not needed.  A generator of N that
     equals a generator of M (the output's angle columns are the input's
-    phi_1 columns) lies in M, so Q*g <= M and it takes no membership test;
-    every other generator does.  Returns (passed, detail).
+    phi_1 columns) lies in M, so Q*g <= M and it takes no membership test.
+    For any other generator g, N's ``witness`` may map g to vectors W_i of
+    F_1 (``_bracket_witnesses``): phi_1 W_i = q_i g modulo J shows q_i g in M
+    with one product (McConnell, Mehlhorn, Naeher and Schweitzer,
+    "Certifying algorithms", Comput. Sci. Rev. 5 (2011)).  Each W is
+    re-checked, not trusted, and a q_i g that no W shows takes the
+    membership test in M, so a missing or wrong W changes only the cost,
+    never the verdict.  Returns (passed, detail).
     """
     try:
         cert = certify_acyclic(comp)
@@ -291,11 +363,15 @@ def _colon_certificate(comp, sop, m_gb, n_gb):
     # Q*N <= M needs only q*g in M for each generator g (over R/J too:
     # membership reduces modulo J)
     in_m = set(m_gb.generators)
+    witness = getattr(n_gb, "witness", {})
     for g in n_gb.generators:
         if g in in_m:
             continue
-        if not all(m_gb.contains(g.mul_poly(q)) for q in sop.gens):
-            return False, "Im of the first output map is not inside M : Q"
+        shown = witness.get(g) or (None,) * len(sop.gens)
+        for q, w in zip(sop.gens, shown):
+            qg = g.mul_poly(q)
+            if not (_witnessed(comp, qg, w) or m_gb.contains(qg)):
+                return False, "Im of the first output map is not inside M : Q"
     s = sum(sop.degrees)
     bound = sop.ideal_gb().series().twisted(
         a - s for a in comp.module(comp.length).twists

@@ -38,7 +38,7 @@ from startrans import (
     validate_sop,
     verify_star,
 )
-from startrans import modules, verify
+from startrans import complexes, modules, verify
 from startrans.errors import InternalError
 from startrans.instances import exa_instance
 from startrans.modules import ring_series
@@ -158,9 +158,10 @@ def _recording_contains(monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(SHARED_WITH_M))
 def test_generators_shared_with_m_take_no_membership_test(name, monkeypatch):
+    # without the build's witness, every bracket column takes its tests
     make, expected = SHARED_WITH_M[name]
     comp, sop = make()
-    star = star_transform(comp, sop, with_report=False).star
+    star = replace(star_transform(comp, sop, with_report=False).star, witness=None)
     tested = _recording_contains(monkeypatch)
     assert verify_star(comp, sop, star).overall
     assert len(tested) == expected
@@ -196,7 +197,78 @@ def test_only_the_shared_generators_skip_the_membership_test(name, monkeypatch):
     )
 
 
-# -- broken assumptions -----------------------------------------------------
+# -- Q*N <= M by the chain map's witness ---------------------------------------
+
+
+def _colon_lines(report):
+    return [(c.name, c.passed, c.detail) for c in report.checks]
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_WITH_M))
+def test_the_witness_takes_no_membership_test(name, monkeypatch):
+    make, _ = SHARED_WITH_M[name]
+    comp, sop = make()
+    star = star_transform(comp, sop, with_report=False).star
+    assert sorted(star.witness) == [(0, i) for i in range(1, sop.n + 1)]
+    tested = _recording_contains(monkeypatch)
+    report = verify_star(comp, sop, star)
+    assert report.overall
+    assert tested == []
+    assert _colon_lines(report) == _colon_lines(
+        verify_star(comp, sop, replace(star, witness=None))
+    )
+
+
+def _tampered_witnesses(star, ring):
+    """The star's witness with one entry changed, with one column dropped,
+    and with W[(0, 1)] and W[(0, 2)] swapped."""
+    w = star.witness
+    first = w[(0, 1)]
+    k = next(j for j, c in enumerate(first.coords) if c.terms)
+    coords = list(first.coords)
+    coords[k] = coords[k] + coords[k] * ring.var(0)
+    changed = dict(w)
+    changed[(0, 1)] = first.module.vector(coords)
+    dropped = {key: v for key, v in w.items() if key != (0, 1)}
+    swapped = dict(w)
+    swapped[(0, 1)], swapped[(0, 2)] = w[(0, 2)], w[(0, 1)]
+    return {"changed": changed, "dropped": dropped, "swapped": swapped}
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_WITH_M))
+def test_a_tampered_witness_falls_back_to_membership(name, monkeypatch):
+    # a W that fails phi_1 W = q g is a missed shortcut: that q*g takes the
+    # membership test in M, and the report is the one without a witness
+    make, _ = SHARED_WITH_M[name]
+    comp, sop = make()
+    star = star_transform(comp, sop, with_report=False).star
+    expected = _colon_lines(verify_star(comp, sop, replace(star, witness=None)))
+    for how, witness in _tampered_witnesses(star, comp.ring).items():
+        tested = _recording_contains(monkeypatch)
+        report = verify_star(comp, sop, replace(star, witness=witness))
+        assert _colon_lines(report) == expected, how
+        assert len(tested) == (2 if how == "swapped" else 1), how
+
+
+def test_a_witness_does_not_vouch_for_a_forged_column():
+    # the output's bracket column replaced by x^2: the build's witness does
+    # not show q*x^2 in M, and the forgery is rejected as without it
+    comp, sop = exa_instance()
+    star = star_transform(comp, sop, with_report=False).star
+    out = star.complex
+    ring = comp.ring
+    phi1 = [list(row) for row in out.phi(1).entries]
+    assert out.labels[1][0] == ("bracket", 0, ())
+    phi1[0][0] = ring.parse("x^2")
+    forged_map = PolyMatrix(ring, phi1, out.phi(1).nrows, out.phi(1).ncols)
+    forged = replace(out, maps=(forged_map,) + out.maps[1:])
+    with_w = verify_star(comp, sop, replace(star, complex=forged))
+    without = verify_star(comp, sop, StarComplex(forged, star.input_top_rank))
+    assert _colon_lines(with_w) == _colon_lines(without)
+    check = _check(with_w, "colon_equality")
+    assert not check.passed
+
+
 
 
 def _exa_with_top_map(entries):
@@ -461,7 +533,91 @@ def test_a_floor_above_the_series_is_an_internal_error(name):
         modules.cokernel_series(ambient, gens, ring_series(ring))
 
 
-# -- one Hilbert series per basis ---------------------------------------------
+# -- the certificate over Q through one prime ------------------------------------
+
+Q_RINGS = tuple(name for name in sorted(RINGS) if name.startswith("Q"))
+P = complexes.MODULAR_PRIME
+
+
+def _route(cert):
+    return cert.ok, cert.failed_position, cert.detail, cert.series
+
+
+@settings(max_examples=25, deadline=None)
+@given(koszul_problems(Q_RINGS), st.data())
+def test_prime_route_agrees_with_the_q_route(problem, data):
+    # verdict, position, detail and HS(F_0 / Im phi_1), on inputs, outputs
+    # and tampered copies; over R/J the prime is not used
+    name, comp, sop = problem
+    out = star_transform(comp, sop, with_report=False).star.complex
+    var = data.draw(st.integers(0, comp.ring.nvars - 1))
+    for k, c in enumerate([comp, out, *_tampers(comp, var), *_tampers(out, var)]):
+        over_q = complexes._series_certificate(c)
+        assert _route(complexes._hilbert_certificate(c)) == _route(over_q), (name, k)
+        full = buchberger(c.module(0), c.image_gens(1), track=False).series()
+        assert over_q.series == full, (name, k)
+        assert (complexes._modulo_prime(c) is None) == bool(c.ring.quotient)
+
+
+def _recording_routes(monkeypatch):
+    """(the field's p, verdict) of every ``_series_certificate`` run."""
+    routes = []
+    real = complexes._series_certificate
+
+    def recording(comp):
+        cert = real(comp)
+        routes.append((comp.ring.field.p, cert.ok))
+        return cert
+
+    monkeypatch.setattr(complexes, "_series_certificate", recording)
+    return routes
+
+
+def test_an_unlucky_prime_falls_back_to_q(monkeypatch):
+    # (P*x + y, y) is a regular sequence over Q, but (y, y) mod P is not
+    ring = PolyRing(RationalField(), ("x", "y"))
+    comp = koszul(validate_sop(ring, [ring.parse(f"{P}*x + y"), ring.var(1)]))
+    routes = _recording_routes(monkeypatch)
+    cert = certify_acyclic(comp)
+    assert routes == [(P, False), (None, True)]
+    full = buchberger(comp.module(0), comp.image_gens(1), track=False).series()
+    assert cert.ok and cert.series == full
+
+
+def test_a_prime_certificate_needs_no_q_run(monkeypatch):
+    comp, _ = exa_instance()
+    routes = _recording_routes(monkeypatch)
+    cert = certify_acyclic(comp)
+    assert routes == [(P, True)]
+    assert cert.series == comp.image_gb(1).series()
+
+
+def test_a_denominator_divisible_by_the_prime_takes_the_q_route(monkeypatch):
+    comp, sop = _exa_with_top_map(((f"-3/{P}*y^2",), (f"3/{P}*x^2",)))
+    assert complexes._modulo_prime(comp) is None
+    routes = _recording_routes(monkeypatch)
+    assert certify_acyclic(comp).ok
+    assert routes == [(None, True)]
+    assert star_transform(comp, sop).report.overall
+
+
+def test_an_uncertified_prime_series_is_no_floor_over_q():
+    # mod P the image of (P*x + y, y) is (y), whose quotient series lies
+    # above the Q one: as a floor of the Q run it is an internal error
+    ring = PolyRing(RationalField(), ("x", "y"))
+    ambient = GradedFreeModule(ring, 1, (0,))
+    gens = [ambient.vector((ring.parse(f"{P}*x + y"),)), ambient.vector((ring.var(1),))]
+    reduced = complexes._modular_ring(ring.names, ring.weights)
+    prime_series = modules.cokernel_series(
+        GradedFreeModule(reduced, 1, (0,)),
+        [GradedFreeModule(reduced, 1, (0,)).vector((reduced.var(1),))],
+        ring_series(reduced).sub(ring_series(reduced)),
+    )
+    assert prime_series != buchberger(ambient, gens, track=False).series()
+    with pytest.raises(InternalError, match="lead terms fell below the Hilbert floor"):
+        modules.cokernel_series(ambient, gens, prime_series)
+
+
 
 
 def _quotient_instance():

@@ -336,6 +336,33 @@ def test_cli_verify_subcommand(tmp_path, capsys):
     assert "PASS overall" in capsys.readouterr().out
 
 
+def _exa_over_the_prime_denominator(data):
+    # a denominator divisible by the certificate's prime: the Q route only
+    p = 2**31 - 1
+    data["complex"]["maps"][1] = [[f"-3/{p}*y^2"], [f"3/{p}*x^2"]]
+
+
+def _unlucky_koszul(data):
+    # Koszul(P*x + y, y): exact over Q, not mod P
+    f = f"{2**31 - 1}*x + y"
+    data["complex"] = {
+        "twists": [[0], [-1, -1], [-2]],
+        "maps": [[[f, "y"]], [["-y"], [f]]],
+    }
+
+
+@pytest.mark.parametrize("edit", [_exa_over_the_prime_denominator, _unlucky_koszul])
+def test_cli_star_and_verify_past_the_modular_prime(edit, tmp_path, capsys):
+    data = exa_data()
+    edit(data)
+    path = write_json(tmp_path, "in.json", data)
+    out = str(tmp_path / "in.star.json")
+    assert main(["star", "--input", path, "--output", out, "--verify"]) == 0
+    assert main(["verify", "--input", out]) == 0
+    printed = capsys.readouterr().out
+    assert printed.count("PASS overall") == 3 and "FAIL" not in printed
+
+
 def test_cli_verify_detects_tampering(tmp_path, capsys):
     out = str(tmp_path / "exa.star.json")
     assert main(["star", "--input", FIXTURE, "--output", out]) == 0
