@@ -183,8 +183,8 @@ class FreeComplex:
 
         Built on first use and kept outside the dataclass fields, like
         ``SopData.ideal_gb``.  The certificates read only Hilbert series,
-        which ``image_series`` takes from the acyclicity certificate, so
-        the basis is built only where something reads its elements: the
+        which the acyclicity certificate keeps (``AcyclicityCertificate``),
+        so the basis is built only where something reads its elements: the
         colon and saturation commands, the depth probe, and a membership
         test of the colon certificate that no witness settled.  It is read
         through its leads, membership and normal forms, never lifted
@@ -397,17 +397,6 @@ def _modular_ring(names, weights):
     """The ring over F_P with these variables, one per signature, so that
     its kept series (``ring_series``) is computed once."""
     return PolyRing(_MODULAR_FIELD, names, weights)
-
-
-def image_series(comp):
-    """HS(F_0 / Im phi_1) (modulo J over R/J): the series ``certify_acyclic``
-    keeps, exact whatever its verdict.  Its floors need the compositions
-    to vanish, so a complex it refuses as not a complex takes the series
-    from ``image_gb(1)``."""
-    try:
-        return certify_acyclic(comp).series
-    except PreconditionFailed:
-        return comp.image_gb(1).series()
 
 
 def check_qf_containment(comp, sop):

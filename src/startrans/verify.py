@@ -24,7 +24,6 @@ from .complexes import (
     check_qf_containment,
     composition_defect,
     homogeneity_defect,
-    image_series,
 )
 from .errors import (
     InternalError,
@@ -124,10 +123,9 @@ class CountResult:
 class _Image:
     """Im phi_1 of a complex as the certificates read it, through the part
     of the ``SubmoduleGB`` interface they use (they take either): its
-    generators, HS(F_0 / Im phi_1) from the acyclicity certificate
-    (``image_series``), and membership through ``image_gb(1)``, which is
-    built by the first membership test only.  ``witness`` maps generators
-    to the vectors ``_colon_certificate`` may check them by
+    generators, HS(F_0 / Im phi_1), and membership through ``image_gb(1)``,
+    which is built by the first membership test only.  ``witness`` maps
+    generators to the vectors ``_colon_certificate`` may check them by
     (``_bracket_witnesses``)."""
 
     __slots__ = ("complex", "ambient", "generators", "witness")
@@ -139,7 +137,13 @@ class _Image:
         self.witness = witness or {}
 
     def series(self):
-        return image_series(self.complex)
+        """The series the acyclicity certificate keeps, exact whatever its
+        verdict.  Its floors need the compositions to vanish, so a complex
+        it refuses as not a complex takes the series from ``image_gb(1)``."""
+        try:
+            return certify_acyclic(self.complex).series
+        except PreconditionFailed:
+            return self.complex.image_gb(1).series()
 
     def contains(self, v):
         return self.complex.image_gb(1).contains(v)

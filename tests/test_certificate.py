@@ -438,8 +438,8 @@ def test_floored_certificate_agrees_with_the_full_one(problem, data):
     name, comp, sop = problem
     out = star_transform(comp, sop, with_report=False).star.complex
     var = data.draw(st.integers(0, comp.ring.nvars - 1))
-    complexes = [comp, out, *_tampers(comp, var), *_tampers(out, var)]
-    for k, c in enumerate(complexes):
+    cases = [comp, out, *_tampers(comp, var), *_tampers(out, var)]
+    for k, c in enumerate(cases):
         # a copy of each, so neither certificate reads the other's bases
         expected = _verdict(full_hilbert_certificate(replace(c)))
         assert _verdict(certify_acyclic(c)) == expected, (name, k)
