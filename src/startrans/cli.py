@@ -21,7 +21,7 @@ import json
 import re
 import sys
 
-from .complexes import koszul, validate_sop
+from .complexes import check_complex, koszul, validate_sop
 from .errors import (
     InternalError,
     IterationLimit,
@@ -38,6 +38,7 @@ from .modules import GradedFreeModule, buchberger
 from .poly import PolyRing, format_polynomial
 from .problemfile import (
     ProblemFile,
+    _parse_unchecked,
     emit_problem,
     emit_star,
     parse_problem,
@@ -180,14 +181,8 @@ def _cmd_koszul(args):
 def _cmd_star(args):
     """Run the transform, print its report and write the output file.
 
-    ``--verify`` (a usage error without ``--output``) parses the written
-    file back.  When it reads back equal to the objects this call has just
-    validated and certified (``_reads_back``), ``verify_star`` runs again
-    on those objects: every check runs and prints, but the structural
-    verdicts, acyclicity certificates and Groebner bases they keep are
-    read, not recomputed, and the parameters are not validated again.
-    When anything differs, the parsed objects are validated and verified
-    from scratch.
+    ``--verify`` (a usage error without ``--output``) reads the written
+    file back (``_round_trip``) and prints the round-trip report.
     """
     if args.verify and not args.output:
         raise ValidationError(
@@ -202,19 +197,41 @@ def _cmd_star(args):
         emit_star(result.star, result.report, args.output, pf, pf.complex)
         print(f"wrote {args.output}")
         if args.verify:
-            reparsed = parse_problem(args.output)
-            if _reads_back(reparsed, pf, sop, result.star.complex):
-                report2 = verify_star(pf.complex, sop, result.star)
-            else:
-                star = star_from_problem(reparsed)
-                sop2 = validate_sop(reparsed.ring, reparsed.sop_polys())
-                report2 = verify_star(reparsed.source_complex, sop2, star)
+            report2 = _round_trip(args.output, pf, sop, result)
             print("round-trip verification:")
             for line in report2.lines():
                 print(line)
             if not report2.overall:
                 return EXIT_CHECKS_FAILED
     return EXIT_OK if result.report.overall else EXIT_CHECKS_FAILED
+
+
+def _round_trip(path, pf, sop, result):
+    """The report on the file ``star`` wrote at ``path``.
+
+    The file is read back without the structural scans of its complexes.
+    When it equals the objects this call validated and certified
+    (``_reads_back``), their kept verdicts stand: an output that is not a
+    complex is rejected as ``parse_problem`` rejects it, and the report is
+    the one the build computed on those same objects (its lines carry no
+    timings).  When anything differs, or the file cannot be read that way,
+    it goes through ``parse_problem`` and is validated and verified from
+    scratch.
+    """
+    try:
+        reparsed = _parse_unchecked(path)
+    except StarTransError:
+        reparsed = None
+    out = result.star.complex
+    if reparsed is not None and _reads_back(reparsed, pf, sop, out):
+        defect = check_complex(out)
+        if defect is not None:
+            raise ValidationError(f"not a valid complex: {defect.message}")
+        return result.report
+    reparsed = parse_problem(path)
+    star = star_from_problem(reparsed)
+    sop2 = validate_sop(reparsed.ring, reparsed.sop_polys())
+    return verify_star(reparsed.source_complex, sop2, star)
 
 
 def _reads_back(reparsed, pf, sop, out):

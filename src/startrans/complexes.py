@@ -60,9 +60,9 @@ def sign_scalar(field_obj, exponent):
 
 def _kept(obj, key, compute):
     """``compute(obj)``, worked out on first use and kept on the frozen
-    ``obj`` outside its dataclass fields (so equality and hash are those of
-    the fields alone).  What it keeps is a function of those fields, so
-    every later call reads the kept value."""
+    ``obj`` outside its dataclass fields (so equality is that of the
+    fields alone).  What it keeps is a function of those fields, so every
+    later call reads the kept value."""
     kept = obj.__dict__
     if key not in kept:
         object.__setattr__(obj, key, compute(obj))
@@ -74,8 +74,8 @@ class SopData:
     """A homogeneous system of parameters; ``validate_sop`` validates it.
 
     ``ideal_gb()`` builds the basis of the parameter ideal on first use and
-    keeps it outside the dataclass fields (so equality and hash are those
-    of the fields alone).  ``colength`` and ``is_regular()`` are derived
+    keeps it outside the dataclass fields (so equality is that of the
+    fields alone).  ``colength`` and ``is_regular()`` are derived
     from that basis's Hilbert series.
     """
 
@@ -364,12 +364,13 @@ def _modulo_prime(comp):
     ``MODULAR_PRIME``, without labels; None over a prime field, over a
     ring with a quotient ideal (whose series mod P need not be the one over
     Q), or when a denominator is divisible by P.  The packed monomials do
-    not depend on the field, so they are kept."""
+    not depend on the field, so they are kept.  Each distinct denominator
+    is inverted once, and an integer coefficient needs no inverse."""
     ring = comp.ring
     if ring.field.p is not None or ring.quotient:
         return None
-    f = _MODULAR_FIELD
     reduced_ring = _modular_ring(ring.names, ring.weights)
+    inverses = {1: 1}
     maps = []
     for m in comp.maps:
         rows = []
@@ -378,9 +379,13 @@ def _modulo_prime(comp):
             for e in row:
                 terms = {}
                 for mono, c in e.terms.items():
-                    if not c._denominator % MODULAR_PRIME:
-                        return None
-                    c = f.from_fraction(c._numerator, c._denominator)
+                    d = c._denominator
+                    inverse = inverses.get(d)
+                    if inverse is None:
+                        if not d % MODULAR_PRIME:
+                            return None
+                        inverse = inverses[d] = pow(d, -1, MODULAR_PRIME)
+                    c = c._numerator * inverse % MODULAR_PRIME
                     if c:
                         terms[mono] = c
                 out.append(Polynomial(reduced_ring, terms))

@@ -155,19 +155,6 @@ class ModuleVector:
     def is_zero(self):
         return all(c.is_zero() for c in self.coords)
 
-    def __bool__(self):
-        return not self.is_zero()
-
-    def _check(self, other):
-        if not self.module.same_shape(other.module):
-            raise DimensionMismatch("vectors live in different modules")
-
-    def __add__(self, other):
-        self._check(other)
-        return ModuleVector(
-            self.module, tuple(a + b for a, b in zip(self.coords, other.coords))
-        )
-
     def scale(self, c):
         return ModuleVector(self.module, tuple(a.scale(c) for a in self.coords))
 

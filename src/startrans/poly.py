@@ -98,9 +98,6 @@ class PolyRing:
     def __eq__(self, other):
         return isinstance(other, PolyRing) and self.compatible(other)
 
-    def __hash__(self):
-        return hash((self.field, self.names, self.weights))
-
     def __repr__(self):
         vars_ = ", ".join(self.names)
         return f"PolyRing({self.field.name}; {vars_}; weights={self.weights})"
@@ -232,9 +229,6 @@ class Polynomial:
     def is_zero(self):
         return not self.terms
 
-    def __bool__(self):
-        return bool(self.terms)
-
     def __add__(self, other):
         self._check(other)
         f = self.ring.field
@@ -272,12 +266,21 @@ class Polynomial:
         return _from_accumulator(self.ring, acc)
 
     def scale(self, c):
+        """c times the polynomial.  Every sign of a boundary map comes
+        through here, so a scalar of one returns the polynomial itself and
+        minus one negates it without a product."""
         f = self.ring.field
-        if f.is_zero(c):
+        if not c:
             return self.ring.zero()
         p = f.p
         if p is not None:  # a product of two nonzero residues is nonzero
+            if c == 1:
+                return self
+            if c == p - 1:
+                return Polynomial(self.ring, {m: p - v for m, v in self.terms.items()})
             return Polynomial(self.ring, {m: c * v % p for m, v in self.terms.items()})
+        if c._denominator == 1 and c._numerator in (1, -1):
+            return self if c._numerator == 1 else -self
         return Polynomial(self.ring, {m: f.mul(c, v) for m, v in self.terms.items()})
 
     def __eq__(self, other):
@@ -286,9 +289,6 @@ class Polynomial:
             and self.ring.compatible(other.ring)
             and self.terms == other.terms
         )
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def sorted_terms(self):
         """Terms in decreasing ring order."""

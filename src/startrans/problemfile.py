@@ -14,6 +14,10 @@ still be well formed.  The parameter strings are re-canonicalized over the
 field they were read in, so parse-then-emit is byte-identical with or
 without an override.
 
+Each distinct polynomial string of a file is parsed once: one table per
+parse maps its text to the parsed polynomial, which every block that
+repeats the string shares (a ``Polynomial`` is immutable).
+
 Twist sign convention: the file stores R(a)-style twists (EX-A's F_1 is
 R(-2)^2, written [-2, -2]); internally a basis element of R(a) has degree
 -a, which is what GradedFreeModule.twists records.
@@ -28,7 +32,7 @@ from .complexes import FreeComplex, check_complex
 from .errors import MonomialOverflow, ParseError, ValidationError
 from .fields import field_from_spec
 from .modules import GradedFreeModule
-from .poly import PolyMatrix, PolyRing, format_polynomial
+from .poly import PolyMatrix, PolyRing, Polynomial, format_polynomial
 from .verify import VerificationReport
 
 
@@ -57,14 +61,19 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _parse_poly(ring, text, where):
-    """Parse the polynomial string at JSON path ``where``."""
+def _parse_poly(ring, text, where, parsed):
+    """Parse the polynomial string at JSON path ``where``, or read it from
+    ``parsed``, the file's table of the texts parsed so far; a malformed
+    string is never entered, so it fails at its first path."""
     if not isinstance(text, str):
         raise ParseError(f"{where} must be a polynomial string")
-    try:
-        return ring.parse(text)
-    except ParseError as exc:
-        raise ParseError(f"{where}: {exc}") from None
+    poly = parsed.get(text)
+    if poly is None:
+        try:
+            poly = parsed[text] = ring.parse(text)
+        except ParseError as exc:
+            raise ParseError(f"{where}: {exc}") from None
+    return poly
 
 
 def _parse_field(data):
@@ -78,9 +87,11 @@ def _parse_field(data):
     raise ParseError(f"unknown field type {ftype!r}")
 
 
-def _parse_ring(data, field=None):
+def _parse_ring(data, field, parsed):
     """The ring of the file, over ``field`` when one is given; the file's
-    own field block is parsed either way, so a malformed one is an error."""
+    own field block is parsed either way, so a malformed one is an error.
+    The quotient generators go into ``parsed`` over the ring with the
+    quotient, so every entry of the table lies in the returned ring."""
     file_field = _parse_field(data)
     if field is None:
         field = file_field
@@ -104,16 +115,19 @@ def _parse_ring(data, field=None):
         if not isinstance(quotient, list):
             raise ParseError("quotient must be a list of polynomial strings")
         gens = tuple(
-            _parse_poly(ring, t, f"quotient[{k}]") for k, t in enumerate(quotient)
+            _parse_poly(ring, t, f"quotient[{k}]", parsed)
+            for k, t in enumerate(quotient)
         )
         for k, g in enumerate(gens):
             if g.homogeneous_degree() is None:
                 raise ValidationError(f"quotient generator {k} is not homogeneous")
         ring = ring.with_quotient(gens)
+        for text, poly in parsed.items():
+            parsed[text] = Polynomial(ring, poly.terms)
     return ring
 
 
-def _parse_complex(ring, data, where="complex"):
+def _parse_complex(ring, data, parsed, where="complex"):
     twists_block = _require(data, "twists", list, where)
     maps_block = _require(data, "maps", list, where)
     if not twists_block:
@@ -150,7 +164,7 @@ def _parse_complex(ring, data, where="complex"):
                 )
             entries.append(
                 [
-                    _parse_poly(ring, s, f"{where}.maps[{k}][{i}][{j}]")
+                    _parse_poly(ring, s, f"{where}.maps[{k}][{i}][{j}]", parsed)
                     for j, s in enumerate(row)
                 ]
             )
@@ -204,26 +218,43 @@ def _parse_labels(block, modules):
 def parse_problem(path, field=None):
     """Read and fully validate a problem (or output) file, over ``field``
     instead of the file's own field when one is given."""
+    return problem_from_jsonable(_read_json(path), field)
+
+
+def _parse_unchecked(path):
+    """``parse_problem`` without the structural scans of the complex and
+    the source complex (``check_complex``), for a file that is compared
+    with objects already checked; anything else it rejects, it rejects as
+    ``parse_problem`` would, though a file with several faults may name
+    another one first."""
+    return _problem_from_jsonable(_read_json(path), None, check=False)
+
+
+def _read_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from None
-    return problem_from_jsonable(data, field)
 
 
 def problem_from_jsonable(data, field=None):
+    return _problem_from_jsonable(data, field, check=True)
+
+
+def _problem_from_jsonable(data, field, check):
     if not isinstance(data, dict):
         raise ParseError("problem file must be a JSON object")
-    ring = _parse_ring(data, field)
+    parsed = {}
+    ring = _parse_ring(data, field, parsed)
     sop_texts = tuple(_require(data, "sop", list, "problem file"))
     sop_polys = tuple(
-        _parse_poly(ring, t, f"sop[{k}]") for k, t in enumerate(sop_texts)
+        _parse_poly(ring, t, f"sop[{k}]", parsed) for k, t in enumerate(sop_texts)
     )
     complex_block = _require(data, "complex", dict, "problem file")
-    comp = _parse_complex(ring, complex_block)
+    comp = _parse_complex(ring, complex_block, parsed)
     labels = _parse_labels(data.get("labels"), comp.modules)
     if labels is not None:
         comp = FreeComplex(ring, comp.modules, comp.maps, labels)
@@ -232,7 +263,7 @@ def problem_from_jsonable(data, field=None):
             f"complex length {comp.length} does not match the "
             f"{len(sop_texts)} parameters"
         )
-    defect = check_complex(comp)
+    defect = check_complex(comp) if check else None
     if defect is not None:
         raise ValidationError(f"not a valid complex: {defect.message}")
     report = None
@@ -244,8 +275,8 @@ def problem_from_jsonable(data, field=None):
     source = None
     if "source_complex" in data:
         source_block = _require(data, "source_complex", dict, "problem file")
-        source = _parse_complex(ring, source_block, "source_complex")
-        sdefect = check_complex(source)
+        source = _parse_complex(ring, source_block, parsed, "source_complex")
+        sdefect = check_complex(source) if check else None
         if sdefect is not None:
             raise ValidationError(
                 f"source_complex is not a valid complex: {sdefect.message}"

@@ -80,6 +80,12 @@ def zero_vector(module):
     return module.vector((module.ring.zero(),) * module.rank)
 
 
+def add_vectors(a, b):
+    """a + b coordinate by coordinate: the package builds its sums of
+    vectors without a vector addition."""
+    return a.module.vector(tuple(x + y for x, y in zip(a.coords, b.coords)))
+
+
 def all_match(driver):
     """Every round of a ``star_iteration_driver`` result matched."""
     return all(r.matches for r in driver.rounds)

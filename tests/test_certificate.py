@@ -592,6 +592,32 @@ def test_a_prime_certificate_needs_no_q_run(monkeypatch):
     assert cert.series == comp.image_gb(1).series()
 
 
+def test_the_prime_route_inverts_each_denominator_once(monkeypatch):
+    # denominators 3, 5 and 1: two inverses, and every coefficient is the
+    # field's a/b
+    ring = PolyRing(RationalField(), ("x", "y"))
+    texts = ("1/3*x + 2/3*y", "x - 1/5*y", "7*x - 3*y", "-4/5*x")
+    comp = FreeComplex(
+        ring,
+        (GradedFreeModule(ring, 1, (0,)), GradedFreeModule(ring, 4, (1,) * 4)),
+        (PolyMatrix(ring, [[ring.parse(t) for t in texts]]),),
+    )
+    inverted = []
+
+    def counting_pow(base, exp, mod):
+        inverted.append(base)
+        return pow(base, exp, mod)
+
+    monkeypatch.setattr(complexes, "pow", counting_pow, raising=False)
+    reduced = complexes._modulo_prime(comp)
+    assert sorted(inverted) == [3, 5]
+    f = PrimeField(P)
+    for e, r in zip(comp.phi(1).row(0), reduced.phi(1).row(0)):
+        assert r.terms == {
+            m: f.from_fraction(c.numerator, c.denominator) for m, c in e.terms.items()
+        }
+
+
 def test_a_denominator_divisible_by_the_prime_takes_the_q_route(monkeypatch):
     comp, sop = _exa_with_top_map(((f"-3/{P}*y^2",), (f"3/{P}*x^2",)))
     assert complexes._modulo_prime(comp) is None

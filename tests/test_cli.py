@@ -12,7 +12,8 @@ from startrans import (
     star_transform,
     validate_sop,
 )
-from startrans import cli, modules, transform, verify
+from startrans import FreeComplex, PolyMatrix, StarComplex
+from startrans import cli, modules, poly, transform, verify
 from startrans.cli import main
 from startrans.instances import vanishing_top_instance
 from startrans.poly import format_polynomial
@@ -90,6 +91,38 @@ def test_parse_non_complex(tmp_path):
 def test_parse_missing_file():
     with pytest.raises(ParseError):
         parse_problem("/nonexistent/problem.json")
+
+
+def test_parse_reads_each_distinct_polynomial_once(monkeypatch, tmp_path):
+    # 11 strings, 5 distinct: the quotient's x^2 recurs in both complexes
+    data = exa_data()
+    data["quotient"] = ["x^2"]
+    data["source_complex"] = data["complex"]
+    texts = []
+    real_parse = poly.parse_polynomial
+
+    def parse_polynomial(ring, text):
+        texts.append(text)
+        return real_parse(ring, text)
+
+    monkeypatch.setattr(poly, "parse_polynomial", parse_polynomial)
+    pf = parse_problem(write_json(tmp_path, "repeats.json", data))
+    assert sorted(texts) == ["-y^2", "x", "x^2", "y", "y^2"]
+    monkeypatch.undo()
+    for comp in (pf.complex, pf.source_complex):
+        assert comp.maps == tuple(
+            PolyMatrix(pf.ring, [[pf.ring.parse(t) for t in row] for row in rows])
+            for rows in data["complex"]["maps"]
+        )
+        assert all(e.ring is pf.ring for m in comp.maps for row in m.entries for e in row)
+
+
+def test_parse_repeated_malformed_polynomial_names_its_first_path(tmp_path):
+    data = exa_data()
+    data["complex"]["maps"][0] = [["x^", "x^"]]
+    path = write_json(tmp_path, "bad.json", data)
+    with pytest.raises(ParseError, match=r"^complex\.maps\[0\]\[0\]\[0\]: "):
+        parse_problem(path)
 
 
 # -- emit / round trip ---------------------------------------------------------
@@ -248,17 +281,22 @@ def test_cli_star_verify_checks_a_file_that_reads_back_different_from_scratch(
     # a file that does not read back equal to the certified objects is
     # validated and verified as parsed, not through the kept verdicts
     out = str(tmp_path / "exa.star.json")
-    real_parse = cli.parse_problem
+    real_emit, real_parse = cli.emit_star, cli.parse_problem
     parsed = []
 
-    def parse_tampered(path, field=None):
-        if path != out:
-            return real_parse(path, field)
-        with open(path, encoding="utf-8") as fh:
+    def emit_tampered(*args):
+        pf = real_emit(*args)
+        with open(out, encoding="utf-8") as fh:
             data = json.load(fh)
         tamper(data)
-        parsed.append(real_parse(write_json(tmp_path, "tampered.json", data)))
-        return parsed[-1]
+        write_json(tmp_path, "exa.star.json", data)
+        return pf
+
+    def parse(path, field=None):
+        pf = real_parse(path, field)
+        if path == out:
+            parsed.append(pf)
+        return pf
 
     validations, verified = [], []
     real_validate, real_verify = cli.validate_sop, cli.verify_star
@@ -271,7 +309,8 @@ def test_cli_star_verify_checks_a_file_that_reads_back_different_from_scratch(
         verified.append((comp, sop, star))
         return real_verify(comp, sop, star)
 
-    monkeypatch.setattr(cli, "parse_problem", parse_tampered)
+    monkeypatch.setattr(cli, "emit_star", emit_tampered)
+    monkeypatch.setattr(cli, "parse_problem", parse)
     monkeypatch.setattr(cli, "validate_sop", validate)
     monkeypatch.setattr(cli, "verify_star", verify_star)
     assert main(["star", "--input", FIXTURE, "--output", out, "--verify"]) == code
@@ -281,6 +320,36 @@ def test_cli_star_verify_checks_a_file_that_reads_back_different_from_scratch(
     assert comp is reparsed.source_complex and star.complex is reparsed.complex
     round_trip = capsys.readouterr().out.split("round-trip verification:\n")[1]
     assert any(shown.startswith(line) for shown in round_trip.splitlines())
+
+
+def test_cli_star_verify_rejects_an_output_that_is_not_a_complex(
+    monkeypatch, tmp_path, capsys
+):
+    # the written file reads back equal to the built output, which a
+    # corrupted build left no complex: the round trip still rejects it
+    real_star_transform = cli.star_transform
+
+    def corrupted(comp, sop):
+        result = real_star_transform(comp, sop)
+        out = result.star.complex
+        first = [list(row) for row in out.phi(1).entries]
+        first[0][0] = -first[0][0]
+        maps = (PolyMatrix(out.ring, first),) + out.maps[1:]
+        result.star = StarComplex(
+            FreeComplex(out.ring, out.modules, maps, out.labels),
+            result.star.input_top_rank,
+        )
+        return result
+
+    monkeypatch.setattr(cli, "star_transform", corrupted)
+    out = str(tmp_path / "o.star.json")
+    assert main(["star", "--input", FIXTURE, "--output", out, "--verify"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == f"{EXA_REPORT}PASS overall\nwrote {out}\n"
+    assert captured.err == (
+        "precondition violated: not a valid complex: "
+        "(phi_1 phi_2) has nonzero entry (0,0)\n"
+    )
 
 
 def test_cli_star_precondition_exit_two(tmp_path, capsys):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brute
-from reference import zero_vector
+from reference import add_vectors, zero_vector
 from startrans import (
     GradedFreeModule,
     NotInModule,
@@ -139,7 +139,7 @@ def test_lift_of_generator_recombines(R1):
     w = lift_witness(gens[0], gens)
     acc = zero_vector(R1)
     for c, g in zip(w, gens):
-        acc = acc + g.mul_poly(c)
+        acc = add_vectors(acc, g.mul_poly(c))
     assert acc == gens[0]
 
 
@@ -252,11 +252,11 @@ def test_lift_recombination_random(R1, ring):
                 )
                 for _ in range(rng.randint(0, 2))
             ]
-            combo = combo + g.mul_poly(ring.from_terms(terms))
+            combo = add_vectors(combo, g.mul_poly(ring.from_terms(terms)))
         w = lift_witness(combo, gens, gb=gb)
         acc = zero_vector(R1)
         for c, g in zip(w, gens):
-            acc = acc + g.mul_poly(c)
+            acc = add_vectors(acc, g.mul_poly(c))
         assert acc == combo
 
 
@@ -301,7 +301,7 @@ def test_syzygies_annihilate_and_are_complete(R1):
     for r in rels:
         acc = zero_vector(R1)
         for c, g in zip(r.coords, gens):
-            acc = acc + g.mul_poly(c)
+            acc = add_vectors(acc, g.mul_poly(c))
         assert acc.is_zero()
     syz_module = rels[0].module
     for d in range(0, 7):
@@ -339,7 +339,7 @@ def test_syzygies_against_dense_kernels(problem):
         assert r.module.twists == syz_module.twists, name
         acc = zero_vector(ambient)
         for c, g in zip(r.coords, gens):
-            acc = acc + g.mul_poly(c)
+            acc = add_vectors(acc, g.mul_poly(c))
         assert brute.brute_membership(acc, jf), name
     nonzero = [k for k, g in enumerate(gens) if not g.is_zero()]
     for k, g in enumerate(gens):

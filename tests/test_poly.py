@@ -286,6 +286,18 @@ def test_fused_products_drop_cancelled_terms():
         assert m.apply(v)[0].terms == {}
 
 
+@pytest.mark.parametrize("field", [RationalField(), PrimeField(7), PrimeField(2)])
+def test_a_sign_scales_without_a_product(field, monkeypatch):
+    # by one the polynomial itself, by minus one its termwise negation
+    ring = PolyRing(field, ("x", "y"))
+    p = ring.parse("3*x^2 - 2*x*y + y^2")
+    negated = ring.from_terms((ring.unpack(m), field.neg(c)) for m, c in p.terms.items())
+    monkeypatch.setattr(type(field), "mul", None)
+    assert p.scale(field.one) is p
+    assert p.scale(field.neg(field.one)) == negated
+    assert _no_zero_coefficient(negated)
+
+
 def test_matrix_identity_and_product(ring):
     ident = identity_matrix(ring, 2)
     m = PolyMatrix(

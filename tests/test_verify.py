@@ -500,18 +500,23 @@ def test_star_verify_round_trip_reuses_what_the_call_certified(
     monkeypatch, tmp_path, capsys
 ):
     # exa.json reads back equal to the objects the call certified, so the
-    # round trip reads their kept verdicts, certificates and bases.  Each
-    # composite is multiplied out once per complex object: the parsed
-    # input, the built output, and the re-parsed output and source
+    # round trip reads their kept verdicts and prints the build's report.
+    # Each map is scanned once per complex the call checks: the parsed
+    # input at load, and the built output in the build's verify_star; the
+    # read-back copies are compared, not scanned
     compositions = _count_calls(
         monkeypatch, complexes._first_nonzero_composite_entry
     )
+    homogeneity = _count_calls(monkeypatch, complexes._first_inhomogeneous_entry)
+    verified = _count_calls(monkeypatch, verify.verify_star)
     certificates = _count_calls(monkeypatch, complexes._hilbert_certificate)
     validations = _count_calls(monkeypatch, complexes.validate_sop)
     fixture = os.path.join(os.path.dirname(__file__), "..", "fixtures", "exa.json")
     out = str(tmp_path / "exa.star.json")
     assert main(["star", "--input", fixture, "--output", out, "--verify"]) == 0
     assert capsys.readouterr().out.count("PASS overall") == 2
-    assert len(compositions) == 4
+    assert len(compositions) == 2
+    assert len(homogeneity) == 2
+    assert len(verified) == 1
     assert len(certificates) == 2
     assert len(validations) == 1
