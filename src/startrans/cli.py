@@ -34,7 +34,7 @@ from .errors import (
 )
 from .fields import field_from_spec
 from .instances import random_instance
-from .modules import GradedFreeModule, buchberger
+from .modules import ideal_gb
 from .poly import PolyRing, format_polynomial
 from .problemfile import (
     ProblemFile,
@@ -133,11 +133,6 @@ def _standalone_ring(args, texts):
     return PolyRing(field, tuple(names))
 
 
-def _ideal_gb(ring, polys):
-    ambient = GradedFreeModule(ring, 1, (0,))
-    return buchberger(ambient, [ambient.vector((p,)) for p in polys], track=False)
-
-
 def _print_generators(gb, output=None):
     gens = [format_polynomial(v.coords[0]) for v in gb.gb]
     text = ", ".join(gens) if gens else "0"
@@ -216,7 +211,7 @@ def _round_trip(path, pf, sop, result):
     the one the build computed on those same objects (its lines carry no
     timings).  When anything differs, or the file cannot be read that way,
     it goes through ``parse_problem`` and is validated and verified from
-    scratch.
+    scratch (``_verify_file``).
     """
     try:
         reparsed = _parse_unchecked(path)
@@ -228,10 +223,7 @@ def _round_trip(path, pf, sop, result):
         if defect is not None:
             raise ValidationError(f"not a valid complex: {defect.message}")
         return result.report
-    reparsed = parse_problem(path)
-    star = star_from_problem(reparsed)
-    sop2 = validate_sop(reparsed.ring, reparsed.sop_polys())
-    return verify_star(reparsed.source_complex, sop2, star)
+    return _verify_file(parse_problem(path))
 
 
 def _reads_back(reparsed, pf, sop, out):
@@ -251,15 +243,20 @@ def _reads_back(reparsed, pf, sop, out):
     )
 
 
-def _cmd_verify(args):
-    pf = _load(args)
+def _verify_file(pf):
+    """The report on a parsed output file, verified from scratch against
+    its source complex, which it must have."""
     if pf.source_complex is None:
         raise ValidationError(
             "file has no source_complex block; nothing to verify against"
         )
     star = star_from_problem(pf)
     sop = validate_sop(pf.ring, pf.sop_polys())
-    report = verify_star(pf.source_complex, sop, star)
+    return verify_star(pf.source_complex, sop, star)
+
+
+def _cmd_verify(args):
+    report = _verify_file(_load(args))
     for line in report.lines():
         print(line)
     return EXIT_OK if report.overall else EXIT_CHECKS_FAILED
@@ -269,7 +266,9 @@ def _colon_inputs(args):
     if args.module and args.ideal:
         texts = args.module.split(",") + args.ideal.split(",")
         ring = _standalone_ring(args, texts)
-        module_gb = _ideal_gb(ring, [ring.parse(t) for t in args.module.split(",")])
+        module_gb = ideal_gb(
+            ring, [ring.parse(t) for t in args.module.split(",")], track=False
+        )
         ideal = [ring.parse(t) for t in args.ideal.split(",")]
         return module_gb, ideal
     pf = _load(args)

@@ -19,6 +19,7 @@ from .modules import (
     GradedFreeModule,
     buchberger,
     cokernel_series,
+    ideal_gb,
     reduce_mod_quotient,
     ring_series,
 )
@@ -93,7 +94,7 @@ class SopData:
         return self.ideal_gb().series().dimension()
 
     def ideal_gb(self):
-        return _kept(self, "_ideal_gb", _parameter_ideal_gb)
+        return _kept(self, "_ideal_gb", lambda sop: ideal_gb(sop.ring, sop.gens))
 
     def is_regular(self):
         """True iff the parameters form a regular sequence on R.
@@ -108,11 +109,6 @@ class SopData:
         for d in self.degrees:
             expected = expected.sub(expected.twisted((d,)))
         return self.ideal_gb().series() == expected
-
-
-def _parameter_ideal_gb(sop):
-    ambient = GradedFreeModule(sop.ring, 1, (0,))
-    return buchberger(ambient, [ambient.vector((g,)) for g in sop.gens])
 
 
 def validate_sop(ring, polys):

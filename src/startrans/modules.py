@@ -104,13 +104,6 @@ class GradedFreeModule:
             raise DimensionMismatch("coordinate count must equal rank")
         return ModuleVector(self, coords)
 
-    def same_shape(self, other):
-        return (
-            self.rank == other.rank
-            and self.twists == other.twists
-            and self.ring.compatible(other.ring)
-        )
-
 
 def term_key(module, pos, m):
     """Sort key for module terms, the only definition of the module order:
@@ -164,7 +157,7 @@ class ModuleVector:
     def __eq__(self, other):
         return (
             isinstance(other, ModuleVector)
-            and self.module.same_shape(other.module)
+            and self.module == other.module
             and self.coords == other.coords
         )
 
@@ -221,10 +214,6 @@ class ModuleVector:
         if len(degs) == 1:
             return degs.pop()
         return None
-
-    def constant_parts(self):
-        """Constant coefficient of every coordinate, as a list of scalars."""
-        return [c.constant_coeff() for c in self.coords]
 
     def __repr__(self):
         inner = ", ".join(format_polynomial(c) for c in self.coords)
@@ -614,7 +603,7 @@ def _pair_loop(ambient, gens, *, track, floor=None):
     """
     ring = ambient.ring
     for g in gens:
-        if not g.module.same_shape(ambient):
+        if g.module != ambient:
             raise DimensionMismatch("generator outside the ambient module")
     adjoined = tuple(_adjoined_generators(ambient))
     working = gens + adjoined
@@ -763,7 +752,7 @@ def _reduce_basis(ambient, gens, adjoined, basis, rows, *, track=True):
 def normal_form(v, gb):
     """Remainder of v on division by the reduced basis; v minus the result
     lies in the submodule."""
-    if not v.module.same_shape(gb.ambient):
+    if v.module != gb.ambient:
         raise DimensionMismatch("vector outside the ambient module")
     return gb.normal_form(v)
 
@@ -780,7 +769,7 @@ def lift_witness(v, gens, ambient=None, gb=None):
     return gb.lift(v)
 
 
-def _syzygy_generators(gens, ambient, ncols, *, adjoined_rows=False):
+def _syzygy_generators(gens, ambient, ncols):
     """Generators of the relation module {c : sum c_i gens_i = 0} (modulo J
     over R/J), unreduced, with only their first ``ncols`` coordinates built.
 
@@ -794,10 +783,10 @@ def _syzygy_generators(gens, ambient, ncols, *, adjoined_rows=False):
     generator, where B expresses the working generators in the basis and A
     the basis in them.  A zero generator's row is its unit relation.
 
-    The rows of the adjoined J-multiples carry the relations that hold only
-    modulo J; ``syzygies`` asks for them (``adjoined_rows``).
-    ``_relation_image`` does not need them, because its generators after
-    the first ``ncols`` are a basis built over R/J and so span J*F: write a
+    The rows of the J-multiples that ``buchberger`` adjoins are not needed
+    when the generators after the first ``ncols`` span J*F, as they do for
+    every caller: a basis built over R/J (``_relation_image``) or the
+    J-multiples of the unit vectors (``syzygies``).  Write an adjoined
     J-multiple t as sum_k e_k g_k over them.  The row of t and sum_k e_k
     times the row of g_k are e_t - B_t*A and sum_k e_k*(e_(g_k) - B_k*A);
     B_t and sum_k e_k*B_k both express t in the basis, so their difference
@@ -810,7 +799,7 @@ def _syzygy_generators(gens, ambient, ncols, *, adjoined_rows=False):
     twists = tuple(g.homogeneous_degree() or 0 for g in gens[:ncols])
     syz_module = GradedFreeModule(ring, ncols, twists)
     gb = buchberger(ambient, gens)
-    basis, leads, rows, working = gb.gb, gb.leads, gb.rows, gb.working_generators
+    basis, leads, rows = gb.gb, gb.leads, gb.rows
 
     combos = []
     for j in range(len(basis)):
@@ -826,7 +815,7 @@ def _syzygy_generators(gens, ambient, ncols, *, adjoined_rows=False):
                 )
             combos.append(_row_combo(head, quots, rows))
     one = ring.one().terms
-    for j, g in enumerate(working if adjoined_rows else gb.generators):
+    for j, g in enumerate(gb.generators):
         quots, rem = _divide(ambient, _work(g), basis, track=True)
         if not rem.is_zero():
             raise InternalError("generator not reduced by own basis (internal)")
@@ -846,7 +835,7 @@ def syzygies(gens, ambient=None):
     It lives in a fresh free module of rank len(gens) whose twists are the
     generator degrees: the reduced basis of the ``_syzygy_generators``
     span, each element checked to annihilate ``gens`` (modulo the quotient
-    ideal, if any).
+    ideal, if any).  The J-multiples of the unit vectors follow ``gens``.
     """
     gens = tuple(gens)
     if ambient is None:
@@ -854,7 +843,7 @@ def syzygies(gens, ambient=None):
             raise DimensionMismatch("ambient required for empty generator list")
         ambient = gens[0].module
     syz_module, candidates = _syzygy_generators(
-        gens, ambient, len(gens), adjoined_rows=True
+        gens + tuple(_adjoined_generators(ambient)), ambient, len(gens)
     )
     result = buchberger(syz_module, candidates, track=False)
     ring = ambient.ring
@@ -884,7 +873,7 @@ def _relation_image(ambient, first, rest, through):
 
 def submodule_equal(a, b):
     """True iff the two submodules coincide (reduced bases identical)."""
-    if not a.ambient.same_shape(b.ambient):
+    if a.ambient != b.ambient:
         raise DimensionMismatch("submodules of different ambient modules")
     if len(a.gb) != len(b.gb):
         return False
@@ -926,7 +915,7 @@ def intersect(a, b):
     intersection (Eisenbud, *Commutative Algebra*, Thm 15.10).  Over R/J the
     relations hold modulo J, so the result is the intersection in R/J.
     """
-    if not a.ambient.same_shape(b.ambient):
+    if a.ambient != b.ambient:
         raise DimensionMismatch("intersection requires a common ambient module")
     return _relation_image(a.ambient, a.gb, b.gb, a.gb)
 
@@ -1109,6 +1098,13 @@ def hilbert_data(m_gb):
 # -- the ring R/J --------------------------------------------------------------
 
 
+def ideal_gb(ring, polys, *, track=True):
+    """Reduced basis of the ideal of ``polys`` inside R^1, J adjoined over
+    R/J; ``track`` is ``buchberger``'s."""
+    ambient = GradedFreeModule(ring, 1, (0,))
+    return buchberger(ambient, [ambient.vector((p,)) for p in polys], track=track)
+
+
 def quotient_ideal_gb(ring):
     """Reduced basis of the quotient ideal J inside R^1 (empty when the ring
     has no quotient), built once per ring and kept on it."""
@@ -1116,7 +1112,7 @@ def quotient_ideal_gb(ring):
         return ring._quotient_gb
     except AttributeError:
         pass
-    ring._quotient_gb = buchberger(GradedFreeModule(ring, 1, (0,)), [], track=False)
+    ring._quotient_gb = ideal_gb(ring, (), track=False)
     return ring._quotient_gb
 
 

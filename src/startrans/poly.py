@@ -560,9 +560,6 @@ class PolyMatrix:
     def column(self, j):
         return tuple(self.entries[i][j] for i in range(self.nrows))
 
-    def row(self, i):
-        return self.entries[i]
-
     def __eq__(self, other):
         return (
             isinstance(other, PolyMatrix)

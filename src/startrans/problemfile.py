@@ -45,7 +45,11 @@ class ProblemFile:
     source_complex: FreeComplex = None
 
     def sop_polys(self):
-        return tuple(self.ring.parse(t) for t in self.sop_texts)
+        """The parsed parameters, kept outside the dataclass fields; a parsed
+        file keeps the tuple its parse made."""
+        if "_sop_polys" not in vars(self):
+            self._sop_polys = tuple(self.ring.parse(t) for t in self.sop_texts)
+        return self._sop_polys
 
 
 def _require(data, key, kind, where):
@@ -283,7 +287,9 @@ def _problem_from_jsonable(data, field, check):
             )
     # re-canonicalize each sop string so round trips are bit-identical
     sop_texts = tuple(format_polynomial(p) for p in sop_polys)
-    return ProblemFile(ring, sop_texts, comp, report, source)
+    pf = ProblemFile(ring, sop_texts, comp, report, source)
+    pf._sop_polys = sop_polys
+    return pf
 
 
 def _field_jsonable(field):

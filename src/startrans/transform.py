@@ -49,7 +49,6 @@ class ChainMap:
 
     complex: FreeComplex
     sop: object
-    decomposition: tuple
     shift: int
     source_modules: tuple
     matrices: tuple
@@ -164,9 +163,7 @@ def build_chain_map(comp, sop, decomposition):
         ]
         matrices.append(PolyMatrix(ring, entries, tgt.rank, len(cols)))
 
-    return ChainMap(
-        comp, sop, decomposition, shift, source_modules, tuple(matrices), elements
-    )
+    return ChainMap(comp, sop, shift, source_modules, tuple(matrices), elements)
 
 
 def chain_map_image_checks(cm, m_gb, colon_gb=None):
@@ -299,12 +296,11 @@ def split_top(cone, cm):
 @dataclass(frozen=True)
 class BasisSelection:
     """Result of the unit-entry elimination on the split complex's top map:
-    the pairs whose columns became pivots (their v_(lam,i) join the free
-    basis of F_(n-1)), the standard basis indices of the angle rows no
-    pivot took, and the remaining pairs with their reduced columns, which
-    vanish on every pivot row."""
+    the standard basis indices of the angle rows no pivot took, and the
+    pairs whose columns took no pivot, with their reduced columns, which
+    vanish on every pivot row.  The other pairs became pivots (their
+    v_(lam,i) join the free basis of F_(n-1); ``StarComplex.selected_pairs``)."""
 
-    selected_pairs: tuple
     retained_basis: tuple
     star_pairs: tuple
     columns: tuple
@@ -338,7 +334,6 @@ def select_basis(split, cm):
     top_map = split.maps[n - 1]
     nb = cm.source_modules[n - 2].rank
     col_index = {s: k for k, s in enumerate(subsets(n, n - 1))}
-    selected = []
     pivots = []
     kept = {}
     for lam in range(cm.top_rank):
@@ -360,11 +355,9 @@ def select_basis(split, cm):
             pivot = (row, column, f.div(f.one, column[row].constant_coeff()))
             for other in kept.values():
                 _clear_row(other, *pivot)
-            selected.append((lam, i))
             pivots.append(pivot)
     pivot_rows = {row for row, _, _ in pivots}
     return BasisSelection(
-        tuple(selected),
         tuple(u for u in range(top_map.nrows - nb) if nb + u not in pivot_rows),
         tuple(kept),
         tuple(tuple(column) for column in kept.values()),
@@ -501,10 +494,6 @@ class StarComplex:
 @dataclass
 class StarResult:
     star: StarComplex
-    chain_map: object
-    cone: object
-    split: object
-    selection: object
     input_complex: FreeComplex
     report: object = None
 
@@ -531,17 +520,15 @@ def star_transform(comp, sop, with_report=True):
             f"input complex is not acyclic: {cert.detail}"
         )
     cm = build_chain_map(comp, sop, decompose_images(comp, sop))
-    cone = mapping_cone(cm)
-    split = split_top(cone, cm)
-    selection = select_basis(split, cm)
-    out = build_star_top(selection, split, cm)
+    split = split_top(mapping_cone(cm), cm)
+    out = build_star_top(select_basis(split, cm), split, cm)
     witness = {
         (lam, i): cm.elements[(lam, (i,))]
         for lam in range(comp.top_rank())
         for i in range(1, n + 1)
     }
     star = StarComplex(out, comp.top_rank(), witness)
-    result = StarResult(star, cm, cone, split, selection, comp)
+    result = StarResult(star, comp)
 
     if with_report:
         from .verify import verify_star

@@ -124,17 +124,21 @@ class _Image:
     """Im phi_1 of a complex as the certificates read it, through the part
     of the ``SubmoduleGB`` interface they use (they take either): its
     generators, HS(F_0 / Im phi_1), and membership through ``image_gb(1)``,
-    which is built by the first membership test only.  ``witness`` maps
-    generators to the vectors ``_colon_certificate`` may check them by
-    (``_bracket_witnesses``)."""
+    which is built by the first membership test only.  Each is read when a
+    check asks, so a map that cannot be read fails only the checks that read
+    it.  ``witness`` maps column indices of phi_1 to the vectors
+    ``_colon_certificate`` may check those columns by (``_bracket_witnesses``)."""
 
-    __slots__ = ("complex", "ambient", "generators", "witness")
+    __slots__ = ("complex", "ambient", "witness")
 
     def __init__(self, comp, witness=None):
         self.complex = comp
         self.ambient = comp.module(0)
-        self.generators = tuple(comp.image_gens(1))
         self.witness = witness or {}
+
+    @property
+    def generators(self):
+        return tuple(self.complex.image_gens(1))
 
     def series(self):
         """The series the acyclicity certificate keeps, exact whatever its
@@ -215,11 +219,12 @@ def verify_star(comp, sop, star):
     when the top module vanished, and, over a quotient ring, the
     certified regularity of the parameters.
 
-    M and N are read through ``_Image``: the Hilbert series each complex's
-    acyclicity certificate keeps, and, for Q*N <= M, the star's
-    ``witness`` (``StarComplex``), re-checked here.  A basis of M is built
-    only for a membership test that no witness settled, and a basis of N
-    only for the depth probe.
+    M and N are both read through ``_Image``, inside the checks only: the
+    Hilbert series each complex's acyclicity certificate keeps, and, for
+    Q*N <= M, the star's ``witness`` (``StarComplex``), re-checked here.
+    A basis of M is built only for a membership test that no witness
+    settled, and a basis of N only by the depth probe, which reads it from
+    the output (``FreeComplex.image_gb``).
     """
     report = VerificationReport()
     out = star.complex
@@ -239,27 +244,8 @@ def verify_star(comp, sop, star):
     )
 
     m_gb = _Image(comp)
-    # Im phi_1 of the output; None only if reading it failed, and the checks
-    # that read it then fail instead of computing a colon.  Only the depth
-    # probe reads its basis, so the basis is built here when the probe will
-    # run, and otherwise never
-    n_gb = None
-
-    def with_n_gb(check):
-        return lambda: (
-            check() if n_gb is not None
-            else (False, "Im phi_1 of the output could not be built")
-        )
-
-    def _colon_equality():
-        nonlocal n_gb
-        n_gb = (
-            out.image_gb(1) if star.depth_positive_fastpath
-            else _Image(out, _bracket_witnesses(star, sop.n))
-        )
-        return _colon_certificate(comp, sop, m_gb, n_gb)
-
-    report.run("colon_equality", _colon_equality)
+    n_gb = _Image(out, _bracket_witnesses(star, sop.n))
+    report.run("colon_equality", lambda: _colon_certificate(comp, sop, m_gb, n_gb))
     report.run("top_minimality", lambda: _top_minimality(out))
     report.run(
         "rank_accounting",
@@ -270,15 +256,15 @@ def verify_star(comp, sop, star):
         res = colon_quotient_count(m_gb, sop, comp.top_rank(), colon_gb=n_gb)
         return res.passed, f"dim (M:Q)/M = {res.lhs}, expected {res.rhs}"
 
-    report.run("colon_quotient_count", with_n_gb(_count))
+    report.run("colon_quotient_count", _count)
 
     if star.depth_positive_fastpath:
         report.run(
             "depth_positive",
-            with_n_gb(lambda: (
-                depth_positive_check(n_gb),
+            lambda: (
+                depth_positive_check(out.image_gb(1)),
                 "top module vanished; colon by the irrelevant ideal is stable",
-            )),
+            ),
         )
     if comp.ring.quotient:
         report.run(
@@ -303,15 +289,15 @@ def _acyclicity_check(out, is_complex):
 
 
 def _bracket_witnesses(star, count):
-    """{g: (W[(lam, 1)], .., W[(lam, count)])} over the output's phi_1
-    columns g labelled ("bracket", lam, ()), from the star's ``witness``
-    (None where it has no entry); empty when the star carries none."""
+    """{j: (W[(lam, 1)], .., W[(lam, count)])} over the output's phi_1
+    columns j labelled ("bracket", lam, ()), from the star's ``witness``
+    (None where it has no entry); empty when the star carries none.  Only
+    the labels are read, not the map."""
     if not star.witness:
         return {}
-    out = star.complex
     return {
-        g: tuple(star.witness.get((label[1], i)) for i in range(1, count + 1))
-        for g, label in zip(out.image_gens(1), out.labels[1])
+        j: tuple(star.witness.get((label[1], i)) for i in range(1, count + 1))
+        for j, label in enumerate(star.labels[1])
         if label[0] == "bracket"
     }
 
@@ -319,7 +305,7 @@ def _bracket_witnesses(star, count):
 def _witnessed(comp, qg, w):
     """True iff ``w`` is a vector of F_1 of ``comp`` with phi_1 w = qg
     modulo J: then qg lies in M = Im phi_1, whoever built w."""
-    if w is None or not w.module.same_shape(comp.module(1)):
+    if w is None or w.module != comp.module(1):
         return False
     ring = comp.ring
     image = comp.phi(1).apply(w.coords)
@@ -345,10 +331,10 @@ def _colon_certificate(comp, sop, m_gb, n_gb):
     Q-containment of the top map is not needed.  A generator of N that
     equals a generator of M (the output's angle columns are the input's
     phi_1 columns) lies in M, so Q*g <= M and it takes no membership test.
-    For any other generator g, N's ``witness`` may map g to vectors W_i of
-    F_1 (``_bracket_witnesses``): phi_1 W_i = q_i g modulo J shows q_i g in M
-    with one product (McConnell, Mehlhorn, Naeher and Schweitzer,
-    "Certifying algorithms", Comput. Sci. Rev. 5 (2011)).  Each W is
+    For any other generator g, N's ``witness`` may map the column of g to
+    vectors W_i of F_1 (``_bracket_witnesses``): phi_1 W_i = q_i g modulo J
+    shows q_i g in M with one product (McConnell, Mehlhorn, Naeher and
+    Schweitzer, "Certifying algorithms", Comput. Sci. Rev. 5 (2011)).  Each W is
     re-checked, not trusted, and a q_i g that no W shows takes the
     membership test in M, so a missing or wrong W changes only the cost,
     never the verdict.  Returns (passed, detail).
@@ -361,17 +347,17 @@ def _colon_certificate(comp, sop, m_gb, n_gb):
         return False, f"input not acyclic: {cert.detail}"
     if not sop.is_regular():
         return False, "parameters are not a regular sequence"
-    if not n_gb.ambient.same_shape(m_gb.ambient):
+    if n_gb.ambient != m_gb.ambient:
         return False, "the output F_0 differs from the input F_0"
     # N is generated by the output's phi_1 columns and M is a submodule, so
     # Q*N <= M needs only q*g in M for each generator g (over R/J too:
     # membership reduces modulo J)
     in_m = set(m_gb.generators)
     witness = getattr(n_gb, "witness", {})
-    for g in n_gb.generators:
+    for j, g in enumerate(n_gb.generators):
         if g in in_m:
             continue
-        shown = witness.get(g) or (None,) * len(sop.gens)
+        shown = witness.get(j) or (None,) * len(sop.gens)
         for q, w in zip(sop.gens, shown):
             qg = g.mul_poly(q)
             if not (_witnessed(comp, qg, w) or m_gb.contains(qg)):

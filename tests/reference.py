@@ -9,7 +9,8 @@ pivots and lifts through a tracked Groebner basis; the acyclicity
 certificate works top-down and stops each image's Buchberger run at its
 Hilbert floor; the products over a prime field reduce modulo p once per
 output term.  The helpers here recompute those facts the long way, so the
-tests can compare.
+tests can compare.  ``star_transform`` keeps none of its intermediate
+objects; ``stages`` rebuilds them from the stage functions.
 """
 
 import random
@@ -20,8 +21,13 @@ from startrans import (
     FreeComplex,
     GradedFreeModule,
     PolyMatrix,
+    build_chain_map,
     buchberger,
+    decompose_images,
     koszul,
+    mapping_cone,
+    select_basis,
+    split_top,
     validate_sop,
 )
 from startrans.complexes import (
@@ -178,6 +184,25 @@ def squares_commute(cm):
     return True
 
 
+@dataclass(frozen=True)
+class Stages:
+    """The intermediate objects of one ``star_transform`` run."""
+
+    chain_map: object
+    cone: object
+    split: object
+    selection: object
+
+
+def stages(comp, sop):
+    """The chain map, cone, split complex and basis selection that
+    ``star_transform(comp, sop)`` builds, from the same stage functions."""
+    cm = build_chain_map(comp, sop, decompose_images(comp, sop))
+    cone = mapping_cone(cm)
+    split = split_top(cone, cm)
+    return Stages(cm, cone, split, select_basis(split, cm))
+
+
 def top_is_signed_identity(cm):
     """The top level of the chain map is (-1)^n times the identity."""
     ring = cm.complex.ring
@@ -211,12 +236,12 @@ def lifted_selection(cm):
     n = cm.n
     prev = cm.complex.module(n - 1)
     f = prev.ring.field
-    dec = cm.decomposition
+    dec = decompose_images(cm.complex, cm.sop)
     pairs = [(lam, i) for lam in range(cm.top_rank) for i in range(1, n + 1)]
     pivots = {}
     selected = []
     for lam, i in pairs:
-        vec = list(dec[lam][i - 1].constant_parts())
+        vec = [c.constant_coeff() for c in dec[lam][i - 1].coords]
         for r in sorted(pivots):
             if not f.is_zero(vec[r]):
                 factor = f.div(vec[r], pivots[r][r])

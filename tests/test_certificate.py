@@ -612,7 +612,7 @@ def test_the_prime_route_inverts_each_denominator_once(monkeypatch):
     reduced = complexes._modulo_prime(comp)
     assert sorted(inverted) == [3, 5]
     f = PrimeField(P)
-    for e, r in zip(comp.phi(1).row(0), reduced.phi(1).row(0)):
+    for e, r in zip(comp.phi(1).entries[0], reduced.phi(1).entries[0]):
         assert r.terms == {
             m: f.from_fraction(c.numerator, c.denominator) for m, c in e.terms.items()
         }

@@ -117,6 +117,25 @@ def test_parse_reads_each_distinct_polynomial_once(monkeypatch, tmp_path):
         assert all(e.ring is pf.ring for m in comp.maps for row in m.entries for e in row)
 
 
+def test_star_verify_parses_the_parameters_once_per_read(monkeypatch, tmp_path):
+    # the input and the read-back each parse every distinct string once, and
+    # ``sop_polys()`` hands out the parse's own tuple
+    texts = []
+    real_parse = poly.parse_polynomial
+
+    def parse_polynomial(ring, text):
+        texts.append(text)
+        return real_parse(ring, text)
+
+    monkeypatch.setattr(poly, "parse_polynomial", parse_polynomial)
+    out = str(tmp_path / "exa.star.json")
+    assert main(["star", "--input", FIXTURE, "--output", out, "--verify"]) == 0
+    assert len(texts) == 13
+    assert texts.count("x") == texts.count("y") == 2
+    pf = parse_problem(out)
+    assert pf.sop_polys() is pf.sop_polys()
+
+
 def test_parse_repeated_malformed_polynomial_names_its_first_path(tmp_path):
     data = exa_data()
     data["complex"]["maps"][0] = [["x^", "x^"]]
@@ -320,6 +339,25 @@ def test_cli_star_verify_checks_a_file_that_reads_back_different_from_scratch(
     assert comp is reparsed.source_complex and star.complex is reparsed.complex
     round_trip = capsys.readouterr().out.split("round-trip verification:\n")[1]
     assert any(shown.startswith(line) for shown in round_trip.splitlines())
+
+
+def test_cli_star_verify_refuses_a_read_back_without_source_complex(
+    monkeypatch, tmp_path, capsys
+):
+    # the round trip verifies such a file as ``verify`` does: a
+    # precondition error, not a crash
+    real_emit = cli.emit_star
+
+    def emit_without_source(star, report, path, base, input_complex):
+        return real_emit(star, report, path, base, None)
+
+    monkeypatch.setattr(cli, "emit_star", emit_without_source)
+    out = str(tmp_path / "exa.star.json")
+    assert main(["star", "--input", FIXTURE, "--output", out, "--verify"]) == 2
+    assert capsys.readouterr().err == (
+        "precondition violated: file has no source_complex block; "
+        "nothing to verify against\n"
+    )
 
 
 def test_cli_star_verify_rejects_an_output_that_is_not_a_complex(

@@ -282,9 +282,9 @@ def test_products_match_the_termwise_oracle(problem):
     column = b.column(0)
     applied = a.apply(column)
     for i in range(a.nrows):
-        row = a.row(i)
+        row = a.entries[i]
         combined = _combine_rows(
-            ring, [(e.terms, b.row(k)) for k, e in enumerate(row) if e.terms], b.ncols
+            ring, [(e.terms, b.entries[k]) for k, e in enumerate(row) if e.terms], b.ncols
         )
         for j in range(b.ncols):
             expected = termwise_products(

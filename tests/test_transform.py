@@ -59,6 +59,7 @@ from reference import (
     padded_zero_top_instance,
     restricted_top_map,
     squares_commute,
+    stages,
     top_is_signed_identity,
     zero_matrix,
     zero_vector,
@@ -111,13 +112,14 @@ def test_second_level_matches_decomposition_signs(small_corpus):
     for name, comp, sop in small_corpus:
         if comp.top_rank() == 0:
             continue
-        cm = build_chain_map(comp, sop, decompose_images(comp, sop))
+        decomposition = decompose_images(comp, sop)
+        cm = build_chain_map(comp, sop, decomposition)
         n = comp.length
         f = comp.ring.field
         for lam in range(comp.top_rank()):
             for i in range(1, n + 1):
                 sign = f.one if (n + i - 1) % 2 == 0 else f.neg(f.one)
-                expected = cm.decomposition[lam][i - 1].scale(sign)
+                expected = decomposition[lam][i - 1].scale(sign)
                 assert cm.elements[(lam, co_singleton(i, n))] == expected, name
 
 
@@ -397,10 +399,23 @@ def split_and_chain_map(comp, sop, decomposition=None):
     return split_top(mapping_cone(cm), cm), cm
 
 
+def selected_pairs(sel, cm):
+    """The pairs whose columns became pivots: all but the kept ones, in
+    (lam, i) order (``StarComplex.selected_pairs`` reads the same from the
+    output's labels)."""
+    return tuple(
+        (lam, i)
+        for lam in range(cm.top_rank)
+        for i in range(1, cm.n + 1)
+        if (lam, i) not in sel.star_pairs
+    )
+
+
 def test_select_basis_exa(exa):
     comp, sop = exa
-    sel = select_basis(*split_and_chain_map(comp, sop))
-    assert sel.selected_pairs == ()
+    split, cm = split_and_chain_map(comp, sop)
+    sel = select_basis(split, cm)
+    assert selected_pairs(sel, cm) == ()
     assert sel.retained_basis == (0, 1)
     assert sel.star_pairs == ((0, 1), (0, 2))
     # bracket row, then the angle rows (-1)^i v_(0,i)
@@ -409,8 +424,9 @@ def test_select_basis_exa(exa):
 
 
 def test_select_basis_unit_pivots():
-    sel = select_basis(*split_and_chain_map(*vanishing_top_instance()))
-    assert set(sel.selected_pairs) == {(0, 1), (0, 2)}
+    split, cm = split_and_chain_map(*vanishing_top_instance())
+    sel = select_basis(split, cm)
+    assert set(selected_pairs(sel, cm)) == {(0, 1), (0, 2)}
     assert sel.retained_basis == ()
     assert sel.star_pairs == ()
     assert sel.columns == ()
@@ -421,7 +437,7 @@ def test_select_basis_counts(small_corpus):
         split, cm = split_and_chain_map(comp, sop)
         sel = select_basis(split, cm)
         prev_rank = comp.module(comp.length - 1).rank
-        assert len(sel.selected_pairs) + len(sel.retained_basis) == prev_rank, name
+        assert len(selected_pairs(sel, cm)) + len(sel.retained_basis) == prev_rank, name
         # every kept column vanishes on the pivot rows and has no unit
         # entry on the retained ones
         nb = split.module(comp.length - 1).rank - prev_rank
@@ -437,8 +453,9 @@ def test_select_basis_counts(small_corpus):
 
 def test_select_basis_square_ideal_mixed():
     comp, sop = square_ideal_instance()
-    sel = select_basis(*split_and_chain_map(comp, sop))
-    assert len(sel.selected_pairs) == 3
+    split, cm = split_and_chain_map(comp, sop)
+    sel = select_basis(split, cm)
+    assert len(selected_pairs(sel, cm)) == 3
     assert sel.retained_basis == ()
     assert sel.star_pairs == ((1, 2),)
     # the leftover vector is a combination of the selected ones: its column
@@ -456,8 +473,8 @@ def test_select_basis_reduces_by_the_pivots_in_the_order_found():
     sop = validate_sop(ring, [ring.var(0), ring.var(1), ring.var(2)])
     gens = validate_sop(ring, [ring.parse(t) for t in ("z", "x + y", "x + z")])
     res = star_transform(koszul(gens), sop)
-    assert res.selection.selected_pairs == ((0, 1), (0, 2), (0, 3))
-    assert res.selection.retained_basis == ()
+    assert res.star.selected_pairs == ((0, 1), (0, 2), (0, 3))
+    assert res.star.retained_basis == ()
     assert res.report.overall
 
 
@@ -477,7 +494,7 @@ def test_select_basis_builds_no_groebner_basis(monkeypatch):
     monkeypatch.setattr(transform, "buchberger", buchberger_calls)
     monkeypatch.setattr(SubmoduleGB, "lift", counted(SubmoduleGB.lift))
     sel = select_basis(split, cm)
-    assert sel.selected_pairs and sel.star_pairs
+    assert selected_pairs(sel, cm) and sel.star_pairs
     assert calls == []
 
 
@@ -501,15 +518,16 @@ def test_exa_star_top_values(exa, exa_chain_map):
 
 def assert_top_map_is_the_restricted_map(comp, sop):
     res = star_transform(comp, sop, with_report=False)
-    cm, sel = res.chain_map, res.selection
+    st = stages(comp, sop)
+    cm, sel = st.chain_map, st.selection
     assert squares_commute(cm)
     assert top_is_signed_identity(cm)
     reference = lifted_selection(cm)
-    assert sel.selected_pairs == reference.selected_pairs
+    assert res.star.selected_pairs == reference.selected_pairs
     assert sel.retained_basis == reference.retained_basis
     assert sel.star_pairs == reference.star_pairs
     top = res.star.complex.phi(cm.n)
-    restricted = restricted_top_map(res.split, cm)
+    restricted = restricted_top_map(st.split, cm)
     assert top.ncols == restricted.ncols == len(sel.star_pairs)
     for j in range(top.ncols):
         assert top.column(j) == restricted.column(j), sel.star_pairs[j]

@@ -405,6 +405,8 @@ def test_driver_computes_no_colon_by_the_parameters(monkeypatch):
 
 
 def test_verify_star_runs_no_colon_when_the_output_image_fails(monkeypatch):
+    # the output's basis is read by the depth probe only: the colon
+    # certificate and the count read N through its columns and series
     comp, sop = vanishing_top_instance()
     res = star_transform(comp, sop, with_report=False)
     assert res.star.depth_positive_fastpath
@@ -421,9 +423,45 @@ def test_verify_star_runs_no_colon_when_the_output_image_fails(monkeypatch):
     report = verify_star(comp, sop, res.star)
     assert calls == []
     checks = {c.name: c for c in report.checks}
-    for name in ("colon_quotient_count", "depth_positive"):
+    assert [c.name for c in report.checks if not c.passed] == ["depth_positive"]
+    assert checks["depth_positive"].detail == "RuntimeError: image basis unavailable"
+    assert checks["colon_equality"].passed and checks["colon_quotient_count"].passed
+
+
+def test_verify_star_reads_the_output_map_inside_the_checks_only():
+    # phi_1 of the output gets one extra row, so its columns are not
+    # vectors of F_0: every check that reads them fails with the error, and
+    # the report is still returned
+    comp, sop = exa_instance()
+    res = star_transform(comp, sop, with_report=False)
+    out = res.star.complex
+    phi1 = out.phi(1)
+    extra = [list(row) for row in phi1.entries] + [[out.ring.zero()] * phi1.ncols]
+    bad = FreeComplex(
+        out.ring,
+        out.modules,
+        (PolyMatrix(out.ring, extra, phi1.nrows + 1, phi1.ncols),) + out.maps[1:],
+        out.labels,
+    )
+    star = StarComplex(bad, res.star.input_top_rank, res.star.witness)
+    report = verify_star(comp, sop, star)
+    checks = {c.name: c for c in report.checks}
+    for name in ("colon_equality", "colon_quotient_count"):
         assert not checks[name].passed, name
-        assert "could not be built" in checks[name].detail, name
+        assert checks[name].detail == (
+            "DimensionMismatch: coordinate count must equal rank"
+        ), name
+    assert not report.overall
+
+
+def test_vanishing_top_builds_no_basis_of_the_input_image(monkeypatch):
+    # the chain map's witnesses show Q*N <= M for every bracket column, so
+    # the colon certificate makes no membership test in M
+    comp, sop = vanishing_top_instance()
+    built = _count_calls(monkeypatch, complexes._image_gb)
+    res = star_transform(comp, sop)
+    assert res.report.overall and res.star.depth_positive_fastpath
+    assert [a[0] for a in built] == [res.star.complex]
 
 
 def test_input_certified_once_across_transform_and_verify(monkeypatch):
