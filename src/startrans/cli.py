@@ -145,6 +145,16 @@ def _print_generators(gb, output=None):
 
 
 def _cmd_koszul(args):
+    """Write the Koszul complex of a seeded random instance (``--seed``),
+    or of ``--generators`` or else the parameters of the ``--input`` file.
+    ``--seed`` with either of the others is a usage error, and so are
+    generators that do not match the file's parameters in number: the
+    problem file pairs the complex with those parameters, and its length
+    must equal their number."""
+    if args.seed is not None and (args.input or args.generators):
+        raise ValidationError(
+            "--seed generates its own instance; it takes no --input or --generators"
+        )
     if args.seed is not None:
         field = field_from_spec(args.field) if args.field else None
         name, comp, sop = random_instance(args.seed, field=field)
@@ -160,6 +170,11 @@ def _cmd_koszul(args):
         sop = validate_sop(base.ring, base.sop_polys())
         if args.generators:
             gens = [base.ring.parse(t) for t in args.generators.split(",")]
+            if len(gens) != sop.n:
+                raise ValidationError(
+                    f"{len(gens)} generators give a complex of length "
+                    f"{len(gens)}, but the file has {sop.n} parameters"
+                )
             complex_sop = validate_sop(base.ring, gens)
         else:
             complex_sop = sop

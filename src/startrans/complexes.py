@@ -454,14 +454,16 @@ def tensor_boundary(free_mod, sop, p, shift=0):
     tgt_index = {s: k for k, s in enumerate(tgt)}
     rows = free_mod.rank * len(tgt)
     cols = free_mod.rank * len(src)
-    entries = [[ring.zero() for _ in range(cols)] for _ in range(rows)]
+    zero = ring.zero()  # polynomials are immutable, so one zero fills the rest
+    entries = [[zero] * cols for _ in range(rows)]
     for lam in range(free_mod.rank):
         for j, s in enumerate(src):
             cj = lam * len(src) + j
             for i in s:
+                # S minus i differs for each i in S, so each entry is set once
                 sign = sign_scalar(f, count_below(i, s))
                 ri = lam * len(tgt) + tgt_index[tuple(k for k in s if k != i)]
-                entries[ri][cj] = entries[ri][cj] + sop.gens[i - 1].scale(sign)
+                entries[ri][cj] = sop.gens[i - 1].scale(sign)
     return PolyMatrix(ring, entries, rows, cols)
 
 

@@ -4,16 +4,20 @@ The engine behind every membership test, witness, syzygy, colon,
 intersection and Hilbert computation in the package.  Buchberger's
 algorithm with the classical pair criteria and full tail reduction: one
 pair loop (``_pair_loop``), then ``_reduce_basis``.  A basis built with
-``track=True`` (the default) carries ``rows``, the expression of every
-basis element in the input generators; that expression is what makes
-witnesses canonical, and ``SubmoduleGB.lift`` needs it.  The bases that are
-only read through their leads, membership or normal forms (Im phi_1 of a
-complex, the colon parts and intersections, the final reduction of
-``syzygies``, the quotient ideal) are built with ``track=False`` and carry
-none.  ``cokernel_series`` runs the same pair loop against a known floor
-of the quotient's Hilbert series and stops once the lead terms reach it,
-with no reduced basis and each S-vector divided only down to its lead;
-the acyclicity certificate reads every image of a complex that way.
+``track=True`` (the default) keeps a row table (``_RowTable``) with the
+expression of every basis element in the input generators; that expression
+is what makes witnesses canonical, and ``SubmoduleGB.lift`` needs it.  The
+run records each row as a recipe over earlier rows, and a row is multiplied
+out only when a lift reaches it, so a tracked basis that nothing lifts
+through (the Koszul generators of a complex) costs no row products.  The
+bases that are only read through their leads, membership or normal forms
+(Im phi_1 of a complex, the colon parts and intersections, the final
+reduction of ``syzygies``, the quotient ideal) are built with
+``track=False`` and keep no table.  ``cokernel_series`` runs the same pair
+loop against a known floor of the quotient's Hilbert series and stops once
+the lead terms reach it, with no reduced basis and each S-vector divided
+only down to its lead; the acyclicity certificate reads every image of a
+complex that way.
 
 Module terms are ordered degree first (twists included), then position
 (lower basis index wins), then the ring's one monomial order; ``term_key``
@@ -460,7 +464,8 @@ def _s_vector(basis, leads, i, j, lcm):
 def _row_combo(head, quots, rows):
     """The ``_combine_rows`` pairs of sum c*rows[k] over (k, c) in ``head``
     minus sum_k quots[k]*rows[k]: with an S-vector's head and quotients, the
-    expression of its remainder (a relation when that is zero)."""
+    expression of its remainder (a relation when that is zero).  With the
+    row indices for ``rows`` it is that row's recipe (``_RowTable``)."""
     combo = [(c, rows[k]) for k, c in head]
     combo += [((-q).terms, row) for q, row in zip(quots, rows) if q.terms]
     return combo
@@ -475,30 +480,102 @@ def _adjoined_generators(ambient):
     ]
 
 
+class _RowTable:
+    """The transformation rows of one tracked Buchberger run, each multiplied
+    out on first use.
+
+    Row k expresses a vector of the run in the ``width`` working generators,
+    as that many polynomials.  The row of a working generator is its unit
+    vector, built at once (``unit``); every other row is a recipe, the
+    (term dict c, earlier row index i) pairs of sum c * row i (``add``),
+    from an S-vector's head and division quotients (``_pair_loop``) or from
+    the interreduction quotients (``_reduce_basis``).  ``row`` multiplies a
+    row out, after the rows it reads, and keeps each one; a basis that is
+    never lifted through never multiplies out a row.  Each row is the same
+    ``_combine_rows`` of the same rows in the same order as a row built at
+    once, so it is the same polynomials.
+    """
+
+    __slots__ = ("ring", "width", "recipes", "built")
+
+    def __init__(self, ring, width):
+        self.ring = ring
+        self.width = width
+        self.recipes = []  # per row: its recipe, or None for a unit row
+        self.built = []  # per row: its polynomials, or None until built
+
+    def unit(self, j):
+        """Append the row of working generator j."""
+        row = [self.ring.zero()] * self.width
+        row[j] = self.ring.one()
+        self.recipes.append(None)
+        self.built.append(tuple(row))
+
+    def add(self, recipe):
+        """Append a row given by its recipe, (term dict, row index) pairs,
+        each index that of an earlier row; returns the new row's index."""
+        self.recipes.append(recipe)
+        self.built.append(None)
+        return len(self.built) - 1
+
+    def row(self, k):
+        """Row k, multiplied out with every row it reads that is not yet
+        built: dependencies first, from an explicit stack, so a long chain
+        of recipes needs no recursion."""
+        built, recipes = self.built, self.recipes
+        stack = [k]
+        while stack:
+            top = stack[-1]
+            if built[top] is not None:
+                stack.pop()
+                continue
+            missing = [i for _, i in recipes[top] if built[i] is None]
+            if missing:
+                stack += missing
+                continue
+            combo = [(c, built[i]) for c, i in recipes[top]]
+            built[top] = tuple(_combine_rows(self.ring, combo, self.width))
+            stack.pop()
+        return built[k]
+
+
 class SubmoduleGB:
     """Generators of a submodule together with its reduced Groebner basis.
 
-    ``rows[k]`` expresses ``gb[k]`` as a combination of the working
-    generator list (the input generators followed by any quotient-ideal
-    multiples that were adjoined); ``rows`` is None when the basis was built
-    with ``track=False``, and only ``lift`` needs it.  ``leads[k]`` is
-    ``gb[k].lead()``.  The basis owns the Hilbert series of ambient/M:
-    ``series()`` computes it from the leads on first call and keeps it, so
-    every certificate that reads it shares one computation.
+    A basis built with ``track=True`` keeps the row table of its run
+    (``row_table``, a ``_RowTable``); row ``row_ids[k]`` of it expresses
+    ``gb[k]`` as a combination of the working generator list (the input
+    generators followed by any quotient-ideal multiples that were
+    adjoined).  ``lift`` multiplies out only the rows its quotients reach;
+    ``rows`` multiplies out all of them, and is None when the basis was
+    built with ``track=False``.  ``leads[k]`` is ``gb[k].lead()``.  The
+    basis owns the Hilbert series of ambient/M: ``series()`` computes it
+    from the leads on first call and keeps it, so every certificate that
+    reads it shares one computation.
     """
 
     __slots__ = (
-        "ambient", "generators", "adjoined", "gb", "rows", "leads", "_series",
+        "ambient", "generators", "adjoined", "gb", "row_table", "row_ids",
+        "leads", "_series",
     )
 
-    def __init__(self, ambient, generators, adjoined, gb, rows):
+    def __init__(self, ambient, generators, adjoined, gb, row_table, row_ids):
         self.ambient = ambient
         self.generators = tuple(generators)
         self.adjoined = tuple(adjoined)
         self.gb = tuple(gb)
-        self.rows = None if rows is None else tuple(tuple(r) for r in rows)
+        self.row_table = row_table
+        self.row_ids = tuple(row_ids)
         self.leads = tuple(g.lead() for g in self.gb)
         self._series = None
+
+    @property
+    def rows(self):
+        """``rows[k]`` expresses ``gb[k]`` in the working generators, every
+        row multiplied out; None without a row table."""
+        if self.row_table is None:
+            return None
+        return tuple(self.row_table.row(k) for k in self.row_ids)
 
     def series(self):
         """HS(ambient / M) (modulo J over R/J), from the leads; kept."""
@@ -519,9 +596,12 @@ class SubmoduleGB:
 
     def lift(self, v):
         """Canonical witness over the *input* generators; NotInModule if
-        the vector is outside the submodule.  Needs a basis built with rows
-        (``track=True``)."""
-        if self.rows is None:
+        the vector is outside the submodule.  Needs a basis built with a
+        row table (``track=True``); only the rows of the basis elements
+        with a nonzero quotient are multiplied out, with the rows they read,
+        and they are kept for later lifts."""
+        table = self.row_table
+        if table is None:
             raise InternalError(
                 "basis built without rows; lift needs a tracked basis (internal)"
             )
@@ -530,11 +610,10 @@ class SubmoduleGB:
             raise NotInModule("vector has nonzero normal form")
         ring = self.ambient.ring
         working = self.working_generators
-        total = _combine_rows(
-            ring,
-            [(q.terms, row) for q, row in zip(quots, self.rows) if q.terms],
-            len(working),
-        )
+        combo = [
+            (q.terms, table.row(k)) for q, k in zip(quots, self.row_ids) if q.terms
+        ]
+        total = _combine_rows(ring, combo, len(working))
         check = _combine_rows(
             ring,
             [(c.terms, g.coords) for c, g in zip(total, working) if c.terms],
@@ -553,14 +632,16 @@ def buchberger(ambient, gens, *, track=True):
     """Reduced Groebner basis of the submodule generated by ``gens``.
 
     Deterministic: pairs are processed by (twisted lcm degree, i, j); the
-    reduced basis is sorted by decreasing lead term.  With ``track=False``
-    no transformation rows are built: the basis is the same, but it cannot
+    reduced basis is sorted by decreasing lead term.  With ``track=True``
+    the basis keeps the row table of the run, in which every row is only a
+    recipe until a lift multiplies it out (``_RowTable``).  With
+    ``track=False`` no table is kept: the basis is the same, but it cannot
     be lifted through (``SubmoduleGB.lift``).  It is ``_pair_loop`` without
     a floor, then ``_reduce_basis``.
     """
     gens = tuple(gens)
-    adjoined, basis, rows, _ = _pair_loop(ambient, gens, track=track)
-    return _reduce_basis(ambient, gens, adjoined, basis, rows, track=track)
+    adjoined, basis, table, _ = _pair_loop(ambient, gens, track=track)
+    return _reduce_basis(ambient, gens, adjoined, basis, table)
 
 
 def cokernel_series(ambient, gens, floor):
@@ -574,8 +655,11 @@ def cokernel_series(ambient, gens, floor):
 def _pair_loop(ambient, gens, *, track, floor=None):
     """Buchberger's pair loop over ``gens`` and the adjoined J-multiples:
     the coprime and chain criteria, then each S-vector divided by the basis
-    so far.  Returns (adjoined, basis, rows, series); the basis is a
-    Groebner basis, not reduced, and ``rows`` is None unless ``track``.
+    so far.  Returns (adjoined, basis, table, series); the basis is a
+    Groebner basis, not reduced.  ``table`` is None unless ``track``; then
+    its row k expresses basis[k] (``_RowTable``): a generator's row is its
+    unit vector, and a remainder's row is recorded as the recipe of its
+    S-vector's head and quotients (``_row_combo``), not multiplied out.
 
     ``series`` is None without a floor.  With a floor F, a series that
     HS(ambient / in(M)) is known to dominate in every degree (M the span of
@@ -609,7 +693,7 @@ def _pair_loop(ambient, gens, *, track, floor=None):
     working = gens + adjoined
 
     basis = []
-    rows = [] if track else None
+    table = _RowTable(ring, len(working)) if track else None
     leads = []
     for j, g in enumerate(working):
         if g.is_zero():
@@ -617,9 +701,7 @@ def _pair_loop(ambient, gens, *, track, floor=None):
         basis.append(g)
         leads.append(g.lead())
         if track:
-            row = [ring.zero()] * len(working)
-            row[j] = ring.one()
-            rows.append(row)
+            table.unit(j)
 
     rank_one = ambient.rank == 1
 
@@ -651,7 +733,7 @@ def _pair_loop(ambient, gens, *, track, floor=None):
                 degree = d
                 gap = lead_series.series().sub(floor)
                 if not gap.numer:
-                    return adjoined, basis, rows, floor
+                    return adjoined, basis, table, floor
                 excess = gap.expand(d).get(d, 0)
                 if excess < 0:
                     raise InternalError(
@@ -682,10 +764,9 @@ def _pair_loop(ambient, gens, *, track, floor=None):
         if rem.is_zero():
             continue
         excess -= 1
-        if track:
-            combo = _row_combo(head, quots, rows)
-            rows.append(_combine_rows(ring, combo, len(working)))
         new_index = len(basis)
+        if track:
+            table.add(_row_combo(head, quots, range(new_index)))
         basis.append(rem)
         leads.append(rem.lead())
         if floored:
@@ -695,14 +776,16 @@ def _pair_loop(ambient, gens, *, track, floor=None):
                 heapq.heappush(pairs, pair(k, new_index))
 
     series = lead_series.series() if floored else None
-    return adjoined, basis, rows, series
+    return adjoined, basis, table, series
 
 
-def _reduce_basis(ambient, gens, adjoined, basis, rows, *, track=True):
-    """Interreduce ``basis`` into the reduced basis, carrying ``rows`` along
-    when ``track`` (``rows`` is None otherwise)."""
-    ring = ambient.ring
-    f = ring.field
+def _reduce_basis(ambient, gens, adjoined, basis, table):
+    """Interreduce ``basis`` into the reduced basis.  With the row table of
+    its run (``_pair_loop``; None for an untracked run), the row of each
+    reduced element is appended to the table as the recipe inv * (row of
+    basis[idx] - sum_k quots[k] * row of others[k]), not multiplied out,
+    and the basis keeps the table."""
+    f = ambient.ring.field
     mask = ambient._divides_mask
     keys = [g.keyed()[0] for g in basis]
     # smallest lead first; reverse=True keeps equal leads in basis order
@@ -713,11 +796,14 @@ def _reduce_basis(ambient, gens, adjoined, basis, rows, *, track=True):
         if all((keys[idx] - keys[k]) & mask for k in kept):
             kept.append(idx)
 
+    track = table is not None
     final = []
-    final_rows = [] if track else None
+    final_rows = []
     for idx in kept:
-        others = [basis[k] for k in kept if k != idx]
-        quots, rem = _divide(ambient, _work(basis[idx]), others, track=track)
+        others = [k for k in kept if k != idx]
+        quots, rem = _divide(
+            ambient, _work(basis[idx]), [basis[k] for k in others], track=track
+        )
         if rem.is_zero():
             continue
         pos, m, c = rem.lead()
@@ -726,15 +812,11 @@ def _reduce_basis(ambient, gens, adjoined, basis, rows, *, track=True):
         monic._lead = (pos, m, f.one)  # scaling keeps the lead monomial
         final.append(monic)
         if track:
-            # inv * (basis[idx] - sum_k quots[k] others[k])
-            other_rows = [rows[k] for k in kept if k != idx]
-            combo = [({0: inv}, rows[idx])]
-            combo += [
-                (q.scale(f.neg(inv)).terms, ro)
-                for q, ro in zip(quots, other_rows)
-                if q.terms
+            recipe = [({0: inv}, idx)]
+            recipe += [
+                (q.scale(f.neg(inv)).terms, k) for q, k in zip(quots, others) if q.terms
             ]
-            final_rows.append(_combine_rows(ring, combo, len(rows[idx])))
+            final_rows.append(table.add(recipe))
 
     ordering = sorted(
         range(len(final)),
@@ -743,7 +825,7 @@ def _reduce_basis(ambient, gens, adjoined, basis, rows, *, track=True):
     final = [final[k] for k in ordering]
     if track:
         final_rows = [final_rows[k] for k in ordering]
-    return SubmoduleGB(ambient, gens, adjoined, final, final_rows)
+    return SubmoduleGB(ambient, gens, adjoined, final, table, final_rows)
 
 
 # -- public operations -------------------------------------------------------

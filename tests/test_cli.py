@@ -637,7 +637,9 @@ def test_cli_star_internal_error_exits_four(monkeypatch, tmp_path, capsys):
 
     def with_doubled_rows(ambient, gens, **kwargs):
         gb = real_buchberger(ambient, gens, **kwargs)
-        gb.rows = tuple(tuple(c + c for c in row) for row in gb.rows)
+        table = gb.row_table
+        for k in gb.row_ids:
+            table.built[k] = tuple(c + c for c in table.row(k))
         return gb
 
     # every witness of the chain map's descent recombines to twice its goal
@@ -716,6 +718,36 @@ def test_cli_koszul_generators(tmp_path, capsys):
     pf = parse_problem(out)
     assert [m.rank for m in pf.complex.modules] == [1, 2, 1]
     assert pf.complex.phi(2).column(0)[0] == pf.ring.parse("-y^2")
+    for argv in (["info", "--input", out], ["star", "--input", out]):
+        assert main(argv) == 0
+
+
+@pytest.mark.parametrize("generators", ["x^2,y^2,x*y", "x^2"])
+def test_cli_koszul_generator_count_must_match_the_parameters(
+    tmp_path, capsys, generators
+):
+    # the file pairs the complex with the two parameters of exa.json, so a
+    # complex of another length would be rejected by every later command
+    out = tmp_path / "gen.json"
+    argv = ["koszul", "--input", FIXTURE, "--generators", generators]
+    assert main(argv + ["--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "precondition violated" in captured.err
+    assert "2 parameters" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "extra", [["--input", FIXTURE], ["--generators", "x^2,y^2"]]
+)
+def test_cli_koszul_seed_takes_no_input_or_generators(tmp_path, capsys, extra):
+    out = tmp_path / "rand.json"
+    assert main(["koszul", "--seed", "11", "--output", str(out)] + extra) == 2
+    captured = capsys.readouterr()
+    assert "precondition violated" in captured.err and "--seed" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_cli_koszul_seed(tmp_path, capsys):

@@ -21,7 +21,9 @@ from startrans import (
     normal_form,
     submodule_equal,
     syzygies,
+    validate_sop,
 )
+from startrans.modules import _divide, _RowTable, _work, reduce_mod_quotient
 
 
 @pytest.fixture
@@ -236,6 +238,82 @@ def test_colon_and_intersection_bases_carry_no_rows(R1):
     b = ideal(R1, "y^2", "x*y")
     assert colon(a, [R1.ring.parse("x"), R1.ring.parse("y")]).rows is None
     assert intersect(a, b).rows is None
+
+
+def _multiplied_out(table):
+    """The indices of the recipe rows of ``table`` that are built."""
+    return {
+        k
+        for k, (recipe, row) in enumerate(zip(table.recipes, table.built))
+        if recipe is not None and row is not None
+    }
+
+
+@settings(max_examples=30, deadline=None)
+@given(generator_lists(), st.data())
+def test_rows_multiplied_out_in_any_order_are_the_same(problem, data):
+    name, ambient, gens = problem
+    in_order = buchberger(ambient, gens)
+    shuffled = buchberger(ambient, gens)
+    assert not _multiplied_out(in_order.row_table), name
+    size = len(in_order.row_table.built)
+    expected = [in_order.row_table.row(k) for k in range(size)]
+    for k in data.draw(st.permutations(range(size))):
+        shuffled.row_table.row(k)
+    assert shuffled.row_table.built == expected, name
+    assert shuffled.rows == in_order.rows
+    ring = ambient.ring
+    for v in list(gens) + list(in_order.gb):
+        witness = shuffled.lift(v)  # checks its own recombination
+        for t in range(ambient.rank):
+            total = ring.zero()
+            for c, g in zip(witness, gens):
+                total = total + c * g.coords[t]
+            assert reduce_mod_quotient(ring, total - v.coords[t]).is_zero(), name
+
+
+def _parameters_and_generators():
+    """Generic parameters of Q[x,y,z], products of two linear forms, and
+    the Koszul generators q_i * x_i built from them."""
+    ring = PolyRing(RationalField(), ("x", "y", "z"))
+    pairs = [("x + 2*y - z", "3*x - y + z"), ("x - y + 4*z", "2*x + y"),
+             ("y - 3*z", "x + y + z")]
+    params = [ring.parse(a) * ring.parse(b) for a, b in pairs]
+    gens = [q * ring.var(i) for i, q in enumerate(params)]
+    return ring, params, gens
+
+
+def test_validation_multiplies_out_no_row_and_a_lift_only_what_it_reaches():
+    ring, params, gens = _parameters_and_generators()
+    table = validate_sop(ring, gens).ideal_gb().row_table
+    assert any(r is not None for r in table.recipes)
+    assert not _multiplied_out(table)
+
+    gb = validate_sop(ring, params).ideal_gb()
+    table = gb.row_table
+    assert not _multiplied_out(table)
+    v = gb.ambient.vector((ring.parse("z^4"),))
+    quots, _ = _divide(v.module, _work(v), gb.gb, track=True)
+    reached, stack = set(), [gb.row_ids[k] for k, q in enumerate(quots) if q.terms]
+    while stack:
+        k = stack.pop()
+        if k not in reached and table.recipes[k] is not None:
+            reached.add(k)
+            stack += [i for _, i in table.recipes[k]]
+    gb.lift(v)
+    assert _multiplied_out(table) == reached
+    assert len(reached) < sum(r is not None for r in table.recipes)
+
+
+def test_a_long_chain_of_recipes_multiplies_out_without_recursion():
+    ring = PolyRing(RationalField(), ("x",))
+    table = _RowTable(ring, 1)
+    table.unit(0)
+    x = ring.var(0).terms
+    for k in range(5000):
+        table.add([(x, k)])  # row k + 1 is x times row k
+    assert table.row(5000) == (ring.monomial((5000,)),)
+    assert len(_multiplied_out(table)) == 5000
 
 
 def test_lift_recombination_random(R1, ring):
