@@ -278,12 +278,15 @@ def _cmd_verify(args):
 
 
 def _colon_inputs(args):
-    if args.module and args.ideal:
+    """Im phi_1 and the parameters of the ``--input`` file, or ``--module``
+    and ``--ideal``, which go together and never with ``--input``."""
+    standalone = (args.module is not None, args.ideal is not None)
+    if any(standalone) and (args.input or not all(standalone)):
+        raise ValidationError("--module and --ideal go together, and without --input")
+    if all(standalone):
         texts = args.module.split(",") + args.ideal.split(",")
         ring = _standalone_ring(args, texts)
-        module_gb = ideal_gb(
-            ring, [ring.parse(t) for t in args.module.split(",")], track=False
-        )
+        module_gb = ideal_gb(ring, [ring.parse(t) for t in args.module.split(",")])
         ideal = [ring.parse(t) for t in args.ideal.split(",")]
         return module_gb, ideal
     pf = _load(args)

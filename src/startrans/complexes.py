@@ -174,8 +174,8 @@ class FreeComplex:
         return [target.vector(m.column(j)) for j in range(m.ncols)]
 
     def image_gb(self, p):
-        """Reduced Groebner basis of M = Im phi_1 inside F_0, without rows;
-        ``p`` must be 1.
+        """Reduced Groebner basis of M = Im phi_1 inside F_0; ``p`` must be
+        1.
 
         Built on first use and kept outside the dataclass fields, like
         ``SopData.ideal_gb``.  The certificates read only Hilbert series,
@@ -184,7 +184,7 @@ class FreeComplex:
         colon and saturation commands, the depth probe, and a membership
         test of the colon certificate that no witness settled.  It is read
         through its leads, membership and normal forms, never lifted
-        through, so it is built without rows.
+        through, so none of its rows is multiplied out.
         """
         if p != 1:
             raise ValueError("only Im phi_1 has a kept basis")
@@ -198,7 +198,7 @@ class FreeComplex:
 
 
 def _image_gb(comp):
-    return buchberger(comp.modules[0], comp.image_gens(1), track=False)
+    return buchberger(comp.modules[0], comp.image_gens(1))
 
 
 @dataclass(frozen=True)

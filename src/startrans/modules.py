@@ -3,21 +3,17 @@
 The engine behind every membership test, witness, syzygy, colon,
 intersection and Hilbert computation in the package.  Buchberger's
 algorithm with the classical pair criteria and full tail reduction: one
-pair loop (``_pair_loop``), then ``_reduce_basis``.  A basis built with
-``track=True`` (the default) keeps a row table (``_RowTable``) with the
-expression of every basis element in the input generators; that expression
-is what makes witnesses canonical, and ``SubmoduleGB.lift`` needs it.  The
-run records each row as a recipe over earlier rows, and a row is multiplied
-out only when a lift reaches it, so a tracked basis that nothing lifts
-through (the Koszul generators of a complex) costs no row products.  The
-bases that are only read through their leads, membership or normal forms
-(Im phi_1 of a complex, the colon parts and intersections, the final
-reduction of ``syzygies``, the quotient ideal) are built with
-``track=False`` and keep no table.  ``cokernel_series`` runs the same pair
-loop against a known floor of the quotient's Hilbert series and stops once
-the lead terms reach it, with no reduced basis and each S-vector divided
-only down to its lead; the acyclicity certificate reads every image of a
-complex that way.
+pair loop (``_pair_loop``), then ``_reduce_basis``.  Every basis keeps a
+row table (``_RowTable``) with the expression of each basis element in the
+input generators; that expression is what makes witnesses canonical, and
+``SubmoduleGB.lift`` needs it.  The run records each row as a recipe over
+earlier rows, and a row is multiplied out only when a lift reaches it, so a
+basis that nothing lifts through (the Koszul generators of a complex, Im
+phi_1, the colon parts and intersections) costs no row products.
+``cokernel_series`` runs the same pair loop against a known floor of the
+quotient's Hilbert series and stops once the lead terms reach it, with no
+reduced basis, no rows and each S-vector divided only down to its lead; the
+acyclicity certificate reads every image of a complex that way.
 
 Module terms are ordered degree first (twists included), then position
 (lower basis index wins), then the ring's one monomial order; ``term_key``
@@ -43,6 +39,7 @@ one tail that maps relations to their image (``_relation_image``).
 from __future__ import annotations
 
 import heapq
+from collections import defaultdict
 from dataclasses import dataclass
 from math import gcd
 from operator import le, mul
@@ -256,12 +253,14 @@ def _divide(module, work, divisors, track=False, lead_only=False, keyed=False):
     """Fully reduce the vector of ``module`` whose terms are the working
     dict ``work`` (``_work``, or an S-vector from ``_s_vector``; the dict is
     consumed) by ``divisors``; every remainder term is divisible by no
-    divisor lead.  Returns (quotients, remainder) where quotients[k]
-    satisfies vector = sum quotients[k]*divisors[k] + remainder (quotients
-    is None unless ``track``).  With ``lead_only`` the division stops at the
-    first term that no lead divides: that term is the remainder's lead, and
-    the terms below it stay unreduced.  With ``keyed`` the remainder also
-    gets its keyed form from the terms at hand (``_keyed_form``), for a
+    divisor lead.  Returns (quotients, remainder), where vector = sum
+    q_k*divisors[k] + remainder: with ``track`` the quotients are {k:
+    {cofactor key: coefficient}} over the k with q_k nonzero, left for a
+    caller that reads them to make polynomials (``_quotients``), and
+    without it None.  With ``lead_only`` the division stops at the first
+    term that no lead divides: that term is the remainder's lead, and the
+    terms below it stay unreduced.  With ``keyed`` the remainder also gets
+    its keyed form from the terms at hand (``_keyed_form``), for a
     remainder that joins a basis and so becomes a divisor (``_pair_loop``).
 
     The largest remaining term is reduced by the first divisor whose lead
@@ -306,7 +305,7 @@ def _divide(module, work, divisors, track=False, lead_only=False, keyed=False):
     mask = module._divides_mask
     get = work.get
     rem = {}
-    quots = [{} for _ in divisors] if track else None
+    quots = defaultdict(dict)  # divisor index -> {cofactor key: coefficient}
 
     while heap:
         key = heappop(heap)
@@ -365,15 +364,19 @@ def _divide(module, work, divisors, track=False, lead_only=False, keyed=False):
     if keyed:
         items = list(rem.items())
         remainder._keyed = _keyed_form(f, *items[0], items[1:]) if items else None
-    if not track:
-        return None, remainder
+    return (quots if track else None), remainder
+
+
+def _quotients(module, quots):
+    """The quotients of a tracked ``_divide`` as (k, polynomial q_k) pairs."""
+    ring = module.ring
     shift, top = ring._shift, module._key_top
     low = (1 << shift) - 1
-    qpolys = [
-        Polynomial(ring, {(-(u >> top) << shift) | (u & low): q for u, q in qd.items()})
-        for qd in quots
+    return [
+        (k, Polynomial(ring, {(-(u >> top) << shift) | (u & low): q
+                              for u, q in qd.items()}))
+        for k, qd in sorted(quots.items())
     ]
-    return qpolys, remainder
 
 
 def _over_tail(c, den):
@@ -461,13 +464,14 @@ def _s_vector(basis, leads, i, j, lcm):
     return work, ((i, {ui: ci}), (j, {uj: minus_cj}))
 
 
-def _row_combo(head, quots, rows):
+def _row_combo(module, head, quots, rows):
     """The ``_combine_rows`` pairs of sum c*rows[k] over (k, c) in ``head``
-    minus sum_k quots[k]*rows[k]: with an S-vector's head and quotients, the
-    expression of its remainder (a relation when that is zero).  With the
-    row indices for ``rows`` it is that row's recipe (``_RowTable``)."""
+    minus sum q_k*rows[k] over the quotients ``quots`` of ``_divide``: with
+    an S-vector's head and quotients, the expression of its remainder (a
+    relation when that is zero).  With the row indices for ``rows`` it is
+    that row's recipe (``_RowTable``)."""
     combo = [(c, rows[k]) for k, c in head]
-    combo += [((-q).terms, row) for q, row in zip(quots, rows) if q.terms]
+    combo += [((-q).terms, rows[k]) for k, q in _quotients(module, quots)]
     return combo
 
 
@@ -481,8 +485,8 @@ def _adjoined_generators(ambient):
 
 
 class _RowTable:
-    """The transformation rows of one tracked Buchberger run, each multiplied
-    out on first use.
+    """The transformation rows of one Buchberger run, each multiplied out on
+    first use.
 
     Row k expresses a vector of the run in the ``width`` working generators,
     as that many polynomials.  The row of a working generator is its unit
@@ -542,15 +546,16 @@ class _RowTable:
 class SubmoduleGB:
     """Generators of a submodule together with its reduced Groebner basis.
 
-    A basis built with ``track=True`` keeps the row table of its run
-    (``row_table``, a ``_RowTable``); row ``row_ids[k]`` of it expresses
-    ``gb[k]`` as a combination of the working generator list (the input
-    generators followed by any quotient-ideal multiples that were
-    adjoined).  ``lift`` multiplies out only the rows its quotients reach;
-    ``rows`` multiplies out all of them, and is None when the basis was
-    built with ``track=False``.  ``leads[k]`` is ``gb[k].lead()``.  The
-    basis owns the Hilbert series of ambient/M: ``series()`` computes it
-    from the leads on first call and keeps it, so every certificate that
+    Every basis keeps the row table of its run (``row_table``, a
+    ``_RowTable``); row ``row_ids[k]`` of it expresses ``gb[k]`` as a
+    combination of the working generator list (the input generators
+    followed by any quotient-ideal multiples that were adjoined).  A row is
+    a recipe until something reads it: ``lift`` multiplies out only the rows
+    its quotients reach, and ``rows`` all of them, so a basis that is never
+    lifted through (Im phi_1 of a complex, the colon parts and
+    intersections) multiplies out none.  ``leads[k]`` is ``gb[k].lead()``.
+    The basis owns the Hilbert series of ambient/M: ``series()`` computes
+    it from the leads on first call and keeps it, so every certificate that
     reads it shares one computation.
     """
 
@@ -572,9 +577,7 @@ class SubmoduleGB:
     @property
     def rows(self):
         """``rows[k]`` expresses ``gb[k]`` in the working generators, every
-        row multiplied out; None without a row table."""
-        if self.row_table is None:
-            return None
+        row multiplied out."""
         return tuple(self.row_table.row(k) for k in self.row_ids)
 
     def series(self):
@@ -587,7 +590,13 @@ class SubmoduleGB:
     def working_generators(self):
         return self.generators + self.adjoined
 
+    def _check_ambient(self, v):
+        # the identity test first: the common case compares no twists
+        if v.module is not self.ambient and v.module != self.ambient:
+            raise DimensionMismatch("vector outside the ambient module")
+
     def normal_form(self, v):
+        self._check_ambient(v)
         _, r = _divide(v.module, _work(v), self.gb)
         return r
 
@@ -596,23 +605,17 @@ class SubmoduleGB:
 
     def lift(self, v):
         """Canonical witness over the *input* generators; NotInModule if
-        the vector is outside the submodule.  Needs a basis built with a
-        row table (``track=True``); only the rows of the basis elements
-        with a nonzero quotient are multiplied out, with the rows they read,
-        and they are kept for later lifts."""
-        table = self.row_table
-        if table is None:
-            raise InternalError(
-                "basis built without rows; lift needs a tracked basis (internal)"
-            )
+        the vector is outside the submodule.  Only the rows of the basis
+        elements with a nonzero quotient are multiplied out, with the rows
+        they read, and they are kept for later lifts."""
+        self._check_ambient(v)
         quots, rem = _divide(v.module, _work(v), self.gb, track=True)
         if not rem.is_zero():
             raise NotInModule("vector has nonzero normal form")
         ring = self.ambient.ring
         working = self.working_generators
-        combo = [
-            (q.terms, table.row(k)) for q, k in zip(quots, self.row_ids) if q.terms
-        ]
+        row, ids = self.row_table.row, self.row_ids
+        combo = [(q.terms, row(ids[k])) for k, q in _quotients(v.module, quots)]
         total = _combine_rows(ring, combo, len(working))
         check = _combine_rows(
             ring,
@@ -628,19 +631,17 @@ class SubmoduleGB:
         return f"SubmoduleGB[{len(self.gb)} elements: {gens}]"
 
 
-def buchberger(ambient, gens, *, track=True):
+def buchberger(ambient, gens):
     """Reduced Groebner basis of the submodule generated by ``gens``.
 
     Deterministic: pairs are processed by (twisted lcm degree, i, j); the
-    reduced basis is sorted by decreasing lead term.  With ``track=True``
-    the basis keeps the row table of the run, in which every row is only a
-    recipe until a lift multiplies it out (``_RowTable``).  With
-    ``track=False`` no table is kept: the basis is the same, but it cannot
-    be lifted through (``SubmoduleGB.lift``).  It is ``_pair_loop`` without
-    a floor, then ``_reduce_basis``.
+    reduced basis is sorted by decreasing lead term.  The basis keeps the
+    row table of the run, in which every row is only a recipe until a lift
+    multiplies it out (``_RowTable``).  It is ``_pair_loop`` without a
+    floor, then ``_reduce_basis``.
     """
     gens = tuple(gens)
-    adjoined, basis, table, _ = _pair_loop(ambient, gens, track=track)
+    adjoined, basis, table, _ = _pair_loop(ambient, gens)
     return _reduce_basis(ambient, gens, adjoined, basis, table)
 
 
@@ -649,17 +650,19 @@ def cokernel_series(ambient, gens, floor):
     it is known to dominate degree by degree: ``_pair_loop`` with that
     floor, which stops as soon as the lead terms reach it.  No reduced
     basis is built."""
-    return _pair_loop(ambient, tuple(gens), track=False, floor=floor)[3]
+    return _pair_loop(ambient, tuple(gens), floor)[3]
 
 
-def _pair_loop(ambient, gens, *, track, floor=None):
+def _pair_loop(ambient, gens, floor=None):
     """Buchberger's pair loop over ``gens`` and the adjoined J-multiples:
     the coprime and chain criteria, then each S-vector divided by the basis
     so far.  Returns (adjoined, basis, table, series); the basis is a
-    Groebner basis, not reduced.  ``table`` is None unless ``track``; then
-    its row k expresses basis[k] (``_RowTable``): a generator's row is its
-    unit vector, and a remainder's row is recorded as the recipe of its
+    Groebner basis, not reduced.  Without a floor, row k of ``table``
+    expresses basis[k] (``_RowTable``): a generator's row is its unit
+    vector, and a remainder's row is recorded as the recipe of its
     S-vector's head and quotients (``_row_combo``), not multiplied out.
+    With a floor nothing is lifted through the result, so ``table`` is
+    None and the divisions keep no quotients.
 
     ``series`` is None without a floor.  With a floor F, a series that
     HS(ambient / in(M)) is known to dominate in every degree (M the span of
@@ -679,11 +682,10 @@ def _pair_loop(ambient, gens, *, track, floor=None):
     S-vector is divided only until its lead is divisible by no basis lead
     (``_divide`` with ``lead_only``), and its tail stays unreduced: that
     lead is still a new monomial of in(M), which is all the argument uses.
-    Without a floor every remainder is reduced fully: tracked rows become
-    lift witnesses, and untracked bases with reduced tails make less work
-    for later pairs and for ``_reduce_basis``.  The series of L is kept one
-    numerator per position (``_LeadsSeries``), each new lead updating its
-    own.
+    Without a floor every remainder is reduced fully: its row becomes a
+    lift witness, and its reduced tail makes less work for later pairs and
+    for ``_reduce_basis``.  The series of L is kept one numerator per
+    position (``_LeadsSeries``), each new lead updating its own.
     """
     ring = ambient.ring
     for g in gens:
@@ -692,15 +694,16 @@ def _pair_loop(ambient, gens, *, track, floor=None):
     adjoined = tuple(_adjoined_generators(ambient))
     working = gens + adjoined
 
+    floored = floor is not None
     basis = []
-    table = _RowTable(ring, len(working)) if track else None
+    table = None if floored else _RowTable(ring, len(working))
     leads = []
     for j, g in enumerate(working):
         if g.is_zero():
             continue
         basis.append(g)
         leads.append(g.lead())
-        if track:
+        if not floored:
             table.unit(j)
 
     rank_one = ambient.rank == 1
@@ -719,7 +722,6 @@ def _pair_loop(ambient, gens, *, track, floor=None):
                 pairs.append(pair(j, i))
     heapq.heapify(pairs)
     done = set()
-    floored = floor is not None
     if floored:
         lead_series = _LeadsSeries(ambient, leads)
     degree = None
@@ -759,14 +761,14 @@ def _pair_loop(ambient, gens, *, track, floor=None):
             continue
         s, head = _s_vector(basis, leads, i, j, lcm)
         quots, rem = _divide(
-            ambient, s, basis, track=track, lead_only=floored, keyed=True
+            ambient, s, basis, track=not floored, lead_only=floored, keyed=True
         )
         if rem.is_zero():
             continue
         excess -= 1
         new_index = len(basis)
-        if track:
-            table.add(_row_combo(head, quots, range(new_index)))
+        if not floored:
+            table.add(_row_combo(ambient, head, quots, range(new_index)))
         basis.append(rem)
         leads.append(rem.lead())
         if floored:
@@ -780,11 +782,11 @@ def _pair_loop(ambient, gens, *, track, floor=None):
 
 
 def _reduce_basis(ambient, gens, adjoined, basis, table):
-    """Interreduce ``basis`` into the reduced basis.  With the row table of
-    its run (``_pair_loop``; None for an untracked run), the row of each
-    reduced element is appended to the table as the recipe inv * (row of
-    basis[idx] - sum_k quots[k] * row of others[k]), not multiplied out,
-    and the basis keeps the table."""
+    """Interreduce ``basis`` into the reduced basis.  The row of each
+    reduced element is appended to the row table of the run
+    (``_pair_loop``) as the recipe inv * (row of basis[idx] - sum q * row
+    of others[k] over the quotient pairs (k, q)), not multiplied out, and
+    the basis keeps the table."""
     f = ambient.ring.field
     mask = ambient._divides_mask
     keys = [g.keyed()[0] for g in basis]
@@ -796,13 +798,12 @@ def _reduce_basis(ambient, gens, adjoined, basis, table):
         if all((keys[idx] - keys[k]) & mask for k in kept):
             kept.append(idx)
 
-    track = table is not None
     final = []
     final_rows = []
     for idx in kept:
         others = [k for k in kept if k != idx]
         quots, rem = _divide(
-            ambient, _work(basis[idx]), [basis[k] for k in others], track=track
+            ambient, _work(basis[idx]), [basis[k] for k in others], track=True
         )
         if rem.is_zero():
             continue
@@ -811,20 +812,17 @@ def _reduce_basis(ambient, gens, adjoined, basis, table):
         monic = rem.scale(inv)
         monic._lead = (pos, m, f.one)  # scaling keeps the lead monomial
         final.append(monic)
-        if track:
-            recipe = [({0: inv}, idx)]
-            recipe += [
-                (q.scale(f.neg(inv)).terms, k) for q, k in zip(quots, others) if q.terms
-            ]
-            final_rows.append(table.add(recipe))
+        recipe = [({0: inv}, idx)]
+        for k, q in _quotients(ambient, quots):
+            recipe.append((q.scale(f.neg(inv)).terms, others[k]))
+        final_rows.append(table.add(recipe))
 
     ordering = sorted(
         range(len(final)),
         key=lambda k: term_key(ambient, final[k].lead()[0], final[k].lead()[1]),
     )
     final = [final[k] for k in ordering]
-    if track:
-        final_rows = [final_rows[k] for k in ordering]
+    final_rows = [final_rows[k] for k in ordering]
     return SubmoduleGB(ambient, gens, adjoined, final, table, final_rows)
 
 
@@ -834,8 +832,6 @@ def _reduce_basis(ambient, gens, adjoined, basis, table):
 def normal_form(v, gb):
     """Remainder of v on division by the reduced basis; v minus the result
     lies in the submodule."""
-    if v.module != gb.ambient:
-        raise DimensionMismatch("vector outside the ambient module")
     return gb.normal_form(v)
 
 
@@ -895,13 +891,13 @@ def _syzygy_generators(gens, ambient, ncols):
                 raise InternalError(
                     "reduced basis failed an S-vector reduction (internal)"
                 )
-            combos.append(_row_combo(head, quots, rows))
+            combos.append(_row_combo(ambient, head, quots, rows))
     one = ring.one().terms
     for j, g in enumerate(gb.generators):
         quots, rem = _divide(ambient, _work(g), basis, track=True)
         if not rem.is_zero():
             raise InternalError("generator not reduced by own basis (internal)")
-        combo = _row_combo((), quots, rows)
+        combo = _row_combo(ambient, (), quots, rows)
         if j < ncols:
             combo.append((one, syz_module.basis_vector(j).coords))
         combos.append(combo)
@@ -927,7 +923,7 @@ def syzygies(gens, ambient=None):
     syz_module, candidates = _syzygy_generators(
         gens + tuple(_adjoined_generators(ambient)), ambient, len(gens)
     )
-    result = buchberger(syz_module, candidates, track=False)
+    result = buchberger(syz_module, candidates)
     ring = ambient.ring
     for s in result.gb:
         combo = [(c.terms, g.coords) for c, g in zip(s.coords, gens) if c.terms]
@@ -938,10 +934,10 @@ def syzygies(gens, ambient=None):
 
 
 def _relation_image(ambient, first, rest, through):
-    """Reduced basis, without rows, of the submodule of ``ambient`` spanned
-    by sum_i c_i through_i over the relations (c, d) of [first | rest]:
-    the relation generators of ``_syzygy_generators`` cut to the ``first``
-    block and mapped through ``through``."""
+    """Reduced basis of the submodule of ``ambient`` spanned by sum_i c_i
+    through_i over the relations (c, d) of [first | rest]: the relation
+    generators of ``_syzygy_generators`` cut to the ``first`` block and
+    mapped through ``through``."""
     ring = ambient.ring
     _, rels = _syzygy_generators(list(first) + list(rest), ambient, len(first))
     images = []
@@ -950,7 +946,7 @@ def _relation_image(ambient, first, rest, through):
         v = ambient.vector(_combine_rows(ring, combo, ambient.rank))
         if not v.is_zero():
             images.append(v)
-    return buchberger(ambient, images, track=False)
+    return buchberger(ambient, images)
 
 
 def submodule_equal(a, b):
@@ -1180,11 +1176,11 @@ def hilbert_data(m_gb):
 # -- the ring R/J --------------------------------------------------------------
 
 
-def ideal_gb(ring, polys, *, track=True):
+def ideal_gb(ring, polys):
     """Reduced basis of the ideal of ``polys`` inside R^1, J adjoined over
-    R/J; ``track`` is ``buchberger``'s."""
+    R/J."""
     ambient = GradedFreeModule(ring, 1, (0,))
-    return buchberger(ambient, [ambient.vector((p,)) for p in polys], track=track)
+    return buchberger(ambient, [ambient.vector((p,)) for p in polys])
 
 
 def quotient_ideal_gb(ring):
@@ -1194,7 +1190,7 @@ def quotient_ideal_gb(ring):
         return ring._quotient_gb
     except AttributeError:
         pass
-    ring._quotient_gb = ideal_gb(ring, (), track=False)
+    ring._quotient_gb = ideal_gb(ring, ())
     return ring._quotient_gb
 
 

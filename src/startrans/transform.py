@@ -82,7 +82,7 @@ def build_chain_map(comp, sop, decomposition):
 
     That boundary, F_(p-1) (x) d_(n-p+1), is block-diagonal: one copy of
     the Koszul boundary d_(n-p+1): K_(n-p+1) -> K_(n-p) per basis vector
-    of F_(p-1).  So each level builds one tracked basis of Im d_(n-p+1) in
+    of F_(p-1).  So each level builds one basis of Im d_(n-p+1) in
     K_(n-p) and lifts every nonzero block of the goal through it.  The
     witnesses are those of a basis of the whole tensor module: no S-pair
     or division step crosses blocks, and a block's twists are K's plus a
@@ -184,7 +184,7 @@ def chain_map_image_checks(cm, m_gb, colon_gb=None):
     image_gens = [
         ambient.vector(level0.column(j)) for j in range(level0.ncols)
     ]
-    span = buchberger(ambient, image_gens + list(m_gb.gb), track=False)
+    span = buchberger(ambient, image_gens + list(m_gb.gb))
     if colon_gb is None:
         colon_gb = colon_op(m_gb, sop.gens)
     ok = submodule_equal(span, colon_gb)

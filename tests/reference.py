@@ -151,7 +151,7 @@ def full_hilbert_certificate(comp):
     base = ring_series(comp.ring)
     free = [base.twisted(m.twists) for m in comp.modules]
     coker = [
-        buchberger(comp.module(p - 1), comp.image_gens(p), track=False).series()
+        buchberger(comp.module(p - 1), comp.image_gens(p)).series()
         for p in range(1, n + 1)
     ]
     coker.append(free[n])

@@ -183,7 +183,7 @@ def test_only_the_shared_generators_skip_the_membership_test(name, monkeypatch):
     f0 = m_gb.ambient
     x = comp.ring.var(0)
     multiple = m_gb.generators[0].mul_poly(x)
-    n_gb = buchberger(f0, out.image_gens(1) + [multiple], track=False)
+    n_gb = buchberger(f0, out.image_gens(1) + [multiple])
     tested = _recording_contains(monkeypatch)
     assert verify._colon_certificate(comp, sop, m_gb, n_gb) == (
         True, "Im of the first output map against the colon oracle"
@@ -191,7 +191,7 @@ def test_only_the_shared_generators_skip_the_membership_test(name, monkeypatch):
     assert len(tested) == expected + len(sop.gens)
     assert tested[-len(sop.gens):] == [multiple.mul_poly(q) for q in sop.gens]
 
-    forged = buchberger(f0, out.image_gens(1) + [f0.vector((x,))], track=False)
+    forged = buchberger(f0, out.image_gens(1) + [f0.vector((x,))])
     assert verify._colon_certificate(comp, sop, m_gb, forged) == (
         False, "Im of the first output map is not inside M : Q"
     )
@@ -489,7 +489,7 @@ def test_cokernel_series_equals_the_reduced_basis_series(name, data):
     base = ring_series(comp.ring)
     n = comp.length
     exact = [
-        buchberger(comp.module(p - 1), comp.image_gens(p), track=False).series()
+        buchberger(comp.module(p - 1), comp.image_gens(p)).series()
         for p in range(1, n + 1)
     ] + [base.twisted(comp.module(n).twists)]
     for p in range(1, n + 1):
@@ -514,8 +514,7 @@ def test_only_the_floored_loop_divides_to_the_lead(monkeypatch):
         return real(*args, lead_only=lead_only, **kwargs)
 
     monkeypatch.setattr(modules, "_divide", recording)
-    expected = buchberger(ambient, gens, track=True).series()
-    assert buchberger(ambient, gens, track=False).series() == expected
+    expected = buchberger(ambient, gens).series()
     assert flags and not any(flags)
     flags.clear()
     assert modules.cokernel_series(ambient, gens, zero) == expected
@@ -554,7 +553,7 @@ def test_prime_route_agrees_with_the_q_route(problem, data):
     for k, c in enumerate([comp, out, *_tampers(comp, var), *_tampers(out, var)]):
         over_q = complexes._series_certificate(c)
         assert _route(complexes._hilbert_certificate(c)) == _route(over_q), (name, k)
-        full = buchberger(c.module(0), c.image_gens(1), track=False).series()
+        full = buchberger(c.module(0), c.image_gens(1)).series()
         assert over_q.series == full, (name, k)
         assert (complexes._modulo_prime(c) is None) == bool(c.ring.quotient)
 
@@ -580,7 +579,7 @@ def test_an_unlucky_prime_falls_back_to_q(monkeypatch):
     routes = _recording_routes(monkeypatch)
     cert = certify_acyclic(comp)
     assert routes == [(P, False), (None, True)]
-    full = buchberger(comp.module(0), comp.image_gens(1), track=False).series()
+    full = buchberger(comp.module(0), comp.image_gens(1)).series()
     assert cert.ok and cert.series == full
 
 
@@ -639,7 +638,7 @@ def test_an_uncertified_prime_series_is_no_floor_over_q():
         [GradedFreeModule(reduced, 1, (0,)).vector((reduced.var(1),))],
         ring_series(reduced).sub(ring_series(reduced)),
     )
-    assert prime_series != buchberger(ambient, gens, track=False).series()
+    assert prime_series != buchberger(ambient, gens).series()
     with pytest.raises(InternalError, match="lead terms fell below the Hilbert floor"):
         modules.cokernel_series(ambient, gens, prime_series)
 

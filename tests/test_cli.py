@@ -587,6 +587,27 @@ def test_cli_saturate(capsys):
     assert out.splitlines()[0].strip() == "x"
 
 
+@pytest.mark.parametrize("command", ["colon", "saturate"])
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--module", "x"],
+        ["--ideal", "x"],
+        ["--input", FIXTURE, "--module", "x^5"],
+        ["--input", FIXTURE, "--ideal", "x"],
+        ["--input", FIXTURE, "--module", "x^2", "--ideal", "x"],
+    ],
+)
+def test_cli_colon_inputs_come_from_one_source(command, extra, capsys):
+    # half of --module/--ideal, or either with --input, is refused before
+    # any work, not answered for the file's module or ideal
+    assert main([command] + extra) == 2
+    captured = capsys.readouterr()
+    assert "precondition violated" in captured.err
+    assert "--module and --ideal" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -30,7 +30,14 @@ from hypothesis import strategies as st
 
 from reference import add_vectors, termwise_products
 from startrans import GradedFreeModule, PolyMatrix, PolyRing, PrimeField, RationalField
-from startrans.modules import _combine_rows, _divide, _s_vector, _term_of_key, _work
+from startrans.modules import (
+    _combine_rows,
+    _divide,
+    _quotients,
+    _s_vector,
+    _term_of_key,
+    _work,
+)
 from startrans.poly import _add_product, _from_accumulator
 
 FIELDS = [
@@ -61,6 +68,17 @@ def _canonical(poly):
 
 def divide(vector, divisors, **kwargs):
     return _divide(vector.module, _work(vector), divisors, **kwargs)
+
+
+def dense_quotients(quots, divisors):
+    """One quotient per divisor from the quotients of a tracked ``_divide``,
+    which must hold only nonzero ones."""
+    pairs = _quotients(divisors[0].module, quots)
+    assert all(not q.is_zero() for _, q in pairs)
+    dense = [g.module.ring.zero() for g in divisors]
+    for k, q in pairs:
+        dense[k] = q
+    return dense
 
 
 def tuple_term_key(module, pos, exps):
@@ -202,7 +220,8 @@ def test_division_matches_linear_scan_and_the_identity(problem):
     vector, divisors = problem
     ring = vector.module.ring
 
-    quots, rem = divide(vector, divisors, track=True)
+    pairs, rem = divide(vector, divisors, track=True)
+    quots = dense_quotients(pairs, divisors)
     _, rem_untracked = divide(vector, divisors, track=False)
 
     oracle_quots, oracle_rem, oracle_leads = linear_scan_divide(vector, divisors)
@@ -239,7 +258,8 @@ def test_division_to_the_lead_keeps_the_lead_and_the_identity(problem):
     # the full division, and the quotients so far still recombine
     vector, divisors = problem
     _, rem = divide(vector, divisors)
-    quots, rem_lead = divide(vector, divisors, track=True, lead_only=True)
+    pairs, rem_lead = divide(vector, divisors, track=True, lead_only=True)
+    quots = dense_quotients(pairs, divisors)
     assert rem_lead.lead() == rem.lead()
     *lead, tail, den = rem_lead.keyed() or (None, [], 1)
     *fresh_lead, fresh_tail, fresh_den = (

@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 import brute
 from reference import add_vectors, zero_vector
 from startrans import (
+    DimensionMismatch,
+    FreeComplex,
     GradedFreeModule,
     NotInModule,
+    PolyMatrix,
     PolyRing,
     PrimeField,
     RationalField,
-    StarTransError,
     buchberger,
     colon,
     hilbert_data,
@@ -23,7 +25,13 @@ from startrans import (
     syzygies,
     validate_sop,
 )
-from startrans.modules import _divide, _RowTable, _work, reduce_mod_quotient
+from startrans.modules import (
+    _divide,
+    _RowTable,
+    _work,
+    ideal_gb,
+    reduce_mod_quotient,
+)
 
 
 @pytest.fixture
@@ -158,15 +166,20 @@ def test_lift_not_in_module(R1):
         lift_witness(vec(R1, "x*y"), gens)
 
 
-def test_lift_through_an_untracked_basis_is_refused(R1):
-    gens = [vec(R1, "x^2"), vec(R1, "x*y - y^2")]
-    gb = buchberger(R1, gens, track=False)
-    assert gb.rows is None
-    for lift in (gb.lift, lambda v: lift_witness(v, gens, gb=gb)):
-        with pytest.raises(StarTransError, match="basis built without rows") as exc:
-            lift(vec(R1, "x^3"))
-        assert not isinstance(exc.value, NotInModule)
-    assert lift_witness(vec(R1, "x^3"), gens) == (R1.ring.parse("x"), R1.ring.zero())
+@pytest.mark.parametrize("twists", [(1,), (0, 0)])
+def test_a_vector_of_another_module_is_a_dimension_mismatch(R1, twists):
+    # a caller's error, not NotInModule and not an engine bug
+    gb = buchberger(R1, [vec(R1, "x")])
+    other = GradedFreeModule(R1.ring, len(twists), twists)
+    xy = R1.ring.parse("x*y")
+    v = other.vector((xy,) + (R1.ring.zero(),) * (len(twists) - 1))
+    for call in (gb.lift, gb.normal_form, gb.contains, lambda v: normal_form(v, gb)):
+        with pytest.raises(DimensionMismatch, match="outside the ambient module"):
+            call(v)
+    # an equal module that is another object is the same ambient
+    same = GradedFreeModule(R1.ring, 1, (0,))
+    assert same is not R1
+    assert gb.lift(same.vector((xy,))) == (R1.ring.parse("y"),)
 
 
 def _with_quotient(field, names, quotient):
@@ -222,24 +235,6 @@ def generator_lists(draw):
     return name, ambient, _random_vectors(draw, ambient)
 
 
-@settings(max_examples=40, deadline=None)
-@given(generator_lists())
-def test_untracked_basis_equals_the_tracked_one(problem):
-    name, ambient, gens = problem
-    tracked = buchberger(ambient, gens)
-    untracked = buchberger(ambient, gens, track=False)
-    assert tracked.rows is not None and untracked.rows is None
-    assert untracked.gb == tracked.gb, name
-    assert untracked.leads == tracked.leads, name
-
-
-def test_colon_and_intersection_bases_carry_no_rows(R1):
-    a = ideal(R1, "x^2", "x*y")
-    b = ideal(R1, "y^2", "x*y")
-    assert colon(a, [R1.ring.parse("x"), R1.ring.parse("y")]).rows is None
-    assert intersect(a, b).rows is None
-
-
 def _multiplied_out(table):
     """The indices of the recipe rows of ``table`` that are built."""
     return {
@@ -247,6 +242,56 @@ def _multiplied_out(table):
         for k, (recipe, row) in enumerate(zip(table.recipes, table.built))
         if recipe is not None and row is not None
     }
+
+
+def _assert_witness(gens, v, witness, name):
+    """sum witness[i] * gens[i] == v, modulo J over R/J."""
+    ring = v.module.ring
+    for t in range(v.module.rank):
+        total = ring.zero()
+        for c, g in zip(witness, gens):
+            total = total + c * g.coords[t]
+        assert reduce_mod_quotient(ring, total - v.coords[t]).is_zero(), name
+
+
+@settings(max_examples=25, deadline=None)
+@given(generator_lists(), st.data())
+def test_every_basis_lifts_its_generators_and_builds_no_row_until_then(
+    problem, data
+):
+    # every basis keeps its recipes, so each one can be lifted through, and
+    # none multiplies out a row before a lift reaches it
+    name, ambient, gens = problem
+    ring = ambient.ring
+    m_gb = buchberger(ambient, gens)
+    other = buchberger(ambient, _random_vectors(data.draw, ambient))
+    q_polys = [
+        ring.from_terms([(m, ring.field.one)])
+        for m in data.draw(
+            st.lists(
+                st.sampled_from(brute.monomials_of_degree(ring, 1)),
+                min_size=1, max_size=2, unique=True,
+            )
+        )
+    ]
+    f1 = GradedFreeModule(
+        ring, len(gens), tuple(g.homogeneous_degree() or 0 for g in gens)
+    )
+    columns = PolyMatrix(ring, zip(*(g.coords for g in gens)), ambient.rank)
+    comp = FreeComplex(ring, (ambient, f1), (columns,))
+    bases = {
+        "buchberger": m_gb,
+        "colon": colon(m_gb, q_polys),
+        "intersect": intersect(m_gb, other),
+        "image_gb": comp.image_gb(1),
+    }
+    if ambient.rank == 1:
+        bases["ideal_gb"] = ideal_gb(ring, [g.coords[0] for g in gens])
+    for label, gb in bases.items():
+        assert not _multiplied_out(gb.row_table), (name, label)
+        for g in gb.generators:
+            # lift raises InternalError unless its witness recombines
+            _assert_witness(gb.generators, g, gb.lift(g), (name, label))
 
 
 @settings(max_examples=30, deadline=None)
@@ -262,14 +307,9 @@ def test_rows_multiplied_out_in_any_order_are_the_same(problem, data):
         shuffled.row_table.row(k)
     assert shuffled.row_table.built == expected, name
     assert shuffled.rows == in_order.rows
-    ring = ambient.ring
     for v in list(gens) + list(in_order.gb):
-        witness = shuffled.lift(v)  # checks its own recombination
-        for t in range(ambient.rank):
-            total = ring.zero()
-            for c, g in zip(witness, gens):
-                total = total + c * g.coords[t]
-            assert reduce_mod_quotient(ring, total - v.coords[t]).is_zero(), name
+        # checks its own recombination
+        _assert_witness(gens, v, shuffled.lift(v), name)
 
 
 def _parameters_and_generators():
@@ -294,7 +334,7 @@ def test_validation_multiplies_out_no_row_and_a_lift_only_what_it_reaches():
     assert not _multiplied_out(table)
     v = gb.ambient.vector((ring.parse("z^4"),))
     quots, _ = _divide(v.module, _work(v), gb.gb, track=True)
-    reached, stack = set(), [gb.row_ids[k] for k, q in enumerate(quots) if q.terms]
+    reached, stack = set(), [gb.row_ids[k] for k in quots]
     while stack:
         k = stack.pop()
         if k not in reached and table.recipes[k] is not None:
