@@ -27,6 +27,7 @@ from startrans import (
 )
 from startrans.modules import (
     _divide,
+    _pair_loop,
     _RowTable,
     _work,
     ideal_gb,
@@ -252,6 +253,54 @@ def _assert_witness(gens, v, witness, name):
         for c, g in zip(witness, gens):
             total = total + c * g.coords[t]
         assert reduce_mod_quotient(ring, total - v.coords[t]).is_zero(), name
+
+
+def _minimal_leads(ambient, leads):
+    """The (position, monomial) of the leads that no other lead divides: the
+    minimal generators of the monomial submodule ``leads`` span."""
+    divides = ambient.ring.mono_divides
+    terms = {lead[:2] for lead in leads}
+    return {
+        a
+        for a in terms
+        if not any(b != a and b[0] == a[0] and divides(b[1], a[1]) for b in terms)
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(generator_lists())
+def test_untracked_basis_equals_the_tracked_one(problem):
+    # the floored run keeps no rows and divides only down to the leads; under
+    # the zero floor it runs every pair, under the exact series it stops
+    # early, and its leads span the same lead module as the reduced basis
+    name, ambient, gens = problem
+    tracked = buchberger(ambient, gens)
+    exact = tracked.series()
+    for floor in (exact.sub(exact), exact):
+        _, basis, table, series = _pair_loop(ambient, tuple(gens), floor)
+        assert table is None, name
+        assert series == exact, name
+        leads = [g.lead() for g in basis]
+        assert _minimal_leads(ambient, leads) == {
+            lead[:2] for lead in tracked.leads
+        }, name
+
+
+def test_colon_and_intersection_bases_carry_no_rows(R1):
+    # both keep the recipes of their run, multiply none of them out when
+    # built, and lift their own generators
+    ring = R1.ring
+    a = ideal(R1, "x^2", "x*y")
+    b = ideal(R1, "y^2", "x*y")
+    quotient = colon(a, [ring.parse("x"), ring.parse("y")])
+    meet = intersect(a, b)
+    # hand oracles: (x^2, xy) : (x, y) = (x), (x^2, xy) meet (y^2, xy) = (xy)
+    assert gb_polys(quotient) == ["x"]
+    assert gb_polys(meet) == ["x*y"]
+    for gb in (quotient, meet):
+        assert not _multiplied_out(gb.row_table)
+        for g in gb.generators:
+            _assert_witness(gb.generators, g, gb.lift(g), repr(gb))
 
 
 @settings(max_examples=25, deadline=None)
