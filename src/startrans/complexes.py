@@ -181,8 +181,8 @@ class FreeComplex:
         ``SopData.ideal_gb``.  The certificates read only Hilbert series,
         which the acyclicity certificate keeps (``AcyclicityCertificate``),
         so the basis is built only where something reads its elements: the
-        colon and saturation commands, the depth probe, and a membership
-        test of the colon certificate that no witness settled.  It is read
+        colon and saturation commands and a membership test of the colon
+        certificate that no witness settled.  It is read
         through its leads, membership and normal forms, never lifted
         through, so none of its rows is multiplied out.
         """

@@ -42,7 +42,6 @@ import heapq
 from collections import defaultdict
 from dataclasses import dataclass
 from math import gcd
-from operator import le, mul
 
 from .errors import (
     DimensionMismatch,
@@ -583,7 +582,7 @@ class SubmoduleGB:
     def series(self):
         """HS(ambient / M) (modulo J over R/J), from the leads; kept."""
         if self._series is None:
-            self._series = _leads_series(self.ambient, self.leads)
+            self._series = _LeadsSeries(self.ambient, self.leads).series()
         return self._series
 
     @property
@@ -668,10 +667,11 @@ def _pair_loop(ambient, gens, floor=None):
     HS(ambient / in(M)) is known to dominate in every degree (M the span of
     ``gens``), the lead terms L of the basis so far give
     HS(ambient / L) >= HS(ambient / in(M)) >= F (Traverso, "Hilbert
-    functions and the Buchberger algorithm", JSC 22 (1996)).  The
-    generators are homogeneous and pairs come out in increasing degree, so
-    at the first pair of each degree d the loop computes S = HS(ambient / L)
-    once: S == F means HS(ambient / M) = F, and the loop stops and returns
+    functions and the Buchberger algorithm", JSC 22 (1996)).  If the
+    generators' leads already give S = HS(ambient / L) == F, it returns F
+    before building any pair.  The generators are homogeneous and pairs
+    come out in increasing degree, so at the first pair of each degree d
+    the loop computes S once: S == F means HS(ambient / M) = F, and the loop stops and returns
     F; S_d == F_d means L_d = in(M)_d, so every pair of degree d would
     reduce to zero and is marked done unprocessed; S_d < F_d contradicts
     the floor and raises InternalError.  Each nonzero remainder of degree d
@@ -706,6 +706,11 @@ def _pair_loop(ambient, gens, floor=None):
         if not floored:
             table.unit(j)
 
+    if floored:
+        lead_series = _LeadsSeries(ambient, leads)
+        if not lead_series.series().sub(floor).numer:
+            return adjoined, basis, table, floor
+
     rank_one = ambient.rank == 1
 
     def pair(i, j):
@@ -722,8 +727,6 @@ def _pair_loop(ambient, gens, floor=None):
                 pairs.append(pair(j, i))
     heapq.heapify(pairs)
     done = set()
-    if floored:
-        lead_series = _LeadsSeries(ambient, leads)
     degree = None
     excess = 0  # S_d - F_d: the nonzero remainders degree d can still add
 
@@ -1080,39 +1083,38 @@ def _divide_by_one_minus_tw(coeffs, w):
     return {d: c for d, c in q.items() if c and d <= hi - w}
 
 
-def _interreduce_monomials(gens):
-    gens = sorted(set(gens))
+def _interreduce_monomials(ring, gens):
+    """The minimal ones of the packed monomials ``gens``, ascending; a
+    divisor has a smaller degree, the top field, so it sorts first."""
+    divides = ring.mono_divides
     out = []
-    for g in gens:
-        if not any(all(map(le, h, g)) for h in out):
+    for g in sorted(set(gens)):
+        if not any(divides(h, g) for h in out):
             out.append(g)
     return out
 
 
-def _monomial_quotient_numerator(weights, gens):
+def _monomial_quotient_numerator(ring, gens):
     """Numerator of the Hilbert series of R/(gens) over prod (1 - t^w),
-    for monomials ``gens`` given as exponent tuples."""
-    gens = _interreduce_monomials(gens)
+    for packed monomials ``gens``."""
+    gens = _interreduce_monomials(ring, gens)
     if not gens:
         return {0: 1}
-    if any(all(e == 0 for e in g) for g in gens):
+    if not gens[0]:  # the monomial 1 packs to 0 and sorts first
         return {}
-    gens = sorted(gens, key=lambda m: (sum(map(mul, weights, m)), m))
     rest = gens[:-1]
     return _adjoin_numerator(
-        weights, _monomial_quotient_numerator(weights, rest), rest, gens[-1]
+        ring, _monomial_quotient_numerator(ring, rest), rest, gens[-1]
     )
 
 
-def _adjoin_numerator(weights, base, gens, pivot):
+def _adjoin_numerator(ring, base, gens, pivot):
     """The numerator of R/(gens, pivot) from ``base``, that of R/(gens):
     0 -> R/(gens : pivot)(-deg pivot) -> R/(gens) -> R/(gens, pivot) -> 0
-    is exact."""
-    coloned = [
-        tuple(max(e - p, 0) for e, p in zip(g, pivot)) for g in gens
-    ]
-    tail = _monomial_quotient_numerator(weights, coloned)
-    d = sum(map(mul, weights, pivot))
+    is exact, and g : pivot = lcm(g, pivot) / pivot."""
+    lcm = ring.mono_lcm
+    tail = _monomial_quotient_numerator(ring, [lcm(g, pivot) - pivot for g in gens])
+    d = ring.mono_degree(pivot)
     out = dict(base)
     for deg, c in tail.items():
         out[deg + d] = out.get(deg + d, 0) - c
@@ -1126,31 +1128,30 @@ class HilbertData:
 
 
 class _LeadsSeries:
-    """HS(ambient / L) for a growing monomial submodule L, kept as one
-    numerator per position: ``add`` updates only the position of the new
-    lead, by one ``_adjoin_numerator``."""
+    """HS(ambient / L) for a growing monomial submodule L, spanned by
+    ``leads`` ((position, monomial, coefficient) triples, as
+    ``ModuleVector.lead`` gives them), kept as one numerator per position:
+    ``add`` updates only the position of the new lead, by one
+    ``_adjoin_numerator``."""
 
-    __slots__ = ("ambient", "exps", "numerators")
+    __slots__ = ("ambient", "monos", "numerators")
 
     def __init__(self, ambient, leads):
-        ring = ambient.ring
         self.ambient = ambient
-        self.exps = [[] for _ in range(ambient.rank)]
+        self.monos = [[] for _ in range(ambient.rank)]
         for pos, m, _ in leads:
-            self.exps[pos].append(ring.unpack(m))
+            self.monos[pos].append(m)
         self.numerators = [
-            _monomial_quotient_numerator(ring.weights, e) for e in self.exps
+            _monomial_quotient_numerator(ambient.ring, ms) for ms in self.monos
         ]
 
     def add(self, lead):
         """Adjoin the lead (position, monomial, coefficient) to L."""
         pos, m, _ = lead
-        ring = self.ambient.ring
-        e = ring.unpack(m)
         self.numerators[pos] = _adjoin_numerator(
-            ring.weights, self.numerators[pos], self.exps[pos], e
+            self.ambient.ring, self.numerators[pos], self.monos[pos], m
         )
-        self.exps[pos].append(e)
+        self.monos[pos].append(m)
 
     def series(self):
         total = {}
@@ -1158,13 +1159,6 @@ class _LeadsSeries:
             for d, c in numer.items():
                 total[d + shift] = total.get(d + shift, 0) + c
         return HilbertSeries.from_dict(total, self.ambient.ring.weights)
-
-
-def _leads_series(ambient, leads):
-    """HS(ambient / L), L the monomial submodule spanned by ``leads``
-    ((position, monomial, coefficient) triples, as ``ModuleVector.lead``
-    gives them)."""
-    return _LeadsSeries(ambient, leads).series()
 
 
 def hilbert_data(m_gb):

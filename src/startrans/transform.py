@@ -483,10 +483,6 @@ class StarComplex:
             if (lam, i) not in star
         )
 
-    @property
-    def depth_positive_fastpath(self):
-        return not self.star_pairs
-
     def top_rank(self):
         return self.complex.top_rank()
 

@@ -1,5 +1,5 @@
 """Independent verification: the colon certificate, dimension counting,
-depth probes, saturation, and the round-by-round iteration driver.
+positive depth, saturation, and the round-by-round iteration driver.
 
 Everything here re-derives its facts from Groebner bases and Hilbert series
 of the input and the output, never from the construction internals, so a
@@ -8,8 +8,9 @@ one thing the build hands over, the chain map's witnesses for Q*N <= M,
 is re-checked by a product and only saves membership tests.  The
 output's Im phi_1 is certified equal to M : Q without computing the colon:
 balance of Tor turns the equality into two containments and one
-Hilbert-series identity (``_colon_certificate``).  The driver reads each
-round's report, and a match chains from round to round.
+Hilbert-series identity (``_colon_certificate``), and positive depth
+follows from the report's own verdicts (``verify_star``).  The driver reads
+each round's report, and a match chains from round to round.
 """
 
 from __future__ import annotations
@@ -176,7 +177,8 @@ def colon_quotient_count(m_gb, sop, rank_top, colon_gb):
 
 def depth_positive_check(m_gb):
     """True iff M : m = M, i.e. the irrelevant ideal is not associated to
-    the quotient, i.e. the quotient has positive depth.
+    the quotient, i.e. the quotient has positive depth; the reference the
+    tests hold ``verify_star``'s colon-free verdict to.
 
     M <= M : m <= M : x for every variable x, so the first x with
     M : x = M settles it without the intersection.  Otherwise M : m is the
@@ -215,16 +217,20 @@ def verify_star(comp, sop, star):
 
     Runs the fixed list of checks (composition, homogeneity, acyclicity,
     colon equality by the Tor certificate, top-map minimality, rank
-    accounting, quotient dimension count) plus the conditional depth probe
-    when the top module vanished, and, over a quotient ring, the
-    certified regularity of the parameters.
+    accounting, quotient dimension count) plus ``depth_positive`` when the
+    top module vanished, and, over a quotient ring, the certified
+    regularity of the parameters.
+
+    ``depth_positive`` passes iff ``acyclicity`` passed and the parameters
+    are regular: then the output resolves F_0/N in length n - 1 over a ring
+    of depth >= n, so depth(F_0/N) >= 1 by Auslander-Buchsbaum (Bruns &
+    Herzog, Thm 1.3.3 and Sec. 1.5).  It runs no colon.
 
     M and N are both read through ``_Image``, inside the checks only: the
     Hilbert series each complex's acyclicity certificate keeps, and, for
     Q*N <= M, the star's ``witness`` (``StarComplex``), re-checked here.
     A basis of M is built only for a membership test that no witness
-    settled, and a basis of N only by the depth probe, which reads it from
-    the output (``FreeComplex.image_gb``).
+    settled, and no basis of N is built.
     """
     report = VerificationReport()
     out = star.complex
@@ -238,7 +244,7 @@ def verify_star(comp, sop, star):
         "homogeneity",
         lambda: (homogeneity_defect(out) is None, ""),
     )
-    report.run(
+    acyclic = report.run(
         "acyclicity",
         lambda: _acyclicity_check(out, composes and homogeneous),
     )
@@ -258,11 +264,11 @@ def verify_star(comp, sop, star):
 
     report.run("colon_quotient_count", _count)
 
-    if star.depth_positive_fastpath:
+    if star.top_rank() == 0:
         report.run(
             "depth_positive",
             lambda: (
-                depth_positive_check(out.image_gb(1)),
+                acyclic and sop.is_regular(),
                 "top module vanished; colon by the irrelevant ideal is stable",
             ),
         )

@@ -15,7 +15,7 @@ objects; ``stages`` rebuilds them from the stage functions.
 
 import random
 from dataclasses import dataclass
-from operator import add
+from operator import add, le, mul
 
 from startrans import (
     FreeComplex,
@@ -140,6 +140,31 @@ def padded_zero_top_instance():
     comp = FreeComplex(ring, modules, maps)
     sop = validate_sop(ring, [ring.var(0), ring.var(1)])
     return comp, sop
+
+
+def monomial_quotient_numerator(weights, gens):
+    """Numerator of HS(R/(gens)) over prod (1 - t^w), for monomials
+    ``gens`` given as exponent tuples: the colon recursion of
+    ``modules._monomial_quotient_numerator``, redone on tuples, with the
+    largest generator in (weighted degree, exponent tuple) order as the
+    pivot."""
+    minimal = []
+    for g in sorted(set(gens)):
+        if not any(all(map(le, h, g)) for h in minimal):
+            minimal.append(g)
+    if not minimal:
+        return {0: 1}
+    if any(not any(g) for g in minimal):
+        return {}
+    minimal.sort(key=lambda m: (sum(map(mul, weights, m)), m))
+    rest, pivot = minimal[:-1], minimal[-1]
+    coloned = [tuple(max(e - p, 0) for e, p in zip(g, pivot)) for g in rest]
+    tail = monomial_quotient_numerator(weights, coloned)
+    d = sum(map(mul, weights, pivot))
+    out = dict(monomial_quotient_numerator(weights, rest))
+    for deg, c in tail.items():
+        out[deg + d] = out.get(deg + d, 0) - c
+    return {deg: c for deg, c in out.items() if c}
 
 
 def full_hilbert_certificate(comp):

@@ -186,7 +186,7 @@ def test_criterion_6_vanishing_top_fast_path():
     res = star_transform(comp, sop)
     star = res.star
     ok = star.complex.module(2).rank == 0
-    ok = ok and star.depth_positive_fastpath
+    ok = ok and star.top_rank() == 0
     ok = ok and depth_positive_check(star.complex.image_gb(1))
     # the decomposition vectors are signed standard basis vectors
     from startrans import decompose_images

@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import identity_matrix, is_zero_matrix, zero_matrix
+from reference import (
+    identity_matrix,
+    is_zero_matrix,
+    monomial_quotient_numerator,
+    zero_matrix,
+)
 from startrans import (
     GradedFreeModule,
     IncompatibleField,
@@ -19,7 +24,11 @@ from startrans import (
     buchberger,
     format_polynomial,
 )
-from startrans.modules import term_key
+from startrans.modules import (
+    _LeadsSeries,
+    _monomial_quotient_numerator,
+    term_key,
+)
 from startrans.poly import MAX_DEGREE, block_matrix
 from test_certificate import RINGS
 
@@ -414,6 +423,25 @@ def test_packed_operations_agree_componentwise(problem):
             assert ring.unpack(ring.mono_div(py, px)) == tuple(map(sub, y, x))
     lcm = ring.mono_lcm(pa, pb)
     assert ring.mono_divides(pa, lcm) and ring.mono_divides(pb, lcm)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 6).flatmap(rings_with_exponents), st.data())
+def test_hilbert_numerators_on_packed_monomials_match_the_tuple_kernel(
+    problem, data
+):
+    # the package's kernel reads packed leads only; one lead at a time
+    # (``_LeadsSeries.add``) gives the same numerator as all at once
+    ring, monos = problem
+    expected = monomial_quotient_numerator(ring.weights, monos)
+    packed = [ring.pack(e) for e in monos]
+    assert _monomial_quotient_numerator(ring, packed) == expected
+    module = GradedFreeModule(ring, 1, (0,))
+    first = data.draw(st.integers(0, len(monos)))
+    grown = _LeadsSeries(module, [(0, m, None) for m in packed[:first]])
+    for m in packed[first:]:
+        grown.add((0, m, None))
+    assert grown.numerators == [expected]
 
 
 def test_the_largest_degree_packs_and_the_next_overflows():

@@ -12,6 +12,7 @@ from startrans import (
     PolyMatrix,
     PolyRing,
     PreconditionFailed,
+    PrimeField,
     RationalField,
     StarComplex,
     SubmoduleGB,
@@ -20,6 +21,7 @@ from startrans import (
     colon,
     colon_quotient_count,
     depth_positive_check,
+    koszul,
     saturate,
     star_iteration_driver,
     star_transform,
@@ -31,6 +33,7 @@ from startrans import complexes, modules, verify
 from startrans.cli import main
 from startrans.instances import (
     complete_intersection_instance,
+    corpus,
     exa_instance,
     vanishing_top_instance,
 )
@@ -230,7 +233,7 @@ def test_depth_probe_agrees_with_the_colon_by_all_variables(
 def test_depth_flag_consistent_with_fast_path():
     comp, sop = vanishing_top_instance()
     res = star_transform(comp, sop)
-    assert res.star.depth_positive_fastpath
+    assert res.star.top_rank() == 0
     assert depth_positive_check(res.star.complex.image_gb(1))
     assert any(
         c.name == "depth_positive" and c.passed for c in res.report.checks
@@ -405,11 +408,12 @@ def test_driver_computes_no_colon_by_the_parameters(monkeypatch):
 
 
 def test_verify_star_runs_no_colon_when_the_output_image_fails(monkeypatch):
-    # the output's basis is read by the depth probe only: the colon
-    # certificate and the count read N through its columns and series
+    # no check reads the output's basis: the colon certificate and the
+    # count read N through its columns and series, and depth_positive reads
+    # the acyclicity and regularity verdicts
     comp, sop = vanishing_top_instance()
     res = star_transform(comp, sop, with_report=False)
-    assert res.star.depth_positive_fastpath
+    assert res.star.top_rank() == 0
     out = res.star.complex
     real = complexes.FreeComplex.image_gb
 
@@ -422,10 +426,57 @@ def test_verify_star_runs_no_colon_when_the_output_image_fails(monkeypatch):
     calls = _count_calls(monkeypatch, colon)
     report = verify_star(comp, sop, res.star)
     assert calls == []
-    checks = {c.name: c for c in report.checks}
-    assert [c.name for c in report.checks if not c.passed] == ["depth_positive"]
-    assert checks["depth_positive"].detail == "RuntimeError: image basis unavailable"
-    assert checks["colon_equality"].passed and checks["colon_quotient_count"].passed
+    assert report.overall
+    assert report.names() == list(FIXED_CHECKS) + ["depth_positive"]
+
+
+def test_vanishing_top_with_a_failed_acyclicity_fails_depth_positive():
+    # phi_1 zeroed: still a complex with a zero top, but F_1 is its own
+    # kernel.  The colon probe passes on N = 0 (F_0 itself has positive
+    # depth); the report's verdict follows the failed acyclicity check.
+    comp, sop = vanishing_top_instance()
+    res = star_transform(comp, sop, with_report=False)
+    out = res.star.complex
+    phi1 = out.phi(1)
+    zero = PolyMatrix(out.ring, [[out.ring.zero()] * phi1.ncols], 1, phi1.ncols)
+    bad = FreeComplex(out.ring, out.modules, (zero,) + out.maps[1:], out.labels)
+    star = StarComplex(bad, res.star.input_top_rank, res.star.witness)
+    assert star.top_rank() == 0 and phi1.ncols > 0
+    checks = {c.name: c for c in verify_star(comp, sop, star).checks}
+    assert checks["composition_zero"].passed and checks["homogeneity"].passed
+    assert not checks["acyclicity"].passed
+    assert not checks["depth_positive"].passed
+    assert checks["depth_positive"].detail == (
+        "top module vanished; colon by the irrelevant ideal is stable"
+    )
+    assert depth_positive_check(bad.image_gb(1))
+
+
+def _vanishing_outputs():
+    """Every output with a zero top among the corpus instances over Q and
+    over p:7, each iterated up to 5 rounds, and Koszul(x, y) over
+    Q[x, y, z]/(z^2) with parameters (x, y)."""
+    for field in (None, PrimeField(7)):
+        for name, comp, sop in corpus(field=field):
+            driver = star_iteration_driver(comp, sop, 5)
+            for rnd in driver.rounds:
+                if rnd.result.star.top_rank() == 0:
+                    yield f"{name}/{field}/{rnd.index}", rnd.result
+    base = PolyRing(RationalField(), ("x", "y", "z"))
+    ring = base.with_quotient([base.parse("z^2")])
+    sop = validate_sop(ring, [ring.var(0), ring.var(1)])
+    yield "quotient", star_transform(koszul(sop), sop)
+
+
+def test_depth_positive_verdict_equals_the_colon_probe():
+    seen = 0
+    for label, result in _vanishing_outputs():
+        checks = {c.name: c for c in result.report.checks}
+        assert checks["depth_positive"].passed == depth_positive_check(
+            result.star.complex.image_gb(1)
+        ), label
+        seen += 1
+    assert seen == 43  # 42 corpus outputs and the quotient case
 
 
 def test_verify_star_reads_the_output_map_inside_the_checks_only():
@@ -456,12 +507,16 @@ def test_verify_star_reads_the_output_map_inside_the_checks_only():
 
 def test_vanishing_top_builds_no_basis_of_the_input_image(monkeypatch):
     # the chain map's witnesses show Q*N <= M for every bracket column, so
-    # the colon certificate makes no membership test in M
+    # the colon certificate makes no membership test in M, and
+    # depth_positive reads verdicts: no basis of N, no colon, no intersection
     comp, sop = vanishing_top_instance()
     built = _count_calls(monkeypatch, complexes._image_gb)
+    colons = _count_calls(monkeypatch, colon)
+    intersections = _count_calls(monkeypatch, modules.intersect)
     res = star_transform(comp, sop)
-    assert res.report.overall and res.star.depth_positive_fastpath
-    assert [a[0] for a in built] == [res.star.complex]
+    assert res.report.overall and res.star.top_rank() == 0
+    assert "depth_positive" in res.report.names()
+    assert built == [] and colons == [] and intersections == []
 
 
 def test_input_certified_once_across_transform_and_verify(monkeypatch):
