@@ -25,7 +25,6 @@ from .errors import (
     IncompatibleField,
     InternalError,
     IterationLimit,
-    LiftError,
     MonomialOverflow,
     NonPolynomialDifference,
     NotASop,

@@ -5,12 +5,13 @@ Subcommands: ``koszul`` (emit a Koszul complex problem file), ``star``
 output file), ``colon`` / ``saturate`` (run the oracles), ``iterate``
 (run the round-by-round driver), ``info`` (print ranks and twists).
 
-Exit codes: 0 success and all checks pass; 1 a verification check failed;
-2 a precondition or validation failed (a computation outside the checks
-that reaches a degree the packed monomials cannot hold included); 3 I/O or
-parse error (an exponent or variable degree in the input that they cannot
-hold included); 4 internal error (an invariant the engine guarantees
-failed: a bug, not bad input).
+Exit codes: 0 success and all checks pass; 1 a verification check failed,
+and nothing else; 2 a precondition or validation failed (a computation
+outside the checks that reaches a degree the packed monomials cannot hold
+included); 3 I/O or parse error (an exponent or variable degree in the
+input that they cannot hold included); 4 internal error: any other
+``StarTransError``, which the engine's guarantees rule out (a bug, not bad
+input).
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import sys
 
 from .complexes import check_complex, koszul, validate_sop
 from .errors import (
-    InternalError,
     IterationLimit,
     MonomialOverflow,
     NotASop,
@@ -392,12 +392,9 @@ def main(argv=None):
     ) as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except InternalError as exc:
+    except StarTransError as exc:  # no input error reaches here: a bug
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except StarTransError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECKS_FAILED
 
 
 def console_main():

@@ -400,21 +400,6 @@ def _modular_ring(names, weights):
     return PolyRing(_MODULAR_FIELD, names, weights)
 
 
-def check_qf_containment(comp, sop):
-    """True iff every entry of the top map lies in the parameter ideal."""
-    gb = sop.ideal_gb()
-    m = comp.phi(comp.length)
-    ambient = gb.ambient
-    for i in range(m.nrows):
-        for j in range(m.ncols):
-            e = m.entry(i, j)
-            if e.is_zero():
-                continue
-            if not gb.contains(ambient.vector((e,))):
-                return False
-    return True
-
-
 def koszul(sop):
     """The Koszul complex of a validated sop, without labels.
 
@@ -472,9 +457,9 @@ def decompose_images(comp, sop):
 
     Canonical: every entry of the image column is divided through the
     reduced basis of the parameter ideal and the witness is pushed back to
-    the given parameters.  Returns a tuple (per lambda) of n-tuples.  The
-    lift is the Q-containment test: an entry outside Q raises
-    PreconditionFailed.  The lift also checks that each witness recombines
+    the given parameters.  Returns a tuple (per lambda) of tuples, one
+    vector per parameter.  The lift is the Q-containment test: an entry
+    outside Q raises PreconditionFailed.  The lift also checks that each witness recombines
     to its entry (modulo the quotient ideal, if any); coordinate by
     coordinate that is the recombination of the vectors, so it is not
     checked again here.
@@ -488,7 +473,7 @@ def decompose_images(comp, sop):
     out = []
     for lam in range(comp.module(n).rank):
         column = top_map.column(lam)
-        parts = [[ring.zero() for _ in range(target.rank)] for _ in range(n)]
+        parts = [[ring.zero() for _ in range(target.rank)] for _ in sop.gens]
         for ell, entry in enumerate(column):
             if entry.is_zero():
                 continue
@@ -499,7 +484,18 @@ def decompose_images(comp, sop):
                     "Im phi_n is not contained in Q*F_(n-1); "
                     "decomposition impossible"
                 ) from exc
-            for i in range(n):
-                parts[i][ell] = witness[i]
-        out.append(tuple(target.vector(tuple(parts[i])) for i in range(n)))
+            for part, w in zip(parts, witness):
+                part[ell] = w
+        out.append(tuple(target.vector(tuple(part)) for part in parts))
     return tuple(out)
+
+
+def check_qf_containment(comp, sop):
+    """True iff every entry of the top map lies in the parameter ideal: the
+    verdict of the one containment test, ``decompose_images`` lifting every
+    entry through Q."""
+    try:
+        decompose_images(comp, sop)
+    except PreconditionFailed:
+        return False
+    return True

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all subsystems."""
+"""Exception hierarchy shared by all subsystems.  ``cli.main`` maps each
+class to an exit code; one it does not name is an engine fault, exit 4."""
 
 
 class StarTransError(Exception):
@@ -32,14 +33,6 @@ class PreconditionFailed(StarTransError):
     """A documented precondition of an operation was violated."""
 
 
-class LiftError(StarTransError):
-    """A lift that is guaranteed by exactness could not be found.
-
-    Raised only on internally inconsistent inputs (e.g. a complex that was
-    claimed acyclic but is not).
-    """
-
-
 class NonPolynomialDifference(StarTransError):
     """A Hilbert series difference that must be a polynomial is not one."""
 
@@ -63,4 +56,5 @@ class ValidationError(StarTransError):
 
 class InternalError(StarTransError):
     """An invariant the engine guarantees failed to hold: a bug, not bad
-    input."""
+    input (a descent lift of ``transform.build_chain_map`` that the
+    certified preconditions guarantee, for one)."""

@@ -15,9 +15,9 @@ field that goes negative borrows through its guard).  Every exponent is at
 most the degree, so a degree below 2^(FIELD_BITS - 1) keeps every field in
 range: each product checks the sum of the two largest degrees once, and a
 monomial that does not fit raises ``MonomialOverflow``, never carries into
-the next field.  ``PolyRing.pack`` and ``PolyRing.unpack`` convert from and
-to exponent tuples; ``monomial``, ``from_terms``, the parser and the
-printer take and write tuples.
+the next field.  ``PolyRing.pack`` converts from exponent tuples, and
+``monomial``, ``from_terms`` and the parser take tuples; only ``mono_lcm``
+and the printer read the fields back (``PolyRing._fields``).
 """
 
 from __future__ import annotations
@@ -130,10 +130,6 @@ class PolyRing:
         fields = array(_FIELD_FORMAT)
         fields.frombytes(m.to_bytes(self._nbytes, sys.byteorder))
         return fields
-
-    def unpack(self, m):
-        """The exponent tuple of the packed monomial m."""
-        return tuple(self._fields(m))[: len(self.names)]
 
     def mono_degree(self, m):
         return m >> self._shift

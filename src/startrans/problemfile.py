@@ -308,18 +308,12 @@ def _complex_jsonable(comp):
 
 
 def _labels_jsonable(labels):
-    out = []
-    for position in labels:
-        encoded = []
-        for item in position:
-            if item[0] == "bracket":
-                encoded.append(["bracket", item[1], list(item[2])])
-            elif item[0] == "angle":
-                encoded.append(["angle", item[1]])
-            else:
-                encoded.append(["star", item[1], item[2]])
-        out.append(encoded)
-    return out
+    """Each label as [kind, field, ...] (``_LABEL_SHAPES``), a subset field
+    as a list."""
+    return [
+        [[list(x) if isinstance(x, tuple) else x for x in item] for item in position]
+        for position in labels
+    ]
 
 
 def problem_to_jsonable(pf):

@@ -33,7 +33,7 @@ from .complexes import (
     tensor_boundary,
     tensor_module,
 )
-from .errors import LiftError, NotInModule, PreconditionFailed, ValidationError
+from .errors import InternalError, NotInModule, PreconditionFailed, ValidationError
 from .modules import GradedFreeModule, buchberger
 from .poly import PolyMatrix, block_matrix
 
@@ -79,6 +79,13 @@ def build_chain_map(comp, sop, decomposition):
     by construction, the next one is the signed decomposition, and each
     lower square commutes because ``lift`` checks its witness recombines to
     the goal.
+
+    A lift runs only when F_n != 0, and then K(q) is exact: every entry of
+    phi_n lies in Q <= m, so no trivial summand sits at the top and
+    pd(F_0/M) = n; Auslander-Buchsbaum (Bruns & Herzog, Thm 1.3.3) gives
+    depth R >= n, and finite colength gives dim R <= n, so q is a regular
+    sequence.  The same holds over R/J.  So a failed lift is an
+    ``InternalError``, never bad input.
 
     That boundary, F_(p-1) (x) d_(n-p+1), is block-diagonal: one copy of
     the Koszul boundary d_(n-p+1): K_(n-p+1) -> K_(n-p) per basis vector
@@ -137,9 +144,9 @@ def build_chain_map(comp, sop, decomposition):
                 try:
                     witnesses.append(gb.lift(goal))
                 except NotInModule as exc:
-                    raise LiftError(
-                        f"level {p} descent has no lift; the input complex is "
-                        "not acyclic"
+                    raise InternalError(
+                        f"level {p} descent has no lift through the Koszul "
+                        "boundary"
                     ) from exc
             for sub in subsets(n, p - 1):
                 a_idx = src_index[complement(sub, n)]

@@ -20,12 +20,7 @@ import time
 from dataclasses import dataclass, field
 from math import comb
 
-from .complexes import (
-    certify_acyclic,
-    check_qf_containment,
-    composition_defect,
-    homogeneity_defect,
-)
+from .complexes import certify_acyclic, composition_defect, homogeneity_defect
 from .errors import (
     InternalError,
     IterationLimit,
@@ -429,6 +424,13 @@ def star_iteration_driver(comp, sop, rounds):
     """Apply the transform repeatedly; stops early when the next round's
     precondition fails or the top module vanishes.
 
+    Each round's preconditions are decided once, by its ``star_transform``:
+    Q-containment of the top map by the decomposition's lifts.  In round 1
+    a PreconditionFailed propagates unchanged, as ``star`` raises it on the
+    same input.  From round 2 on it is the stop rule: the lengths match by
+    construction and the previous round's report certified the input
+    acyclic, so a failure other than containment follows a failed report.
+
     Each round's report is its colon oracle: its ``colon_equality`` check
     certifies that Im phi_1 of the round's output is the colon of the
     round's input.  Round k matches iff round k-1 matched and round k's
@@ -447,14 +449,13 @@ def star_iteration_driver(comp, sop, rounds):
     out = []
     stop_reason = "completed"
     for k in range(1, rounds + 1):
-        if not check_qf_containment(current, sop):
+        try:
+            result = star_transform(current, sop)
+        except PreconditionFailed:
             if k == 1:
-                raise PreconditionFailed(
-                    "round 1: Im phi_n is not contained in Q*F_(n-1)"
-                )
+                raise
             stop_reason = f"precondition failed before round {k}"
             break
-        result = star_transform(current, sop)
         matches = matches and any(
             c.name == "colon_equality" and c.passed
             for c in result.report.checks

@@ -4,6 +4,8 @@ pieces and Gaussian elimination over the coefficient field."""
 
 from __future__ import annotations
 
+from reference import unpack
+
 
 def monomials_of_degree(ring, d):
     """All exponent tuples of weighted degree exactly d."""
@@ -79,7 +81,7 @@ def dense_vector(v, basis_index, field):
     out = [field.zero] * len(basis_index)
     for pos, poly in enumerate(v.coords):
         for m, c in poly.terms.items():
-            out[basis_index[(pos, poly.ring.unpack(m))]] = c
+            out[basis_index[(pos, unpack(poly.ring, m))]] = c
     return out
 
 

@@ -52,6 +52,12 @@ FIXED_CHECKS = (
 )
 
 
+def unpack(ring, m):
+    """The exponent tuple of the packed monomial m (the inverse of
+    ``PolyRing.pack``)."""
+    return tuple(ring._fields(m))[: ring.nvars]
+
+
 def termwise_products(ring, pairs):
     """The sum of a * b over the (term dict a, term dict b) ``pairs``,
     product by product on exponent tuples with ``field.mul`` and
@@ -62,9 +68,9 @@ def termwise_products(ring, pairs):
     out = {}
     for a, b in pairs:
         for ma, ca in a.items():
-            ea = ring.unpack(ma)
+            ea = unpack(ring, ma)
             for mb, cb in b.items():
-                e = tuple(map(add, ea, ring.unpack(mb)))
+                e = tuple(map(add, ea, unpack(ring, mb)))
                 out[e] = f.add(out.get(e, f.zero), f.mul(ca, cb))
     return {e: c for e, c in out.items() if not f.is_zero(c)}
 

@@ -5,7 +5,9 @@ import os
 import pytest
 
 from startrans import (
+    DimensionMismatch,
     InternalError,
+    NotInModule,
     ParseError,
     ValidationError,
     parse_problem,
@@ -688,6 +690,35 @@ def test_cli_internal_error_inside_a_verify_check_exits_four(
     assert not os.path.exists(out)
 
 
+def test_cli_star_failed_descent_lift_exits_four(monkeypatch, tmp_path, capsys):
+    # the certified preconditions make every descent lift solvable, so a
+    # failed one is a bug, not a failed check
+    class Unliftable:
+        def lift(self, v):
+            raise NotInModule("vector has nonzero normal form")
+
+    monkeypatch.setattr(transform, "buchberger", lambda ambient, gens: Unliftable())
+    out = str(tmp_path / "out.json")
+    assert main(["star", "--input", FIXTURE, "--output", out]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith("internal error: ")
+    assert "descent has no lift" in captured.err
+    assert not os.path.exists(out)
+
+
+def test_cli_engine_error_outside_the_checks_exits_four(monkeypatch, capsys):
+    # exit 1 means only that a check failed; an engine error that no input
+    # causes is internal
+    def mismatched(comp, sop):
+        raise DimensionMismatch("2 coordinates for a module of rank 3")
+
+    monkeypatch.setattr(cli, "star_transform", mismatched)
+    assert main(["star", "--input", FIXTURE]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == "internal error: 2 coordinates for a module of rank 3\n"
+    assert captured.out == ""
+
+
 def test_cli_saturate_negative_count_is_usage_error(capsys):
     code = main(
         ["saturate", "--module", "x^2,x*y", "--ideal", "x,y", "--max-iter", "-1"]
@@ -704,6 +735,34 @@ def test_cli_iterate(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "round 1" in out and "round 2" in out
     assert "oracle match yes" in out
+
+
+def test_cli_iterate_round_one_precondition_matches_star(tmp_path, capsys):
+    # round 1's containment is decided by star's own decomposition, so
+    # iterate fails as star does on the same file
+    data = exa_data()
+    data["sop"] = ["x^3", "y^3"]
+    path = write_json(tmp_path, "exa3.json", data)
+    assert main(["star", "--input", path]) == 2
+    star_err = capsys.readouterr().err
+    assert "Im phi_n is not contained in Q*F_(n-1)" in star_err
+    assert main(["iterate", "--input", path, "--max-iter", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == star_err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("seed", [2030, 2031])
+def test_cli_iterate_stops_when_a_later_round_is_not_contained(
+    seed, tmp_path, capsys
+):
+    path = str(tmp_path / f"r{seed}.json")
+    assert main(["koszul", "--seed", str(seed), "--output", path]) == 0
+    capsys.readouterr()
+    assert main(["iterate", "--input", path, "--max-iter", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("round 1: ") and "oracle match yes" in lines[0]
+    assert lines[1:] == ["stop: precondition failed before round 2"]
 
 
 def test_cli_iterate_negative_rounds_is_usage_error(capsys):

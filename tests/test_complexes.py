@@ -413,6 +413,17 @@ def test_the_certificates_build_no_image_basis(monkeypatch):
     assert built == []
 
 
+def test_containment_of_a_complex_longer_than_the_parameter_count(ring):
+    # the verdict reads only the top map, whatever the complex's length
+    x, y, zero = ring.var(0), ring.var(1), ring.zero()
+    modules = tuple(GradedFreeModule(ring, 1, (d,)) for d in range(4))
+    maps = tuple(PolyMatrix(ring, [[e]]) for e in (x, zero, y))
+    sop = validate_sop(ring, [ring.var(0), ring.var(1)])
+    assert check_qf_containment(FreeComplex(ring, modules, maps), sop)
+    maps = maps[:2] + (PolyMatrix(ring, [[ring.one()]]),)
+    assert not check_qf_containment(FreeComplex(ring, modules, maps), sop)
+
+
 def test_koszul_always_contained():
     for n in (2, 3):
         names = ("x", "y", "z")[:n]

@@ -2,8 +2,8 @@
 a linear-scan oracle, and the products against a per-term oracle.
 
 The division oracle is the division the engine used before its heap and
-its packed monomials: it works on exponent tuples (``ring.unpack``) under
-the tuple key (-degree - twist, position, reversed exponents), and every
+its packed monomials: it works on exponent tuples (``reference.unpack``)
+under the tuple key (-degree - twist, position, reversed exponents), and every
 step it recomputes the key of every remaining term and reduces the largest
 one by the first divisor whose lead divides it.  The engine must return the
 same quotients and remainder, and both must satisfy the division identity.
@@ -28,7 +28,7 @@ from operator import add, le, mul, sub
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import add_vectors, termwise_products
+from reference import add_vectors, termwise_products, unpack
 from startrans import GradedFreeModule, PolyMatrix, PolyRing, PrimeField, RationalField
 from startrans.modules import (
     _combine_rows,
@@ -99,7 +99,7 @@ def _max_term(module, work):
 
 
 def _unpacked(p):
-    return {p.ring.unpack(m): c for m, c in p.terms.items()}
+    return {unpack(p.ring, m): c for m, c in p.terms.items()}
 
 
 def linear_scan_divide(vector, divisors):
@@ -227,7 +227,7 @@ def test_division_matches_linear_scan_and_the_identity(problem):
     oracle_quots, oracle_rem, oracle_leads = linear_scan_divide(vector, divisors)
     leads = [g.lead() for g in divisors]
     assert [
-        None if lead is None else (lead[0], ring.unpack(lead[1]), lead[2])
+        None if lead is None else (lead[0], unpack(ring, lead[1]), lead[2])
         for lead in leads
     ] == oracle_leads
     assert quots == oracle_quots
@@ -362,7 +362,7 @@ def test_s_vectors_match_the_termwise_oracle(problem):
                     c %= f.p
                 if not f.is_zero(c):  # a term that cancelled stays, as a zero
                     pos, m = _term_of_key(module, key)
-                    got[(pos, ring.unpack(m))] = c
+                    got[(pos, unpack(ring, m))] = c
             expected = {}
             for pos in range(module.rank):
                 products = termwise_products(

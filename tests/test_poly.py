@@ -10,6 +10,7 @@ from reference import (
     identity_matrix,
     is_zero_matrix,
     monomial_quotient_numerator,
+    unpack,
     zero_matrix,
 )
 from startrans import (
@@ -240,7 +241,7 @@ def _term_product(p, q):
     """p * q from its single-term products, through ``from_terms``."""
     ring, f = p.ring, p.ring.field
     return ring.from_terms(
-        (ring.unpack(ring.mono_mul(m1, m2)), f.mul(c1, c2))
+        (unpack(ring, ring.mono_mul(m1, m2)), f.mul(c1, c2))
         for m1, c1 in p.terms.items()
         for m2, c2 in q.terms.items()
     )
@@ -248,7 +249,7 @@ def _term_product(p, q):
 
 def _term_sum(ring, polys):
     return ring.from_terms(
-        (ring.unpack(m), c) for p in polys for m, c in p.terms.items()
+        (unpack(ring, m), c) for p in polys for m, c in p.terms.items()
     )
 
 
@@ -300,7 +301,9 @@ def test_a_sign_scales_without_a_product(field, monkeypatch):
     # by one the polynomial itself, by minus one its termwise negation
     ring = PolyRing(field, ("x", "y"))
     p = ring.parse("3*x^2 - 2*x*y + y^2")
-    negated = ring.from_terms((ring.unpack(m), field.neg(c)) for m, c in p.terms.items())
+    negated = ring.from_terms(
+        (unpack(ring, m), field.neg(c)) for m, c in p.terms.items()
+    )
     monkeypatch.setattr(type(field), "mul", None)
     assert p.scale(field.one) is p
     assert p.scale(field.neg(field.one)) == negated
@@ -388,9 +391,9 @@ def rings_with_exponents(draw, count):
 def test_unpack_inverts_pack(problem):
     ring, [exps] = problem
     m = ring.pack(exps)
-    assert ring.unpack(m) == exps
+    assert unpack(ring, m) == exps
     assert ring.mono_degree(m) == tuple_degree(ring, exps)
-    assert ring.pack(ring.unpack(m)) == m
+    assert ring.pack(unpack(ring, m)) == m
 
 
 @settings(max_examples=100, deadline=None)
@@ -414,13 +417,13 @@ def test_packed_keys_sort_in_the_tuple_order(problem, data):
 def test_packed_operations_agree_componentwise(problem):
     ring, (a, b) = problem
     pa, pb = ring.pack(a), ring.pack(b)
-    assert ring.unpack(ring.mono_mul(pa, pb)) == tuple(map(add, a, b))
-    assert ring.unpack(ring.mono_lcm(pa, pb)) == tuple(map(max, a, b))
+    assert unpack(ring, ring.mono_mul(pa, pb)) == tuple(map(add, a, b))
+    assert unpack(ring, ring.mono_lcm(pa, pb)) == tuple(map(max, a, b))
     for x, y, px, py in ((a, b, pa, pb), (b, a, pb, pa), (a, a, pa, pa)):
         divides = all(map(le, x, y))
         assert ring.mono_divides(px, py) == divides
         if divides:
-            assert ring.unpack(ring.mono_div(py, px)) == tuple(map(sub, y, x))
+            assert unpack(ring, ring.mono_div(py, px)) == tuple(map(sub, y, x))
     lcm = ring.mono_lcm(pa, pb)
     assert ring.mono_divides(pa, lcm) and ring.mono_divides(pb, lcm)
 
@@ -447,8 +450,8 @@ def test_hilbert_numerators_on_packed_monomials_match_the_tuple_kernel(
 def test_the_largest_degree_packs_and_the_next_overflows():
     ring = PolyRing(RationalField(), ("x", "y"), (1, 2))
     top = ring.pack((MAX_DEGREE - 1, 0))
-    assert ring.unpack(top) == (MAX_DEGREE - 1, 0)
-    assert ring.unpack(ring.pack((1, MAX_DEGREE // 2 - 1))) == (1, MAX_DEGREE // 2 - 1)
+    assert unpack(ring, top) == (MAX_DEGREE - 1, 0)
+    assert unpack(ring, ring.pack((1, MAX_DEGREE // 2 - 1))) == (1, MAX_DEGREE // 2 - 1)
     for exps in ((MAX_DEGREE, 0), (0, MAX_DEGREE // 2), (2**32, 0)):
         with pytest.raises(MonomialOverflow):
             ring.pack(exps)
@@ -461,7 +464,7 @@ def test_products_that_overflow_raise_and_never_carry():
     half = ring.monomial((MAX_DEGREE // 2, 0))
     y = ring.var(1)
     near = half * ring.monomial((MAX_DEGREE // 2 - 1, 0))
-    assert ring.unpack(next(iter(near.terms))) == (MAX_DEGREE - 1, 0)
+    assert unpack(ring, next(iter(near.terms))) == (MAX_DEGREE - 1, 0)
     with pytest.raises(MonomialOverflow):
         near * ring.var(0)
     with pytest.raises(MonomialOverflow):

@@ -399,6 +399,20 @@ def _count_calls(monkeypatch, fn):
     return calls
 
 
+def _lifts_through(monkeypatch, gb):
+    """Record the first coordinate of every vector lifted through ``gb``."""
+    lifted = []
+    real_lift = SubmoduleGB.lift
+
+    def lift(self, v):
+        if self is gb:
+            lifted.append(v.coords[0])
+        return real_lift(self, v)
+
+    monkeypatch.setattr(SubmoduleGB, "lift", lift)
+    return lifted
+
+
 def test_driver_computes_no_colon_by_the_parameters(monkeypatch):
     calls = _count_calls(monkeypatch, colon)
     comp, sop = exa_instance()
@@ -562,15 +576,7 @@ def test_star_transform_checks_containment_once(monkeypatch):
     # Q once, and that lift is the containment test: no separate pass runs
     calls = _count_calls(monkeypatch, complexes.check_qf_containment)
     comp, sop = exa_instance()
-    lifted = []
-    real_lift = SubmoduleGB.lift
-
-    def lift(self, v):
-        if self is sop.ideal_gb():
-            lifted.append(v.coords[0])
-        return real_lift(self, v)
-
-    monkeypatch.setattr(SubmoduleGB, "lift", lift)
+    lifted = _lifts_through(monkeypatch, sop.ideal_gb())
     result = star_transform(comp, sop)
     assert result.report.overall
     assert calls == []
@@ -580,13 +586,21 @@ def test_star_transform_checks_containment_once(monkeypatch):
 
 
 def test_driver_checks_containment_once_per_round(monkeypatch):
-    # the driver's stop rule is the only containment pass; a non-contained
-    # input still fails through ``star`` (test_cli_star_precondition_exit_two)
+    # each round's decomposition is its containment test: every nonzero
+    # top-map entry of each round's input is lifted through the basis of Q
+    # once, and no separate containment pass runs
     calls = _count_calls(monkeypatch, complexes.check_qf_containment)
     comp, sop = exa_instance()
+    lifted = _lifts_through(monkeypatch, sop.ideal_gb())
     driver = star_iteration_driver(comp, sop, 2)
     assert len(driver.rounds) == 2 and all_match(driver)
-    assert [a[0] for a in calls] == [comp, driver.rounds[0].result.star.complex]
+    assert calls == []
+    inputs = [comp, driver.rounds[0].result.star.complex]
+    entries = [
+        e for c in inputs for row in c.phi(c.length).entries for e in row if e.terms
+    ]
+    assert len(entries) > 2
+    assert sorted(map(str, lifted)) == sorted(map(str, entries))
 
 
 def test_star_verify_round_trip_reuses_what_the_call_certified(
