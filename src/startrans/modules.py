@@ -9,7 +9,7 @@ input generators; that expression is what makes witnesses canonical, and
 ``SubmoduleGB.lift`` needs it.  The run records each row as a recipe over
 earlier rows, and a row is multiplied out only when a lift reaches it, so a
 basis that nothing lifts through (the Koszul generators of a complex, Im
-phi_1, the colon parts and intersections) costs no row products.
+phi_1) costs no row products.
 ``cokernel_series`` runs the same pair loop against a known floor of the
 quotient's Hilbert series and stops once the lead terms reach it, with no
 reduced basis, no rows and each S-vector divided only down to its lead; the
@@ -30,10 +30,10 @@ owns the Hilbert series of its quotient, computed from those leads on first
 use (``SubmoduleGB.series``); every certificate reads it there.  When
 the ambient ring carries a quotient ideal J, submodule computations adjoin
 J-multiples of the basis vectors, so results are correct over R/J.
-Syzygies, colons and intersections all come from the Schreyer relations of
-``_syzygy_generators``: it shares the S-vector step of ``buchberger``
-(``_s_vector`` and ``_row_combo``), and ``colon`` and ``intersect`` share
-one tail that maps relations to their image (``_relation_image``).
+Syzygies, colons and intersections all come from one ``buchberger`` run
+in a stacked module (``_eliminate``): positions come first within a degree,
+so on homogeneous input the basis vectors whose lead lies in the second
+block span the eliminated submodule, and no row is read.
 """
 
 from __future__ import annotations
@@ -430,7 +430,7 @@ def _combine_rows(ring, combo, width):
 def _s_vector(basis, leads, i, j, lcm):
     """The S-vector c_i x^u_i basis[i] - c_j x^u_j basis[j], each c x^u
     taking a lead to the monic ``lcm``, as a working dict of ``_divide``,
-    and its head ((i, {u_i: c_i}), (j, {u_j: -c_j})) for ``_row_combo``.
+    and its head ((i, {u_i: c_i}), (j, {u_j: -c_j})) for ``_row_recipe``.
 
     The two leads cancel, so the dict holds the two keyed tails
     (``ModuleVector.keyed``), each shifted by the key of the lcm term minus
@@ -463,24 +463,12 @@ def _s_vector(basis, leads, i, j, lcm):
     return work, ((i, {ui: ci}), (j, {uj: minus_cj}))
 
 
-def _row_combo(module, head, quots, rows):
-    """The ``_combine_rows`` pairs of sum c*rows[k] over (k, c) in ``head``
-    minus sum q_k*rows[k] over the quotients ``quots`` of ``_divide``: with
-    an S-vector's head and quotients, the expression of its remainder (a
-    relation when that is zero).  With the row indices for ``rows`` it is
-    that row's recipe (``_RowTable``)."""
-    combo = [(c, rows[k]) for k, c in head]
-    combo += [((-q).terms, rows[k]) for k, q in _quotients(module, quots)]
-    return combo
-
-
-def _adjoined_generators(ambient):
-    """J-multiples of the basis vectors, for a ring with a quotient ideal."""
-    return [
-        ambient.basis_vector(i).mul_poly(g)
-        for g in ambient.ring.quotient
-        for i in range(ambient.rank)
-    ]
+def _row_recipe(module, head, quots):
+    """The ``_RowTable`` recipe of sum c*row k over (k, c) in ``head`` minus
+    sum q_k*row k over the quotients ``quots`` of ``_divide``: with an
+    S-vector's head and quotients, the expression of its remainder."""
+    recipe = [(c, k) for k, c in head]
+    return recipe + [((-q).terms, k) for k, q in _quotients(module, quots)]
 
 
 class _RowTable:
@@ -550,9 +538,8 @@ class SubmoduleGB:
     combination of the working generator list (the input generators
     followed by any quotient-ideal multiples that were adjoined).  A row is
     a recipe until something reads it: ``lift`` multiplies out only the rows
-    its quotients reach, and ``rows`` all of them, so a basis that is never
-    lifted through (Im phi_1 of a complex, the colon parts and
-    intersections) multiplies out none.  ``leads[k]`` is ``gb[k].lead()``.
+    its quotients reach, so a basis that is never lifted through (Im phi_1
+    of a complex) multiplies out none.  ``leads[k]`` is ``gb[k].lead()``.
     The basis owns the Hilbert series of ambient/M: ``series()`` computes
     it from the leads on first call and keeps it, so every certificate that
     reads it shares one computation.
@@ -572,12 +559,6 @@ class SubmoduleGB:
         self.row_ids = tuple(row_ids)
         self.leads = tuple(g.lead() for g in self.gb)
         self._series = None
-
-    @property
-    def rows(self):
-        """``rows[k]`` expresses ``gb[k]`` in the working generators, every
-        row multiplied out."""
-        return tuple(self.row_table.row(k) for k in self.row_ids)
 
     def series(self):
         """HS(ambient / M) (modulo J over R/J), from the leads; kept."""
@@ -659,7 +640,7 @@ def _pair_loop(ambient, gens, floor=None):
     Groebner basis, not reduced.  Without a floor, row k of ``table``
     expresses basis[k] (``_RowTable``): a generator's row is its unit
     vector, and a remainder's row is recorded as the recipe of its
-    S-vector's head and quotients (``_row_combo``), not multiplied out.
+    S-vector's head and quotients (``_row_recipe``), not multiplied out.
     With a floor nothing is lifted through the result, so ``table`` is
     None and the divisions keep no quotients.
 
@@ -691,7 +672,11 @@ def _pair_loop(ambient, gens, floor=None):
     for g in gens:
         if g.module != ambient:
             raise DimensionMismatch("generator outside the ambient module")
-    adjoined = tuple(_adjoined_generators(ambient))
+    adjoined = tuple(  # the J-multiples of the basis vectors
+        ambient.basis_vector(i).mul_poly(g)
+        for g in ring.quotient
+        for i in range(ambient.rank)
+    )
     working = gens + adjoined
 
     floored = floor is not None
@@ -771,7 +756,7 @@ def _pair_loop(ambient, gens, floor=None):
         excess -= 1
         new_index = len(basis)
         if not floored:
-            table.add(_row_combo(ambient, head, quots, range(new_index)))
+            table.add(_row_recipe(ambient, head, quots))
         basis.append(rem)
         leads.append(rem.lead())
         if floored:
@@ -850,106 +835,71 @@ def lift_witness(v, gens, ambient=None, gb=None):
     return gb.lift(v)
 
 
-def _syzygy_generators(gens, ambient, ncols):
-    """Generators of the relation module {c : sum c_i gens_i = 0} (modulo J
-    over R/J), unreduced, with only their first ``ncols`` coordinates built.
+def _eliminate(top_twists, stacked_gens, lower):
+    """Reduced basis of the part of ``lower`` that the span of
+    ``stacked_gens`` meets, each generator a coordinate tuple in T + lower,
+    T the free module with twists ``top_twists``.
 
-    Returns (syz_module, candidates): a free module of rank ``ncols`` whose
-    twists are the degrees of the first ``ncols`` generators, and the
-    projections into it of vectors that span the relation module.  Each is
-    one ``_combine_rows`` of the basis ``rows``: the relation of every
-    S-pair of the reduced basis, from the ``_s_vector`` and ``_row_combo``
-    step of ``buchberger`` (Schreyer's theorem: they generate the syzygies
-    of the basis), and the rows of (identity - B*A) for every input
-    generator, where B expresses the working generators in the basis and A
-    the basis in them.  A zero generator's row is its unit relation.
-
-    The rows of the J-multiples that ``buchberger`` adjoins are not needed
-    when the generators after the first ``ncols`` span J*F, as they do for
-    every caller: a basis built over R/J (``_relation_image``) or the
-    J-multiples of the unit vectors (``syzygies``).  Write an adjoined
-    J-multiple t as sum_k e_k g_k over them.  The row of t and sum_k e_k
-    times the row of g_k are e_t - B_t*A and sum_k e_k*(e_(g_k) - B_k*A);
-    B_t and sum_k e_k*B_k both express t in the basis, so their difference
-    is a relation of the basis, whose image under A the S-pair relations
-    span, and the unit parts e_t and sum_k e_k*e_(g_k) are zero in the first
-    ``ncols`` coordinates.  So the first block of t's row lies in the span
-    of the other candidates.
+    One ``buchberger`` run in T + lower.  Within a degree T's positions come
+    first (``term_key``), so a homogeneous vector whose lead lies in
+    ``lower`` is zero on T: the reduced basis vectors with such a lead, cut
+    to ``lower``, are the reduced basis of the span's intersection with 0 +
+    lower (Eisenbud, *Commutative Algebra*, §15.10).  Over R/J the run
+    adjoins J-multiples of both blocks, so the result is the one over R/J.
+    The basis is its own generator list, each row a unit row.  A generator
+    that is not homogeneous raises ValidationError.
     """
-    ring = ambient.ring
-    twists = tuple(g.homogeneous_degree() or 0 for g in gens[:ncols])
-    syz_module = GradedFreeModule(ring, ncols, twists)
-    gb = buchberger(ambient, gens)
-    basis, leads, rows = gb.gb, gb.leads, gb.rows
-
-    combos = []
-    for j in range(len(basis)):
-        for i in range(j):
-            if leads[i][0] != leads[j][0]:
-                continue
-            lcm = ring.mono_lcm(leads[i][1], leads[j][1])
-            s, head = _s_vector(basis, leads, i, j, lcm)
-            quots, rem = _divide(ambient, s, basis, track=True)
-            if not rem.is_zero():
-                raise InternalError(
-                    "reduced basis failed an S-vector reduction (internal)"
-                )
-            combos.append(_row_combo(ambient, head, quots, rows))
-    one = ring.one().terms
-    for j, g in enumerate(gb.generators):
-        quots, rem = _divide(ambient, _work(g), basis, track=True)
-        if not rem.is_zero():
-            raise InternalError("generator not reduced by own basis (internal)")
-        combo = _row_combo(ambient, (), quots, rows)
-        if j < ncols:
-            combo.append((one, syz_module.basis_vector(j).coords))
-        combos.append(combo)
-    candidates = [
-        syz_module.vector(_combine_rows(ring, combo, ncols)) for combo in combos
+    top = len(top_twists)
+    stacked = GradedFreeModule(
+        lower.ring, top + lower.rank, tuple(top_twists) + tuple(lower.twists)
+    )
+    gens = [stacked.vector(coords) for coords in stacked_gens]
+    if any(g.homogeneous_degree() is None and not g.is_zero() for g in gens):
+        raise ValidationError(
+            "colons, intersections and syzygies need homogeneous generators"
+        )
+    kept = [
+        lower.vector(g.coords[top:])
+        for g in buchberger(stacked, gens).gb
+        if g.lead()[0] >= top
     ]
-    return syz_module, candidates
+    table = _RowTable(lower.ring, len(kept))
+    for k in range(len(kept)):
+        table.unit(k)
+    return SubmoduleGB(lower, kept, (), kept, table, range(len(kept)))
 
 
 def syzygies(gens, ambient=None):
-    """Reduced basis of the relation module {c : sum c_i gens_i = 0}.
+    """Reduced basis of the relation module {c : sum c_i gens_i = 0}
+    (modulo the quotient ideal, if any).
 
-    It lives in a fresh free module of rank len(gens) whose twists are the
-    generator degrees: the reduced basis of the ``_syzygy_generators``
-    span, each element checked to annihilate ``gens`` (modulo the quotient
-    ideal, if any).  The J-multiples of the unit vectors follow ``gens``.
+    It lives in a fresh free module S of rank len(gens) whose twists are the
+    generator degrees (0 for a zero generator).  sum c_i (g_i | e_i) is zero
+    on ``ambient`` exactly when c is a relation, so the relation module is
+    the elimination (``_eliminate``) of the (g_i | e_i) in ambient + S.
+    Each element is checked to annihilate ``gens``.
     """
     gens = tuple(gens)
     if ambient is None:
         if not gens:
             raise DimensionMismatch("ambient required for empty generator list")
         ambient = gens[0].module
-    syz_module, candidates = _syzygy_generators(
-        gens + tuple(_adjoined_generators(ambient)), ambient, len(gens)
-    )
-    result = buchberger(syz_module, candidates)
+    for g in gens:
+        if g.module != ambient:
+            raise DimensionMismatch("generator outside the ambient module")
     ring = ambient.ring
-    for s in result.gb:
+    twists = tuple(g.homogeneous_degree() or 0 for g in gens)
+    syz_module = GradedFreeModule(ring, len(gens), twists)
+    stacked = [
+        g.coords + syz_module.basis_vector(i).coords for i, g in enumerate(gens)
+    ]
+    result = _eliminate(ambient.twists, stacked, syz_module).gb
+    for s in result:
         combo = [(c.terms, g.coords) for c, g in zip(s.coords, gens) if c.terms]
         acc = _combine_rows(ring, combo, ambient.rank)
         if any(not reduce_mod_quotient(ring, c).is_zero() for c in acc):
             raise InternalError("syzygy failed to annihilate (internal)")
-    return list(result.gb)
-
-
-def _relation_image(ambient, first, rest, through):
-    """Reduced basis of the submodule of ``ambient`` spanned by sum_i c_i
-    through_i over the relations (c, d) of [first | rest]: the relation
-    generators of ``_syzygy_generators`` cut to the ``first`` block and
-    mapped through ``through``."""
-    ring = ambient.ring
-    _, rels = _syzygy_generators(list(first) + list(rest), ambient, len(first))
-    images = []
-    for r in rels:
-        combo = [(c.terms, t.coords) for c, t in zip(r.coords, through) if c.terms]
-        v = ambient.vector(_combine_rows(ring, combo, ambient.rank))
-        if not v.is_zero():
-            images.append(v)
-    return buchberger(ambient, images)
+    return list(result)
 
 
 def submodule_equal(a, b):
@@ -964,22 +914,26 @@ def submodule_equal(a, b):
 def colon(m_gb, q_polys):
     """Generators of {f in F0 : q f in M for all q in Q}, as a SubmoduleGB.
 
-    For each q, M : q is the set of first blocks c of the relations (c, d)
-    of [q*e_1 .. q*e_r | basis of M]: ``_relation_image`` with ``through``
-    the unit vectors, which builds only those coordinates of the unreduced
-    relation generators and reduces once, in F0; the relation module itself
-    is never reduced.  Every element g of the basis of M : q is checked to
-    satisfy q*g in M.  The per-element colons are then intersected.  A Q
-    with no nonzero generator raises ValidationError.
+    sum c_k (q*e_k | e_k) + sum d_g (g | 0), g over the basis of M, is zero
+    on the first block exactly when q*c lies in M, so M : q is the
+    elimination (``_eliminate``) of those vectors in F0(deg q) + F0, which is
+    F0 + F0(-deg q) shifted, in the same order.  Each element g of M : q is
+    checked to satisfy q*g in M, and the parts are intersected.  A Q with no
+    nonzero generator raises ValidationError, as does an inhomogeneous q or
+    basis element of M.
     """
     ambient = m_gb.ambient
     q_polys = [q for q in q_polys if not q.is_zero()]
     if not q_polys:
         raise ValidationError("colon by the zero ideal: every generator is zero")
-    units = [ambient.basis_vector(i) for i in range(ambient.rank)]
+    units = [ambient.basis_vector(i).coords for i in range(ambient.rank)]
+    zero = (ambient.ring.zero(),) * ambient.rank
     result = None
     for q in q_polys:
-        part = _relation_image(ambient, [e.mul_poly(q) for e in units], m_gb.gb, units)
+        d = q.homogeneous_degree() or 0
+        stacked = [tuple(c * q for c in e) + e for e in units]
+        stacked += [g.coords + zero for g in m_gb.gb]
+        part = _eliminate(tuple(t - d for t in ambient.twists), stacked, ambient)
         for g in part.gb:
             if not m_gb.contains(g.mul_poly(q)):
                 raise InternalError("colon element fails q*g in M (internal)")
@@ -988,17 +942,22 @@ def colon(m_gb, q_polys):
 
 
 def intersect(a, b):
-    """Intersection of two submodules from the relations of [a | b].
+    """Intersection of two submodules by elimination.
 
-    A relation (c, d) with sum c_i a_i + sum d_j b_j = 0 gives the element
-    sum c_i a_i of both; the relation generators of ``_syzygy_generators``,
-    cut to a's block and mapped through a (``_relation_image``), span the
-    intersection (Eisenbud, *Commutative Algebra*, Thm 15.10).  Over R/J the
-    relations hold modulo J, so the result is the intersection in R/J.
+    sum c_i (g_i | g_i) + sum d_j (h_j | 0), over the bases g of a and h of
+    b, is zero on the first block exactly when sum c_i g_i = -sum d_j h_j,
+    which then lies in both; so the intersection is the elimination
+    (``_eliminate``) of those vectors in F + F (Eisenbud, *Commutative
+    Algebra*, §15.10).  Over R/J it is the intersection in R/J.  A basis
+    element that is not homogeneous raises ValidationError.
     """
     if a.ambient != b.ambient:
         raise DimensionMismatch("intersection requires a common ambient module")
-    return _relation_image(a.ambient, a.gb, b.gb, a.gb)
+    ambient = a.ambient
+    zero = (ambient.ring.zero(),) * ambient.rank
+    stacked = [g.coords + g.coords for g in a.gb]
+    stacked += [h.coords + zero for h in b.gb]
+    return _eliminate(ambient.twists, stacked, ambient)
 
 
 # -- Hilbert series ----------------------------------------------------------

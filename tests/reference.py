@@ -9,7 +9,11 @@ pivots and lifts through a tracked Groebner basis; the acyclicity
 certificate works top-down and stops each image's Buchberger run at its
 Hilbert floor; the products over a prime field reduce modulo p once per
 output term.  The helpers here recompute those facts the long way, so the
-tests can compare.  ``star_transform`` keeps none of its intermediate
+tests can compare.  The package takes syzygies, colons and intersections by
+elimination in a stacked module; ``schreyer_syzygies`` and
+``schreyer_intersect`` take them from the Schreyer relations of a reduced
+basis instead, a route that shares only ``buchberger`` with it.
+``star_transform`` keeps none of its intermediate
 objects; ``stages`` rebuilds them from the stage functions.
 """
 
@@ -38,7 +42,15 @@ from startrans.complexes import (
     tensor_boundary,
 )
 from startrans.instances import standard_ring
-from startrans.modules import reduce_mod_quotient, ring_series
+from startrans.modules import (
+    _combine_rows,
+    _divide,
+    _row_recipe,
+    _s_vector,
+    _work,
+    reduce_mod_quotient,
+    ring_series,
+)
 
 # the checks every ``verify_star`` report starts with, in order
 FIXED_CHECKS = (
@@ -335,3 +347,77 @@ def restricted_top_map(split, cm):
         rows,
         len(columns),
     )
+
+
+def _schreyer_relations(gens, ambient, ncols):
+    """(syz_module, relations): generators of the relation module {c : sum
+    c_i gens_i = 0} (modulo J over R/J), unreduced and cut to their first
+    ``ncols`` coordinates, in ``syz_module``, a free module whose twists are
+    the degrees of the first ``ncols`` generators.
+
+    Each is one ``_combine_rows`` of the reduced basis's rows: the relation
+    of every S-pair of the basis, from its ``_s_vector`` head and division
+    quotients (Schreyer's theorem: they generate the syzygies of the
+    basis), and the rows of (identity - B*A) for every input generator,
+    where B expresses the working generators in the basis and A the basis
+    in them.  The rows of the J-multiples that ``buchberger`` adjoins are
+    not needed when the generators after the first ``ncols`` span J*F, as
+    the J-multiples of the unit vectors that ``schreyer_syzygies`` appends
+    do: the first block of such a row lies in the span of the others.
+    """
+    ring = ambient.ring
+    twists = tuple(g.homogeneous_degree() or 0 for g in gens[:ncols])
+    syz_module = GradedFreeModule(ring, ncols, twists)
+    gb = buchberger(ambient, gens)
+    basis, leads = gb.gb, gb.leads
+    rows = [gb.row_table.row(k) for k in gb.row_ids]
+    combos = []
+    for j in range(len(basis)):
+        for i in range(j):
+            if leads[i][0] != leads[j][0]:
+                continue
+            lcm = ring.mono_lcm(leads[i][1], leads[j][1])
+            s, head = _s_vector(basis, leads, i, j, lcm)
+            quots, rem = _divide(ambient, s, basis, track=True)
+            assert rem.is_zero()
+            recipe = _row_recipe(ambient, head, quots)
+            combos.append([(c, rows[k]) for c, k in recipe])
+    one = ring.one().terms
+    for j, g in enumerate(gens):
+        quots, rem = _divide(ambient, _work(g), basis, track=True)
+        assert rem.is_zero()
+        combo = [(c, rows[k]) for c, k in _row_recipe(ambient, (), quots)]
+        if j < ncols:
+            combo.append((one, syz_module.basis_vector(j).coords))
+        combos.append(combo)
+    return syz_module, [
+        syz_module.vector(_combine_rows(ring, combo, ncols)) for combo in combos
+    ]
+
+
+def schreyer_syzygies(gens, ambient):
+    """The reduced basis of the relation module of ``gens`` (modulo J over
+    R/J), as ``syzygies`` returns it, from the Schreyer relations."""
+    gens = tuple(gens)
+    unit_multiples = tuple(
+        ambient.basis_vector(i).mul_poly(g)
+        for g in ambient.ring.quotient
+        for i in range(ambient.rank)
+    )
+    syz_module, relations = _schreyer_relations(
+        gens + unit_multiples, ambient, len(gens)
+    )
+    return list(buchberger(syz_module, relations).gb)
+
+
+def schreyer_intersect(a, b):
+    """The intersection of two submodules, as ``intersect`` returns it: the
+    images sum c_i a_i of the relations (c, d) of [a | b]."""
+    ambient = a.ambient
+    images = []
+    for rel in schreyer_syzygies(list(a.gb) + list(b.gb), ambient):
+        combo = [(c.terms, g.coords) for c, g in zip(rel.coords, a.gb) if c.terms]
+        v = ambient.vector(_combine_rows(ambient.ring, combo, ambient.rank))
+        if not v.is_zero():
+            images.append(v)
+    return buchberger(ambient, images)

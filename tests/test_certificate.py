@@ -532,7 +532,7 @@ def test_a_floored_run_whose_generators_reach_the_floor_builds_no_pair(
     ambient = GradedFreeModule(ring, 1, (0,))
     gens = [ambient.vector((ring.var(i) * ring.var(i),)) for i in range(ring.nvars)]
     floor = buchberger(ambient, gens).series()
-    working = gens + list(modules._adjoined_generators(ambient))
+    working = gens + [ambient.vector((g,)) for g in ring.quotient]
     leads = [g.lead() for g in working if not g.is_zero()]
     calls = []
     real = PolyRing.mono_lcm

@@ -640,14 +640,22 @@ def test_cli_overflowing_computation_is_a_precondition(capsys):
     assert "precondition violated" in captured.err and "does not fit" in captured.err
 
 
+@pytest.mark.parametrize("command", ["colon", "saturate"])
+def test_cli_colon_of_an_inhomogeneous_module_is_a_precondition(command, capsys):
+    assert main([command, "--module", "x^2+y", "--ideal", "x"]) == 2
+    captured = capsys.readouterr()
+    assert "precondition violated" in captured.err and "homogeneous" in captured.err
+    assert captured.out == ""
+
+
 def test_cli_colon_internal_error_exits_four(monkeypatch, capsys):
-    real = modules._syzygy_generators
+    real = modules._eliminate
 
-    def with_a_false_relation(gens, amb, ncols):
-        syz_module, candidates = real(gens, amb, ncols)
-        return syz_module, candidates + [syz_module.basis_vector(0)]
+    def with_a_false_element(top_twists, stacked_gens, lower):
+        part = real(top_twists, stacked_gens, lower)
+        return modules.buchberger(lower, list(part.gb) + [lower.basis_vector(0)])
 
-    monkeypatch.setattr(modules, "_syzygy_generators", with_a_false_relation)
+    monkeypatch.setattr(modules, "_eliminate", with_a_false_element)
     assert main(["colon", "--module", "x^2", "--ideal", "x"]) == 4
     captured = capsys.readouterr()
     assert captured.err.startswith("internal error: ")

@@ -355,7 +355,9 @@ def test_rows_multiplied_out_in_any_order_are_the_same(problem, data):
     for k in data.draw(st.permutations(range(size))):
         shuffled.row_table.row(k)
     assert shuffled.row_table.built == expected, name
-    assert shuffled.rows == in_order.rows
+    assert [shuffled.row_table.row(k) for k in shuffled.row_ids] == [
+        in_order.row_table.row(k) for k in in_order.row_ids
+    ], name
     for v in list(gens) + list(in_order.gb):
         # checks its own recombination
         _assert_witness(gens, v, shuffled.lift(v), name)
@@ -523,8 +525,8 @@ def test_syzygies_against_dense_kernels(problem):
 
 
 def test_syzygies_modulo_the_quotient_ideal():
-    # over Q[x,y,z]/(z^2), z*z = 0: the relation needs the row of the
-    # adjoined J-multiple z^2*e_1, which is not in the reduced basis
+    # over Q[x,y,z]/(z^2), z*z = 0: the relation needs the adjoined
+    # J-multiple z^2*e_1, which is not in the reduced basis
     ring = _with_quotient(RationalField(), ("x", "y", "z"), ("z^2",))
     R1 = GradedFreeModule(ring, 1, (0,))
     rels = syzygies([R1.vector((ring.parse("z"),))])
@@ -677,7 +679,7 @@ def test_colon_and_intersect_with_the_zero_submodule(make_ring):
     F = GradedFreeModule(ring, 2, (0, 1))
     x, y = ring.var(0), ring.var(1)
     zero = buchberger(F, [])
-    a = buchberger(F, [F.vector((x, ring.zero())), F.vector((y, x))])
+    a = buchberger(F, [F.vector((x, ring.zero())), F.vector((x * y, x))])
     for result in (intersect(zero, a), intersect(a, zero), intersect(zero, zero)):
         assert submodule_equal(result, zero)
     # x and y are nonzerodivisors on R and on R/(z^2)
