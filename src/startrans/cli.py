@@ -7,11 +7,11 @@ output file), ``colon`` / ``saturate`` (run the oracles), ``iterate``
 
 Exit codes: 0 success and all checks pass; 1 a verification check failed,
 and nothing else; 2 a precondition or validation failed (a computation
-outside the checks that reaches a degree the packed monomials cannot hold
-included); 3 I/O or parse error (an exponent or variable degree in the
-input that they cannot hold included); 4 internal error: any other
-``StarTransError``, which the engine's guarantees rule out (a bug, not bad
-input).
+that reaches a degree the packed monomials cannot hold included); 3 I/O or
+parse error (an exponent or variable degree in the input that they cannot
+hold included); 4 internal error: any other ``StarTransError``, which the
+engine's guarantees rule out (a bug, not bad input).  ``main`` alone maps
+an exception to its exit code, by kind, wherever it is raised.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .errors import (
 )
 from .fields import field_from_spec
 from .instances import random_instance
-from .modules import ideal_gb
+from .modules import colon, ideal_gb
 from .poly import PolyRing, format_polynomial
 from .problemfile import (
     ProblemFile,
@@ -295,8 +295,6 @@ def _colon_inputs(args):
 
 
 def _cmd_colon(args):
-    from .modules import colon
-
     module_gb, ideal = _colon_inputs(args)
     result = colon(module_gb, ideal)
     _print_generators(result, args.output)

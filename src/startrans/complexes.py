@@ -245,6 +245,10 @@ def composition_defect(comp):
 
 def _first_nonzero_composite_entry(comp):
     for p in range(2, comp.length + 1):
+        if comp.phi(p - 1).ncols != comp.phi(p).nrows:
+            return ComplexDefect(
+                "shape", p, message=f"maps {p - 1} and {p} do not compose"
+            )
         prod = comp.phi(p - 1) @ comp.phi(p)
         for i in range(prod.nrows):
             for j in range(prod.ncols):
@@ -267,7 +271,8 @@ def check_complex(comp):
 @dataclass(frozen=True)
 class AcyclicityCertificate:
     """The verdict of ``certify_acyclic``; ``series`` is HS(F_0 / Im phi_1)
-    (modulo J over R/J), exact whatever the verdict, and not compared."""
+    (modulo J over R/J), exact whatever the verdict on a complex, None on
+    anything else, and not compared."""
 
     ok: bool
     failed_position: int = -1
@@ -278,12 +283,12 @@ class AcyclicityCertificate:
 def certify_acyclic(comp):
     """Certify Ker phi_p = Im phi_(p+1) for 1 <= p < n and phi_n injective.
 
-    Raises PreconditionFailed when ``check_complex`` finds a defect;
-    otherwise the certificate is ``_hilbert_certificate``'s.  The
-    structural verdicts and the certificate are all kept on the complex
-    (``_kept``), like ``image_gb(1)``, so a complex is checked and
-    certified once however often it is asked, and after ``verify_star``'s
-    own structural checks this adds only the Hilbert-series half.
+    A ``check_complex`` defect fails it as ``not a complex``, with no
+    series; otherwise it is ``_hilbert_certificate``'s.  The structural
+    verdicts and the certificate are all kept on the complex (``_kept``),
+    like ``image_gb(1)``, so a complex is checked and certified once
+    however often it is asked, and after ``verify_star``'s own structural
+    checks this adds only the Hilbert-series half.
     """
     return _kept(comp, "_acyclic", _structure_then_certificate)
 
@@ -291,7 +296,9 @@ def certify_acyclic(comp):
 def _structure_then_certificate(comp):
     defect = check_complex(comp)
     if defect is not None:
-        raise PreconditionFailed(f"not a complex: {defect.message}")
+        return AcyclicityCertificate(
+            False, defect.position, f"not a complex: {defect.message}"
+        )
     return _hilbert_certificate(comp)
 
 

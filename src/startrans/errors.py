@@ -1,5 +1,6 @@
 """Exception hierarchy shared by all subsystems.  ``cli.main`` maps each
-class to an exit code; one it does not name is an engine fault, exit 4."""
+class to an exit code wherever it is raised, inside a verification check
+too; one it does not name is an engine fault, exit 4."""
 
 
 class StarTransError(Exception):

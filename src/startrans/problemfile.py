@@ -33,6 +33,7 @@ from .errors import MonomialOverflow, ParseError, ValidationError
 from .fields import field_from_spec
 from .modules import GradedFreeModule
 from .poly import PolyMatrix, PolyRing, Polynomial, format_polynomial
+from .transform import StarComplex
 from .verify import VerificationReport
 
 
@@ -222,7 +223,7 @@ def _parse_labels(block, modules):
 def parse_problem(path, field=None):
     """Read and fully validate a problem (or output) file, over ``field``
     instead of the file's own field when one is given."""
-    return problem_from_jsonable(_read_json(path), field)
+    return _problem_from_jsonable(_read_json(path), field, check=True)
 
 
 def _parse_unchecked(path):
@@ -242,10 +243,6 @@ def _read_json(path):
         raise ParseError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from None
-
-
-def problem_from_jsonable(data, field=None):
-    return _problem_from_jsonable(data, field, check=True)
 
 
 def _problem_from_jsonable(data, field, check):
@@ -272,14 +269,13 @@ def _problem_from_jsonable(data, field, check):
         raise ValidationError(f"not a valid complex: {defect.message}")
     report = None
     if "report" in data:
-        try:
-            report = VerificationReport.from_jsonable(data["report"])
-        except (AttributeError, KeyError, TypeError, ValueError):
-            raise ParseError("report block is malformed") from None
+        report = VerificationReport.from_jsonable(data["report"])
     source = None
     if "source_complex" in data:
         source_block = _require(data, "source_complex", dict, "problem file")
         source = _parse_complex(ring, source_block, parsed, "source_complex")
+        if source.length != comp.length:
+            raise ValidationError("source_complex and complex differ in length")
         sdefect = check_complex(source) if check else None
         if sdefect is not None:
             raise ValidationError(
@@ -359,8 +355,6 @@ def emit_star(star, report, path, base, input_complex):
 def star_from_problem(pf):
     """Rebuild a StarComplex from a parsed output file; its pairs come
     from the labels block, which the file must have."""
-    from .transform import StarComplex
-
     if pf.complex.labels is None:
         raise ValidationError("file has no labels block; not an output file")
     top_rank = (

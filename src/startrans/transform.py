@@ -34,8 +34,9 @@ from .complexes import (
     tensor_module,
 )
 from .errors import InternalError, NotInModule, PreconditionFailed, ValidationError
-from .modules import GradedFreeModule, buchberger
+from .modules import GradedFreeModule, buchberger, colon, submodule_equal
 from .poly import PolyMatrix, block_matrix
+from .verify import colon_quotient_count, verify_star
 
 
 @dataclass(frozen=True)
@@ -180,9 +181,6 @@ def chain_map_image_checks(cm, m_gb, colon_gb=None):
     together with M equals the colon module, every image of the first
     Koszul boundary lands in M, and the quotient dimension count matches.
     """
-    from .modules import colon as colon_op, submodule_equal
-    from .verify import colon_quotient_count
-
     comp, sop = cm.complex, cm.sop
     ambient = comp.module(0)
     results = []
@@ -193,7 +191,7 @@ def chain_map_image_checks(cm, m_gb, colon_gb=None):
     ]
     span = buchberger(ambient, image_gens + list(m_gb.gb))
     if colon_gb is None:
-        colon_gb = colon_op(m_gb, sop.gens)
+        colon_gb = colon(m_gb, sop.gens)
     ok = submodule_equal(span, colon_gb)
     results.append(
         (
@@ -534,8 +532,6 @@ def star_transform(comp, sop, with_report=True):
     result = StarResult(star, comp)
 
     if with_report:
-        from .verify import verify_star
-
         result.report = verify_star(comp, sop, result.star)
     return result
 

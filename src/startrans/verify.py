@@ -11,6 +11,9 @@ balance of Tor turns the equality into two containments and one
 Hilbert-series identity (``_colon_certificate``), and positive depth
 follows from the report's own verdicts (``verify_star``).  The driver reads
 each round's report, and a match chains from round to round.
+
+A check returns a verdict, (passed, detail), and catches nothing: an
+exception inside one propagates to ``cli.main``, which maps it by kind.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from math import comb
 
 from .complexes import certify_acyclic, composition_defect, homogeneity_defect
 from .errors import (
-    InternalError,
     IterationLimit,
     NonPolynomialDifference,
     ParseError,
@@ -48,20 +50,14 @@ class VerificationReport:
     def overall(self):
         return all(c.passed for c in self.checks)
 
-    def run(self, name, fn, detail=""):
-        """Run one check; an exception fails the check, except an
-        ``InternalError``, which is an engine bug and propagates."""
+    def run(self, name, fn):
+        """Time the check ``fn``, which returns (passed, detail), and record
+        its verdict; an exception it raises propagates."""
         start = time.perf_counter()
-        try:
-            passed, extra = fn()
-        except InternalError:
-            raise
-        except Exception as exc:  # a crashed check is a failed check
-            passed, extra = False, f"{type(exc).__name__}: {exc}"
+        passed, detail = fn()
         elapsed = time.perf_counter() - start
-        note = extra if extra else detail
-        self.checks.append(CheckResult(name, bool(passed), note, elapsed))
-        return passed
+        self.checks.append(CheckResult(name, bool(passed), detail, elapsed))
+        return bool(passed)
 
     def names(self):
         return [c.name for c in self.checks]
@@ -92,9 +88,16 @@ class VerificationReport:
     @staticmethod
     def from_jsonable(data):
         """Rebuild a written report; ParseError names a mistyped field."""
+        if not isinstance(data, dict):
+            raise ParseError("report must be an object")
+        checks = data.get("checks", [])
+        if not isinstance(checks, list):
+            raise ParseError("report.checks must be a list")
         rep = VerificationReport()
-        for k, c in enumerate(data.get("checks", [])):
+        for k, c in enumerate(checks):
             where = f"report.checks[{k}]"
+            if not isinstance(c, dict):
+                raise ParseError(f"{where} must be an object")
             name, passed = c.get("name"), c.get("pass")
             detail, seconds = c.get("detail", ""), c.get("seconds", 0.0)
             if not isinstance(name, str):
@@ -103,8 +106,9 @@ class VerificationReport:
                 raise ParseError(f"{where}.pass must be true or false")
             if not isinstance(detail, str):
                 raise ParseError(f"{where}.detail must be a string")
-            if isinstance(seconds, bool) or not isinstance(seconds, (int, float)):
-                raise ParseError(f"{where}.seconds must be a number")
+            number = isinstance(seconds, (int, float)) and not isinstance(seconds, bool)
+            if not number or abs(seconds) >= 2**1024:  # beyond every finite float
+                raise ParseError(f"{where}.seconds must be a finite number")
             rep.checks.append(CheckResult(name, passed, detail, float(seconds)))
         return rep
 
@@ -121,11 +125,12 @@ class _Image:
     of the ``SubmoduleGB`` interface they use (they take either): its
     generators, HS(F_0 / Im phi_1), and membership through ``image_gb(1)``,
     which is built by the first membership test only.  Each is read when a
-    check asks, so a map that cannot be read fails only the checks that read
-    it.  ``witness`` maps column indices of phi_1 to the vectors
-    ``_colon_certificate`` may check those columns by (``_bracket_witnesses``)."""
+    check asks, and only of a complex: ``verify_star`` fails the checks
+    that read the output when it is not one.  ``witness`` maps column
+    indices of phi_1 to the vectors ``_colon_certificate`` may check those
+    columns by (``_bracket_witnesses``)."""
 
-    __slots__ = ("complex", "ambient", "witness")
+    __slots__ = ("complex", "ambient", "witness", "_series")
 
     def __init__(self, comp, witness=None):
         self.complex = comp
@@ -138,12 +143,10 @@ class _Image:
 
     def series(self):
         """The series the acyclicity certificate keeps, exact whatever its
-        verdict.  Its floors need the compositions to vanish, so a complex
-        it refuses as not a complex takes the series from ``image_gb(1)``."""
-        try:
-            return certify_acyclic(self.complex).series
-        except PreconditionFailed:
-            return self.complex.image_gb(1).series()
+        verdict, read once; None when the complex is not a complex."""
+        if not hasattr(self, "_series"):
+            self._series = certify_acyclic(self.complex).series
+        return self._series
 
     def contains(self, v):
         return self.complex.image_gb(1).contains(v)
@@ -232,32 +235,26 @@ def verify_star(comp, sop, star):
     n = comp.length
 
     composes = report.run(
-        "composition_zero",
-        lambda: (composition_defect(out) is None, ""),
+        "composition_zero", lambda: (composition_defect(out) is None, "")
     )
     homogeneous = report.run(
-        "homogeneity",
-        lambda: (homogeneity_defect(out) is None, ""),
-    )
-    acyclic = report.run(
-        "acyclicity",
-        lambda: _acyclicity_check(out, composes and homogeneous),
+        "homogeneity", lambda: (homogeneity_defect(out) is None, "")
     )
 
+    def on_a_complex(name, check, *args):
+        """Run ``check(*args)``; when the two checks above found that the
+        output is not a complex, it fails without being run."""
+        if composes and homogeneous:
+            return report.run(name, lambda: check(*args))
+        return report.run(name, lambda: (False, "not a complex"))
+
+    acyclic = on_a_complex("acyclicity", _acyclicity, out)
     m_gb = _Image(comp)
     n_gb = _Image(out, _bracket_witnesses(star, sop.n))
-    report.run("colon_equality", lambda: _colon_certificate(comp, sop, m_gb, n_gb))
+    on_a_complex("colon_equality", _colon_certificate, comp, sop, m_gb, n_gb)
     report.run("top_minimality", lambda: _top_minimality(out))
-    report.run(
-        "rank_accounting",
-        lambda: _rank_accounting(comp, star, n),
-    )
-
-    def _count():
-        res = colon_quotient_count(m_gb, sop, comp.top_rank(), colon_gb=n_gb)
-        return res.passed, f"dim (M:Q)/M = {res.lhs}, expected {res.rhs}"
-
-    report.run("colon_quotient_count", _count)
+    report.run("rank_accounting", lambda: _rank_accounting(comp, star, n))
+    on_a_complex("colon_quotient_count", _colon_count, comp, sop, m_gb, n_gb)
 
     if star.top_rank() == 0:
         report.run(
@@ -279,14 +276,21 @@ def verify_star(comp, sop, star):
     return report
 
 
-def _acyclicity_check(out, is_complex):
-    """The Hilbert-series half of ``certify_acyclic``; the structural half
-    is the report's two checks before this one, whose verdicts
-    ``certify_acyclic`` reads back from the complex."""
-    if not is_complex:
-        return False, "not a complex"
+def _acyclicity(out):
     cert = certify_acyclic(out)
     return cert.ok, cert.detail
+
+
+def _colon_count(comp, sop, m_gb, n_gb):
+    """The verdict of ``colon_quotient_count`` on M and N; it fails when the
+    input is not a complex or the series difference is not a polynomial."""
+    if m_gb.series() is None:
+        return False, "input not a complex"
+    try:
+        res = colon_quotient_count(m_gb, sop, comp.top_rank(), colon_gb=n_gb)
+    except NonPolynomialDifference as exc:
+        return False, str(exc)
+    return res.passed, f"dim (M:Q)/M = {res.lhs}, expected {res.rhs}"
 
 
 def _bracket_witnesses(star, count):
@@ -340,10 +344,7 @@ def _colon_certificate(comp, sop, m_gb, n_gb):
     membership test in M, so a missing or wrong W changes only the cost,
     never the verdict.  Returns (passed, detail).
     """
-    try:
-        cert = certify_acyclic(comp)
-    except PreconditionFailed as exc:
-        return False, f"input not acyclic: {exc}"
+    cert = certify_acyclic(comp)
     if not cert.ok:
         return False, f"input not acyclic: {cert.detail}"
     if not sop.is_regular():
@@ -438,6 +439,7 @@ def star_iteration_driver(comp, sop, rounds):
     the k-fold iterated colon of M.  A negative round count is a
     ValidationError.
     """
+    # transform imports this module, so it is imported here, on first use
     from .transform import star_transform
 
     if rounds < 0:

@@ -7,6 +7,7 @@ import pytest
 from startrans import (
     DimensionMismatch,
     InternalError,
+    MonomialOverflow,
     NotInModule,
     ParseError,
     ValidationError,
@@ -541,6 +542,20 @@ def test_cli_verify_names_the_star_label_count_when_the_top_rank_is_off(
     )
 
 
+def test_cli_verify_rejects_a_source_complex_of_another_length(tmp_path, capsys):
+    # the source complex has one map per parameter, as the output has
+    data = exa_star_data(tmp_path)
+    source = data["source_complex"]
+    source["twists"].append([])
+    source["maps"].append([[]])
+    tampered = write_json(tmp_path, "tampered.json", data)
+    capsys.readouterr()
+    assert main(["verify", "--input", tampered]) == 2
+    assert capsys.readouterr().err == (
+        "precondition violated: source_complex and complex differ in length\n"
+    )
+
+
 @pytest.mark.parametrize("block", ["complex", "source_complex"])
 def test_cli_a_complex_without_modules_is_a_precondition(tmp_path, capsys, block):
     data = exa_star_data(tmp_path)
@@ -695,6 +710,31 @@ def test_cli_internal_error_inside_a_verify_check_exits_four(
     captured = capsys.readouterr()
     assert captured.err.startswith("internal error: ")
     assert "certificate invariant broken" in captured.err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "error, code, prefix",
+    [
+        (NotInModule("vector has nonzero normal form"), 4, "internal error: "),
+        (MonomialOverflow("degree does not fit"), 2, "precondition violated: "),
+    ],
+    ids=["engine-error", "overflow"],
+)
+def test_cli_error_inside_a_check_maps_by_kind(
+    monkeypatch, tmp_path, capsys, error, code, prefix
+):
+    # a check returns a verdict; an exception raised inside one is not a
+    # failed check (exit 1) but exits as its kind does anywhere else
+    def broken(out):
+        raise error
+
+    monkeypatch.setattr(verify, "_top_minimality", broken)
+    out = str(tmp_path / "out.json")
+    assert main(["star", "--input", FIXTURE, "--output", out]) == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith(prefix) and str(error) in captured.err
+    assert captured.out == ""
     assert not os.path.exists(out)
 
 
@@ -970,6 +1010,21 @@ def _set_overflowing_degree(d):
     d["variables"][0]["degree"] = 2**40
 
 
+def _set_checks_object(d):
+    d["report"] = {"overall": True, "checks": {"name": "homogeneity"}}
+
+
+def _set_check_list(d):
+    d["report"] = {"overall": True, "checks": [["homogeneity", True]]}
+
+
+def _set_seconds_past_every_float(d):
+    d["report"] = {
+        "overall": True,
+        "checks": [{"name": "homogeneity", "pass": True, "seconds": 10**400}],
+    }
+
+
 def _set_report_pass_string(d):
     d["report"] = {
         "overall": True,
@@ -992,6 +1047,9 @@ def _set_report_pass_string(d):
         ("info", _set_source_int, [], "source_complex"),
         ("info", _set_bool_twist, [], "complex.twists[0][0]"),
         ("info", _set_report_pass_string, [], "report.checks[0].pass"),
+        ("info", _set_checks_object, [], "report.checks must be a list"),
+        ("verify", _set_check_list, [], "report.checks[0] must be an object"),
+        ("info", _set_seconds_past_every_float, [], "report.checks[0].seconds"),
         ("star", _set_overflowing_exponent, [], "sop[0]"),
         ("info", _set_overflowing_degree, [], "variables"),
     ],
@@ -1006,6 +1064,9 @@ def _set_report_pass_string(d):
         "source-complex-int",
         "twist-bool",
         "report-pass-string",
+        "checks-not-a-list",
+        "check-not-an-object",
+        "seconds-overflow",
         "exponent-overflow",
         "degree-overflow",
     ],

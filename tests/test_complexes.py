@@ -171,7 +171,31 @@ def test_check_complex_detects_inhomogeneous_entry():
     assert (defect.position, defect.row, defect.col) == (1, 0, 1)
 
 
+def test_composition_of_maps_that_do_not_compose_is_a_shape_defect():
+    # phi_1 has a column more than F_1 has basis elements, so phi_1 phi_2
+    # is not defined: a verdict, not a DimensionMismatch
+    comp, _ = exa_instance()
+    ring = comp.ring
+    wide = PolyMatrix(ring, [list(comp.phi(1).entries[0]) + [ring.zero()]])
+    bad = FreeComplex(ring, comp.modules, (wide, comp.phi(2)))
+    defect = complexes.composition_defect(bad)
+    assert (defect.kind, defect.position) == ("shape", 2)
+
+
 # -- certify_acyclic ----------------------------------------------------------
+
+
+def test_certificate_of_a_non_complex_fails_without_a_series():
+    comp, sop = exa_instance()
+    ring = comp.ring
+    bad_phi2 = PolyMatrix(ring, [[ring.parse("y^2")], [ring.parse("x^2")]])
+    bad = FreeComplex(ring, comp.modules, (comp.phi(1), bad_phi2))
+    cert = certify_acyclic(bad)
+    assert not cert.ok and cert.series is None
+    assert cert.failed_position == 2
+    assert cert.detail == "not a complex: (phi_1 phi_2) has nonzero entry (0,0)"
+    with pytest.raises(PreconditionFailed, match="not a complex"):
+        star_transform(bad, sop)
 
 
 def test_koszul_complexes_certified_acyclic():

@@ -92,6 +92,21 @@ def test_star_complex_refuses_an_unlabelled_complex():
         StarComplex(comp, comp.top_rank())
 
 
+def test_verify_star_fails_an_output_whose_maps_do_not_compose():
+    comp, sop = exa_instance()
+    star = star_transform(comp, sop, with_report=False).star
+    out = star.complex
+    ring = out.ring
+    phi1 = out.phi(1)
+    wide = PolyMatrix(ring, [list(phi1.entries[0]) + [ring.zero()]])
+    bad = FreeComplex(ring, out.modules, (wide,) + out.maps[1:], out.labels)
+    report = verify_star(comp, sop, StarComplex(bad, star.input_top_rank))
+    checks = {c.name: c for c in report.checks}
+    assert not checks["composition_zero"].passed
+    assert not checks["homogeneity"].passed
+    assert checks["colon_equality"].detail == "not a complex"
+
+
 def test_verify_fails_on_sign_tamper():
     comp, sop = exa_instance()
     res = star_transform(comp, sop, with_report=False)
@@ -179,6 +194,15 @@ def test_count_non_polynomial_difference(R1, ring):
     m = ideal(R1, "x^2")
     with pytest.raises(NonPolynomialDifference):
         colon_quotient_count(m, fake_sop, 1, colon(m, fake_sop.gens))
+
+
+def test_colon_count_check_fails_on_a_non_polynomial_difference():
+    # N = 0 is not M : Q, and HS(F_0/M) - HS(F_0/N) is an infinite series:
+    # the check's verdict is a failure, not an exception
+    comp, sop = exa_instance()
+    zero = buchberger(comp.module(0), [])
+    passed, detail = verify._colon_count(comp, sop, comp.image_gb(1), zero)
+    assert not passed and "is not a polynomial" in detail
 
 
 # -- depth ----------------------------------------------------------------
@@ -495,8 +519,9 @@ def test_depth_positive_verdict_equals_the_colon_probe():
 
 def test_verify_star_reads_the_output_map_inside_the_checks_only():
     # phi_1 of the output gets one extra row, so its columns are not
-    # vectors of F_0: every check that reads them fails with the error, and
-    # the report is still returned
+    # vectors of F_0: homogeneity finds the shape defect, every check that
+    # reads the map fails as "not a complex" without reading it, and the
+    # report is still returned
     comp, sop = exa_instance()
     res = star_transform(comp, sop, with_report=False)
     out = res.star.complex
@@ -511,11 +536,10 @@ def test_verify_star_reads_the_output_map_inside_the_checks_only():
     star = StarComplex(bad, res.star.input_top_rank, res.star.witness)
     report = verify_star(comp, sop, star)
     checks = {c.name: c for c in report.checks}
-    for name in ("colon_equality", "colon_quotient_count"):
+    assert not checks["homogeneity"].passed
+    for name in ("acyclicity", "colon_equality", "colon_quotient_count"):
         assert not checks[name].passed, name
-        assert checks[name].detail == (
-            "DimensionMismatch: coordinate count must equal rank"
-        ), name
+        assert checks[name].detail == "not a complex", name
     assert not report.overall
 
 
