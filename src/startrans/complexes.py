@@ -77,7 +77,8 @@ class SopData:
     ``ideal_gb()`` builds the basis of the parameter ideal on first use and
     keeps it outside the dataclass fields (so equality is that of the
     fields alone).  ``colength`` and ``is_regular()`` are derived
-    from that basis's Hilbert series.
+    from that basis's Hilbert series, and the ``is_regular()`` verdict is
+    kept the same way.
     """
 
     ring: object
@@ -103,12 +104,17 @@ class SopData:
         "Hilbert functions of graded algebras", 1978; Bruns & Herzog,
         ch. 4, via Serre's chi_1).  Over a polynomial ring it fails
         only when there are more parameters than variables; over R/J it is
-        the Cohen-Macaulay property the transform relies on.
+        the Cohen-Macaulay property the transform relies on.  Decided on
+        first use and kept (``_kept``).
         """
-        expected = ring_series(self.ring)
-        for d in self.degrees:
-            expected = expected.sub(expected.twisted((d,)))
-        return self.ideal_gb().series() == expected
+
+        def decide(sop):
+            expected = ring_series(sop.ring)
+            for d in sop.degrees:
+                expected = expected.sub(expected.twisted((d,)))
+            return sop.ideal_gb().series() == expected
+
+        return _kept(self, "_regular", decide)
 
 
 def validate_sop(ring, polys):

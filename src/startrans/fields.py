@@ -2,8 +2,10 @@
 
 Scalars are plain Python values (``fractions.Fraction`` for the rationals,
 ``int`` reduced to ``0..p-1`` for a prime field); the field object supplies
-the arithmetic.  All operations are pure and the values immutable, so
-everything here is safe to share between threads.
+the arithmetic.  What does not depend on the scalar form (the zero test,
+the printer, division) is written once, in the base class ``_Field``.
+All operations are pure and the values immutable, so everything here is
+safe to share between threads.
 
 The rational operations are the hot path of every computation over Q, and
 the ``Fraction`` operators spend most of their time in dispatch (type
@@ -15,10 +17,10 @@ do (lowest terms, positive denominator), so values, ``==``, ``hash`` and
 layout of ``Fraction``, which is checked once at import: a Python that lays
 it out differently gets an ``ImportError``, not wrong arithmetic.
 
-The products and the division step of ``poly`` and ``modules`` do not
-call these methods per term: they read the plain attribute ``p`` (``None``
-on ``RationalField``) and then compute on ints.  Over a prime field they
-use an inline ``%``: sums of products stay unreduced ints until their term
+The product kernel (``poly._sum_of_products``) and the division step of
+``modules`` do not call these methods per term: they read the plain
+attribute ``p`` (``None`` on ``RationalField``) and then compute on ints.
+Over a prime field they use an inline ``%``: sums of products stay unreduced ints until their term
 is complete and are reduced modulo p once (delayed reduction); every
 coefficient they store is again an int in ``1..p-1``.  Over Q a product
 sums int numerators over a common denominator (the lcm of the
@@ -70,7 +72,23 @@ def _sum(na, da, nb, db):
     return _fraction(t // g2, s * (db // g2))
 
 
-class RationalField:
+class _Field:
+    """What the two fields share: a zero test and a printer for both scalar
+    forms, and division as a product with the inverse."""
+
+    @staticmethod
+    def is_zero(a):
+        return not a
+
+    @staticmethod
+    def to_str(a):
+        return str(a)
+
+    def div(self, a, b):
+        return self.mul(a, self.invert(b))
+
+
+class RationalField(_Field):
     """The field of rationals; scalars are normalized ``Fraction`` values.
 
     The operations read ``_numerator``/``_denominator`` instead of calling
@@ -119,13 +137,6 @@ class RationalField:
             return _fraction(-a._denominator, -n)
         return _fraction(a._denominator, n)
 
-    def div(self, a, b):
-        return self.mul(a, self.invert(b))
-
-    @staticmethod
-    def is_zero(a):
-        return not a
-
     @staticmethod
     def from_int(n):
         return Fraction(n)
@@ -133,10 +144,6 @@ class RationalField:
     @staticmethod
     def from_fraction(numerator, denominator=1):
         return Fraction(numerator, denominator)
-
-    @staticmethod
-    def to_str(a):
-        return str(a)
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -183,7 +190,7 @@ def _is_prime(p):
     return True
 
 
-class PrimeField:
+class PrimeField(_Field):
     """The field with ``p`` elements; scalars are ints in ``0..p-1``, and
     ``p`` is what selects the inline arithmetic (see the module docstring)."""
 
@@ -212,22 +219,11 @@ class PrimeField:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p)
 
-    def div(self, a, b):
-        return (a * self.invert(b)) % self.p
-
-    @staticmethod
-    def is_zero(a):
-        return not a
-
     def from_int(self, n):
         return n % self.p
 
     def from_fraction(self, numerator, denominator=1):
         return self.div(numerator % self.p, denominator % self.p)
-
-    @staticmethod
-    def to_str(a):
-        return str(a)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

@@ -9,7 +9,8 @@ input generators; that expression is what makes witnesses canonical, and
 ``SubmoduleGB.lift`` needs it.  The run records each row as a recipe over
 earlier rows, and a row is multiplied out only when a lift reaches it, so a
 basis that nothing lifts through (the Koszul generators of a complex, Im
-phi_1) costs no row products.
+phi_1) costs no row products; a row is multiplied out by ``_combine_rows``,
+one ``poly._sum_of_products`` per entry.
 ``cokernel_series`` runs the same pair loop against a known floor of the
 quotient's Hilbert series and stops once the lead terms reach it, with no
 reduced basis, no rows and each S-vector divided only down to its lead; the
@@ -55,9 +56,8 @@ from .poly import (
     MAX_DEGREE,
     Polynomial,
     PolyRing,
-    _add_product,
-    _from_accumulator,
     _over_common_denominator,
+    _sum_of_products,
     format_polynomial,
 )
 
@@ -411,17 +411,12 @@ def _add_tail_multiple(work, tail, shift, n, d, heap=None):
 
 def _combine_rows(ring, combo, width):
     """The entrywise sum of c * row over the (term dict c, row) pairs of
-    ``combo``, each row a sequence of ``width`` polynomials; one accumulator
-    per entry, so no intermediate polynomial is built."""
-    out = []
-    for t in range(width):
-        acc = {}
-        for c, row in combo:
-            entry = row[t].terms
-            if entry:
-                _add_product(acc, c, entry, ring)
-        out.append(_from_accumulator(ring, acc))
-    return out
+    ``combo``, each row a sequence of ``width`` polynomials; one
+    ``_sum_of_products`` per entry, so no intermediate polynomial is built."""
+    return [
+        _sum_of_products(ring, [(c, row[t].terms) for c, row in combo])
+        for t in range(width)
+    ]
 
 
 # -- Buchberger -------------------------------------------------------------
@@ -770,11 +765,12 @@ def _pair_loop(ambient, gens, floor=None):
 
 
 def _reduce_basis(ambient, gens, adjoined, basis, table):
-    """Interreduce ``basis`` into the reduced basis.  The row of each
-    reduced element is appended to the row table of the run
-    (``_pair_loop``) as the recipe inv * (row of basis[idx] - sum q * row
-    of others[k] over the quotient pairs (k, q)), not multiplied out, and
-    the basis keeps the table."""
+    """Interreduce ``basis`` into the reduced basis.  The minimal leads
+    are kept smallest first, so the reduced basis, largest lead first, is
+    that list reversed.  The row of each reduced element is appended to
+    the row table of the run (``_pair_loop``) as the recipe inv * (row of
+    basis[idx] - sum q * row of others[k] over the quotient pairs (k, q)),
+    not multiplied out, and the basis keeps the table."""
     f = ambient.ring.field
     mask = ambient._divides_mask
     keys = [g.keyed()[0] for g in basis]
@@ -786,6 +782,8 @@ def _reduce_basis(ambient, gens, adjoined, basis, table):
         if all((keys[idx] - keys[k]) & mask for k in kept):
             kept.append(idx)
 
+    # no kept lead divides another, so each remainder keeps its lead and is
+    # never zero
     final = []
     final_rows = []
     for idx in kept:
@@ -793,8 +791,6 @@ def _reduce_basis(ambient, gens, adjoined, basis, table):
         quots, rem = _divide(
             ambient, _work(basis[idx]), [basis[k] for k in others], track=True
         )
-        if rem.is_zero():
-            continue
         pos, m, c = rem.lead()
         inv = f.invert(c)
         monic = rem.scale(inv)
@@ -804,14 +800,7 @@ def _reduce_basis(ambient, gens, adjoined, basis, table):
         for k, q in _quotients(ambient, quots):
             recipe.append((q.scale(f.neg(inv)).terms, others[k]))
         final_rows.append(table.add(recipe))
-
-    ordering = sorted(
-        range(len(final)),
-        key=lambda k: term_key(ambient, final[k].lead()[0], final[k].lead()[1]),
-    )
-    final = [final[k] for k in ordering]
-    final_rows = [final_rows[k] for k in ordering]
-    return SubmoduleGB(ambient, gens, adjoined, final, table, final_rows)
+    return SubmoduleGB(ambient, gens, adjoined, final[::-1], table, final_rows[::-1])
 
 
 # -- public operations -------------------------------------------------------

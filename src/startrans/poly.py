@@ -18,6 +18,12 @@ monomial that does not fit raises ``MonomialOverflow``, never carries into
 the next field.  ``PolyRing.pack`` converts from exponent tuples, and
 ``monomial``, ``from_terms`` and the parser take tuples; only ``mono_lcm``
 and the printer read the fields back (``PolyRing._fields``).
+
+Every product is one kernel, ``_sum_of_products``: ``*``, ``PolyMatrix``'s
+``@`` and ``apply``, and the row recombination of ``modules`` all add their
+term products into one accumulator per output entry (``_add_product``) and
+normalize it once (``_from_accumulator``).  ``+`` and ``-`` share one term
+merge, and ``block_matrix`` is the one matrix assembler.
 """
 
 from __future__ import annotations
@@ -88,15 +94,13 @@ class PolyRing:
     def nvars(self):
         return len(self.names)
 
-    def compatible(self, other):
+    def __eq__(self, other):
         return (
-            self.field == other.field
+            isinstance(other, PolyRing)
+            and self.field == other.field
             and self.names == other.names
             and self.weights == other.weights
         )
-
-    def __eq__(self, other):
-        return isinstance(other, PolyRing) and self.compatible(other)
 
     def __repr__(self):
         vars_ = ", ".join(self.names)
@@ -219,34 +223,27 @@ class Polynomial:
         self.ring = ring
         self.terms = terms
 
-    def _check(self, other):
-        _require_compatible(self.ring, other.ring)
-
     def is_zero(self):
         return not self.terms
 
     def __add__(self, other):
-        self._check(other)
-        f = self.ring.field
-        res = dict(self.terms)
-        for m, c in other.terms.items():
-            c0 = f.add(res.get(m, f.zero), c)
-            if f.is_zero(c0):
-                res.pop(m, None)
-            else:
-                res[m] = c0
-        return Polynomial(self.ring, res)
+        return self._merge(other, self.ring.field.add)
 
     def __sub__(self, other):
-        self._check(other)
-        f = self.ring.field
+        return self._merge(other, self.ring.field.sub)
+
+    def _merge(self, other, op):
+        """The polynomial with coefficients op(own, other's) term by term,
+        op the field's ``add`` or ``sub`` (a missing term reads as zero)."""
+        _require_compatible(self.ring, other.ring)
+        zero = self.ring.field.zero
         res = dict(self.terms)
         for m, c in other.terms.items():
-            c0 = f.sub(res.get(m, f.zero), c)
-            if f.is_zero(c0):
-                res.pop(m, None)
-            else:
+            c0 = op(res.get(m, zero), c)
+            if c0:
                 res[m] = c0
+            else:
+                res.pop(m, None)
         return Polynomial(self.ring, res)
 
     def __neg__(self):
@@ -254,12 +251,8 @@ class Polynomial:
         return Polynomial(self.ring, {m: f.neg(c) for m, c in self.terms.items()})
 
     def __mul__(self, other):
-        self._check(other)
-        if not (self.terms and other.terms):
-            return self.ring.zero()
-        acc = {}
-        _add_product(acc, self.terms, other.terms, self.ring)
-        return _from_accumulator(self.ring, acc)
+        _require_compatible(self.ring, other.ring)
+        return _sum_of_products(self.ring, ((self.terms, other.terms),))
 
     def scale(self, c):
         """c times the polynomial.  Every sign of a boundary map comes
@@ -282,7 +275,7 @@ class Polynomial:
     def __eq__(self, other):
         return (
             isinstance(other, Polynomial)
-            and self.ring.compatible(other.ring)
+            and self.ring == other.ring
             and self.terms == other.terms
         )
 
@@ -308,7 +301,7 @@ class Polynomial:
 
 
 def _require_compatible(ring, other):
-    if not ring.compatible(other):
+    if ring != other:
         raise IncompatibleField(f"operands over {ring!r} and {other!r}")
 
 
@@ -317,6 +310,19 @@ def _overflow(degree):
         f"a monomial of degree {degree} does not fit a packed field "
         f"(degrees must stay below 2^{FIELD_BITS - 1})"
     )
+
+
+def _sum_of_products(ring, pairs):
+    """The polynomial sum of t1 * t2 over the (term dict, term dict) pairs
+    ``pairs`` of ``ring``: one ``_add_product`` accumulator for the whole
+    sum, normalized once.  Every product in the package comes through here
+    (``Polynomial.__mul__``, ``PolyMatrix.__matmul__`` and ``apply``,
+    ``modules._combine_rows``)."""
+    acc = {}
+    for terms1, terms2 in pairs:
+        if terms1 and terms2:
+            _add_product(acc, terms1, terms2, ring)
+    return _from_accumulator(ring, acc)
 
 
 def _add_product(acc, terms1, terms2, ring):
@@ -579,18 +585,13 @@ class PolyMatrix:
                 f"{other.nrows}x{other.ncols}"
             )
         _require_compatible(self.ring, other.ring)
-        out = []
-        for row in self.entries:
-            out_row = []
-            for j in range(other.ncols):
-                acc = {}
-                for e, other_row in zip(row, other.entries):
-                    g = other_row[j]
-                    if e.terms and g.terms:
-                        _add_product(acc, e.terms, g.terms, self.ring)
-                out_row.append(_from_accumulator(self.ring, acc))
-            out.append(out_row)
-        return PolyMatrix(self.ring, out, self.nrows, other.ncols)
+        columns = [other.column(j) for j in range(other.ncols)]
+        return PolyMatrix(
+            self.ring,
+            [[self._row_product(row, col) for col in columns] for row in self.entries],
+            self.nrows,
+            other.ncols,
+        )
 
     def apply(self, coords):
         """Matrix-vector product; ``coords`` is a sequence of polynomials."""
@@ -598,33 +599,12 @@ class PolyMatrix:
             raise DimensionMismatch("vector length does not match columns")
         for c in coords:
             _require_compatible(self.ring, c.ring)
-        out = []
-        for row in self.entries:
-            acc = {}
-            for e, c in zip(row, coords):
-                if e.terms and c.terms:
-                    _add_product(acc, e.terms, c.terms, self.ring)
-            out.append(_from_accumulator(self.ring, acc))
-        return tuple(out)
+        return tuple(self._row_product(row, coords) for row in self.entries)
 
-    def hstack(self, other):
-        if self.nrows != other.nrows:
-            raise DimensionMismatch("hstack row mismatch")
-        return PolyMatrix(
-            self.ring,
-            [r1 + r2 for r1, r2 in zip(self.entries, other.entries)],
-            self.nrows,
-            self.ncols + other.ncols,
-        )
-
-    def vstack(self, other):
-        if self.ncols != other.ncols:
-            raise DimensionMismatch("vstack column mismatch")
-        return PolyMatrix(
-            self.ring,
-            self.entries + other.entries,
-            self.nrows + other.nrows,
-            self.ncols,
+    def _row_product(self, row, col):
+        """sum_k row[k] * col[k] for two sequences of polynomials."""
+        return _sum_of_products(
+            self.ring, [(e.terms, c.terms) for e, c in zip(row, col)]
         )
 
     def check_homogeneous(self, target_degs, source_degs):

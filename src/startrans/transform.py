@@ -245,6 +245,8 @@ def mapping_cone(cm):
 
     modules = [comp.module(0)]
     labels = [tuple(("angle", i) for i in range(comp.module(0).rank))]
+    blocks = [[[cm.level(0), comp.phi(1)]]]  # per map, its blocks
+    dims = [[comp.module(0).rank]]  # per module, the ranks of its blocks
     for p in range(1, n + 1):
         tm = cm.source_modules[p - 1]
         fm = comp.module(p)
@@ -255,24 +257,14 @@ def mapping_cone(cm):
             _bracket_labels(top.rank, n, p - 1)
             + tuple(("angle", i) for i in range(fm.rank))
         )
+        dims.append([tm.rank, fm.rank])
+        tb = tensor_boundary(top, sop, p, cm.shift)
+        sg = cm.level(p).scale(sign_scalar(f, p))
+        blocks.append([[tb], [sg]] if p == n else [[tb, None], [sg, comp.phi(p + 1)]])
     modules.append(cm.source_modules[n])
     labels.append(_bracket_labels(top.rank, n, n))
-
-    maps = [cm.level(0).hstack(comp.phi(1))]
-    for p in range(2, n + 1):
-        tb = tensor_boundary(top, sop, p - 1, cm.shift)
-        sg = cm.level(p - 1).scale(sign_scalar(f, p - 1))
-        blocks = [[tb, None], [sg, comp.phi(p)]]
-        maps.append(
-            block_matrix(
-                ring,
-                blocks,
-                [tb.nrows, comp.module(p - 1).rank],
-                [tb.ncols, comp.module(p).rank],
-            )
-        )
-    top_boundary = tensor_boundary(top, sop, n, cm.shift)
-    maps.append(top_boundary.vstack(cm.level(n).scale(sign_scalar(f, n))))
+    dims.append([cm.source_modules[n].rank])
+    maps = [block_matrix(ring, b, dims[p], dims[p + 1]) for p, b in enumerate(blocks)]
 
     return FreeComplex(ring, tuple(modules), tuple(maps), tuple(labels))
 

@@ -107,7 +107,8 @@ class VerificationReport:
             if not isinstance(detail, str):
                 raise ParseError(f"{where}.detail must be a string")
             number = isinstance(seconds, (int, float)) and not isinstance(seconds, bool)
-            if not number or abs(seconds) >= 2**1024:  # beyond every finite float
+            # NaN compares false, and 2**1024 is beyond every finite float
+            if not number or not abs(seconds) < 2**1024:
                 raise ParseError(f"{where}.seconds must be a finite number")
             rep.checks.append(CheckResult(name, passed, detail, float(seconds)))
         return rep

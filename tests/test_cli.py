@@ -16,7 +16,7 @@ from startrans import (
     validate_sop,
 )
 from startrans import FreeComplex, PolyMatrix, StarComplex
-from startrans import cli, modules, poly, transform, verify
+from startrans import cli, complexes, modules, poly, transform, verify
 from startrans.cli import main
 from startrans.instances import vanishing_top_instance
 from startrans.poly import format_polynomial
@@ -137,6 +137,54 @@ def test_star_verify_parses_the_parameters_once_per_read(monkeypatch, tmp_path):
     assert texts.count("x") == texts.count("y") == 2
     pf = parse_problem(out)
     assert pf.sop_polys() is pf.sop_polys()
+
+
+def _quotient_vanishing_top_data():
+    # Q[x,y,z]/(z^2), with the Koszul complex of x, y: its top vanishes
+    data = exa_data()
+    data["variables"].append({"name": "z", "degree": 1})
+    data["quotient"] = ["z^2"]
+    data["complex"] = {
+        "twists": [[0], [-1, -1], [-2]],
+        "maps": [[["x", "y"]], [["-y"], ["x"]]],
+    }
+    return data
+
+
+@pytest.mark.parametrize("command", ["star", "iterate"])
+def test_each_parameter_system_is_decided_regular_once(
+    monkeypatch, tmp_path, command
+):
+    # depth_positive, quotient_assumption and colon_equality all read the
+    # regularity verdict; the series comparison behind it, which starts
+    # from HS(R/J), runs once per parameter system
+    deciding, decided = [], []
+    real_is_regular = complexes.SopData.is_regular
+    real_ring_series = complexes.ring_series
+
+    def is_regular(sop):
+        deciding.append(sop)
+        try:
+            return real_is_regular(sop)
+        finally:
+            deciding.pop()
+
+    def ring_series(ring):
+        if deciding:
+            decided.append(deciding[-1])
+        return real_ring_series(ring)
+
+    monkeypatch.setattr(complexes.SopData, "is_regular", is_regular)
+    monkeypatch.setattr(complexes, "ring_series", ring_series)
+    if command == "star":
+        path = write_json(tmp_path, "q.json", _quotient_vanishing_top_data())
+        argv = ["star", "--input", path, "--output", str(tmp_path / "o.json")]
+        argv.append("--verify")
+    else:
+        argv = ["iterate", "--input", FIXTURE, "--max-iter", "3"]
+    assert main(argv) == 0
+    assert decided
+    assert len({id(sop) for sop in decided}) == len(decided)
 
 
 def test_parse_repeated_malformed_polynomial_names_its_first_path(tmp_path):
@@ -813,6 +861,39 @@ def test_cli_iterate_stops_when_a_later_round_is_not_contained(
     assert lines[1:] == ["stop: precondition failed before round 2"]
 
 
+def _koszul_seed_2031(tmp_path):
+    path = str(tmp_path / "r2031.json")
+    assert main(["koszul", "--seed", "2031", "--output", path]) == 0
+    return path
+
+
+@pytest.mark.parametrize(
+    "problem, rounds",
+    [(lambda tmp_path: FIXTURE, 3), (_koszul_seed_2031, 1)],
+    ids=["exa", "koszul-seed-2031"],
+)
+def test_cli_iterate_output_writes_one_verified_file_per_round(
+    tmp_path, capsys, problem, rounds
+):
+    # each round file verifies on its own, and its source complex is the
+    # complex of the round before it (the input's for round 1); a run that
+    # stops before round 2 writes round 1 only
+    path = problem(tmp_path)
+    stem = str(tmp_path / "it")
+    assert main(["iterate", "--input", path, "--max-iter", "3", "--output", stem]) == 0
+    written = sorted(p.name for p in tmp_path.glob("it.round*.json"))
+    assert written == [f"it.round{k}.json" for k in range(1, rounds + 1)]
+    with open(path) as fh:
+        previous = json.load(fh)["complex"]
+    for k in range(1, rounds + 1):
+        round_file = f"{stem}.round{k}.json"
+        assert main(["verify", "--input", round_file]) == 0
+        with open(round_file) as fh:
+            data = json.load(fh)
+        assert data["source_complex"] == previous
+        previous = data["complex"]
+
+
 def test_cli_iterate_negative_rounds_is_usage_error(capsys):
     code = main(["iterate", "--input", FIXTURE, "--max-iter", "-1"])
     assert code == 2
@@ -1025,6 +1106,13 @@ def _set_seconds_past_every_float(d):
     }
 
 
+def _set_seconds_nan(d):
+    d["report"] = {
+        "overall": True,
+        "checks": [{"name": "homogeneity", "pass": True, "seconds": float("nan")}],
+    }
+
+
 def _set_report_pass_string(d):
     d["report"] = {
         "overall": True,
@@ -1050,6 +1138,7 @@ def _set_report_pass_string(d):
         ("info", _set_checks_object, [], "report.checks must be a list"),
         ("verify", _set_check_list, [], "report.checks[0] must be an object"),
         ("info", _set_seconds_past_every_float, [], "report.checks[0].seconds"),
+        ("info", _set_seconds_nan, [], "report.checks[0].seconds"),
         ("star", _set_overflowing_exponent, [], "sop[0]"),
         ("info", _set_overflowing_degree, [], "variables"),
     ],
@@ -1067,6 +1156,7 @@ def _set_report_pass_string(d):
         "checks-not-a-list",
         "check-not-an-object",
         "seconds-overflow",
+        "seconds-nan",
         "exponent-overflow",
         "degree-overflow",
     ],

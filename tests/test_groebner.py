@@ -32,6 +32,7 @@ from startrans.modules import (
     _work,
     ideal_gb,
     reduce_mod_quotient,
+    term_key,
 )
 
 
@@ -272,9 +273,12 @@ def _minimal_leads(ambient, leads):
 def test_untracked_basis_equals_the_tracked_one(problem):
     # the floored run keeps no rows and divides only down to the leads; under
     # the zero floor it runs every pair, under the exact series it stops
-    # early, and its leads span the same lead module as the reduced basis
+    # early, and its leads span the same lead module as the reduced basis,
+    # which runs strictly largest lead first (ascending ``term_key``)
     name, ambient, gens = problem
     tracked = buchberger(ambient, gens)
+    keys = [term_key(ambient, pos, m) for pos, m, _ in tracked.leads]
+    assert all(a < b for a, b in zip(keys, keys[1:])), name
     exact = tracked.series()
     for floor in (exact.sub(exact), exact):
         _, basis, table, series = _pair_loop(ambient, tuple(gens), floor)
