@@ -414,55 +414,52 @@ def _modular_ring(names, weights):
 
 
 def koszul(sop):
-    """The Koszul complex of a validated sop, without labels.
-
-    Basis of position p is {e_S} over p-subsets in lex order; twists
-    accumulate the generator degrees.  It is R (x) K, so the modules and
-    maps are ``tensor_module`` and ``tensor_boundary`` of the rank-one
-    module R.
-    """
+    """The Koszul complex K(Q) of a validated sop: ``tensor_complex`` of the
+    rank-one module R, without its labels."""
     if not isinstance(sop, SopData):
         raise PreconditionFailed("koszul requires a validated sop")
-    unit = GradedFreeModule(sop.ring, 1, (0,))
-    modules = tuple(tensor_module(unit, sop, p) for p in range(sop.n + 1))
-    maps = tuple(tensor_boundary(unit, sop, p) for p in range(1, sop.n + 1))
-    return FreeComplex(sop.ring, modules, maps)
+    k = tensor_complex(GradedFreeModule(sop.ring, 1, (0,)), sop)
+    return FreeComplex(k.ring, k.modules, k.maps)
 
 
-def tensor_module(free_mod, sop, p, shift=0):
-    """The module free_mod (x) K_p with basis (lambda, subset), lambda-major;
-    twists are deg(v) + deg(e_S) - shift."""
-    subs = subsets(sop.n, p)
-    twists = []
-    for lam in range(free_mod.rank):
-        base = free_mod.twists[lam]
-        for s in subs:
-            twists.append(base + sum(sop.degrees[i - 1] for i in s) - shift)
-    return GradedFreeModule(free_mod.ring, free_mod.rank * len(subs), tuple(twists))
+def tensor_complex(free_mod, sop, shift=0):
+    """free_mod (x) K(Q), its twists lowered by ``shift``, as a labelled
+    complex.
 
-
-def tensor_boundary(free_mod, sop, p, shift=0):
-    """Matrix of (free_mod (x) boundary_p) from free_mod (x) K_p to
-    free_mod (x) K_(p-1), in the lambda-major bases."""
+    Position p has the basis v_lam (x) e_S over lam and the p-subsets S,
+    lam-major with S in lex order, labelled ``("bracket", lam, S)`` and
+    twisted by deg v_lam + deg e_S - shift.  The boundary is free_mod (x)
+    the Koszul boundary (module docstring), so it does not depend on the
+    shift.
+    """
     ring = free_mod.ring
     f = ring.field
-    n = sop.n
-    src = subsets(n, p)
-    tgt = subsets(n, p - 1)
-    tgt_index = {s: k for k, s in enumerate(tgt)}
-    rows = free_mod.rank * len(tgt)
-    cols = free_mod.rank * len(src)
+    bases = [
+        [(lam, s) for lam in range(free_mod.rank) for s in subsets(sop.n, p)]
+        for p in range(sop.n + 1)
+    ]
+    modules = tuple(
+        GradedFreeModule(ring, len(basis), tuple(
+            free_mod.twists[lam] + sum(sop.degrees[i - 1] for i in s) - shift
+            for lam, s in basis
+        ))
+        for basis in bases
+    )
     zero = ring.zero()  # polynomials are immutable, so one zero fills the rest
-    entries = [[zero] * cols for _ in range(rows)]
-    for lam in range(free_mod.rank):
-        for j, s in enumerate(src):
-            cj = lam * len(src) + j
+    maps = []
+    for p in range(1, sop.n + 1):
+        row_of = {b: k for k, b in enumerate(bases[p - 1])}
+        entries = [[zero] * len(bases[p]) for _ in bases[p - 1]]
+        for j, (lam, s) in enumerate(bases[p]):
             for i in s:
                 # S minus i differs for each i in S, so each entry is set once
-                sign = sign_scalar(f, count_below(i, s))
-                ri = lam * len(tgt) + tgt_index[tuple(k for k in s if k != i)]
-                entries[ri][cj] = sop.gens[i - 1].scale(sign)
-    return PolyMatrix(ring, entries, rows, cols)
+                row = row_of[lam, tuple(k for k in s if k != i)]
+                entries[row][j] = sop.gens[i - 1].scale(
+                    sign_scalar(f, count_below(i, s))
+                )
+        maps.append(PolyMatrix(ring, entries, len(bases[p - 1]), len(bases[p])))
+    labels = tuple(tuple(("bracket",) + b for b in basis) for basis in bases)
+    return FreeComplex(ring, modules, tuple(maps), labels)
 
 
 def decompose_images(comp, sop):

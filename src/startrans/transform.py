@@ -5,9 +5,11 @@ split top map: a unit entry of a graded map is a nonzero constant and
 splits off a trivial summand, so cancelling the unit entries of the angle
 rows leaves the minimal map on the remaining rows and columns.
 
-The chain map drops every degree by the total parameter degree, so the
-tensor blocks carry that shift in their twists; with it, every map built
-here is homogeneous of degree zero.
+The chain map's source is one labelled complex, top (x) K(Q) with its
+twists lowered by the total parameter degree (``ChainMap.source``); with
+that shift every map built here is homogeneous of degree zero.  The cone,
+the split, the selection and the star top read its modules, boundary and
+bracket labels, and find a tensor basis vector by its label.
 
 Each identity the construction rests on is proved once, where it is
 computed: ``SubmoduleGB.lift`` checks the recombination of every witness,
@@ -30,8 +32,7 @@ from .complexes import (
     offset_sum,
     sign_scalar,
     subsets,
-    tensor_boundary,
-    tensor_module,
+    tensor_complex,
 )
 from .errors import InternalError, NotInModule, PreconditionFailed, ValidationError
 from .modules import GradedFreeModule, buchberger, colon, submodule_equal
@@ -41,17 +42,19 @@ from .verify import colon_quotient_count, verify_star
 
 @dataclass(frozen=True)
 class ChainMap:
-    """Chain map from (top module (x) Koszul complex) to the input complex.
+    """Chain map alpha from ``source`` to the input complex.
 
-    ``elements[(lam, S)]`` is the image of v_lam (x) e_S in F_p (p = |S|);
-    ``matrices[p]`` is that map assembled on the lambda-major tensor basis,
-    with source twists lowered by ``shift`` (the total parameter degree).
+    ``source`` is top (x) K(Q) with its twists lowered by the total
+    parameter degree s (``complexes.tensor_complex``), so every level is
+    homogeneous of degree zero; the cone, the split and the star top read
+    its modules, boundary and labels.  ``elements[(lam, S)]`` is the image
+    of v_lam (x) e_S in F_p (p = |S|); ``matrices[p]`` is that map on the
+    basis of ``source.module(p)``, column by column in ``source.labels[p]``.
     """
 
     complex: FreeComplex
     sop: object
-    shift: int
-    source_modules: tuple
+    source: FreeComplex
     matrices: tuple
     elements: dict
 
@@ -91,18 +94,19 @@ def build_chain_map(comp, sop, decomposition):
     That boundary, F_(p-1) (x) d_(n-p+1), is block-diagonal: one copy of
     the Koszul boundary d_(n-p+1): K_(n-p+1) -> K_(n-p) per basis vector
     of F_(p-1).  So each level builds one basis of Im d_(n-p+1) in
-    K_(n-p) and lifts every nonzero block of the goal through it.  The
-    witnesses are those of a basis of the whole tensor module: no S-pair
-    or division step crosses blocks, and a block's twists are K's plus a
-    constant with its positions in the same order, so the term order, the
-    pair order and every criterion restricted to a block are K's (over R/J
-    the quotient multiples are adjoined per position, so this still holds).
+    K_(n-p), read off ``tensor_complex(R, sop)``, and lifts every nonzero
+    block of the goal through it.  The witnesses are those of a basis of
+    the whole tensor module: no S-pair or division step crosses blocks, and
+    a block's twists are K's plus a constant with its positions in the same
+    order, so the term order, the pair order and every criterion restricted
+    to a block are K's (over R/J the quotient multiples are adjoined per
+    position, so this still holds).  ``matrices[p]`` takes its columns in
+    the order of ``source.labels[p]``.
     """
     n = comp.length
     ring = comp.ring
     f = ring.field
     top = comp.module(n)
-    shift = sum(sop.degrees)
     full = tuple(range(1, n + 1))
 
     elements = {}
@@ -113,13 +117,12 @@ def build_chain_map(comp, sop, decomposition):
                 sign_scalar(f, n + i - 1)
             )
 
-    unit = GradedFreeModule(ring, 1, (0,))
+    # K(Q), as ``koszul`` builds it but without its input check
+    kos = tensor_complex(GradedFreeModule(ring, 1, (0,)), sop)
     for p in range(n - 1, 0, -1):
         prev = comp.module(p - 1)
-        ambient = tensor_module(unit, sop, n - p)
-        bmat = tensor_boundary(unit, sop, n - p + 1)
-        cols = [ambient.vector(bmat.column(j)) for j in range(bmat.ncols)]
-        gb = buchberger(ambient, cols)
+        ambient = kos.module(n - p)
+        gb = buchberger(ambient, kos.image_gens(n - p + 1))
         phi = comp.phi(p)
         level_subs = subsets(n, p)
         blk_index = {s: k for k, s in enumerate(subsets(n, n - p))}
@@ -155,23 +158,15 @@ def build_chain_map(comp, sop, decomposition):
                 sgn = sign_scalar(f, (p - 1) * p // 2 + offset_sum(sub))
                 elements[(lam, sub)] = prev.vector(coords).scale(sgn)
 
-    source_modules = tuple(
-        tensor_module(top, sop, p, shift) for p in range(n + 1)
-    )
+    source = tensor_complex(top, sop, sum(sop.degrees))
     matrices = []
-    for p in range(n + 1):
-        subs = subsets(n, p)
-        tgt = comp.module(p)
-        cols = []
-        for lam in range(top.rank):
-            for s in subs:
-                cols.append(elements[(lam, s)].coords)
-        entries = [
-            [cols[j][i] for j in range(len(cols))] for i in range(tgt.rank)
-        ]
-        matrices.append(PolyMatrix(ring, entries, tgt.rank, len(cols)))
+    for p, labels in enumerate(source.labels):
+        cols = [elements[lam, s].coords for _, lam, s in labels]
+        rank = comp.module(p).rank
+        entries = [[col[i] for col in cols] for i in range(rank)]
+        matrices.append(PolyMatrix(ring, entries, rank, len(cols)))
 
-    return ChainMap(comp, sop, shift, source_modules, tuple(matrices), elements)
+    return ChainMap(comp, sop, source, tuple(matrices), elements)
 
 
 def chain_map_image_checks(cm, m_gb, colon_gb=None):
@@ -201,8 +196,7 @@ def chain_map_image_checks(cm, m_gb, colon_gb=None):
         )
     )
 
-    top = comp.module(cm.n)
-    first_boundary = tensor_boundary(top, sop, 1, cm.shift)
+    first_boundary = cm.source.phi(1)
     inside = True
     for j in range(first_boundary.ncols):
         img = ambient.vector(level0.apply(first_boundary.column(j)))
@@ -217,7 +211,7 @@ def chain_map_image_checks(cm, m_gb, colon_gb=None):
         )
     )
 
-    count = colon_quotient_count(m_gb, sop, top.rank, colon_gb=colon_gb)
+    count = colon_quotient_count(m_gb, sop, cm.top_rank, colon_gb=colon_gb)
     results.append(
         (
             "colon_quotient_count",
@@ -228,42 +222,35 @@ def chain_map_image_checks(cm, m_gb, colon_gb=None):
     return results
 
 
-def _bracket_labels(rank, n, p):
-    """The labels ("bracket", lam, S) of the tensor block v_lam (x) e_S over
-    the p-subsets S of {1..n}, lam outermost."""
-    return tuple(("bracket", lam, s) for lam in range(rank) for s in subsets(n, p))
-
-
 def mapping_cone(cm):
     """The cone of the chain map: an acyclic complex of length n+1 whose
-    degree-zero image is the colon module."""
-    comp, sop = cm.complex, cm.sop
+    degree-zero image is the colon module.  Position p is
+    ``cm.source.module(p - 1)`` followed by F_p, with their labels."""
+    comp, source = cm.complex, cm.source
     n = comp.length
     ring = comp.ring
     f = ring.field
-    top = comp.module(n)
 
     modules = [comp.module(0)]
     labels = [tuple(("angle", i) for i in range(comp.module(0).rank))]
     blocks = [[[cm.level(0), comp.phi(1)]]]  # per map, its blocks
     dims = [[comp.module(0).rank]]  # per module, the ranks of its blocks
     for p in range(1, n + 1):
-        tm = cm.source_modules[p - 1]
+        tm = source.module(p - 1)
         fm = comp.module(p)
         modules.append(
             GradedFreeModule(ring, tm.rank + fm.rank, tm.twists + fm.twists)
         )
         labels.append(
-            _bracket_labels(top.rank, n, p - 1)
-            + tuple(("angle", i) for i in range(fm.rank))
+            source.labels[p - 1] + tuple(("angle", i) for i in range(fm.rank))
         )
         dims.append([tm.rank, fm.rank])
-        tb = tensor_boundary(top, sop, p, cm.shift)
+        tb = source.phi(p)
         sg = cm.level(p).scale(sign_scalar(f, p))
         blocks.append([[tb], [sg]] if p == n else [[tb, None], [sg, comp.phi(p + 1)]])
-    modules.append(cm.source_modules[n])
-    labels.append(_bracket_labels(top.rank, n, n))
-    dims.append([cm.source_modules[n].rank])
+    modules.append(source.module(n))
+    labels.append(source.labels[n])
+    dims.append([source.module(n).rank])
     maps = [block_matrix(ring, b, dims[p], dims[p + 1]) for p, b in enumerate(blocks)]
 
     return FreeComplex(ring, tuple(modules), tuple(maps), tuple(labels))
@@ -272,10 +259,9 @@ def mapping_cone(cm):
 def split_top(cone, cm):
     """Split the invertible top of the cone off, leaving a complex of
     length n whose top module is the (n-1)-st tensor block."""
-    n = cm.complex.length
+    n = cm.n
     ring = cone.ring
-    top_rank = cm.top_rank
-    tensor_prev = cm.source_modules[n - 1]
+    tensor_prev = cm.source.module(n - 1)
 
     psi_n = cone.maps[n - 1]
     restricted = PolyMatrix(
@@ -285,7 +271,7 @@ def split_top(cone, cm):
         tensor_prev.rank,
     )
     modules = cone.modules[:n] + (tensor_prev,)
-    labels = cone.labels[:n] + (_bracket_labels(top_rank, n, n - 1),)
+    labels = cone.labels[:n] + (cm.source.labels[n - 1],)
     maps = cone.maps[: n - 1] + (restricted,)
     return FreeComplex(ring, tuple(modules), tuple(maps), tuple(labels))
 
@@ -329,13 +315,13 @@ def select_basis(split, cm):
     n = cm.n
     f = split.ring.field
     top_map = split.maps[n - 1]
-    nb = cm.source_modules[n - 2].rank
-    col_index = {s: k for k, s in enumerate(subsets(n, n - 1))}
+    nb = cm.source.module(n - 2).rank
+    position = {label: k for k, label in enumerate(cm.source.labels[n - 1])}
     pivots = []
     kept = {}
     for lam in range(cm.top_rank):
         for i in range(1, n + 1):
-            column = list(top_map.column(lam * n + col_index[co_singleton(i, n)]))
+            column = list(top_map.column(position["bracket", lam, co_singleton(i, n)]))
             for pivot in pivots:
                 _clear_row(column, *pivot)
             row = next(
@@ -374,12 +360,12 @@ def build_star_top(selection, split_complex, cm):
     n = comp.length
     ring = comp.ring
     f = ring.field
-    tensor_prev = cm.source_modules[n - 1]
-    bracket_prev = cm.source_modules[n - 2]
+    source = cm.source
+    position = {label: k for k, label in enumerate(source.labels[n - 1])}
+    bracket_prev = source.module(n - 2)
     nb = bracket_prev.rank
     u_list = selection.retained_basis
     keep = list(range(nb)) + [nb + u for u in u_list]
-    col_index = {s: k for k, s in enumerate(subsets(n, n - 1))}
 
     columns = [
         [column[r].scale(sign_scalar(f, j)) for r in keep]
@@ -389,7 +375,7 @@ def build_star_top(selection, split_complex, cm):
         ring,
         len(columns),
         tuple(
-            tensor_prev.twists[mu * n + col_index[co_singleton(j, n)]]
+            source.module(n - 1).twists[position["bracket", mu, co_singleton(j, n)]]
             for (mu, j) in selection.star_pairs
         ),
     )
@@ -414,9 +400,7 @@ def build_star_top(selection, split_complex, cm):
         len(keep),
     )
 
-    prev_labels = _bracket_labels(cm.top_rank, n, n - 2) + tuple(
-        ("angle", u) for u in u_list
-    )
+    prev_labels = source.labels[n - 2] + tuple(("angle", u) for u in u_list)
     top_labels = tuple(("star", mu, j) for (mu, j) in selection.star_pairs)
     return FreeComplex(
         ring,

@@ -87,7 +87,9 @@ class VerificationReport:
 
     @staticmethod
     def from_jsonable(data):
-        """Rebuild a written report; ParseError names a mistyped field."""
+        """Rebuild a written report; ParseError names a mistyped field, a
+        negative time, an empty ``checks`` or an ``overall`` that is not
+        the conjunction of the checks' verdicts."""
         if not isinstance(data, dict):
             raise ParseError("report must be an object")
         checks = data.get("checks", [])
@@ -108,9 +110,16 @@ class VerificationReport:
                 raise ParseError(f"{where}.detail must be a string")
             number = isinstance(seconds, (int, float)) and not isinstance(seconds, bool)
             # NaN compares false, and 2**1024 is beyond every finite float
-            if not number or not abs(seconds) < 2**1024:
-                raise ParseError(f"{where}.seconds must be a finite number")
+            if not number or not 0 <= seconds < 2**1024:
+                raise ParseError(f"{where}.seconds must be a finite number >= 0")
             rep.checks.append(CheckResult(name, passed, detail, float(seconds)))
+        if not rep.checks:
+            raise ParseError("report.checks must not be empty")
+        overall = data.get("overall")
+        if not isinstance(overall, bool):
+            raise ParseError("report.overall must be true or false")
+        if overall != rep.overall:
+            raise ParseError("report.overall does not match its checks")
         return rep
 
 

@@ -39,7 +39,6 @@ from startrans.complexes import (
     co_singleton,
     sign_scalar,
     subsets,
-    tensor_boundary,
 )
 from startrans.instances import standard_ring
 from startrans.modules import (
@@ -115,6 +114,19 @@ def all_match(driver):
     return all(r.matches for r in driver.rounds)
 
 
+def random_linear_form(rng, ring):
+    """A nonzero linear form with integer coefficients in [-9, 9]."""
+    n = len(ring.names)
+    while True:
+        coeffs = [rng.randint(-9, 9) for _ in range(n)]
+        if any(coeffs):
+            break
+    return ring.from_terms(
+        (tuple(int(i == k) for i in range(n)), ring.field.from_int(c))
+        for k, c in enumerate(coeffs)
+    )
+
+
 def generic_koszul(field, n, param_degree, seed):
     """(complex, sop) of one seeded generic draw, made as the benchmark
     makes its own: each parameter q_i a product of ``param_degree`` random
@@ -122,25 +134,56 @@ def generic_koszul(field, n, param_degree, seed):
     Koszul(q_i * l_i) for a further random linear form l_i."""
     rng = random.Random(seed)
     ring = standard_ring(("x", "y", "z", "w")[:n], field=field)
-
-    def linear_form():
-        while True:
-            coeffs = [rng.randint(-9, 9) for _ in range(n)]
-            if any(coeffs):
-                break
-        return ring.from_terms(
-            (tuple(int(i == k) for i in range(n)), ring.field.from_int(c))
-            for k, c in enumerate(coeffs)
-        )
-
     params = []
     for _ in range(n):
         q = ring.one()
         for _ in range(param_degree):
-            q = q * linear_form()
+            q = q * random_linear_form(rng, ring)
         params.append(q)
-    gens = [q * linear_form() for q in params]
+    gens = [q * random_linear_form(rng, ring) for q in params]
     return koszul(validate_sop(ring, gens)), validate_sop(ring, params)
+
+
+def generic_pfaffian(field, seed):
+    """(complex, sop) of one seeded Pfaffian draw, a complex that is not a
+    Koszul complex: the Buchsbaum-Eisenbud resolution (Amer. J. Math. 99
+    (1977)) 0 -> R(-10) -> R(-6)^5 -> R(-4)^5 -> R of the 4x4 Pfaffians of
+    a generic 5x5 skew matrix A over three variables, with
+    a_ij = sum_t q_t l_ijt for random linear forms q_t and l_ijt
+    (``random_linear_form``), parameters q_1, q_2, q_3.  phi_1 is the row
+    of Pfaffians, the one omitting row i signed (-1)^i, phi_2 = A and
+    phi_3 the transpose of phi_1; A's entries lie in Q, so Im phi_3 lies in
+    Q^2 F_2."""
+    rng = random.Random(seed)
+    ring = standard_ring(("x", "y", "z"), field=field)
+    params = [random_linear_form(rng, ring) for _ in range(3)]
+    a = [[ring.zero()] * 5 for _ in range(5)]
+    for i in range(5):
+        for j in range(i + 1, 5):
+            for q in params:
+                a[i][j] = a[i][j] + q * random_linear_form(rng, ring)
+            a[j][i] = -a[i][j]
+
+    def pfaffian(b, c, d, e):
+        return a[b][c] * a[d][e] - a[b][d] * a[c][e] + a[b][e] * a[c][d]
+
+    sign = [ring.field.one, ring.field.neg(ring.field.one)]
+    row = [
+        pfaffian(*(k for k in range(5) if k != i)).scale(sign[i % 2])
+        for i in range(5)
+    ]
+    modules = (
+        GradedFreeModule(ring, 1, (0,)),
+        GradedFreeModule(ring, 5, (4,) * 5),
+        GradedFreeModule(ring, 5, (6,) * 5),
+        GradedFreeModule(ring, 1, (10,)),
+    )
+    maps = (
+        PolyMatrix(ring, [row], 1, 5),
+        PolyMatrix(ring, a, 5, 5),
+        PolyMatrix(ring, [[e] for e in row], 5, 1),
+    )
+    return FreeComplex(ring, modules, maps), validate_sop(ring, params)
 
 
 def padded_zero_top_instance():
@@ -214,10 +257,9 @@ def squares_commute(cm):
     Koszul-direction boundary, in the ring (modulo its quotient ideal, if
     any: lifts and decompositions are exact only there)."""
     comp = cm.complex
-    top = comp.module(cm.n)
     for p in range(1, cm.n + 1):
         lhs = comp.phi(p) @ cm.matrices[p]
-        rhs = cm.matrices[p - 1] @ tensor_boundary(top, cm.sop, p, cm.shift)
+        rhs = cm.matrices[p - 1] @ cm.source.phi(p)
         if lhs != rhs and any(
             not reduce_mod_quotient(comp.ring, a - b).is_zero()
             for row_a, row_b in zip(lhs.entries, rhs.entries)
@@ -330,7 +372,7 @@ def restricted_top_map(split, cm):
     selected = len(sel.selected_pairs)
     columns = []
     for (mu, j) in sel.star_pairs:
-        coords = [ring.zero()] * cm.source_modules[n - 1].rank
+        coords = [ring.zero()] * cm.source.module(n - 1).rank
         terms = [(mu, j, ring.one(), j)]
         terms += [(lam, i, a, i - 1) for (lam, i), a in sel.a_coeffs[(mu, j)].items()]
         for lam, i, coeff, power in terms:

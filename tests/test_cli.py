@@ -3,6 +3,7 @@ import json
 import os
 
 import pytest
+from reference import generic_pfaffian
 
 from startrans import (
     DimensionMismatch,
@@ -10,6 +11,7 @@ from startrans import (
     MonomialOverflow,
     NotInModule,
     ParseError,
+    PrimeField,
     ValidationError,
     parse_problem,
     star_transform,
@@ -18,7 +20,7 @@ from startrans import (
 from startrans import FreeComplex, PolyMatrix, StarComplex
 from startrans import cli, complexes, modules, poly, transform, verify
 from startrans.cli import main
-from startrans.instances import vanishing_top_instance
+from startrans.instances import square_ideal_instance, vanishing_top_instance
 from startrans.poly import format_polynomial
 from startrans.problemfile import (
     ProblemFile,
@@ -198,11 +200,34 @@ def test_parse_repeated_malformed_polynomial_names_its_first_path(tmp_path):
 # -- emit / round trip ---------------------------------------------------------
 
 
-def test_emit_star_round_trip(tmp_path, exa_problem):
-    sop = validate_sop(exa_problem.ring, exa_problem.sop_polys())
-    result = star_transform(exa_problem.complex, sop)
-    out = str(tmp_path / "exa.star.json")
-    emit_star(result.star, result.report, out, exa_problem, exa_problem.complex)
+def _as_problem(comp, sop):
+    texts = tuple(format_polynomial(g) for g in sop.gens)
+    return ProblemFile(comp.ring, texts, comp)
+
+
+def _pfaffian_round_one():
+    comp, sop = generic_pfaffian(PrimeField(32003), 0)
+    return _as_problem(star_transform(comp, sop).star.complex, sop)
+
+
+@pytest.mark.parametrize(
+    "make, selected",
+    [
+        (lambda: parse_problem(FIXTURE), ()),
+        (lambda: _as_problem(*square_ideal_instance()), ((0, 1), (0, 2), (1, 1))),
+        (_pfaffian_round_one, ((0, 2), (0, 3), (1, 3))),
+    ],
+    ids=["exa", "square-ideal", "pfaffian-round-1"],
+)
+def test_emit_star_round_trip(tmp_path, make, selected):
+    problem = make()
+    sop = validate_sop(problem.ring, problem.sop_polys())
+    result = star_transform(problem.complex, sop)
+    assert result.star.selected_pairs == selected
+    kinds = {label[0] for position in result.star.labels for label in position}
+    assert kinds == {"angle", "bracket", "star"}
+    out = str(tmp_path / "out.star.json")
+    emit_star(result.star, result.report, out, problem, problem.complex)
 
     reparsed = parse_problem(out)
     star = star_from_problem(reparsed)
@@ -216,7 +241,7 @@ def test_emit_star_round_trip(tmp_path, exa_problem):
     assert star == result.star
 
     # byte-identical second emission
-    out2 = str(tmp_path / "exa.star2.json")
+    out2 = str(tmp_path / "out.star2.json")
     emit_star(star, reparsed.report, out2, reparsed, reparsed.source_complex)
     with open(out) as fh1, open(out2) as fh2:
         assert fh1.read() == fh2.read()
@@ -1113,6 +1138,26 @@ def _set_seconds_nan(d):
     }
 
 
+def _passing_check(seconds=0.0):
+    return {"name": "homogeneity", "pass": True, "detail": "", "seconds": seconds}
+
+
+def _set_checks_empty(d):
+    d["report"] = {"overall": True, "checks": []}
+
+
+def _set_overall_false(d):
+    d["report"] = {"overall": False, "checks": [_passing_check()]}
+
+
+def _set_overall_missing(d):
+    d["report"] = {"checks": [_passing_check()]}
+
+
+def _set_seconds_negative(d):
+    d["report"] = {"overall": True, "checks": [_passing_check(-5)]}
+
+
 def _set_report_pass_string(d):
     d["report"] = {
         "overall": True,
@@ -1139,6 +1184,10 @@ def _set_report_pass_string(d):
         ("verify", _set_check_list, [], "report.checks[0] must be an object"),
         ("info", _set_seconds_past_every_float, [], "report.checks[0].seconds"),
         ("info", _set_seconds_nan, [], "report.checks[0].seconds"),
+        ("info", _set_checks_empty, [], "report.checks must not be empty"),
+        ("info", _set_overall_false, [], "report.overall does not match"),
+        ("info", _set_overall_missing, [], "report.overall must be true or false"),
+        ("info", _set_seconds_negative, [], "report.checks[0].seconds"),
         ("star", _set_overflowing_exponent, [], "sop[0]"),
         ("info", _set_overflowing_degree, [], "variables"),
     ],
@@ -1157,6 +1206,10 @@ def _set_report_pass_string(d):
         "check-not-an-object",
         "seconds-overflow",
         "seconds-nan",
+        "checks-empty",
+        "overall-false-over-passing-checks",
+        "overall-missing",
+        "seconds-negative",
         "exponent-overflow",
         "degree-overflow",
     ],

@@ -1,4 +1,5 @@
 import re
+from itertools import combinations
 from math import comb
 
 import brute
@@ -17,8 +18,10 @@ from startrans import (
     PolyMatrix,
     PolyRing,
     PreconditionFailed,
+    PrimeField,
     RationalField,
     ValidationError,
+    build_chain_map,
     certify_acyclic,
     check_complex,
     check_qf_containment,
@@ -39,6 +42,7 @@ from startrans.complexes import (
     count_below,
     offset_sum,
     subsets,
+    tensor_complex,
 )
 from startrans.instances import (
     direct_sum_instance,
@@ -136,6 +140,61 @@ def test_koszul_twists_accumulate_degrees(ring):
     assert k.module(1).twists == (2, 3)
     assert k.module(2).twists == (5,)
     assert k.labels is None
+
+
+TENSOR_CASES = {
+    "Q[x,y] weights (1,2)": (
+        lambda: PolyRing(RationalField(), ("x", "y"), (1, 2)),
+        ("x^2 + y", "x*y"),
+    ),
+    "p:7[x,y,z]": (
+        lambda: PolyRing(PrimeField(7), ("x", "y", "z")),
+        ("x^2", "y + 3*z", "z^3"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TENSOR_CASES))
+def test_tensor_complex_layout(name):
+    make, texts = TENSOR_CASES[name]
+    ring = make()
+    sop = validate_sop(ring, [ring.parse(t) for t in texts])
+    n, f = sop.n, ring.field
+    free = GradedFreeModule(ring, 2, (1, 4))
+    shift = 3
+    t = tensor_complex(free, sop, shift)
+    assert t.length == n
+    for p in range(n + 1):
+        basis = [label[1:] for label in t.labels[p]]
+        assert all(label[0] == "bracket" for label in t.labels[p])
+        # lambda-major, the p-subsets in lex order under each lambda
+        subs = combinations(range(1, n + 1), p)
+        assert basis == sorted((lam, s) for s in subs for lam in (0, 1))
+        assert t.module(p).twists == tuple(
+            free.twists[lam] + sum(sop.degrees[i - 1] for i in s) - shift
+            for lam, s in basis
+        )
+    for p in range(1, n + 1):
+        rows = [label[1:] for label in t.labels[p - 1]]
+        for j, (lam, s) in enumerate(label[1:] for label in t.labels[p]):
+            for k, (mu, r) in enumerate(rows):
+                entry = ring.zero()
+                for i in s:
+                    if (mu, r) == (lam, tuple(x for x in s if x != i)):
+                        sign = f.one if count_below(i, s) % 2 == 0 else f.neg(f.one)
+                        entry = sop.gens[i - 1].scale(sign)
+                assert t.phi(p).entry(k, j) == entry, (p, k, j)
+    # every map homogeneous, and phi_(p-1) phi_p = 0
+    assert check_complex(t) is None
+    unit = tensor_complex(GradedFreeModule(ring, 1, (0,)), sop)
+    assert koszul(sop) == FreeComplex(ring, unit.modules, unit.maps)
+
+
+def test_chain_map_source_is_the_shifted_tensor_complex():
+    comp, sop = exa_instance()
+    cm = build_chain_map(comp, sop, decompose_images(comp, sop))
+    top = comp.module(comp.length)
+    assert cm.source == tensor_complex(top, sop, sum(sop.degrees))
 
 
 def test_koszul_requires_validated_sop(ring):

@@ -39,8 +39,7 @@ from startrans.complexes import (
     offset_sum,
     sign_scalar,
     subsets,
-    tensor_boundary,
-    tensor_module,
+    tensor_complex,
 )
 from startrans.instances import (
     complete_intersection_instance,
@@ -151,11 +150,9 @@ def full_tensor_descent(comp, sop, decomposition):
             )
     for p in range(n - 1, 0, -1):
         prev = comp.module(p - 1)
-        ambient = tensor_module(prev, sop, n - p, 0)
-        bmat = tensor_boundary(prev, sop, n - p + 1, 0)
-        gb = buchberger(
-            ambient, [ambient.vector(bmat.column(j)) for j in range(bmat.ncols)]
-        )
+        tensor = tensor_complex(prev, sop)
+        ambient = tensor.module(n - p)
+        gb = buchberger(ambient, tensor.image_gens(n - p + 1))
         blk_subs = subsets(n, n - p)
         blk_index = {s: k for k, s in enumerate(blk_subs)}
         src_subs = subsets(n, n - p + 1)
@@ -270,9 +267,9 @@ def test_chain_map_source_twists_shifted(exa, exa_chain_map):
     comp, sop = exa
     cm = exa_chain_map
     # total parameter degree 2: v (x) e_empty sits in degree 4 - 2 = 2
-    assert cm.source_modules[0].twists == (2,)
-    assert cm.source_modules[1].twists == (3, 3)
-    assert cm.source_modules[2].twists == (4,)
+    assert cm.source.module(0).twists == (2,)
+    assert cm.source.module(1).twists == (3, 3)
+    assert cm.source.module(2).twists == (4,)
 
 
 def test_chain_map_image_checks_exa(exa, exa_chain_map):

@@ -2,7 +2,12 @@ import os
 import sys
 
 import pytest
-from reference import FIXED_CHECKS, all_match, padded_zero_top_instance
+from reference import (
+    FIXED_CHECKS,
+    all_match,
+    generic_pfaffian,
+    padded_zero_top_instance,
+)
 
 from startrans import (
     FreeComplex,
@@ -330,6 +335,21 @@ def test_driver_exa_two_rounds():
     from startrans import check_qf_containment
 
     assert check_qf_containment(round1, sop)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_driver_on_pfaffian_resolutions(seed):
+    # a resolution that is not a Koszul complex; from round 2 on the top
+    # map has several columns, so the selection's pivot order shows
+    comp, sop = generic_pfaffian(PrimeField(32003), seed)
+    driver = star_iteration_driver(comp, sop, 4)
+    assert driver.stop_reason == "completed"
+    assert all(rnd.result.report.overall for rnd in driver.rounds)
+    assert all_match(driver)
+    ranks = [
+        [m.rank for m in rnd.result.star.complex.modules] for rnd in driver.rounds
+    ]
+    assert ranks == [[1, 6, 8, 3], [1, 9, 14, 6], [1, 15, 24, 10], [1, 25, 34, 10]]
 
 
 def test_driver_stops_on_vanished_top():
