@@ -1,6 +1,7 @@
 """Graded free complexes: Koszul construction, validation, exactness
-certification by Hilbert series, and the decomposition of the top map over
-a parameter ideal.
+certification by Hilbert series, and the descent that builds the chain map
+F_n (x) K(Q) -> F level by level, whose first lift decomposes the top map
+over the parameter ideal.
 
 Index subsets of {1..n} are kept as sorted 1-indexed tuples throughout; the
 boundary of a Koszul basis element e_S is
@@ -462,50 +463,107 @@ def tensor_complex(free_mod, sop, shift=0):
     return FreeComplex(ring, modules, tuple(maps), labels)
 
 
-def decompose_images(comp, sop):
-    """Vectors v[(lam, i)] with phi_n(v_lam) = sum_i x_i * v[(lam, i)].
+def descend(comp, sop, elements, p, gb):
+    """Add level p - 1 of the chain map F_n (x) K(Q) -> F to ``elements``
+    (``elements[(lam, S)]`` is the image of v_lam (x) e_S in F_|S|), lifting
+    through ``gb``, a basis of Im d_(n-p+1) in K_(n-p).
 
-    Canonical: every entry of the image column is divided through the
-    reduced basis of the parameter ideal and the witness is pushed back to
-    the given parameters.  Returns a tuple (per lambda) of tuples, one
-    vector per parameter.  The lift is the Q-containment test: an entry
-    outside Q raises PreconditionFailed.  The lift also checks that each witness recombines
-    to its entry (modulo the quotient ideal, if any); coordinate by
-    coordinate that is the recombination of the vectors, so it is not
-    checked again here.
+    The square's boundary F_(p-1) (x) d_(n-p+1) is one copy of d_(n-p+1)
+    per basis vector of F_(p-1), so each nonzero block of the goal is lifted
+    on its own.  The witnesses are those of a basis of the whole tensor
+    module: no S-pair or division step crosses blocks, and a block's twists
+    are K's plus a constant, so the term order, the pair order and every
+    criterion restricted to a block are K's (over R/J the quotient multiples
+    are adjoined per position).  ``lift`` checks each witness recombines to
+    its goal, so the square commutes; a goal with no lift raises
+    NotInModule.
+    """
+    n = sop.n
+    ring = comp.ring
+    f = ring.field
+    prev = comp.module(p - 1)
+    ambient = gb.ambient
+    phi = comp.phi(p)
+    blk_index = {s: k for k, s in enumerate(subsets(n, n - p))}
+    src_index = {s: k for k, s in enumerate(subsets(n, n - p + 1))}
+    no_witness = (ring.zero(),) * len(src_index)
+    for lam in range(comp.top_rank()):
+        blocks = [[ring.zero()] * ambient.rank for _ in range(prev.rank)]
+        for s in subsets(n, p):
+            sgn = sign_scalar(f, p * (p + 1) // 2 + offset_sum(s))
+            image = phi.apply(elements[(lam, s)].coords)
+            blk = blk_index[complement(s, n)]
+            for u in range(prev.rank):
+                if image[u].terms:
+                    blocks[u][blk] = blocks[u][blk] + image[u].scale(sgn)
+        witnesses = []
+        for block in blocks:
+            goal = ambient.vector(block).scale(sign_scalar(f, p))
+            witnesses.append(no_witness if goal.is_zero() else gb.lift(goal))
+        for sub in subsets(n, p - 1):
+            a_idx = src_index[complement(sub, n)]
+            coords = tuple(w[a_idx] for w in witnesses)
+            sgn = sign_scalar(f, (p - 1) * p // 2 + offset_sum(sub))
+            elements[(lam, sub)] = prev.vector(coords).scale(sgn)
+
+
+def chain_map_top(comp, sop):
+    """The top two levels of the chain map, as ``descend`` reads them.
+
+    Level n is (-1)^n times the identity.  Level n - 1 is its ``descend``
+    through the kept basis of Q = Im d_1 (``SopData.ideal_gb``): the signed
+    decomposition of the top map over the parameters, each entry divided
+    through that basis and its witness pushed back to the parameters.  That
+    lift is the Q-containment test, so an entry outside Q raises
+    PreconditionFailed, and so does a length other than the parameter
+    count.
     """
     n = comp.length
-    ring = comp.ring
-    top_map = comp.phi(n)
-    target = comp.module(n - 1)
-    gb = sop.ideal_gb()
-    ambient1 = gb.ambient
-    out = []
-    for lam in range(comp.module(n).rank):
-        column = top_map.column(lam)
-        parts = [[ring.zero() for _ in range(target.rank)] for _ in sop.gens]
-        for ell, entry in enumerate(column):
-            if entry.is_zero():
-                continue
-            try:
-                witness = gb.lift(ambient1.vector((entry,)))
-            except NotInModule as exc:
-                raise PreconditionFailed(
-                    "Im phi_n is not contained in Q*F_(n-1); "
-                    "decomposition impossible"
-                ) from exc
-            for part, w in zip(parts, witness):
-                part[ell] = w
-        out.append(tuple(target.vector(tuple(part)) for part in parts))
-    return tuple(out)
+    if n != sop.n:
+        raise PreconditionFailed(
+            "complex length must equal the number of parameters"
+        )
+    top = comp.module(n)
+    full = tuple(range(1, n + 1))
+    sign = sign_scalar(comp.ring.field, n)
+    elements = {
+        (lam, full): top.basis_vector(lam).scale(sign) for lam in range(top.rank)
+    }
+    try:
+        descend(comp, sop, elements, n, sop.ideal_gb())
+    except NotInModule as exc:
+        raise PreconditionFailed(
+            "Im phi_n is not contained in Q*F_(n-1); decomposition impossible"
+        ) from exc
+    return elements
+
+
+def decompose_images(comp, sop):
+    """Vectors v[(lam, i)] with phi_n(v_lam) = sum_i q_i * v[(lam, i)]: level
+    n - 1 of ``chain_map_top`` without its signs (-1)^(n+i-1).
+
+    Returns a tuple (per lambda) of tuples, one vector per parameter.  An
+    entry of the top map outside Q, or a length other than the parameter
+    count, raises PreconditionFailed.
+    """
+    elements = chain_map_top(comp, sop)
+    n = comp.length
+    f = comp.ring.field
+    return tuple(
+        tuple(
+            elements[lam, co_singleton(i, n)].scale(sign_scalar(f, n + i - 1))
+            for i in range(1, n + 1)
+        )
+        for lam in range(comp.top_rank())
+    )
 
 
 def check_qf_containment(comp, sop):
-    """True iff every entry of the top map lies in the parameter ideal: the
-    verdict of the one containment test, ``decompose_images`` lifting every
-    entry through Q."""
+    """True iff the complex's length is the parameter count and every entry
+    of the top map lies in the parameter ideal: the verdict of
+    ``chain_map_top``, whose first lift is the one containment test."""
     try:
-        decompose_images(comp, sop)
+        chain_map_top(comp, sop)
     except PreconditionFailed:
         return False
     return True

@@ -16,8 +16,8 @@ from .modules import GradedFreeModule
 from .poly import PolyMatrix, PolyRing, block_matrix
 
 
-def standard_ring(names=("x", "y"), weights=None, field=None):
-    return PolyRing(field or RationalField(), names, weights)
+def standard_ring(names, field=None):
+    return PolyRing(field or RationalField(), names)
 
 
 def exa_instance(field=None):
@@ -29,14 +29,12 @@ def exa_instance(field=None):
     return koszul(gens), sop
 
 
-def complete_intersection_instance(powers=(2, 2, 2), sop_powers=None, field=None):
+def complete_intersection_instance(powers, field=None):
     """Koszul complex of pure variable powers in len(powers) variables."""
     n = len(powers)
     names = tuple("xyzw"[:n]) if n <= 4 else tuple(f"x{i}" for i in range(n))
     ring = standard_ring(names, field=field)
-    if sop_powers is None:
-        sop_powers = (1,) * n
-    return koszul(_power_sop(ring, powers)), _power_sop(ring, sop_powers)
+    return koszul(_power_sop(ring, powers)), _power_sop(ring, (1,) * n)
 
 
 def _power_sop(ring, powers):
@@ -78,12 +76,12 @@ def square_ideal_instance(field=None):
     return comp, sop
 
 
-def direct_sum_instance(powers_a=(1, 1), powers_b=(2, 2), field=None):
-    """Direct sum of two Koszul complexes in the same two variables; mixes
-    unit and non-unit decomposition vectors."""
+def direct_sum_instance(field=None):
+    """Direct sum of Koszul(x, y) and Koszul(x^2, y^2); mixes unit and
+    non-unit decomposition vectors."""
     ring = standard_ring(("x", "y"), field=field)
-    ca = koszul(_power_sop(ring, powers_a))
-    cb = koszul(_power_sop(ring, powers_b))
+    ca = koszul(_power_sop(ring, (1, 1)))
+    cb = koszul(_power_sop(ring, (2, 2)))
     modules = tuple(
         GradedFreeModule(ring, ma.rank + mb.rank, ma.twists + mb.twists)
         for ma, mb in zip(ca.modules, cb.modules)
@@ -118,7 +116,7 @@ def random_instance(seed, field=None):
     return name, koszul(gens), sop
 
 
-def corpus(count=20, seed=2024, field=None):
+def corpus(count=20, field=None):
     """The fixed corpus: named hand instances plus ``count`` random ones."""
     out = [
         ("exa",) + exa_instance(field),
@@ -128,5 +126,5 @@ def corpus(count=20, seed=2024, field=None):
         ("direct_sum",) + direct_sum_instance(field=field),
     ]
     for k in range(count):
-        out.append(random_instance(seed + k, field=field))
+        out.append(random_instance(2024 + k, field=field))
     return out

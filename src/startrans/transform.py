@@ -11,11 +11,12 @@ that shift every map built here is homogeneous of degree zero.  The cone,
 the split, the selection and the star top read its modules, boundary and
 bracket labels, and find a tensor basis vector by its label.
 
-Each identity the construction rests on is proved once, where it is
-computed: ``SubmoduleGB.lift`` checks the recombination of every witness,
-both the decomposition of each top-map entry over the parameters (the top
-square of the chain map) and the descent of each lower square.  Nothing
-here re-checks them; ``verify.verify_star`` certifies the output
+The chain map is one descent (``complexes.descend``) from the top level,
+(-1)^n times the identity; its first lift is the decomposition of each
+top-map entry over the parameters.  Each identity the construction rests
+on is proved once, where it is computed: ``SubmoduleGB.lift`` checks the
+recombination of every witness of that descent, so every square commutes.
+Nothing here re-checks them; ``verify.verify_star`` certifies the output
 independently of this module.
 """
 
@@ -26,12 +27,10 @@ from dataclasses import dataclass, field
 from .complexes import (
     FreeComplex,
     certify_acyclic,
-    complement,
+    chain_map_top,
     co_singleton,
-    decompose_images,
-    offset_sum,
+    descend,
     sign_scalar,
-    subsets,
     tensor_complex,
 )
 from .errors import InternalError, NotInModule, PreconditionFailed, ValidationError
@@ -48,8 +47,9 @@ class ChainMap:
     parameter degree s (``complexes.tensor_complex``), so every level is
     homogeneous of degree zero; the cone, the split and the star top read
     its modules, boundary and labels.  ``elements[(lam, S)]`` is the image
-    of v_lam (x) e_S in F_p (p = |S|); ``matrices[p]`` is that map on the
-    basis of ``source.module(p)``, column by column in ``source.labels[p]``.
+    of v_lam (x) e_S in F_p (p = |S|), set by ``complexes.chain_map_top``
+    and ``complexes.descend``; ``matrices[p]`` is that map on the basis of
+    ``source.module(p)``, column by column in ``source.labels[p]``.
     """
 
     complex: FreeComplex
@@ -70,95 +70,34 @@ class ChainMap:
         return self.matrices[p]
 
 
-def build_chain_map(comp, sop, decomposition):
-    """Construct the chain map by descending level by level, from a
-    ``decomposition`` of the top map over the parameters; ``star_transform``
-    checks that the length is the parameter count and passes
-    ``decompose_images(comp, sop)``.
+def build_chain_map(comp, sop):
+    """Construct the chain map by one descent: ``chain_map_top`` sets the
+    top two levels and raises its PreconditionFailed, and ``descend`` adds
+    each lower level through a basis of Im d_(n-p+1) in K_(n-p), read off
+    ``tensor_complex(R, sop)``.
 
-    The two top levels are prescribed; below them, each level is one lift
-    through the Koszul-direction boundary of the previous free module,
-    which is solvable because that direction is exact and the square one
-    level up already commutes.  The top level is (-1)^n times the identity
-    by construction, the next one is the signed decomposition, and each
-    lower square commutes because ``lift`` checks its witness recombines to
-    the goal.
-
-    A lift runs only when F_n != 0, and then K(q) is exact: every entry of
-    phi_n lies in Q <= m, so no trivial summand sits at the top and
-    pd(F_0/M) = n; Auslander-Buchsbaum (Bruns & Herzog, Thm 1.3.3) gives
-    depth R >= n, and finite colength gives dim R <= n, so q is a regular
-    sequence.  The same holds over R/J.  So a failed lift is an
-    ``InternalError``, never bad input.
-
-    That boundary, F_(p-1) (x) d_(n-p+1), is block-diagonal: one copy of
-    the Koszul boundary d_(n-p+1): K_(n-p+1) -> K_(n-p) per basis vector
-    of F_(p-1).  So each level builds one basis of Im d_(n-p+1) in
-    K_(n-p), read off ``tensor_complex(R, sop)``, and lifts every nonzero
-    block of the goal through it.  The witnesses are those of a basis of
-    the whole tensor module: no S-pair or division step crosses blocks, and
-    a block's twists are K's plus a constant with its positions in the same
-    order, so the term order, the pair order and every criterion restricted
-    to a block are K's (over R/J the quotient multiples are adjoined per
-    position, so this still holds).  ``matrices[p]`` takes its columns in
-    the order of ``source.labels[p]``.
+    A lift below the top runs only when F_n != 0, and then K(q) is exact:
+    every entry of phi_n lies in Q <= m, so no trivial summand sits at the
+    top and pd(F_0/M) = n; Auslander-Buchsbaum (Bruns & Herzog, Thm 1.3.3)
+    gives depth R >= n, and finite colength gives dim R <= n, so q is a
+    regular sequence.  The same holds over R/J.  So a failed lift there is
+    an ``InternalError``, never bad input.
     """
     n = comp.length
     ring = comp.ring
-    f = ring.field
-    top = comp.module(n)
-    full = tuple(range(1, n + 1))
-
-    elements = {}
-    for lam in range(top.rank):
-        elements[(lam, full)] = top.basis_vector(lam).scale(sign_scalar(f, n))
-        for i in range(1, n + 1):
-            elements[(lam, co_singleton(i, n))] = decomposition[lam][i - 1].scale(
-                sign_scalar(f, n + i - 1)
-            )
-
+    elements = chain_map_top(comp, sop)
     # K(Q), as ``koszul`` builds it but without its input check
     kos = tensor_complex(GradedFreeModule(ring, 1, (0,)), sop)
     for p in range(n - 1, 0, -1):
-        prev = comp.module(p - 1)
-        ambient = kos.module(n - p)
-        gb = buchberger(ambient, kos.image_gens(n - p + 1))
-        phi = comp.phi(p)
-        level_subs = subsets(n, p)
-        blk_index = {s: k for k, s in enumerate(subsets(n, n - p))}
-        src_subs = subsets(n, n - p + 1)
-        src_index = {s: k for k, s in enumerate(src_subs)}
-        no_witness = (ring.zero(),) * len(src_subs)
-        for lam in range(top.rank):
-            blocks = [[ring.zero()] * ambient.rank for _ in range(prev.rank)]
-            for s in level_subs:
-                w = elements[(lam, s)]
-                sgn = sign_scalar(f, p * (p + 1) // 2 + offset_sum(s))
-                image = phi.apply(w.coords)
-                blk = blk_index[complement(s, n)]
-                for u in range(prev.rank):
-                    if image[u].terms:
-                        blocks[u][blk] = blocks[u][blk] + image[u].scale(sgn)
-            witnesses = []
-            for block in blocks:
-                goal = ambient.vector(block).scale(sign_scalar(f, p))
-                if goal.is_zero():
-                    witnesses.append(no_witness)
-                    continue
-                try:
-                    witnesses.append(gb.lift(goal))
-                except NotInModule as exc:
-                    raise InternalError(
-                        f"level {p} descent has no lift through the Koszul "
-                        "boundary"
-                    ) from exc
-            for sub in subsets(n, p - 1):
-                a_idx = src_index[complement(sub, n)]
-                coords = tuple(w[a_idx] for w in witnesses)
-                sgn = sign_scalar(f, (p - 1) * p // 2 + offset_sum(sub))
-                elements[(lam, sub)] = prev.vector(coords).scale(sgn)
+        gb = buchberger(kos.module(n - p), kos.image_gens(n - p + 1))
+        try:
+            descend(comp, sop, elements, p, gb)
+        except NotInModule as exc:
+            raise InternalError(
+                f"level {p} descent has no lift through the Koszul boundary"
+            ) from exc
 
-    source = tensor_complex(top, sop, sum(sop.degrees))
+    source = tensor_complex(comp.module(n), sop, sum(sop.degrees))
     matrices = []
     for p, labels in enumerate(source.labels):
         cols = [elements[lam, s].coords for _, lam, s in labels]
@@ -169,7 +108,7 @@ def build_chain_map(comp, sop, decomposition):
     return ChainMap(comp, sop, source, tuple(matrices), elements)
 
 
-def chain_map_image_checks(cm, m_gb, colon_gb=None):
+def chain_map_image_checks(cm, m_gb):
     """Image-level facts about the degree-zero end of the chain map.
 
     Returns (name, passed, detail) triples: the span of the level-0 images
@@ -185,8 +124,7 @@ def chain_map_image_checks(cm, m_gb, colon_gb=None):
         ambient.vector(level0.column(j)) for j in range(level0.ncols)
     ]
     span = buchberger(ambient, image_gens + list(m_gb.gb))
-    if colon_gb is None:
-        colon_gb = colon(m_gb, sop.gens)
+    colon_gb = colon(m_gb, sop.gens)
     ok = submodule_equal(span, colon_gb)
     results.append(
         (
@@ -479,24 +417,20 @@ def star_transform(comp, sop, with_report=True):
     """Full pipeline from an acyclic complex to the complex resolving the
     colon module, with a minimal top map.
 
-    Preconditions (PreconditionFailed otherwise): at least two parameters,
-    the complex is well formed and acyclic, and the top image lies inside
-    Q times F_(n-1) (``decompose_images`` checks this).  A rank-zero top
-    module takes the same path, which returns the input with angle labels.
+    Preconditions (PreconditionFailed otherwise): length at least two, the
+    complex is well formed and acyclic, and ``chain_map_top``'s (length the
+    parameter count, top image inside Q*F_(n-1)).  A rank-zero top module
+    takes the same path, which returns the input with angle labels.
     """
     n = comp.length
     if n < 2:
         raise PreconditionFailed("need a complex of length at least 2")
-    if n != sop.n:
-        raise PreconditionFailed(
-            "complex length must equal the number of parameters"
-        )
     cert = certify_acyclic(comp)
     if not cert.ok:
         raise PreconditionFailed(
             f"input complex is not acyclic: {cert.detail}"
         )
-    cm = build_chain_map(comp, sop, decompose_images(comp, sop))
+    cm = build_chain_map(comp, sop)
     split = split_top(mapping_cone(cm), cm)
     out = build_star_top(select_basis(split, cm), split, cm)
     witness = {

@@ -242,7 +242,6 @@ def verify_star(comp, sop, star):
     """
     report = VerificationReport()
     out = star.complex
-    n = comp.length
 
     composes = report.run(
         "composition_zero", lambda: (composition_defect(out) is None, "")
@@ -263,7 +262,7 @@ def verify_star(comp, sop, star):
     n_gb = _Image(out, _bracket_witnesses(star, sop.n))
     on_a_complex("colon_equality", _colon_certificate, comp, sop, m_gb, n_gb)
     report.run("top_minimality", lambda: _top_minimality(out))
-    report.run("rank_accounting", lambda: _rank_accounting(comp, star, n))
+    report.run("rank_accounting", lambda: _rank_accounting(comp, star))
     on_a_complex("colon_quotient_count", _colon_count, comp, sop, m_gb, n_gb)
 
     if star.top_rank() == 0:
@@ -393,8 +392,9 @@ def _top_minimality(out):
     return True, ""
 
 
-def _rank_accounting(comp, star, n):
+def _rank_accounting(comp, star):
     out = star.complex
+    n = comp.length
     top_rank = comp.top_rank()
     problems = []
     for p in range(1, n - 1):

@@ -2,10 +2,11 @@
 the small constructors that only the tests use.
 
 ``build_chain_map`` relies on the recombination checks of
-``SubmoduleGB.lift`` (the decomposition of the top map included) and does
-not re-check its squares; ``select_basis`` reaches the minimal top map by
-one column elimination, which ``restricted_top_map`` redoes by residue
-pivots and lifts through a tracked Groebner basis; the acyclicity
+``SubmoduleGB.lift`` and does not re-check its squares, and it takes the
+decomposition of the top map as the first lift of its descent, which
+``reference_decomposition`` redoes entry by entry; ``select_basis`` reaches
+the minimal top map by one column elimination, which ``restricted_top_map``
+redoes by residue pivots and lifts through a tracked Groebner basis; the acyclicity
 certificate works top-down and stops each image's Buchberger run at its
 Hilbert floor; the products over a prime field reduce modulo p once per
 output term.  The helpers here recompute those facts the long way, so the
@@ -186,6 +187,42 @@ def generic_pfaffian(field, seed):
     return FreeComplex(ring, modules, maps), validate_sop(ring, params)
 
 
+def pullback(comp, ring, forms):
+    """``comp`` over k[y_1..y_m] carried to ``ring`` along y_i -> forms[i],
+    forms of one degree d: every entry substituted, every twist multiplied
+    by d, without labels.  When the forms are a regular sequence, ``ring``
+    is free over k[forms] (Hironaka's criterion; Bruns & Herzog, ch. 2), so
+    an acyclic complex stays acyclic."""
+    d = forms[0].homogeneous_degree()
+    powers = [[ring.one()] for _ in forms]
+
+    def power(i, e):
+        while len(powers[i]) <= e:
+            powers[i].append(powers[i][-1] * forms[i])
+        return powers[i][e]
+
+    def substitute(poly):
+        out = ring.zero()
+        for mono, c in poly.terms.items():
+            term = ring.one().scale(c)
+            for i, e in enumerate(unpack(poly.ring, mono)):
+                term = term * power(i, e)
+            out = out + term
+        return out
+
+    modules = tuple(
+        GradedFreeModule(ring, m.rank, tuple(d * t for t in m.twists))
+        for m in comp.modules
+    )
+    maps = tuple(
+        PolyMatrix(
+            ring, [[substitute(e) for e in row] for row in m.entries], m.nrows, m.ncols
+        )
+        for m in comp.maps
+    )
+    return FreeComplex(ring, modules, maps)
+
+
 def padded_zero_top_instance():
     """Length-2 complex with a zero top module: 0 -> 0 -> R(-1) -> R."""
     ring = standard_ring(("x", "y"))
@@ -252,6 +289,28 @@ def full_hilbert_certificate(comp):
     return AcyclicityCertificate(True)
 
 
+def reference_decomposition(comp, sop):
+    """Vectors v[(lam, i)] with phi_n(v_lam) = sum_i q_i * v[(lam, i)], as
+    ``decompose_images`` returns them, lifted entry by entry: each nonzero
+    entry of the top map divided through the kept basis of Q on its own,
+    its witness pushed back to the parameters, with no signs."""
+    n = comp.length
+    ring = comp.ring
+    top_map = comp.phi(n)
+    target = comp.module(n - 1)
+    gb = sop.ideal_gb()
+    out = []
+    for lam in range(comp.module(n).rank):
+        parts = [[ring.zero()] * target.rank for _ in sop.gens]
+        for ell, entry in enumerate(top_map.column(lam)):
+            if not entry.is_zero():
+                witness = gb.lift(gb.ambient.vector((entry,)))
+                for part, w in zip(parts, witness):
+                    part[ell] = w
+        out.append(tuple(target.vector(tuple(part)) for part in parts))
+    return tuple(out)
+
+
 def squares_commute(cm):
     """phi_p composed with level p equals level p-1 composed with the
     Koszul-direction boundary, in the ring (modulo its quotient ideal, if
@@ -282,7 +341,7 @@ class Stages:
 def stages(comp, sop):
     """The chain map, cone, split complex and basis selection that
     ``star_transform(comp, sop)`` builds, from the same stage functions."""
-    cm = build_chain_map(comp, sop, decompose_images(comp, sop))
+    cm = build_chain_map(comp, sop)
     cone = mapping_cone(cm)
     split = split_top(cone, cm)
     return Stages(cm, cone, split, select_basis(split, cm))

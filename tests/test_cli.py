@@ -815,10 +815,15 @@ def test_cli_star_failed_descent_lift_exits_four(monkeypatch, tmp_path, capsys):
     # the certified preconditions make every descent lift solvable, so a
     # failed one is a bug, not a failed check
     class Unliftable:
+        def __init__(self, ambient):
+            self.ambient = ambient
+
         def lift(self, v):
             raise NotInModule("vector has nonzero normal form")
 
-    monkeypatch.setattr(transform, "buchberger", lambda ambient, gens: Unliftable())
+    monkeypatch.setattr(
+        transform, "buchberger", lambda ambient, gens: Unliftable(ambient)
+    )
     out = str(tmp_path / "out.json")
     assert main(["star", "--input", FIXTURE, "--output", out]) == 4
     captured = capsys.readouterr()

@@ -21,7 +21,6 @@ from startrans import (
     chain_map_image_checks,
     check_complex,
     colon,
-    decompose_images,
     hilbert_data,
     koszul,
     mapping_cone,
@@ -56,6 +55,7 @@ from reference import (
     identity_matrix,
     lifted_selection,
     padded_zero_top_instance,
+    reference_decomposition,
     restricted_top_map,
     squares_commute,
     stages,
@@ -75,7 +75,7 @@ def exa():
 @pytest.fixture(scope="module")
 def exa_chain_map(exa):
     comp, sop = exa
-    return build_chain_map(comp, sop, decompose_images(comp, sop))
+    return build_chain_map(comp, sop)
 
 
 @pytest.fixture(scope="module")
@@ -104,30 +104,33 @@ def test_top_level_is_signed_identity(small_corpus):
     for name, comp, sop in small_corpus:
         if comp.top_rank() == 0:
             continue
-        cm = build_chain_map(comp, sop, decompose_images(comp, sop))
+        cm = build_chain_map(comp, sop)
         assert top_is_signed_identity(cm), name
+
+
+def assert_second_level_matches_decomposition_signs(comp, sop):
+    """Level n - 1 of the chain map is the decomposition lifted entry by
+    entry (``reference_decomposition``), signed (-1)^(n+i-1)."""
+    cm = build_chain_map(comp, sop)
+    decomposition = reference_decomposition(comp, sop)
+    n = comp.length
+    f = comp.ring.field
+    for lam in range(comp.top_rank()):
+        for i in range(1, n + 1):
+            expected = decomposition[lam][i - 1].scale(sign_scalar(f, n + i - 1))
+            assert cm.elements[(lam, co_singleton(i, n))] == expected, (lam, i)
 
 
 def test_second_level_matches_decomposition_signs(small_corpus):
     for name, comp, sop in small_corpus:
-        if comp.top_rank() == 0:
-            continue
-        decomposition = decompose_images(comp, sop)
-        cm = build_chain_map(comp, sop, decomposition)
-        n = comp.length
-        f = comp.ring.field
-        for lam in range(comp.top_rank()):
-            for i in range(1, n + 1):
-                sign = f.one if (n + i - 1) % 2 == 0 else f.neg(f.one)
-                expected = decomposition[lam][i - 1].scale(sign)
-                assert cm.elements[(lam, co_singleton(i, n))] == expected, name
+        assert_second_level_matches_decomposition_signs(comp, sop)
 
 
 def test_commuting_squares_vanish(small_corpus):
     for name, comp, sop in small_corpus:
         if comp.top_rank() == 0:
             continue
-        cm = build_chain_map(comp, sop, decompose_images(comp, sop))
+        cm = build_chain_map(comp, sop)
         assert squares_commute(cm), name
 
 
@@ -179,9 +182,8 @@ def full_tensor_descent(comp, sop, decomposition):
 
 
 def assert_block_lifts_match_the_full_lift(comp, sop):
-    decomposition = decompose_images(comp, sop)
-    cm = build_chain_map(comp, sop, decomposition)
-    reference = full_tensor_descent(comp, sop, decomposition)
+    cm = build_chain_map(comp, sop)
+    reference = full_tensor_descent(comp, sop, reference_decomposition(comp, sop))
     n = comp.length
     for p in range(n + 1):
         cols = [
@@ -240,6 +242,12 @@ def test_block_lifts_match_the_full_lift_on_generated_instances(problem):
     assert_block_lifts_match_the_full_lift(*problem)
 
 
+@settings(max_examples=20, deadline=None)
+@given(generic_koszul_problems())
+def test_second_level_matches_decomposition_signs_on_generated_instances(problem):
+    assert_second_level_matches_decomposition_signs(*problem)
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -250,7 +258,6 @@ def test_block_lifts_match_the_full_lift_on_generated_instances(problem):
 )
 def test_one_koszul_basis_per_chain_map_level(monkeypatch, make):
     comp, sop = make()
-    decomposition = decompose_images(comp, sop)
     ranks = []
 
     def counting(ambient, gens, **kwargs):
@@ -258,7 +265,7 @@ def test_one_koszul_basis_per_chain_map_level(monkeypatch, make):
         return buchberger(ambient, gens, **kwargs)
 
     monkeypatch.setattr(transform, "buchberger", counting)
-    build_chain_map(comp, sop, decomposition)
+    build_chain_map(comp, sop)
     n = comp.length
     assert ranks == [comb(n, n - p) for p in range(n - 1, 0, -1)]
 
@@ -284,7 +291,7 @@ def test_chain_map_image_checks_exa(exa, exa_chain_map):
 
 def test_chain_map_image_checks_degenerate_zero_top():
     comp, sop = padded_zero_top_instance()
-    cm = build_chain_map(comp, sop, decompose_images(comp, sop))
+    cm = build_chain_map(comp, sop)
     m_gb = comp.image_gb(1)
     results = chain_map_image_checks(cm, m_gb)
     assert all(ok for _, ok, _ in results)
@@ -332,7 +339,7 @@ def test_cone_is_complex_and_acyclic(small_corpus):
     for name, comp, sop in small_corpus:
         if comp.top_rank() == 0:
             continue
-        cone = mapping_cone(build_chain_map(comp, sop, decompose_images(comp, sop)))
+        cone = mapping_cone(build_chain_map(comp, sop))
         assert cone.length == comp.length + 1, name
         assert check_complex(cone) is None, name
         assert certify_acyclic(cone).ok, name
@@ -342,7 +349,7 @@ def test_cone_resolves_colon(small_corpus):
     for name, comp, sop in small_corpus:
         if comp.top_rank() == 0:
             continue
-        cone = mapping_cone(build_chain_map(comp, sop, decompose_images(comp, sop)))
+        cone = mapping_cone(build_chain_map(comp, sop))
         assert submodule_equal(
             cone.image_gb(1), colon(comp.image_gb(1), sop.gens)
         ), name
@@ -355,7 +362,7 @@ def test_split_identity_is_identity(small_corpus):
     for name, comp, sop in small_corpus:
         if comp.top_rank() == 0:
             continue
-        cm = build_chain_map(comp, sop, decompose_images(comp, sop))
+        cm = build_chain_map(comp, sop)
         cone = mapping_cone(cm)
         # the last top_rank rows of the last cone map are (-1)^n * level n
         k = comp.top_rank()
@@ -378,7 +385,7 @@ def test_split_rank_and_acyclicity(small_corpus):
     for name, comp, sop in small_corpus:
         if comp.top_rank() == 0:
             continue
-        cm = build_chain_map(comp, sop, decompose_images(comp, sop))
+        cm = build_chain_map(comp, sop)
         split = split_top(mapping_cone(cm), cm)
         n = comp.length
         assert split.length == n, name
@@ -390,10 +397,8 @@ def test_split_rank_and_acyclicity(small_corpus):
 # -- basis selection -----------------------------------------------------------
 
 
-def split_and_chain_map(comp, sop, decomposition=None):
-    if decomposition is None:
-        decomposition = decompose_images(comp, sop)
-    cm = build_chain_map(comp, sop, decomposition)
+def split_and_chain_map(comp, sop):
+    cm = build_chain_map(comp, sop)
     return split_top(mapping_cone(cm), cm), cm
 
 
@@ -673,7 +678,7 @@ def test_direct_sum_mixed_selection():
     assert set(star.star_pairs) == {(1, 1), (1, 2)}
 
 
-def test_choice_independence_of_colon_image(exa):
+def test_choice_independence_of_colon_image(exa, monkeypatch):
     comp, sop = exa
     ring = comp.ring
     target = comp.module(1)
@@ -690,7 +695,13 @@ def test_choice_independence_of_colon_image(exa):
     assert recombined == target.vector(comp.phi(2).column(0))
 
     default_res = star_transform(comp, sop)
-    split, cm = split_and_chain_map(comp, sop, alt)
+    # the chain map's top two levels, signed, from the alternative
+    f = ring.field
+    top = {(0, (1, 2)): comp.module(2).basis_vector(0).scale(sign_scalar(f, 2))}
+    for i in (1, 2):
+        top[0, co_singleton(i, 2)] = alt[0][i - 1].scale(sign_scalar(f, i + 1))
+    monkeypatch.setattr(transform, "chain_map_top", lambda comp, sop: dict(top))
+    split, cm = split_and_chain_map(comp, sop)
     alt_star = StarComplex(
         build_star_top(select_basis(split, cm), split, cm), comp.top_rank()
     )

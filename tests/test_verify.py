@@ -1,12 +1,18 @@
 import os
+import random
 import sys
+from functools import cache
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from reference import (
     FIXED_CHECKS,
     all_match,
     generic_pfaffian,
     padded_zero_top_instance,
+    pullback,
+    random_linear_form,
 )
 
 from startrans import (
@@ -20,6 +26,7 @@ from startrans import (
     PrimeField,
     RationalField,
     StarComplex,
+    StarTransError,
     SubmoduleGB,
     ValidationError,
     buchberger,
@@ -314,6 +321,39 @@ def test_colon_contains_module(R1, ring):
 
 
 # -- iteration driver ----------------------------------------------------------
+
+
+@cache
+def pullback_bases():
+    """(name, complex): the round-1 outputs of the corpus over Q, p:32003
+    and p:7 whose input and output tops are both nonzero."""
+    bases = []
+    for field in (None, PrimeField(32003), PrimeField(7)):
+        for name, comp, sop in corpus(field=field):
+            star = star_transform(comp, sop, with_report=False).star
+            if comp.top_rank() and star.top_rank():
+                bases.append((f"{name}/{field}", star.complex))
+    return bases
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(st.data())
+def test_pulled_back_outputs_iterate_certified(data):
+    # y_i -> q_i * l_i carries a certified output to a new acyclic input
+    # whose top map lies in (q) F_(n-1), with parameters q
+    name, base = data.draw(st.sampled_from(pullback_bases()))
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    ring = PolyRing(base.ring.field, base.ring.names)
+    params = [random_linear_form(rng, ring) for _ in ring.names]
+    forms = [q * random_linear_form(rng, ring) for q in params]
+    try:
+        sop = validate_sop(ring, params)
+        validate_sop(ring, forms)
+    except StarTransError:
+        assume(False)
+    driver = star_iteration_driver(pullback(base, ring, forms), sop, 3)
+    assert all(r.result.report.overall for r in driver.rounds), name
+    assert driver.rounds and all_match(driver), name
 
 
 def test_driver_exa_two_rounds():
