@@ -26,7 +26,6 @@ from .errors import (
     InternalError,
     IterationLimit,
     MonomialOverflow,
-    NonPolynomialDifference,
     NotASop,
     NotInModule,
     ParseError,

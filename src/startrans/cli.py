@@ -219,21 +219,19 @@ def _cmd_star(args):
 def _round_trip(path, pf, sop, result):
     """The report on the file ``star`` wrote at ``path``.
 
-    The file is read back without the structural scans of its complexes.
-    When it equals the objects this call validated and certified
-    (``_reads_back``), their kept verdicts stand: an output that is not a
-    complex is rejected as ``parse_problem`` rejects it, and the report is
-    the one the build computed on those same objects (its lines carry no
-    timings).  When anything differs, or the file cannot be read that way,
-    it goes through ``parse_problem`` and is validated and verified from
-    scratch (``_verify_file``).
+    The file is read back once, without the structural scans of its
+    complexes (``_parse_unchecked``); an error reading it propagates, as
+    ``parse_problem`` would raise it too.  When the file equals the objects
+    this call validated and certified (``_reads_back``), their kept
+    verdicts stand: an output that is not a complex is rejected as
+    ``parse_problem`` rejects it, and the report is the one the build
+    computed on those same objects (its lines carry no timings).  When
+    anything differs, it goes through ``parse_problem`` and is validated
+    and verified from scratch (``_verify_file``).
     """
-    try:
-        reparsed = _parse_unchecked(path)
-    except StarTransError:
-        reparsed = None
+    reparsed = _parse_unchecked(path)
     out = result.star.complex
-    if reparsed is not None and _reads_back(reparsed, pf, sop, out):
+    if _reads_back(reparsed, pf, sop, out):
         defect = check_complex(out)
         if defect is not None:
             raise ValidationError(f"not a valid complex: {defect.message}")

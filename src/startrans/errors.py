@@ -34,10 +34,6 @@ class PreconditionFailed(StarTransError):
     """A documented precondition of an operation was violated."""
 
 
-class NonPolynomialDifference(StarTransError):
-    """A Hilbert series difference that must be a polynomial is not one."""
-
-
 class IterationLimit(StarTransError):
     """Saturation did not stabilize within the allowed number of rounds."""
 

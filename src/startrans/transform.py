@@ -149,14 +149,8 @@ def chain_map_image_checks(cm, m_gb):
         )
     )
 
-    count = colon_quotient_count(m_gb, sop, cm.top_rank, colon_gb=colon_gb)
-    results.append(
-        (
-            "colon_quotient_count",
-            count.passed,
-            f"dim (M:Q)/M = {count.lhs}, rank*colength = {count.rhs}",
-        )
-    )
+    passed, detail = colon_quotient_count(m_gb, sop, cm.top_rank, colon_gb=colon_gb)
+    results.append(("colon_quotient_count", passed, detail))
     return results
 
 

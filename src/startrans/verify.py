@@ -12,8 +12,9 @@ Hilbert-series identity (``_colon_certificate``), and positive depth
 follows from the report's own verdicts (``verify_star``).  The driver reads
 each round's report, and a match chains from round to round.
 
-A check returns a verdict, (passed, detail), and catches nothing: an
-exception inside one propagates to ``cli.main``, which maps it by kind.
+Every check, ``colon_quotient_count`` included, returns a verdict,
+(passed, detail), and catches nothing: an exception inside one propagates
+to ``cli.main``, which maps it by kind.
 """
 
 from __future__ import annotations
@@ -24,13 +25,7 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .complexes import certify_acyclic, composition_defect, homogeneity_defect
-from .errors import (
-    IterationLimit,
-    NonPolynomialDifference,
-    ParseError,
-    PreconditionFailed,
-    ValidationError,
-)
+from .errors import IterationLimit, ParseError, PreconditionFailed, ValidationError
 from .modules import colon, intersect, reduce_mod_quotient, submodule_equal
 
 
@@ -123,64 +118,53 @@ class VerificationReport:
         return rep
 
 
-@dataclass(frozen=True)
-class CountResult:
-    passed: bool
-    lhs: int
-    rhs: int
-
-
 class _Image:
     """Im phi_1 of a complex as the certificates read it, through the part
     of the ``SubmoduleGB`` interface they use (they take either): its
     generators, HS(F_0 / Im phi_1), and membership through ``image_gb(1)``,
     which is built by the first membership test only.  Each is read when a
     check asks, and only of a complex: ``verify_star`` fails the checks
-    that read the output when it is not one.  ``witness`` maps column
-    indices of phi_1 to the vectors ``_colon_certificate`` may check those
-    columns by (``_bracket_witnesses``)."""
+    that read the output when it is not one."""
 
-    __slots__ = ("complex", "ambient", "witness", "_series")
+    __slots__ = ("complex", "ambient")
 
-    def __init__(self, comp, witness=None):
+    def __init__(self, comp):
         self.complex = comp
         self.ambient = comp.module(0)
-        self.witness = witness or {}
 
     @property
     def generators(self):
         return tuple(self.complex.image_gens(1))
 
     def series(self):
-        """The series the acyclicity certificate keeps, exact whatever its
-        verdict, read once; None when the complex is not a complex."""
-        if not hasattr(self, "_series"):
-            self._series = certify_acyclic(self.complex).series
-        return self._series
+        """The series the acyclicity certificate keeps on the complex,
+        exact whatever its verdict; None when the complex is not a
+        complex."""
+        return certify_acyclic(self.complex).series
 
     def contains(self, v):
         return self.complex.image_gb(1).contains(v)
 
 
 def colon_quotient_count(m_gb, sop, rank_top, colon_gb):
-    """dim_k (M:Q)/M against rank(top) * dim_k R/Q, with ``colon_gb`` a
-    basis of M : Q; each argument is read only through its ``series()``.
+    """The verdict (passed, detail) of dim_k (M:Q)/M against
+    rank(top) * dim_k R/Q, with ``colon_gb`` a basis of M : Q; each
+    argument is read only through its ``series()``.
 
-    The left side is the difference of the two quotient Hilbert series,
-    which must be a polynomial; NonPolynomialDifference otherwise.
-    ``verify_star`` passes the output's Im phi_1, which its
-    ``colon_equality`` check certifies to be M : Q.
+    The left side is the difference of the two quotient Hilbert series;
+    when that is not a polynomial the verdict is a failure, since an
+    upstream precondition is broken.  ``verify_star`` passes the output's
+    Im phi_1, which its ``colon_equality`` check certifies to be M : Q.
     """
-    diff = m_gb.series().sub(colon_gb.series())
-    poly = diff.as_polynomial()
+    poly = m_gb.series().sub(colon_gb.series()).as_polynomial()
     if poly is None:
-        raise NonPolynomialDifference(
+        return False, (
             "Hilbert series of (M:Q)/M is not a polynomial; an upstream "
             "precondition is broken"
         )
     lhs = sum(poly.values())
     rhs = rank_top * sop.colength
-    return CountResult(lhs == rhs, lhs, rhs)
+    return lhs == rhs, f"dim (M:Q)/M = {lhs}, expected {rhs}"
 
 
 def depth_positive_check(m_gb):
@@ -235,8 +219,9 @@ def verify_star(comp, sop, star):
     Herzog, Thm 1.3.3 and Sec. 1.5).  It runs no colon.
 
     M and N are both read through ``_Image``, inside the checks only: the
-    Hilbert series each complex's acyclicity certificate keeps, and, for
-    Q*N <= M, the star's ``witness`` (``StarComplex``), re-checked here.
+    Hilbert series each complex's acyclicity certificate keeps.  For
+    Q*N <= M the certificate is handed the star's ``witness``
+    (``StarComplex``, ``_bracket_witnesses``), which it re-checks.
     A basis of M is built only for a membership test that no witness
     settled, and no basis of N is built.
     """
@@ -258,9 +243,11 @@ def verify_star(comp, sop, star):
         return report.run(name, lambda: (False, "not a complex"))
 
     acyclic = on_a_complex("acyclicity", _acyclicity, out)
-    m_gb = _Image(comp)
-    n_gb = _Image(out, _bracket_witnesses(star, sop.n))
-    on_a_complex("colon_equality", _colon_certificate, comp, sop, m_gb, n_gb)
+    m_gb, n_gb = _Image(comp), _Image(out)
+    witness = _bracket_witnesses(star, sop.n)
+    on_a_complex(
+        "colon_equality", _colon_certificate, comp, sop, m_gb, n_gb, witness
+    )
     report.run("top_minimality", lambda: _top_minimality(out))
     report.run("rank_accounting", lambda: _rank_accounting(comp, star))
     on_a_complex("colon_quotient_count", _colon_count, comp, sop, m_gb, n_gb)
@@ -292,14 +279,10 @@ def _acyclicity(out):
 
 def _colon_count(comp, sop, m_gb, n_gb):
     """The verdict of ``colon_quotient_count`` on M and N; it fails when the
-    input is not a complex or the series difference is not a polynomial."""
+    input is not a complex."""
     if m_gb.series() is None:
         return False, "input not a complex"
-    try:
-        res = colon_quotient_count(m_gb, sop, comp.top_rank(), colon_gb=n_gb)
-    except NonPolynomialDifference as exc:
-        return False, str(exc)
-    return res.passed, f"dim (M:Q)/M = {res.lhs}, expected {res.rhs}"
+    return colon_quotient_count(m_gb, sop, comp.top_rank(), colon_gb=n_gb)
 
 
 def _bracket_witnesses(star, count):
@@ -328,11 +311,13 @@ def _witnessed(comp, qg, w):
     )
 
 
-def _colon_certificate(comp, sop, m_gb, n_gb):
+def _colon_certificate(comp, sop, m_gb, n_gb, witness):
     """Certify N = M : Q for M = ``m_gb``, Im phi_1 of the input ``comp``,
     and N = ``n_gb``, Im phi_1 of the output; each is a ``SubmoduleGB`` or
     an ``_Image``, read through its generators and ``series()``, M also
-    through ``contains`` and N also through an ``_Image``'s ``witness``.
+    through ``contains``.  ``witness`` maps column indices of the output's
+    phi_1 to the vectors those columns may be checked by
+    (``_bracket_witnesses``); ``{}`` checks every column by membership.
 
     With s the sum of the parameter degrees and a_j the twists of F_n:
     if F is acyclic, it resolves F_0/M; if q is a regular sequence, the
@@ -345,7 +330,7 @@ def _colon_certificate(comp, sop, m_gb, n_gb):
     Q-containment of the top map is not needed.  A generator of N that
     equals a generator of M (the output's angle columns are the input's
     phi_1 columns) lies in M, so Q*g <= M and it takes no membership test.
-    For any other generator g, N's ``witness`` may map the column of g to
+    For any other generator g, ``witness`` may map the column of g to
     vectors W_i of F_1 (``_bracket_witnesses``): phi_1 W_i = q_i g modulo J
     shows q_i g in M with one product (McConnell, Mehlhorn, Naeher and
     Schweitzer, "Certifying algorithms", Comput. Sci. Rev. 5 (2011)).  Each W is
@@ -364,7 +349,6 @@ def _colon_certificate(comp, sop, m_gb, n_gb):
     # Q*N <= M needs only q*g in M for each generator g (over R/J too:
     # membership reduces modulo J)
     in_m = set(m_gb.generators)
-    witness = getattr(n_gb, "witness", {})
     for j, g in enumerate(n_gb.generators):
         if g in in_m:
             continue

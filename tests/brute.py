@@ -262,3 +262,24 @@ def spans_agree(gens_a, gens_b, module, d):
             if not ech_a.contains(vec):
                 return False
     return True
+
+
+def first_inexact_degree(comp, top_degree):
+    """(p, d) of the first position and degree d <= ``top_degree`` where
+    dim (Ker phi_p)_d, read as dim (F_p)_d - dim (Im phi_p)_d, differs
+    from dim (Im phi_(p+1))_d (0 at p = n), or None: exactness checked by
+    dense ranks alone, over a polynomial ring with homogeneous maps."""
+    n = comp.length
+    for p in range(1, n + 1):
+        for d in range(top_degree + 1):
+            kernel = len(graded_basis(comp.module(p), d)) - span_dimension(
+                comp.image_gens(p), comp.module(p - 1), d
+            )
+            image = (
+                span_dimension(comp.image_gens(p + 1), comp.module(p), d)
+                if p < n
+                else 0
+            )
+            if kernel != image:
+                return p, d
+    return None

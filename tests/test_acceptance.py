@@ -11,6 +11,7 @@ import brute
 from reference import (
     all_match,
     identity_matrix,
+    reference_decomposition,
     restricted_top_map,
     squares_commute,
     stages,
@@ -30,7 +31,7 @@ from startrans import (
     star_transform,
     submodule_equal,
 )
-from startrans.complexes import composition_defect
+from startrans.complexes import co_singleton, composition_defect, sign_scalar
 from startrans.instances import corpus, exa_instance, vanishing_top_instance
 from startrans.poly import PolyMatrix
 
@@ -89,14 +90,14 @@ def test_criterion_2_quotient_dimension_counts(corpus_results):
     randomized = 0
     for name, comp, sop, res in corpus_results:
         m_gb = comp.image_gb(1)
-        count = colon_quotient_count(
+        passed, detail = colon_quotient_count(
             m_gb, sop, comp.top_rank(), colon(m_gb, sop.gens)
         )
-        ok = ok and count.passed
+        ok = ok and passed
         if name.startswith("random_"):
             randomized += 1
         if name == "exa" or name == "ci3":
-            ok = ok and count.lhs == 1 and count.rhs == 1
+            ok = ok and detail == "dim (M:Q)/M = 1, expected 1"
     ok = ok and randomized >= 20
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 60.0
@@ -108,17 +109,17 @@ def test_criterion_3_chain_map_structure(corpus_results):
     ok = True
     for name, comp, sop, res in corpus_results:
         cm = stages(comp, sop).chain_map
-        dec = decompose_images(comp, sop)
+        # level n - 1 against the decomposition lifted entry by entry, not
+        # against ``decompose_images``, which reads the chain map's own
+        # elements
+        dec = reference_decomposition(comp, sop)
         ok = ok and squares_commute(cm)
         n = comp.length
         ok = ok and top_is_signed_identity(cm)
         f = comp.ring.field
-        from startrans.complexes import co_singleton
-
         for lam in range(comp.top_rank()):
             for i in range(1, n + 1):
-                sign = f.one if (n + i - 1) % 2 == 0 else f.neg(f.one)
-                expected = dec[lam][i - 1].scale(sign)
+                expected = dec[lam][i - 1].scale(sign_scalar(f, n + i - 1))
                 ok = ok and cm.elements[(lam, co_singleton(i, n))] == expected
         if not ok:
             break
@@ -189,8 +190,6 @@ def test_criterion_6_vanishing_top_fast_path():
     ok = ok and star.top_rank() == 0
     ok = ok and depth_positive_check(star.complex.image_gb(1))
     # the decomposition vectors are signed standard basis vectors
-    from startrans import decompose_images
-
     dec = decompose_images(comp, sop)
     ring = comp.ring
     ok = ok and dec[0][0].coords == (ring.zero(), ring.one())

@@ -94,7 +94,7 @@ def test_n_equal_to_m_is_rejected_on_the_corpus():
     rejected = 0
     for name, comp, sop in instances.corpus():
         m_gb = comp.image_gb(1)
-        passed, detail = verify._colon_certificate(comp, sop, m_gb, m_gb)
+        passed, detail = verify._colon_certificate(comp, sop, m_gb, m_gb, {})
         if comp.top_rank():
             assert not passed and "Tor bound" in detail, name
             rejected += 1
@@ -110,7 +110,7 @@ def test_an_element_outside_the_colon_is_rejected():
     m_gb = comp.image_gb(1)
     f0 = m_gb.ambient
     forged = buchberger(f0, list(m_gb.gb) + [f0.vector((ring.var(0),))])
-    passed, detail = verify._colon_certificate(comp, sop, m_gb, forged)
+    passed, detail = verify._colon_certificate(comp, sop, m_gb, forged, {})
     assert not passed
     assert "not inside M : Q" in detail
 
@@ -119,7 +119,7 @@ def test_an_output_over_another_f0_is_rejected():
     comp, sop = exa_instance()
     other = GradedFreeModule(comp.ring, 2, (0, 0))
     passed, detail = verify._colon_certificate(
-        comp, sop, comp.image_gb(1), buchberger(other, [])
+        comp, sop, comp.image_gb(1), buchberger(other, []), {}
     )
     assert not passed
     assert "F_0" in detail
@@ -128,7 +128,9 @@ def test_an_output_over_another_f0_is_rejected():
 def test_a_genuine_colon_passes_the_certificate():
     comp, sop = exa_instance()
     m_gb = comp.image_gb(1)
-    passed, _ = verify._colon_certificate(comp, sop, m_gb, colon(m_gb, sop.gens))
+    passed, _ = verify._colon_certificate(
+        comp, sop, m_gb, colon(m_gb, sop.gens), {}
+    )
     assert passed
 
 
@@ -185,14 +187,14 @@ def test_only_the_shared_generators_skip_the_membership_test(name, monkeypatch):
     multiple = m_gb.generators[0].mul_poly(x)
     n_gb = buchberger(f0, out.image_gens(1) + [multiple])
     tested = _recording_contains(monkeypatch)
-    assert verify._colon_certificate(comp, sop, m_gb, n_gb) == (
+    assert verify._colon_certificate(comp, sop, m_gb, n_gb, {}) == (
         True, "Im of the first output map against the colon oracle"
     )
     assert len(tested) == expected + len(sop.gens)
     assert tested[-len(sop.gens):] == [multiple.mul_poly(q) for q in sop.gens]
 
     forged = buchberger(f0, out.image_gens(1) + [f0.vector((x,))])
-    assert verify._colon_certificate(comp, sop, m_gb, forged) == (
+    assert verify._colon_certificate(comp, sop, m_gb, forged, {}) == (
         False, "Im of the first output map is not inside M : Q"
     )
 
@@ -395,7 +397,7 @@ def test_certificate_agrees_with_the_groebner_colon(problem, data):
         buchberger(f0, list(n_gb.gb) + [extra]),
     ]
     for k, cand in enumerate(candidates):
-        verdict, detail = verify._colon_certificate(comp, sop, m_gb, cand)
+        verdict, detail = verify._colon_certificate(comp, sop, m_gb, cand, {})
         assert verdict == submodule_equal(cand, oracle), (name, k, detail)
     assert submodule_equal(n_gb, oracle), name
 

@@ -436,6 +436,23 @@ def test_cli_star_verify_refuses_a_read_back_without_source_complex(
     )
 
 
+def test_cli_star_verify_reports_a_read_back_that_does_not_parse(
+    monkeypatch, tmp_path, capsys
+):
+    # the written file is read back once; a parse error there exits as
+    # ``verify`` would on the same file, without a traceback
+    def emit_empty(star, report, path, base, input_complex):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("{}")
+
+    monkeypatch.setattr(cli, "emit_star", emit_empty)
+    out = str(tmp_path / "exa.star.json")
+    assert main(["star", "--input", FIXTURE, "--output", out, "--verify"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ")
+    assert "Traceback" not in err
+
+
 def test_cli_star_verify_rejects_an_output_that_is_not_a_complex(
     monkeypatch, tmp_path, capsys
 ):

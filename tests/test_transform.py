@@ -50,6 +50,7 @@ from startrans.instances import (
     vanishing_top_instance,
 )
 from startrans.modules import SubmoduleGB
+import brute
 from reference import (
     add_vectors,
     identity_matrix,
@@ -286,7 +287,7 @@ def test_chain_map_image_checks_exa(exa, exa_chain_map):
     assert all(ok for _, ok, _ in results)
     names = [n for n, _, _ in results]
     assert "image_plus_M_equals_colon" in names
-    assert "colon_quotient_count" in names
+    assert ("colon_quotient_count", True, "dim (M:Q)/M = 1, expected 1") in results
 
 
 def test_chain_map_image_checks_degenerate_zero_top():
@@ -624,6 +625,23 @@ def test_full_star_on_corpus(small_corpus):
         # acyclic and well formed
         assert check_complex(star.complex) is None, name
         assert certify_acyclic(star.complex).ok, name
+
+
+@pytest.mark.parametrize("field", [None, PrimeField(7)], ids=["Q", "p7"])
+def test_corpus_outputs_exact_by_dense_ranks(field):
+    # no Groebner basis and no Hilbert series: each round-1 output is exact
+    # in degrees 0..8 by dense ranks, and exa's with its top map zeroed is not
+    for name, comp, sop in corpus(field=field):
+        out = star_transform(comp, sop, with_report=False).star.complex
+        assert brute.first_inexact_degree(out, 8) is None, name
+        if name == "exa":
+            top = out.phi(out.length)
+            zeroed = FreeComplex(
+                out.ring,
+                out.modules,
+                out.maps[:-1] + (zero_matrix(out.ring, top.nrows, top.ncols),),
+            )
+            assert brute.first_inexact_degree(zeroed, 8) is not None
 
 
 def test_n3_complete_intersection_shape():
