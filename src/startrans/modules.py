@@ -5,12 +5,13 @@ intersection and Hilbert computation in the package.  Buchberger's
 algorithm with the classical pair criteria and full tail reduction: one
 pair loop (``_pair_loop``), then ``_reduce_basis``.  Every basis keeps a
 row table (``_RowTable``) with the expression of each basis element in the
-input generators; that expression is what makes witnesses canonical, and
-``SubmoduleGB.lift`` needs it.  The run records each row as a recipe over
-earlier rows, and a row is multiplied out only when a lift reaches it, so a
-basis that nothing lifts through (the Koszul generators of a complex, Im
-phi_1) costs no row products; a row is multiplied out by ``_combine_rows``,
-one ``poly._sum_of_products`` per entry.
+input generators, which ``SubmoduleGB.lift`` reads its witnesses off.
+Those witnesses are deterministic but not canonical: they depend on the
+history of the pair loop that built the basis.  The run records each row
+as a recipe over earlier rows, and a row is multiplied out only when a lift
+reaches it, so a basis that nothing lifts through (the Koszul generators of
+a complex, Im phi_1) costs no row products; a row is multiplied out by
+``_combine_rows``, one ``poly._sum_of_products`` per entry.
 ``cokernel_series`` runs the same pair loop against a known floor of the
 quotient's Hilbert series and stops once the lead terms reach it, with no
 reduced basis, no rows and each S-vector divided only down to its lead; the
@@ -579,7 +580,8 @@ class SubmoduleGB:
         return self.normal_form(v).is_zero()
 
     def lift(self, v):
-        """Canonical witness over the *input* generators; NotInModule if
+        """A witness over the *input* generators, deterministic but not
+        canonical (it depends on the pair loop's history); NotInModule if
         the vector is outside the submodule.  Only the rows of the basis
         elements with a nonzero quotient are multiplied out, with the rows
         they read, and they are kept for later lifts."""
@@ -813,8 +815,9 @@ def normal_form(v, gb):
 
 
 def lift_witness(v, gens, ambient=None, gb=None):
-    """Coefficients c with v = sum c_i gens_i, canonical via the reduced
-    basis; raises NotInModule when v is outside the span."""
+    """Coefficients c with v = sum c_i gens_i, read off the reduced basis's
+    rows (deterministic, not canonical: ``SubmoduleGB.lift``); raises
+    NotInModule when v is outside the span."""
     if ambient is None:
         if not gens:
             raise DimensionMismatch("ambient required for empty generator list")

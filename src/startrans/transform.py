@@ -149,7 +149,9 @@ def chain_map_image_checks(cm, m_gb):
         )
     )
 
-    passed, detail = colon_quotient_count(m_gb, sop, cm.top_rank, colon_gb=colon_gb)
+    passed, detail = colon_quotient_count(
+        m_gb.series(), colon_gb.series(), sop, cm.top_rank
+    )
     results.append(("colon_quotient_count", passed, detail))
     return results
 
@@ -353,17 +355,19 @@ class StarComplex:
     the free basis of F_(n-1).  A complex without labels is refused with
     ValidationError: it cannot be an output of ``star_transform``.
 
-    ``witness`` is None or, from ``star_transform``, the chain map's level-1
+    ``witness`` is empty by default, as for an output read from a file,
+    or, from ``star_transform``, the chain map's level-1
     elements W[(lam, i)] = alpha_1(v_lam (x) e_i) in F_1 of the input, for
     i = 1..n.  The chain map commutes, so phi_1 W[(lam, i)] = q_i g_lam for
     the output's bracket column g_lam = alpha_0(v_lam (x) 1): each W shows
     q_i g_lam in M.  It lives in memory only: it is not compared, hashed
-    or written, and ``verify_star`` re-checks every W it reads.
+    or written.  ``verify_star`` hands it as it is to the colon
+    certificate, which re-checks every W it reads.
     """
 
     complex: FreeComplex
     input_top_rank: int
-    witness: dict = field(default=None, compare=False, repr=False)
+    witness: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if self.complex.labels is None:

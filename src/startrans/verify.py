@@ -2,15 +2,18 @@
 positive depth, saturation, and the round-by-round iteration driver.
 
 Everything here re-derives its facts from Groebner bases and Hilbert series
-of the input and the output, never from the construction internals, so a
-passing report is an independent certificate of the pipeline output.  The
-one thing the build hands over, the chain map's witnesses for Q*N <= M,
-is re-checked by a product and only saves membership tests.  The
-output's Im phi_1 is certified equal to M : Q without computing the colon:
-balance of Tor turns the equality into two containments and one
-Hilbert-series identity (``_colon_certificate``), and positive depth
-follows from the report's own verdicts (``verify_star``).  The driver reads
-each round's report, and a match chains from round to round.
+of the input and the output complexes, never from the construction
+internals, so a passing report is an independent certificate of the
+pipeline output.  The checks read M and N, the images of the two phi_1,
+off the complexes themselves: their columns and the series each complex's
+acyclicity certificate keeps.  The one thing the build hands over, the
+chain map's witnesses for Q*N <= M, is re-checked by a product and only
+saves membership tests.  The output's Im phi_1 is certified equal to M : Q
+without computing the colon: balance of Tor turns the equality into two
+containments and one Hilbert-series identity (``_colon_certificate``), and
+positive depth follows from the report's own verdicts (``verify_star``).
+The driver reads each round's report, and a match chains from round to
+round.
 
 Every check, ``colon_quotient_count`` included, returns a verdict,
 (passed, detail), and catches nothing: an exception inside one propagates
@@ -118,45 +121,17 @@ class VerificationReport:
         return rep
 
 
-class _Image:
-    """Im phi_1 of a complex as the certificates read it, through the part
-    of the ``SubmoduleGB`` interface they use (they take either): its
-    generators, HS(F_0 / Im phi_1), and membership through ``image_gb(1)``,
-    which is built by the first membership test only.  Each is read when a
-    check asks, and only of a complex: ``verify_star`` fails the checks
-    that read the output when it is not one."""
-
-    __slots__ = ("complex", "ambient")
-
-    def __init__(self, comp):
-        self.complex = comp
-        self.ambient = comp.module(0)
-
-    @property
-    def generators(self):
-        return tuple(self.complex.image_gens(1))
-
-    def series(self):
-        """The series the acyclicity certificate keeps on the complex,
-        exact whatever its verdict; None when the complex is not a
-        complex."""
-        return certify_acyclic(self.complex).series
-
-    def contains(self, v):
-        return self.complex.image_gb(1).contains(v)
-
-
-def colon_quotient_count(m_gb, sop, rank_top, colon_gb):
+def colon_quotient_count(m_series, colon_series, sop, rank_top):
     """The verdict (passed, detail) of dim_k (M:Q)/M against
-    rank(top) * dim_k R/Q, with ``colon_gb`` a basis of M : Q; each
-    argument is read only through its ``series()``.
+    rank(top) * dim_k R/Q, from ``m_series`` = HS(F_0/M) and
+    ``colon_series`` = HS(F_0/(M:Q)).
 
-    The left side is the difference of the two quotient Hilbert series;
-    when that is not a polynomial the verdict is a failure, since an
-    upstream precondition is broken.  ``verify_star`` passes the output's
-    Im phi_1, which its ``colon_equality`` check certifies to be M : Q.
+    The left side is the difference of the two series; when that is not a
+    polynomial the verdict is a failure, since an upstream precondition is
+    broken.  ``verify_star`` passes the series of the output's Im phi_1,
+    which its ``colon_equality`` check certifies to be M : Q.
     """
-    poly = m_gb.series().sub(colon_gb.series()).as_polynomial()
+    poly = m_series.sub(colon_series).as_polynomial()
     if poly is None:
         return False, (
             "Hilbert series of (M:Q)/M is not a polynomial; an upstream "
@@ -218,12 +193,12 @@ def verify_star(comp, sop, star):
     of depth >= n, so depth(F_0/N) >= 1 by Auslander-Buchsbaum (Bruns &
     Herzog, Thm 1.3.3 and Sec. 1.5).  It runs no colon.
 
-    M and N are both read through ``_Image``, inside the checks only: the
-    Hilbert series each complex's acyclicity certificate keeps.  For
-    Q*N <= M the certificate is handed the star's ``witness``
-    (``StarComplex``, ``_bracket_witnesses``), which it re-checks.
-    A basis of M is built only for a membership test that no witness
-    settled, and no basis of N is built.
+    The checks read M and N off the input and output complexes: their
+    phi_1 columns and the Hilbert series each complex's acyclicity
+    certificate keeps.  For Q*N <= M the certificate is handed the star's
+    ``witness`` (``StarComplex``), which it re-checks.  A basis of M is
+    built only for a membership test that no witness settled, and no basis
+    of N is built.
     """
     report = VerificationReport()
     out = star.complex
@@ -243,14 +218,10 @@ def verify_star(comp, sop, star):
         return report.run(name, lambda: (False, "not a complex"))
 
     acyclic = on_a_complex("acyclicity", _acyclicity, out)
-    m_gb, n_gb = _Image(comp), _Image(out)
-    witness = _bracket_witnesses(star, sop.n)
-    on_a_complex(
-        "colon_equality", _colon_certificate, comp, sop, m_gb, n_gb, witness
-    )
+    on_a_complex("colon_equality", _colon_certificate, comp, sop, out, star.witness)
     report.run("top_minimality", lambda: _top_minimality(out))
     report.run("rank_accounting", lambda: _rank_accounting(comp, star))
-    on_a_complex("colon_quotient_count", _colon_count, comp, sop, m_gb, n_gb)
+    on_a_complex("colon_quotient_count", _colon_count, comp, sop, out)
 
     if star.top_rank() == 0:
         report.run(
@@ -277,26 +248,15 @@ def _acyclicity(out):
     return cert.ok, cert.detail
 
 
-def _colon_count(comp, sop, m_gb, n_gb):
-    """The verdict of ``colon_quotient_count`` on M and N; it fails when the
-    input is not a complex."""
-    if m_gb.series() is None:
+def _colon_count(comp, sop, out):
+    """The verdict of ``colon_quotient_count`` on the series of the input's
+    and the output's Im phi_1; it fails when the input is not a complex."""
+    m_series = certify_acyclic(comp).series
+    if m_series is None:
         return False, "input not a complex"
-    return colon_quotient_count(m_gb, sop, comp.top_rank(), colon_gb=n_gb)
-
-
-def _bracket_witnesses(star, count):
-    """{j: (W[(lam, 1)], .., W[(lam, count)])} over the output's phi_1
-    columns j labelled ("bracket", lam, ()), from the star's ``witness``
-    (None where it has no entry); empty when the star carries none.  Only
-    the labels are read, not the map."""
-    if not star.witness:
-        return {}
-    return {
-        j: tuple(star.witness.get((label[1], i)) for i in range(1, count + 1))
-        for j, label in enumerate(star.labels[1])
-        if label[0] == "bracket"
-    }
+    return colon_quotient_count(
+        m_series, certify_acyclic(out).series, sop, comp.top_rank()
+    )
 
 
 def _witnessed(comp, qg, w):
@@ -311,13 +271,15 @@ def _witnessed(comp, qg, w):
     )
 
 
-def _colon_certificate(comp, sop, m_gb, n_gb, witness):
-    """Certify N = M : Q for M = ``m_gb``, Im phi_1 of the input ``comp``,
-    and N = ``n_gb``, Im phi_1 of the output; each is a ``SubmoduleGB`` or
-    an ``_Image``, read through its generators and ``series()``, M also
-    through ``contains``.  ``witness`` maps column indices of the output's
-    phi_1 to the vectors those columns may be checked by
-    (``_bracket_witnesses``); ``{}`` checks every column by membership.
+def _colon_certificate(comp, sop, out, witness):
+    """Certify N = M : Q for M = Im phi_1 of the input ``comp`` and N =
+    Im phi_1 of the output ``out``, each read through its phi_1 columns
+    and the Hilbert series its acyclicity certificate keeps, M also
+    through membership in ``comp.image_gb(1)``.  ``witness`` maps pairs
+    (lam, i) to the vectors W[(lam, i)] that the output's phi_1 column
+    labelled ("bracket", lam, ()) may be checked by (``StarComplex``);
+    ``{}``, or an output without labels, checks every column by
+    membership.
 
     With s the sum of the parameter degrees and a_j the twists of F_n:
     if F is acyclic, it resolves F_0/M; if q is a regular sequence, the
@@ -330,8 +292,8 @@ def _colon_certificate(comp, sop, m_gb, n_gb, witness):
     Q-containment of the top map is not needed.  A generator of N that
     equals a generator of M (the output's angle columns are the input's
     phi_1 columns) lies in M, so Q*g <= M and it takes no membership test.
-    For any other generator g, ``witness`` may map the column of g to
-    vectors W_i of F_1 (``_bracket_witnesses``): phi_1 W_i = q_i g modulo J
+    For any other generator g, labelled ("bracket", lam, ()), ``witness``
+    may hold vectors W_i = W[(lam, i)] of F_1: phi_1 W_i = q_i g modulo J
     shows q_i g in M with one product (McConnell, Mehlhorn, Naeher and
     Schweitzer, "Certifying algorithms", Comput. Sci. Rev. 5 (2011)).  Each W is
     re-checked, not trusted, and a q_i g that no W shows takes the
@@ -343,25 +305,29 @@ def _colon_certificate(comp, sop, m_gb, n_gb, witness):
         return False, f"input not acyclic: {cert.detail}"
     if not sop.is_regular():
         return False, "parameters are not a regular sequence"
-    if n_gb.ambient != m_gb.ambient:
+    if out.module(0) != comp.module(0):
         return False, "the output F_0 differs from the input F_0"
     # N is generated by the output's phi_1 columns and M is a submodule, so
     # Q*N <= M needs only q*g in M for each generator g (over R/J too:
     # membership reduces modulo J)
-    in_m = set(m_gb.generators)
-    for j, g in enumerate(n_gb.generators):
+    in_m = set(comp.image_gens(1))
+    gens = out.image_gens(1)
+    labels = out.labels[1] if out.labels else [()] * len(gens)
+    for g, label in zip(gens, labels):
         if g in in_m:
             continue
-        shown = witness.get(j) or (None,) * len(sop.gens)
-        for q, w in zip(sop.gens, shown):
+        # no witness is keyed by an unlabelled or non-bracket column
+        lam = label[1] if label[:1] == ("bracket",) else None
+        for i, q in enumerate(sop.gens, 1):
             qg = g.mul_poly(q)
-            if not (_witnessed(comp, qg, w) or m_gb.contains(qg)):
+            w = witness.get((lam, i))
+            if not (_witnessed(comp, qg, w) or comp.image_gb(1).contains(qg)):
                 return False, "Im of the first output map is not inside M : Q"
     s = sum(sop.degrees)
     bound = sop.ideal_gb().series().twisted(
         a - s for a in comp.module(comp.length).twists
     )
-    if m_gb.series().sub(n_gb.series()) != bound:
+    if cert.series.sub(certify_acyclic(out).series) != bound:
         return False, "HS(N/M) differs from the Tor bound, so N != M : Q"
     return True, "Im of the first output map against the colon oracle"
 

@@ -223,6 +223,20 @@ def pullback(comp, ring, forms):
     return FreeComplex(ring, modules, maps)
 
 
+def image_complex(ambient, gens):
+    """The length-one complex F_0 <- F_1 with F_0 = ``ambient`` whose
+    columns are ``gens``, F_1 twisted by their degrees (0 for a zero
+    column): its Im phi_1 is the span of ``gens``, and the acyclicity
+    certificate keeps HS(F_0 / span) on it whatever its verdict."""
+    ring = ambient.ring
+    source = GradedFreeModule(
+        ring, len(gens), tuple(g.homogeneous_degree() or 0 for g in gens)
+    )
+    rows = [[g.coords[i] for g in gens] for i in range(ambient.rank)]
+    phi = PolyMatrix(ring, rows, ambient.rank, len(gens))
+    return FreeComplex(ring, (ambient, source), (phi,))
+
+
 def padded_zero_top_instance():
     """Length-2 complex with a zero top module: 0 -> 0 -> R(-1) -> R."""
     ring = standard_ring(("x", "y"))

@@ -91,7 +91,7 @@ def test_criterion_2_quotient_dimension_counts(corpus_results):
     for name, comp, sop, res in corpus_results:
         m_gb = comp.image_gb(1)
         passed, detail = colon_quotient_count(
-            m_gb, sop, comp.top_rank(), colon(m_gb, sop.gens)
+            m_gb.series(), colon(m_gb, sop.gens).series(), sop, comp.top_rank()
         )
         ok = ok and passed
         if name.startswith("random_"):

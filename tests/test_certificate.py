@@ -18,7 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import brute
-from reference import full_hilbert_certificate, generic_koszul
+from reference import full_hilbert_certificate, generic_koszul, image_complex
 from startrans import (
     FreeComplex,
     GradedFreeModule,
@@ -93,8 +93,7 @@ def test_output_equal_to_the_input_is_rejected_by_verify_star():
 def test_n_equal_to_m_is_rejected_on_the_corpus():
     rejected = 0
     for name, comp, sop in instances.corpus():
-        m_gb = comp.image_gb(1)
-        passed, detail = verify._colon_certificate(comp, sop, m_gb, m_gb, {})
+        passed, detail = verify._colon_certificate(comp, sop, comp, {})
         if comp.top_rank():
             assert not passed and "Tor bound" in detail, name
             rejected += 1
@@ -109,8 +108,8 @@ def test_an_element_outside_the_colon_is_rejected():
     ring = comp.ring
     m_gb = comp.image_gb(1)
     f0 = m_gb.ambient
-    forged = buchberger(f0, list(m_gb.gb) + [f0.vector((ring.var(0),))])
-    passed, detail = verify._colon_certificate(comp, sop, m_gb, forged, {})
+    forged = image_complex(f0, list(m_gb.gb) + [f0.vector((ring.var(0),))])
+    passed, detail = verify._colon_certificate(comp, sop, forged, {})
     assert not passed
     assert "not inside M : Q" in detail
 
@@ -118,9 +117,7 @@ def test_an_element_outside_the_colon_is_rejected():
 def test_an_output_over_another_f0_is_rejected():
     comp, sop = exa_instance()
     other = GradedFreeModule(comp.ring, 2, (0, 0))
-    passed, detail = verify._colon_certificate(
-        comp, sop, comp.image_gb(1), buchberger(other, []), {}
-    )
+    passed, detail = verify._colon_certificate(comp, sop, image_complex(other, []), {})
     assert not passed
     assert "F_0" in detail
 
@@ -128,9 +125,8 @@ def test_an_output_over_another_f0_is_rejected():
 def test_a_genuine_colon_passes_the_certificate():
     comp, sop = exa_instance()
     m_gb = comp.image_gb(1)
-    passed, _ = verify._colon_certificate(
-        comp, sop, m_gb, colon(m_gb, sop.gens), {}
-    )
+    n_comp = image_complex(m_gb.ambient, colon(m_gb, sop.gens).generators)
+    passed, _ = verify._colon_certificate(comp, sop, n_comp, {})
     assert passed
 
 
@@ -163,7 +159,7 @@ def test_generators_shared_with_m_take_no_membership_test(name, monkeypatch):
     # without the build's witness, every bracket column takes its tests
     make, expected = SHARED_WITH_M[name]
     comp, sop = make()
-    star = replace(star_transform(comp, sop, with_report=False).star, witness=None)
+    star = replace(star_transform(comp, sop, with_report=False).star, witness={})
     tested = _recording_contains(monkeypatch)
     assert verify_star(comp, sop, star).overall
     assert len(tested) == expected
@@ -185,16 +181,16 @@ def test_only_the_shared_generators_skip_the_membership_test(name, monkeypatch):
     f0 = m_gb.ambient
     x = comp.ring.var(0)
     multiple = m_gb.generators[0].mul_poly(x)
-    n_gb = buchberger(f0, out.image_gens(1) + [multiple])
+    n_comp = image_complex(f0, out.image_gens(1) + [multiple])
     tested = _recording_contains(monkeypatch)
-    assert verify._colon_certificate(comp, sop, m_gb, n_gb, {}) == (
+    assert verify._colon_certificate(comp, sop, n_comp, {}) == (
         True, "Im of the first output map against the colon oracle"
     )
     assert len(tested) == expected + len(sop.gens)
     assert tested[-len(sop.gens):] == [multiple.mul_poly(q) for q in sop.gens]
 
-    forged = buchberger(f0, out.image_gens(1) + [f0.vector((x,))])
-    assert verify._colon_certificate(comp, sop, m_gb, forged, {}) == (
+    forged = image_complex(f0, out.image_gens(1) + [f0.vector((x,))])
+    assert verify._colon_certificate(comp, sop, forged, {}) == (
         False, "Im of the first output map is not inside M : Q"
     )
 
@@ -217,7 +213,7 @@ def test_the_witness_takes_no_membership_test(name, monkeypatch):
     assert report.overall
     assert tested == []
     assert _colon_lines(report) == _colon_lines(
-        verify_star(comp, sop, replace(star, witness=None))
+        verify_star(comp, sop, replace(star, witness={}))
     )
 
 
@@ -244,7 +240,7 @@ def test_a_tampered_witness_falls_back_to_membership(name, monkeypatch):
     make, _ = SHARED_WITH_M[name]
     comp, sop = make()
     star = star_transform(comp, sop, with_report=False).star
-    expected = _colon_lines(verify_star(comp, sop, replace(star, witness=None)))
+    expected = _colon_lines(verify_star(comp, sop, replace(star, witness={})))
     for how, witness in _tampered_witnesses(star, comp.ring).items():
         tested = _recording_contains(monkeypatch)
         report = verify_star(comp, sop, replace(star, witness=witness))
@@ -397,7 +393,9 @@ def test_certificate_agrees_with_the_groebner_colon(problem, data):
         buchberger(f0, list(n_gb.gb) + [extra]),
     ]
     for k, cand in enumerate(candidates):
-        verdict, detail = verify._colon_certificate(comp, sop, m_gb, cand, {})
+        verdict, detail = verify._colon_certificate(
+            comp, sop, image_complex(f0, cand.generators), {}
+        )
         assert verdict == submodule_equal(cand, oracle), (name, k, detail)
     assert submodule_equal(n_gb, oracle), name
 

@@ -3,7 +3,9 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings
 from reference import generic_pfaffian
+from test_certificate import koszul_problems
 
 from startrans import (
     DimensionMismatch,
@@ -13,6 +15,7 @@ from startrans import (
     ParseError,
     PrimeField,
     ValidationError,
+    koszul,
     parse_problem,
     star_transform,
     validate_sop,
@@ -245,6 +248,26 @@ def test_emit_star_round_trip(tmp_path, make, selected):
     emit_star(star, reparsed.report, out2, reparsed, reparsed.source_complex)
     with open(out) as fh1, open(out2) as fh2:
         assert fh1.read() == fh2.read()
+
+
+@settings(max_examples=30, deadline=None)
+@given(problem=koszul_problems())
+def test_drawn_outputs_read_back_equal_and_re_emit_byte_for_byte(
+    tmp_path_factory, problem
+):
+    # weighted and R/J rings included: the file reads back to the objects it
+    # was written from, which is what lets ``star --verify`` reuse them
+    name, comp, sop = problem
+    base = _as_problem(comp, sop)
+    result = star_transform(comp, sop)
+    folder = tmp_path_factory.mktemp("drawn")
+    out = folder / "out.star.json"
+    emit_star(result.star, result.report, str(out), base, comp)
+    reparsed = parse_problem(str(out))
+    assert cli._reads_back(reparsed, base, sop, result.star.complex), name
+    again = folder / "again.star.json"
+    emit_problem(reparsed, str(again))
+    assert again.read_bytes() == out.read_bytes(), name
 
 
 def test_emitted_labels_exa(tmp_path, exa_problem):
@@ -695,6 +718,26 @@ def test_cli_saturate(capsys):
 
 
 @pytest.mark.parametrize("command", ["colon", "saturate"])
+def test_cli_colon_output_file_holds_the_printed_generators(command, tmp_path, capsys):
+    out = tmp_path / "gens.json"
+    argv = [command, "--module", "x^2,x*y", "--ideal", "x,y", "--output", str(out)]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["x", f"wrote {out}"]
+    assert json.loads(out.read_text()) == {"generators": ["x"]}
+
+
+@pytest.mark.parametrize("command", ["colon", "saturate"])
+def test_cli_colon_of_constants_is_a_parse_error(command, capsys):
+    assert main([command, "--module", "2", "--ideal", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "parse error: no variables found in the given polynomials\n"
+    )
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["colon", "saturate"])
 @pytest.mark.parametrize(
     "extra",
     [
@@ -957,6 +1000,41 @@ def test_cli_info(capsys):
     assert "F_2: rank 1" in out
 
 
+def test_cli_info_prints_the_quotient(tmp_path, capsys):
+    path = write_json(tmp_path, "q.json", _quotient_vanishing_top_data())
+    assert main(["info", "--input", path]) == 0
+    assert "quotient: z^2" in capsys.readouterr().out.splitlines()
+
+
+def test_cli_koszul_of_the_file_parameters_to_stdout(tmp_path, capsys):
+    # neither --generators nor --output: the Koszul complex of the file's
+    # parameters, printed as a problem file
+    assert main(["koszul", "--input", FIXTURE]) == 0
+    path = tmp_path / "k.json"
+    path.write_text(capsys.readouterr().out)
+    pf = parse_problem(str(path))
+    assert [m.rank for m in pf.complex.modules] == [1, 2, 1]
+    assert pf.complex == koszul(validate_sop(pf.ring, pf.sop_polys()))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["star", "--input", FIXTURE],
+        ["koszul", "--input", FIXTURE],
+        ["colon", "--input", FIXTURE],
+        ["iterate", "--input", FIXTURE],
+    ],
+    ids=["star", "koszul", "colon", "iterate"],
+)
+def test_cli_output_under_a_missing_directory_is_an_io_error(tmp_path, capsys, argv):
+    out = tmp_path / "no" / "such" / "x.json"
+    assert main(argv + ["--output", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_cli_koszul_generators(tmp_path, capsys):
     out = str(tmp_path / "gen.json")
     code = main(
@@ -1180,6 +1258,30 @@ def _set_seconds_negative(d):
     d["report"] = {"overall": True, "checks": [_passing_check(-5)]}
 
 
+def _set_field_complex(d):
+    d["field"] = {"type": "complex"}
+
+
+def _set_quotient_string(d):
+    d["quotient"] = "x^2"
+
+
+def _set_twists_int(d):
+    d["complex"]["twists"][0] = 0
+
+
+def _set_labels_of_ints(d):
+    d["labels"] = [5]
+
+
+def _set_check_name_int(d):
+    d["report"] = {"overall": True, "checks": [dict(_passing_check(), name=5)]}
+
+
+def _set_check_detail_int(d):
+    d["report"] = {"overall": True, "checks": [dict(_passing_check(), detail=5)]}
+
+
 def _set_report_pass_string(d):
     d["report"] = {
         "overall": True,
@@ -1212,6 +1314,12 @@ def _set_report_pass_string(d):
         ("info", _set_seconds_negative, [], "report.checks[0].seconds"),
         ("star", _set_overflowing_exponent, [], "sop[0]"),
         ("info", _set_overflowing_degree, [], "variables"),
+        ("info", _set_field_complex, [], "unknown field type 'complex'"),
+        ("info", _set_quotient_string, [], "quotient must be a list"),
+        ("info", _set_twists_int, [], "complex.twists[0] must be a list"),
+        ("info", _set_labels_of_ints, [], "labels must be a list of lists"),
+        ("info", _set_check_name_int, [], "report.checks[0].name"),
+        ("info", _set_check_detail_int, [], "report.checks[0].detail"),
     ],
     ids=[
         "degree-string",
@@ -1234,6 +1342,12 @@ def _set_report_pass_string(d):
         "seconds-negative",
         "exponent-overflow",
         "degree-overflow",
+        "field-type-unknown",
+        "quotient-string",
+        "twists-int",
+        "labels-of-ints",
+        "check-name-int",
+        "check-detail-int",
     ],
 )
 def test_cli_malformed_file_is_parse_error(
@@ -1248,6 +1362,41 @@ def test_cli_malformed_file_is_parse_error(
     assert main(args) == 3
     err = capsys.readouterr().err
     assert err.startswith("parse error: ") and path in err
+
+
+def test_cli_a_file_that_is_not_json_exits_three(tmp_path, capsys):
+    path = tmp_path / "cut.json"
+    path.write_text("{")
+    assert main(["info", "--input", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"parse error: {path} is not valid JSON: ")
+    assert captured.out == ""
+
+
+def _set_inhomogeneous_quotient(d):
+    d["quotient"] = ["x^2 + y"]
+
+
+def _set_labels_one_position(d):
+    d["labels"] = [[["angle", 0]]]
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (_set_inhomogeneous_quotient, "quotient generator 0 is not homogeneous"),
+        (_set_labels_one_position, "labels block must cover every module"),
+    ],
+    ids=["quotient-inhomogeneous", "labels-one-position"],
+)
+def test_cli_malformed_file_is_a_precondition(tmp_path, capsys, mutate, message):
+    data = exa_data()
+    mutate(data)
+    bad = write_json(tmp_path, "bad.json", data)
+    assert main(["info", "--input", bad]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"precondition violated: {message}\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(

@@ -644,6 +644,30 @@ def test_corpus_outputs_exact_by_dense_ranks(field):
             assert brute.first_inexact_degree(zeroed, 8) is not None
 
 
+@pytest.mark.parametrize("field", [None, PrimeField(7)], ids=["Q", "p7"])
+def test_corpus_outputs_are_the_colon_by_dense_ranks(field):
+    # no Groebner basis: Im phi_1 of each round-1 output spans the degree-d
+    # part of M : Q, computed by dense linear algebra, for d = 0..6; exa's
+    # with its first bracket column scaled by x first differs at degree 2
+    for name, comp, sop in corpus(field=field):
+        out = star_transform(comp, sop, with_report=False).star.complex
+        f0 = comp.module(0)
+        m_gens, q_polys = comp.image_gens(1), list(sop.gens)
+        colons = [brute.brute_colon_basis(m_gens, q_polys, f0, d) for d in range(7)]
+        for d, colon_d in enumerate(colons):
+            assert brute.spans_agree(out.image_gens(1), colon_d, f0, d), (name, d)
+        if name == "exa":
+            assert out.labels[1][0] == ("bracket", 0, ())
+            scaled = out.image_gens(1)
+            scaled[0] = scaled[0].mul_poly(comp.ring.var(0))
+            differ = [
+                d
+                for d, colon_d in enumerate(colons)
+                if not brute.spans_agree(scaled, colon_d, f0, d)
+            ]
+            assert differ[0] == 2
+
+
 def test_n3_complete_intersection_shape():
     comp, sop = complete_intersection_instance((2, 2, 2))
     res = star_transform(comp, sop)
