@@ -35,7 +35,7 @@ from .errors import (
 from .fields import field_from_spec
 from .instances import random_instance
 from .modules import colon, ideal_gb
-from .poly import PolyRing, format_polynomial
+from .poly import NAME_PATTERN, PolyRing, format_polynomial
 from .problemfile import (
     ProblemFile,
     _parse_unchecked,
@@ -126,7 +126,7 @@ def _load(args):
 
 
 def _standalone_ring(args, texts):
-    names = sorted(set(re.findall(r"[A-Za-z_][A-Za-z_0-9]*", " ".join(texts))))
+    names = sorted(set(re.findall(NAME_PATTERN, " ".join(texts))))
     if not names:
         raise ParseError("no variables found in the given polynomials")
     field = field_from_spec(args.field or "rational")

@@ -34,10 +34,11 @@ as the operators normalize it.
 from __future__ import annotations
 
 import platform
+import sys
 from fractions import Fraction
 from math import gcd
 
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 
 if Fraction.__slots__ != ("_numerator", "_denominator"):
     raise ImportError(
@@ -82,7 +83,13 @@ class _Field:
 
     @staticmethod
     def to_str(a):
-        return str(a)
+        try:
+            return str(a)
+        except ValueError:  # a numerator or denominator past the int/str limit
+            raise ValidationError(
+                "a coefficient has more than "
+                f"{sys.get_int_max_str_digits()} digits, the int/str conversion limit"
+            ) from None
 
     def div(self, a, b):
         return self.mul(a, self.invert(b))

@@ -398,103 +398,55 @@ def _from_accumulator(ring, acc):
 
 # -- text syntax ---------------------------------------------------------
 #
-#   poly  :=  [sign] term { ('+'|'-') term }
-#   term  :=  coeff [['*'] mono]  |  mono
-#   coeff :=  INT [ '/' INT ]
-#   mono  :=  NAME ['^' INT] { '*' NAME ['^' INT] }
+#   poly   :=  [sign] term { ('+'|'-') term }
+#   term   :=  coeff [['*'] mono]  |  mono
+#   coeff  :=  INT [ '/' INT ]
+#   mono   :=  factor { ['*'] factor }
+#   factor :=  NAME ['^' INT]
 #
-# Whitespace is ignored everywhere.
+# Whitespace may stand before and after every token, trailing whitespace
+# included.  A '*' joins only a name that follows it, so ``2x`` and
+# ``x y`` are products and ``x*2`` is an error.
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*/^()]))")
-
-
-def _tokenize(text):
-    pos = 0
-    out = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            raise ParseError(f"unexpected character at position {pos}: {text[pos:]!r}")
-        if m.group(1) is not None:
-            out.append(("int", int(m.group(1))))
-        elif m.group(2) is not None:
-            out.append(("name", m.group(2)))
-        else:
-            out.append(("op", m.group(3)))
-        pos = m.end()
-    return out
+NAME_PATTERN = r"[A-Za-z_][A-Za-z_0-9]*"
+_STAR = rf"(?:\s*\*(?=\s*{NAME_PATTERN}))?"  # an optional '*' before a name
+_TERM = re.compile(
+    rf"\s*([-+])?(?:\s*(\d+)(?:\s*/\s*(\d+))?{_STAR})?"  # sign, coefficient
+    rf"((?:\s*{NAME_PATTERN}(?:\s*\^\s*\d+)?{_STAR})*)\s*"  # monomial
+)
+_FACTOR = re.compile(rf"({NAME_PATTERN})(?:\s*\^\s*(\d+))?")  # name, exponent
 
 
 def parse_polynomial(ring, text):
-    """Parse the textual polynomial syntax into a Polynomial."""
-    toks = _tokenize(text)
-    if not toks:
-        raise ParseError("empty polynomial")
-    f = ring.field
-    terms = []
-    i = 0
-    n = len(toks)
+    """Parse the textual polynomial syntax into a Polynomial: one match of
+    ``_TERM`` per term, its monomial split by ``_FACTOR``.  A ParseError
+    names the position where no term matches, or a later term has no sign."""
 
     def fail(msg):
         raise ParseError(f"{msg} in polynomial {text!r}")
 
-    while i < n:
-        sign = 1
-        if toks[i] == ("op", "+"):
-            i += 1
-        elif toks[i] == ("op", "-"):
-            sign = -1
-            i += 1
-        if i >= n:
-            fail("dangling sign")
-        coeff = None
-        if toks[i][0] == "int":
-            num = toks[i][1]
-            i += 1
-            den = 1
-            if i < n and toks[i] == ("op", "/"):
-                i += 1
-                if i >= n or toks[i][0] != "int":
-                    fail("bad fraction")
-                den = toks[i][1]
-                i += 1
-            try:
-                coeff = f.from_fraction(sign * num, den)
-            except ZeroDivisionError:
-                fail(f"denominator {den} is zero in the field")
-            if i < n and toks[i] == ("op", "*"):
-                i += 1
-                if i >= n or toks[i][0] != "name":
-                    fail("expected variable after '*'")
-        elif toks[i][0] == "name":
-            coeff = f.from_int(sign)
-        else:
-            fail(f"unexpected token {toks[i][1]!r}")
+    f = ring.field
+    terms = []
+    pos = 0
+    while pos < len(text) or not terms:
+        m = _TERM.match(text, pos)
+        sign, num, den, mono = m.groups()
+        if not (num or mono) or (terms and not sign):
+            fail(f"unexpected {text[pos:]!r} at position {pos}")
         exps = [0] * ring.nvars
-        while i < n and toks[i][0] == "name":
-            name = toks[i][1]
-            if name not in ring._index:
-                fail(f"unknown variable {name!r}")
-            i += 1
-            e = 1
-            if i < n and toks[i] == ("op", "^"):
-                i += 1
-                if i >= n or toks[i][0] != "int":
-                    fail("bad exponent")
-                e = toks[i][1]
-                i += 1
-            exps[ring._index[name]] += e
-            if i < n and toks[i] == ("op", "*"):
-                nxt = toks[i + 1] if i + 1 < n else None
-                if nxt is not None and nxt[0] == "name":
-                    i += 1
-                    continue
-                fail("expected variable after '*'")
+        try:
+            n = -int(num or 1) if sign == "-" else int(num or 1)
+            coeff = f.from_fraction(n, int(den)) if den else f.from_int(n)
+            for name, e in _FACTOR.findall(mono):
+                if name not in ring._index:
+                    fail(f"unknown variable {name!r}")
+                exps[ring._index[name]] += int(e or 1)
+        except ZeroDivisionError:
+            fail(f"denominator {den} is zero in the field")
+        except ValueError:  # int() refuses a literal beyond the int/str limit
+            fail(f"a number has more than {sys.get_int_max_str_digits()} digits")
         terms.append((tuple(exps), coeff))
-        if i < n and toks[i][0] == "op" and toks[i][1] in "+-":
-            continue
-        if i < n:
-            fail(f"unexpected token {toks[i][1]!r}")
+        pos = m.end()
     try:
         return ring.from_terms(terms)
     except MonomialOverflow as exc:

@@ -241,7 +241,7 @@ def _read_json(path):
             return json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, bad UTF-8, the int/str limit
         raise ParseError(f"{path} is not valid JSON: {exc}") from None
 
 

@@ -30,6 +30,7 @@ from .complexes import (
     chain_map_top,
     co_singleton,
     descend,
+    koszul,
     sign_scalar,
     tensor_complex,
 )
@@ -74,7 +75,7 @@ def build_chain_map(comp, sop):
     """Construct the chain map by one descent: ``chain_map_top`` sets the
     top two levels and raises its PreconditionFailed, and ``descend`` adds
     each lower level through a basis of Im d_(n-p+1) in K_(n-p), read off
-    ``tensor_complex(R, sop)``.
+    ``koszul(sop)``.
 
     A lift below the top runs only when F_n != 0, and then K(q) is exact:
     every entry of phi_n lies in Q <= m, so no trivial summand sits at the
@@ -86,8 +87,7 @@ def build_chain_map(comp, sop):
     n = comp.length
     ring = comp.ring
     elements = chain_map_top(comp, sop)
-    # K(Q), as ``koszul`` builds it but without its input check
-    kos = tensor_complex(GradedFreeModule(ring, 1, (0,)), sop)
+    kos = koszul(sop)
     for p in range(n - 1, 0, -1):
         gb = buchberger(kos.module(n - p), kos.image_gens(n - p + 1))
         try:

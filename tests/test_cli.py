@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -50,6 +51,11 @@ def write_json(tmp_path, name, data):
 def exa_data():
     with open(FIXTURE, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+needs_a_digit_limit = pytest.mark.skipif(
+    sys.get_int_max_str_digits() == 0, reason="no int/str digit limit"
+)
 
 
 # -- parsing -----------------------------------------------------------------
@@ -704,6 +710,13 @@ def test_cli_colon_standalone(capsys):
     assert capsys.readouterr().out.strip() == "x^2, x*y, y^2"
 
 
+def test_cli_colon_ignores_whitespace_after_a_generator(capsys):
+    assert main(["colon", "--module", "x^2 ,x*y", "--ideal", "x,y"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "x\n"
+    assert captured.err == ""
+
+
 def test_cli_colon_from_problem(capsys):
     code = main(["colon", "--input", FIXTURE])
     assert code == 0
@@ -1212,6 +1225,10 @@ def _set_overflowing_exponent(d):
     d["sop"][0] = "x^4294967296"
 
 
+def _set_long_coefficient(d):
+    d["sop"][0] = "1" + "0" * sys.get_int_max_str_digits() + "*x"
+
+
 def _set_overflowing_degree(d):
     d["variables"][0]["degree"] = 2**40
 
@@ -1320,6 +1337,9 @@ def _set_report_pass_string(d):
         ("info", _set_labels_of_ints, [], "labels must be a list of lists"),
         ("info", _set_check_name_int, [], "report.checks[0].name"),
         ("info", _set_check_detail_int, [], "report.checks[0].detail"),
+        pytest.param(
+            "info", _set_long_coefficient, [], "sop[0]", marks=needs_a_digit_limit
+        ),
     ],
     ids=[
         "degree-string",
@@ -1348,6 +1368,7 @@ def _set_report_pass_string(d):
         "labels-of-ints",
         "check-name-int",
         "check-detail-int",
+        "coefficient-past-the-digit-limit",
     ],
 )
 def test_cli_malformed_file_is_parse_error(
@@ -1364,13 +1385,48 @@ def test_cli_malformed_file_is_parse_error(
     assert err.startswith("parse error: ") and path in err
 
 
-def test_cli_a_file_that_is_not_json_exits_three(tmp_path, capsys):
-    path = tmp_path / "cut.json"
-    path.write_text("{")
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"{",
+        b"\xff",
+        pytest.param(
+            b"[1" + b"0" * sys.get_int_max_str_digits() + b"]",
+            marks=needs_a_digit_limit,
+        ),
+    ],
+    ids=["cut", "not-utf-8", "number-past-the-digit-limit"],
+)
+def test_cli_a_file_that_is_not_json_exits_three(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
     assert main(["info", "--input", str(path)]) == 3
     captured = capsys.readouterr()
     assert captured.err.startswith(f"parse error: {path} is not valid JSON: ")
     assert captured.out == ""
+
+
+@needs_a_digit_limit
+def test_cli_an_output_coefficient_past_the_int_str_limit_is_a_precondition(
+    tmp_path, capsys
+):
+    # each input coefficient has fewer digits than the limit, and the
+    # output's products of two of them have more
+    c = "7" + "3" * (3 * sys.get_int_max_str_digits() // 5)
+    data = exa_data()
+    data["complex"]["maps"] = [
+        [[f"-{c}*{e[1:]}" if e[0] == "-" else f"{c}*{e}" for e in row] for row in m]
+        for m in data["complex"]["maps"]
+    ]
+    path = write_json(tmp_path, "scaled.json", data)
+    out = tmp_path / "scaled.star.json"
+    argv = ["star", "--input", path, "--output", str(out), "--verify"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "precondition violated: a coefficient has more than "
+        f"{sys.get_int_max_str_digits()} digits, the int/str conversion limit\n"
+    )
+    assert not out.exists()
 
 
 def _set_inhomogeneous_quotient(d):

@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 from operator import add, le, mul, sub
 
@@ -193,9 +194,39 @@ def test_parse_format_round_trip(ring):
 
 
 def test_parse_errors(ring):
-    for bad in ["x^", "x +", "2*", "z", "x^-1", "1/0", ""]:
+    for bad in [
+        "x^", "x +", "2*", "z", "x^-1", "1/0", "", "   ", "*x", "x--y",
+        "x$", "1/x", "(x)", "x*2", "x^2^3",
+    ]:
         with pytest.raises(ParseError):
             ring.parse(bad)
+
+
+@pytest.mark.parametrize(
+    "text, canonical",
+    [
+        ("2x", "2*x"),
+        ("2 x y", "2*x*y"),
+        ("+x", "x"),
+        ("1 / 2*x", "1/2*x"),
+        ("x ^ 2", "x^2"),
+        ("x ", "x"),
+        (" x\t", "x"),
+        ("x^2 - 3 y\n", "x^2 - 3*y"),
+    ],
+)
+def test_parse_accepts_the_documented_spellings(ring, text, canonical):
+    assert ring.parse(text) == ring.parse(canonical)
+
+
+@pytest.mark.skipif(
+    sys.get_int_max_str_digits() == 0, reason="no int/str digit limit"
+)
+@pytest.mark.parametrize("template", ["{}", "1/{}", "{}*x", "x^{}"])
+def test_a_number_past_the_int_str_limit_is_a_parse_error(ring, template):
+    big = "1" + "0" * sys.get_int_max_str_digits()
+    with pytest.raises(ParseError, match="digits"):
+        ring.parse(template.format(big))
 
 
 def test_prime_field_arithmetic():
