@@ -27,7 +27,7 @@ from .modules import (
 from .poly import Polynomial, PolyMatrix, PolyRing
 
 # The prime of the modular acyclicity certificate over Q (``_hilbert_certificate``)
-MODULAR_PRIME = 2**31 - 1
+MODULAR_PRIME = 2**30 - 35
 _MODULAR_FIELD = PrimeField(MODULAR_PRIME)
 
 
@@ -352,14 +352,14 @@ def _series_certificate(comp):
     n = comp.length
     base = ring_series(comp.ring)
     free = [base.twisted(m.twists) for m in comp.modules]
-    # coker[p - 1] is HS(coker phi_p)
-    coker = [None] * n + [free[n]]
+    # coker[p - 1] is HS(coker phi_p), and floors[p - 1] its floor
+    coker, floors = [None] * n + [free[n]], [None] * n
     for p in range(n, 0, -1):
-        floor = free[p - 1].sub(coker[p])
+        floor = floors[p - 1] = free[p - 1].sub(coker[p])
         coker[p - 1] = cokernel_series(comp.module(p - 1), comp.image_gens(p), floor)
     for p in range(1, n + 1):
-        diff = free[p - 1].sub(coker[p - 1]).sub(coker[p])
-        if diff.numer:
+        if coker[p - 1] != floors[p - 1]:
+            diff = floors[p - 1].sub(coker[p - 1])
             return AcyclicityCertificate(
                 False, p,
                 f"kernel at position {p} exceeds the image of the next map "

@@ -13,9 +13,11 @@ reaches it, so a basis that nothing lifts through (the Koszul generators of
 a complex, Im phi_1) costs no row products; a row is multiplied out by
 ``_combine_rows``, one ``poly._sum_of_products`` per entry.
 ``cokernel_series`` runs the same pair loop against a known floor of the
-quotient's Hilbert series and stops once the lead terms reach it, with no
-reduced basis, no rows and each S-vector divided only down to its lead; the
-acyclicity certificate reads every image of a complex that way.
+quotient's Hilbert series and stops once the lead terms reach it: no rows,
+each S-vector divided only down to its lead, each remainder kept as a
+divisor and never decoded, and the Hilbert numerators of the leads updated
+lead by lead, a lead coprime to those before it at its position without a
+colon.  The acyclicity certificate reads every image of a complex that way.
 
 Module terms are ordered degree first (twists included), then position
 (lower basis index wins), then the ring's one monomial order; ``term_key``
@@ -132,6 +134,15 @@ def _term_of_key(module, key):
     return pos, (degree << shift) | (key & ((1 << shift) - 1))
 
 
+def _decode(module, terms):
+    """The coordinates of the (``term_key``, coefficient) pairs ``terms``."""
+    coords = [{} for _ in range(module.rank)]
+    for key, c in terms:
+        pos, m = _term_of_key(module, key)
+        coords[pos][m] = c
+    return tuple(Polynomial(module.ring, t) for t in coords)
+
+
 class ModuleVector:
     """Element of a graded free module; coordinates are polynomials.
 
@@ -187,18 +198,13 @@ class ModuleVector:
             return self._keyed
         except AttributeError:
             pass
-        module = self.module
-        terms = [
-            (term_key(module, pos, m), c)
-            for pos, p in enumerate(self.coords)
-            for m, c in p.terms.items()
-        ]
-        if not terms:
+        work = _work(self)
+        if not work:
             self._keyed = None
             return None
-        key, c = min(terms)  # keys are distinct, so no coefficient is compared
-        terms.remove((key, c))
-        self._keyed = _keyed_form(module.ring.field, key, c, terms)
+        key = min(work)
+        c = work.pop(key)
+        self._keyed = _keyed_form(self.module.ring.field, key, c, list(work.items()))
         return self._keyed
 
     def homogeneous_degree(self):
@@ -249,19 +255,30 @@ def _work(vector):
     }
 
 
-def _divide(module, work, divisors, track=False, lead_only=False, keyed=False):
+def _divide(module, work, divisors, track=False):
     """Fully reduce the vector of ``module`` whose terms are the working
-    dict ``work`` (``_work``, or an S-vector from ``_s_vector``; the dict is
-    consumed) by ``divisors``; every remainder term is divisible by no
-    divisor lead.  Returns (quotients, remainder), where vector = sum
-    q_k*divisors[k] + remainder: with ``track`` the quotients are {k:
-    {cofactor key: coefficient}} over the k with q_k nonzero, left for a
-    caller that reads them to make polynomials (``_quotients``), and
-    without it None.  With ``lead_only`` the division stops at the first
-    term that no lead divides: that term is the remainder's lead, and the
-    terms below it stay unreduced.  With ``keyed`` the remainder also gets
-    its keyed form from the terms at hand (``_keyed_form``), for a
-    remainder that joins a basis and so becomes a divisor (``_pair_loop``).
+    dict ``work`` (``_work``, or an S-vector from ``_s_vector``; consumed)
+    by ``divisors`` (``_reduce``).  Returns (quotients, remainder), where
+    vector = sum q_k*divisors[k] + remainder: with ``track`` the quotients
+    are {k: {cofactor key: coefficient}} over the k with q_k nonzero, for
+    ``_quotients``, and without it None."""
+    reducers = [(k, r) for k, r in enumerate(g.keyed() for g in divisors) if r]
+    quots, rem = _reduce(module, work, reducers, track=track)
+    remainder = ModuleVector(module, _decode(module, rem.items()))
+    # the remainder's first term came out largest, so its lead is known
+    remainder._lead = next(
+        ((*_term_of_key(module, k), c) for k, c in rem.items()), None
+    )
+    return quots, remainder
+
+
+def _reduce(module, work, reducers, track=False, lead_only=False):
+    """The division of ``_divide`` by the (index, keyed form) pairs
+    ``reducers`` of the nonzero divisors: (quotients, remainder terms), the
+    terms {``term_key``: coefficient} with the lead first.  No remainder
+    term is divisible by a divisor lead; with ``lead_only`` the division
+    stops at the first term that none divides, the lead, and the terms
+    below it stay unreduced.
 
     The largest remaining term is reduced by the first divisor whose lead
     divides it, or else moved to the remainder.  The working vector is one
@@ -286,8 +303,7 @@ def _divide(module, work, divisors, track=False, lead_only=False, keyed=False):
     (``_add_tail_multiple``).  Delaying the normalization of this dict
     instead made the divisions slower.
     """
-    ring = module.ring
-    f = ring.field
+    f = module.ring.field
     p = f.p
     fmul = f.mul
     heappush, heappop = heapq.heappush, heapq.heappop
@@ -297,11 +313,6 @@ def _divide(module, work, divisors, track=False, lead_only=False, keyed=False):
         raise MonomialOverflow(
             "a division reaches a degree that does not fit a packed field"
         )
-    reducers = [
-        (k, r[0], r[2], r[3], r[4])
-        for k, r in enumerate(g.keyed() for g in divisors)
-        if r is not None
-    ]
     mask = module._divides_mask
     get = work.get
     rem = {}
@@ -314,7 +325,7 @@ def _divide(module, work, divisors, track=False, lead_only=False, keyed=False):
             coeff %= p
         if not coeff:  # zero in both fields' scalars (int, Fraction)
             continue
-        for k, lead_key, inverse, tail, den in reducers:
+        for k, (lead_key, _, inverse, tail, den) in reducers:
             u = key - lead_key
             if u & mask:
                 continue
@@ -351,20 +362,7 @@ def _divide(module, work, divisors, track=False, lead_only=False, keyed=False):
                 c %= p
             if c:
                 rem[key] = c
-    coords = [{} for _ in range(module.rank)]
-    lead = None
-    for key, c in rem.items():
-        pos, m = _term_of_key(module, key)
-        coords[pos][m] = c
-        lead = lead or (pos, m, c)
-    remainder = ModuleVector(module, tuple(Polynomial(ring, r) for r in coords))
-    # the remainder's first term came out largest, so its lead and its keyed
-    # form are known
-    remainder._lead = lead
-    if keyed:
-        items = list(rem.items())
-        remainder._keyed = _keyed_form(f, *items[0], items[1:]) if items else None
-    return (quots if track else None), remainder
+    return (quots if track else None), rem
 
 
 def _quotients(module, quots):
@@ -423,25 +421,26 @@ def _combine_rows(ring, combo, width):
 # -- Buchberger -------------------------------------------------------------
 
 
-def _s_vector(basis, leads, i, j, lcm):
-    """The S-vector c_i x^u_i basis[i] - c_j x^u_j basis[j], each c x^u
-    taking a lead to the monic ``lcm``, as a working dict of ``_divide``,
-    and its head ((i, {u_i: c_i}), (j, {u_j: -c_j})) for ``_row_recipe``.
+def _s_vector(module, forms, leads, i, j, lcm):
+    """The S-vector c_i x^u_i g_i - c_j x^u_j g_j of the vectors g_i, g_j
+    of ``module`` with keyed forms ``forms[i]``, ``forms[j]``
+    (``ModuleVector.keyed``) and leads ``leads[i]``, ``leads[j]``, each
+    c x^u taking a lead to the monic ``lcm``, as a working dict of
+    ``_divide``, and its head ((i, {u_i: c_i}), (j, {u_j: -c_j})) for
+    ``_row_recipe``.
 
-    The two leads cancel, so the dict holds the two keyed tails
-    (``ModuleVector.keyed``), each shifted by the key of the lcm term minus
-    the key of its lead and scaled by the kept inverse of its lead
-    coefficient.  Over a prime field the values are unreduced int sums, as
+    The two leads cancel, so the dict holds the two keyed tails, each
+    shifted by the key of the lcm term minus the key of its lead and scaled
+    by the kept inverse of its lead coefficient.  Over a prime field the values are unreduced int sums, as
     ``_divide`` takes them; over Q they are normalized ``Fraction``s, each
     product built in lowest terms as in the division step
     (``_add_tail_multiple``).  A term that cancels stays, as a zero."""
-    module = basis[i].module
     ring = module.ring
     f = ring.field
     p = f.p
     top = term_key(module, leads[i][0], lcm)
-    key_i, _, ci, tail_i, den_i = basis[i].keyed()
-    key_j, _, cj, tail_j, den_j = basis[j].keyed()
+    key_i, _, ci, tail_i, den_i = forms[i]
+    key_j, _, cj, tail_j, den_j = forms[j]
     shift_i, shift_j = top - key_i, top - key_j
     minus_cj = f.neg(cj)
     if p is not None:
@@ -618,7 +617,7 @@ def buchberger(ambient, gens):
     floor, then ``_reduce_basis``.
     """
     gens = tuple(gens)
-    adjoined, basis, table, _ = _pair_loop(ambient, gens)
+    adjoined, basis, _, table, _ = _pair_loop(ambient, gens)
     return _reduce_basis(ambient, gens, adjoined, basis, table)
 
 
@@ -627,43 +626,45 @@ def cokernel_series(ambient, gens, floor):
     it is known to dominate degree by degree: ``_pair_loop`` with that
     floor, which stops as soon as the lead terms reach it.  No reduced
     basis is built."""
-    return _pair_loop(ambient, tuple(gens), floor)[3]
+    return _pair_loop(ambient, tuple(gens), floor)[4]
 
 
 def _pair_loop(ambient, gens, floor=None):
     """Buchberger's pair loop over ``gens`` and the adjoined J-multiples:
     the coprime and chain criteria, then each S-vector divided by the basis
-    so far.  Returns (adjoined, basis, table, series); the basis is a
-    Groebner basis, not reduced.  Without a floor, row k of ``table``
-    expresses basis[k] (``_RowTable``): a generator's row is its unit
-    vector, and a remainder's row is recorded as the recipe of its
-    S-vector's head and quotients (``_row_recipe``), not multiplied out.
-    With a floor nothing is lifted through the result, so ``table`` is
-    None and the divisions keep no quotients.
+    so far.  Returns (adjoined, basis, leads, table, series); the basis is
+    a Groebner basis, not reduced, and ``leads`` its leads.  Without a
+    floor, row k of ``table`` expresses basis[k] (``_RowTable``): a
+    generator's row is its unit vector, and a remainder's row is recorded
+    as the recipe of its S-vector's head and quotients (``_row_recipe``),
+    not multiplied out.  With a floor nothing is lifted through the result,
+    so ``table`` is None and the divisions keep no quotients.
 
     ``series`` is None without a floor.  With a floor F, a series that
     HS(ambient / in(M)) is known to dominate in every degree (M the span of
     ``gens``), the lead terms L of the basis so far give
     HS(ambient / L) >= HS(ambient / in(M)) >= F (Traverso, "Hilbert
-    functions and the Buchberger algorithm", JSC 22 (1996)).  If the
-    generators' leads already give S = HS(ambient / L) == F, it returns F
-    before building any pair.  The generators are homogeneous and pairs
-    come out in increasing degree, so at the first pair of each degree d
-    the loop computes S once: S == F means HS(ambient / M) = F, and the loop stops and returns
-    F; S_d == F_d means L_d = in(M)_d, so every pair of degree d would
-    reduce to zero and is marked done unprocessed; S_d < F_d contradicts
-    the floor and raises InternalError.  Each nonzero remainder of degree d
-    adds one monomial to L_d, so once S_d - F_d remainders are in, the rest
-    of degree d is skipped too.  If the pairs run out first the basis is a
-    Groebner basis and the series comes from its leads, so ``series`` is
-    HS(ambient / M) either way.  Only the leads are read, so with a floor an
-    S-vector is divided only until its lead is divisible by no basis lead
-    (``_divide`` with ``lead_only``), and its tail stays unreduced: that
-    lead is still a new monomial of in(M), which is all the argument uses.
-    Without a floor every remainder is reduced fully: its row becomes a
-    lift witness, and its reduced tail makes less work for later pairs and
-    for ``_reduce_basis``.  The series of L is kept one numerator per
-    position (``_LeadsSeries``), each new lead updating its own.
+    functions and the Buchberger algorithm", JSC 22 (1996)).  The
+    numerator of S - F is kept, each new lead adding its change: once it is
+    zero, HS(ambient / M) = F and the loop returns F, before it builds any
+    pair if the generators' leads already give S == F.  The generators are
+    homogeneous and pairs come out in increasing degree.  At the first pair
+    of each degree d, S_d == F_d means L_d = in(M)_d, so every pair of
+    degree d would reduce to zero and is marked done unprocessed; S_d < F_d
+    contradicts the floor and raises InternalError.  Each nonzero remainder
+    of degree d adds one monomial to L_d, so once S_d - F_d remainders are
+    in, the rest of degree d is skipped too.  If the pairs run out first
+    the basis is a Groebner basis and the series comes from its leads, so
+    ``series`` is HS(ambient / M) either way.  Only the leads are read, so
+    with a floor an S-vector is divided only until its lead is divisible by
+    no basis lead (``_reduce`` with ``lead_only``), and its tail stays
+    unreduced: that lead is still a new monomial of in(M), which is all the
+    argument uses.  The loop divides by keyed forms (``ModuleVector.keyed``)
+    and the floored one keeps only those and the leads: ``basis`` is None,
+    and no remainder is decoded into polynomials.  Without a floor every
+    remainder is reduced fully: its row becomes a lift witness, and its
+    reduced tail makes less work for later pairs and for ``_reduce_basis``.
+    The series of L is kept one numerator per position (``_LeadsSeries``).
     """
     ring = ambient.ring
     for g in gens:
@@ -677,51 +678,58 @@ def _pair_loop(ambient, gens, floor=None):
     working = gens + adjoined
 
     floored = floor is not None
-    basis = []
+    basis = None if floored else []
     table = None if floored else _RowTable(ring, len(working))
     leads = []
+    forms = []  # the keyed forms of the basis
+    at = defaultdict(list)  # position -> the (index, lead monomial) there
     for j, g in enumerate(working):
-        if g.is_zero():
+        lead = g.lead()
+        if lead is None:
             continue
-        basis.append(g)
-        leads.append(g.lead())
+        at[lead[0]].append((len(leads), lead[1]))
+        leads.append(lead)
+        forms.append(g.keyed())
         if not floored:
+            basis.append(g)
             table.unit(j)
+    reducers = list(enumerate(forms))  # as ``_reduce`` reads them
 
     if floored:
         lead_series = _LeadsSeries(ambient, leads)
-        if not lead_series.series().sub(floor).numer:
-            return adjoined, basis, table, floor
+        gap = dict(lead_series.series().sub(floor).numer)  # of S - F, kept
+        if not gap:
+            return adjoined, basis, leads, table, floor
 
     rank_one = ambient.rank == 1
+    field, guard, shift, lcm_of = ring.field, ring._guard, ring._shift, ring.mono_lcm
 
     def pair(i, j):
-        lcm = ring.mono_lcm(leads[i][1], leads[j][1])
-        return (ring.mono_degree(lcm) + ambient.twists[leads[i][0]], i, j, lcm)
+        lcm = lcm_of(leads[i][1], leads[j][1])
+        return ((lcm >> shift) + ambient.twists[leads[i][0]], i, j, lcm)
 
     # a min-heap of (degree, i, j, lcm); every pair is pushed once and the
     # keys (degree, i, j) are unique, so pairs come out in increasing key
     # order
-    pairs = []
-    for i in range(len(basis)):
-        for j in range(i):
-            if leads[i][0] == leads[j][0]:
-                pairs.append(pair(j, i))
+    pairs = [
+        pair(j, i)
+        for same in at.values()
+        for n, (i, _) in enumerate(same)
+        for j, _ in same[:n]
+    ]
     heapq.heapify(pairs)
-    done = set()
+    done = defaultdict(set)  # index -> the indices it has formed a pair with
     degree = None
     excess = 0  # S_d - F_d: the nonzero remainders degree d can still add
 
     while pairs:
         d, i, j, lcm = heapq.heappop(pairs)
-        done.add((i, j))
+        done[i].add(j)
+        done[j].add(i)
         if floored:
             if d != degree:
                 degree = d
-                gap = lead_series.series().sub(floor)
-                if not gap.numer:
-                    return adjoined, basis, table, floor
-                excess = gap.expand(d).get(d, 0)
+                excess = _hilbert_value(gap, ring.weights, d)
                 if excess < 0:
                     raise InternalError(
                         f"lead terms fell below the Hilbert floor in degree {d} "
@@ -732,38 +740,38 @@ def _pair_loop(ambient, gens, floor=None):
         li, lj = leads[i], leads[j]
         if rank_one and li[1] + lj[1] == lcm:
             continue  # coprime leads; valid only for ideals
-        chained = False
-        for k in range(len(basis)):
-            if k in (i, j) or leads[k][0] != li[0]:
-                continue
-            if ring.mono_divides(leads[k][1], lcm):
-                a = (min(i, k), max(i, k))
-                b = (min(j, k), max(j, k))
-                if a in done and b in done:
-                    chained = True
-                    break
-        if chained:
-            continue
-        s, head = _s_vector(basis, leads, i, j, lcm)
-        quots, rem = _divide(
-            ambient, s, basis, track=not floored, lead_only=floored, keyed=True
-        )
-        if rem.is_zero():
+        if any(not (lcm - m) & guard and k in done[i] and k in done[j]
+               for k, m in at[li[0]]):
+            continue  # the chain criterion (k is neither i nor j)
+        s, head = _s_vector(ambient, forms, leads, i, j, lcm)
+        quots, rem = _reduce(ambient, s, reducers, track=not floored, lead_only=floored)
+        if not rem:
             continue
         excess -= 1
-        new_index = len(basis)
-        if not floored:
-            table.add(_row_recipe(ambient, head, quots))
-        basis.append(rem)
-        leads.append(rem.lead())
+        new_index = len(leads)
+        # the remainder's first term came out largest: its lead
+        (key, c), *tail = rem.items()
+        lead = (*_term_of_key(ambient, key), c)
+        form = _keyed_form(field, key, c, tail)
+        leads.append(lead)
+        forms.append(form)
+        reducers.append((new_index, form))
         if floored:
-            lead_series.add(leads[new_index])
-        for k in range(new_index):
-            if leads[k][0] == leads[new_index][0]:
-                heapq.heappush(pairs, pair(k, new_index))
+            _add_into(gap, lead_series.add(lead))
+            if not gap:
+                return adjoined, basis, leads, table, floor
+        else:
+            table.add(_row_recipe(ambient, head, quots))
+            vector = ModuleVector(ambient, _decode(ambient, rem.items()))
+            vector._lead, vector._keyed = lead, form
+            basis.append(vector)
+        same = at[lead[0]]
+        for k, _ in same:
+            heapq.heappush(pairs, pair(k, new_index))
+        same.append((new_index, lead[1]))
 
     series = lead_series.series() if floored else None
-    return adjoined, basis, table, series
+    return adjoined, basis, leads, table, series
 
 
 def _reduce_basis(ambient, gens, adjoined, basis, table):
@@ -967,9 +975,6 @@ class HilbertSeries:
         items = tuple(sorted((d, c) for d, c in coeffs.items() if c != 0))
         return HilbertSeries(items, tuple(weights))
 
-    def numer_dict(self):
-        return dict(self.numer)
-
     def twisted(self, shifts):
         """The sum of t^k times the series over k in ``shifts``: the series
         of a free module with those twists, when this one is HS(R)."""
@@ -982,14 +987,14 @@ class HilbertSeries:
     def sub(self, other):
         if self.weights != other.weights:
             raise DimensionMismatch("series over different denominators")
-        out = self.numer_dict()
+        out = dict(self.numer)
         for d, c in other.numer:
             out[d] = out.get(d, 0) - c
         return HilbertSeries.from_dict(out, self.weights)
 
     def as_polynomial(self):
         """Coefficient dict if the series is a (Laurent) polynomial, else None."""
-        cur = self.numer_dict()
+        cur = dict(self.numer)
         for w in self.weights:
             cur = _divide_by_one_minus_tw(cur, w)
             if cur is None:
@@ -1008,13 +1013,25 @@ class HilbertSeries:
         if not self.numer:
             return {}
         lo = min(d for d, _ in self.numer)
-        cur = self.numer_dict()
+        cur = dict(self.numer)
         for w in self.weights:
             nxt = {}
             for d in range(lo, upto + 1):
                 nxt[d] = cur.get(d, 0) + nxt.get(d - w, 0)
             cur = nxt
         return {d: c for d, c in cur.items() if c}
+
+
+def _hilbert_value(numer, weights, d):
+    """The coefficient of t^d in ``numer`` ({degree: c}) over prod
+    (1 - t^w): the sum over its terms c t^k of c times the number of
+    monomials of degree d - k."""
+    top = d - min(numer)
+    counts = [1] + [0] * top  # counts[e]: the monomials of degree e
+    for w in weights:
+        for e in range(w, top + 1):
+            counts[e] += counts[e - w]
+    return sum(c * counts[d - k] for k, c in numer.items() if k <= d)
 
 
 def _divide_by_one_minus_tw(coeffs, w):
@@ -1034,42 +1051,46 @@ def _divide_by_one_minus_tw(coeffs, w):
     return {d: c for d, c in q.items() if c and d <= hi - w}
 
 
-def _interreduce_monomials(ring, gens):
-    """The minimal ones of the packed monomials ``gens``, ascending; a
-    divisor has a smaller degree, the top field, so it sorts first."""
-    divides = ring.mono_divides
-    out = []
-    for g in sorted(set(gens)):
-        if not any(divides(h, g) for h in out):
-            out.append(g)
-    return out
-
-
 def _monomial_quotient_numerator(ring, gens):
     """Numerator of the Hilbert series of R/(gens) over prod (1 - t^w),
-    for packed monomials ``gens``."""
-    gens = _interreduce_monomials(ring, gens)
-    if not gens:
-        return {0: 1}
-    if not gens[0]:  # the monomial 1 packs to 0 and sorts first
+    for packed monomials ``gens``: the minimal generators adjoined one at a
+    time, smallest first (``_adjoin_numerator``).  A divisor has a smaller
+    degree, the top field, so it sorts first."""
+    divides = ring.mono_divides
+    minimal = []
+    for g in sorted(set(gens)):
+        if not any(divides(h, g) for h in minimal):
+            minimal.append(g)
+    if minimal and not minimal[0]:  # the monomial 1 packs to 0 and sorts first
         return {}
-    rest = gens[:-1]
-    return _adjoin_numerator(
-        ring, _monomial_quotient_numerator(ring, rest), rest, gens[-1]
-    )
+    numer, support = {0: 1}, 0
+    for k, g in enumerate(minimal):
+        _add_into(numer, _adjoin_numerator(ring, numer, minimal[:k], support, g))
+        support |= ring.mono_support(g)
+    return numer
 
 
-def _adjoin_numerator(ring, base, gens, pivot):
-    """The numerator of R/(gens, pivot) from ``base``, that of R/(gens):
+def _adjoin_numerator(ring, base, gens, support, pivot):
+    """What adjoining ``pivot`` adds to ``base``, the numerator of
+    R/(gens), given ``support``, the union of the gens' ``mono_support``s:
     0 -> R/(gens : pivot)(-deg pivot) -> R/(gens) -> R/(gens, pivot) -> 0
-    is exact, and g : pivot = lcm(g, pivot) / pivot."""
-    lcm = ring.mono_lcm
-    tail = _monomial_quotient_numerator(ring, [lcm(g, pivot) - pivot for g in gens])
+    is exact, and gens : pivot is spanned by the ``mono_colon``s, or is
+    gens, with numerator ``base``, for a pivot coprime to them all."""
+    if ring.mono_support(pivot) & support:
+        colon = ring.mono_colon
+        tail = _monomial_quotient_numerator(ring, [colon(g, pivot) for g in gens])
+    else:
+        tail = base
     d = ring.mono_degree(pivot)
-    out = dict(base)
-    for deg, c in tail.items():
-        out[deg + d] = out.get(deg + d, 0) - c
-    return {deg: c for deg, c in out.items() if c}
+    return {deg + d: -c for deg, c in tail.items()}
+
+
+def _add_into(numer, delta):
+    """Add the numerator ``delta`` into ``numer``, in place, without zeros."""
+    for deg, c in delta.items():
+        c += numer.pop(deg, 0)
+        if c:
+            numer[deg] = c
 
 
 @dataclass(frozen=True)
@@ -1081,28 +1102,35 @@ class HilbertData:
 class _LeadsSeries:
     """HS(ambient / L) for a growing monomial submodule L, spanned by
     ``leads`` ((position, monomial, coefficient) triples, as
-    ``ModuleVector.lead`` gives them), kept as one numerator per position:
-    ``add`` updates only the position of the new lead, by one
-    ``_adjoin_numerator``."""
+    ``ModuleVector.lead`` gives them), kept as one numerator and one union
+    of supports per position: ``add`` updates only the position of the new
+    lead, by one ``_adjoin_numerator``."""
 
-    __slots__ = ("ambient", "monos", "numerators")
+    __slots__ = ("ambient", "monos", "supports", "numerators")
 
     def __init__(self, ambient, leads):
+        ring = ambient.ring
         self.ambient = ambient
         self.monos = [[] for _ in range(ambient.rank)]
+        self.supports = [0] * ambient.rank
         for pos, m, _ in leads:
             self.monos[pos].append(m)
+            self.supports[pos] |= ring.mono_support(m)
         self.numerators = [
-            _monomial_quotient_numerator(ambient.ring, ms) for ms in self.monos
+            _monomial_quotient_numerator(ring, ms) for ms in self.monos
         ]
 
     def add(self, lead):
-        """Adjoin the lead (position, monomial, coefficient) to L."""
+        """Adjoin the lead (position, monomial, coefficient) to L; returns
+        the change of the numerator of HS(ambient / L), {degree: c}."""
         pos, m, _ = lead
-        self.numerators[pos] = _adjoin_numerator(
-            self.ambient.ring, self.numerators[pos], self.monos[pos], m
-        )
+        ring = self.ambient.ring
+        numer = self.numerators[pos]
+        delta = _adjoin_numerator(ring, numer, self.monos[pos], self.supports[pos], m)
+        _add_into(numer, delta)
         self.monos[pos].append(m)
+        self.supports[pos] |= ring.mono_support(m)
+        return {d + self.ambient.twists[pos]: c for d, c in delta.items()}
 
     def series(self):
         total = {}

@@ -16,8 +16,10 @@ most the degree, so a degree below 2^(FIELD_BITS - 1) keeps every field in
 range: each product checks the sum of the two largest degrees once, and a
 monomial that does not fit raises ``MonomialOverflow``, never carries into
 the next field.  ``PolyRing.pack`` converts from exponent tuples, and
-``monomial``, ``from_terms`` and the parser take tuples; only ``mono_lcm``
-and the printer read the fields back (``PolyRing._fields``).
+``monomial``, ``from_terms`` and the parser take tuples; only the printer
+and ``mono_colon`` on a ring with weights other than one read the fields
+back (``PolyRing._fields``): with unit weights one product gathers the
+degree of a colon or lcm, and coprimality is one ``&`` of supports.
 
 Every product is one kernel, ``_sum_of_products``: ``*``, ``PolyMatrix``'s
 ``@`` and ``apply``, and the row recombination of ``modules`` all add their
@@ -55,12 +57,13 @@ class PolyRing:
     ``_shift`` is the bit offset of the degree field, ``_limit`` the
     smallest packed monomial whose degree does not fit, ``_guard`` the
     guard bits of the exponent fields and ``_nbytes`` the byte length of a
-    packed monomial.
+    packed monomial; ``_ones`` the low bit of every exponent field, and
+    ``_unit`` whether every weight is one.
     """
 
     __slots__ = (
         "field", "names", "weights", "quotient", "_index", "_quotient_gb",
-        "_shift", "_limit", "_guard", "_nbytes",
+        "_shift", "_limit", "_guard", "_nbytes", "_ones", "_unit",
     )
 
     def __init__(self, field, names, weights=None, quotient=()):
@@ -89,6 +92,8 @@ class PolyRing:
             1 << (k + FIELD_BITS - 1) for k in range(0, self._shift, FIELD_BITS)
         )
         self._nbytes = (self._shift + FIELD_BITS) // 8
+        self._ones = self._guard >> (FIELD_BITS - 1)
+        self._unit = set(weights) == {1}
 
     @property
     def nvars(self):
@@ -157,20 +162,33 @@ class PolyRing:
     def mono_div(self, a, b):
         return a - b
 
+    def mono_colon(self, a, b):
+        """a : b, with exponents max(a_i - b_i, 0): each field of (a | guard)
+        - b keeps its guard bit iff a_i >= b_i, and then holds a_i - b_i.
+        With unit weights, times ``_ones`` the top field collects the
+        degree, the sum of the fields (at most deg a, so no partial sum
+        reaches a guard bit)."""
+        guard, shift = self._guard, self._shift
+        low = (1 << shift) - 1
+        diff = ((a & low) | guard) - (b & low)
+        wins = diff & guard
+        m = diff & (wins - (wins >> (FIELD_BITS - 1)))  # those fields' value bits
+        if self._unit:
+            return (m * self._ones >> (shift - FIELD_BITS) & _FIELD_MASK) << shift | m
+        return sum(map(mul, self.weights, self._fields(m))) << shift | m
+
     def mono_lcm(self, a, b):
-        """The least common multiple, field by field: (a | guard) - b
-        borrows within no field, and keeps a field's guard bit iff its
-        exponent in a is at least the one in b."""
-        guard = self._guard
-        low = (1 << self._shift) - 1
-        a, b = a & low, b & low
-        a_wins = ((a | guard) - b) & guard
-        a_wins -= a_wins >> (FIELD_BITS - 1)  # those fields' value bits
-        m = (a & a_wins) | (b & ~a_wins)
-        degree = sum(map(mul, self.weights, self._fields(m)))
-        if degree >= MAX_DEGREE:
-            raise _overflow(degree)
-        return (degree << self._shift) | m
+        """The least common multiple, b times a : b (``mono_colon``)."""
+        m = b + self.mono_colon(a, b)
+        if m >= self._limit:
+            raise _overflow(m >> self._shift)
+        return m
+
+    def mono_support(self, m):
+        """The guard bits of m's nonzero exponent fields: coprime monomials
+        share none.  Adding all-ones value bits to a field sets its guard."""
+        value = self._guard - self._ones
+        return ((m & value) + value) & self._guard
 
     # constructors ------------------------------------------------------
 

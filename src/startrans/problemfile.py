@@ -26,6 +26,7 @@ R(-2)^2, written [-2, -2]); internally a basis element of R(a) has degree
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 from .complexes import FreeComplex, check_complex
@@ -241,8 +242,11 @@ def _read_json(path):
             return json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    except ValueError as exc:  # JSONDecodeError, bad UTF-8, the int/str limit
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from None
+    except ValueError:  # int() refuses a literal beyond the int/str limit
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"{path}: a number has more than {limit} digits") from None
 
 
 def _problem_from_jsonable(data, field, check):

@@ -187,6 +187,47 @@ def generic_pfaffian(field, seed):
     return FreeComplex(ring, modules, maps), validate_sop(ring, params)
 
 
+def hilbert_burch(field, t, seed):
+    """(complex, sop) of one seeded Hilbert-Burch draw: the resolution
+    0 -> R(-2t-2)^t -> R(-2t)^(t+1) -> R of the maximal minors of a generic
+    (t+1) x t matrix A over k[x, y] (Hilbert-Burch theorem; Eisenbud, *The
+    Geometry of Syzygies*, ch. 3), ranks [1, t+1, t], with
+    a_ij = q_1 l_ij1 + q_2 l_ij2 for random linear forms q_s and l_ijs
+    (``random_linear_form``) and parameters q_1, q_2.  phi_1 is the row of
+    minors, the one omitting row i signed (-1)^i, and phi_2 = A, whose
+    entries lie in Q, so Im phi_2 lies in Q F_1."""
+    rng = random.Random(seed)
+    ring = standard_ring(("x", "y"), field=field)
+    params = [random_linear_form(rng, ring) for _ in range(2)]
+    q1, q2 = params
+    a = [
+        [q1 * random_linear_form(rng, ring) + q2 * random_linear_form(rng, ring)
+         for _ in range(t)]
+        for _ in range(t + 1)
+    ]
+    sign = [ring.field.one, ring.field.neg(ring.field.one)]
+
+    def det(rows):  # Laplace expansion along the first row
+        if not rows:
+            return ring.one()
+        return sum(
+            (
+                (e * det([r[:j] + r[j + 1:] for r in rows[1:]])).scale(sign[j % 2])
+                for j, e in enumerate(rows[0])
+            ),
+            ring.zero(),
+        )
+
+    row = [det(a[:i] + a[i + 1:]).scale(sign[i % 2]) for i in range(t + 1)]
+    modules = (
+        GradedFreeModule(ring, 1, (0,)),
+        GradedFreeModule(ring, t + 1, (2 * t,) * (t + 1)),
+        GradedFreeModule(ring, t, (2 * t + 2,) * t),
+    )
+    maps = (PolyMatrix(ring, [row], 1, t + 1), PolyMatrix(ring, a, t + 1, t))
+    return FreeComplex(ring, modules, maps), validate_sop(ring, params)
+
+
 def pullback(comp, ring, forms):
     """``comp`` over k[y_1..y_m] carried to ``ring`` along y_i -> forms[i],
     forms of one degree d: every entry substituted, every twist multiplied
@@ -485,6 +526,7 @@ def _schreyer_relations(gens, ambient, ncols):
     syz_module = GradedFreeModule(ring, ncols, twists)
     gb = buchberger(ambient, gens)
     basis, leads = gb.gb, gb.leads
+    forms = [g.keyed() for g in basis]
     rows = [gb.row_table.row(k) for k in gb.row_ids]
     combos = []
     for j in range(len(basis)):
@@ -492,7 +534,7 @@ def _schreyer_relations(gens, ambient, ncols):
             if leads[i][0] != leads[j][0]:
                 continue
             lcm = ring.mono_lcm(leads[i][1], leads[j][1])
-            s, head = _s_vector(basis, leads, i, j, lcm)
+            s, head = _s_vector(ambient, forms, leads, i, j, lcm)
             quots, rem = _divide(ambient, s, basis, track=True)
             assert rem.is_zero()
             recipe = _row_recipe(ambient, head, quots)

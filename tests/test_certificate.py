@@ -18,7 +18,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import brute
-from reference import full_hilbert_certificate, generic_koszul, image_complex
+from reference import (
+    full_hilbert_certificate,
+    generic_koszul,
+    hilbert_burch,
+    image_complex,
+)
 from startrans import (
     FreeComplex,
     GradedFreeModule,
@@ -432,17 +437,34 @@ def _tampers(comp, var):
         yield FreeComplex(ring, modules, tuple(maps))
 
 
-@settings(max_examples=25, deadline=None)
-@given(koszul_problems(), st.data())
-def test_floored_certificate_agrees_with_the_full_one(problem, data):
-    name, comp, sop = problem
+def _floored_agrees_with_full(name, comp, sop, var):
     out = star_transform(comp, sop, with_report=False).star.complex
-    var = data.draw(st.integers(0, comp.ring.nvars - 1))
     cases = [comp, out, *_tampers(comp, var), *_tampers(out, var)]
     for k, c in enumerate(cases):
         # a copy of each, so neither certificate reads the other's bases
         expected = _verdict(full_hilbert_certificate(replace(c)))
         assert _verdict(certify_acyclic(c)) == expected, (name, k)
+
+
+@settings(max_examples=25, deadline=None)
+@given(koszul_problems(), st.data())
+def test_floored_certificate_agrees_with_the_full_one(problem, data):
+    name, comp, sop = problem
+    var = data.draw(st.integers(0, comp.ring.nvars - 1))
+    _floored_agrees_with_full(name, comp, sop, var)
+
+
+HB_FIELDS = {"Q": RationalField(), "p32003": PrimeField(32003)}
+
+
+@pytest.mark.parametrize("field", sorted(HB_FIELDS))
+@pytest.mark.parametrize("t", [2, 3, 4])
+def test_floored_certificate_agrees_with_the_full_one_on_hilbert_burch(field, t):
+    # ranks [1, t+1, t], which no Koszul or Pfaffian input gives
+    comp, sop = hilbert_burch(HB_FIELDS[field], t, seed=t)
+    assert [m.rank for m in comp.modules] == [1, t + 1, t]
+    for var in range(comp.ring.nvars):
+        _floored_agrees_with_full((field, t), comp, sop, var)
 
 
 def test_floored_certificate_divides_less(monkeypatch):
@@ -463,13 +485,13 @@ def test_floored_certificate_divides_less(monkeypatch):
     comp = koszul(validate_sop(ring, [q * linear() for q in params]))
     out = star_transform(comp, sop, with_report=False).star.complex
     calls = []
-    real = modules._divide
+    real = modules._reduce
 
     def counting(*args, **kwargs):
         calls.append(None)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(modules, "_divide", counting)
+    monkeypatch.setattr(modules, "_reduce", counting)
     floored = _verdict(certify_acyclic(replace(out)))
     floored_calls = len(calls)
     calls.clear()
@@ -507,13 +529,13 @@ def test_only_the_floored_loop_divides_to_the_lead(monkeypatch):
     gens = [ambient.vector((ring.parse(t),)) for t in ("x^2 + y*z", "x*y - z^2", "y^3")]
     zero = ring_series(ring).sub(ring_series(ring))
     flags = []
-    real = modules._divide
+    real = modules._reduce
 
     def recording(*args, lead_only=False, **kwargs):
         flags.append(lead_only)
         return real(*args, lead_only=lead_only, **kwargs)
 
-    monkeypatch.setattr(modules, "_divide", recording)
+    monkeypatch.setattr(modules, "_reduce", recording)
     expected = buchberger(ambient, gens).series()
     assert flags and not any(flags)
     flags.clear()
@@ -570,20 +592,31 @@ def _route(cert):
     return cert.ok, cert.failed_position, cert.detail, cert.series
 
 
-@settings(max_examples=25, deadline=None)
-@given(koszul_problems(Q_RINGS), st.data())
-def test_prime_route_agrees_with_the_q_route(problem, data):
-    # verdict, position, detail and HS(F_0 / Im phi_1), on inputs, outputs
-    # and tampered copies; over R/J the prime is not used
-    name, comp, sop = problem
+def _prime_agrees_with_q(name, comp, sop, var):
     out = star_transform(comp, sop, with_report=False).star.complex
-    var = data.draw(st.integers(0, comp.ring.nvars - 1))
     for k, c in enumerate([comp, out, *_tampers(comp, var), *_tampers(out, var)]):
         over_q = complexes._series_certificate(c)
         assert _route(complexes._hilbert_certificate(c)) == _route(over_q), (name, k)
         full = buchberger(c.module(0), c.image_gens(1)).series()
         assert over_q.series == full, (name, k)
         assert (complexes._modulo_prime(c) is None) == bool(c.ring.quotient)
+
+
+@settings(max_examples=25, deadline=None)
+@given(koszul_problems(Q_RINGS), st.data())
+def test_prime_route_agrees_with_the_q_route(problem, data):
+    # verdict, position, detail and HS(F_0 / Im phi_1), on inputs, outputs
+    # and tampered copies; over R/J the prime is not used
+    name, comp, sop = problem
+    var = data.draw(st.integers(0, comp.ring.nvars - 1))
+    _prime_agrees_with_q(name, comp, sop, var)
+
+
+@pytest.mark.parametrize("t", [2, 3, 4])
+def test_prime_route_agrees_with_the_q_route_on_hilbert_burch(t):
+    comp, sop = hilbert_burch(RationalField(), t, seed=t)
+    for var in range(comp.ring.nvars):
+        _prime_agrees_with_q(t, comp, sop, var)
 
 
 def _recording_routes(monkeypatch):

@@ -567,13 +567,13 @@ def test_cli_verify_subcommand(tmp_path, capsys):
 
 def _exa_over_the_prime_denominator(data):
     # a denominator divisible by the certificate's prime: the Q route only
-    p = 2**31 - 1
+    p = complexes.MODULAR_PRIME
     data["complex"]["maps"][1] = [[f"-3/{p}*y^2"], [f"3/{p}*x^2"]]
 
 
 def _unlucky_koszul(data):
     # Koszul(P*x + y, y): exact over Q, not mod P
-    f = f"{2**31 - 1}*x + y"
+    f = f"{complexes.MODULAR_PRIME}*x + y"
     data["complex"] = {
         "twists": [[0], [-1, -1], [-2]],
         "maps": [[[f, "y"]], [["-y"], [f]]],
@@ -1386,23 +1386,28 @@ def test_cli_malformed_file_is_parse_error(
 
 
 @pytest.mark.parametrize(
-    "content",
+    "content, message",
     [
-        b"{",
-        b"\xff",
+        (b"{", "{path} is not valid JSON: "),
+        (b"\xff", "{path} is not valid JSON: "),
         pytest.param(
             b"[1" + b"0" * sys.get_int_max_str_digits() + b"]",
+            "{path}: a number has more than {limit} digits\n",
             marks=needs_a_digit_limit,
         ),
     ],
     ids=["cut", "not-utf-8", "number-past-the-digit-limit"],
 )
-def test_cli_a_file_that_is_not_json_exits_three(tmp_path, capsys, content):
+def test_cli_a_file_that_is_not_json_exits_three(tmp_path, capsys, content, message):
+    # a number past the digit limit is valid JSON: the message names the
+    # limit instead of advice a command-line user cannot follow
     path = tmp_path / "bad.json"
     path.write_bytes(content)
     assert main(["info", "--input", str(path)]) == 3
     captured = capsys.readouterr()
-    assert captured.err.startswith(f"parse error: {path} is not valid JSON: ")
+    expected = message.format(path=path, limit=sys.get_int_max_str_digits())
+    assert captured.err.startswith("parse error: " + expected)
+    assert "set_int_max_str_digits" not in captured.err
     assert captured.out == ""
 
 

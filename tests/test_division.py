@@ -32,8 +32,11 @@ from reference import add_vectors, termwise_products, unpack
 from startrans import GradedFreeModule, PolyMatrix, PolyRing, PrimeField, RationalField
 from startrans.modules import (
     _combine_rows,
+    _decode,
     _divide,
+    _keyed_form,
     _quotients,
+    _reduce,
     _s_vector,
     _term_of_key,
     _work,
@@ -254,19 +257,27 @@ def test_division_matches_linear_scan_and_the_identity(problem):
 @settings(max_examples=50, deadline=None)
 @given(division_problems())
 def test_division_to_the_lead_keeps_the_lead_and_the_identity(problem):
-    # the floored pair loop stops at the remainder's lead: the same lead as
-    # the full division, and the quotients so far still recombine
+    # the floored pair loop stops at the remainder's lead (``_reduce`` with
+    # ``lead_only``): the same lead as the full division, first among the
+    # remainder's terms; the keyed form the loop builds from those terms is
+    # the remainder's, and the quotients so far still recombine
     vector, divisors = problem
+    module = vector.module
     _, rem = divide(vector, divisors)
-    pairs, rem_lead = divide(vector, divisors, track=True, lead_only=True)
-    quots = dense_quotients(pairs, divisors)
-    assert rem_lead.lead() == rem.lead()
-    *lead, tail, den = rem_lead.keyed() or (None, [], 1)
-    *fresh_lead, fresh_tail, fresh_den = (
-        rem_lead.module.vector(rem_lead.coords).keyed() or (None, [], 1)
+    reducers = [(k, r) for k, r in enumerate(g.keyed() for g in divisors) if r]
+    pairs, terms = _reduce(
+        module, _work(vector), reducers, track=True, lead_only=True
     )
-    assert lead == fresh_lead and sorted(tail) == sorted(fresh_tail)
-    assert den == fresh_den
+    quots = dense_quotients(pairs, divisors)
+    rem_lead = module.vector(_decode(module, terms.items()))
+    assert rem_lead.lead() == rem.lead()
+    if terms:
+        (key, c), *tail = terms.items()
+        assert (*_term_of_key(module, key), c) == rem.lead()
+        *lead, tail, den = _keyed_form(module.ring.field, key, c, tail)
+        *fresh_lead, fresh_tail, fresh_den = rem_lead.keyed()
+        assert lead == fresh_lead and sorted(tail) == sorted(fresh_tail)
+        assert den == fresh_den
     assert all(_canonical(c) for c in rem_lead.coords)
     recombined = rem_lead
     for q, g in zip(quots, divisors):
@@ -352,7 +363,9 @@ def test_s_vectors_match_the_termwise_oracle(problem):
             if leads[i][0] != leads[j][0]:
                 continue
             lcm = ring.mono_lcm(leads[i][1], leads[j][1])
-            work, ((_, head_i), (_, head_j)) = _s_vector(basis, leads, i, j, lcm)
+            work, ((_, head_i), (_, head_j)) = _s_vector(
+                module, [g.keyed() for g in basis], leads, i, j, lcm
+            )
             for (u, c), lead in ((*head_i.items(), leads[i]), (*head_j.items(), leads[j])):
                 assert ring.mono_mul(u, lead[1]) == lcm
                 assert f.mul(c, lead[2]) in (f.one, f.neg(f.one))

@@ -457,6 +457,49 @@ def test_packed_operations_agree_componentwise(problem):
             assert unpack(ring, ring.mono_div(py, px)) == tuple(map(sub, y, x))
     lcm = ring.mono_lcm(pa, pb)
     assert ring.mono_divides(pa, lcm) and ring.mono_divides(pb, lcm)
+    assert ring.mono_degree(lcm) == tuple_degree(ring, tuple(map(max, a, b)))
+    colon = tuple(max(x - y, 0) for x, y in zip(a, b))
+    assert unpack(ring, ring.mono_colon(pa, pb)) == colon
+    assert ring.mono_degree(ring.mono_colon(pa, pb)) == tuple_degree(ring, colon)
+    coprime = not any(x and y for x, y in zip(a, b))
+    assert (not ring.mono_support(pa) & ring.mono_support(pb)) == coprime
+
+
+def test_only_weighted_rings_read_the_fields_of_an_lcm(monkeypatch):
+    # with unit weights the lcm's degree is one product; the (1, 2, 1) ring
+    # weighs the fields it reads back
+    reads = []
+    real = PolyRing._fields
+
+    def counting(self, m):
+        reads.append(m)
+        return real(self, m)
+
+    monkeypatch.setattr(PolyRing, "_fields", counting)
+    for ring in PACKING_RINGS:
+        a = ring.pack(tuple(range(ring.nvars)))
+        b = ring.pack(tuple(range(ring.nvars))[::-1])
+        reads.clear()
+        lcm = ring.mono_lcm(a, b)
+        assert bool(reads) == (set(ring.weights) != {1}), ring
+        exps = tuple(map(max, real(ring, a), real(ring, b)))[: ring.nvars]
+        assert lcm == ring.pack(exps)
+
+
+@pytest.mark.parametrize("weights", [(1, 1), (1, 2)], ids=["unit", "weighted"])
+def test_an_lcm_fits_or_overflows_past_the_sum_of_the_degrees(weights):
+    # deg a + deg b >= MAX_DEGREE in both cases: the lcm (x^e) fits, and
+    # the lcm of x^e with x^(e - 1) y reaches MAX_DEGREE
+    ring = PolyRing(PrimeField(7), ("x", "y"), weights)
+    e = MAX_DEGREE - weights[1]
+    a, b = ring.pack((e, 0)), ring.pack((e - 1, 0))
+    assert ring.mono_degree(a) + ring.mono_degree(b) >= MAX_DEGREE
+    assert ring.mono_lcm(a, b) == ring.mono_lcm(b, a) == a
+    c = ring.pack((e - 1, 1))
+    assert ring.mono_degree(a) + ring.mono_degree(c) >= MAX_DEGREE
+    for x, y in ((a, c), (c, a)):
+        with pytest.raises(MonomialOverflow):
+            ring.mono_lcm(x, y)
 
 
 @settings(max_examples=150, deadline=None)
@@ -466,6 +509,50 @@ def test_hilbert_numerators_on_packed_monomials_match_the_tuple_kernel(
 ):
     # the package's kernel reads packed leads only; one lead at a time
     # (``_LeadsSeries.add``) gives the same numerator as all at once
+    ring, monos = problem
+    expected = monomial_quotient_numerator(ring.weights, monos)
+    packed = [ring.pack(e) for e in monos]
+    assert _monomial_quotient_numerator(ring, packed) == expected
+    module = GradedFreeModule(ring, 1, (0,))
+    first = data.draw(st.integers(0, len(monos)))
+    grown = _LeadsSeries(module, [(0, m, None) for m in packed[:first]])
+    for m in packed[first:]:
+        grown.add((0, m, None))
+    assert grown.numerators == [expected]
+
+
+@st.composite
+def structured_leads(draw):
+    """A ring and 10-30 exponent tuples that are pure powers (pairwise
+    coprime once reduced to the minimal ones) or variable-disjoint: each
+    supported on one of two complementary blocks of variables."""
+    ring = draw(st.sampled_from([r for r in PACKING_RINGS if r.nvars >= 2]))
+    n = ring.nvars
+    count = draw(st.integers(10, 30))
+    exponent = st.integers(1, 4)
+    if draw(st.booleans()):
+        variable = st.integers(0, n - 1)
+        powers = st.tuples(variable, exponent)
+        return ring, [
+            tuple(e if i == v else 0 for i in range(n))
+            for v, e in draw(st.lists(powers, min_size=count, max_size=count))
+        ]
+    cut = draw(st.integers(1, n - 1))
+    blocks = (range(cut), range(cut, n))
+
+    def lead(block):
+        size = len(block)
+        exps = draw(st.lists(st.integers(0, 2), min_size=size, max_size=size))
+        return tuple(exps[i - block.start] if i in block else 0 for i in range(n))
+
+    return ring, [lead(blocks[draw(st.integers(0, 1))]) for _ in range(count)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(structured_leads(), st.data())
+def test_hilbert_numerators_of_coprime_and_disjoint_leads(problem, data):
+    # the kernel skips the colon of a lead coprime to the leads before it;
+    # all at once and one lead at a time agree with the tuple kernel
     ring, monos = problem
     expected = monomial_quotient_numerator(ring.weights, monos)
     packed = [ring.pack(e) for e in monos]
