@@ -10,8 +10,8 @@ boundary of a Koszul basis element e_S is
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field
-from functools import cache
 from itertools import combinations
 
 from .errors import NotASop, NotInModule, PreconditionFailed, ValidationError
@@ -24,7 +24,7 @@ from .modules import (
     reduce_mod_quotient,
     ring_series,
 )
-from .poly import Polynomial, PolyMatrix, PolyRing
+from .poly import PolyMatrix
 
 # The prime of the modular acyclicity certificate over Q (``_hilbert_certificate``)
 MODULAR_PRIME = 2**30 - 35
@@ -327,28 +327,47 @@ def _hilbert_certificate(comp):
     holds over R/J as well as over R.  A failure names the first inexact
     position and the lowest degree where the two Hilbert functions differ.
 
-    Over Q, the certificate is first run on the reduction modulo
-    ``MODULAR_PRIME`` (``_modulo_prime``).  The entries lie in the local
-    ring Z_(P), and a complex of finite free Z_(P)-modules that is exact
-    mod P above position 0 is split exact there with a free H_0
-    (Nakayama; Eisenbud, *Commutative Algebra*, ch. 20), degree by degree.
-    So a mod-P certificate that holds proves the complex acyclic over Q,
-    and every Q series equals the mod-P one (Arnold, "Modular algorithms
-    for computing Groebner bases", JSC 35 (2003), on lucky primes).  A
-    mod-P failure proves nothing, since the prime may be unlucky: the
-    certificate is then run over Q, so a failure, its position and its
-    degree always come from Q.
+    Over Q on a lucky ring (``_modular``), it first runs on the complex's
+    own columns with the arithmetic in GF(P), P = ``MODULAR_PRIME``
+    (``cokernel_series``).  For A = Z_(P)[x]/(J meet Z_(P)[x]), luck means
+    F_P[x]/Jbar = A/PA, so a complex with no P in a denominator lies over
+    A, and mod P it is that complex tensored with A/PA.  Each A_d is free
+    over Z_(P), and a complex of finite free Z_(P)-modules that is exact
+    mod P above position 0 is split exact with a free H_0 (Nakayama;
+    Eisenbud, *Commutative Algebra*, ch. 20), degree by degree.  So a mod-P
+    certificate that holds proves the complex acyclic over Q, with every
+    series as mod P (Arnold, JSC 35 (2003), on lucky primes).  A mod-P
+    failure proves nothing, and a denominator P divides stops the run: then
+    it runs over Q, so a failure, its position and its degree are Q's.
     """
-    reduced = _modulo_prime(comp)
-    if reduced is not None:
-        cert = _series_certificate(reduced)
-        if cert.ok:
-            return cert
+    if _modular(comp.ring):
+        with suppress(ZeroDivisionError):  # P divides a denominator
+            cert = _series_certificate(comp, _MODULAR_FIELD)
+            if cert.ok:
+                return cert
     return _series_certificate(comp)
 
 
-def _series_certificate(comp):
-    """``_hilbert_certificate`` over the complex's own field."""
+def _modular(ring):
+    """Whether ``ring`` is lucky: over Q, Jbar, J's generators reduced mod
+    P, keep HS(R/J).  F_P[x]/Jbar maps onto A/PA (``_hilbert_certificate``),
+    of series HS(R/J), so that is a floor, reached iff the map is an
+    isomorphism.  J = (xy, P x^2 + y^2) is unlucky: (xy, y^2) has a larger
+    series.  Decided once per ring and kept on it."""
+    if getattr(ring, "_modular", None) is None:
+        series = ring_series(ring)
+        try:
+            ring._modular = ring.field.p is None and series == cokernel_series(
+                GradedFreeModule(ring, 1, (0,)), (), series, _MODULAR_FIELD
+            )
+        except ZeroDivisionError:  # P divides a denominator of J's generators
+            ring._modular = False
+    return ring._modular
+
+
+def _series_certificate(comp, field=None):
+    """``_hilbert_certificate`` over the complex's own field, or with the
+    arithmetic in the prime ``field`` (``cokernel_series``)."""
     n = comp.length
     base = ring_series(comp.ring)
     free = [base.twisted(m.twists) for m in comp.modules]
@@ -356,62 +375,18 @@ def _series_certificate(comp):
     coker, floors = [None] * n + [free[n]], [None] * n
     for p in range(n, 0, -1):
         floor = floors[p - 1] = free[p - 1].sub(coker[p])
-        coker[p - 1] = cokernel_series(comp.module(p - 1), comp.image_gens(p), floor)
+        gens = comp.image_gens(p)
+        coker[p - 1] = cokernel_series(comp.module(p - 1), gens, floor, field)
     for p in range(1, n + 1):
         if coker[p - 1] != floors[p - 1]:
             diff = floors[p - 1].sub(coker[p - 1])
             return AcyclicityCertificate(
                 False, p,
                 f"kernel at position {p} exceeds the image of the next map "
-                f"in degree {diff.numer[0][0]}",
+                f"in degree {min(diff.numer)}",
                 coker[0],
             )
     return AcyclicityCertificate(True, series=coker[0])
-
-
-def _modulo_prime(comp):
-    """The complex with each coefficient a/b mapped to a/b mod
-    ``MODULAR_PRIME``, without labels; None over a prime field, over a
-    ring with a quotient ideal (whose series mod P need not be the one over
-    Q), or when a denominator is divisible by P.  The packed monomials do
-    not depend on the field, so they are kept.  Each distinct denominator
-    is inverted once, and an integer coefficient needs no inverse."""
-    ring = comp.ring
-    if ring.field.p is not None or ring.quotient:
-        return None
-    reduced_ring = _modular_ring(ring.names, ring.weights)
-    inverses = {1: 1}
-    maps = []
-    for m in comp.maps:
-        rows = []
-        for row in m.entries:
-            out = []
-            for e in row:
-                terms = {}
-                for mono, c in e.terms.items():
-                    d = c._denominator
-                    inverse = inverses.get(d)
-                    if inverse is None:
-                        if not d % MODULAR_PRIME:
-                            return None
-                        inverse = inverses[d] = pow(d, -1, MODULAR_PRIME)
-                    c = c._numerator * inverse % MODULAR_PRIME
-                    if c:
-                        terms[mono] = c
-                out.append(Polynomial(reduced_ring, terms))
-            rows.append(out)
-        maps.append(PolyMatrix(reduced_ring, rows, m.nrows, m.ncols))
-    modules = tuple(
-        GradedFreeModule(reduced_ring, m.rank, m.twists) for m in comp.modules
-    )
-    return FreeComplex(reduced_ring, modules, tuple(maps))
-
-
-@cache
-def _modular_ring(names, weights):
-    """The ring over F_P with these variables, one per signature, so that
-    its kept series (``ring_series``) is computed once."""
-    return PolyRing(_MODULAR_FIELD, names, weights)
 
 
 def koszul(sop):

@@ -182,14 +182,9 @@ class ModuleVector:
         try:
             return self._lead
         except AttributeError:
-            pass
-        keyed = self.keyed()
-        if keyed is None:
-            self._lead = None
-        else:
-            pos, m = _term_of_key(self.module, keyed[0])
-            self._lead = (pos, m, keyed[1])
-        return self._lead
+            keyed = self.keyed()
+            self._lead = keyed and (*_term_of_key(self.module, keyed[0]), keyed[1])
+            return self._lead
 
     def keyed(self):
         """The vector as a divisor: (lead key, lead coefficient, its
@@ -197,15 +192,8 @@ class ModuleVector:
         try:
             return self._keyed
         except AttributeError:
-            pass
-        work = _work(self)
-        if not work:
-            self._keyed = None
-            return None
-        key = min(work)
-        c = work.pop(key)
-        self._keyed = _keyed_form(self.module.ring.field, key, c, list(work.items()))
-        return self._keyed
+            self._keyed = _keyed_work(self.module.ring.field, _work(self))
+            return self._keyed
 
     def homogeneous_degree(self):
         """Common value of deg(coord) + twist over nonzero coords, or None
@@ -225,6 +213,36 @@ class ModuleVector:
     def __repr__(self):
         inner = ", ".join(format_polynomial(c) for c in self.coords)
         return f"({inner})"
+
+
+def _modular_form(module, field, inverses, coords):
+    """The keyed form over the prime ``field`` of the vector over Q with the
+    (position, polynomial) pairs ``coords``, None if zero there: a/b is
+    a * b^-1 mod p, each b inverted once (kept in ``inverses``), and a b
+    that p divides raises ZeroDivisionError."""
+    p = field.p
+    terms = {}
+    for pos, poly in coords:
+        for m, c in poly.terms.items():
+            d = c._denominator
+            inverse = inverses.get(d)
+            if inverse is None:
+                if not d % p:
+                    raise ZeroDivisionError(f"{p} divides a denominator")
+                inverse = inverses[d] = pow(d, -1, p)
+            c = c._numerator * inverse % p
+            if c:
+                terms[term_key(module, pos, m)] = c
+    return _keyed_work(field, terms)
+
+
+def _keyed_work(field, work):
+    """``_keyed_form`` of the nonzero terms {``term_key``: coefficient}
+    ``work`` (consumed), the smallest key the lead; None if there are none."""
+    key = min(work, default=None)
+    return None if key is None else _keyed_form(
+        field, key, work.pop(key), list(work.items())
+    )
 
 
 def _keyed_form(field, key, c, tail):
@@ -272,7 +290,7 @@ def _divide(module, work, divisors, track=False):
     return quots, remainder
 
 
-def _reduce(module, work, reducers, track=False, lead_only=False):
+def _reduce(module, work, reducers, track=False, lead_only=False, field=None):
     """The division of ``_divide`` by the (index, keyed form) pairs
     ``reducers`` of the nonzero divisors: (quotients, remainder terms), the
     terms {``term_key``: coefficient} with the lead first.  No remainder
@@ -301,9 +319,9 @@ def _reduce(module, work, reducers, track=False, lead_only=False):
     in lowest terms once per step (``_over_tail``), each -q * a / den then
     by dividing out one gcd, and it is added with one ``_sum``
     (``_add_tail_multiple``).  Delaying the normalization of this dict
-    instead made the divisions slower.
+    instead made the divisions slower.  A ``field`` replaces the ring's.
     """
-    f = module.ring.field
+    f = field or module.ring.field
     p = f.p
     fmul = f.mul
     heappush, heappop = heapq.heappush, heapq.heappop
@@ -421,7 +439,7 @@ def _combine_rows(ring, combo, width):
 # -- Buchberger -------------------------------------------------------------
 
 
-def _s_vector(module, forms, leads, i, j, lcm):
+def _s_vector(module, forms, leads, i, j, lcm, field=None):
     """The S-vector c_i x^u_i g_i - c_j x^u_j g_j of the vectors g_i, g_j
     of ``module`` with keyed forms ``forms[i]``, ``forms[j]``
     (``ModuleVector.keyed``) and leads ``leads[i]``, ``leads[j]``, each
@@ -434,9 +452,10 @@ def _s_vector(module, forms, leads, i, j, lcm):
     by the kept inverse of its lead coefficient.  Over a prime field the values are unreduced int sums, as
     ``_divide`` takes them; over Q they are normalized ``Fraction``s, each
     product built in lowest terms as in the division step
-    (``_add_tail_multiple``).  A term that cancels stays, as a zero."""
+    (``_add_tail_multiple``).  A term that cancels stays, as a zero.  A
+    ``field`` replaces the ring's."""
     ring = module.ring
-    f = ring.field
+    f = field or ring.field
     p = f.p
     top = term_key(module, leads[i][0], lcm)
     key_i, _, ci, tail_i, den_i = forms[i]
@@ -621,15 +640,15 @@ def buchberger(ambient, gens):
     return _reduce_basis(ambient, gens, adjoined, basis, table)
 
 
-def cokernel_series(ambient, gens, floor):
+def cokernel_series(ambient, gens, floor, field=None):
     """HS(ambient / <gens>) (modulo J over R/J), given ``floor``, a series
     it is known to dominate degree by degree: ``_pair_loop`` with that
     floor, which stops as soon as the lead terms reach it.  No reduced
-    basis is built."""
-    return _pair_loop(ambient, tuple(gens), floor)[4]
+    basis is built.  A prime ``field`` reduces ``gens`` and J over Q mod p."""
+    return _pair_loop(ambient, tuple(gens), floor, field)[4]
 
 
-def _pair_loop(ambient, gens, floor=None):
+def _pair_loop(ambient, gens, floor=None, field=None):
     """Buchberger's pair loop over ``gens`` and the adjoined J-multiples:
     the coprime and chain criteria, then each S-vector divided by the basis
     so far.  Returns (adjoined, basis, leads, table, series); the basis is
@@ -659,23 +678,31 @@ def _pair_loop(ambient, gens, floor=None):
     with a floor an S-vector is divided only until its lead is divisible by
     no basis lead (``_reduce`` with ``lead_only``), and its tail stays
     unreduced: that lead is still a new monomial of in(M), which is all the
-    argument uses.  The loop divides by keyed forms (``ModuleVector.keyed``)
-    and the floored one keeps only those and the leads: ``basis`` is None,
-    and no remainder is decoded into polynomials.  Without a floor every
-    remainder is reduced fully: its row becomes a lift witness, and its
-    reduced tail makes less work for later pairs and for ``_reduce_basis``.
-    The series of L is kept one numerator per position (``_LeadsSeries``).
+    argument uses.  The loop divides by keyed forms (``ModuleVector.keyed``);
+    the floored one keeps only those and the leads (``basis`` is None, no
+    remainder is decoded), the full one reduces every remainder fully, for
+    its row's lift witness and less work later.  The series of L is kept one
+    numerator per position (``_LeadsSeries``).  A floored run over Q may
+    take a prime ``field``: each generator and J-multiple is then keyed
+    once mod p from its terms (``_modular_form``), ``adjoined`` is None and
+    the arithmetic is mod p.
     """
     ring = ambient.ring
     for g in gens:
         if g.module != ambient:
             raise DimensionMismatch("generator outside the ambient module")
-    adjoined = tuple(  # the J-multiples of the basis vectors
-        ambient.basis_vector(i).mul_poly(g)
-        for g in ring.quotient
-        for i in range(ambient.rank)
-    )
-    working = gens + adjoined
+    if field is None:
+        field = ring.field
+        adjoined = tuple(ambient.basis_vector(i).mul_poly(g)  # the J-multiples
+                         for g in ring.quotient for i in range(ambient.rank))
+        working = gens + adjoined
+        keyed = [g.keyed() for g in working]
+    else:
+        adjoined, inverses = None, {1: 1}
+        keyed = [_modular_form(ambient, field, inverses, enumerate(g.coords))
+                 for g in gens]
+        keyed += [_modular_form(ambient, field, inverses, [(i, g)])
+                  for g in ring.quotient for i in range(ambient.rank)]
 
     floored = floor is not None
     basis = None if floored else []
@@ -683,15 +710,15 @@ def _pair_loop(ambient, gens, floor=None):
     leads = []
     forms = []  # the keyed forms of the basis
     at = defaultdict(list)  # position -> the (index, lead monomial) there
-    for j, g in enumerate(working):
-        lead = g.lead()
-        if lead is None:
+    for j, form in enumerate(keyed):
+        if form is None:
             continue
+        lead = (*_term_of_key(ambient, form[0]), form[1])
         at[lead[0]].append((len(leads), lead[1]))
         leads.append(lead)
-        forms.append(g.keyed())
+        forms.append(form)
         if not floored:
-            basis.append(g)
+            basis.append(working[j])
             table.unit(j)
     reducers = list(enumerate(forms))  # as ``_reduce`` reads them
 
@@ -702,7 +729,7 @@ def _pair_loop(ambient, gens, floor=None):
             return adjoined, basis, leads, table, floor
 
     rank_one = ambient.rank == 1
-    field, guard, shift, lcm_of = ring.field, ring._guard, ring._shift, ring.mono_lcm
+    guard, shift, lcm_of = ring._guard, ring._shift, ring.mono_lcm
 
     def pair(i, j):
         lcm = lcm_of(leads[i][1], leads[j][1])
@@ -743,8 +770,9 @@ def _pair_loop(ambient, gens, floor=None):
         if any(not (lcm - m) & guard and k in done[i] and k in done[j]
                for k, m in at[li[0]]):
             continue  # the chain criterion (k is neither i nor j)
-        s, head = _s_vector(ambient, forms, leads, i, j, lcm)
-        quots, rem = _reduce(ambient, s, reducers, track=not floored, lead_only=floored)
+        s, head = _s_vector(ambient, forms, leads, i, j, lcm, field)
+        quots, rem = _reduce(ambient, s, reducers, track=not floored,
+                             lead_only=floored, field=field)
         if not rem:
             continue
         excess -= 1
@@ -967,20 +995,19 @@ def intersect(a, b):
 class HilbertSeries:
     """Exact rational series: numerator over prod_i (1 - t^{w_i})."""
 
-    numer: tuple
+    numer: dict  # {degree: c}, no zero c
     weights: tuple
 
     @staticmethod
     def from_dict(coeffs, weights):
-        items = tuple(sorted((d, c) for d, c in coeffs.items() if c != 0))
-        return HilbertSeries(items, tuple(weights))
+        return HilbertSeries({d: c for d, c in coeffs.items() if c}, tuple(weights))
 
     def twisted(self, shifts):
         """The sum of t^k times the series over k in ``shifts``: the series
         of a free module with those twists, when this one is HS(R)."""
         out = {}
         for k in shifts:
-            for d, c in self.numer:
+            for d, c in self.numer.items():
                 out[d + k] = out.get(d + k, 0) + c
         return HilbertSeries.from_dict(out, self.weights)
 
@@ -988,7 +1015,7 @@ class HilbertSeries:
         if self.weights != other.weights:
             raise DimensionMismatch("series over different denominators")
         out = dict(self.numer)
-        for d, c in other.numer:
+        for d, c in other.numer.items():
             out[d] = out.get(d, 0) - c
         return HilbertSeries.from_dict(out, self.weights)
 
@@ -1010,16 +1037,11 @@ class HilbertSeries:
 
     def expand(self, upto):
         """Hilbert function values by degree, for degrees <= upto."""
-        if not self.numer:
-            return {}
-        lo = min(d for d, _ in self.numer)
-        cur = dict(self.numer)
-        for w in self.weights:
-            nxt = {}
-            for d in range(lo, upto + 1):
-                nxt[d] = cur.get(d, 0) + nxt.get(d - w, 0)
-            cur = nxt
-        return {d: c for d, c in cur.items() if c}
+        values = (
+            (d, _hilbert_value(self.numer, self.weights, d))
+            for d in range(min(self.numer, default=upto + 1), upto + 1)
+        )
+        return {d: c for d, c in values if c}
 
 
 def _hilbert_value(numer, weights, d):

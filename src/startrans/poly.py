@@ -54,6 +54,7 @@ class PolyRing:
     that polynomials created before a quotient was attached stay usable.
     The basis of J is built once per ring and kept in ``_quotient_gb``
     (``modules.quotient_ideal_gb``); it owns the Hilbert series of R/J.
+    ``_modular`` keeps ``complexes._modular``'s verdict on the ring.
     ``_shift`` is the bit offset of the degree field, ``_limit`` the
     smallest packed monomial whose degree does not fit, ``_guard`` the
     guard bits of the exponent fields and ``_nbytes`` the byte length of a
@@ -62,7 +63,7 @@ class PolyRing:
     """
 
     __slots__ = (
-        "field", "names", "weights", "quotient", "_index", "_quotient_gb",
+        "field", "names", "weights", "quotient", "_index", "_quotient_gb", "_modular",
         "_shift", "_limit", "_guard", "_nbytes", "_ones", "_unit",
     )
 

@@ -41,6 +41,7 @@ from startrans.complexes import (
     sign_scalar,
     subsets,
 )
+from startrans.errors import NotASop
 from startrans.instances import standard_ring
 from startrans.modules import (
     _combine_rows,
@@ -228,13 +229,82 @@ def hilbert_burch(field, t, seed):
     return FreeComplex(ring, modules, maps), validate_sop(ring, params)
 
 
+class DrawFailed(Exception):
+    """A seeded draw whose parameters are not a system of parameters; the
+    draw is reported, never redrawn."""
+
+
+def eagon_northcott(field, seed):
+    """(complex, sop) of one seeded Eagon-Northcott draw: the resolution
+    0 -> R(-8)^3 -> R(-6)^8 -> R(-4)^6 -> R of the 2x2 minors of a generic
+    2x4 matrix A over k[x, y, z] (Eagon and Northcott, Proc. Roy. Soc. A 269
+    (1962); Eisenbud, *The Geometry of Syzygies*, Appendix A2.6), ranks
+    [1, 6, 8, 3], with a_kj = sum_t q_t l_kjt for random linear forms q_t
+    and l_kjt (``random_linear_form``) and parameters q_1, q_2, q_3.
+
+    For A : F = R^4 -> G = R^2 it is D_2(G*) (x) wedge^4 F -> G* (x)
+    wedge^3 F -> wedge^2 F -> R.  phi_1 sends e_i ^ e_j (i < j) to the
+    minor of columns i and j; phi_2 sends g_k (x) e_S to the contraction
+    sum over the s in S of (-1)^(place of s in S) a_ks e_(S - s); phi_3
+    sends the divided power g^alpha (x) e_1234 to the sum over k with
+    alpha_k > 0 of g^(alpha - e_k) (x) the contraction of e_1234 by row k.
+    The entries of phi_3 are entries of A, which lie in Q, so Im phi_3 lies
+    in Q F_2.  A draw whose parameters are dependent raises DrawFailed."""
+    rng = random.Random(seed)
+    ring = standard_ring(("x", "y", "z"), field=field)
+    params = [random_linear_form(rng, ring) for _ in range(3)]
+    a = [
+        [sum((q * random_linear_form(rng, ring) for q in params), ring.zero())
+         for _ in range(4)]
+        for _ in range(2)
+    ]
+    try:
+        sop = validate_sop(ring, params)
+    except NotASop as exc:
+        raise DrawFailed(f"eagon_northcott {field} seed {seed}: {exc}") from exc
+    sign = [ring.field.one, ring.field.neg(ring.field.one)]
+    pairs, triples = subsets(4, 2), subsets(4, 3)
+    cols2 = [(k, s) for k in range(2) for s in triples]
+    powers = [(2, 0), (1, 1), (0, 2)]
+
+    def contraction(k, s):  # row k contracted into e_s, as {subset: entry}
+        return {
+            s[:i] + s[i + 1:]: a[k][j - 1].scale(sign[i % 2])
+            for i, j in enumerate(s)
+        }
+
+    def column(images, rows):
+        return [images.get(r, ring.zero()) for r in rows]
+
+    phi1 = [a[0][i - 1] * a[1][j - 1] - a[0][j - 1] * a[1][i - 1] for i, j in pairs]
+    phi2 = [column(contraction(k, s), pairs) for k, s in cols2]
+    phi3 = []
+    for alpha in powers:
+        images = {}
+        for k in range(2):
+            if alpha[k]:
+                left = 1 - k if alpha[1 - k] else k  # alpha - e_k is g_left
+                for sub, e in contraction(k, (1, 2, 3, 4)).items():
+                    images[left, sub] = e
+        phi3.append(column(images, cols2))
+    ranks, twists = (1, 6, 8, 3), (0, 4, 6, 8)
+    modules = tuple(
+        GradedFreeModule(ring, r, (t,) * r) for r, t in zip(ranks, twists)
+    )
+    maps = tuple(
+        PolyMatrix(ring, [list(row) for row in zip(*cols)], len(cols[0]), len(cols))
+        for cols in ([[e] for e in phi1], phi2, phi3)
+    )
+    return FreeComplex(ring, modules, maps), sop
+
+
 def pullback(comp, ring, forms):
     """``comp`` over k[y_1..y_m] carried to ``ring`` along y_i -> forms[i],
-    forms of one degree d: every entry substituted, every twist multiplied
-    by d, without labels.  When the forms are a regular sequence, ``ring``
-    is free over k[forms] (Hironaka's criterion; Bruns & Herzog, ch. 2), so
-    an acyclic complex stays acyclic."""
-    d = forms[0].homogeneous_degree()
+    each of degree d times the weight of y_i: every entry substituted,
+    every twist multiplied by d, without labels.  When the forms are a
+    regular sequence, ``ring`` is free over k[forms] (Hironaka's criterion;
+    Bruns & Herzog, ch. 2), so an acyclic complex stays acyclic."""
+    d = forms[0].homogeneous_degree() // comp.ring.weights[0]
     powers = [[ring.one()] for _ in forms]
 
     def power(i, e):
@@ -339,7 +409,7 @@ def full_hilbert_certificate(comp):
             return AcyclicityCertificate(
                 False, p,
                 f"kernel at position {p} exceeds the image of the next map "
-                f"in degree {diff.numer[0][0]}",
+                f"in degree {min(diff.numer)}",
             )
     return AcyclicityCertificate(True)
 

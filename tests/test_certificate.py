@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 
 import brute
 from reference import (
+    DrawFailed,
+    eagon_northcott,
     full_hilbert_certificate,
     generic_koszul,
     hilbert_burch,
@@ -29,6 +31,7 @@ from startrans import (
     GradedFreeModule,
     PolyMatrix,
     PolyRing,
+    Polynomial,
     PrimeField,
     RationalField,
     StarComplex,
@@ -467,6 +470,21 @@ def test_floored_certificate_agrees_with_the_full_one_on_hilbert_burch(field, t)
         _floored_agrees_with_full((field, t), comp, sop, var)
 
 
+def test_floored_certificate_agrees_with_the_full_one_on_eagon_northcott():
+    # ranks [1, 6, 8, 3]; over Q the prime-route test below reads the same
+    # draw family against the reduced basis
+    comp, sop = eagon_northcott(PrimeField(32003), seed=0)
+    assert [m.rank for m in comp.modules] == [1, 6, 8, 3]
+    _floored_agrees_with_full("eagon_northcott", comp, sop, 0)
+
+
+def test_a_dependent_eagon_northcott_draw_is_reported():
+    # over p:7, seed 1 draws dependent parameters: the draw fails, and no
+    # other draw takes its place
+    with pytest.raises(DrawFailed, match="seed 1"):
+        eagon_northcott(PrimeField(7), seed=1)
+
+
 def test_floored_certificate_divides_less(monkeypatch):
     # the output of a generic instance over a prime field: the lead terms
     # of the images above position 1 reach their floors before the pairs
@@ -592,21 +610,30 @@ def _route(cert):
     return cert.ok, cert.failed_position, cert.detail, cert.series
 
 
+def _quotient_instance():
+    ring = _ring(RationalField(), ("x", "y", "z"), quotient=("z^2",))
+    comp = koszul(validate_sop(ring, [ring.parse("x^2"), ring.var(1)]))
+    return comp, validate_sop(ring, [ring.var(0), ring.var(1)])
+
+
 def _prime_agrees_with_q(name, comp, sop, var):
+    # every ring here is lucky: the certificate runs mod P first
+    assert complexes._modular(comp.ring), name
     out = star_transform(comp, sop, with_report=False).star.complex
     for k, c in enumerate([comp, out, *_tampers(comp, var), *_tampers(out, var)]):
         over_q = complexes._series_certificate(c)
         assert _route(complexes._hilbert_certificate(c)) == _route(over_q), (name, k)
+        mod_p = complexes._series_certificate(c, complexes._MODULAR_FIELD)
+        assert not mod_p.ok or _route(mod_p) == _route(over_q), (name, k)
         full = buchberger(c.module(0), c.image_gens(1)).series()
         assert over_q.series == full, (name, k)
-        assert (complexes._modulo_prime(c) is None) == bool(c.ring.quotient)
 
 
 @settings(max_examples=25, deadline=None)
 @given(koszul_problems(Q_RINGS), st.data())
 def test_prime_route_agrees_with_the_q_route(problem, data):
     # verdict, position, detail and HS(F_0 / Im phi_1), on inputs, outputs
-    # and tampered copies; over R/J the prime is not used
+    # and tampered copies, over polynomial rings and R/J alike
     name, comp, sop = problem
     var = data.draw(st.integers(0, comp.ring.nvars - 1))
     _prime_agrees_with_q(name, comp, sop, var)
@@ -619,14 +646,20 @@ def test_prime_route_agrees_with_the_q_route_on_hilbert_burch(t):
         _prime_agrees_with_q(t, comp, sop, var)
 
 
+def test_prime_route_agrees_with_the_q_route_on_eagon_northcott():
+    comp, sop = eagon_northcott(RationalField(), seed=1)
+    _prime_agrees_with_q("eagon_northcott", comp, sop, 2)
+
+
 def _recording_routes(monkeypatch):
-    """(the field's p, verdict) of every ``_series_certificate`` run."""
+    """(p of the field of the arithmetic, verdict) of every
+    ``_series_certificate`` run that returns."""
     routes = []
     real = complexes._series_certificate
 
-    def recording(comp):
-        cert = real(comp)
-        routes.append((comp.ring.field.p, cert.ok))
+    def recording(comp, field=None):
+        cert = real(comp, field)
+        routes.append(((field or comp.ring.field).p, cert.ok))
         return cert
 
     monkeypatch.setattr(complexes, "_series_certificate", recording)
@@ -652,9 +685,18 @@ def test_a_prime_certificate_needs_no_q_run(monkeypatch):
     assert cert.series == comp.image_gb(1).series()
 
 
+def test_a_lucky_quotient_needs_no_q_run(monkeypatch):
+    # Q[x,y,z]/(z^2): J mod P keeps HS(R/J), so one modular run certifies
+    comp, _ = _quotient_instance()
+    routes = _recording_routes(monkeypatch)
+    cert = certify_acyclic(comp)
+    assert routes == [(P, True)]
+    assert cert.series == comp.image_gb(1).series()
+
+
 def test_the_prime_route_inverts_each_denominator_once(monkeypatch):
-    # denominators 3, 5 and 1: two inverses, and every coefficient is the
-    # field's a/b
+    # denominators 3, 5 and 1: two inverses, and every coefficient the
+    # keying gives is the field's a/b
     ring = PolyRing(RationalField(), ("x", "y"))
     texts = ("1/3*x + 2/3*y", "x - 1/5*y", "7*x - 3*y", "-4/5*x")
     comp = FreeComplex(
@@ -662,25 +704,53 @@ def test_the_prime_route_inverts_each_denominator_once(monkeypatch):
         (GradedFreeModule(ring, 1, (0,)), GradedFreeModule(ring, 4, (1,) * 4)),
         (PolyMatrix(ring, [[ring.parse(t) for t in texts]]),),
     )
-    inverted = []
+    inverted, keyed = [], []
 
     def counting_pow(base, exp, mod):
         inverted.append(base)
         return pow(base, exp, mod)
 
-    monkeypatch.setattr(complexes, "pow", counting_pow, raising=False)
-    reduced = complexes._modulo_prime(comp)
+    real = modules._keyed_form
+
+    def recording(field, key, c, tail):
+        if field.p == P:
+            keyed.append(dict([(key, c), *tail]))
+        return real(field, key, c, tail)
+
+    monkeypatch.setattr(modules, "pow", counting_pow, raising=False)
+    monkeypatch.setattr(modules, "_keyed_form", recording)
+    assert not certify_acyclic(comp).ok  # four columns in rank one
     assert sorted(inverted) == [3, 5]
     f = PrimeField(P)
-    for e, r in zip(comp.phi(1).entries[0], reduced.phi(1).entries[0]):
-        assert r.terms == {
-            m: f.from_fraction(c.numerator, c.denominator) for m, c in e.terms.items()
+    ambient = comp.module(0)
+    for e, got in zip(comp.phi(1).entries[0], keyed):
+        assert got == {
+            modules.term_key(ambient, 0, m): f.from_fraction(c.numerator, c.denominator)
+            for m, c in e.terms.items()
         }
+
+
+def test_the_modular_run_builds_no_ring_module_polynomial_or_complex(monkeypatch):
+    # the columns and the J-multiples are keyed straight from their terms
+    # over Q; only the once-per-ring luckiness run builds R^1
+    comp, _ = _quotient_instance()
+    assert complexes._modular(comp.ring)
+    built = []
+    for cls in (PolyRing, GradedFreeModule, Polynomial, PolyMatrix, FreeComplex):
+        def counting(self, *args, _real=cls.__init__, _name=cls.__name__, **kwargs):
+            built.append(_name)
+            _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    assert complexes._series_certificate(comp, complexes._MODULAR_FIELD).ok
+    assert built == []
+    complexes._series_certificate(comp)  # the Q run adjoins J-multiples
+    assert "Polynomial" in built
 
 
 def test_a_denominator_divisible_by_the_prime_takes_the_q_route(monkeypatch):
     comp, sop = _exa_with_top_map(((f"-3/{P}*y^2",), (f"3/{P}*x^2",)))
-    assert complexes._modulo_prime(comp) is None
+    assert complexes._modular(comp.ring)
     routes = _recording_routes(monkeypatch)
     assert certify_acyclic(comp).ok
     assert routes == [(None, True)]
@@ -693,23 +763,53 @@ def test_an_uncertified_prime_series_is_no_floor_over_q():
     ring = PolyRing(RationalField(), ("x", "y"))
     ambient = GradedFreeModule(ring, 1, (0,))
     gens = [ambient.vector((ring.parse(f"{P}*x + y"),)), ambient.vector((ring.var(1),))]
-    reduced = complexes._modular_ring(ring.names, ring.weights)
-    prime_series = modules.cokernel_series(
-        GradedFreeModule(reduced, 1, (0,)),
-        [GradedFreeModule(reduced, 1, (0,)).vector((reduced.var(1),))],
-        ring_series(reduced).sub(ring_series(reduced)),
-    )
+    zero = ring_series(ring).sub(ring_series(ring))
+    prime_series = modules.cokernel_series(ambient, gens, zero, PrimeField(P))
     assert prime_series != buchberger(ambient, gens).series()
     with pytest.raises(InternalError, match="lead terms fell below the Hilbert floor"):
         modules.cokernel_series(ambient, gens, prime_series)
 
 
+def _unlucky_quotient_instance():
+    """K(z^2, w^2) over Q[x,y,z,w]/J, J = (xy, P x^2 + y^2), parameters z, w:
+    HS(R/J) has numerator 1 - 2t^2 + t^4, and J's reduction (xy, y^2) mod P
+    has 1 - 2t^2 + t^3."""
+    ring = _ring(RationalField(), ("x", "y", "z", "w"), quotient=("x*y", f"{P}*x^2 + y^2"))
+    comp = koszul(validate_sop(ring, [ring.parse("z^2"), ring.parse("w^2")]))
+    return comp, validate_sop(ring, [ring.var(2), ring.var(3)])
 
 
-def _quotient_instance():
-    ring = _ring(RationalField(), ("x", "y", "z"), quotient=("z^2",))
-    comp = koszul(validate_sop(ring, [ring.parse("x^2"), ring.var(1)]))
-    return comp, validate_sop(ring, [ring.var(0), ring.var(1)])
+def test_an_unlucky_quotient_certifies_through_q(monkeypatch):
+    comp, sop = _unlucky_quotient_instance()
+    ring = comp.ring
+    assert ring_series(ring).numer == {0: 1, 2: -2, 4: 1}
+    ambient = GradedFreeModule(ring, 1, (0,))
+    floor = ring_series(ring).sub(ring_series(ring))
+    mod_p = modules.cokernel_series(ambient, (), floor, PrimeField(P))
+    assert mod_p.numer == {0: 1, 2: -2, 3: 1}
+    routes = _recording_routes(monkeypatch)
+    assert certify_acyclic(comp).ok
+    assert routes == [(None, True)]
+    assert not complexes._modular(ring)
+    assert star_transform(comp, sop).report.overall
+
+
+@pytest.mark.parametrize("make", [_unlucky_quotient_instance, _quotient_instance])
+def test_the_luckiness_run_happens_once_per_ring(make, monkeypatch):
+    # the floored run of J's generators mod P, with no other generator, is
+    # made by the first certificate over the ring and kept on it
+    comp, sop = make()
+    real = complexes.cokernel_series
+    calls = []
+
+    def counting(ambient, gens, floor, field=None):
+        if not gens:
+            calls.append(field)
+        return real(ambient, gens, floor, field)
+
+    monkeypatch.setattr(complexes, "cokernel_series", counting)
+    assert star_transform(comp, sop).report.overall
+    assert calls == [complexes._MODULAR_FIELD]
 
 
 @pytest.mark.parametrize("make", [exa_instance, _quotient_instance])
