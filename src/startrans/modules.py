@@ -7,11 +7,11 @@ pair loop (``_pair_loop``), then ``_reduce_basis``.  Every basis keeps a
 row table (``_RowTable``) with the expression of each basis element in the
 input generators, which ``SubmoduleGB.lift`` reads its witnesses off.
 Those witnesses are deterministic but not canonical: they depend on the
-history of the pair loop that built the basis.  The run records each row
-as a recipe over earlier rows, and a row is multiplied out only when a lift
-reaches it, so a basis that nothing lifts through (the Koszul generators of
-a complex, Im phi_1) costs no row products; a row is multiplied out by
-``_combine_rows``, one ``poly._sum_of_products`` per entry.
+history of the pair loop that built the basis, which the run keeps in one
+format, the division's quotient dicts {row index: {key shift: c}}; only
+``_RowTable.combine`` turns one into polynomials, when a lift reaches its
+row, so a basis that nothing lifts through (the Koszul generators of a
+complex, Im phi_1) costs no row products.
 ``cokernel_series`` runs the same pair loop against a known floor of the
 quotient's Hilbert series and stops once the lead terms reach it: no rows,
 each S-vector divided only down to its lead, each remainder kept as a
@@ -273,30 +273,29 @@ def _work(vector):
     }
 
 
-def _divide(module, work, divisors, track=False):
-    """Fully reduce the vector of ``module`` whose terms are the working
-    dict ``work`` (``_work``, or an S-vector from ``_s_vector``; consumed)
-    by ``divisors`` (``_reduce``).  Returns (quotients, remainder), where
-    vector = sum q_k*divisors[k] + remainder: with ``track`` the quotients
-    are {k: {cofactor key: coefficient}} over the k with q_k nonzero, for
-    ``_quotients``, and without it None."""
+def _divide(module, work, divisors):
+    """The remainder of the vector of ``module`` whose terms are the
+    working dict ``work`` (``_work``; consumed) on full division by
+    ``divisors`` (``_reduce``), as a vector whose lead is known."""
     reducers = [(k, r) for k, r in enumerate(g.keyed() for g in divisors) if r]
-    quots, rem = _reduce(module, work, reducers, track=track)
+    rem = _reduce(module, work, reducers)
     remainder = ModuleVector(module, _decode(module, rem.items()))
     # the remainder's first term came out largest, so its lead is known
     remainder._lead = next(
         ((*_term_of_key(module, k), c) for k, c in rem.items()), None
     )
-    return quots, remainder
+    return remainder
 
 
-def _reduce(module, work, reducers, track=False, lead_only=False, field=None):
-    """The division of ``_divide`` by the (index, keyed form) pairs
-    ``reducers`` of the nonzero divisors: (quotients, remainder terms), the
-    terms {``term_key``: coefficient} with the lead first.  No remainder
-    term is divisible by a divisor lead; with ``lead_only`` the division
-    stops at the first term that none divides, the lead, and the terms
-    below it stay unreduced.
+def _reduce(module, work, reducers, quots=None, lead_only=False, field=None):
+    """The division of the working dict ``work`` (consumed) by the (index,
+    keyed form) pairs ``reducers`` of the nonzero divisors: the remainder
+    terms {``term_key``: coefficient}, the lead first, and each quotient
+    q x^u on divisor k recorded as ``quots[k][u] = q`` (u a key shift) in
+    the dict of dicts ``quots``, if one is given.  No remainder term is
+    divisible by a divisor lead; with ``lead_only`` the division stops at
+    the first term that none divides, the lead, and the terms below it stay
+    unreduced.
 
     The largest remaining term is reduced by the first divisor whose lead
     divides it, or else moved to the remainder.  The working vector is one
@@ -334,7 +333,6 @@ def _reduce(module, work, reducers, track=False, lead_only=False, field=None):
     mask = module._divides_mask
     get = work.get
     rem = {}
-    quots = defaultdict(dict)  # divisor index -> {cofactor key: coefficient}
 
     while heap:
         key = heappop(heap)
@@ -362,7 +360,7 @@ def _reduce(module, work, reducers, track=False, lead_only=False, field=None):
                 q = fmul(coeff, inverse)
                 n, d = _over_tail(q, den)
                 _add_tail_multiple(work, tail, u, -n, d, heap)
-            if track:
+            if quots is not None:
                 # keys are popped in strictly increasing order, so no
                 # divisor takes the same cofactor twice
                 quots[k][u] = q
@@ -380,19 +378,7 @@ def _reduce(module, work, reducers, track=False, lead_only=False, field=None):
                 c %= p
             if c:
                 rem[key] = c
-    return (quots if track else None), rem
-
-
-def _quotients(module, quots):
-    """The quotients of a tracked ``_divide`` as (k, polynomial q_k) pairs."""
-    ring = module.ring
-    shift, top = ring._shift, module._key_top
-    low = (1 << shift) - 1
-    return [
-        (k, Polynomial(ring, {(-(u >> top) << shift) | (u & low): q
-                              for u, q in qd.items()}))
-        for k, qd in sorted(quots.items())
-    ]
+    return rem
 
 
 def _over_tail(c, den):
@@ -439,23 +425,23 @@ def _combine_rows(ring, combo, width):
 # -- Buchberger -------------------------------------------------------------
 
 
-def _s_vector(module, forms, leads, i, j, lcm, field=None):
+def _s_vector(module, forms, leads, i, j, lcm, field=None, quots=None):
     """The S-vector c_i x^u_i g_i - c_j x^u_j g_j of the vectors g_i, g_j
     of ``module`` with keyed forms ``forms[i]``, ``forms[j]``
     (``ModuleVector.keyed``) and leads ``leads[i]``, ``leads[j]``, each
     c x^u taking a lead to the monic ``lcm``, as a working dict of
-    ``_divide``, and its head ((i, {u_i: c_i}), (j, {u_j: -c_j})) for
-    ``_row_recipe``.
+    ``_reduce``.  A dict of dicts ``quots`` gets the negated head in the
+    format of ``_reduce``'s quotients: ``quots[i][u_i] = -c_i`` and
+    ``quots[j][u_j] = c_j``.
 
     The two leads cancel, so the dict holds the two keyed tails, each
-    shifted by the key of the lcm term minus the key of its lead and scaled
-    by the kept inverse of its lead coefficient.  Over a prime field the values are unreduced int sums, as
-    ``_divide`` takes them; over Q they are normalized ``Fraction``s, each
-    product built in lowest terms as in the division step
-    (``_add_tail_multiple``).  A term that cancels stays, as a zero.  A
-    ``field`` replaces the ring's."""
-    ring = module.ring
-    f = field or ring.field
+    shifted by the key of the lcm term minus the key of its lead (the key
+    shift u) and scaled by the kept inverse of its lead coefficient.  Over
+    a prime field the values are unreduced int sums, as ``_reduce`` takes
+    them; over Q they are normalized ``Fraction``s, each product built in
+    lowest terms as in the division step (``_add_tail_multiple``).  A term
+    that cancels stays, as a zero.  A ``field`` replaces the ring's."""
+    f = field or module.ring.field
     p = f.p
     top = term_key(module, leads[i][0], lcm)
     key_i, _, ci, tail_i, den_i = forms[i]
@@ -472,17 +458,10 @@ def _s_vector(module, forms, leads, i, j, lcm, field=None):
         work = {}
         _add_tail_multiple(work, tail_i, shift_i, *_over_tail(ci, den_i))
         _add_tail_multiple(work, tail_j, shift_j, *_over_tail(minus_cj, den_j))
-    ui = ring.mono_div(lcm, leads[i][1])
-    uj = ring.mono_div(lcm, leads[j][1])
-    return work, ((i, {ui: ci}), (j, {uj: minus_cj}))
-
-
-def _row_recipe(module, head, quots):
-    """The ``_RowTable`` recipe of sum c*row k over (k, c) in ``head`` minus
-    sum q_k*row k over the quotients ``quots`` of ``_divide``: with an
-    S-vector's head and quotients, the expression of its remainder."""
-    recipe = [(c, k) for k, c in head]
-    return recipe + [((-q).terms, k) for k, q in _quotients(module, quots)]
+    if quots is not None:
+        quots[i][shift_i] = f.neg(ci)
+        quots[j][shift_j] = cj
+    return work
 
 
 class _RowTable:
@@ -491,37 +470,50 @@ class _RowTable:
 
     Row k expresses a vector of the run in the ``width`` working generators,
     as that many polynomials.  The row of a working generator is its unit
-    vector, built at once (``unit``); every other row is a recipe, the
-    (term dict c, earlier row index i) pairs of sum c * row i (``add``),
-    from an S-vector's head and division quotients (``_pair_loop``) or from
-    the interreduction quotients (``_reduce_basis``).  ``row`` multiplies a
-    row out, after the rows it reads, and keeps each one; a basis that is
-    never lifted through never multiplies out a row.  Each row is the same
-    ``_combine_rows`` of the same rows in the same order as a row built at
-    once, so it is the same polynomials.
+    vector, built at once (``unit``); every other row is a recipe (s,
+    {earlier row i: {key shift u: c}}) for s * sum c x^u row i (``add``),
+    the keys those of ``module``: an S-vector's remainder is s = -1 over its
+    negated head and quotients (``_pair_loop``), an interreduced element
+    s = -1/c over {idx: {0: -1}} and its quotients (``_reduce_basis``).
+    ``row`` multiplies a row out through ``combine``, the one place a
+    quotient dict becomes polynomials, after the rows it reads, and keeps
+    each one; a basis that is never lifted through builds no row.
     """
 
-    __slots__ = ("ring", "width", "recipes", "built")
+    __slots__ = ("module", "width", "recipes", "built")
 
-    def __init__(self, ring, width):
-        self.ring = ring
+    def __init__(self, module, width):
+        self.module = module
         self.width = width
         self.recipes = []  # per row: its recipe, or None for a unit row
         self.built = []  # per row: its polynomials, or None until built
 
     def unit(self, j):
         """Append the row of working generator j."""
-        row = [self.ring.zero()] * self.width
-        row[j] = self.ring.one()
+        ring = self.module.ring
+        row = [ring.zero()] * self.width
+        row[j] = ring.one()
         self.recipes.append(None)
         self.built.append(tuple(row))
 
-    def add(self, recipe):
-        """Append a row given by its recipe, (term dict, row index) pairs,
-        each index that of an earlier row; returns the new row's index."""
-        self.recipes.append(recipe)
+    def add(self, scale, quots):
+        """Append the row s * sum c x^u row i over {i: {u: c}} ``quots``,
+        each i an earlier row; returns the new row's index."""
+        self.recipes.append((scale, quots))
         self.built.append(None)
         return len(self.built) - 1
+
+    def combine(self, scale, quots):
+        """The ``width`` polynomials of scale * sum c x^u row i over {i: {u:
+        c}} ``quots``, every row i built; each key shift u is decoded."""
+        ring, top = self.module.ring, self.module._key_top
+        shift, mul = ring._shift, ring.field.mul
+        low = (1 << shift) - 1
+        return _combine_rows(ring, [
+            ({(-(u >> top) << shift) | (u & low): mul(scale, c) for u, c in qd.items()},
+             self.built[i])
+            for i, qd in quots.items()
+        ], self.width)
 
     def row(self, k):
         """Row k, multiplied out with every row it reads that is not yet
@@ -534,12 +526,12 @@ class _RowTable:
             if built[top] is not None:
                 stack.pop()
                 continue
-            missing = [i for _, i in recipes[top] if built[i] is None]
+            scale, quots = recipes[top]
+            missing = [i for i in quots if built[i] is None]
             if missing:
                 stack += missing
                 continue
-            combo = [(c, built[i]) for c, i in recipes[top]]
-            built[top] = tuple(_combine_rows(self.ring, combo, self.width))
+            built[top] = tuple(self.combine(scale, quots))
             stack.pop()
         return built[k]
 
@@ -551,9 +543,10 @@ class SubmoduleGB:
     ``_RowTable``); row ``row_ids[k]`` of it expresses ``gb[k]`` as a
     combination of the working generator list (the input generators
     followed by any quotient-ideal multiples that were adjoined).  A row is
-    a recipe until something reads it: ``lift`` multiplies out only the rows
-    its quotients reach, so a basis that is never lifted through (Im phi_1
-    of a complex) multiplies out none.  ``leads[k]`` is ``gb[k].lead()``.
+    a quotient dict until something reads it: ``lift`` divides with the
+    row ids as divisor indices and multiplies out only the rows its
+    quotients reach, so a basis that is never lifted through (Im phi_1 of a
+    complex) multiplies out none.  ``leads[k]`` is ``gb[k].lead()``.
     The basis owns the Hilbert series of ambient/M: ``series()`` computes
     it from the leads on first call and keeps it, so every certificate that
     reads it shares one computation.
@@ -591,8 +584,7 @@ class SubmoduleGB:
 
     def normal_form(self, v):
         self._check_ambient(v)
-        _, r = _divide(v.module, _work(v), self.gb)
-        return r
+        return _divide(v.module, _work(v), self.gb)
 
     def contains(self, v):
         return self.normal_form(v).is_zero()
@@ -604,18 +596,17 @@ class SubmoduleGB:
         elements with a nonzero quotient are multiplied out, with the rows
         they read, and they are kept for later lifts."""
         self._check_ambient(v)
-        quots, rem = _divide(v.module, _work(v), self.gb, track=True)
-        if not rem.is_zero():
+        quots = defaultdict(dict)  # row id -> {key shift: quotient}
+        reducers = [(k, g.keyed()) for k, g in zip(self.row_ids, self.gb)]
+        if _reduce(v.module, _work(v), reducers, quots):
             raise NotInModule("vector has nonzero normal form")
-        ring = self.ambient.ring
-        working = self.working_generators
-        row, ids = self.row_table.row, self.row_ids
-        combo = [(q.terms, row(ids[k])) for k, q in _quotients(v.module, quots)]
-        total = _combine_rows(ring, combo, len(working))
+        ring, table = self.ambient.ring, self.row_table
+        for k in quots:
+            table.row(k)
+        total = table.combine(ring.field.one, quots)
+        combo = zip(total, self.working_generators)
         check = _combine_rows(
-            ring,
-            [(c.terms, g.coords) for c, g in zip(total, working) if c.terms],
-            self.ambient.rank,
+            ring, [(c.terms, g.coords) for c, g in combo if c.terms], self.ambient.rank
         )
         if check != list(v.coords):
             raise InternalError("witness recombination failed (internal)")
@@ -631,9 +622,9 @@ def buchberger(ambient, gens):
 
     Deterministic: pairs are processed by (twisted lcm degree, i, j); the
     reduced basis is sorted by decreasing lead term.  The basis keeps the
-    row table of the run, in which every row is only a recipe until a lift
-    multiplies it out (``_RowTable``).  It is ``_pair_loop`` without a
-    floor, then ``_reduce_basis``.
+    row table of the run, in which every row is only the quotient dict of
+    its division until a lift multiplies it out (``_RowTable``).  It is
+    ``_pair_loop`` without a floor, then ``_reduce_basis``.
     """
     gens = tuple(gens)
     adjoined, basis, _, table, _ = _pair_loop(ambient, gens)
@@ -654,10 +645,10 @@ def _pair_loop(ambient, gens, floor=None, field=None):
     so far.  Returns (adjoined, basis, leads, table, series); the basis is
     a Groebner basis, not reduced, and ``leads`` its leads.  Without a
     floor, row k of ``table`` expresses basis[k] (``_RowTable``): a
-    generator's row is its unit vector, and a remainder's row is recorded
-    as the recipe of its S-vector's head and quotients (``_row_recipe``),
-    not multiplied out.  With a floor nothing is lifted through the result,
-    so ``table`` is None and the divisions keep no quotients.
+    generator's row is its unit vector, and a remainder's row keeps the
+    quotient dict its S-vector's head starts and its division fills, not
+    multiplied out.  With a floor nothing is lifted through the result, so
+    ``table`` is None and no head or quotient is recorded.
 
     ``series`` is None without a floor.  With a floor F, a series that
     HS(ambient / in(M)) is known to dominate in every degree (M the span of
@@ -706,7 +697,7 @@ def _pair_loop(ambient, gens, floor=None, field=None):
 
     floored = floor is not None
     basis = None if floored else []
-    table = None if floored else _RowTable(ring, len(working))
+    table = None if floored else _RowTable(ambient, len(working))
     leads = []
     forms = []  # the keyed forms of the basis
     at = defaultdict(list)  # position -> the (index, lead monomial) there
@@ -770,9 +761,9 @@ def _pair_loop(ambient, gens, floor=None, field=None):
         if any(not (lcm - m) & guard and k in done[i] and k in done[j]
                for k, m in at[li[0]]):
             continue  # the chain criterion (k is neither i nor j)
-        s, head = _s_vector(ambient, forms, leads, i, j, lcm, field)
-        quots, rem = _reduce(ambient, s, reducers, track=not floored,
-                             lead_only=floored, field=field)
+        quots = None if floored else defaultdict(dict)
+        s = _s_vector(ambient, forms, leads, i, j, lcm, field, quots)
+        rem = _reduce(ambient, s, reducers, quots, lead_only=floored, field=field)
         if not rem:
             continue
         excess -= 1
@@ -789,7 +780,7 @@ def _pair_loop(ambient, gens, floor=None, field=None):
             if not gap:
                 return adjoined, basis, leads, table, floor
         else:
-            table.add(_row_recipe(ambient, head, quots))
+            table.add(field.neg(field.one), quots)
             vector = ModuleVector(ambient, _decode(ambient, rem.items()))
             vector._lead, vector._keyed = lead, form
             basis.append(vector)
@@ -805,10 +796,10 @@ def _pair_loop(ambient, gens, floor=None, field=None):
 def _reduce_basis(ambient, gens, adjoined, basis, table):
     """Interreduce ``basis`` into the reduced basis.  The minimal leads
     are kept smallest first, so the reduced basis, largest lead first, is
-    that list reversed.  The row of each reduced element is appended to
-    the row table of the run (``_pair_loop``) as the recipe inv * (row of
-    basis[idx] - sum q * row of others[k] over the quotient pairs (k, q)),
-    not multiplied out, and the basis keeps the table."""
+    that list reversed.  Each reduced element inv * (basis[idx] - sum
+    q x^u basis[k]) gets the row -inv * (-row idx + sum q x^u row k) in the
+    run's table (``_pair_loop``), not multiplied out: the quotient dict of
+    its division with {idx: {0: -1}}.  The basis keeps the table."""
     f = ambient.ring.field
     mask = ambient._divides_mask
     keys = [g.keyed()[0] for g in basis]
@@ -822,22 +813,18 @@ def _reduce_basis(ambient, gens, adjoined, basis, table):
 
     # no kept lead divides another, so each remainder keeps its lead and is
     # never zero
-    final = []
-    final_rows = []
+    final, final_rows = [], []
     for idx in kept:
-        others = [k for k in kept if k != idx]
-        quots, rem = _divide(
-            ambient, _work(basis[idx]), [basis[k] for k in others], track=True
-        )
-        pos, m, c = rem.lead()
+        quots = defaultdict(dict)
+        quots[idx][0] = f.neg(f.one)
+        rem = _reduce(ambient, _work(basis[idx]),
+                      [(k, basis[k].keyed()) for k in kept if k != idx], quots)
+        key, c = next(iter(rem.items()))  # the lead came out first
         inv = f.invert(c)
-        monic = rem.scale(inv)
-        monic._lead = (pos, m, f.one)  # scaling keeps the lead monomial
+        monic = ModuleVector(ambient, _decode(ambient, rem.items())).scale(inv)
+        monic._lead = (*_term_of_key(ambient, key), f.one)
         final.append(monic)
-        recipe = [({0: inv}, idx)]
-        for k, q in _quotients(ambient, quots):
-            recipe.append((q.scale(f.neg(inv)).terms, others[k]))
-        final_rows.append(table.add(recipe))
+        final_rows.append(table.add(f.neg(inv), quots))
     return SubmoduleGB(ambient, gens, adjoined, final[::-1], table, final_rows[::-1])
 
 
@@ -891,7 +878,7 @@ def _eliminate(top_twists, stacked_gens, lower):
         for g in buchberger(stacked, gens).gb
         if g.lead()[0] >= top
     ]
-    table = _RowTable(lower.ring, len(kept))
+    table = _RowTable(lower, len(kept))
     for k in range(len(kept)):
         table.unit(k)
     return SubmoduleGB(lower, kept, (), kept, table, range(len(kept)))
@@ -1034,14 +1021,6 @@ class HilbertSeries:
         if p is None:
             return None
         return sum(p.values())
-
-    def expand(self, upto):
-        """Hilbert function values by degree, for degrees <= upto."""
-        values = (
-            (d, _hilbert_value(self.numer, self.weights, d))
-            for d in range(min(self.numer, default=upto + 1), upto + 1)
-        )
-        return {d: c for d, c in values if c}
 
 
 def _hilbert_value(numer, weights, d):

@@ -160,9 +160,6 @@ class PolyRing:
     def mono_divides(self, a, b):
         return not (b - a) & self._guard
 
-    def mono_div(self, a, b):
-        return a - b
-
     def mono_colon(self, a, b):
         """a : b, with exponents max(a_i - b_i, 0): each field of (a | guard)
         - b keeps its guard bit iff a_i >= b_i, and then holds a_i - b_i.

@@ -5,8 +5,11 @@ the mutant breaks).  The runner applies one row at a time to a copy of the
 repository in a temporary directory and runs the tier-1 suite there with
 ``-x``.  A mutant is *killed* when the suite fails (the first failing test
 is named), *survived* when it passes, and *stale* when its old text does
-not occur exactly once in its file.  The table pins source text, so a
-change that makes a row stale rewrites that row.
+not occur exactly once in its file.  A kill counts only when the named
+test passes on the same copy with the mutant taken out again, so a test
+that fails without any mutant cannot kill every row; otherwise the row is
+*unverified*.  The table pins source text, so a change that makes a row
+stale rewrites that row.
 
 The file is not named ``test_*``, so tier-1 does not collect it.  Run it
 from the repository root::
@@ -14,7 +17,8 @@ from the repository root::
     python tests/mutants.py            # every row
     python tests/mutants.py NAME ...   # the named rows
 
-It exits 0 when every mutant it ran was killed, and 1 otherwise.
+It exits 0 when every mutant it ran was killed and verified, and 1
+otherwise.
 """
 
 import os
@@ -131,6 +135,14 @@ _IGNORE = shutil.ignore_patterns(
 )
 
 
+def _pytest(copy, *args):
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *args],
+        cwd=copy, env=env, capture_output=True, text=True,
+    )
+
+
 def run(row):
     """(outcome, killing test or None, seconds) of one row."""
     name, path, old, new, _ = row
@@ -143,17 +155,17 @@ def run(row):
         if text.count(old) != 1:
             return "stale", None, 0.0
         target.write_text(text.replace(old, new))
-        env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-rfE", "-p", "no:cacheprovider",
-             "--continue-on-collection-errors"],
-            cwd=copy, env=env, capture_output=True, text=True,
-        )
-    elapsed = time.monotonic() - start
-    if proc.returncode == 0:
-        return "survived", None, elapsed
-    found = re.search(r"^(?:FAILED|ERROR) (\S+)", proc.stdout, re.MULTILINE)
-    return "killed", found.group(1) if found else f"exit {proc.returncode}", elapsed
+        proc = _pytest(copy, "-x", "--continue-on-collection-errors")
+        if proc.returncode == 0:
+            return "survived", None, time.monotonic() - start
+        found = re.search(r"^(?:FAILED|ERROR) (\S+)", proc.stdout, re.MULTILINE)
+        if not found:
+            return "unverified", f"exit {proc.returncode}", time.monotonic() - start
+        # the killing test must pass without the mutant
+        target.write_text(text)
+        verified = _pytest(copy, found.group(1)).returncode == 0
+    outcome = "killed" if verified else "unverified"
+    return outcome, found.group(1), time.monotonic() - start
 
 
 def main(names):
@@ -166,8 +178,10 @@ def main(names):
     for row in rows:
         outcome, killer, seconds = run(row)
         bad += outcome != "killed"
-        print(f"{row[0]}: {outcome} in {seconds:.1f} s"
-              + (f" by {killer}" if killer else f" ({row[4]})"), flush=True)
+        detail = f"by {killer}" if killer else f"({row[4]})"
+        if outcome == "unverified":
+            detail += ": no named test fails only with the mutant"
+        print(f"{row[0]}: {outcome} in {seconds:.1f} s {detail}", flush=True)
     return 1 if bad else 0
 
 

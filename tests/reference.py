@@ -19,6 +19,7 @@ objects; ``stages`` rebuilds them from the stage functions.
 """
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from operator import add, le, mul
 
@@ -45,8 +46,8 @@ from startrans.errors import NotASop
 from startrans.instances import standard_ring
 from startrans.modules import (
     _combine_rows,
-    _divide,
-    _row_recipe,
+    _hilbert_value,
+    _reduce,
     _s_vector,
     _work,
     reduce_mod_quotient,
@@ -390,6 +391,16 @@ def monomial_quotient_numerator(weights, gens):
     return {deg: c for deg, c in out.items() if c}
 
 
+def expand(series, upto):
+    """The Hilbert function values of ``series`` (a ``HilbertSeries``) by
+    degree, for degrees <= upto, the zeros left out."""
+    values = (
+        (d, _hilbert_value(series.numer, series.weights, d))
+        for d in range(min(series.numer, default=upto + 1), upto + 1)
+    )
+    return {d: c for d, c in values if c}
+
+
 def full_hilbert_certificate(comp):
     """The acyclicity certificate with every series from the reduced basis
     of its image: position p is exact iff
@@ -581,45 +592,50 @@ def _schreyer_relations(gens, ambient, ncols):
     ``ncols`` coordinates, in ``syz_module``, a free module whose twists are
     the degrees of the first ``ncols`` generators.
 
-    Each is one ``_combine_rows`` of the reduced basis's rows: the relation
-    of every S-pair of the basis, from its ``_s_vector`` head and division
-    quotients (Schreyer's theorem: they generate the syzygies of the
-    basis), and the rows of (identity - B*A) for every input generator,
-    where B expresses the working generators in the basis and A the basis
-    in them.  The rows of the J-multiples that ``buchberger`` adjoins are
-    not needed when the generators after the first ``ncols`` span J*F, as
-    the J-multiples of the unit vectors that ``schreyer_syzygies`` appends
-    do: the first block of such a row lies in the span of the others.
+    Each is one ``_RowTable.combine`` of the reduced basis's rows: the
+    relation of every S-pair of the basis, from the quotient dict that its
+    ``_s_vector`` head starts and its division fills (Schreyer's theorem:
+    they generate the syzygies of the basis), and the rows of (identity -
+    B*A) for every input generator, where B expresses the working
+    generators in the basis and A the basis in them.  The dicts are keyed
+    by row id, as ``SubmoduleGB.lift`` keys its own.  The rows of the
+    J-multiples that ``buchberger`` adjoins are not needed when the
+    generators after the first ``ncols`` span J*F, as the J-multiples of
+    the unit vectors that ``schreyer_syzygies`` appends do: the first block
+    of such a row lies in the span of the others.
     """
     ring = ambient.ring
     twists = tuple(g.homogeneous_degree() or 0 for g in gens[:ncols])
     syz_module = GradedFreeModule(ring, ncols, twists)
     gb = buchberger(ambient, gens)
-    basis, leads = gb.gb, gb.leads
-    forms = [g.keyed() for g in basis]
-    rows = [gb.row_table.row(k) for k in gb.row_ids]
-    combos = []
-    for j in range(len(basis)):
-        for i in range(j):
+    table, ids = gb.row_table, gb.row_ids
+    for k in ids:
+        table.row(k)
+    # indexed by row id, so the S-vector heads and quotients name rows
+    forms = {k: g.keyed() for k, g in zip(ids, gb.gb)}
+    leads = dict(zip(ids, gb.leads))
+    reducers = list(forms.items())
+    minus_one = ring.field.neg(ring.field.one)
+    relations = []
+    for b, j in enumerate(ids):
+        for i in ids[:b]:
             if leads[i][0] != leads[j][0]:
                 continue
             lcm = ring.mono_lcm(leads[i][1], leads[j][1])
-            s, head = _s_vector(ambient, forms, leads, i, j, lcm)
-            quots, rem = _divide(ambient, s, basis, track=True)
-            assert rem.is_zero()
-            recipe = _row_recipe(ambient, head, quots)
-            combos.append([(c, rows[k]) for c, k in recipe])
-    one = ring.one().terms
+            quots = defaultdict(dict)
+            s = _s_vector(ambient, forms, leads, i, j, lcm, quots=quots)
+            rem = _reduce(ambient, s, reducers, quots)
+            assert not rem
+            relations.append(table.combine(minus_one, quots)[:ncols])
     for j, g in enumerate(gens):
-        quots, rem = _divide(ambient, _work(g), basis, track=True)
-        assert rem.is_zero()
-        combo = [(c, rows[k]) for c, k in _row_recipe(ambient, (), quots)]
+        quots = defaultdict(dict)
+        rem = _reduce(ambient, _work(g), reducers, quots)
+        assert not rem
+        relation = table.combine(minus_one, quots)[:ncols]
         if j < ncols:
-            combo.append((one, syz_module.basis_vector(j).coords))
-        combos.append(combo)
-    return syz_module, [
-        syz_module.vector(_combine_rows(ring, combo, ncols)) for combo in combos
-    ]
+            relation[j] = relation[j] + ring.one()
+        relations.append(relation)
+    return syz_module, [syz_module.vector(r) for r in relations]
 
 
 def schreyer_syzygies(gens, ambient):

@@ -10,6 +10,7 @@ import pytest
 import brute
 from reference import (
     all_match,
+    expand,
     identity_matrix,
     reference_decomposition,
     restricted_top_map,
@@ -234,7 +235,7 @@ def test_criterion_7_oracle_cross_validation(full_corpus):
                 list(both.gb), ambient, d
             ) == dim_m + dim_q - dim_sum
         # hilbert function against dense quotient dimensions
-        series = hilbert_data(m_gb).series.expand(6)
+        series = expand(hilbert_data(m_gb).series, 6)
         for d in range(0, 7):
             ok = ok and series.get(d, 0) == brute.brute_quotient_dimension(
                 m_cols, ambient, d

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 from hypothesis import given, settings
-from reference import generic_pfaffian
+from reference import eagon_northcott, generic_pfaffian, hilbert_burch
 from test_certificate import koszul_problems
 
 from startrans import (
@@ -15,6 +15,7 @@ from startrans import (
     NotInModule,
     ParseError,
     PrimeField,
+    RationalField,
     ValidationError,
     koszul,
     parse_problem,
@@ -263,10 +264,30 @@ def test_drawn_outputs_read_back_equal_and_re_emit_byte_for_byte(
 ):
     # weighted and R/J rings included: the file reads back to the objects it
     # was written from, which is what lets ``star --verify`` reuse them
-    name, comp, sop = problem
+    _assert_reads_back_and_re_emits(tmp_path_factory.mktemp("drawn"), *problem)
+
+
+DETERMINANTAL = {
+    "hilbert_burch_t2": lambda field: hilbert_burch(field, 2, 0),
+    "hilbert_burch_t3": lambda field: hilbert_burch(field, 3, 0),
+    "eagon_northcott": lambda field: eagon_northcott(field, 0),
+}
+DETERMINANTAL_FIELDS = {"p32003": PrimeField(32003), "Q": RationalField()}
+
+
+@pytest.mark.parametrize("field", sorted(DETERMINANTAL_FIELDS))
+@pytest.mark.parametrize("name", sorted(DETERMINANTAL))
+def test_determinantal_outputs_read_back_equal_and_re_emit_byte_for_byte(
+    tmp_path, name, field
+):
+    # ranks no Koszul input reaches, and no unit entries
+    comp, sop = DETERMINANTAL[name](DETERMINANTAL_FIELDS[field])
+    _assert_reads_back_and_re_emits(tmp_path, name, comp, sop)
+
+
+def _assert_reads_back_and_re_emits(folder, name, comp, sop):
     base = _as_problem(comp, sop)
     result = star_transform(comp, sop)
-    folder = tmp_path_factory.mktemp("drawn")
     out = folder / "out.star.json"
     emit_star(result.star, result.report, str(out), base, comp)
     reparsed = parse_problem(str(out))

@@ -21,6 +21,7 @@ compares unequal to its canonical value, so either would break equality
 without any other sign.
 """
 
+from collections import defaultdict
 from fractions import Fraction
 from math import gcd
 from operator import add, le, mul, sub
@@ -35,8 +36,8 @@ from startrans.modules import (
     _decode,
     _divide,
     _keyed_form,
-    _quotients,
     _reduce,
+    _RowTable,
     _s_vector,
     _term_of_key,
     _work,
@@ -69,19 +70,30 @@ def _canonical(poly):
     return all(type(c) is int and 0 < c < p for c in poly.terms.values())
 
 
-def divide(vector, divisors, **kwargs):
-    return _divide(vector.module, _work(vector), divisors, **kwargs)
+def divide(vector, divisors):
+    return _divide(vector.module, _work(vector), divisors)
 
 
-def dense_quotients(quots, divisors):
-    """One quotient per divisor from the quotients of a tracked ``_divide``,
-    which must hold only nonzero ones."""
-    pairs = _quotients(divisors[0].module, quots)
-    assert all(not q.is_zero() for _, q in pairs)
-    dense = [g.module.ring.zero() for g in divisors]
-    for k, q in pairs:
-        dense[k] = q
-    return dense
+def recorded_divide(vector, divisors, lead_only=False):
+    """(quotients, remainder terms) of ``_reduce`` on ``vector`` by
+    ``divisors``, recording its quotients: the recorded dict, which must
+    hold only nonzero coefficients, turned into one quotient per divisor by
+    ``_RowTable.combine`` over unit rows (entry k of sum c x^u unit row k
+    is q_k)."""
+    module = vector.module
+    reducers = [(k, r) for k, r in enumerate(g.keyed() for g in divisors) if r]
+    quots = defaultdict(dict)
+    terms = _reduce(module, _work(vector), reducers, quots, lead_only=lead_only)
+    assert all(c for qd in quots.values() for c in qd.values())
+    return unit_rows(module, len(divisors)).combine(module.ring.field.one, quots), terms
+
+
+def unit_rows(module, width):
+    """A ``_RowTable`` of ``width`` unit rows over the keys of ``module``."""
+    table = _RowTable(module, width)
+    for k in range(width):
+        table.unit(k)
+    return table
 
 
 def tuple_term_key(module, pos, exps):
@@ -221,11 +233,11 @@ def division_problems(draw):
 @given(division_problems())
 def test_division_matches_linear_scan_and_the_identity(problem):
     vector, divisors = problem
-    ring = vector.module.ring
+    module = vector.module
+    ring = module.ring
 
-    pairs, rem = divide(vector, divisors, track=True)
-    quots = dense_quotients(pairs, divisors)
-    _, rem_untracked = divide(vector, divisors, track=False)
+    quots, terms = recorded_divide(vector, divisors)
+    rem = divide(vector, divisors)
 
     oracle_quots, oracle_rem, oracle_leads = linear_scan_divide(vector, divisors)
     leads = [g.lead() for g in divisors]
@@ -235,7 +247,7 @@ def test_division_matches_linear_scan_and_the_identity(problem):
     ] == oracle_leads
     assert quots == oracle_quots
     assert rem == oracle_rem
-    assert rem_untracked == rem
+    assert module.vector(_decode(module, terms.items())) == rem
     assert all(_canonical(c) for c in rem.coords)
     assert all(_canonical(q) for q in quots)
 
@@ -263,12 +275,8 @@ def test_division_to_the_lead_keeps_the_lead_and_the_identity(problem):
     # the remainder's, and the quotients so far still recombine
     vector, divisors = problem
     module = vector.module
-    _, rem = divide(vector, divisors)
-    reducers = [(k, r) for k, r in enumerate(g.keyed() for g in divisors) if r]
-    pairs, terms = _reduce(
-        module, _work(vector), reducers, track=True, lead_only=True
-    )
-    quots = dense_quotients(pairs, divisors)
+    rem = divide(vector, divisors)
+    quots, terms = recorded_divide(vector, divisors, lead_only=True)
     rem_lead = module.vector(_decode(module, terms.items()))
     assert rem_lead.lead() == rem.lead()
     if terms:
@@ -351,21 +359,27 @@ def test_a_q_sum_of_products_is_kept_over_the_lcm_of_its_denominators():
 @given(division_problems())
 def test_s_vectors_match_the_termwise_oracle(problem):
     # ``_s_vector`` builds c_i x^u_i g_i - c_j x^u_j g_j from the keyed
-    # tails alone; its head holds the two terms it multiplied by
+    # tails alone, and records the two terms it multiplied by, negated, as
+    # ``_reduce`` records quotients
     vector, divisors = problem
     basis = [g for g in (vector, *divisors) if g.lead() is not None]
     leads = [g.lead() for g in basis]
     module = vector.module
     ring = module.ring
     f = ring.field
+    units = unit_rows(module, len(basis))
     for j in range(len(basis)):
         for i in range(j):
             if leads[i][0] != leads[j][0]:
                 continue
             lcm = ring.mono_lcm(leads[i][1], leads[j][1])
-            work, ((_, head_i), (_, head_j)) = _s_vector(
-                module, [g.keyed() for g in basis], leads, i, j, lcm
+            quots = defaultdict(dict)
+            work = _s_vector(
+                module, [g.keyed() for g in basis], leads, i, j, lcm, quots=quots
             )
+            assert sorted(quots) == [i, j]
+            head = units.combine(f.neg(f.one), quots)
+            head_i, head_j = head[i].terms, head[j].terms
             for (u, c), lead in ((*head_i.items(), leads[i]), (*head_j.items(), leads[j])):
                 assert ring.mono_mul(u, lead[1]) == lcm
                 assert f.mul(c, lead[2]) in (f.one, f.neg(f.one))

@@ -53,6 +53,7 @@ from startrans.modules import SubmoduleGB
 import brute
 from reference import (
     add_vectors,
+    hilbert_burch,
     identity_matrix,
     lifted_selection,
     padded_zero_top_instance,
@@ -642,6 +643,23 @@ def test_corpus_outputs_exact_by_dense_ranks(field):
                 out.maps[:-1] + (zero_matrix(out.ring, top.nrows, top.ncols),),
             )
             assert brute.first_inexact_degree(zeroed, 8) is not None
+
+
+def test_hilbert_burch_output_exact_by_dense_ranks():
+    # round 1 of the t = 2 draw, twists up to 5, is exact in degrees 0..10
+    # by dense ranks, and not with its top map zeroed
+    comp, sop = hilbert_burch(PrimeField(32003), 2, 0)
+    out = star_transform(comp, sop, with_report=False).star.complex
+    assert [m.rank for m in out.modules] == [1, 5, 4]
+    assert max(t for m in out.modules for t in m.twists) == 5
+    assert brute.first_inexact_degree(out, 10) is None
+    top = out.phi(out.length)
+    zeroed = FreeComplex(
+        out.ring,
+        out.modules,
+        out.maps[:-1] + (zero_matrix(out.ring, top.nrows, top.ncols),),
+    )
+    assert brute.first_inexact_degree(zeroed, 10) is not None
 
 
 @pytest.mark.parametrize("field", [None, PrimeField(7)], ids=["Q", "p7"])

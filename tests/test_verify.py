@@ -11,6 +11,7 @@ from reference import (
     all_match,
     eagon_northcott,
     generic_pfaffian,
+    hilbert_burch,
     image_complex,
     padded_zero_top_instance,
     pullback,
@@ -435,6 +436,22 @@ def test_driver_on_eagon_northcott_resolutions(field):
         [m.rank for m in rnd.result.star.complex.modules] for rnd in driver.rounds
     ]
     assert ranks == [[1, 9, 17, 9], [1, 18, 27, 10], [1, 28, 33, 6]]
+
+
+@pytest.mark.parametrize("field", ["Q", "p32003"])
+@pytest.mark.parametrize("t", [2, 3])
+def test_driver_on_hilbert_burch_resolutions(field, t):
+    # ranks [1, t+1, t] in; each round after the first lowers both nonzero
+    # ranks by one
+    comp, sop = hilbert_burch(EN_FIELDS[field], t, seed=t)
+    driver = star_iteration_driver(comp, sop, 3)
+    assert driver.stop_reason == "completed"
+    assert all(rnd.result.report.overall for rnd in driver.rounds)
+    assert all_match(driver)
+    ranks = [
+        [m.rank for m in rnd.result.star.complex.modules] for rnd in driver.rounds
+    ]
+    assert ranks == [[1, 2 * t + 1 - k, 2 * t - k] for k in range(3)]
 
 
 @pytest.mark.parametrize("seed", [0, 1])
