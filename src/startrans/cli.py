@@ -391,6 +391,9 @@ def main(argv=None):
     except StarTransError as exc:  # no input error reaches here: a bug
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except Exception as exc:  # a crash, not "a check failed"
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def console_main():

@@ -23,10 +23,7 @@ def standard_ring(names, field=None):
 def exa_instance(field=None):
     """The repo's running example: F = Koszul(x^2, y^2) over Q[x, y],
     parameters (x, y); the colon image is (x^2, xy, y^2)."""
-    ring = standard_ring(("x", "y"), field=field)
-    gens = validate_sop(ring, [ring.parse("x^2"), ring.parse("y^2")])
-    sop = validate_sop(ring, [ring.var(0), ring.var(1)])
-    return koszul(gens), sop
+    return complete_intersection_instance((2, 2), field=field)
 
 
 def complete_intersection_instance(powers, field=None):
@@ -51,9 +48,7 @@ def _power_sop(ring, powers):
 def vanishing_top_instance(field=None):
     """F = Koszul(x, y) with parameters (x, y): the decomposition vectors
     are signed standard basis vectors, so the output top module vanishes."""
-    ring = standard_ring(("x", "y"), field=field)
-    sop = validate_sop(ring, [ring.var(0), ring.var(1)])
-    return koszul(sop), sop
+    return complete_intersection_instance((1, 1), field=field)
 
 
 def square_ideal_instance(field=None):

@@ -14,24 +14,27 @@ row, so a basis that nothing lifts through (the Koszul generators of a
 complex, Im phi_1) costs no row products.
 ``cokernel_series`` runs the same pair loop against a known floor of the
 quotient's Hilbert series and stops once the lead terms reach it: no rows,
-each S-vector divided only down to its lead, each remainder kept as a
-divisor and never decoded, and the Hilbert numerators of the leads updated
-lead by lead, a lead coprime to those before it at its position without a
-colon.  The acyclicity certificate reads every image of a complex that way.
+each S-vector divided only down to its lead, and the Hilbert numerators of
+the leads updated lead by lead, a lead coprime to those before it at its
+position without a colon.  The acyclicity certificate reads every image of
+a complex that way.
 
 Module terms are ordered degree first (twists included), then position
 (lower basis index wins), then the ring's one monomial order; ``term_key``
 is the one definition of that order, one int per term that also encodes
-the term; a ``GradedFreeModule`` lays out its keys when it is built.
-Division works on those keys: multiplying a term by x^u adds the key of
-u, and a lead divides a term iff their difference sets no guard or
-position bit.  It pops the working vector's terms largest first from a
-min-heap of keys.  Vectors are immutable, so each caches its lead term,
-the inverse of its lead coefficient and its keyed tail (over Q as int
-numerators over the tail's lcm, ``_keyed_form``), and a
-``SubmoduleGB`` keeps the leads of its basis and
-owns the Hilbert series of its quotient, computed from those leads on first
-use (``SubmoduleGB.series``); every certificate reads it there.  When
+the term; a ``GradedFreeModule`` lays out its keys when it is built.  A
+run works on keyed terms end to end: each generator is keyed once into a
+term dict (``_terms``), a pair loop holds only term dicts, leads and keyed
+forms (the lead, the inverse of its coefficient and the tail, over Q as
+int numerators over the tail's lcm, ``_keyed_form``), and the reduced
+basis is decoded once, at the end.  Division works on the keys:
+multiplying a term by x^u adds the key of u, and a lead divides a term iff
+their difference sets no guard or position bit; it pops the terms largest
+first from a min-heap of keys.  Vectors are immutable, so each caches its
+lead and keyed form, and a ``SubmoduleGB`` keeps the leads of its basis,
+the one divisor list every division by it reads (``reducers``), and the
+Hilbert series of its quotient, computed from those leads on first use
+(``SubmoduleGB.series``); every certificate reads it there.  When
 the ambient ring carries a quotient ideal J, submodule computations adjoin
 J-multiples of the basis vectors, so results are correct over R/J.
 Syzygies, colons and intersections all come from one ``buchberger`` run
@@ -45,6 +48,7 @@ from __future__ import annotations
 import heapq
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import partial
 from math import gcd
 
 from .errors import (
@@ -192,7 +196,8 @@ class ModuleVector:
         try:
             return self._keyed
         except AttributeError:
-            self._keyed = _keyed_work(self.module.ring.field, _work(self))
+            terms = _terms(self.module, enumerate(self.coords))
+            self._keyed = _keyed_work(self.module.ring.field, terms)
             return self._keyed
 
     def homogeneous_degree(self):
@@ -215,9 +220,19 @@ class ModuleVector:
         return f"({inner})"
 
 
-def _modular_form(module, field, inverses, coords):
-    """The keyed form over the prime ``field`` of the vector over Q with the
-    (position, polynomial) pairs ``coords``, None if zero there: a/b is
+def _terms(module, coords):
+    """The working dict {``term_key``: coefficient} of the vector of
+    ``module`` with the (position, polynomial) pairs ``coords``."""
+    return {
+        term_key(module, pos, m): c
+        for pos, poly in coords
+        for m, c in poly.terms.items()
+    }
+
+
+def _modular_terms(module, field, inverses, coords):
+    """``_terms`` over the prime ``field`` of the vector over Q with the
+    (position, polynomial) pairs ``coords``, zeros there dropped: a/b is
     a * b^-1 mod p, each b inverted once (kept in ``inverses``), and a b
     that p divides raises ZeroDivisionError."""
     p = field.p
@@ -233,15 +248,15 @@ def _modular_form(module, field, inverses, coords):
             c = c._numerator * inverse % p
             if c:
                 terms[term_key(module, pos, m)] = c
-    return _keyed_work(field, terms)
+    return terms
 
 
 def _keyed_work(field, work):
-    """``_keyed_form`` of the nonzero terms {``term_key``: coefficient}
-    ``work`` (consumed), the smallest key the lead; None if there are none."""
+    """``_keyed_form`` of the term dict ``work`` (``_terms``; left intact),
+    its smallest key the lead; None if it is empty."""
     key = min(work, default=None)
     return None if key is None else _keyed_form(
-        field, key, work.pop(key), list(work.items())
+        field, key, work[key], [t for t in work.items() if t[0] != key]
     )
 
 
@@ -252,7 +267,7 @@ def _keyed_form(field, key, c, tail):
     each tail coefficient a / den for the (key, a) pairs of the kept tail.
     Over a prime field den is 1 and a the coefficient; over Q den is the lcm
     of the tail's denominators and a an int numerator, so a product with
-    the tail needs one gcd per term (``_divide``, ``_add_tail_multiple``)."""
+    the tail needs one gcd per term (``_over_tail``, ``_add_tail_multiple``)."""
     den = 1
     if field.p is None:
         den, tail = _over_common_denominator(tail)
@@ -260,31 +275,6 @@ def _keyed_form(field, key, c, tail):
 
 
 # -- division ---------------------------------------------------------------
-
-
-def _work(vector):
-    """The terms of ``vector`` as the working dict of ``_divide``:
-    {``term_key``: coefficient}."""
-    module = vector.module
-    return {
-        term_key(module, pos, m): c
-        for pos, poly in enumerate(vector.coords)
-        for m, c in poly.terms.items()
-    }
-
-
-def _divide(module, work, divisors):
-    """The remainder of the vector of ``module`` whose terms are the
-    working dict ``work`` (``_work``; consumed) on full division by
-    ``divisors`` (``_reduce``), as a vector whose lead is known."""
-    reducers = [(k, r) for k, r in enumerate(g.keyed() for g in divisors) if r]
-    rem = _reduce(module, work, reducers)
-    remainder = ModuleVector(module, _decode(module, rem.items()))
-    # the remainder's first term came out largest, so its lead is known
-    remainder._lead = next(
-        ((*_term_of_key(module, k), c) for k, c in rem.items()), None
-    )
-    return remainder
 
 
 def _reduce(module, work, reducers, quots=None, lead_only=False, field=None):
@@ -546,7 +536,9 @@ class SubmoduleGB:
     a quotient dict until something reads it: ``lift`` divides with the
     row ids as divisor indices and multiplies out only the rows its
     quotients reach, so a basis that is never lifted through (Im phi_1 of a
-    complex) multiplies out none.  ``leads[k]`` is ``gb[k].lead()``.
+    complex) multiplies out none.  ``leads[k]`` is ``gb[k].lead()``, and
+    ``reducers``, the (row id, ``gb[k].keyed()``) pairs, is the one divisor
+    list of ``normal_form``, ``contains`` and ``lift``.
     The basis owns the Hilbert series of ambient/M: ``series()`` computes
     it from the leads on first call and keeps it, so every certificate that
     reads it shares one computation.
@@ -554,7 +546,7 @@ class SubmoduleGB:
 
     __slots__ = (
         "ambient", "generators", "adjoined", "gb", "row_table", "row_ids",
-        "leads", "_series",
+        "reducers", "leads", "_series",
     )
 
     def __init__(self, ambient, generators, adjoined, gb, row_table, row_ids):
@@ -564,6 +556,7 @@ class SubmoduleGB:
         self.gb = tuple(gb)
         self.row_table = row_table
         self.row_ids = tuple(row_ids)
+        self.reducers = [(k, g.keyed()) for k, g in zip(self.row_ids, self.gb)]
         self.leads = tuple(g.lead() for g in self.gb)
         self._series = None
 
@@ -577,17 +570,22 @@ class SubmoduleGB:
     def working_generators(self):
         return self.generators + self.adjoined
 
-    def _check_ambient(self, v):
+    def _remainder(self, v, quots=None, lead_only=False):
+        """``_reduce`` of the terms of v by the basis, v in the ambient."""
+        module = v.module
         # the identity test first: the common case compares no twists
-        if v.module is not self.ambient and v.module != self.ambient:
+        if module is not self.ambient and module != self.ambient:
             raise DimensionMismatch("vector outside the ambient module")
+        work = _terms(module, enumerate(v.coords))
+        return _reduce(module, work, self.reducers, quots, lead_only)
 
     def normal_form(self, v):
-        self._check_ambient(v)
-        return _divide(v.module, _work(v), self.gb)
+        """The remainder of v on full division by the basis."""
+        return ModuleVector(v.module, _decode(v.module, self._remainder(v).items()))
 
     def contains(self, v):
-        return self.normal_form(v).is_zero()
+        """Whether v is in the submodule; the division stops at a nonzero lead."""
+        return not self._remainder(v, lead_only=True)
 
     def lift(self, v):
         """A witness over the *input* generators, deterministic but not
@@ -595,10 +593,8 @@ class SubmoduleGB:
         the vector is outside the submodule.  Only the rows of the basis
         elements with a nonzero quotient are multiplied out, with the rows
         they read, and they are kept for later lifts."""
-        self._check_ambient(v)
         quots = defaultdict(dict)  # row id -> {key shift: quotient}
-        reducers = [(k, g.keyed()) for k, g in zip(self.row_ids, self.gb)]
-        if _reduce(v.module, _work(v), reducers, quots):
+        if self._remainder(v, quots):
             raise NotInModule("vector has nonzero normal form")
         ring, table = self.ambient.ring, self.row_table
         for k in quots:
@@ -624,11 +620,14 @@ def buchberger(ambient, gens):
     reduced basis is sorted by decreasing lead term.  The basis keeps the
     row table of the run, in which every row is only the quotient dict of
     its division until a lift multiplies it out (``_RowTable``).  It is
-    ``_pair_loop`` without a floor, then ``_reduce_basis``.
+    ``_pair_loop`` without a floor, then ``_reduce_basis``; the J-multiples
+    become vectors here, in the loop's order, for ``lift``'s check.
     """
     gens = tuple(gens)
-    adjoined, basis, _, table, _ = _pair_loop(ambient, gens)
-    return _reduce_basis(ambient, gens, adjoined, basis, table)
+    terms, forms, table, _ = _pair_loop(ambient, gens)
+    adjoined = [ambient.basis_vector(i).mul_poly(g)
+                for g in ambient.ring.quotient for i in range(ambient.rank)]
+    return _reduce_basis(ambient, gens, adjoined, terms, forms, table)
 
 
 def cokernel_series(ambient, gens, floor, field=None):
@@ -636,19 +635,22 @@ def cokernel_series(ambient, gens, floor, field=None):
     it is known to dominate degree by degree: ``_pair_loop`` with that
     floor, which stops as soon as the lead terms reach it.  No reduced
     basis is built.  A prime ``field`` reduces ``gens`` and J over Q mod p."""
-    return _pair_loop(ambient, tuple(gens), floor, field)[4]
+    return _pair_loop(ambient, tuple(gens), floor, field)[3]
 
 
 def _pair_loop(ambient, gens, floor=None, field=None):
-    """Buchberger's pair loop over ``gens`` and the adjoined J-multiples:
+    """Buchberger's pair loop over ``gens`` and the J-multiples e_i * g:
     the coprime and chain criteria, then each S-vector divided by the basis
-    so far.  Returns (adjoined, basis, leads, table, series); the basis is
-    a Groebner basis, not reduced, and ``leads`` its leads.  Without a
-    floor, row k of ``table`` expresses basis[k] (``_RowTable``): a
-    generator's row is its unit vector, and a remainder's row keeps the
-    quotient dict its S-vector's head starts and its division fills, not
-    multiplied out.  With a floor nothing is lifted through the result, so
-    ``table`` is None and no head or quotient is recorded.
+    so far.  It holds only term dicts, leads and keyed forms: each
+    generator and J-multiple is keyed once (``_terms``), and no vector or
+    polynomial is built.  Returns (terms, forms, table, series), ``forms``
+    the keyed forms of a Groebner basis, not reduced.  Without a floor
+    ``terms`` are the basis's working dicts, each remainder reduced fully,
+    and row k of ``table`` expresses basis element k (``_RowTable``): a
+    generator's row is its unit vector, a remainder's the quotient dict its
+    S-vector's head starts and its division fills.  With a floor nothing is
+    lifted through the result: ``terms`` and ``table`` are None, and no
+    head or quotient is recorded.
 
     ``series`` is None without a floor.  With a floor F, a series that
     HS(ambient / in(M)) is known to dominate in every degree (M the span of
@@ -669,39 +671,31 @@ def _pair_loop(ambient, gens, floor=None, field=None):
     with a floor an S-vector is divided only until its lead is divisible by
     no basis lead (``_reduce`` with ``lead_only``), and its tail stays
     unreduced: that lead is still a new monomial of in(M), which is all the
-    argument uses.  The loop divides by keyed forms (``ModuleVector.keyed``);
-    the floored one keeps only those and the leads (``basis`` is None, no
-    remainder is decoded), the full one reduces every remainder fully, for
-    its row's lift witness and less work later.  The series of L is kept one
-    numerator per position (``_LeadsSeries``).  A floored run over Q may
-    take a prime ``field``: each generator and J-multiple is then keyed
-    once mod p from its terms (``_modular_form``), ``adjoined`` is None and
-    the arithmetic is mod p.
+    argument uses.  The series of L is kept one numerator per position
+    (``_LeadsSeries``).  A floored run over Q may take a prime ``field``:
+    the generators and J-multiples are then keyed mod p (``_modular_terms``
+    in place of ``_terms``) and the arithmetic is mod p.
     """
     ring = ambient.ring
     for g in gens:
         if g.module != ambient:
             raise DimensionMismatch("generator outside the ambient module")
     if field is None:
-        field = ring.field
-        adjoined = tuple(ambient.basis_vector(i).mul_poly(g)  # the J-multiples
-                         for g in ring.quotient for i in range(ambient.rank))
-        working = gens + adjoined
-        keyed = [g.keyed() for g in working]
+        field, key = ring.field, partial(_terms, ambient)
     else:
-        adjoined, inverses = None, {1: 1}
-        keyed = [_modular_form(ambient, field, inverses, enumerate(g.coords))
-                 for g in gens]
-        keyed += [_modular_form(ambient, field, inverses, [(i, g)])
-                  for g in ring.quotient for i in range(ambient.rank)]
+        key = partial(_modular_terms, ambient, field, {1: 1})
+    working = [key(enumerate(g.coords)) for g in gens]
+    working += [key([(i, g)])  # the J-multiples
+                for g in ring.quotient for i in range(ambient.rank)]
 
     floored = floor is not None
-    basis = None if floored else []
+    terms = None if floored else []  # the working dicts of the basis
     table = None if floored else _RowTable(ambient, len(working))
     leads = []
     forms = []  # the keyed forms of the basis
     at = defaultdict(list)  # position -> the (index, lead monomial) there
-    for j, form in enumerate(keyed):
+    for j, work in enumerate(working):
+        form = _keyed_work(field, work)
         if form is None:
             continue
         lead = (*_term_of_key(ambient, form[0]), form[1])
@@ -709,7 +703,7 @@ def _pair_loop(ambient, gens, floor=None, field=None):
         leads.append(lead)
         forms.append(form)
         if not floored:
-            basis.append(working[j])
+            terms.append(work)
             table.unit(j)
     reducers = list(enumerate(forms))  # as ``_reduce`` reads them
 
@@ -717,7 +711,7 @@ def _pair_loop(ambient, gens, floor=None, field=None):
         lead_series = _LeadsSeries(ambient, leads)
         gap = dict(lead_series.series().sub(floor).numer)  # of S - F, kept
         if not gap:
-            return adjoined, basis, leads, table, floor
+            return terms, forms, table, floor
 
     rank_one = ambient.rank == 1
     guard, shift, lcm_of = ring._guard, ring._shift, ring.mono_lcm
@@ -778,36 +772,37 @@ def _pair_loop(ambient, gens, floor=None, field=None):
         if floored:
             _add_into(gap, lead_series.add(lead))
             if not gap:
-                return adjoined, basis, leads, table, floor
+                return terms, forms, table, floor
         else:
             table.add(field.neg(field.one), quots)
-            vector = ModuleVector(ambient, _decode(ambient, rem.items()))
-            vector._lead, vector._keyed = lead, form
-            basis.append(vector)
+            terms.append(rem)
         same = at[lead[0]]
         for k, _ in same:
             heapq.heappush(pairs, pair(k, new_index))
         same.append((new_index, lead[1]))
 
     series = lead_series.series() if floored else None
-    return adjoined, basis, leads, table, series
+    return terms, forms, table, series
 
 
-def _reduce_basis(ambient, gens, adjoined, basis, table):
-    """Interreduce ``basis`` into the reduced basis.  The minimal leads
-    are kept smallest first, so the reduced basis, largest lead first, is
-    that list reversed.  Each reduced element inv * (basis[idx] - sum
-    q x^u basis[k]) gets the row -inv * (-row idx + sum q x^u row k) in the
-    run's table (``_pair_loop``), not multiplied out: the quotient dict of
-    its division with {idx: {0: -1}}.  The basis keeps the table."""
+def _reduce_basis(ambient, gens, adjoined, terms, forms, table):
+    """Interreduce the basis of a full ``_pair_loop`` run, given by its
+    working dicts ``terms`` (consumed) and keyed forms ``forms``, into the
+    reduced basis.  The minimal leads are kept smallest first, so the
+    reduced basis, largest lead first, is that list reversed.  Each reduced
+    element inv * (g_idx - sum q x^u g_k) gets the row -inv * (-row idx +
+    sum q x^u row k) in the run's table, not multiplied out: the quotient
+    dict of its division with {idx: {0: -1}}.  It is made monic on its
+    keys and decoded once, its lead and keyed form set, so no reduced
+    element is keyed again.  The basis keeps the table."""
     f = ambient.ring.field
     mask = ambient._divides_mask
-    keys = [g.keyed()[0] for g in basis]
+    keys = [form[0] for form in forms]
     # smallest lead first; reverse=True keeps equal leads in basis order
-    order = sorted(range(len(basis)), key=keys.__getitem__, reverse=True)
+    order = sorted(range(len(keys)), key=keys.__getitem__, reverse=True)
     kept = []
     for idx in order:
-        # a lead that a kept lead divides (see ``_divide``) is redundant
+        # a lead that a kept lead divides (see ``_reduce``) is redundant
         if all((keys[idx] - keys[k]) & mask for k in kept):
             kept.append(idx)
 
@@ -817,12 +812,14 @@ def _reduce_basis(ambient, gens, adjoined, basis, table):
     for idx in kept:
         quots = defaultdict(dict)
         quots[idx][0] = f.neg(f.one)
-        rem = _reduce(ambient, _work(basis[idx]),
-                      [(k, basis[k].keyed()) for k in kept if k != idx], quots)
-        key, c = next(iter(rem.items()))  # the lead came out first
+        rem = _reduce(ambient, terms[idx],
+                      [(k, forms[k]) for k in kept if k != idx], quots)
+        (key, c), *tail = rem.items()  # the lead came out first
         inv = f.invert(c)
-        monic = ModuleVector(ambient, _decode(ambient, rem.items())).scale(inv)
+        tail = [(k, f.mul(inv, a)) for k, a in tail]
+        monic = ModuleVector(ambient, _decode(ambient, [(key, f.one), *tail]))
         monic._lead = (*_term_of_key(ambient, key), f.one)
+        monic._keyed = _keyed_form(f, key, f.one, tail)
         final.append(monic)
         final_rows.append(table.add(f.neg(inv), quots))
     return SubmoduleGB(ambient, gens, adjoined, final[::-1], table, final_rows[::-1])

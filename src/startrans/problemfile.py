@@ -247,6 +247,8 @@ def _read_json(path):
     except ValueError:  # int() refuses a literal beyond the int/str limit
         limit = sys.get_int_max_str_digits()
         raise ParseError(f"{path}: a number has more than {limit} digits") from None
+    except RecursionError:
+        raise ParseError(f"{path}: JSON nested too deeply") from None
 
 
 def _problem_from_jsonable(data, field, check):

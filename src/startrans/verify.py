@@ -23,6 +23,7 @@ to ``cli.main``, which maps it by kind.
 from __future__ import annotations
 
 import functools
+import sys
 import time
 from dataclasses import dataclass, field
 from math import comb
@@ -107,8 +108,8 @@ class VerificationReport:
             if not isinstance(detail, str):
                 raise ParseError(f"{where}.detail must be a string")
             number = isinstance(seconds, (int, float)) and not isinstance(seconds, bool)
-            # NaN compares false, and 2**1024 is beyond every finite float
-            if not number or not 0 <= seconds < 2**1024:
+            # NaN compares false, and no finite float is larger than the max
+            if not number or not 0 <= seconds <= sys.float_info.max:
                 raise ParseError(f"{where}.seconds must be a finite number >= 0")
             rep.checks.append(CheckResult(name, passed, detail, float(seconds)))
         if not rep.checks:

@@ -127,6 +127,14 @@ MUTANTS = (
         "",
         "a denominator that P divides sends the certificate to Q",
     ),
+    (
+        "membership_always_true",
+        "src/startrans/modules.py",
+        "        return not self._remainder(v, lead_only=True)\n",
+        "        self._remainder(v, lead_only=True)\n        return True\n",
+        "v lies in M only if its division by the basis leaves nothing; the "
+        "colon check falls back to that test",
+    ),
 )
 
 _IGNORE = shutil.ignore_patterns(

@@ -49,7 +49,7 @@ from startrans.modules import (
     _hilbert_value,
     _reduce,
     _s_vector,
-    _work,
+    _terms,
     reduce_mod_quotient,
     ring_series,
 )
@@ -629,7 +629,7 @@ def _schreyer_relations(gens, ambient, ncols):
             relations.append(table.combine(minus_one, quots)[:ncols])
     for j, g in enumerate(gens):
         quots = defaultdict(dict)
-        rem = _reduce(ambient, _work(g), reducers, quots)
+        rem = _reduce(ambient, _terms(ambient, enumerate(g.coords)), reducers, quots)
         assert not rem
         relation = table.combine(minus_one, quots)[:ncols]
         if j < ncols:

@@ -731,8 +731,8 @@ def test_the_prime_route_inverts_each_denominator_once(monkeypatch):
 
 
 def test_the_modular_run_builds_no_ring_module_polynomial_or_complex(monkeypatch):
-    # the columns and the J-multiples are keyed straight from their terms
-    # over Q; only the once-per-ring luckiness run builds R^1
+    # the columns and the J-multiples are keyed straight from their terms,
+    # mod P and over Q alike; only the once-per-ring luckiness run builds R^1
     comp, _ = _quotient_instance()
     assert complexes._modular(comp.ring)
     built = []
@@ -744,8 +744,8 @@ def test_the_modular_run_builds_no_ring_module_polynomial_or_complex(monkeypatch
         monkeypatch.setattr(cls, "__init__", counting)
     assert complexes._series_certificate(comp, complexes._MODULAR_FIELD).ok
     assert built == []
-    complexes._series_certificate(comp)  # the Q run adjoins J-multiples
-    assert "Polynomial" in built
+    assert complexes._series_certificate(comp).ok
+    assert built == []
 
 
 def test_a_denominator_divisible_by_the_prime_takes_the_q_route(monkeypatch):

@@ -554,6 +554,18 @@ def test_cli_parse_error_exit_three(tmp_path, capsys):
     assert code == 3
 
 
+def test_cli_a_crash_outside_the_package_errors_exits_four(monkeypatch, capsys):
+    # exit 1 means a check failed; a crash must not pose as one
+    def crash(args):
+        raise KeyError("lost")
+
+    monkeypatch.setitem(cli._COMMANDS, "info", crash)
+    assert main(["info", "--input", FIXTURE]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == "internal error: KeyError: 'lost'\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("text", ["5", "null", "true"])
 @pytest.mark.parametrize(
     "command", ["koszul", "star", "verify", "colon", "saturate", "iterate", "info"]
@@ -1269,6 +1281,11 @@ def _set_seconds_past_every_float(d):
     }
 
 
+def _set_seconds_just_below_2_to_1024(d):
+    # passes a bound of 2**1024, but float() of it overflows
+    d["report"] = {"overall": True, "checks": [_passing_check(2**1024 - 2**970)]}
+
+
 def _set_seconds_nan(d):
     d["report"] = {
         "overall": True,
@@ -1345,6 +1362,7 @@ def _set_report_pass_string(d):
         ("info", _set_checks_object, [], "report.checks must be a list"),
         ("verify", _set_check_list, [], "report.checks[0] must be an object"),
         ("info", _set_seconds_past_every_float, [], "report.checks[0].seconds"),
+        ("info", _set_seconds_just_below_2_to_1024, [], "report.checks[0].seconds"),
         ("info", _set_seconds_nan, [], "report.checks[0].seconds"),
         ("info", _set_checks_empty, [], "report.checks must not be empty"),
         ("info", _set_overall_false, [], "report.overall does not match"),
@@ -1376,6 +1394,7 @@ def _set_report_pass_string(d):
         "checks-not-a-list",
         "check-not-an-object",
         "seconds-overflow",
+        "seconds-overflow-below-2-to-1024",
         "seconds-nan",
         "checks-empty",
         "overall-false-over-passing-checks",
@@ -1416,8 +1435,9 @@ def test_cli_malformed_file_is_parse_error(
             "{path}: a number has more than {limit} digits\n",
             marks=needs_a_digit_limit,
         ),
+        (b"[" * 100_000 + b"]" * 100_000, "{path}: JSON nested too deeply\n"),
     ],
-    ids=["cut", "not-utf-8", "number-past-the-digit-limit"],
+    ids=["cut", "not-utf-8", "number-past-the-digit-limit", "nested-too-deeply"],
 )
 def test_cli_a_file_that_is_not_json_exits_three(tmp_path, capsys, content, message):
     # a number past the digit limit is valid JSON: the message names the

@@ -26,11 +26,13 @@ from startrans import (
     syzygies,
     validate_sop,
 )
+from startrans import ModuleVector, modules
 from startrans.modules import (
     _pair_loop,
     _reduce,
     _RowTable,
-    _work,
+    _term_of_key,
+    _terms,
     ideal_gb,
     reduce_mod_quotient,
     term_key,
@@ -282,12 +284,76 @@ def test_untracked_basis_equals_the_tracked_one(problem):
     assert all(a < b for a, b in zip(keys, keys[1:])), name
     exact = tracked.series()
     for floor in (exact.sub(exact), exact):
-        _, basis, leads, table, series = _pair_loop(ambient, tuple(gens), floor)
-        assert basis is None and table is None, name
+        terms, forms, table, series = _pair_loop(ambient, tuple(gens), floor)
+        assert terms is None and table is None, name
         assert series == exact, name
+        leads = [(*_term_of_key(ambient, form[0]), form[1]) for form in forms]
         assert _minimal_leads(ambient, leads) == {
             lead[:2] for lead in tracked.leads
         }, name
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(generator_lists(), st.data())
+def test_membership_agrees_with_the_normal_form_and_members_lift(problem, data):
+    # ``contains`` stops its division at the first term that no lead
+    # divides, and decodes nothing: it must say what the full normal form
+    # says, on combinations of the generators (members, also over R/J) and
+    # on random vectors, and a lift must recombine exactly for members
+    name, ambient, gens = problem
+    ring = ambient.ring
+    gb = buchberger(ambient, gens)
+    linear = brute.monomials_of_degree(ring, 1) + brute.monomials_of_degree(ring, 0)
+    member = zero_vector(ambient)
+    for g in gens:
+        chosen = data.draw(st.lists(st.sampled_from(linear), max_size=2, unique=True))
+        c = ring.from_terms((m, ring.field.from_int(data.draw(st.integers(1, 3))))
+                            for m in chosen)
+        member = add_vectors(member, g.mul_poly(c))
+    assert gb.contains(member), name
+    for v in (member, *_random_vectors(data.draw, ambient)):
+        inside = gb.contains(v)
+        assert inside == gb.normal_form(v).is_zero(), name
+        if inside:
+            _assert_witness(gens, v, gb.lift(v), name)
+        else:
+            with pytest.raises(NotInModule):
+                gb.lift(v)
+
+
+@pytest.mark.parametrize("name", sorted(TRACKING_RINGS))
+def test_a_run_decodes_only_its_reduced_basis_once(monkeypatch, name):
+    # the full pair loop keys its generators and J-multiples once and holds
+    # term dicts, leads and keyed forms: it builds no vector and decodes
+    # nothing (its only polynomials are the row table's unit rows); the
+    # interreduction decodes each reduced element once, its lead and keyed
+    # form set, and keys nothing again
+    ring = TRACKING_RINGS[name]()
+    ambient = GradedFreeModule(ring, 2, (0, 1))
+    gens = tuple(
+        ambient.vector((ring.parse(a), ring.parse(b)))
+        for a, b in (("x^2", "y"), ("x*y", "x"), ("y^2", "x + y"))
+    )
+    adjoined = [ambient.basis_vector(i).mul_poly(g)
+                for g in ring.quotient for i in range(ambient.rank)]
+    built = []
+    real_init = ModuleVector.__init__
+    monkeypatch.setattr(
+        ModuleVector, "__init__", lambda *a: built.append("vector") or real_init(*a)
+    )
+    for attr in ("_terms", "_decode"):
+        real = getattr(modules, attr)
+        monkeypatch.setattr(
+            modules, attr, lambda *a, _n=attr, _f=real: built.append(_n) or _f(*a)
+        )
+    terms, forms, table, _ = modules._pair_loop(ambient, gens)
+    assert built == ["_terms"] * (len(gens) + len(adjoined)), name
+    assert any(r is not None for r in table.recipes), name  # a remainder is kept
+    built.clear()
+    gb = modules._reduce_basis(ambient, gens, adjoined, terms, forms, table)
+    assert built == ["_decode", "vector"] * len(gb.gb), name
+    monkeypatch.undo()
+    assert gb.gb == buchberger(ambient, gens).gb, name
 
 
 def test_colon_and_intersection_bases_carry_no_rows(R1):
@@ -390,8 +456,7 @@ def test_validation_multiplies_out_no_row_and_a_lift_only_what_it_reaches():
     v = gb.ambient.vector((ring.parse("z^4"),))
     # the lift's own division: its quotients are keyed by row id
     quots = defaultdict(dict)
-    reducers = [(k, g.keyed()) for k, g in zip(gb.row_ids, gb.gb)]
-    rem = _reduce(v.module, _work(v), reducers, quots)
+    rem = _reduce(v.module, _terms(v.module, enumerate(v.coords)), gb.reducers, quots)
     assert not rem
     reached, stack = set(), list(quots)
     while stack:
