@@ -7,11 +7,11 @@ pair loop (``_pair_loop``), then ``_reduce_basis``.  Every basis keeps a
 row table (``_RowTable``) with the expression of each basis element in the
 input generators, which ``SubmoduleGB.lift`` reads its witnesses off.
 Those witnesses are deterministic but not canonical: they depend on the
-history of the pair loop that built the basis, which the run keeps in one
-format, the division's quotient dicts {row index: {key shift: c}}; only
-``_RowTable.combine`` turns one into polynomials, when a lift reaches its
-row, so a basis that nothing lifts through (the Koszul generators of a
-complex, Im phi_1) costs no row products.
+history of the pair loop that built the basis, which the run keeps as
+recipes: a generator's index, or the division's quotient dicts {row index:
+{key shift: c}}.  A lift builds only the rows it reaches, so a basis that
+nothing lifts through (the Koszul generators of a complex, Im phi_1)
+builds no row, not even a unit row.
 ``cokernel_series`` runs the same pair loop against a known floor of the
 quotient's Hilbert series and stops once the lead terms reach it: no rows,
 each S-vector divided only down to its lead, and the Hilbert numerators of
@@ -35,8 +35,8 @@ lead and keyed form, and a ``SubmoduleGB`` keeps the leads of its basis,
 the one divisor list every division by it reads (``reducers``), and the
 Hilbert series of its quotient, computed from those leads on first use
 (``SubmoduleGB.series``); every certificate reads it there.  When
-the ambient ring carries a quotient ideal J, submodule computations adjoin
-J-multiples of the basis vectors, so results are correct over R/J.
+the ambient ring carries a quotient ideal J, a pair loop adjoins the keyed
+J-multiples e_i * g (no vector), so results are correct over R/J.
 Syzygies, colons and intersections all come from one ``buchberger`` run
 in a stacked module (``_eliminate``): positions come first within a degree,
 so on homogeneous input the basis vectors whose lead lies in the second
@@ -459,37 +459,28 @@ class _RowTable:
     first use.
 
     Row k expresses a vector of the run in the ``width`` working generators,
-    as that many polynomials.  The row of a working generator is its unit
-    vector, built at once (``unit``); every other row is a recipe (s,
-    {earlier row i: {key shift u: c}}) for s * sum c x^u row i (``add``),
-    the keys those of ``module``: an S-vector's remainder is s = -1 over its
-    negated head and quotients (``_pair_loop``), an interreduced element
-    s = -1/c over {idx: {0: -1}} and its quotients (``_reduce_basis``).
-    ``row`` multiplies a row out through ``combine``, the one place a
-    quotient dict becomes polynomials, after the rows it reads, and keeps
-    each one; a basis that is never lifted through builds no row.
+    as that many polynomials.  Its recipe is a generator index j for the
+    unit vector e_j, or (s, {earlier row i: {key shift u: c}}) for
+    s * sum c x^u row i, the keys those of ``module``: an S-vector's
+    remainder is s = -1 over its negated head and quotients
+    (``_pair_loop``), an interreduced element s = -1/c over {idx: {0: -1}}
+    and its quotients (``_reduce_basis``).  ``row`` multiplies a row out,
+    after the rows it reads, and keeps each one; ``combine`` is the one
+    place a quotient dict becomes polynomials.
     """
 
     __slots__ = ("module", "width", "recipes", "built")
 
-    def __init__(self, module, width):
+    def __init__(self, module, width, recipes=()):
         self.module = module
         self.width = width
-        self.recipes = []  # per row: its recipe, or None for a unit row
-        self.built = []  # per row: its polynomials, or None until built
+        self.recipes = list(recipes)  # per row: a generator index or (s, quots)
+        self.built = [None] * len(self.recipes)  # per row: its polynomials
 
-    def unit(self, j):
-        """Append the row of working generator j."""
-        ring = self.module.ring
-        row = [ring.zero()] * self.width
-        row[j] = ring.one()
-        self.recipes.append(None)
-        self.built.append(tuple(row))
-
-    def add(self, scale, quots):
-        """Append the row s * sum c x^u row i over {i: {u: c}} ``quots``,
-        each i an earlier row; returns the new row's index."""
-        self.recipes.append((scale, quots))
+    def add(self, recipe):
+        """Append a row with ``recipe``: a generator index j, or (s, {i: {u:
+        c}}) over earlier rows i; returns the new row's index."""
+        self.recipes.append(recipe)
         self.built.append(None)
         return len(self.built) - 1
 
@@ -516,12 +507,18 @@ class _RowTable:
             if built[top] is not None:
                 stack.pop()
                 continue
-            scale, quots = recipes[top]
-            missing = [i for i in quots if built[i] is None]
-            if missing:
-                stack += missing
-                continue
-            built[top] = tuple(self.combine(scale, quots))
+            recipe = recipes[top]
+            if type(recipe) is int:  # the unit vector of generator j
+                ring = self.module.ring
+                unit = [ring.zero()] * self.width
+                unit[recipe] = ring.one()
+                built[top] = tuple(unit)
+            else:
+                missing = [i for i in recipe[1] if built[i] is None]
+                if missing:
+                    stack += missing
+                    continue
+                built[top] = tuple(self.combine(*recipe))
             stack.pop()
         return built[k]
 
@@ -531,12 +528,12 @@ class SubmoduleGB:
 
     Every basis keeps the row table of its run (``row_table``, a
     ``_RowTable``); row ``row_ids[k]`` of it expresses ``gb[k]`` as a
-    combination of the working generator list (the input generators
-    followed by any quotient-ideal multiples that were adjoined).  A row is
-    a quotient dict until something reads it: ``lift`` divides with the
-    row ids as divisor indices and multiplies out only the rows its
-    quotients reach, so a basis that is never lifted through (Im phi_1 of a
-    complex) multiplies out none.  ``leads[k]`` is ``gb[k].lead()``, and
+    combination of the working generators: the input generators, then over
+    R/J the J-multiples e_i * g, g in J and i < rank, in that order.  A row
+    is a recipe until something reads it: ``lift`` divides with the row ids
+    as divisor indices and multiplies out only the rows its quotients
+    reach, so a basis that is never lifted through (Im phi_1 of a complex)
+    multiplies out none.  ``leads[k]`` is ``gb[k].lead()``, and
     ``reducers``, the (row id, ``gb[k].keyed()``) pairs, is the one divisor
     list of ``normal_form``, ``contains`` and ``lift``.
     The basis owns the Hilbert series of ambient/M: ``series()`` computes
@@ -545,14 +542,13 @@ class SubmoduleGB:
     """
 
     __slots__ = (
-        "ambient", "generators", "adjoined", "gb", "row_table", "row_ids",
-        "reducers", "leads", "_series",
+        "ambient", "generators", "gb", "row_table", "row_ids", "reducers",
+        "leads", "_series",
     )
 
-    def __init__(self, ambient, generators, adjoined, gb, row_table, row_ids):
+    def __init__(self, ambient, generators, gb, row_table, row_ids):
         self.ambient = ambient
         self.generators = tuple(generators)
-        self.adjoined = tuple(adjoined)
         self.gb = tuple(gb)
         self.row_table = row_table
         self.row_ids = tuple(row_ids)
@@ -565,10 +561,6 @@ class SubmoduleGB:
         if self._series is None:
             self._series = _LeadsSeries(self.ambient, self.leads).series()
         return self._series
-
-    @property
-    def working_generators(self):
-        return self.generators + self.adjoined
 
     def _remainder(self, v, quots=None, lead_only=False):
         """``_reduce`` of the terms of v by the basis, v in the ambient."""
@@ -592,7 +584,8 @@ class SubmoduleGB:
         canonical (it depends on the pair loop's history); NotInModule if
         the vector is outside the submodule.  Only the rows of the basis
         elements with a nonzero quotient are multiplied out, with the rows
-        they read, and they are kept for later lifts."""
+        they read, and they are kept for later lifts.  The recombination
+        check adds c * g at position i for each J-multiple e_i * g."""
         quots = defaultdict(dict)  # row id -> {key shift: quotient}
         if self._remainder(v, quots):
             raise NotInModule("vector has nonzero normal form")
@@ -600,13 +593,18 @@ class SubmoduleGB:
         for k in quots:
             table.row(k)
         total = table.combine(ring.field.one, quots)
-        combo = zip(total, self.working_generators)
+        n, rank = len(self.generators), self.ambient.rank
+        combo = zip(total, self.generators)
         check = _combine_rows(
-            ring, [(c.terms, g.coords) for c, g in combo if c.terms], self.ambient.rank
+            ring, [(c.terms, g.coords) for c, g in combo if c.terms], rank
         )
+        for k, c in enumerate(total[n:]):  # the J-multiples, g-major
+            if c.terms:
+                g, i = divmod(k, rank)
+                check[i] = check[i] + c * ring.quotient[g]
         if check != list(v.coords):
             raise InternalError("witness recombination failed (internal)")
-        return tuple(total[: len(self.generators)])
+        return tuple(total[:n])
 
     def __repr__(self):
         gens = "; ".join(repr(g) for g in self.gb)
@@ -618,16 +616,12 @@ def buchberger(ambient, gens):
 
     Deterministic: pairs are processed by (twisted lcm degree, i, j); the
     reduced basis is sorted by decreasing lead term.  The basis keeps the
-    row table of the run, in which every row is only the quotient dict of
-    its division until a lift multiplies it out (``_RowTable``).  It is
-    ``_pair_loop`` without a floor, then ``_reduce_basis``; the J-multiples
-    become vectors here, in the loop's order, for ``lift``'s check.
+    row table of the run, in which every row is only its recipe until a
+    lift multiplies it out (``_RowTable``).  It is ``_pair_loop`` without a
+    floor, then ``_reduce_basis``; no vector is built but the reduced basis.
     """
     gens = tuple(gens)
-    terms, forms, table, _ = _pair_loop(ambient, gens)
-    adjoined = [ambient.basis_vector(i).mul_poly(g)
-                for g in ambient.ring.quotient for i in range(ambient.rank)]
-    return _reduce_basis(ambient, gens, adjoined, terms, forms, table)
+    return _reduce_basis(ambient, gens, *_pair_loop(ambient, gens)[:3])
 
 
 def cokernel_series(ambient, gens, floor, field=None):
@@ -647,7 +641,7 @@ def _pair_loop(ambient, gens, floor=None, field=None):
     the keyed forms of a Groebner basis, not reduced.  Without a floor
     ``terms`` are the basis's working dicts, each remainder reduced fully,
     and row k of ``table`` expresses basis element k (``_RowTable``): a
-    generator's row is its unit vector, a remainder's the quotient dict its
+    generator's recipe is its index, a remainder's the quotient dict its
     S-vector's head starts and its division fills.  With a floor nothing is
     lifted through the result: ``terms`` and ``table`` are None, and no
     head or quotient is recorded.
@@ -704,7 +698,7 @@ def _pair_loop(ambient, gens, floor=None, field=None):
         forms.append(form)
         if not floored:
             terms.append(work)
-            table.unit(j)
+            table.add(j)
     reducers = list(enumerate(forms))  # as ``_reduce`` reads them
 
     if floored:
@@ -774,7 +768,7 @@ def _pair_loop(ambient, gens, floor=None, field=None):
             if not gap:
                 return terms, forms, table, floor
         else:
-            table.add(field.neg(field.one), quots)
+            table.add((field.neg(field.one), quots))
             terms.append(rem)
         same = at[lead[0]]
         for k, _ in same:
@@ -785,7 +779,7 @@ def _pair_loop(ambient, gens, floor=None, field=None):
     return terms, forms, table, series
 
 
-def _reduce_basis(ambient, gens, adjoined, terms, forms, table):
+def _reduce_basis(ambient, gens, terms, forms, table):
     """Interreduce the basis of a full ``_pair_loop`` run, given by its
     working dicts ``terms`` (consumed) and keyed forms ``forms``, into the
     reduced basis.  The minimal leads are kept smallest first, so the
@@ -821,8 +815,8 @@ def _reduce_basis(ambient, gens, adjoined, terms, forms, table):
         monic._lead = (*_term_of_key(ambient, key), f.one)
         monic._keyed = _keyed_form(f, key, f.one, tail)
         final.append(monic)
-        final_rows.append(table.add(f.neg(inv), quots))
-    return SubmoduleGB(ambient, gens, adjoined, final[::-1], table, final_rows[::-1])
+        final_rows.append(table.add((f.neg(inv), quots)))
+    return SubmoduleGB(ambient, gens, final[::-1], table, final_rows[::-1])
 
 
 # -- public operations -------------------------------------------------------
@@ -858,8 +852,8 @@ def _eliminate(top_twists, stacked_gens, lower):
     to ``lower``, are the reduced basis of the span's intersection with 0 +
     lower (Eisenbud, *Commutative Algebra*, §15.10).  Over R/J the run
     adjoins J-multiples of both blocks, so the result is the one over R/J.
-    The basis is its own generator list, each row a unit row.  A generator
-    that is not homogeneous raises ValidationError.
+    The basis is its own generator list, row k the unit row of generator
+    k.  A generator that is not homogeneous raises ValidationError.
     """
     top = len(top_twists)
     stacked = GradedFreeModule(
@@ -875,10 +869,8 @@ def _eliminate(top_twists, stacked_gens, lower):
         for g in buchberger(stacked, gens).gb
         if g.lead()[0] >= top
     ]
-    table = _RowTable(lower, len(kept))
-    for k in range(len(kept)):
-        table.unit(k)
-    return SubmoduleGB(lower, kept, (), kept, table, range(len(kept)))
+    rows = range(len(kept))
+    return SubmoduleGB(lower, kept, kept, _RowTable(lower, len(kept), rows), rows)
 
 
 def syzygies(gens, ambient=None):

@@ -1,4 +1,5 @@
-"""A mutation gauge for the oracle and the certificate's prime route.
+"""A mutation gauge for the oracle, the certificate's prime route and the
+Groebner engine's witnesses.
 
 Each row of ``MUTANTS`` is (name, file, exact old text, new text, the fact
 the mutant breaks).  The runner applies one row at a time to a copy of the
@@ -134,6 +135,20 @@ MUTANTS = (
         "        self._remainder(v, lead_only=True)\n        return True\n",
         "v lies in M only if its division by the basis leaves nothing; the "
         "colon check falls back to that test",
+    ),
+    (
+        "unit_row_misplaced",
+        "src/startrans/modules.py",
+        "unit[recipe] = ring.one()",
+        "unit[recipe - 1] = ring.one()",
+        "the row of working generator j, built on first use, is e_j",
+    ),
+    (
+        "lift_check_skips_j_multiples",
+        "src/startrans/modules.py",
+        "for k, c in enumerate(total[n:]):",
+        "for k, c in enumerate(total[n:n]):",
+        "a witness over R/J recombines only with the J-multiples it reads",
     ),
 )
 

@@ -63,7 +63,7 @@ def old_colon(m_gb, q_polys):
     """The Schreyer route: reduce the relation module, project it, and
     intersect the parts by the relations of [a | b]."""
     ambient = m_gb.ambient
-    m_gens = list(m_gb.gb) if m_gb.gb else list(m_gb.working_generators)
+    m_gens = list(m_gb.gb) if m_gb.gb else list(m_gb.generators)
     result = None
     for q in q_polys:
         combined = [ambient.basis_vector(i).mul_poly(q) for i in range(ambient.rank)]

@@ -85,10 +85,11 @@ def recorded_divide(vector, divisors, lead_only=False):
 
 
 def unit_rows(module, width):
-    """A ``_RowTable`` of ``width`` unit rows over the keys of ``module``."""
-    table = _RowTable(module, width)
+    """A ``_RowTable`` of ``width`` unit rows over the keys of ``module``,
+    each built: row k's recipe is the generator index k."""
+    table = _RowTable(module, width, range(width))
     for k in range(width):
-        table.unit(k)
+        table.row(k)
     return table
 
 

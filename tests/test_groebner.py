@@ -27,6 +27,7 @@ from startrans import (
     validate_sop,
 )
 from startrans import ModuleVector, modules
+from startrans.poly import Polynomial, format_polynomial
 from startrans.modules import (
     _pair_loop,
     _reduce,
@@ -241,12 +242,15 @@ def generator_lists(draw):
 
 
 def _multiplied_out(table):
-    """The indices of the recipe rows of ``table`` that are built."""
-    return {
-        k
-        for k, (recipe, row) in enumerate(zip(table.recipes, table.built))
-        if recipe is not None and row is not None
-    }
+    """The indices of the rows of ``table`` that are built, the unit rows of
+    the working generators included."""
+    return {k for k, row in enumerate(table.built) if row is not None}
+
+
+def _generator_rows(table):
+    """The indices of the rows of ``table`` whose recipe is a generator
+    index, i.e. the unit rows."""
+    return {k for k, recipe in enumerate(table.recipes) if type(recipe) is int}
 
 
 def _assert_witness(gens, v, witness, name):
@@ -324,36 +328,63 @@ def test_membership_agrees_with_the_normal_form_and_members_lift(problem, data):
 @pytest.mark.parametrize("name", sorted(TRACKING_RINGS))
 def test_a_run_decodes_only_its_reduced_basis_once(monkeypatch, name):
     # the full pair loop keys its generators and J-multiples once and holds
-    # term dicts, leads and keyed forms: it builds no vector and decodes
-    # nothing (its only polynomials are the row table's unit rows); the
-    # interreduction decodes each reduced element once, its lead and keyed
-    # form set, and keys nothing again
+    # term dicts, leads and keyed forms: it builds no polynomial and no
+    # vector (not even a unit row) and decodes nothing; the interreduction
+    # decodes each reduced element once, its lead and keyed form set, and
+    # keys nothing again, so a whole run builds no vector and no polynomial
+    # beyond its reduced basis
     ring = TRACKING_RINGS[name]()
     ambient = GradedFreeModule(ring, 2, (0, 1))
     gens = tuple(
         ambient.vector((ring.parse(a), ring.parse(b)))
         for a, b in (("x^2", "y"), ("x*y", "x"), ("y^2", "x + y"))
     )
-    adjoined = [ambient.basis_vector(i).mul_poly(g)
-                for g in ring.quotient for i in range(ambient.rank)]
     built = []
-    real_init = ModuleVector.__init__
-    monkeypatch.setattr(
-        ModuleVector, "__init__", lambda *a: built.append("vector") or real_init(*a)
-    )
+    for cls, label in ((Polynomial, "polynomial"), (ModuleVector, "vector")):
+        monkeypatch.setattr(
+            cls, "__init__",
+            lambda *a, _n=label, _f=cls.__init__: built.append(_n) or _f(*a),
+        )
     for attr in ("_terms", "_decode"):
         real = getattr(modules, attr)
         monkeypatch.setattr(
             modules, attr, lambda *a, _n=attr, _f=real: built.append(_n) or _f(*a)
         )
+    j_multiples = len(ring.quotient) * ambient.rank
     terms, forms, table, _ = modules._pair_loop(ambient, gens)
-    assert built == ["_terms"] * (len(gens) + len(adjoined)), name
-    assert any(r is not None for r in table.recipes), name  # a remainder is kept
+    assert built == ["_terms"] * (len(gens) + j_multiples), name
+    assert any(type(r) is not int for r in table.recipes), name  # a remainder
     built.clear()
-    gb = modules._reduce_basis(ambient, gens, adjoined, terms, forms, table)
-    assert built == ["_decode", "vector"] * len(gb.gb), name
+    gb = modules._reduce_basis(ambient, gens, terms, forms, table)
+    decoded = ["_decode"] + ["polynomial"] * ambient.rank + ["vector"]
+    assert built == decoded * len(gb.gb), name
+    assert not _multiplied_out(gb.row_table), name
+    built.clear()
+    again = buchberger(ambient, gens)
+    assert [b for b in built if b in ("polynomial", "vector")] == (
+        decoded[1:] * len(again.gb)
+    ), name
     monkeypatch.undo()
-    assert gb.gb == buchberger(ambient, gens).gb, name
+    assert gb.gb == again.gb, name
+
+
+@pytest.mark.parametrize("name", ["Q[x,y,z]/(z^2)", "p:7[x,y,z]/(xz,y^3)"])
+def test_a_lift_whose_witness_needs_a_j_multiple_recombines(name):
+    # (x^(d+1), y g), g the last generator of J and d its degree, lies in
+    # the span of (x, 0) only modulo J: its witness x^d reads the unit row of
+    # the J-multiple e_2 * g, and the lift's own check, which raises
+    # InternalError unless the witness recombines, must add y g at position 2
+    ring = TRACKING_RINGS[name]()
+    ambient = GradedFreeModule(ring, 2, (0, 0))
+    gb = buchberger(ambient, [ambient.vector((ring.parse("x"), ring.zero()))])
+    g = ring.quotient[-1]
+    d = g.homogeneous_degree()
+    v = ambient.vector((ring.parse(f"x^{d + 1}"), ring.parse("y") * g))
+    assert [format_polynomial(c) for c in gb.lift(v)] == [f"x^{d}"], name
+    table = gb.row_table
+    # working generator 0 is (x, 0), the J-multiples come after it
+    j_rows = {k for k in _generator_rows(table) if table.recipes[k] >= 1}
+    assert j_rows & _multiplied_out(table), name
 
 
 def test_colon_and_intersection_bases_carry_no_rows(R1):
@@ -447,7 +478,7 @@ def _parameters_and_generators():
 def test_validation_multiplies_out_no_row_and_a_lift_only_what_it_reaches():
     ring, params, gens = _parameters_and_generators()
     table = validate_sop(ring, gens).ideal_gb().row_table
-    assert any(r is not None for r in table.recipes)
+    assert any(type(r) is not int for r in table.recipes)
     assert not _multiplied_out(table)
 
     gb = validate_sop(ring, params).ideal_gb()
@@ -458,28 +489,38 @@ def test_validation_multiplies_out_no_row_and_a_lift_only_what_it_reaches():
     quots = defaultdict(dict)
     rem = _reduce(v.module, _terms(v.module, enumerate(v.coords)), gb.reducers, quots)
     assert not rem
+    # the rows the lift reaches: its quotients' rows and every row their
+    # recipes read, down to the generator rows, which are unit rows
     reached, stack = set(), list(quots)
     while stack:
         k = stack.pop()
-        if k not in reached and table.recipes[k] is not None:
+        if k not in reached:
             reached.add(k)
-            stack += list(table.recipes[k][1])
+            if type(table.recipes[k]) is not int:
+                stack += list(table.recipes[k][1])
     gb.lift(v)
     assert _multiplied_out(table) == reached
-    assert len(reached) < sum(r is not None for r in table.recipes)
+    assert len(reached) < len(table.recipes)
+    assert reached & _generator_rows(table)  # unit rows are built on first read
+
+    # a lift of x through (x, y) reads the unit row of x, not the one of y
+    gb = ideal_gb(ring, [ring.parse("x"), ring.parse("y")])
+    table = gb.row_table
+    assert not _multiplied_out(table)
+    gb.lift(gb.ambient.vector((ring.parse("x"),)))
+    assert _multiplied_out(table) & _generator_rows(table) == {0}
 
 
 def test_a_long_chain_of_recipes_multiplies_out_without_recursion():
     ring = PolyRing(RationalField(), ("x",))
     module = GradedFreeModule(ring, 1, (0,))
-    table = _RowTable(module, 1)
-    table.unit(0)
+    table = _RowTable(module, 1, [0])
     x = term_key(module, 0, ring.pack((1,)))  # the key shift of x
     one = ring.field.one
     for k in range(5000):
-        table.add(one, {k: {x: one}})  # row k + 1 is x times row k
+        table.add((one, {k: {x: one}}))  # row k + 1 is x times row k
     assert table.row(5000) == (ring.monomial((5000,)),)
-    assert len(_multiplied_out(table)) == 5000
+    assert len(_multiplied_out(table)) == 5001  # the unit row 0 included
 
 
 def test_lift_recombination_random(R1, ring):
