@@ -288,7 +288,7 @@ def _colon_inputs(args):
         ideal = [ring.parse(t) for t in args.ideal.split(",")]
         return module_gb, ideal
     pf = _load(args)
-    module_gb = pf.complex.image_gb(1)
+    module_gb = pf.complex.image_gb()
     return module_gb, list(pf.sop_polys())
 
 

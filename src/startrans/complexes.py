@@ -24,7 +24,7 @@ from .modules import (
     reduce_mod_quotient,
     ring_series,
 )
-from .poly import PolyMatrix
+from .poly import PolyMatrix, _kept
 
 # The prime of the modular acyclicity certificate over Q (``_hilbert_certificate``)
 MODULAR_PRIME = 2**30 - 35
@@ -60,24 +60,12 @@ def sign_scalar(field_obj, exponent):
     return field_obj.one if exponent % 2 == 0 else field_obj.neg(field_obj.one)
 
 
-def _kept(obj, key, compute):
-    """``compute(obj)``, worked out on first use and kept on the frozen
-    ``obj`` outside its dataclass fields (so equality is that of the
-    fields alone).  What it keeps is a function of those fields, so every
-    later call reads the kept value."""
-    kept = obj.__dict__
-    if key not in kept:
-        object.__setattr__(obj, key, compute(obj))
-    return kept[key]
-
-
 @dataclass(frozen=True)
 class SopData:
     """A homogeneous system of parameters; ``validate_sop`` validates it.
 
     ``ideal_gb()`` builds the basis of the parameter ideal on first use and
-    keeps it outside the dataclass fields (so equality is that of the
-    fields alone).  ``colength`` and ``is_regular()`` are derived
+    keeps it (``_kept``).  ``colength`` and ``is_regular()`` are derived
     from that basis's Hilbert series, and the ``is_regular()`` verdict is
     kept the same way.
     """
@@ -180,21 +168,18 @@ class FreeComplex:
         m = self.phi(p)
         return [target.vector(m.column(j)) for j in range(m.ncols)]
 
-    def image_gb(self, p):
-        """Reduced Groebner basis of M = Im phi_1 inside F_0; ``p`` must be
-        1.
+    def image_gb(self):
+        """Reduced Groebner basis of M = Im phi_1 inside F_0.
 
-        Built on first use and kept outside the dataclass fields, like
-        ``SopData.ideal_gb``.  The certificates read only Hilbert series,
-        which the acyclicity certificate keeps (``AcyclicityCertificate``),
-        so the basis is built only where something reads its elements: the
-        colon and saturation commands and a membership test of the colon
-        certificate that no witness settled.  It is read
-        through its leads, membership and normal forms, never lifted
-        through, so none of its rows is multiplied out.
+        Built on first use and kept (``_kept``), like ``SopData.ideal_gb``.
+        The certificates read only Hilbert series, which the acyclicity
+        certificate keeps (``AcyclicityCertificate``), so the basis is built
+        only where something reads its elements: the colon and saturation
+        commands and a membership test of the colon certificate that no
+        witness settled.  It is read through its leads, membership and
+        normal forms, never lifted through, so none of its rows is
+        multiplied out.
         """
-        if p != 1:
-            raise ValueError("only Im phi_1 has a kept basis")
         return _kept(self, "_m_gb", _image_gb)
 
     def effective_length(self):
@@ -293,7 +278,7 @@ def certify_acyclic(comp):
     A ``check_complex`` defect fails it as ``not a complex``, with no
     series; otherwise it is ``_hilbert_certificate``'s.  The structural
     verdicts and the certificate are all kept on the complex (``_kept``),
-    like ``image_gb(1)``, so a complex is checked and certified once
+    like ``image_gb()``, so a complex is checked and certified once
     however often it is asked, and after ``verify_star``'s own structural
     checks this adds only the Hilbert-series half.
     """
@@ -340,7 +325,7 @@ def _hilbert_certificate(comp):
     failure proves nothing, and a denominator P divides stops the run: then
     it runs over Q, so a failure, its position and its degree are Q's.
     """
-    if _modular(comp.ring):
+    if _kept(comp.ring, "_modular", _modular):
         with suppress(ZeroDivisionError):  # P divides a denominator
             cert = _series_certificate(comp, _MODULAR_FIELD)
             if cert.ok:
@@ -353,16 +338,15 @@ def _modular(ring):
     P, keep HS(R/J).  F_P[x]/Jbar maps onto A/PA (``_hilbert_certificate``),
     of series HS(R/J), so that is a floor, reached iff the map is an
     isomorphism.  J = (xy, P x^2 + y^2) is unlucky: (xy, y^2) has a larger
-    series.  Decided once per ring and kept on it."""
-    if getattr(ring, "_modular", None) is None:
-        series = ring_series(ring)
-        try:
-            ring._modular = ring.field.p is None and series == cokernel_series(
-                GradedFreeModule(ring, 1, (0,)), (), series, _MODULAR_FIELD
-            )
-        except ZeroDivisionError:  # P divides a denominator of J's generators
-            ring._modular = False
-    return ring._modular
+    series.  ``_hilbert_certificate`` decides it once per ring and keeps it
+    on the ring (``_kept``)."""
+    series = ring_series(ring)
+    try:
+        return ring.field.p is None and series == cokernel_series(
+            GradedFreeModule(ring, 1, (0,)), (), series, _MODULAR_FIELD
+        )
+    except ZeroDivisionError:  # P divides a denominator of J's generators
+        return False
 
 
 def _series_certificate(comp, field=None):

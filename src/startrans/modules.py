@@ -63,6 +63,7 @@ from .poly import (
     MAX_DEGREE,
     Polynomial,
     PolyRing,
+    _kept,
     _over_common_denominator,
     _sum_of_products,
     format_polynomial,
@@ -152,7 +153,8 @@ class ModuleVector:
 
     Vectors are immutable (no operation changes ``coords`` or the terms of
     a coordinate), so the lead term and the keyed form (``keyed``) are
-    computed once and kept.
+    computed once and kept.  They sit on the hot path of every division,
+    so they keep their values in slots inline, not through ``_kept``.
     """
 
     __slots__ = ("module", "coords", "_lead", "_keyed")
@@ -537,13 +539,13 @@ class SubmoduleGB:
     ``reducers``, the (row id, ``gb[k].keyed()``) pairs, is the one divisor
     list of ``normal_form``, ``contains`` and ``lift``.
     The basis owns the Hilbert series of ambient/M: ``series()`` computes
-    it from the leads on first call and keeps it, so every certificate that
-    reads it shares one computation.
+    it from the leads on first call and keeps it (``_kept``), so every
+    certificate that reads it shares one computation.
     """
 
     __slots__ = (
         "ambient", "generators", "gb", "row_table", "row_ids", "reducers",
-        "leads", "_series",
+        "leads", "__dict__",
     )
 
     def __init__(self, ambient, generators, gb, row_table, row_ids):
@@ -554,13 +556,12 @@ class SubmoduleGB:
         self.row_ids = tuple(row_ids)
         self.reducers = [(k, g.keyed()) for k, g in zip(self.row_ids, self.gb)]
         self.leads = tuple(g.lead() for g in self.gb)
-        self._series = None
 
     def series(self):
         """HS(ambient / M) (modulo J over R/J), from the leads; kept."""
-        if self._series is None:
-            self._series = _LeadsSeries(self.ambient, self.leads).series()
-        return self._series
+        return _kept(
+            self, "_series", lambda gb: _LeadsSeries(gb.ambient, gb.leads).series()
+        )
 
     def _remainder(self, v, quots=None, lead_only=False):
         """``_reduce`` of the terms of v by the basis, v in the ambient."""
@@ -1148,13 +1149,8 @@ def ideal_gb(ring, polys):
 
 def quotient_ideal_gb(ring):
     """Reduced basis of the quotient ideal J inside R^1 (empty when the ring
-    has no quotient), built once per ring and kept on it."""
-    try:
-        return ring._quotient_gb
-    except AttributeError:
-        pass
-    ring._quotient_gb = ideal_gb(ring, ())
-    return ring._quotient_gb
+    has no quotient), built once per ring and kept on it (``_kept``)."""
+    return _kept(ring, "_quotient_gb", lambda ring: ideal_gb(ring, ()))
 
 
 def reduce_mod_quotient(ring, p):

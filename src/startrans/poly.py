@@ -45,6 +45,17 @@ _FIELD_MASK = (1 << FIELD_BITS) - 1
 _FIELD_FORMAT = "H"  # the array code of one field, unsigned FIELD_BITS bits
 
 
+def _kept(obj, key, compute):
+    """``compute(obj)`` of an immutable ``obj``, worked out on first use and
+    kept in its ``__dict__``, outside its fields and slots, so equality is
+    that of those alone.  The package's one way to keep a derived value
+    (``ModuleVector`` inlines its own, on the hot path)."""
+    kept = obj.__dict__
+    if key not in kept:
+        kept[key] = compute(obj)
+    return kept[key]
+
+
 class PolyRing:
     """A weighted-graded polynomial ring over an exact field.
 
@@ -52,9 +63,8 @@ class PolyRing:
     submodule computations then work modulo J by adjoining J-multiples of
     the basis vectors.  Rings compare equal on (field, names, weights) so
     that polynomials created before a quotient was attached stay usable.
-    The basis of J is built once per ring and kept in ``_quotient_gb``
-    (``modules.quotient_ideal_gb``); it owns the Hilbert series of R/J.
-    ``_modular`` keeps ``complexes._modular``'s verdict on the ring.
+    Other modules keep values derived from a ring in its ``__dict__``
+    (``_kept``).
     ``_shift`` is the bit offset of the degree field, ``_limit`` the
     smallest packed monomial whose degree does not fit, ``_guard`` the
     guard bits of the exponent fields and ``_nbytes`` the byte length of a
@@ -63,7 +73,7 @@ class PolyRing:
     """
 
     __slots__ = (
-        "field", "names", "weights", "quotient", "_index", "_quotient_gb", "_modular",
+        "field", "names", "weights", "quotient", "_index", "__dict__",
         "_shift", "_limit", "_guard", "_nbytes", "_ones", "_unit",
     )
 

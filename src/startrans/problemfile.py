@@ -33,7 +33,7 @@ from .complexes import FreeComplex, check_complex
 from .errors import MonomialOverflow, ParseError, ValidationError
 from .fields import field_from_spec
 from .modules import GradedFreeModule
-from .poly import PolyMatrix, PolyRing, Polynomial, format_polynomial
+from .poly import PolyMatrix, PolyRing, Polynomial, _kept, format_polynomial
 from .transform import StarComplex
 from .verify import VerificationReport
 
@@ -47,11 +47,11 @@ class ProblemFile:
     source_complex: FreeComplex = None
 
     def sop_polys(self):
-        """The parsed parameters, kept outside the dataclass fields; a parsed
-        file keeps the tuple its parse made."""
-        if "_sop_polys" not in vars(self):
-            self._sop_polys = tuple(self.ring.parse(t) for t in self.sop_texts)
-        return self._sop_polys
+        """The parsed parameters, kept (``_kept``); a parsed file keeps the
+        tuple its parse made."""
+        return _kept(
+            self, "_sop_polys", lambda pf: tuple(map(pf.ring.parse, pf.sop_texts))
+        )
 
 
 def _require(data, key, kind, where):
@@ -360,9 +360,7 @@ def emit_star(star, report, path, base, input_complex):
 
 def star_from_problem(pf):
     """Rebuild a StarComplex from a parsed output file; its pairs come
-    from the labels block, which the file must have."""
-    if pf.complex.labels is None:
-        raise ValidationError("file has no labels block; not an output file")
+    from the labels block, which ``StarComplex`` requires."""
     top_rank = (
         pf.source_complex.top_rank() if pf.source_complex is not None else 0
     )

@@ -9,7 +9,10 @@ The chain map's source is one labelled complex, top (x) K(Q) with its
 twists lowered by the total parameter degree (``ChainMap.source``); with
 that shift every map built here is homogeneous of degree zero.  The cone,
 the split, the selection and the star top read its modules, boundary and
-bracket labels, and find a tensor basis vector by its label.
+bracket labels, and find a tensor basis vector by its label.  The split
+and the star top restrict one position in one way (``_cut``): the split
+keeps the tensor block at n, the star top the bracket and retained basis
+vectors at n-1.
 
 The chain map is one descent (``complexes.descend``) from the top level,
 (-1)^n times the identity; its first lift is the decomposition of each
@@ -190,24 +193,26 @@ def mapping_cone(cm):
     return FreeComplex(ring, tuple(modules), tuple(maps), tuple(labels))
 
 
+def _cut(comp, p, keep):
+    """``comp`` up to position p, with position p cut down to the basis
+    indices ``keep``: their twists, their labels and their columns of
+    phi_p."""
+    ring = comp.ring
+    phi = comp.phi(p)
+    twists = tuple(comp.module(p).twists[k] for k in keep)
+    entries = [[row[k] for k in keep] for row in phi.entries]
+    return FreeComplex(
+        ring,
+        comp.modules[:p] + (GradedFreeModule(ring, len(keep), twists),),
+        comp.maps[: p - 1] + (PolyMatrix(ring, entries, phi.nrows, len(keep)),),
+        comp.labels[:p] + (tuple(comp.labels[p][k] for k in keep),),
+    )
+
+
 def split_top(cone, cm):
     """Split the invertible top of the cone off, leaving a complex of
     length n whose top module is the (n-1)-st tensor block."""
-    n = cm.n
-    ring = cone.ring
-    tensor_prev = cm.source.module(n - 1)
-
-    psi_n = cone.maps[n - 1]
-    restricted = PolyMatrix(
-        ring,
-        [row[: tensor_prev.rank] for row in psi_n.entries],
-        psi_n.nrows,
-        tensor_prev.rank,
-    )
-    modules = cone.modules[:n] + (tensor_prev,)
-    labels = cone.labels[:n] + (cm.source.labels[n - 1],)
-    maps = cone.maps[: n - 1] + (restricted,)
-    return FreeComplex(ring, tuple(modules), tuple(maps), tuple(labels))
+    return _cut(cone, cm.n, range(cm.source.module(cm.n - 1).rank))
 
 
 @dataclass(frozen=True)
@@ -282,40 +287,31 @@ def select_basis(split, cm):
 
 
 def build_star_top(selection, split_complex, cm):
-    """The output complex: the split complex below position n-1, the
-    shrunken position n-1 and the new top module, with their labels.
+    """The output complex: the split complex cut at position n-1 to the
+    bracket basis and the retained basis vectors (``_cut``), then the new
+    top module, its signed kept columns and its star labels.
 
     The new basis vector of a star pair (mu, j) is (-1)^j times its kept
     column's combination of tensor basis vectors, led by v_mu (x) e_C(j),
     where C(j) is the j-th co-singleton; so it has that vector's twist, and
     its image is the kept column times (-1)^j on the bracket and retained
     rows."""
-    comp = cm.complex
-    n = comp.length
-    ring = comp.ring
+    n = cm.n
+    ring = split_complex.ring
     f = ring.field
     source = cm.source
     position = {label: k for k, label in enumerate(source.labels[n - 1])}
-    bracket_prev = source.module(n - 2)
-    nb = bracket_prev.rank
-    u_list = selection.retained_basis
-    keep = list(range(nb)) + [nb + u for u in u_list]
+    nb = source.module(n - 2).rank
+    keep = list(range(nb)) + [nb + u for u in selection.retained_basis]
+    lower = _cut(split_complex, n - 1, keep)
 
     columns = [
         [column[r].scale(sign_scalar(f, j)) for r in keep]
         for (_, j), column in zip(selection.star_pairs, selection.columns)
     ]
-    top_module = GradedFreeModule(
-        ring,
-        len(columns),
-        tuple(
-            source.module(n - 1).twists[position["bracket", mu, co_singleton(j, n)]]
-            for (mu, j) in selection.star_pairs
-        ),
-    )
-    prev = comp.module(n - 1)
-    prev_module = GradedFreeModule(
-        ring, len(keep), bracket_prev.twists + tuple(prev.twists[u] for u in u_list)
+    twists = tuple(
+        source.module(n - 1).twists[position["bracket", mu, co_singleton(j, n)]]
+        for (mu, j) in selection.star_pairs
     )
     top_map = PolyMatrix(
         ring,
@@ -323,24 +319,12 @@ def build_star_top(selection, split_complex, cm):
         len(keep),
         len(columns),
     )
-
-    # position n-1: restrict the next map of the split complex to the
-    # bracket columns plus the retained <u> columns
-    lower = split_complex.maps[n - 2]
-    prev_map = PolyMatrix(
-        ring,
-        [[row[c] for c in keep] for row in lower.entries],
-        lower.nrows,
-        len(keep),
-    )
-
-    prev_labels = source.labels[n - 2] + tuple(("angle", u) for u in u_list)
     top_labels = tuple(("star", mu, j) for (mu, j) in selection.star_pairs)
     return FreeComplex(
         ring,
-        split_complex.modules[: n - 1] + (prev_module, top_module),
-        split_complex.maps[: n - 2] + (prev_map, top_map),
-        split_complex.labels[: n - 1] + (prev_labels, top_labels),
+        lower.modules + (GradedFreeModule(ring, len(columns), twists),),
+        lower.maps + (top_map,),
+        lower.labels + (top_labels,),
     )
 
 

@@ -276,7 +276,7 @@ def _colon_certificate(comp, sop, out, witness):
     """Certify N = M : Q for M = Im phi_1 of the input ``comp`` and N =
     Im phi_1 of the output ``out``, each read through its phi_1 columns
     and the Hilbert series its acyclicity certificate keeps, M also
-    through membership in ``comp.image_gb(1)``.  ``witness`` maps pairs
+    through membership in ``comp.image_gb()``.  ``witness`` maps pairs
     (lam, i) to the vectors W[(lam, i)] that the output's phi_1 column
     labelled ("bracket", lam, ()) may be checked by (``StarComplex``);
     ``{}``, or an output without labels, checks every column by
@@ -322,7 +322,7 @@ def _colon_certificate(comp, sop, out, witness):
         for i, q in enumerate(sop.gens, 1):
             qg = g.mul_poly(q)
             w = witness.get((lam, i))
-            if not (_witnessed(comp, qg, w) or comp.image_gb(1).contains(qg)):
+            if not (_witnessed(comp, qg, w) or comp.image_gb().contains(qg)):
                 return False, "Im of the first output map is not inside M : Q"
     s = sum(sop.degrees)
     bound = sop.ideal_gb().series().twisted(

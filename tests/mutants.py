@@ -79,9 +79,16 @@ MUTANTS = (
     (
         "colon_containment_skipped",
         "src/startrans/verify.py",
-        "if not (_witnessed(comp, qg, w) or comp.image_gb(1).contains(qg)):",
+        "if not (_witnessed(comp, qg, w) or comp.image_gb().contains(qg)):",
         "if False:",
         "Q*N lies in M",
+    ),
+    (
+        "cut_keeps_leading_labels",
+        "src/startrans/transform.py",
+        "comp.labels[:p] + (tuple(comp.labels[p][k] for k in keep),),",
+        "comp.labels[:p] + (tuple(comp.labels[p][k] for k in range(len(keep))),),",
+        "a cut position keeps the labels of the basis vectors it keeps",
     ),
     (
         "select_basis_last_pivot",
@@ -107,18 +114,27 @@ MUTANTS = (
     (
         "luckiness_always_true",
         "src/startrans/complexes.py",
-        "            ring._modular = ring.field.p is None and series == cokernel_series(\n"
-        "                GradedFreeModule(ring, 1, (0,)), (), series, _MODULAR_FIELD\n"
-        "            )\n",
-        "            ring._modular = ring.field.p is None\n",
+        "        return ring.field.p is None and series == cokernel_series(\n"
+        "            GradedFreeModule(ring, 1, (0,)), (), series, _MODULAR_FIELD\n"
+        "        )\n",
+        "        return ring.field.p is None\n",
         "a quotient ring takes the prime route only if J mod P keeps HS(R/J)",
     ),
     (
         "luckiness_not_kept",
         "src/startrans/complexes.py",
-        'if getattr(ring, "_modular", None) is None:',
-        "if True:",
+        'if _kept(comp.ring, "_modular", _modular):',
+        "if _modular(comp.ring):",
         "the luckiness run happens once per ring",
+    ),
+    (
+        "unlucky_denominator_raises",
+        "src/startrans/complexes.py",
+        "    except ZeroDivisionError:  # P divides a denominator of J's generators\n"
+        "        return False\n",
+        "    except ZeroDivisionError:  # P divides a denominator of J's generators\n"
+        "        raise\n",
+        "a J with P in a denominator makes the ring unlucky, not an error",
     ),
     (
         "divisible_denominator_not_caught",

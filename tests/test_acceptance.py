@@ -63,12 +63,12 @@ def test_criterion_1_exa_end_to_end():
     ring = comp.ring
     ambient = comp.module(0)
 
-    oracle = colon(comp.image_gb(1), sop.gens)
+    oracle = colon(comp.image_gb(), sop.gens)
     expected = buchberger(
         ambient,
         [ambient.vector((ring.parse(t),)) for t in ("x^2", "x*y", "y^2")],
     )
-    ok = submodule_equal(star.complex.image_gb(1), oracle)
+    ok = submodule_equal(star.complex.image_gb(), oracle)
     ok = ok and submodule_equal(oracle, expected)
     ok = ok and star.complex.module(2).rank == 2
     ok = ok and star.complex.module(1).rank == 3
@@ -90,7 +90,7 @@ def test_criterion_2_quotient_dimension_counts(corpus_results):
     ok = True
     randomized = 0
     for name, comp, sop, res in corpus_results:
-        m_gb = comp.image_gb(1)
+        m_gb = comp.image_gb()
         passed, detail = colon_quotient_count(
             m_gb.series(), colon(m_gb, sop.gens).series(), sop, comp.top_rank()
         )
@@ -189,7 +189,7 @@ def test_criterion_6_vanishing_top_fast_path():
     star = res.star
     ok = star.complex.module(2).rank == 0
     ok = ok and star.top_rank() == 0
-    ok = ok and depth_positive_check(star.complex.image_gb(1))
+    ok = ok and depth_positive_check(star.complex.image_gb())
     # the decomposition vectors are signed standard basis vectors
     dec = decompose_images(comp, sop)
     ring = comp.ring
@@ -258,6 +258,6 @@ def test_criterion_8_iteration_driver():
     ok = len(driver.rounds) == 2
     ok = ok and all_match(driver)
     ok = ok and submodule_equal(
-        driver.rounds[1].result.star.complex.image_gb(1), expected
+        driver.rounds[1].result.star.complex.image_gb(), expected
     )
     _report(8, "iteration driver", ok)

@@ -114,7 +114,7 @@ def test_an_element_outside_the_colon_is_rejected():
     # M = (x^2, y^2) and M : Q = (x^2, xy, y^2); x is not in M : Q
     comp, sop = exa_instance()
     ring = comp.ring
-    m_gb = comp.image_gb(1)
+    m_gb = comp.image_gb()
     f0 = m_gb.ambient
     forged = image_complex(f0, list(m_gb.gb) + [f0.vector((ring.var(0),))])
     passed, detail = verify._colon_certificate(comp, sop, forged, {})
@@ -132,7 +132,7 @@ def test_an_output_over_another_f0_is_rejected():
 
 def test_a_genuine_colon_passes_the_certificate():
     comp, sop = exa_instance()
-    m_gb = comp.image_gb(1)
+    m_gb = comp.image_gb()
     n_comp = image_complex(m_gb.ambient, colon(m_gb, sop.gens).generators)
     passed, _ = verify._colon_certificate(comp, sop, n_comp, {})
     assert passed
@@ -185,7 +185,7 @@ def test_only_the_shared_generators_skip_the_membership_test(name, monkeypatch):
     make, expected = SHARED_WITH_M[name]
     comp, sop = make()
     out = star_transform(comp, sop, with_report=False).star.complex
-    m_gb = comp.image_gb(1)
+    m_gb = comp.image_gb()
     f0 = m_gb.ambient
     x = comp.ring.var(0)
     multiple = m_gb.generators[0].mul_poly(x)
@@ -324,8 +324,8 @@ def test_parameters_that_are_not_regular_fail_over_a_quotient():
     assert "regular sequence" in failed["colon_equality"]
     assert "regular sequence" in failed["quotient_assumption"]
     # the refusal is sound: here M : Q = (y, z) is larger than N = M = (y)
-    m_gb = comp.image_gb(1)
-    assert not submodule_equal(result.star.complex.image_gb(1), colon(m_gb, sop.gens))
+    m_gb = comp.image_gb()
+    assert not submodule_equal(result.star.complex.image_gb(), colon(m_gb, sop.gens))
 
 
 # -- the certificate agrees with the Groebner colon -------------------------
@@ -387,8 +387,8 @@ def koszul_problems(draw, names=tuple(sorted(RINGS))):
 def test_certificate_agrees_with_the_groebner_colon(problem, data):
     name, comp, sop = problem
     out = star_transform(comp, sop, with_report=False).star.complex
-    m_gb = comp.image_gb(1)
-    n_gb = out.image_gb(1)
+    m_gb = comp.image_gb()
+    n_gb = out.image_gb()
     oracle = colon(m_gb, sop.gens)
     f0 = m_gb.ambient
     # the output, the forgery N = M, and M or N with one basis element of
@@ -682,7 +682,7 @@ def test_a_prime_certificate_needs_no_q_run(monkeypatch):
     routes = _recording_routes(monkeypatch)
     cert = certify_acyclic(comp)
     assert routes == [(P, True)]
-    assert cert.series == comp.image_gb(1).series()
+    assert cert.series == comp.image_gb().series()
 
 
 def test_a_lucky_quotient_needs_no_q_run(monkeypatch):
@@ -691,7 +691,7 @@ def test_a_lucky_quotient_needs_no_q_run(monkeypatch):
     routes = _recording_routes(monkeypatch)
     cert = certify_acyclic(comp)
     assert routes == [(P, True)]
-    assert cert.series == comp.image_gb(1).series()
+    assert cert.series == comp.image_gb().series()
 
 
 def test_the_prime_route_inverts_each_denominator_once(monkeypatch):
@@ -794,7 +794,27 @@ def test_an_unlucky_quotient_certifies_through_q(monkeypatch):
     assert star_transform(comp, sop).report.overall
 
 
-@pytest.mark.parametrize("make", [_unlucky_quotient_instance, _quotient_instance])
+def _denominator_quotient_instance():
+    """``_unlucky_quotient_instance`` with J = (xy, x^2/P + y^2): J has no
+    reduction mod P, so the luckiness run raises ZeroDivisionError and the
+    ring is unlucky."""
+    ring = _ring(
+        RationalField(), ("x", "y", "z", "w"), quotient=("x*y", f"1/{P}*x^2 + y^2")
+    )
+    comp = koszul(validate_sop(ring, [ring.parse("z^2"), ring.parse("w^2")]))
+    return comp, validate_sop(ring, [ring.var(2), ring.var(3)])
+
+
+def test_a_quotient_with_the_prime_in_a_denominator_is_unlucky():
+    comp, sop = _denominator_quotient_instance()
+    assert not complexes._modular(comp.ring)
+    assert star_transform(comp, sop).report.overall
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_unlucky_quotient_instance, _quotient_instance, _denominator_quotient_instance],
+)
 def test_the_luckiness_run_happens_once_per_ring(make, monkeypatch):
     # the floored run of J's generators mod P, with no other generator, is
     # made by the first certificate over the ring and kept on it
@@ -832,8 +852,8 @@ def test_each_basis_computes_its_series_once(make, monkeypatch):
     assert seen
     assert max(sum(1 for t in seen if t is leads) for leads in seen) == 1
     bases = {
-        "M": comp.image_gb(1),
-        "N": result.star.complex.image_gb(1),
+        "M": comp.image_gb(),
+        "N": result.star.complex.image_gb(),
         "Q": sop.ideal_gb(),
         "J": modules.quotient_ideal_gb(comp.ring),
     }

@@ -613,7 +613,25 @@ def _unlucky_koszul(data):
     }
 
 
-@pytest.mark.parametrize("edit", [_exa_over_the_prime_denominator, _unlucky_koszul])
+def _quotient_over_the_prime_denominator(data):
+    # J = (xy, x^2/P + y^2) has no reduction mod P: an unlucky ring
+    data["variables"] = [{"name": v, "degree": 1} for v in "xyzw"]
+    data["quotient"] = ["x*y", f"1/{complexes.MODULAR_PRIME}*x^2 + y^2"]
+    data["sop"] = ["z", "w"]
+    data["complex"] = {
+        "twists": [[0], [-2, -2], [-4]],
+        "maps": [[["z^2", "w^2"]], [["-w^2"], ["z^2"]]],
+    }
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _exa_over_the_prime_denominator,
+        _unlucky_koszul,
+        _quotient_over_the_prime_denominator,
+    ],
+)
 def test_cli_star_and_verify_past_the_modular_prime(edit, tmp_path, capsys):
     data = exa_data()
     edit(data)
@@ -623,6 +641,12 @@ def test_cli_star_and_verify_past_the_modular_prime(edit, tmp_path, capsys):
     assert main(["verify", "--input", out]) == 0
     printed = capsys.readouterr().out
     assert printed.count("PASS overall") == 3 and "FAIL" not in printed
+
+
+@pytest.mark.parametrize("spec", ["foo", "q"])
+def test_cli_an_unknown_field_spec_exits_three_and_names_it(spec, capsys):
+    assert main(["info", "--input", FIXTURE, "--field", spec]) == 3
+    assert f"parse error: unknown field spec {spec!r}" in capsys.readouterr().err
 
 
 def test_cli_verify_detects_tampering(tmp_path, capsys):
@@ -691,6 +715,18 @@ def test_cli_verify_names_the_star_label_count_when_the_top_rank_is_off(
     assert main(["verify", "--input", tampered]) == 1
     assert "FAIL rank_accounting  (rank at 2: 2 != 1 (1 star labels))" in (
         capsys.readouterr().out
+    )
+
+
+def test_cli_verify_refuses_an_output_without_a_labels_block(tmp_path, capsys):
+    data = exa_star_data(tmp_path)
+    del data["labels"]
+    unlabelled = write_json(tmp_path, "unlabelled.json", data)
+    capsys.readouterr()
+    assert main(["verify", "--input", unlabelled]) == 2
+    assert capsys.readouterr().err == (
+        "precondition violated: complex has no labels; "
+        "not an output of star_transform\n"
     )
 
 

@@ -475,7 +475,7 @@ def test_image_gb_built_once_per_complex(monkeypatch):
     out = result.star.complex
     assert built.count(columns(comp)) == built.count(columns(out)) == 0
     for c in (comp, out, comp, out):
-        c.image_gb(1)
+        c.image_gb()
     assert built.count(columns(comp)) == built.count(columns(out)) == 1
 
 

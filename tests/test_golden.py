@@ -16,7 +16,7 @@ from startrans.modules import colon
 from startrans.poly import format_polynomial
 from startrans.problemfile import ProblemFile, emit_star
 
-# name: (emit_star bytes, repr(image_gb(1)), repr(colon))
+# name: (emit_star bytes, repr(image_gb()), repr(colon))
 GOLDEN = {
     "exa": (
         "330bd7c849740c8b3e63f954b16a0bef366f3a45d2bd56f9fa135b9191ee0467",
@@ -164,7 +164,7 @@ def test_corpus_outputs_match_golden(tmp_path, name, comp, sop):
     )
     path = tmp_path / "star.json"
     emit_star(star, None, str(path), base, comp)
-    m_gb = comp.image_gb(1)
+    m_gb = comp.image_gb()
     got = (
         _sha(path.read_bytes()),
         _sha(repr(m_gb).encode()),

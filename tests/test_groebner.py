@@ -433,7 +433,7 @@ def test_every_basis_lifts_its_generators_and_builds_no_row_until_then(
         "buchberger": m_gb,
         "colon": colon(m_gb, q_polys),
         "intersect": intersect(m_gb, other),
-        "image_gb": comp.image_gb(1),
+        "image_gb": comp.image_gb(),
     }
     if ambient.rank == 1:
         bases["ideal_gb"] = ideal_gb(ring, [g.coords[0] for g in gens])

@@ -105,7 +105,7 @@ def test_star_transform_when_the_decomposition_holds_only_modulo_the_quotient(ri
     result = star_transform(comp, sop)
     assert [c.name for c in result.report.checks if not c.passed] == []
     assert submodule_equal(
-        result.star.complex.image_gb(1), colon(comp.image_gb(1), sop.gens)
+        result.star.complex.image_gb(), colon(comp.image_gb(), sop.gens)
     )
 
 

@@ -283,7 +283,7 @@ def test_chain_map_source_twists_shifted(exa, exa_chain_map):
 
 def test_chain_map_image_checks_exa(exa, exa_chain_map):
     comp, sop = exa
-    m_gb = comp.image_gb(1)
+    m_gb = comp.image_gb()
     results = chain_map_image_checks(exa_chain_map, m_gb)
     assert all(ok for _, ok, _ in results)
     names = [n for n, _, _ in results]
@@ -294,7 +294,7 @@ def test_chain_map_image_checks_exa(exa, exa_chain_map):
 def test_chain_map_image_checks_degenerate_zero_top():
     comp, sop = padded_zero_top_instance()
     cm = build_chain_map(comp, sop)
-    m_gb = comp.image_gb(1)
+    m_gb = comp.image_gb()
     results = chain_map_image_checks(cm, m_gb)
     assert all(ok for _, ok, _ in results)
     # M : Q = M in the degenerate case
@@ -307,7 +307,7 @@ def test_exa_image_sum_is_colon(exa, exa_chain_map):
     ambient = comp.module(0)
     level0 = exa_chain_map.level(0)
     gens = [ambient.vector(level0.column(j)) for j in range(level0.ncols)]
-    m_gb = comp.image_gb(1)
+    m_gb = comp.image_gb()
     span = buchberger(ambient, gens + list(m_gb.gb))
     expected = buchberger(
         ambient,
@@ -318,7 +318,7 @@ def test_exa_image_sum_is_colon(exa, exa_chain_map):
 
 def test_quotient_count_exa(exa):
     comp, sop = exa
-    m_gb = comp.image_gb(1)
+    m_gb = comp.image_gb()
     colon_gb = colon(m_gb, sop.gens)
     lhs = (
         hilbert_data(m_gb).series.sub(hilbert_data(colon_gb).series)
@@ -353,7 +353,7 @@ def test_cone_resolves_colon(small_corpus):
             continue
         cone = mapping_cone(build_chain_map(comp, sop))
         assert submodule_equal(
-            cone.image_gb(1), colon(comp.image_gb(1), sop.gens)
+            cone.image_gb(), colon(comp.image_gb(), sop.gens)
         ), name
 
 
@@ -590,7 +590,7 @@ def test_exa_full_star(exa):
         ambient,
         [ambient.vector((ring.parse(t),)) for t in ("x^2", "x*y", "y^2")],
     )
-    assert submodule_equal(star.complex.image_gb(1), expected)
+    assert submodule_equal(star.complex.image_gb(), expected)
     assert star.top_rank() != 0
     assert res.report.overall
 
@@ -615,7 +615,7 @@ def test_full_star_on_corpus(small_corpus):
         ), name
         # image equals the oracle colon
         assert submodule_equal(
-            star.complex.image_gb(1), colon(comp.image_gb(1), sop.gens)
+            star.complex.image_gb(), colon(comp.image_gb(), sop.gens)
         ), name
         # top map entries all in the irrelevant ideal
         f = comp.ring.field
@@ -700,7 +700,7 @@ def test_n3_complete_intersection_shape():
             for t in ("x^2", "y^2", "z^2", "x*y*z")
         ],
     )
-    assert submodule_equal(star.complex.image_gb(1), expected)
+    assert submodule_equal(star.complex.image_gb(), expected)
 
 
 def test_vanishing_top_fast_path():
@@ -712,9 +712,9 @@ def test_vanishing_top_fast_path():
     assert star.complex.effective_length() <= 1
     from startrans import depth_positive_check
 
-    assert depth_positive_check(star.complex.image_gb(1))
+    assert depth_positive_check(star.complex.image_gb())
     # consequence: a further colon by the irrelevant ideal is stable
-    colon_gb = colon(comp.image_gb(1), sop.gens)
+    colon_gb = colon(comp.image_gb(), sop.gens)
     m_vars = [comp.ring.var(i) for i in range(comp.ring.nvars)]
     assert submodule_equal(colon(colon_gb, m_vars), colon_gb)
 
@@ -725,7 +725,7 @@ def test_degenerate_zero_top_is_identity():
     assert res.star.complex.modules == comp.modules
     assert res.star.complex.maps == comp.maps
     assert res.report.overall
-    m_gb = comp.image_gb(1)
+    m_gb = comp.image_gb()
     assert submodule_equal(colon(m_gb, sop.gens), m_gb)
 
 
@@ -767,7 +767,7 @@ def test_choice_independence_of_colon_image(exa, monkeypatch):
     )
     assert verify_star(comp, sop, alt_star).overall
     assert submodule_equal(
-        default_res.star.complex.image_gb(1), alt_star.complex.image_gb(1)
+        default_res.star.complex.image_gb(), alt_star.complex.image_gb()
     )
 
 

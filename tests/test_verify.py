@@ -106,6 +106,33 @@ def test_star_complex_refuses_an_unlabelled_complex():
         StarComplex(comp, comp.top_rank())
 
 
+def test_a_forged_rank_fails_rank_accounting_naming_the_position_and_ranks():
+    # one more basis vector at position 1 of an n = 3 output, with a zero
+    # column of phi_1 and a zero row of phi_2: still a homogeneous complex
+    comp, sop = complete_intersection_instance((2, 2, 2))
+    out = star_transform(comp, sop, with_report=False).star
+    ring, f1 = out.complex.ring, out.complex.module(1)
+    phi1, phi2 = out.complex.phi(1), out.complex.phi(2)
+    rank, zero = f1.rank + 1, ring.zero()
+    forged = FreeComplex(
+        ring,
+        out.complex.modules[:1]
+        + (GradedFreeModule(ring, rank, f1.twists + f1.twists[:1]),)
+        + out.complex.modules[2:],
+        (
+            PolyMatrix(ring, [[*row, zero] for row in phi1.entries], 1, rank),
+            PolyMatrix(ring, [*phi2.entries, [zero] * phi2.ncols], rank, phi2.ncols),
+        )
+        + out.complex.maps[2:],
+        out.complex.labels,
+    )
+    star = StarComplex(forged, out.input_top_rank, out.witness)
+    checks = {c.name: c for c in verify_star(comp, sop, star).checks}
+    assert f1.rank == 4
+    assert not checks["rank_accounting"].passed
+    assert checks["rank_accounting"].detail == "rank at 1: 5 != 4"
+
+
 def test_verify_star_fails_an_output_whose_maps_do_not_compose():
     comp, sop = exa_instance()
     star = star_transform(comp, sop, with_report=False).star
@@ -171,25 +198,25 @@ def count(m_gb, sop, rank_top):
 
 def test_count_exa():
     comp, sop = exa_instance()
-    assert count(comp.image_gb(1), sop, comp.top_rank()) == (
+    assert count(comp.image_gb(), sop, comp.top_rank()) == (
         True, "dim (M:Q)/M = 1, expected 1"
     )
 
 
 def test_count_zero_top():
     comp, sop = padded_zero_top_instance()
-    assert count(comp.image_gb(1), sop, 0) == (True, "dim (M:Q)/M = 0, expected 0")
+    assert count(comp.image_gb(), sop, 0) == (True, "dim (M:Q)/M = 0, expected 0")
 
 
 def test_count_complete_intersection():
     comp, sop = complete_intersection_instance((2, 2, 2))
     assert sop.colength == 1
-    assert count(comp.image_gb(1), sop, 1) == (True, "dim (M:Q)/M = 1, expected 1")
+    assert count(comp.image_gb(), sop, 1) == (True, "dim (M:Q)/M = 1, expected 1")
 
 
 def test_count_detects_wrong_rank():
     comp, sop = exa_instance()
-    assert count(comp.image_gb(1), sop, 5) == (
+    assert count(comp.image_gb(), sop, 5) == (
         False, "dim (M:Q)/M = 1, expected 5"
     )
 
@@ -278,7 +305,7 @@ def test_depth_flag_consistent_with_fast_path():
     comp, sop = vanishing_top_instance()
     res = star_transform(comp, sop)
     assert res.star.top_rank() == 0
-    assert depth_positive_check(res.star.complex.image_gb(1))
+    assert depth_positive_check(res.star.complex.image_gb())
     assert any(
         c.name == "depth_positive" and c.passed for c in res.report.checks
     )
@@ -479,7 +506,7 @@ def test_driver_exa_two_rounds():
         R1, [R1.vector((ring.var(0),)), R1.vector((ring.var(1),))]
     )
     assert submodule_equal(
-        driver.rounds[1].result.star.complex.image_gb(1), expected_round2
+        driver.rounds[1].result.star.complex.image_gb(), expected_round2
     )
     assert driver.rounds[1].result.report.overall
     # round-1 output top map entries lie in Q, which let round 2 run
@@ -540,10 +567,10 @@ def test_driver_matches_iterated_oracle():
     comp, sop = complete_intersection_instance((2, 2, 2))
     driver = star_iteration_driver(comp, sop, 2)
     assert all_match(driver)
-    oracle = comp.image_gb(1)
+    oracle = comp.image_gb()
     for rnd in driver.rounds:
         oracle = colon(oracle, sop.gens)
-        assert submodule_equal(rnd.result.star.complex.image_gb(1), oracle)
+        assert submodule_equal(rnd.result.star.complex.image_gb(), oracle)
 
 
 def test_driver_match_chains_from_the_round_reports(monkeypatch, capsys):
@@ -627,10 +654,10 @@ def test_verify_star_runs_no_colon_when_the_output_image_fails(monkeypatch):
     out = res.star.complex
     real = complexes.FreeComplex.image_gb
 
-    def image_gb(self, p):
+    def image_gb(self):
         if self is out:
             raise RuntimeError("image basis unavailable")
-        return real(self, p)
+        return real(self)
 
     monkeypatch.setattr(complexes.FreeComplex, "image_gb", image_gb)
     calls = _count_calls(monkeypatch, colon)
@@ -659,7 +686,7 @@ def test_vanishing_top_with_a_failed_acyclicity_fails_depth_positive():
     assert checks["depth_positive"].detail == (
         "top module vanished; colon by the irrelevant ideal is stable"
     )
-    assert depth_positive_check(bad.image_gb(1))
+    assert depth_positive_check(bad.image_gb())
 
 
 def _vanishing_outputs():
@@ -683,7 +710,7 @@ def test_depth_positive_verdict_equals_the_colon_probe():
     for label, result in _vanishing_outputs():
         checks = {c.name: c for c in result.report.checks}
         assert checks["depth_positive"].passed == depth_positive_check(
-            result.star.complex.image_gb(1)
+            result.star.complex.image_gb()
         ), label
         seen += 1
     assert seen == 43  # 42 corpus outputs and the quotient case
